@@ -1,21 +1,25 @@
 """Berwald detection, the induced affine connection, and metrizability tests.
 
-A geometry is Berwald when the connection coefficients are independent of the
-fiber coordinate; the test samples directions inside the admissible cone and
-measures the spread of the coefficients.  On a Berwald verdict the extracted
-x-dependent connection has an affine Ricci tensor whose skew part is the
-metrizability obstruction: a nonzero skew part proves no pseudo-Riemannian
-metric has this connection as its Levi-Civita connection.
+A geometry is Berwald when the Chern-Rund connection does not depend on the
+fiber coordinate, equivalently when the geodesic spray is quadratic in the
+fiber coordinate.  Both are read from exact jets at one tangent sample: the
+fiber derivative of Gamma in the sample's order-4 evaluation context, and
+the spray at fiber vectors sampled inside the admissible cone against the
+quadratic form that Gamma predicts.  On a Berwald verdict, Gamma at the
+sample is the affine connection of the base point.  Its affine Ricci tensor,
+assembled from the exact x-derivatives in the same context, has a skew part
+that is the metrizability obstruction: a nonzero skew part proves no
+pseudo-Riemannian metric has this connection as its Levi-Civita connection.
 
 Connection fields are callables over base coordinates that also accept
-first-order jets, so the affine Ricci tensor is assembled from exact
-x-derivatives rather than finite differences.
+first-order jets, so the affine Ricci tensor of an expression metric is
+assembled from exact x-derivatives rather than finite differences.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -36,15 +40,20 @@ class NotBerwald(RuntimeError):
 
 
 class NoAdmissibleDirections(RuntimeError):
-    """Direction sampling found fewer than two admissible fiber vectors."""
+    """The seed direction lies outside A, or direction sampling found fewer
+    than two admissible fiber vectors."""
 
 
 @dataclass(frozen=True)
 class BerwaldVerdict:
+    """`max_gamma_deviation` is the larger of the two deviations tested."""
+
     is_berwald: bool
     max_gamma_deviation: float
-    affine_connection: np.ndarray  # direction-averaged Gamma^a_bc
+    affine_connection: np.ndarray  # Gamma^a_bc at the seed direction
     directions_tested: int
+    fiber_derivative_deviation: float  # |dGamma/dxdot| |xdot| / |Gamma|
+    spray_deviation: float  # |G(d) - Gamma(d, d)/2| / (|Gamma| |d|^2)
 
 
 @dataclass(frozen=True)
@@ -73,6 +82,46 @@ def _as_rng(rng) -> np.random.Generator:
     return np.random.default_rng(0 if rng is None else rng)
 
 
+def _admissible_context(lag: LagrangianDef, x: np.ndarray, direction) -> Optional[_Eval]:
+    """The order-2 evaluation context at (x, direction) when it lies in A."""
+    verdict, ev = geometry.probe_context(lag, TangentSample(x, direction), 2)
+    return ev if verdict.in_A else None
+
+
+def _admissible_contexts(
+    lag: LagrangianDef,
+    x: np.ndarray,
+    seed_direction: np.ndarray,
+    seed_context: Optional[_Eval],
+    count: int,
+    rng,
+    spread: float,
+    max_attempts: int = MAX_ATTEMPTS,
+) -> list[_Eval]:
+    """Evaluation contexts at admissible fiber vectors near `seed_direction`,
+    rejection-sampled; `seed_context` is the seed's own admissible context,
+    or None when the seed lies outside A."""
+    gen = _as_rng(rng)
+    n = len(x)
+    scale = spread * max(1.0, float(np.max(np.abs(seed_direction))))
+    found = [] if seed_context is None else [seed_context]
+    attempts = 0
+    while len(found) < count and attempts < max_attempts:
+        attempts += 1
+        cand = seed_direction + scale * gen.uniform(-1.0, 1.0, size=n)
+        if not np.any(cand != 0.0):
+            continue
+        ev = _admissible_context(lag, x, cand)
+        if ev is not None:
+            found.append(ev)
+    if len(found) < 2:
+        raise NoAdmissibleDirections(
+            f"found {len(found)} admissible directions at x={x} "
+            f"after {attempts} attempts"
+        )
+    return found
+
+
 def sample_admissible_directions(
     lag: LagrangianDef,
     x: np.ndarray,
@@ -90,43 +139,66 @@ def sample_admissible_directions(
     """
     x = np.asarray(x, dtype=float)
     seed_direction = np.asarray(seed_direction, dtype=float)
-    gen = _as_rng(rng)
-    n = len(x)
-    scale = spread * max(1.0, float(np.max(np.abs(seed_direction))))
-    dirs: list[np.ndarray] = []
-    if geometry.probe_admissibility(lag, TangentSample(x, seed_direction)).in_A:
-        dirs.append(seed_direction)
-    attempts = 0
-    while len(dirs) < count and attempts < max_attempts:
-        attempts += 1
-        cand = seed_direction + scale * gen.uniform(-1.0, 1.0, size=n)
-        if not np.any(cand != 0.0):
-            continue
-        if geometry.probe_admissibility(lag, TangentSample(x, cand)).in_A:
-            dirs.append(cand)
-    if len(dirs) < 2:
-        raise NoAdmissibleDirections(
-            f"found {len(dirs)} admissible directions at x={x} "
-            f"after {attempts} attempts"
-        )
-    return dirs
+    contexts = _admissible_contexts(
+        lag, x, seed_direction, _admissible_context(lag, x, seed_direction),
+        count, rng, spread, max_attempts,
+    )
+    return [ev.sample.xdot for ev in contexts]
 
 
 # -- Berwald detection ---------------------------------------------------------
 
 
-def _verdict_from_gammas(gammas: Sequence[np.ndarray], tol: float) -> BerwaldVerdict:
-    scale = max(1.0, max(float(np.max(np.abs(g))) for g in gammas))
-    dev = max(
-        (float(np.max(np.abs(g - gammas[0]))) for g in gammas[1:]), default=0.0
+def _max_abs(a) -> float:
+    return float(np.max(np.abs(a)))
+
+
+def verdict_at(
+    ev: _Eval,
+    count: int = DEFAULT_DIRECTIONS,
+    rng=None,
+    spread: float = DEFAULT_SPREAD,
+    tol_berwald: float = TOL_BERWALD,
+) -> BerwaldVerdict:
+    """Berwald verdict at the base point of an order-4 evaluation context.
+
+    Two deviations, each relative to max(1, |Gamma|), must fall below
+    `tol_berwald`: the fiber derivative of Gamma at the context's own
+    direction, and the spray at `count` sampled admissible directions d
+    against Gamma^a_bc d^b d^c / 2.  Both are necessary conditions.
+    """
+    gamma = ev.gamma_values
+    scale = max(1.0, _max_abs(gamma))
+    xdot_scale = max(1.0, _max_abs(ev.sample.xdot))
+    fiber = _max_abs(ev.gamma_fiber_derivatives) * xdot_scale / scale
+    witnesses = _admissible_contexts(
+        ev.lag, ev.sample.x, ev.sample.xdot, ev, count, rng, spread
     )
-    dev /= scale
+    spray = 0.0
+    for w in witnesses:
+        d = w.sample.xdot
+        quadratic = 0.5 * np.einsum("abc,b,c->a", gamma, d, d)
+        d_scale = max(1.0, _max_abs(d))
+        spray = max(spray, _max_abs(w.spray_values - quadratic) / (scale * d_scale**2))
+    dev = max(fiber, spray)
     return BerwaldVerdict(
-        is_berwald=dev < tol,
+        is_berwald=dev < tol_berwald,
         max_gamma_deviation=dev,
-        affine_connection=np.mean(gammas, axis=0),
-        directions_tested=len(gammas),
+        affine_connection=gamma,
+        directions_tested=len(witnesses),
+        fiber_derivative_deviation=fiber,
+        spray_deviation=spray,
     )
+
+
+def _seed_context(lag: LagrangianDef, x: np.ndarray, seed_direction: np.ndarray) -> _Eval:
+    sample = TangentSample(x, seed_direction)
+    verdict, ev = geometry.probe_context(lag, sample, 4)
+    if not verdict.in_A:
+        raise NoAdmissibleDirections(
+            f"the seed direction at x={sample.x} is outside A ({verdict.failure_reason})"
+        )
+    return ev
 
 
 def detect_berwald(
@@ -138,10 +210,9 @@ def detect_berwald(
     spread: float = DEFAULT_SPREAD,
     tol_berwald: float = TOL_BERWALD,
 ) -> BerwaldVerdict:
-    """Sample directions at x and decide whether Gamma is fiber-independent."""
-    dirs = sample_admissible_directions(lag, x, seed_direction, count, rng, spread)
-    gammas = [geometry.chern_rund(lag, TangentSample(x, d)) for d in dirs]
-    return _verdict_from_gammas(gammas, tol_berwald)
+    """Decide at (x, seed_direction) whether Gamma is fiber-independent."""
+    ev = _seed_context(lag, x, seed_direction)
+    return verdict_at(ev, count, rng, spread, tol_berwald)
 
 
 # -- affine connection fields ---------------------------------------------------
@@ -165,49 +236,6 @@ def compose_first_order(
             acc = acc + float(partials[m][idx]) * off
         out[idx] = acc
     return out
-
-
-class BerwaldConnectionField:
-    """The extracted affine connection as a function of the base point.
-
-    Evaluation runs the full tangent-bundle pipeline over the sampled
-    admissible directions and averages; the base coordinates are active jet
-    variables of that pipeline, so exact x-derivatives come along for free
-    and first-order jet arguments are supported.
-    """
-
-    def __init__(
-        self,
-        lag: LagrangianDef,
-        seed_direction: np.ndarray,
-        count: int = DEFAULT_DIRECTIONS,
-        rng_seed=0,
-        spread: float = DEFAULT_SPREAD,
-    ):
-        self.lag = lag
-        self.seed_direction = np.asarray(seed_direction, dtype=float)
-        self.count = count
-        self.rng_seed = rng_seed
-        self.spread = spread
-
-    def gamma_stats(self, x: np.ndarray):
-        """(mean Gamma, mean dGamma/dx, per-direction order-4 evaluations)."""
-        dirs = sample_admissible_directions(
-            self.lag, x, self.seed_direction, self.count,
-            np.random.default_rng(self.rng_seed), self.spread,
-        )
-        evals = [_Eval(self.lag, TangentSample(x, d), 4) for d in dirs]
-        gamma = np.mean([ev.gamma_values for ev in evals], axis=0)
-        dgamma = np.mean([ev.gamma_x_derivatives for ev in evals], axis=0)
-        return gamma, dgamma, evals
-
-    def __call__(self, coords):
-        if len(coords) and isinstance(coords[0], Jet):
-            values = np.array([j.value for j in coords])
-            gamma, dgamma, _ = self.gamma_stats(values)
-            return compose_first_order(gamma, dgamma, coords)
-        gamma, _, _ = self.gamma_stats(np.asarray(coords, dtype=float))
-        return gamma
 
 
 class ChristoffelField:
@@ -280,6 +308,39 @@ def ricci_affine(
 # -- the obstruction -------------------------------------------------------------
 
 
+def require_berwald(verdict: BerwaldVerdict) -> None:
+    """Raise NotBerwald unless the verdict found an affine connection."""
+    if not verdict.is_berwald:
+        raise NotBerwald(
+            f"connection depends on the fiber (deviation "
+            f"{verdict.max_gamma_deviation:.3e})"
+        )
+
+
+def obstruction_at(
+    ev: _Eval, verdict: BerwaldVerdict, tol_sym: float = TOL_SYM
+) -> ObstructionReport:
+    """Skew part of the affine Ricci tensor at the base point of an order-4
+    evaluation context whose Berwald verdict is `verdict`, plus the residual
+    of the curvature-route skew at the context's direction (the two routes
+    agree on Berwald geometries)."""
+    require_berwald(verdict)
+    ricci = affine_ricci_from_values(ev.gamma_values, ev.gamma_x_derivatives)
+    skew = 0.5 * (ricci - ricci.T)
+    skew_max = _max_abs(skew)
+    curv_route = geometry.ricci_skew_from_curvature(
+        ev.curvature.hh_riemann, ev.sample.xdot, ev.cartan_trace
+    )
+    ricci_scale = max(1.0, _max_abs(ricci))
+    return ObstructionReport(
+        ricci=ricci,
+        skew=skew,
+        skew_max_abs=skew_max,
+        metrizability_necessary_condition_met=skew_max < tol_sym * ricci_scale,
+        phi_constancy_residual=_max_abs(curv_route - 2.0 * skew),
+    )
+
+
 def obstruction(
     lag: LagrangianDef,
     x: np.ndarray,
@@ -290,42 +351,18 @@ def obstruction(
     tol_berwald: float = TOL_BERWALD,
     tol_sym: float = TOL_SYM,
 ) -> ObstructionReport:
-    """Skew part of the affine Ricci tensor at x, plus the fiber-independence
-    residual of the curvature-route skew (which must be direction-independent
-    on Berwald geometries)."""
-    x = np.asarray(x, dtype=float)
-    field = BerwaldConnectionField(lag, seed_direction, count, rng_seed, spread)
-    gamma, dgamma, evals = field.gamma_stats(x)
-    verdict = _verdict_from_gammas([ev.gamma_values for ev in evals], tol_berwald)
-    if not verdict.is_berwald:
-        raise NotBerwald(
-            f"connection varies over directions (deviation "
-            f"{verdict.max_gamma_deviation:.3e} >= {tol_berwald:.1e})"
-        )
-    ricci = affine_ricci_from_values(gamma, dgamma)
-    skew = 0.5 * (ricci - ricci.T)
-    skew_max = float(np.max(np.abs(skew)))
-    phi_res = 0.0
-    for ev in evals:
-        curv_route = geometry.ricci_skew_from_curvature(
-            ev.curvature.hh_riemann, ev.sample.xdot, ev.cartan_trace
-        )
-        phi_res = max(phi_res, float(np.max(np.abs(curv_route - 2.0 * skew))))
-    ricci_scale = max(1.0, float(np.max(np.abs(ricci))))
-    return ObstructionReport(
-        ricci=ricci,
-        skew=skew,
-        skew_max_abs=skew_max,
-        metrizability_necessary_condition_met=skew_max < tol_sym * ricci_scale,
-        phi_constancy_residual=phi_res,
-    )
+    """The obstruction at (x, seed_direction); raises NotBerwald first when
+    the geometry is not Berwald there."""
+    ev = _seed_context(lag, x, seed_direction)
+    verdict = verdict_at(ev, count, rng_seed, spread, tol_berwald)
+    return obstruction_at(ev, verdict, tol_sym)
 
 
 # -- non-metricity decomposition --------------------------------------------------
 
 
 def nonmetricity(
-    gamma: Union[np.ndarray, Callable],
+    gamma: np.ndarray,
     g_ref_exprs,
     x: np.ndarray,
     params=None,
@@ -333,8 +370,6 @@ def nonmetricity(
     """Decompose Gamma = christoffel(g_ref) + D and report the non-metricity
     Q_abc = nabla_a g_bc = -D^s_ac g_sb - D^s_ab g_sc of the reference metric."""
     x = np.asarray(x, dtype=float)
-    if callable(gamma):
-        gamma = gamma(x)
     gamma = np.asarray(gamma, dtype=float)
     g_vals_obj = geometry.eval_metric_exprs(g_ref_exprs, list(x), params)
     g_vals = g_vals_obj.astype(float)

@@ -110,13 +110,15 @@ def _summary_lines(report: dict, exit_code: int) -> list[str]:
         )
     if "obstruction" in geo:
         o = geo["obstruction"]
-        met = o["metrizability_necessary_condition_met"]
         mx = o["max_skew_abs"]
-        lines.append(
-            "obstruction: skew max "
-            + ("-" if mx is None else f"{mx:.6g}")
-            + (" — necessary condition met" if met else " — NON-METRIZABLE")
-        )
+        if mx is None:
+            lines.append("obstruction: not computed (no Berwald base point)")
+        else:
+            met = o["metrizability_necessary_condition_met"]
+            lines.append(
+                f"obstruction: skew max {mx:.6g}"
+                + (" — necessary condition met" if met else " — NON-METRIZABLE")
+            )
     if "family_proposition" in geo:
         p = geo["family_proposition"]
         lines.append(

@@ -82,6 +82,13 @@ class AdmissibilityVerdict:
     failure_reason: Optional[str] = None
 
 
+def _outside_A(reason: str) -> AdmissibilityVerdict:
+    return AdmissibilityVerdict(
+        in_A=False, L_value=None, in_N=False, in_A0=False, in_T=False,
+        failure_reason=reason,
+    )
+
+
 # -- jet-matrix helpers ------------------------------------------------------
 
 
@@ -255,6 +262,44 @@ class _Eval:
                 f"L-metric is singular at the sample (eigenvalues {self.eigenvalues})"
             )
 
+    def metric(self, tol_degenerate: float = TOL_DEGENERATE) -> MetricValue:
+        self.require_nondegenerate(tol_degenerate)
+        return MetricValue(
+            g=self.g_values,
+            g_inv=np.linalg.inv(self.g_values),
+            det=float(np.linalg.det(self.g_values)),
+            signature=self.signature(tol_degenerate),
+        )
+
+    def admissibility(
+        self,
+        convention: str = "+---",
+        tol_degenerate: float = TOL_DEGENERATE,
+        tol_null: float = TOL_NULL,
+    ) -> AdmissibilityVerdict:
+        L_value = self.L.value
+        if not math.isfinite(L_value):
+            return _outside_A("non-finite")
+        sig = self.signature(tol_degenerate)
+        in_A = sig[2] == 0
+        xdot = np.abs(self.sample.xdot)
+        scale = float(np.abs(self.g_values).dot(xdot).dot(xdot))
+        in_N = abs(L_value) <= tol_null * max(scale, 1e-300)
+        in_A0 = in_A and not in_N
+        n = self.n
+        if convention == "+---":
+            lorentzian = sig == (1, n - 1, 0)
+            positive = L_value > 0.0
+        else:
+            lorentzian = sig == (n - 1, 1, 0)
+            positive = L_value < 0.0
+        in_T = in_A0 and positive and lorentzian
+        reason = None if in_A else "degenerate-metric"
+        return AdmissibilityVerdict(
+            in_A=in_A, L_value=L_value, in_N=in_N, in_A0=in_A0, in_T=in_T,
+            failure_reason=reason,
+        )
+
     @cached_property
     def g_inv_values(self) -> np.ndarray:
         self.require_nondegenerate()
@@ -385,19 +430,26 @@ class _Eval:
         return np.einsum("mn,amn->a", self.g_inv_values, self.cartan_values)
 
     @cached_property
+    def gamma_fiber_derivatives(self) -> np.ndarray:
+        """dGamma_v[e, a, b, c] = d Gamma^a_bc / d xdot^e at fixed x."""
+        n = self.n
+        out = np.empty((n, n, n, n))
+        for a in range(n):
+            for b in range(n):
+                for c in range(b, n):
+                    for e in range(n):
+                        v = self.gamma_jets[a, b, c].first(n + e)
+                        out[e, a, b, c] = v
+                        out[e, a, c, b] = v
+        return out
+
+    @cached_property
     def curvature(self) -> CurvatureValue:
         n = self.n
         gamma = self.gamma_values
         # delta_d Gamma^c_ab = d_d Gamma - N^e_d ddot_e Gamma
         dgam_x = self.gamma_x_derivatives  # [m, c, a, b]
-        dgam_v = np.empty((n, n, n, n))
-        for c in range(n):
-            for a in range(n):
-                for b in range(a, n):
-                    for e in range(n):
-                        v = self.gamma_jets[c, a, b].first(n + e)
-                        dgam_v[e, c, a, b] = v
-                        dgam_v[e, c, b, a] = v
+        dgam_v = self.gamma_fiber_derivatives  # [e, c, a, b]
         delta_gam = dgam_x - np.einsum("ed,ecab->dcab", self.nonlinear_values, dgam_v)
         riem = np.empty((n, n, n, n))
         quad = np.einsum("cds,sab->cadb", gamma, gamma) - np.einsum(
@@ -415,6 +467,26 @@ class _Eval:
         skew = 0.5 * (ricci - ricci.T)
         return CurvatureValue(hh_riemann=riem, ricci=ricci, skew_ricci=skew)
 
+    def commutator_residual(self, scalar_field: Callable[[Sequence[Jet]], Jet]) -> float:
+        """Residual of [delta_a, delta_b] f = R^c_{dab} xdot^d ddot_c f."""
+        n = self.n
+        f = scalar_field(self.cjets)
+        Nv = self.nonlinear_values
+        dd = np.empty((n, n))
+        for b in range(n):
+            fb = self.dx(f, b)
+            for e in range(n):
+                fb = fb - self.nonlinear_jets[e, b] * self.dv(f, e)
+            for a in range(n):
+                acc = fb.diff(a).value
+                for c in range(n):
+                    acc -= Nv[c, a] * fb.diff(n + c).value
+                dd[a, b] = acc
+        lhs = dd - dd.T
+        dvf = np.array([f.first(n + c) for c in range(n)])
+        rhs = ricci_skew_from_curvature(self.curvature.hh_riemann, self.sample.xdot, dvf)
+        return float(np.max(np.abs(lhs - rhs)))
+
 
 # -- public operations ---------------------------------------------------------
 
@@ -425,18 +497,7 @@ def metric(
     tol_degenerate: float = TOL_DEGENERATE,
 ) -> MetricValue:
     """The L-metric (half the vertical Hessian) with inverse and signature."""
-    ev = _Eval(lag, sample, 2)
-    sig = ev.signature(tol_degenerate)
-    if sig[2] > 0:
-        raise DegenerateMetric(
-            f"L-metric is singular at the sample (eigenvalues {ev.eigenvalues})"
-        )
-    return MetricValue(
-        g=ev.g_values,
-        g_inv=np.linalg.inv(ev.g_values),
-        det=float(np.linalg.det(ev.g_values)),
-        signature=sig,
-    )
+    return _Eval(lag, sample, 2).metric(tol_degenerate)
 
 
 def spray(lag: LagrangianDef, sample: TangentSample) -> np.ndarray:
@@ -509,24 +570,27 @@ def commutator_check(
     scalar_field: Callable[[Sequence[Jet]], Jet],
 ) -> float:
     """Residual of [delta_a, delta_b] f = R^c_{dab} xdot^d ddot_c f."""
-    ev = _Eval(lag, sample, 4)
-    n = ev.n
-    f = scalar_field(ev.cjets)
-    Nv = ev.nonlinear_values
-    dd = np.empty((n, n))
-    for b in range(n):
-        fb = ev.dx(f, b)
-        for e in range(n):
-            fb = fb - ev.nonlinear_jets[e, b] * ev.dv(f, e)
-        for a in range(n):
-            acc = fb.diff(a).value
-            for c in range(n):
-                acc -= Nv[c, a] * fb.diff(n + c).value
-            dd[a, b] = acc
-    lhs = dd - dd.T
-    dvf = np.array([f.first(n + c) for c in range(n)])
-    rhs = ricci_skew_from_curvature(ev.curvature.hh_riemann, sample.xdot, dvf)
-    return float(np.max(np.abs(lhs - rhs)))
+    return _Eval(lag, sample, 4).commutator_residual(scalar_field)
+
+
+def probe_context(
+    lag: LagrangianDef,
+    sample: TangentSample,
+    order: int,
+    convention: str = "+---",
+    tol_degenerate: float = TOL_DEGENERATE,
+    tol_null: float = TOL_NULL,
+) -> tuple[AdmissibilityVerdict, Optional[_Eval]]:
+    """Admissibility of the sample and the evaluation context, seeded at
+    `order`, that decided it; the context is None when L cannot be evaluated."""
+    if convention not in ("+---", "-+++"):
+        raise ValueError(f"unknown signature convention {convention!r}")
+    try:
+        ev = _Eval(lag, sample, order)
+    except (DomainError, ExprDomainError) as err:
+        reason = getattr(err, "reason", None) or str(err)
+        return _outside_A(reason), None
+    return ev.admissibility(convention, tol_degenerate, tol_null), ev
 
 
 def probe_admissibility(
@@ -537,42 +601,7 @@ def probe_admissibility(
     tol_null: float = TOL_NULL,
 ) -> AdmissibilityVerdict:
     """Membership in the sets A (smooth, nondegenerate), N (null), A0, T."""
-    if convention not in ("+---", "-+++"):
-        raise ValueError(f"unknown signature convention {convention!r}")
-    try:
-        ev = _Eval(lag, sample, 2)
-    except (DomainError, ExprDomainError) as err:
-        reason = getattr(err, "reason", None) or str(err)
-        return AdmissibilityVerdict(
-            in_A=False, L_value=None, in_N=False, in_A0=False, in_T=False,
-            failure_reason=reason,
-        )
-    L_value = ev.L.value
-    if not math.isfinite(L_value):
-        return AdmissibilityVerdict(
-            in_A=False, L_value=None, in_N=False, in_A0=False, in_T=False,
-            failure_reason="non-finite",
-        )
-    sig = ev.signature(tol_degenerate)
-    in_A = sig[2] == 0
-    scale = float(
-        np.abs(ev.g_values).dot(np.abs(sample.xdot)).dot(np.abs(sample.xdot))
-    )
-    in_N = abs(L_value) <= tol_null * max(scale, 1e-300)
-    in_A0 = in_A and not in_N
-    n = sample.dim
-    if convention == "+---":
-        lorentzian = sig == (1, n - 1, 0)
-        positive = L_value > 0.0
-    else:
-        lorentzian = sig == (n - 1, 1, 0)
-        positive = L_value < 0.0
-    in_T = in_A0 and positive and lorentzian
-    reason = None if in_A else "degenerate-metric"
-    return AdmissibilityVerdict(
-        in_A=in_A, L_value=L_value, in_N=in_N, in_A0=in_A0, in_T=in_T,
-        failure_reason=reason,
-    )
+    return probe_context(lag, sample, 2, convention, tol_degenerate, tol_null)[0]
 
 
 def log_sqrt_det_metric_field(lag: LagrangianDef) -> Callable[[Sequence[Jet]], Jet]:

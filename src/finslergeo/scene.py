@@ -394,20 +394,20 @@ def parse_report(text: str) -> dict:
 # -- diagnostics ------------------------------------------------------------------
 
 
-def _sample_block(scene: Scene, label: str, sample: TangentSample, subcommand: str) -> dict:
+def _sample_block(
+    scene: Scene,
+    label: str,
+    sample: TangentSample,
+    subcommand: str,
+    verdict: geometry.AdmissibilityVerdict,
+    ev: Optional[geometry._Eval],
+) -> dict:
     opts = scene.options
     block: dict = {
         "label": label,
         "x": _canon(sample.x),
         "xdot": _canon(sample.xdot),
     }
-    verdict = geometry.probe_admissibility(
-        scene.lagrangian,
-        sample,
-        convention=opts.signature_convention,
-        tol_degenerate=opts.tol_degenerate,
-        tol_null=opts.tol_null,
-    )
     block["admissibility"] = {
         "in_A": verdict.in_A,
         "L": verdict.L_value,
@@ -419,10 +419,9 @@ def _sample_block(scene: Scene, label: str, sample: TangentSample, subcommand: s
     if not verdict.in_A:
         return _canon(block)
     try:
-        mv = geometry.metric(scene.lagrangian, sample, opts.tol_degenerate)
+        mv = ev.metric(opts.tol_degenerate)
         block["metric"] = {"det": mv.det, "signature": list(mv.signature)}
-        if subcommand in ("report",):
-            ev = geometry._Eval(scene.lagrangian, sample, 4)
+        if subcommand == "report":
             curv = ev.curvature
             block["spray"] = ev.spray_values
             block["nonlinear"] = ev.nonlinear_values
@@ -437,10 +436,8 @@ def _sample_block(scene: Scene, label: str, sample: TangentSample, subcommand: s
                 "skew_identity": float(
                     np.max(np.abs((curv.ricci - curv.ricci.T) - skew_route))
                 ),
-                "commutator": geometry.commutator_check(
-                    scene.lagrangian,
-                    sample,
-                    geometry.log_sqrt_det_metric_field(scene.lagrangian),
+                "commutator": ev.commutator_residual(
+                    geometry.log_sqrt_det_metric_field(scene.lagrangian)
                 ),
             }
             if isinstance(scene.lagrangian, FamilyInstance):
@@ -453,92 +450,116 @@ def _sample_block(scene: Scene, label: str, sample: TangentSample, subcommand: s
     return _canon(block)
 
 
-def _berwald_blocks(scene: Scene) -> tuple[dict, list]:
-    """Per-base-point Berwald verdicts; returns (section, verdict list)."""
+def _berwald_entries(
+    scene: Scene,
+    idx: int,
+    label: str,
+    sample: TangentSample,
+    subcommand: str,
+    verdict: geometry.AdmissibilityVerdict,
+    ev: Optional[geometry._Eval],
+) -> dict:
+    """The Berwald, obstruction and non-metricity entries of one base point,
+    all read from the sample's own order-4 evaluation context."""
     opts = scene.options
-    per_point = []
-    verdicts = []
-    for idx, (label, sample) in enumerate(scene.samples):
-        entry = {"label": label, "x": _canon(sample.x)}
-        try:
-            verdict = berwald.detect_berwald(
-                scene.lagrangian,
-                sample.x,
-                sample.xdot,
-                count=opts.directions,
-                rng=np.random.default_rng([opts.seed, idx]),
-                spread=opts.spread,
-                tol_berwald=opts.tol_berwald,
+    head = {"label": label, "x": _canon(sample.x)}
+    entries = {"berwald": dict(head)}
+    if subcommand in ("obstruction", "report"):
+        entries["obstruction"] = dict(head)
+    if subcommand in ("nonmetricity", "report") and opts.reference_metric is not None:
+        entries["nonmetricity"] = dict(head)
+    try:
+        if not verdict.in_A:
+            raise NoAdmissibleDirections(
+                f"the sample is outside A ({verdict.failure_reason})"
             )
-            entry.update(
+        bv = berwald.verdict_at(
+            ev,
+            count=opts.directions,
+            rng=np.random.default_rng([opts.seed, idx]),
+            spread=opts.spread,
+            tol_berwald=opts.tol_berwald,
+        )
+    except _SAMPLE_ERRORS as err:
+        for entry in entries.values():
+            entry["error"] = str(err)
+        return _canon(entries)
+    entries["berwald"].update(
+        {
+            "is_berwald": bv.is_berwald,
+            "max_gamma_deviation": bv.max_gamma_deviation,
+            "fiber_derivative_deviation": bv.fiber_derivative_deviation,
+            "spray_deviation": bv.spray_deviation,
+            "directions_tested": bv.directions_tested,
+            "affine_connection": bv.affine_connection,
+        }
+    )
+    if "obstruction" in entries:
+        try:
+            rep = berwald.obstruction_at(ev, bv, opts.tol_sym)
+            entries["obstruction"].update(
                 {
-                    "is_berwald": verdict.is_berwald,
-                    "max_gamma_deviation": verdict.max_gamma_deviation,
-                    "directions_tested": verdict.directions_tested,
-                    "affine_connection": _canon(verdict.affine_connection),
+                    "ricci": rep.ricci,
+                    "skew": rep.skew,
+                    "skew_max_abs": rep.skew_max_abs,
+                    "condition_met": rep.metrizability_necessary_condition_met,
+                    "phi_constancy_residual": rep.phi_constancy_residual,
                 }
             )
-            verdicts.append(verdict)
         except _SAMPLE_ERRORS as err:
-            entry["error"] = str(err)
-            verdicts.append(None)
-        per_point.append(entry)
-    ok = [v for v in verdicts if v is not None]
-    section = {
-        "is_berwald": bool(ok) and all(v.is_berwald for v in ok),
-        "max_gamma_deviation": max((v.max_gamma_deviation for v in ok), default=None),
-        "per_base_point": per_point,
-    }
-    return _canon(section), verdicts
-
-
-def _obstruction_section(scene: Scene) -> tuple[dict, bool]:
-    """Obstruction reports per base point; returns (section, nonmetrizable)."""
-    opts = scene.options
-    per_point = []
-    nonmetrizable = False
-    condition_all = True
-    any_ok = False
-    for idx, (label, sample) in enumerate(scene.samples):
-        entry = {"label": label, "x": _canon(sample.x)}
+            entries["obstruction"]["error"] = str(err)
+    if "nonmetricity" in entries:
         try:
-            rep = berwald.obstruction(
-                scene.lagrangian,
-                sample.x,
-                sample.xdot,
-                count=opts.directions,
-                rng_seed=[opts.seed, idx],
-                spread=opts.spread,
-                tol_berwald=opts.tol_berwald,
-                tol_sym=opts.tol_sym,
+            berwald.require_berwald(bv)
+            rep = berwald.nonmetricity(
+                bv.affine_connection, opts.reference_metric, sample.x
             )
+            entries["nonmetricity"].update({"Q_norm": rep.Q_norm, "D": rep.D, "Q": rep.Q})
         except _SAMPLE_ERRORS as err:
-            entry["error"] = str(err)
-            per_point.append(entry)
-            condition_all = False
-            continue
-        any_ok = True
-        entry.update(
-            {
-                "ricci": _canon(rep.ricci),
-                "skew": _canon(rep.skew),
-                "skew_max_abs": rep.skew_max_abs,
-                "condition_met": rep.metrizability_necessary_condition_met,
-                "phi_constancy_residual": rep.phi_constancy_residual,
-            }
-        )
-        per_point.append(entry)
-        if not rep.metrizability_necessary_condition_met:
-            nonmetrizable = True
-            condition_all = False
-    section = {
-        "metrizability_necessary_condition_met": any_ok and condition_all,
-        "max_skew_abs": max(
-            (e["skew_max_abs"] for e in per_point if "skew_max_abs" in e), default=None
-        ),
+            entries["nonmetricity"]["error"] = str(err)
+    return _canon(entries)
+
+
+def _base_point(
+    scene: Scene, idx: int, label: str, sample: TangentSample, subcommand: str
+) -> dict:
+    """Every per-point entry of the report at one base point, derived from one
+    evaluation context: order 4 when a Berwald verdict is needed, else 2."""
+    opts = scene.options
+    needs_berwald = subcommand in ("berwald", "obstruction", "nonmetricity", "report")
+    verdict, ev = geometry.probe_context(
+        scene.lagrangian,
+        sample,
+        4 if needs_berwald else 2,
+        convention=opts.signature_convention,
+        tol_degenerate=opts.tol_degenerate,
+        tol_null=opts.tol_null,
+    )
+    point = {"sample": _sample_block(scene, label, sample, subcommand, verdict, ev)}
+    if needs_berwald:
+        point.update(_berwald_entries(scene, idx, label, sample, subcommand, verdict, ev))
+    return point
+
+
+def _berwald_section(per_point: list) -> dict:
+    ok = [e for e in per_point if "is_berwald" in e]
+    return {
+        "is_berwald": bool(ok) and all(e["is_berwald"] for e in ok),
+        "max_gamma_deviation": max((e["max_gamma_deviation"] for e in ok), default=None),
         "per_base_point": per_point,
     }
-    return _canon(section), nonmetrizable
+
+
+def _obstruction_section(per_point: list) -> tuple[dict, bool]:
+    """The obstruction section and whether it proves non-metrizability."""
+    ok = [e for e in per_point if "condition_met" in e]
+    section = {
+        "metrizability_necessary_condition_met": len(ok) == len(per_point) > 0
+        and all(e["condition_met"] for e in ok),
+        "max_skew_abs": max((e["skew_max_abs"] for e in ok), default=None),
+        "per_base_point": per_point,
+    }
+    return section, any(not e["condition_met"] for e in ok)
 
 
 def _causal_section(scene: Scene) -> dict:
@@ -580,34 +601,6 @@ def _proposition_section(scene: Scene) -> tuple[dict, bool]:
     return _canon({"fires": fires_any, "per_base_point": per_point}), fires_any
 
 
-def _nonmetricity_section(scene: Scene) -> dict:
-    opts = scene.options
-    per_point = []
-    for idx, (label, sample) in enumerate(scene.samples):
-        entry = {"label": label, "x": _canon(sample.x)}
-        try:
-            fld = berwald.BerwaldConnectionField(
-                scene.lagrangian,
-                sample.xdot,
-                count=opts.directions,
-                rng_seed=opts.seed,
-                spread=opts.spread,
-            )
-            rep = berwald.nonmetricity(fld, opts.reference_metric, sample.x)
-            entry.update(
-                {"Q_norm": rep.Q_norm, "D": _canon(rep.D), "Q": _canon(rep.Q)}
-            )
-        except _SAMPLE_ERRORS as err:
-            entry["error"] = str(err)
-        per_point.append(entry)
-    return _canon(
-        {
-            "reference_metric": [list(r) for r in (scene.options.reference_metric_src or [])],
-            "per_base_point": per_point,
-        }
-    )
-
-
 def run_scene(scene: Scene, subcommand: str) -> tuple[dict, int]:
     """Execute the requested diagnostics; returns (report, exit code)."""
     if subcommand not in SUBCOMMANDS:
@@ -632,30 +625,33 @@ def run_scene(scene: Scene, subcommand: str) -> tuple[dict, int]:
             "dim": scene.dim,
         }
     }
-    jobs = list(scene.samples)
+    if subcommand == "nonmetricity" and opts.reference_metric is None:
+        raise SceneError(
+            "/options/reference_metric",
+            "a reference metric is required for non-metricity diagnostics",
+        )
+    jobs = [(idx, label, s) for idx, (label, s) in enumerate(scene.samples)]
+
+    def job(item):
+        return _base_point(scene, *item, subcommand)
+
     if opts.threads > 1:
         with ThreadPoolExecutor(max_workers=opts.threads) as pool:
-            blocks = list(
-                pool.map(
-                    lambda item: _sample_block(scene, item[0], item[1], subcommand),
-                    jobs,
-                )
-            )
+            points = list(pool.map(job, jobs))
     else:
-        blocks = [_sample_block(scene, label, s, subcommand) for label, s in jobs]
-    report["samples"] = blocks
+        points = [job(item) for item in jobs]
+    report["samples"] = [p["sample"] for p in points]
 
     is_family = isinstance(scene.lagrangian, FamilyInstance)
     geometry_section: dict = {}
     exit_code = 0
     warnings: list[str] = []
 
-    if subcommand in ("berwald", "obstruction", "nonmetricity", "report"):
-        section, _ = _berwald_blocks(scene)
-        geometry_section["berwald"] = section
+    if "berwald" in points[0]:
+        geometry_section["berwald"] = _berwald_section([p["berwald"] for p in points])
 
-    if subcommand in ("obstruction", "report"):
-        section, nonmetrizable = _obstruction_section(scene)
+    if "obstruction" in points[0]:
+        section, nonmetrizable = _obstruction_section([p["obstruction"] for p in points])
         geometry_section["obstruction"] = section
         if nonmetrizable:
             exit_code = 2
@@ -673,14 +669,11 @@ def run_scene(scene: Scene, subcommand: str) -> tuple[dict, int]:
         elif subcommand == "causal":
             warnings.append("causal classification applies only to family Lagrangians")
 
-    if subcommand in ("nonmetricity", "report"):
-        if opts.reference_metric is not None:
-            geometry_section["nonmetricity"] = _nonmetricity_section(scene)
-        elif subcommand == "nonmetricity":
-            raise SceneError(
-                "/options/reference_metric",
-                "a reference metric is required for non-metricity diagnostics",
-            )
+    if "nonmetricity" in points[0]:
+        geometry_section["nonmetricity"] = {
+            "reference_metric": [list(r) for r in opts.reference_metric_src],
+            "per_base_point": [p["nonmetricity"] for p in points],
+        }
 
     report["geometry"] = geometry_section
     if warnings:

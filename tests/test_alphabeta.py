@@ -322,9 +322,7 @@ def test_radial_instance_with_m_nonzero_matches_pipeline():
     # jet hh-curvature, the extracted affine route, and finite differences
     # of the (verified) closed-form connection field
     ev_ricci = geometry.hh_curvature(inst, s).ricci
-    aff = berwald.ricci_affine(
-        berwald.BerwaldConnectionField(inst, seed_dir, spread=0.2), x
-    )
+    aff = berwald.obstruction(inst, x, seed_dir, spread=0.2).ricci
     step = 1e-6
     dgam = np.zeros((2, 2, 2, 2))
     for mu in range(2):

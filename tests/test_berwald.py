@@ -5,7 +5,6 @@ import pytest
 
 from finslergeo import berwald, catalog, expr, geometry
 from finslergeo.berwald import (
-    BerwaldConnectionField,
     ChristoffelField,
     NoAdmissibleDirections,
     NotBerwald,
@@ -51,6 +50,9 @@ def test_condition_violating_beta_is_not_berwald(entries):
     v = berwald.detect_berwald(e.lagrangian, s.x, s.xdot)
     assert not v.is_berwald
     assert v.max_gamma_deviation > 1e-3
+    # each half of the test detects it on its own
+    assert v.fiber_derivative_deviation > berwald.TOL_BERWALD
+    assert v.spray_deviation > berwald.TOL_BERWALD
 
 
 def test_direction_sampling_is_reproducible(szabo):
@@ -132,12 +134,11 @@ def test_two_ricci_routes_agree_on_berwald(entries, szabo):
         e = entries[name]
         s = e.default_samples[0]
         hh = geometry.hh_curvature(e.lagrangian, s).ricci
-        field = BerwaldConnectionField(e.lagrangian, s.xdot)
-        aff = ricci_affine(field, s.x)
+        aff = berwald.obstruction(e.lagrangian, s.x, s.xdot).ricci
         assert np.max(np.abs(hh - aff)) < 1e-6
     s = szabo.default_samples[0]
     hh = geometry.hh_curvature(szabo.lagrangian, s).ricci
-    aff = ricci_affine(BerwaldConnectionField(szabo.lagrangian, s.xdot), s.x)
+    aff = berwald.obstruction(szabo.lagrangian, s.x, s.xdot).ricci
     assert np.max(np.abs(hh - aff)) < 1e-6
 
 

@@ -79,10 +79,11 @@ def test_counterexample_default_sample_respects_search_contract(entries):
 def test_expected_blocks_reproduced(entries):
     for name, e in entries.items():
         exp = e.expected or {}
-        s = e.default_samples[0]
         if "is_berwald" in exp:
-            v = berwald.detect_berwald(e.lagrangian, s.x, s.xdot)
-            assert v.is_berwald == exp["is_berwald"], name
+            for i, s in enumerate(e.default_samples):
+                v = berwald.detect_berwald(e.lagrangian, s.x, s.xdot)
+                assert v.is_berwald == exp["is_berwald"], (name, i)
+        s = e.default_samples[0]
         if exp.get("flat"):
             cv = geometry.hh_curvature(e.lagrangian, s)
             assert np.max(np.abs(cv.hh_riemann)) < 1e-10, name

@@ -6,8 +6,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from finslergeo import cli
-from finslergeo.scene import SceneError, load_scene, parse_report, render_json, run_scene
+from finslergeo import cli, geometry
+from finslergeo.scene import (
+    SceneError,
+    load_scene,
+    load_scene_file,
+    parse_report,
+    render_json,
+    run_scene,
+)
 
 REPO = Path(__file__).resolve().parents[1]
 SCHEMA_DIR = REPO / "docs" / "schemas"
@@ -167,6 +174,32 @@ def test_exit_codes():
         assert np.max(np.abs(np.array(s["ricci"]))) == 0.0
 
 
+def test_report_builds_one_order_4_context_per_base_point(monkeypatch):
+    scn = load_scene_file(str(REPO / "scenes" / "szabo.json"))
+    orders = []
+    init = geometry._Eval.__init__
+
+    def counting_init(self, lag, sample, order):
+        orders.append(order)
+        init(self, lag, sample, order)
+
+    monkeypatch.setattr(geometry._Eval, "__init__", counting_init)
+    report, _ = run_scene(scn, "report")
+    in_A = sum(s["admissibility"]["in_A"] for s in report["samples"])
+    assert in_A == len(scn.samples) == 2
+    assert orders.count(4) == in_A
+    assert orders.count(3) == 0
+
+
+def test_affine_connection_is_gamma_at_the_sample():
+    scn = load_scene_file(str(REPO / "scenes" / "szabo.json"))
+    report, _ = run_scene(scn, "report")
+    entries = report["geometry"]["berwald"]["per_base_point"]
+    for (_, sample), entry in zip(scn.samples, entries):
+        gamma = geometry.chern_rund(scn.lagrangian, sample)
+        assert np.max(np.abs(np.array(entry["affine_connection"]) - gamma)) <= 1e-12
+
+
 def test_causal_on_nonfamily_warns():
     report, code = run_scene(load_scene(minkowski_scene()), "causal")
     assert code == 0
@@ -210,6 +243,17 @@ def test_cli_report_counterexample(tmp_path, capsys):
     assert "NON-METRIZABLE" in out
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["metadata"]["subcommand"] == "report"
+
+
+def test_cli_obstruction_not_computed_without_berwald_point(tmp_path, capsys):
+    p = _write_scene(tmp_path, {"lagrangian": {"catalog": "nonberwald-flat"}})
+    code = cli.main(["report", str(p), "--out", str(tmp_path / "out")])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "obstruction: not computed (no Berwald base point)" in out
+    assert "NON-METRIZABLE" not in out
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["geometry"]["obstruction"]["max_skew_abs"] is None
 
 
 def test_cli_minkowski_exit_zero(tmp_path):
