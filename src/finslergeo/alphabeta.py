@@ -25,7 +25,7 @@ import numpy as np
 
 from . import expr as exprmod
 from . import geometry
-from .berwald import ChristoffelField, ricci_affine
+from .berwald import affine_ricci_from_values
 from .defs import FamilyInstance, TangentSample
 from .geometry import DegenerateMetric
 from .jets import Jet, seed
@@ -44,6 +44,15 @@ class ClosedFormRicci:
     ricci: np.ndarray
     skew: np.ndarray  # (R_ab - R_ba)/2
     f_scalar: float  # (1/2)(4 c p - m alpha^{-1}(beta, beta))
+    beta_wedge_dh: np.ndarray  # beta_a d_b H - beta_b d_a H
+
+    @property
+    def wedge_max_abs(self) -> float:
+        return float(np.max(np.abs(self.beta_wedge_dh)))
+
+    def nonmetrizable(self, tol: float = TOL_CONDITION) -> bool:
+        """The proposition's sufficient test: f != 0 and beta wedge dH != 0."""
+        return abs(self.f_scalar) > tol and self.wedge_max_abs > tol
 
 
 @dataclass(frozen=True)
@@ -86,31 +95,24 @@ def _alpha_beta_jets(inst: FamilyInstance, x_jets):
     return alpha, ainv, beta, beta_up, a1
 
 
-def _nabla_beta_jets(inst: FamilyInstance, x_jets):
-    """nabla_a beta_b with respect to the Levi-Civita connection of alpha."""
+def _condition_jets(inst: FamilyInstance, x_jets):
+    """Both sides of the Berwald condition over one evaluation of alpha and
+    beta: nabla_a beta_b for the Levi-Civita connection of alpha, and the
+    tensor multiplying H."""
     n = inst.dim
+    alpha, _, beta, _, a1 = _alpha_beta_jets(inst, x_jets)
     gamma = geometry.christoffel_jets(inst.alpha, x_jets, inst.params)
-    _, _, beta, _, _ = _alpha_beta_jets(inst, x_jets)
-    out = np.empty((n, n), dtype=object)
+    coeff = inst.c * (1.0 - inst.p) + inst.m * a1
+    nabla = np.empty((n, n), dtype=object)
+    basis = np.empty((n, n), dtype=object)
     for a in range(n):
         for b in range(n):
             acc = beta[b].diff(a)
             for s in range(n):
                 acc = acc - gamma[s, a, b] * beta[s]
-            out[a, b] = acc
-    return out
-
-
-def _condition_basis_jets(inst: FamilyInstance, x_jets):
-    """The tensor multiplying H in the Berwald condition."""
-    n = inst.dim
-    alpha, _, beta, _, a1 = _alpha_beta_jets(inst, x_jets)
-    out = np.empty((n, n), dtype=object)
-    coeff = inst.c * (1.0 - inst.p) + inst.m * a1
-    for a in range(n):
-        for b in range(n):
-            out[a, b] = coeff * (beta[a] * beta[b]) + (inst.c * inst.p) * a1 * alpha[a, b]
-    return out
+            nabla[a, b] = acc
+            basis[a, b] = coeff * (beta[a] * beta[b]) + (inst.c * inst.p) * a1 * alpha[a, b]
+    return nabla, basis
 
 
 def fit_h_jet(inst: FamilyInstance, x_jets) -> Jet:
@@ -118,8 +120,7 @@ def fit_h_jet(inst: FamilyInstance, x_jets) -> Jet:
     of the fitted field are available when no H expression is supplied."""
     n = inst.dim
     space = x_jets[0].space
-    A = _nabla_beta_jets(inst, x_jets)
-    B = _condition_basis_jets(inst, x_jets)
+    A, B = _condition_jets(inst, x_jets)
     num = None
     den = None
     for a in range(n):
@@ -136,11 +137,9 @@ def fit_h_jet(inst: FamilyInstance, x_jets) -> Jet:
 def check_berwald_condition(inst: FamilyInstance, x) -> BerwaldConditionFit:
     """Fit H at x and report the residual of the Berwald condition."""
     x = np.asarray(x, dtype=float)
-    xj = seed(list(x), range(len(x)), 1)
-    A = _nabla_beta_jets(inst, xj)
-    B = _condition_basis_jets(inst, xj)
-    a_vals = np.array([[j.value for j in row] for row in A])
-    b_vals = np.array([[j.value for j in row] for row in B])
+    A, B = _condition_jets(inst, seed(list(x), range(len(x)), 1))
+    a_vals = geometry.values(A)
+    b_vals = geometry.values(B)
     den = float(np.sum(b_vals * b_vals))
     h = float(np.sum(a_vals * b_vals)) / den if den > 1e-300 else 0.0
     residual = float(np.max(np.abs(a_vals - h * b_vals)))
@@ -163,7 +162,7 @@ def h_with_gradient(inst: FamilyInstance, x) -> tuple[float, np.ndarray]:
     else:
         xj = seed(list(x), range(n), 2)
         hj = fit_h_jet(inst, xj)
-    return hj.value, np.array([hj.first(m) for m in range(n)])
+    return hj.value, geometry.first_derivatives(hj, range(n))
 
 
 # -- closed forms ------------------------------------------------------------------
@@ -223,22 +222,24 @@ def closed_form_spray(
 
 
 def closed_form_ricci(inst: FamilyInstance, x) -> ClosedFormRicci:
-    """The family's affine Ricci tensor and skew part in closed form.
+    """The family's affine Ricci tensor, its skew part, and the data of the
+    non-metrizability proposition in closed form, from one (H, dH).
 
     Exact (cross-checked against the jet pipeline to machine precision)
     whenever beta is null with respect to alpha or H vanishes, which covers
     the plane-wave counterexample class for all parameter values.  On
     Berwald data with alpha^{-1}(beta, beta) != 0 and H != 0 the closed
     Ricci expression is known to deviate from the exact affine Ricci (the
-    connection and spray closed forms remain exact); use
-    berwald.ricci_affine for such instances.
+    connection and spray closed forms remain exact); for such instances use
+    the affine Ricci of the pipeline's connection (`berwald.obstruction`).
     """
     x = np.asarray(x, dtype=float)
-    n = inst.dim
     alpha, _, beta, beta_up, a1 = _alpha_beta_values(inst, x)
     h, dh = h_with_gradient(inst, x)
     c, m, p = inst.c, inst.m, inst.p
-    ricci_alpha = ricci_affine(ChristoffelField(inst.alpha, inst.params), x)
+    ricci_alpha = affine_ricci_from_values(
+        *geometry.christoffel_gradient(inst.alpha, x, inst.params)
+    )
     beta_dh = float(beta_up @ dh)
     ricci = (
         ricci_alpha
@@ -249,25 +250,22 @@ def closed_form_ricci(inst: FamilyInstance, x) -> ClosedFormRicci:
     )
     # (1/2)(R_ab - R_ba) = (1/2)(4cp - m a1)(beta_a d_b H - beta_b d_a H)
     f_scalar = 0.5 * (4 * c * p - m * a1)
-    skew = f_scalar * (np.outer(beta, dh) - np.outer(dh, beta))
-    return ClosedFormRicci(ricci=ricci, skew=skew, f_scalar=float(f_scalar))
+    wedge = np.outer(beta, dh) - np.outer(dh, beta)
+    return ClosedFormRicci(
+        ricci=ricci, skew=f_scalar * wedge, f_scalar=float(f_scalar), beta_wedge_dh=wedge
+    )
 
 
 def beta_wedge_dh(inst: FamilyInstance, x) -> np.ndarray:
     """Components (beta_a d_b H - beta_b d_a H) of beta wedge dH."""
-    x = np.asarray(x, dtype=float)
-    _, _, beta, _, _ = _alpha_beta_values(inst, x)
-    _, dh = h_with_gradient(inst, x)
-    return np.outer(beta, dh) - np.outer(dh, beta)
+    return closed_form_ricci(inst, x).beta_wedge_dh
 
 
 def proposition_nonmetrizable(
     inst: FamilyInstance, x, tol: float = TOL_CONDITION
 ) -> bool:
     """Sufficient non-metrizability test: f != 0 and beta wedge dH != 0."""
-    cf = closed_form_ricci(inst, x)
-    wedge = beta_wedge_dh(inst, x)
-    return abs(cf.f_scalar) > tol and float(np.max(np.abs(wedge))) > tol
+    return closed_form_ricci(inst, x).nonmetrizable(tol)
 
 
 # -- causal classification ------------------------------------------------------

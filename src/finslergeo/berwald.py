@@ -11,22 +11,21 @@ assembled from the exact x-derivatives in the same context, has a skew part
 that is the metrizability obstruction: a nonzero skew part proves no
 pseudo-Riemannian metric has this connection as its Levi-Civita connection.
 
-Connection fields are callables over base coordinates that also accept
-first-order jets, so the affine Ricci tensor of an expression metric is
-assembled from exact x-derivatives rather than finite differences.
+The affine Ricci tensor is one formula over a connection's values and exact
+x-derivatives, whether these come from the evaluation context or from
+`geometry.christoffel_gradient` for an expression metric.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from . import geometry
 from .defs import LagrangianDef, TangentSample
 from .geometry import DegenerateMetric, _Eval
-from .jets import Jet, seed
 
 TOL_BERWALD = 1e-7
 TOL_SYM = 1e-7
@@ -215,54 +214,6 @@ def detect_berwald(
     return verdict_at(ev, count, rng, spread, tol_berwald)
 
 
-# -- affine connection fields ---------------------------------------------------
-
-
-def compose_first_order(
-    values: np.ndarray, partials: np.ndarray, x_jets: Sequence[Jet]
-) -> np.ndarray:
-    """Lift value + gradient data into first-order jets at the given point.
-
-    `partials[m]` holds the derivative of `values` along coordinate m; the
-    result is exact through first order for any incoming order-1 jets.
-    """
-    space = x_jets[0].space
-    offsets = [xj - xj.value for xj in x_jets]
-    flat_vals = np.asarray(values, dtype=float)
-    out = np.empty(flat_vals.shape, dtype=object)
-    for idx in np.ndindex(flat_vals.shape):
-        acc = space.constant(flat_vals[idx])
-        for m, off in enumerate(offsets):
-            acc = acc + float(partials[m][idx]) * off
-        out[idx] = acc
-    return out
-
-
-class ChristoffelField:
-    """Levi-Civita connection of an expression metric, jet-callable."""
-
-    def __init__(self, g_exprs, params=None):
-        self.g_exprs = g_exprs
-        self.params = params
-
-    def __call__(self, coords):
-        n = len(coords)
-        if isinstance(coords[0], Jet):
-            values = np.array([j.value for j in coords])
-            inner = seed(list(values), range(n), 2)
-            gj = geometry.christoffel_jets(self.g_exprs, inner, self.params)
-            gamma = np.empty((n, n, n))
-            dgamma = np.empty((n, n, n, n))
-            for a in range(n):
-                for b in range(n):
-                    for c in range(n):
-                        gamma[a, b, c] = gj[a, b, c].value
-                        for m in range(n):
-                            dgamma[m, a, b, c] = gj[a, b, c].first(m)
-            return compose_first_order(gamma, dgamma, coords)
-        return geometry.christoffel_values(self.g_exprs, np.asarray(coords), self.params)
-
-
 # -- affine Ricci ---------------------------------------------------------------
 
 
@@ -274,35 +225,6 @@ def affine_ricci_from_values(gamma: np.ndarray, dgamma: np.ndarray) -> np.ndarra
     term3 = np.einsum("mms,sab->ab", gamma, gamma)
     term4 = np.einsum("mbs,sam->ab", gamma, gamma)
     return term1 - term2 + term3 - term4
-
-
-def ricci_affine(
-    gamma_field: Callable, x: np.ndarray
-) -> np.ndarray:
-    """Affine Ricci tensor of an x-dependent connection field.
-
-    The field is called on first-order jets seeded at x; its x-derivatives
-    are read off the returned jets.
-    """
-    x = np.asarray(x, dtype=float)
-    n = len(x)
-    xj = seed(list(x), range(n), 1)
-    out = gamma_field(xj)
-    gamma = np.empty((n, n, n))
-    dgamma = np.empty((n, n, n, n))
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                entry = out[a, b, c]
-                if isinstance(entry, Jet):
-                    gamma[a, b, c] = entry.value
-                    for m in range(n):
-                        dgamma[m, a, b, c] = entry.first(m)
-                else:
-                    raise TypeError(
-                        "gamma_field must return jets when called on jets"
-                    )
-    return affine_ricci_from_values(gamma, dgamma)
 
 
 # -- the obstruction -------------------------------------------------------------

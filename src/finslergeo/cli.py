@@ -49,7 +49,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument(
             "--signature-convention", choices=["+---", "-+++"], default=None
         )
-        sp.add_argument("--threads", type=int, default=None, metavar="N")
         sp.add_argument(
             "--out",
             default=None,
@@ -59,27 +58,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Flags that override the scene option of the same name.
+_OVERRIDES = (
+    "tol_berwald", "tol_sym", "tol_degenerate", "tol_null",
+    "directions", "seed", "signature_convention",
+)
+
+
 def _apply_flag_overrides(scene, args):
-    opts = scene.options
-    updates = {}
-    if args.tol_berwald is not None:
-        updates["tol_berwald"] = args.tol_berwald
-    if args.tol_sym is not None:
-        updates["tol_sym"] = args.tol_sym
-    if args.tol_degenerate is not None:
-        updates["tol_degenerate"] = args.tol_degenerate
-    if args.tol_null is not None:
-        updates["tol_null"] = args.tol_null
-    if args.directions is not None:
-        updates["directions"] = args.directions
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if args.signature_convention is not None:
-        updates["signature_convention"] = args.signature_convention
-    if args.threads is not None:
-        updates["threads"] = args.threads
+    updates = {k: getattr(args, k) for k in _OVERRIDES if getattr(args, k) is not None}
     if updates:
-        scene = replace(scene, options=replace(opts, **updates))
+        scene = replace(scene, options=replace(scene.options, **updates))
     return scene
 
 

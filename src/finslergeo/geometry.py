@@ -58,14 +58,6 @@ class MetricValue:
 
 
 @dataclass(frozen=True)
-class ConnectionValue:
-    spray: np.ndarray  # G^a
-    nonlinear: np.ndarray  # N^a_b
-    chern_rund: np.ndarray  # Gamma^a_bc, symmetric in bc
-    cartan_trace: np.ndarray  # C_a
-
-
-@dataclass(frozen=True)
 class CurvatureValue:
     hh_riemann: np.ndarray  # R[c, a, d, b]
     ricci: np.ndarray  # R_ab = R^m_amb
@@ -89,7 +81,45 @@ def _outside_A(reason: str) -> AdmissibilityVerdict:
     )
 
 
-# -- jet-matrix helpers ------------------------------------------------------
+# -- jet-array helpers --------------------------------------------------------
+
+
+def values(jets) -> np.ndarray:
+    """The value parts of a jet-valued array, as floats of the same shape."""
+    jets = np.asarray(jets, dtype=object)
+    out = np.empty(jets.shape)
+    for idx in np.ndindex(jets.shape):
+        out[idx] = jets[idx].value
+    return out
+
+
+def first_derivatives(jets, variables) -> np.ndarray:
+    """out[m, ...] = d jets[...] / d variables[m], read off the jets."""
+    jets = np.asarray(jets, dtype=object)
+    variables = list(variables)
+    out = np.empty((len(variables),) + jets.shape)
+    for idx in np.ndindex(jets.shape):
+        j = jets[idx]
+        for m, var in enumerate(variables):
+            out[(m,) + idx] = j.first(var)
+    return out
+
+
+def koszul(ginv, dg) -> np.ndarray:
+    """Gamma^a_bc = (1/2) g^{aq} (D_b g_cq + D_c g_bq - D_q g_bc), with
+    dg[m, a, b] = D_m g_ab for a derivation D (partial or horizontal)."""
+    n = len(ginv)
+    out = np.empty((n, n, n), dtype=object)
+    for b in range(n):
+        for c in range(b, n):
+            for a in range(n):
+                acc = None
+                for q in range(n):
+                    term = ginv[a, q] * (dg[b, c, q] + dg[c, b, q] - dg[q, b, c])
+                    acc = term if acc is None else acc + term
+                out[a, b, c] = 0.5 * acc
+                out[a, c, b] = out[a, b, c]
+    return out
 
 
 def matmul_jets(A, B):
@@ -236,10 +266,7 @@ class _Eval:
 
     @cached_property
     def g_values(self) -> np.ndarray:
-        n = self.n
-        raw = np.array(
-            [[self.g_jets[a, b].value for b in range(n)] for a in range(n)]
-        )
+        raw = values(self.g_jets)
         return 0.5 * (raw + raw.T)
 
     @cached_property
@@ -332,7 +359,7 @@ class _Eval:
 
     @cached_property
     def spray_values(self) -> np.ndarray:
-        return np.array([j.value for j in self.spray_jets])
+        return values(self.spray_jets)
 
     @cached_property
     def nonlinear_jets(self) -> np.ndarray:
@@ -345,10 +372,7 @@ class _Eval:
 
     @cached_property
     def nonlinear_values(self) -> np.ndarray:
-        n = self.n
-        return np.array(
-            [[self.nonlinear_jets[a, b].value for b in range(n)] for a in range(n)]
-        )
+        return values(self.nonlinear_jets)
 
     def delta_of(self, j: Jet) -> list[Jet]:
         """Horizontal derivative of a jet-valued scalar, one jet per index."""
@@ -371,42 +395,16 @@ class _Eval:
                 for b in range(n):
                     dg[b, c, q] = cols[b]
                     dg[b, q, c] = cols[b]
-        ginv = self.g_inv_jets
-        out = np.empty((n, n, n), dtype=object)
-        for b in range(n):
-            for c in range(b, n):
-                for a in range(n):
-                    acc = None
-                    for q in range(n):
-                        term = ginv[a, q] * (dg[b, c, q] + dg[c, b, q] - dg[q, b, c])
-                        acc = term if acc is None else acc + term
-                    out[a, b, c] = 0.5 * acc
-                    out[a, c, b] = out[a, b, c]
-        return out
+        return koszul(self.g_inv_jets, dg)
 
     @cached_property
     def gamma_values(self) -> np.ndarray:
-        n = self.n
-        return np.array(
-            [
-                [[self.gamma_jets[a, b, c].value for c in range(n)] for b in range(n)]
-                for a in range(n)
-            ]
-        )
+        return values(self.gamma_jets)
 
     @cached_property
     def gamma_x_derivatives(self) -> np.ndarray:
         """dGamma[m, a, b, c] = d Gamma^a_bc / d x^m at fixed xdot."""
-        n = self.n
-        out = np.empty((n, n, n, n))
-        for a in range(n):
-            for b in range(n):
-                for c in range(b, n):
-                    for m in range(n):
-                        v = self.gamma_jets[a, b, c].first(m)
-                        out[m, a, b, c] = v
-                        out[m, a, c, b] = v
-        return out
+        return first_derivatives(self.gamma_jets, range(self.n))
 
     @cached_property
     def cartan_values(self) -> np.ndarray:
@@ -432,16 +430,7 @@ class _Eval:
     @cached_property
     def gamma_fiber_derivatives(self) -> np.ndarray:
         """dGamma_v[e, a, b, c] = d Gamma^a_bc / d xdot^e at fixed x."""
-        n = self.n
-        out = np.empty((n, n, n, n))
-        for a in range(n):
-            for b in range(n):
-                for c in range(b, n):
-                    for e in range(n):
-                        v = self.gamma_jets[a, b, c].first(n + e)
-                        out[e, a, b, c] = v
-                        out[e, a, c, b] = v
-        return out
+        return first_derivatives(self.gamma_jets, range(self.n, 2 * self.n))
 
     @cached_property
     def curvature(self) -> CurvatureValue:
@@ -472,18 +461,16 @@ class _Eval:
         n = self.n
         f = scalar_field(self.cjets)
         Nv = self.nonlinear_values
+        ddf = first_derivatives(self.delta_of(f), range(2 * n))  # [var, b]
         dd = np.empty((n, n))
-        for b in range(n):
-            fb = self.dx(f, b)
-            for e in range(n):
-                fb = fb - self.nonlinear_jets[e, b] * self.dv(f, e)
-            for a in range(n):
-                acc = fb.diff(a).value
+        for a in range(n):
+            for b in range(n):
+                acc = ddf[a, b]
                 for c in range(n):
-                    acc -= Nv[c, a] * fb.diff(n + c).value
+                    acc -= Nv[c, a] * ddf[n + c, b]
                 dd[a, b] = acc
         lhs = dd - dd.T
-        dvf = np.array([f.first(n + c) for c in range(n)])
+        dvf = first_derivatives(f, range(n, 2 * n))
         rhs = ricci_skew_from_curvature(self.curvature.hh_riemann, self.sample.xdot, dvf)
         return float(np.max(np.abs(lhs - rhs)))
 
@@ -512,16 +499,6 @@ def chern_rund(lag: LagrangianDef, sample: TangentSample) -> np.ndarray:
     return _Eval(lag, sample, 3).gamma_values
 
 
-def connection(lag: LagrangianDef, sample: TangentSample) -> ConnectionValue:
-    ev = _Eval(lag, sample, 3)
-    return ConnectionValue(
-        spray=ev.spray_values,
-        nonlinear=ev.nonlinear_values,
-        chern_rund=ev.gamma_values,
-        cartan_trace=ev.cartan_trace,
-    )
-
-
 def hh_curvature(lag: LagrangianDef, sample: TangentSample) -> CurvatureValue:
     return _Eval(lag, sample, 4).curvature
 
@@ -536,11 +513,12 @@ def horizontal_derivative(
     f = scalar_field(ev.cjets)
     n = ev.n
     N = ev.nonlinear_values
+    df = first_derivatives(f, range(2 * n))
     out = np.empty(n)
     for a in range(n):
-        acc = f.first(a)
+        acc = df[a]
         for b in range(n):
-            acc -= N[b, a] * f.first(n + b)
+            acc -= N[b, a] * df[n + b]
         out[a] = acc
     return out
 
@@ -553,7 +531,7 @@ def vertical_derivative(
     """ddot_a f, the fiber derivative of a jet-valued scalar field."""
     ev = _Eval(lag, sample, 3)
     f = scalar_field(ev.cjets)
-    return np.array([f.first(ev.n + a) for a in range(ev.n)])
+    return first_derivatives(f, range(ev.n, 2 * ev.n))
 
 
 def ricci_skew_from_curvature(
@@ -643,29 +621,22 @@ def christoffel_jets(g_exprs, x_jets, params=None) -> np.ndarray:
         for b in range(n):
             v = exprmod.eval(g_exprs[a][b], x_jets, params)
             g[a, b] = v if isinstance(v, Jet) else space.constant(float(v))
-    ginv = invert_jet_matrix(g)
     dg = np.empty((n, n, n), dtype=object)  # dg[m, a, b] = d_m g_ab
     for a in range(n):
         for b in range(n):
             for m in range(n):
                 dg[m, a, b] = g[a, b].diff(m)
-    gamma = np.empty((n, n, n), dtype=object)
-    for b in range(n):
-        for c in range(b, n):
-            for a in range(n):
-                acc = None
-                for s in range(n):
-                    term = ginv[a, s] * (dg[b, c, s] + dg[c, b, s] - dg[s, b, c])
-                    acc = term if acc is None else acc + term
-                gamma[a, b, c] = 0.5 * acc
-                gamma[a, c, b] = gamma[a, b, c]
-    return gamma
+    return koszul(invert_jet_matrix(g), dg)
 
 
 def christoffel_values(g_exprs, x: np.ndarray, params=None) -> np.ndarray:
     xj = seed(list(x), range(len(x)), 1)
-    gamma = christoffel_jets(g_exprs, xj, params)
-    n = len(x)
-    return np.array(
-        [[[gamma[a, b, c].value for c in range(n)] for b in range(n)] for a in range(n)]
-    )
+    return values(christoffel_jets(g_exprs, xj, params))
+
+
+def christoffel_gradient(g_exprs, x, params=None) -> tuple[np.ndarray, np.ndarray]:
+    """Christoffel symbols of an expression metric at x, and their exact
+    x-derivatives dgamma[m, a, b, c] = d Gamma^a_bc / d x^m."""
+    x = np.asarray(x, dtype=float)
+    gamma = christoffel_jets(g_exprs, seed(list(x), range(len(x)), 2), params)
+    return values(gamma), first_derivatives(gamma, range(len(x)))

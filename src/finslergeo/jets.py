@@ -21,7 +21,7 @@ to use from multiple threads.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import combinations_with_replacement
 from typing import Iterable, Sequence, Union
 
@@ -36,13 +36,27 @@ class DomainError(ArithmeticError):
     """A value left the domain where the requested operation is smooth.
 
     ``reason`` is a short machine-readable tag (``division-by-zero``,
-    ``log-domain``, ``sqrt-domain``, ``power-domain``, ``abs-domain``) used by
-    admissibility probing to classify why a tangent-bundle point fails.
+    ``log-domain``, ``sqrt-domain``, ``power-domain``, ``abs-domain``,
+    ``overflow``) used by admissibility probing to classify why a
+    tangent-bundle point fails.
     """
 
     def __init__(self, reason: str, detail: str = ""):
         self.reason = reason
         super().__init__(f"{reason}: {detail}" if detail else reason)
+
+
+def _overflow_is_domain_error(fn):
+    """Report a float overflow inside `fn` as DomainError("overflow")."""
+
+    @wraps(fn)
+    def wrapper(*args):
+        try:
+            return fn(*args)
+        except OverflowError as err:
+            raise DomainError("overflow", f"{fn.__name__}: {err}") from err
+
+    return wrapper
 
 
 def _monomials(nvars: int, order: int) -> list[tuple[int, ...]]:
@@ -73,6 +87,9 @@ class JetSpace:
         self.ncoeff = len(self.monomials)
         self.index = {m: i for i, m in enumerate(self.monomials)}
         self.degrees = np.array([sum(m) for m in self.monomials], dtype=np.int64)
+        # coefficient slot of the linear monomial of each variable
+        units = [tuple(int(i == k) for i in range(nvars)) for k in range(nvars)]
+        self.first_index = [self.index[u] for u in units] if order >= 1 else []
         # graded order => all monomials of degree <= d form a prefix
         self.ncoeff_upto = [int(np.sum(self.degrees <= d)) for d in range(order + 1)]
 
@@ -141,9 +158,7 @@ class Jet:
 
     def first(self, var: int) -> float:
         """First partial derivative with respect to active variable `var`."""
-        e = [0] * self.space.nvars
-        e[var] = 1
-        return float(self.coeffs[self.space.index[tuple(e)]])
+        return float(self.coeffs[self.space.first_index[var]])
 
     def diff(self, var: int) -> "Jet":
         """Jet of the partial derivative; validity drops by one order."""
@@ -244,16 +259,19 @@ class Jet:
             out = out * h + taylor[k]
         return out
 
+    @_overflow_is_domain_error
     def _reciprocal(self) -> "Jet":
         v = self.value
         if v == 0.0:
             raise DomainError("division-by-zero", "jet value is zero")
         return self._compose([(-1.0) ** k / v ** (k + 1) for k in range(self.order + 1)])
 
+    @_overflow_is_domain_error
     def exp(self) -> "Jet":
         ev = math.exp(self.value)
         return self._compose([ev / math.factorial(k) for k in range(self.order + 1)])
 
+    @_overflow_is_domain_error
     def ln(self) -> "Jet":
         v = self.value
         if v <= 0.0:
@@ -262,6 +280,7 @@ class Jet:
         taylor += [(-1.0) ** (k + 1) / (k * v**k) for k in range(1, self.order + 1)]
         return self._compose(taylor)
 
+    @_overflow_is_domain_error
     def sqrt(self) -> "Jet":
         v = self.value
         if v <= 0.0:
@@ -309,6 +328,7 @@ class Jet:
             k >>= 1
         return result
 
+    @_overflow_is_domain_error
     def _powr(self, r: float) -> "Jet":
         v = self.value
         if v <= 0.0:
@@ -341,6 +361,7 @@ def cos(v: Scalar):
     return v.cos() if isinstance(v, Jet) else math.cos(v)
 
 
+@_overflow_is_domain_error
 def exp(v: Scalar):
     return v.exp() if isinstance(v, Jet) else math.exp(v)
 
@@ -373,6 +394,7 @@ def divide(a: Scalar, b: Scalar):
     return a / b
 
 
+@_overflow_is_domain_error
 def powx(base: Scalar, expo: Scalar):
     """base**expo with principal real semantics.
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
@@ -54,9 +53,14 @@ class SceneOptions:
     spread: float = berwald.DEFAULT_SPREAD
     seed: int = 0
     signature_convention: str = "+---"
-    threads: int = 1
     reference_metric: Optional[tuple] = None  # expression matrix
     reference_metric_src: Optional[tuple] = None
+
+
+_OPTION_KEYS = (
+    "tolerances", "directions", "seed", "spread", "signature_convention", "reference_metric",
+)
+_TOLERANCE_KEYS = ("berwald", "sym", "degenerate", "null")
 
 
 @dataclass(frozen=True)
@@ -84,11 +88,26 @@ def _get(obj, key, pointer, typ=None, required=True, default=None):
     val = obj[key]
     if typ is not None:
         _expect(
-            isinstance(val, typ),
+            isinstance(val, typ) and not isinstance(val, bool),
             f"{pointer}/{key}",
             f"expected {getattr(typ, '__name__', typ)}, got {type(val).__name__}",
         )
     return val
+
+
+def _expect_known_keys(obj, pointer, known):
+    for key in obj:
+        escaped = str(key).replace("~", "~0").replace("/", "~1")
+        _expect(key in known, f"{pointer}/{escaped}", "unknown field")
+
+
+def _positive_number(val, pointer) -> float:
+    _expect(
+        isinstance(val, (int, float)) and not isinstance(val, bool) and val > 0,
+        pointer,
+        "expected a positive number",
+    )
+    return float(val)
 
 
 def _float_list(val, pointer, length=None):
@@ -253,16 +272,12 @@ def load_scene(obj: Mapping) -> Scene:
         samples = list(entry_samples)
 
     opts_obj = _get(obj, "options", "", dict, required=False, default={})
+    _expect_known_keys(opts_obj, "/options", _OPTION_KEYS)
     tol = _get(opts_obj, "tolerances", "/options", dict, required=False, default={})
+    _expect_known_keys(tol, "/options/tolerances", _TOLERANCE_KEYS)
 
     def tolval(key, default):
-        v = tol.get(key, default)
-        _expect(
-            isinstance(v, (int, float)) and not isinstance(v, bool) and v > 0,
-            f"/options/tolerances/{key}",
-            "expected a positive number",
-        )
-        return float(v)
+        return _positive_number(tol.get(key, default), f"/options/tolerances/{key}")
 
     convention = _get(
         opts_obj, "signature_convention", "/options", str, required=False, default="+---"
@@ -275,10 +290,8 @@ def load_scene(obj: Mapping) -> Scene:
     directions = _get(opts_obj, "directions", "/options", int, required=False, default=16)
     _expect(directions >= 2, "/options/directions", "need at least 2 directions")
     seed_val = _get(opts_obj, "seed", "/options", int, required=False, default=0)
-    threads = _get(opts_obj, "threads", "/options", int, required=False, default=1)
-    _expect(threads >= 1, "/options/threads", "must be >= 1")
-    spread = _get(
-        opts_obj, "spread", "/options", (int, float), required=False, default=berwald.DEFAULT_SPREAD
+    spread = _positive_number(
+        opts_obj.get("spread", berwald.DEFAULT_SPREAD), "/options/spread"
     )
 
     ref = _get(opts_obj, "reference_metric", "/options", list, required=False)
@@ -310,10 +323,9 @@ def load_scene(obj: Mapping) -> Scene:
         tol_degenerate=tolval("degenerate", geometry.TOL_DEGENERATE),
         tol_null=tolval("null", geometry.TOL_NULL),
         directions=directions,
-        spread=float(spread),
+        spread=spread,
         seed=seed_val,
         signature_convention=convention,
-        threads=threads,
         reference_metric=ref_exprs,
         reference_metric_src=ref_src,
     )
@@ -586,15 +598,14 @@ def _proposition_section(scene: Scene) -> tuple[dict, bool]:
     fires_any = False
     for label, sample in scene.samples:
         cf = alphabeta.closed_form_ricci(scene.lagrangian, sample.x)
-        wedge = alphabeta.beta_wedge_dh(scene.lagrangian, sample.x)
-        fires = alphabeta.proposition_nonmetrizable(scene.lagrangian, sample.x)
+        fires = cf.nonmetrizable()
         fires_any = fires_any or fires
         per_point.append(
             {
                 "label": label,
                 "x": _canon(sample.x),
                 "f_scalar": cf.f_scalar,
-                "beta_wedge_dH_max": float(np.max(np.abs(wedge))),
+                "beta_wedge_dH_max": cf.wedge_max_abs,
                 "nonmetrizable": fires,
             }
         )
@@ -630,16 +641,10 @@ def run_scene(scene: Scene, subcommand: str) -> tuple[dict, int]:
             "/options/reference_metric",
             "a reference metric is required for non-metricity diagnostics",
         )
-    jobs = [(idx, label, s) for idx, (label, s) in enumerate(scene.samples)]
-
-    def job(item):
-        return _base_point(scene, *item, subcommand)
-
-    if opts.threads > 1:
-        with ThreadPoolExecutor(max_workers=opts.threads) as pool:
-            points = list(pool.map(job, jobs))
-    else:
-        points = [job(item) for item in jobs]
+    points = [
+        _base_point(scene, idx, label, sample, subcommand)
+        for idx, (label, sample) in enumerate(scene.samples)
+    ]
     report["samples"] = [p["sample"] for p in points]
 
     is_family = isinstance(scene.lagrangian, FamilyInstance)

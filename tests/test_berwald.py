@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from finslergeo import berwald, catalog, expr, geometry
-from finslergeo.berwald import (
-    ChristoffelField,
-    NoAdmissibleDirections,
-    NotBerwald,
-    ricci_affine,
-)
+from finslergeo.berwald import NoAdmissibleDirections, NotBerwald, affine_ricci_from_values
 from finslergeo.defs import TangentSample
 from finslergeo.geometry import _Eval
 from finslergeo.jets import seed
@@ -80,19 +75,13 @@ def test_no_admissible_directions():
         )
 
 
-# -- ricci_affine ---------------------------------------------------------------
+# -- affine Ricci -----------------------------------------------------------------
 
 
 def test_ricci_affine_zero_connection():
-    def field(coords):
-        n = len(coords)
-        space = coords[0].space
-        out = np.empty((n, n, n), dtype=object)
-        for idx in np.ndindex(out.shape):
-            out[idx] = space.constant(0.0)
-        return out
-
-    assert np.max(np.abs(ricci_affine(field, np.zeros(3)))) == 0.0
+    n = 3
+    ric = affine_ricci_from_values(np.zeros((n, n, n)), np.zeros((n, n, n, n)))
+    assert np.max(np.abs(ric)) == 0.0
 
 
 def test_ricci_affine_of_christoffels_phi_constant_is_symmetric():
@@ -100,7 +89,7 @@ def test_ricci_affine_of_christoffels_phi_constant_is_symmetric():
     # Christoffel symbols, whose Ricci tensor is symmetric
     ent = catalog.get("szabo-counterexample", {"phi": "2.5"})
     x = np.array([0.0, 1.0, 0.5, 0.3])
-    ric = ricci_affine(ChristoffelField(ent.lagrangian.alpha), x)
+    ric = affine_ricci_from_values(*geometry.christoffel_gradient(ent.lagrangian.alpha, x))
     assert np.max(np.abs(ric - ric.T)) < 1e-10
 
 
@@ -123,7 +112,7 @@ def test_ricci_affine_matches_fd_oracle(szabo):
                         [m],
                     )
     expected = berwald.affine_ricci_from_values(gamma, dgamma)
-    got = ricci_affine(ChristoffelField(alpha), x)
+    got = affine_ricci_from_values(*geometry.christoffel_gradient(alpha, x))
     np.testing.assert_allclose(got, expected, atol=1e-6)
 
 

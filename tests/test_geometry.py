@@ -81,20 +81,16 @@ def test_pseudo_riemannian_spray_and_connection_are_christoffels(conformal):
 
 def test_connection_invariants(szabo):
     s = szabo.default_samples[0]
-    conn = geometry.connection(szabo.lagrangian, s)
+    spray = geometry.spray(szabo.lagrangian, s)
+    nonlinear = geometry.nonlinear_connection(szabo.lagrangian, s)
+    chern_rund = geometry.chern_rund(szabo.lagrangian, s)
     v = s.xdot
-    contraction = np.einsum("abc,b,c->a", conn.chern_rund, v, v)
-    rel = np.max(np.abs(contraction - 2 * conn.spray)) / max(
-        1.0, np.max(np.abs(conn.spray))
-    )
+    contraction = np.einsum("abc,b,c->a", chern_rund, v, v)
+    rel = np.max(np.abs(contraction - 2 * spray)) / max(1.0, np.max(np.abs(spray)))
     assert rel < 1e-8
-    rel_n = np.max(np.abs(conn.nonlinear @ v - 2 * conn.spray)) / max(
-        1.0, np.max(np.abs(conn.spray))
-    )
+    rel_n = np.max(np.abs(nonlinear @ v - 2 * spray)) / max(1.0, np.max(np.abs(spray)))
     assert rel_n < 1e-8
-    np.testing.assert_allclose(
-        conn.chern_rund, np.swapaxes(conn.chern_rund, 1, 2), atol=0
-    )
+    np.testing.assert_allclose(chern_rund, np.swapaxes(chern_rund, 1, 2), atol=0)
 
 
 def test_cartan_contraction_vanishes(szabo):

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from finslergeo import cli, geometry
+from finslergeo import alphabeta, cli, geometry
 from finslergeo.scene import (
     SceneError,
     load_scene,
@@ -105,8 +105,34 @@ def test_scene_schema_accepts_fixture_scenes():
     schema = json.loads((SCHEMA_DIR / "scene.schema.json").read_text())
     for doc in (szabo_scene(), minkowski_scene()):
         jsonschema.validate(doc, schema)
-    shipped = json.loads((REPO / "scenes" / "szabo.json").read_text())
-    jsonschema.validate(shipped, schema)
+    for name in ("szabo.json", "minkowski.json"):
+        shipped = json.loads((REPO / "scenes" / name).read_text())
+        jsonschema.validate(shipped, schema)
+
+
+@pytest.mark.parametrize(
+    "options, pointer",
+    [
+        pytest.param({"directoins": 4}, "/options/directoins", id="unknown-option"),
+        pytest.param(
+            {"tolerances": {"berwlad": 1}}, "/options/tolerances/berwlad", id="unknown-tolerance"
+        ),
+        pytest.param({"spread": 0}, "/options/spread", id="zero-spread"),
+        pytest.param({"spread": -0.5}, "/options/spread", id="negative-spread"),
+        pytest.param({"spread": True}, "/options/spread", id="bool-spread"),
+        pytest.param({"threads": 2}, "/options/threads", id="removed-threads"),
+        pytest.param({"seed": True}, "/options/seed", id="bool-seed"),
+    ],
+)
+def test_loader_and_schema_reject_the_same_options(options, pointer):
+    jsonschema = pytest.importorskip("jsonschema")
+    schema = json.loads((SCHEMA_DIR / "scene.schema.json").read_text())
+    doc = szabo_scene(**options)
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(doc, schema)
+    with pytest.raises(SceneError) as err:
+        load_scene(doc)
+    assert err.value.pointer == pointer
 
 
 # -- reports -----------------------------------------------------------------------
@@ -218,12 +244,33 @@ def test_sample_errors_recorded_not_fatal():
     assert report["samples"][1]["admissibility"]["in_A"]
 
 
-def test_threads_do_not_change_report():
-    r1, _ = run_scene(load_scene(szabo_scene()), "report")
-    r2, _ = run_scene(load_scene(szabo_scene(threads=4)), "report")
-    r1["metadata"].pop("subcommand")
-    r2["metadata"].pop("subcommand")
-    assert render_json(r1["samples"]) == render_json(r2["samples"])
+def test_report_evaluates_the_closed_form_once_per_base_point(monkeypatch):
+    scn = load_scene_file(str(REPO / "scenes" / "szabo.json"))
+    calls = []
+    closed_form_ricci = alphabeta.closed_form_ricci
+
+    def counting(inst, x):
+        calls.append(x)
+        return closed_form_ricci(inst, x)
+
+    monkeypatch.setattr(alphabeta, "closed_form_ricci", counting)
+    report, _ = run_scene(scn, "report")
+    assert len(calls) == len(scn.samples) == 2
+    assert len(report["geometry"]["family_proposition"]["per_base_point"]) == 2
+
+
+@pytest.mark.parametrize("subcommand", ["probe", "report"])
+def test_overflow_is_a_tagged_sample_error(subcommand):
+    doc = {
+        "chart": {"dim": 2},
+        "lagrangian": {"dsl": {"source": "exp(1000*x0)*dx0^2 - dx1^2"}},
+        "samples": [{"x": [1, 0], "xdot": [1, 0.2]}],
+    }
+    report, code = run_scene(load_scene(doc), subcommand)
+    assert code == 0
+    adm = report["samples"][0]["admissibility"]
+    assert adm["in_A"] is False
+    assert adm["failure_reason"] == "overflow"
 
 
 # -- CLI ---------------------------------------------------------------------------
@@ -275,6 +322,13 @@ def test_cli_scene_error_exit_one(tmp_path, capsys):
     p = _write_scene(tmp_path, {"lagrangian": {"catalog": "nope"}})
     assert cli.main(["probe", str(p)]) == 1
     assert "scene error" in capsys.readouterr().err
+
+
+def test_cli_threads_flag_is_a_usage_error(tmp_path):
+    p = _write_scene(tmp_path, minkowski_scene())
+    with pytest.raises(SystemExit) as err:
+        cli.main(["report", str(p), "--out", str(tmp_path / "out"), "--threads", "2"])
+    assert err.value.code == 2
 
 
 def test_cli_missing_file_exit_one(tmp_path):
