@@ -45,14 +45,15 @@ class NoAdmissibleDirections(RuntimeError):
 
 @dataclass(frozen=True)
 class BerwaldVerdict:
-    """`max_gamma_deviation` is the larger of the two deviations tested."""
+    """`max_gamma_deviation` is the larger of the two deviations tested.
+    The fields are in the order of a report's per-point Berwald entry."""
 
     is_berwald: bool
     max_gamma_deviation: float
-    affine_connection: np.ndarray  # Gamma^a_bc at the seed direction
-    directions_tested: int
     fiber_derivative_deviation: float  # |dGamma/dxdot| |xdot| / |Gamma|
     spray_deviation: float  # |G(d) - Gamma(d, d)/2| / (|Gamma| |d|^2)
+    directions_tested: int
+    affine_connection: np.ndarray  # Gamma^a_bc at the seed direction
 
 
 @dataclass(frozen=True)
@@ -183,10 +184,10 @@ def verdict_at(
     return BerwaldVerdict(
         is_berwald=dev < tol_berwald,
         max_gamma_deviation=dev,
-        affine_connection=gamma,
-        directions_tested=len(witnesses),
         fiber_derivative_deviation=fiber,
         spray_deviation=spray,
+        directions_tested=len(witnesses),
+        affine_connection=gamma,
     )
 
 

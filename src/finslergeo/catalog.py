@@ -12,8 +12,8 @@ from typing import Mapping, Optional
 
 import numpy as np
 
+from . import alphabeta, geometry
 from . import expr as exprmod
-from . import geometry
 from .defs import DslLagrangian, FamilyInstance, LagrangianDef, TangentSample, fiber_aliases
 
 
@@ -194,28 +194,18 @@ def _kropina(overrides) -> CatalogEntry:
 _LIGHTCONE_ALIASES = {"u": 0, "v": 1, "x": 2, "y": 3}
 
 
-def _find_admissible_direction(
-    lag: LagrangianDef, inst: FamilyInstance, x: np.ndarray
-) -> np.ndarray:
+def _find_admissible_direction(inst: FamilyInstance, x: np.ndarray) -> np.ndarray:
     """Deterministic search from (1, 1, 0.1, 0.1): scale the v-component up
     until beta(xdot) > 0, zeta(xdot, xdot) > 0 and the sample is admissible."""
     base = np.array([1.0, 1.0, 0.1, 0.1])
-    n = inst.dim
-    alpha = np.array(
-        [
-            [float(exprmod.eval(inst.alpha[a][b], list(x), inst.params)) for b in range(n)]
-            for a in range(n)
-        ]
-    )
-    beta = np.array(
-        [float(exprmod.eval(inst.beta[a], list(x), inst.params)) for a in range(n)]
-    )
+    fam = alphabeta.FamilyEval(inst, x)
+    alpha, beta = fam.alpha, fam.beta
     cand = base.copy()
     for _ in range(60):
         bval = float(beta @ cand)
         zeta = inst.c * float(cand @ alpha @ cand) + inst.m * bval**2
         if bval > 0.0 and zeta > 0.0:
-            if geometry.probe_admissibility(lag, TangentSample(x, cand)).in_A:
+            if geometry.probe_admissibility(inst, TangentSample(x, cand)).in_A:
                 return cand
         cand = cand.copy()
         cand[1] *= 2.0
@@ -259,7 +249,7 @@ def _szabo_counterexample(overrides) -> CatalogEntry:
         np.array([0.2, 0.8, -0.4, 1.1]),
     )
     samples = tuple(
-        TangentSample(x, _find_admissible_direction(inst, inst, x))
+        TangentSample(x, _find_admissible_direction(inst, x))
         for x in base_points
     )
     return CatalogEntry(

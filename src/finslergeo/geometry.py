@@ -23,7 +23,6 @@ All operations are pure functions of (definition, sample).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional, Sequence
@@ -244,7 +243,9 @@ class _Eval:
             list(sample.x) + list(sample.xdot), range(2 * self.n), order
         )
         self.space = self.cjets[0].space
-        self.L = eval_L_jets(lag, self.cjets)
+        # an overflow inside a product is tagged by `admissibility`, not warned
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.L = eval_L_jets(lag, self.cjets)
 
     # index helpers: variable a is x^a, variable n+a is xdot^a
     def dx(self, j: Jet, a: int) -> Jet:
@@ -304,9 +305,9 @@ class _Eval:
         tol_degenerate: float = TOL_DEGENERATE,
         tol_null: float = TOL_NULL,
     ) -> AdmissibilityVerdict:
-        L_value = self.L.value
-        if not math.isfinite(L_value):
+        if not np.all(np.isfinite(self.L.coeffs)):
             return _outside_A("non-finite")
+        L_value = self.L.value
         sig = self.signature(tol_degenerate)
         in_A = sig[2] == 0
         xdot = np.abs(self.sample.xdot)
@@ -602,31 +603,35 @@ def log_sqrt_det_metric_field(lag: LagrangianDef) -> Callable[[Sequence[Jet]], J
 # -- expression-metric helpers (pseudo-Riemannian reference data) -------------
 
 
-def eval_metric_exprs(g_exprs, coords, params=None) -> np.ndarray:
-    """Evaluate an expression matrix at scalar-like coordinates."""
-    n = len(g_exprs)
-    out = np.empty((n, n), dtype=object)
-    for a in range(n):
-        for b in range(n):
-            out[a, b] = exprmod.eval(g_exprs[a][b], coords, params)
+def eval_metric_exprs(exprs, coords, params=None) -> np.ndarray:
+    """Evaluate an array of expressions (a metric, a one-form) at scalar-like
+    coordinates.  Over jet coordinates every entry is a jet: constant
+    entries become constant jets."""
+    exprs = np.asarray(exprs, dtype=object)
+    space = getattr(coords[0], "space", None)
+    out = np.empty(exprs.shape, dtype=object)
+    for idx in np.ndindex(exprs.shape):
+        v = exprmod.eval(exprs[idx], coords, params)
+        out[idx] = v if space is None or isinstance(v, Jet) else space.constant(float(v))
     return out
 
 
-def christoffel_jets(g_exprs, x_jets, params=None) -> np.ndarray:
-    """Christoffel symbols of an expression metric over seeded base jets."""
-    n = len(x_jets)
-    space = x_jets[0].space
-    g = np.empty((n, n), dtype=object)
-    for a in range(n):
-        for b in range(n):
-            v = exprmod.eval(g_exprs[a][b], x_jets, params)
-            g[a, b] = v if isinstance(v, Jet) else space.constant(float(v))
+def levi_civita_jets(g, ginv) -> np.ndarray:
+    """Christoffel symbols of a metric g given as jets over seeded base
+    coordinates, from g and its inverse g^-1 as jets."""
+    n = len(g)
     dg = np.empty((n, n, n), dtype=object)  # dg[m, a, b] = d_m g_ab
     for a in range(n):
         for b in range(n):
             for m in range(n):
                 dg[m, a, b] = g[a, b].diff(m)
-    return koszul(invert_jet_matrix(g), dg)
+    return koszul(ginv, dg)
+
+
+def christoffel_jets(g_exprs, x_jets, params=None) -> np.ndarray:
+    """Christoffel symbols of an expression metric over seeded base jets."""
+    g = eval_metric_exprs(g_exprs, x_jets, params)
+    return levi_civita_jets(g, invert_jet_matrix(g))
 
 
 def christoffel_values(g_exprs, x: np.ndarray, params=None) -> np.ndarray:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping, Optional
 
 import numpy as np
@@ -23,8 +23,6 @@ from .defs import DslLagrangian, FamilyInstance, LagrangianDef, TangentSample, f
 from .expr import ExprDomainError
 from .geometry import DegenerateMetric
 from .jets import DomainError
-
-SUBCOMMANDS = ("probe", "berwald", "obstruction", "causal", "nonmetricity", "report")
 
 _SAMPLE_ERRORS = (
     DomainError,
@@ -405,14 +403,57 @@ def parse_report(text: str) -> dict:
 
 # -- diagnostics ------------------------------------------------------------------
 
+# The sections each subcommand writes, in report order.  "sample_detail" is the
+# report-only part of each sample block: the chain's values, the identity
+# residuals and the Berwald-condition fit.  The family sections apply to
+# family Lagrangians only and non-metricity needs a reference metric.
+_SECTIONS = {
+    "probe": (),
+    "berwald": ("berwald",),
+    "obstruction": ("berwald", "obstruction", "family_proposition"),
+    "causal": ("causal",),
+    "nonmetricity": ("berwald", "nonmetricity"),
+    "report": (
+        "sample_detail", "berwald", "obstruction", "family_proposition", "causal",
+        "nonmetricity",
+    ),
+}
+SUBCOMMANDS = tuple(_SECTIONS)
+_FAMILY_SECTIONS = ("family_proposition", "causal")
+
+
+def _applicable_sections(scene: Scene, subcommand: str) -> tuple[tuple[str, ...], list]:
+    """The sections of the subcommand that apply to the scene, and the
+    warnings.  A subcommand named after a section that does not apply is
+    refused (nonmetricity) or warns (causal)."""
+    if subcommand not in _SECTIONS:
+        raise ValueError(f"unknown subcommand {subcommand!r}")
+    family = isinstance(scene.lagrangian, FamilyInstance)
+    sections = []
+    warnings = []
+    for section in _SECTIONS[subcommand]:
+        if section == "nonmetricity" and scene.options.reference_metric is None:
+            if section == subcommand:
+                raise SceneError(
+                    "/options/reference_metric",
+                    "a reference metric is required for non-metricity diagnostics",
+                )
+        elif section in _FAMILY_SECTIONS and not family:
+            if section == subcommand:
+                warnings.append("causal classification applies only to family Lagrangians")
+        else:
+            sections.append(section)
+    return tuple(sections), warnings
+
 
 def _sample_block(
     scene: Scene,
     label: str,
     sample: TangentSample,
-    subcommand: str,
+    detail: bool,
     verdict: geometry.AdmissibilityVerdict,
     ev: Optional[geometry._Eval],
+    fam,
 ) -> dict:
     opts = scene.options
     block: dict = {
@@ -433,7 +474,7 @@ def _sample_block(
     try:
         mv = ev.metric(opts.tol_degenerate)
         block["metric"] = {"det": mv.det, "signature": list(mv.signature)}
-        if subcommand == "report":
+        if detail:
             curv = ev.curvature
             block["spray"] = ev.spray_values
             block["nonlinear"] = ev.nonlinear_values
@@ -452,170 +493,156 @@ def _sample_block(
                     geometry.log_sqrt_det_metric_field(scene.lagrangian)
                 ),
             }
-            if isinstance(scene.lagrangian, FamilyInstance):
-                fit = alphabeta.check_berwald_condition(scene.lagrangian, sample.x)
-                residuals["berwald_condition_fit"] = fit.residual
-                residuals["fitted_H"] = fit.h
+            # a family evaluation that failed is an error entry of the family
+            # sections; the chain's own residuals still stand
+            if isinstance(fam, alphabeta.FamilyEval):
+                residuals["berwald_condition_fit"] = fam.fit.residual
+                residuals["fitted_H"] = fam.fit.h
             block["residuals"] = residuals
     except _SAMPLE_ERRORS as err:
         block["error"] = str(err)
     return _canon(block)
 
 
-def _berwald_entries(
-    scene: Scene,
-    idx: int,
-    label: str,
-    sample: TangentSample,
-    subcommand: str,
-    verdict: geometry.AdmissibilityVerdict,
-    ev: Optional[geometry._Eval],
-) -> dict:
-    """The Berwald, obstruction and non-metricity entries of one base point,
-    all read from the sample's own order-4 evaluation context."""
-    opts = scene.options
-    head = {"label": label, "x": _canon(sample.x)}
-    entries = {"berwald": dict(head)}
-    if subcommand in ("obstruction", "report"):
-        entries["obstruction"] = dict(head)
-    if subcommand in ("nonmetricity", "report") and opts.reference_metric is not None:
-        entries["nonmetricity"] = dict(head)
+def _attempt(fn, *args):
+    """fn(*args), or the sample error that stopped it."""
     try:
-        if not verdict.in_A:
-            raise NoAdmissibleDirections(
-                f"the sample is outside A ({verdict.failure_reason})"
-            )
-        bv = berwald.verdict_at(
-            ev,
-            count=opts.directions,
-            rng=np.random.default_rng([opts.seed, idx]),
-            spread=opts.spread,
-            tol_berwald=opts.tol_berwald,
-        )
+        return fn(*args)
     except _SAMPLE_ERRORS as err:
-        for entry in entries.values():
-            entry["error"] = str(err)
-        return _canon(entries)
-    entries["berwald"].update(
-        {
-            "is_berwald": bv.is_berwald,
-            "max_gamma_deviation": bv.max_gamma_deviation,
-            "fiber_derivative_deviation": bv.fiber_derivative_deviation,
-            "spray_deviation": bv.spray_deviation,
-            "directions_tested": bv.directions_tested,
-            "affine_connection": bv.affine_connection,
-        }
+        return err
+
+
+def _entry(head: dict, fields, *inputs) -> dict:
+    """One per-point entry: `head` and fields(*inputs), or `head` and the
+    sample error that stopped it, whether raised here or held by an input
+    (see `_attempt`)."""
+    entry = dict(head)
+    try:
+        for value in inputs:
+            if isinstance(value, Exception):
+                raise value
+        entry.update(fields(*inputs))
+    except _SAMPLE_ERRORS as err:
+        entry["error"] = str(err)
+    return _canon(entry)
+
+
+def _berwald_verdict(opts: SceneOptions, idx: int, verdict, ev) -> berwald.BerwaldVerdict:
+    if not verdict.in_A:
+        raise NoAdmissibleDirections(f"the sample is outside A ({verdict.failure_reason})")
+    return berwald.verdict_at(
+        ev,
+        count=opts.directions,
+        rng=np.random.default_rng([opts.seed, idx]),
+        spread=opts.spread,
+        tol_berwald=opts.tol_berwald,
     )
-    if "obstruction" in entries:
-        try:
-            rep = berwald.obstruction_at(ev, bv, opts.tol_sym)
-            entries["obstruction"].update(
-                {
-                    "ricci": rep.ricci,
-                    "skew": rep.skew,
-                    "skew_max_abs": rep.skew_max_abs,
-                    "condition_met": rep.metrizability_necessary_condition_met,
-                    "phi_constancy_residual": rep.phi_constancy_residual,
-                }
-            )
-        except _SAMPLE_ERRORS as err:
-            entries["obstruction"]["error"] = str(err)
-    if "nonmetricity" in entries:
-        try:
-            berwald.require_berwald(bv)
-            rep = berwald.nonmetricity(
-                bv.affine_connection, opts.reference_metric, sample.x
-            )
-            entries["nonmetricity"].update({"Q_norm": rep.Q_norm, "D": rep.D, "Q": rep.Q})
-        except _SAMPLE_ERRORS as err:
-            entries["nonmetricity"]["error"] = str(err)
-    return _canon(entries)
+
+
+def _obstruction_fields(ev, bv: berwald.BerwaldVerdict, tol_sym: float) -> dict:
+    rep = berwald.obstruction_at(ev, bv, tol_sym)
+    return {
+        "ricci": rep.ricci,
+        "skew": rep.skew,
+        "skew_max_abs": rep.skew_max_abs,
+        "condition_met": rep.metrizability_necessary_condition_met,
+        "phi_constancy_residual": rep.phi_constancy_residual,
+    }
+
+
+def _nonmetricity_fields(bv: berwald.BerwaldVerdict, reference_metric, x) -> dict:
+    berwald.require_berwald(bv)
+    rep = berwald.nonmetricity(bv.affine_connection, reference_metric, x)
+    return {"Q_norm": rep.Q_norm, "D": rep.D, "Q": rep.Q}
+
+
+def _proposition_fields(fam: alphabeta.FamilyEval) -> dict:
+    return {
+        "f_scalar": fam.ricci.f_scalar,
+        "beta_wedge_dH_max": fam.ricci.wedge_max_abs,
+        "nonmetrizable": fam.nonmetrizable(),
+    }
 
 
 def _base_point(
-    scene: Scene, idx: int, label: str, sample: TangentSample, subcommand: str
+    scene: Scene, idx: int, label: str, sample: TangentSample, sections: tuple
 ) -> dict:
-    """Every per-point entry of the report at one base point, derived from one
-    evaluation context: order 4 when a Berwald verdict is needed, else 2."""
+    """Every per-point entry of the requested sections at one base point,
+    read from one chain evaluation (order 4 when a Berwald verdict is needed,
+    else 2) and, for a family, one closed-form evaluation."""
     opts = scene.options
-    needs_berwald = subcommand in ("berwald", "obstruction", "nonmetricity", "report")
+    lag = scene.lagrangian
     verdict, ev = geometry.probe_context(
-        scene.lagrangian,
+        lag,
         sample,
-        4 if needs_berwald else 2,
+        4 if "berwald" in sections else 2,
         convention=opts.signature_convention,
         tol_degenerate=opts.tol_degenerate,
         tol_null=opts.tol_null,
     )
-    point = {"sample": _sample_block(scene, label, sample, subcommand, verdict, ev)}
-    if needs_berwald:
-        point.update(_berwald_entries(scene, idx, label, sample, subcommand, verdict, ev))
+    # family sections apply to family Lagrangians only and come with the
+    # sample detail in a report, whose Berwald-condition fit reads `fam` too
+    family = any(s in _FAMILY_SECTIONS for s in sections)
+    fam = _attempt(alphabeta.FamilyEval, lag, sample.x) if family else None
+    bv = _attempt(_berwald_verdict, opts, idx, verdict, ev) if "berwald" in sections else None
+    builders = {
+        "berwald": (asdict, bv),
+        "obstruction": (_obstruction_fields, ev, bv, opts.tol_sym),
+        "family_proposition": (_proposition_fields, fam),
+        "causal": (lambda fam: asdict(fam.causal), fam),
+        "nonmetricity": (_nonmetricity_fields, bv, opts.reference_metric, sample.x),
+    }
+    detail = "sample_detail" in sections
+    point = {"sample": _sample_block(scene, label, sample, detail, verdict, ev, fam)}
+    head = {"label": label, "x": _canon(sample.x)}
+    for section in sections:
+        if section in builders:
+            point[section] = _entry(head, *builders[section])
     return point
 
 
-def _berwald_section(per_point: list) -> dict:
-    ok = [e for e in per_point if "is_berwald" in e]
-    return {
-        "is_berwald": bool(ok) and all(e["is_berwald"] for e in ok),
-        "max_gamma_deviation": max((e["max_gamma_deviation"] for e in ok), default=None),
+@dataclass(frozen=True)
+class _Summary:
+    """A section's verdict, read from the per-point entries that were
+    computed: an entry with an error decides nothing."""
+
+    section: dict
+    nonmetrizable: bool = False  # proves non-metrizability: exit code 2
+    warning: Optional[str] = None
+
+
+def _summary(name: str, per_point: list, opts: SceneOptions) -> _Summary:
+    ok = [e for e in per_point if "error" not in e]
+    every = len(ok) == len(per_point)
+    if name == "berwald":
+        return _Summary({
+            "is_berwald": bool(ok) and all(e["is_berwald"] for e in ok),
+            "max_gamma_deviation": max((e["max_gamma_deviation"] for e in ok), default=None),
+            "per_base_point": per_point,
+        })
+    if name == "obstruction":
+        met = all(e["condition_met"] for e in ok)
+        return _Summary({
+            "metrizability_necessary_condition_met": every and met,
+            "max_skew_abs": max((e["skew_max_abs"] for e in ok), default=None),
+            "per_base_point": per_point,
+        }, nonmetrizable=not met)
+    if name == "family_proposition":
+        fires = any(e["nonmetrizable"] for e in ok)
+        return _Summary({"fires": fires, "per_base_point": per_point}, nonmetrizable=fires)
+    if name == "causal":
+        viable = all(e["viable"] for e in ok)
+        warning = None if viable else "causal classification reports a non-viable instance"
+        return _Summary({"viable": every and viable, "per_base_point": per_point}, warning=warning)
+    return _Summary({
+        "reference_metric": [list(r) for r in opts.reference_metric_src],
         "per_base_point": per_point,
-    }
-
-
-def _obstruction_section(per_point: list) -> tuple[dict, bool]:
-    """The obstruction section and whether it proves non-metrizability."""
-    ok = [e for e in per_point if "condition_met" in e]
-    section = {
-        "metrizability_necessary_condition_met": len(ok) == len(per_point) > 0
-        and all(e["condition_met"] for e in ok),
-        "max_skew_abs": max((e["skew_max_abs"] for e in ok), default=None),
-        "per_base_point": per_point,
-    }
-    return section, any(not e["condition_met"] for e in ok)
-
-
-def _causal_section(scene: Scene) -> dict:
-    per_point = []
-    all_viable = True
-    for label, sample in scene.samples:
-        cc = alphabeta.classify_causal(scene.lagrangian, sample)
-        per_point.append(
-            {
-                "label": label,
-                "x": _canon(sample.x),
-                "p_case": cc.p_case,
-                "det_zeta": cc.det_zeta,
-                "zeta_signature": list(cc.zeta_signature),
-                "viable": cc.viable,
-            }
-        )
-        all_viable = all_viable and cc.viable
-    return _canon({"viable": all_viable, "per_base_point": per_point})
-
-
-def _proposition_section(scene: Scene) -> tuple[dict, bool]:
-    per_point = []
-    fires_any = False
-    for label, sample in scene.samples:
-        cf = alphabeta.closed_form_ricci(scene.lagrangian, sample.x)
-        fires = cf.nonmetrizable()
-        fires_any = fires_any or fires
-        per_point.append(
-            {
-                "label": label,
-                "x": _canon(sample.x),
-                "f_scalar": cf.f_scalar,
-                "beta_wedge_dH_max": cf.wedge_max_abs,
-                "nonmetrizable": fires,
-            }
-        )
-    return _canon({"fires": fires_any, "per_base_point": per_point}), fires_any
+    })
 
 
 def run_scene(scene: Scene, subcommand: str) -> tuple[dict, int]:
     """Execute the requested diagnostics; returns (report, exit code)."""
-    if subcommand not in SUBCOMMANDS:
-        raise ValueError(f"unknown subcommand {subcommand!r}")
+    sections, warnings = _applicable_sections(scene, subcommand)
     opts = scene.options
     report: dict = {
         "metadata": {
@@ -636,51 +663,17 @@ def run_scene(scene: Scene, subcommand: str) -> tuple[dict, int]:
             "dim": scene.dim,
         }
     }
-    if subcommand == "nonmetricity" and opts.reference_metric is None:
-        raise SceneError(
-            "/options/reference_metric",
-            "a reference metric is required for non-metricity diagnostics",
-        )
     points = [
-        _base_point(scene, idx, label, sample, subcommand)
+        _base_point(scene, idx, label, sample, sections)
         for idx, (label, sample) in enumerate(scene.samples)
     ]
-    report["samples"] = [p["sample"] for p in points]
-
-    is_family = isinstance(scene.lagrangian, FamilyInstance)
-    geometry_section: dict = {}
-    exit_code = 0
-    warnings: list[str] = []
-
-    if "berwald" in points[0]:
-        geometry_section["berwald"] = _berwald_section([p["berwald"] for p in points])
-
-    if "obstruction" in points[0]:
-        section, nonmetrizable = _obstruction_section([p["obstruction"] for p in points])
-        geometry_section["obstruction"] = section
-        if nonmetrizable:
-            exit_code = 2
-        if is_family:
-            prop, fires = _proposition_section(scene)
-            geometry_section["family_proposition"] = prop
-            if fires:
-                exit_code = 2
-
-    if subcommand in ("causal", "report"):
-        if is_family:
-            geometry_section["causal"] = _causal_section(scene)
-            if not geometry_section["causal"]["viable"]:
-                warnings.append("causal classification reports a non-viable instance")
-        elif subcommand == "causal":
-            warnings.append("causal classification applies only to family Lagrangians")
-
-    if "nonmetricity" in points[0]:
-        geometry_section["nonmetricity"] = {
-            "reference_metric": [list(r) for r in opts.reference_metric_src],
-            "per_base_point": [p["nonmetricity"] for p in points],
-        }
-
-    report["geometry"] = geometry_section
+    report["samples"] = [p.pop("sample") for p in points]
+    summaries = {
+        section: _summary(section, [p[section] for p in points], opts)
+        for section in points[0]
+    }
+    report["geometry"] = {section: s.section for section, s in summaries.items()}
+    warnings += [s.warning for s in summaries.values() if s.warning]
     if warnings:
         report["warnings"] = warnings
-    return report, exit_code
+    return report, 2 if any(s.nonmetrizable for s in summaries.values()) else 0

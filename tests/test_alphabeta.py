@@ -95,6 +95,26 @@ def test_fitted_h_gradient_without_expression(szabo):
     np.testing.assert_allclose(dh_fit, dh_expr, atol=1e-9)
 
 
+def test_one_evaluation_inverts_alpha_once(monkeypatch, szabo):
+    # every closed form at a base point reads one evaluation of alpha
+    inst = szabo.lagrangian
+    bare = FamilyInstance(
+        inst.dim, inst.alpha, inst.beta, inst.c, inst.m, inst.p, h_expr=None
+    )
+    calls = []
+    invert = geometry.invert_jet_matrix
+
+    def counting(g):
+        calls.append(g)
+        return invert(g)
+
+    monkeypatch.setattr(geometry, "invert_jet_matrix", counting)
+    fam = alphabeta.FamilyEval(bare, szabo.default_samples[0].x)
+    fam.fit, fam.h_gradient, fam.ricci, fam.causal, fam.connection()
+    assert fam.nonmetrizable()
+    assert len(calls) == 1
+
+
 # -- closed forms vs the pipeline ---------------------------------------------------
 
 
@@ -222,7 +242,8 @@ def test_causal_determinant_formula(szabo):
         ent = catalog.get("szabo-counterexample", {**ov})
         inst = ent.lagrangian
         s = ent.default_samples[0]
-        alpha, ainv, beta, _, a1 = alphabeta._alpha_beta_values(inst, s.x)
+        fam = alphabeta.FamilyEval(inst, s.x)
+        alpha, a1 = fam.alpha, fam.a1
         expected = inst.c ** 3 * np.linalg.det(alpha) * (inst.c + inst.m * a1)
         cc = alphabeta.classify_causal(inst, s)
         assert cc.det_zeta == pytest.approx(expected, rel=1e-12)

@@ -1,6 +1,7 @@
 """Scene validation, report schema conformance, CLI behavior, determinism."""
 
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -161,6 +162,7 @@ def test_reports_validate_against_schema():
         (minkowski_scene(), "report"),
         (minkowski_scene(), "probe"),
         (minkowski_scene(), "berwald"),
+        (_singular_alpha_scene(), "report"),
     ]:
         scn = load_scene(doc)
         report, _ = run_scene(scn, sub)
@@ -247,30 +249,153 @@ def test_sample_errors_recorded_not_fatal():
 def test_report_evaluates_the_closed_form_once_per_base_point(monkeypatch):
     scn = load_scene_file(str(REPO / "scenes" / "szabo.json"))
     calls = []
-    closed_form_ricci = alphabeta.closed_form_ricci
+    init = alphabeta.FamilyEval.__init__
 
-    def counting(inst, x):
+    def counting(self, inst, x):
         calls.append(x)
-        return closed_form_ricci(inst, x)
+        init(self, inst, x)
 
-    monkeypatch.setattr(alphabeta, "closed_form_ricci", counting)
+    monkeypatch.setattr(alphabeta.FamilyEval, "__init__", counting)
     report, _ = run_scene(scn, "report")
     assert len(calls) == len(scn.samples) == 2
     assert len(report["geometry"]["family_proposition"]["per_base_point"]) == 2
 
 
-@pytest.mark.parametrize("subcommand", ["probe", "report"])
-def test_overflow_is_a_tagged_sample_error(subcommand):
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"lagrangian": {"catalog": "bogoslovsky"}},
+        json.loads((REPO / "scenes" / "szabo.json").read_text()),
+    ],
+    ids=["bogoslovsky", "szabo.json"],
+)
+def test_report_family_entries_equal_the_public_functions(doc):
+    scn = load_scene(doc)
+    report, _ = run_scene(scn, "report")
+    geo = report["geometry"]
+    inst = scn.lagrangian
+    for i, (_, sample) in enumerate(scn.samples):
+        fit = alphabeta.check_berwald_condition(inst, sample.x)
+        residuals = report["samples"][i]["residuals"]
+        assert residuals["berwald_condition_fit"] == fit.residual
+        assert residuals["fitted_H"] == fit.h
+        cf = alphabeta.closed_form_ricci(inst, sample.x)
+        prop = geo["family_proposition"]["per_base_point"][i]
+        assert prop["f_scalar"] == cf.f_scalar
+        assert prop["beta_wedge_dH_max"] == cf.wedge_max_abs
+        assert prop["nonmetrizable"] == alphabeta.proposition_nonmetrizable(inst, sample.x)
+        cc = alphabeta.classify_causal(inst, sample)
+        causal = geo["causal"]["per_base_point"][i]
+        assert causal["p_case"] == cc.p_case
+        assert causal["det_zeta"] == cc.det_zeta
+        assert causal["zeta_signature"] == list(cc.zeta_signature)
+        assert causal["viable"] == cc.viable
+
+
+def _singular_alpha_scene():
+    return {
+        "chart": {"dim": 2},
+        "lagrangian": {
+            "family": {
+                "alpha": [["x0", "0"], ["0", "-1"]],
+                "beta": ["1", "0"],
+                "c": 1, "m": 0, "p": 2,
+            }
+        },
+        "samples": [
+            {"x": [0, 0], "xdot": [1, 0.3], "label": "singular"},
+            {"x": [1, 0], "xdot": [1, 0.3], "label": "regular"},
+        ],
+    }
+
+
+@pytest.mark.parametrize(
+    "subcommand, sections",
+    [
+        ("obstruction", ["family_proposition"]),
+        ("causal", ["causal"]),
+        ("report", ["family_proposition", "causal"]),
+    ],
+)
+def test_singular_alpha_is_a_per_point_error(subcommand, sections):
+    report, _ = run_scene(load_scene(_singular_alpha_scene()), subcommand)
+    geo = report["geometry"]
+    for section in sections:
+        singular, regular = geo[section]["per_base_point"]
+        assert "alpha is singular" in singular["error"]
+        assert "error" not in regular
+    if subcommand == "report":
+        # the chain's residuals at the singular point do not depend on alpha^-1
+        block = report["samples"][0]
+        assert "error" not in block and "skew_identity" in block["residuals"]
+        assert "berwald_condition_fit" not in block["residuals"]
+    if "causal" in geo:
+        assert geo["causal"]["per_base_point"][1]["viable"] is True
+        # one base point was not classified, so the instance is not called
+        # viable; no classified point is non-viable, so there is no warning
+        assert geo["causal"]["viable"] is False
+        assert "warnings" not in report
+
+
+def test_proposition_needs_the_berwald_condition():
+    doc = {
+        "chart": {"dim": 4, "aliases": ["u", "v", "x", "y"]},
+        "lagrangian": {
+            "family": {
+                "alpha": [
+                    ["0", "1", "0", "0"],
+                    ["1", "0", "0", "0"],
+                    ["0", "0", "1", "0"],
+                    ["0", "0", "0", "1"],
+                ],
+                "beta": ["1+x*y", "0", "0.3*u", "0"],
+                "c": 1, "m": 0, "p": 2,
+            }
+        },
+        "samples": [{"x": [0.1, 0.2, 0.5, 0.3], "xdot": [1, 1, 0.1, 0.1]}],
+    }
+    scn = load_scene(doc)
+    report, code = run_scene(scn, "report")
+    assert report["geometry"]["berwald"]["is_berwald"] is False
+    assert report["samples"][0]["residuals"]["berwald_condition_fit"] > 1e-3
+    entry = report["geometry"]["family_proposition"]["per_base_point"][0]
+    assert entry["nonmetrizable"] is False
+    assert report["geometry"]["family_proposition"]["fires"] is False
+    assert code == 0
+    assert not alphabeta.proposition_nonmetrizable(scn.lagrangian, scn.samples[0][1].x)
+    _, szabo_code = run_scene(load_scene_file(str(REPO / "scenes" / "szabo.json")), "report")
+    assert szabo_code == 2
+
+
+# exp(1000) overflows the value of L; exp(700) does not, but the products
+# that build L's higher Taylor coefficients do
+_OVERFLOW = ("exp(1000*x0)*dx0^2 - dx1^2", "overflow")
+_NON_FINITE = ("exp(700*x0)*dx0^2 - dx1^2", "non-finite")
+
+
+@pytest.mark.parametrize(
+    "subcommand, source, reason",
+    [
+        ("probe", *_OVERFLOW),
+        ("report", *_OVERFLOW),
+        ("probe", *_NON_FINITE),
+        ("report", *_NON_FINITE),
+    ],
+    ids=["probe", "report", "probe-non-finite", "report-non-finite"],
+)
+def test_overflow_is_a_tagged_sample_error(subcommand, source, reason):
     doc = {
         "chart": {"dim": 2},
-        "lagrangian": {"dsl": {"source": "exp(1000*x0)*dx0^2 - dx1^2"}},
+        "lagrangian": {"dsl": {"source": source}},
         "samples": [{"x": [1, 0], "xdot": [1, 0.2]}],
     }
-    report, code = run_scene(load_scene(doc), subcommand)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report, code = run_scene(load_scene(doc), subcommand)
     assert code == 0
     adm = report["samples"][0]["admissibility"]
     assert adm["in_A"] is False
-    assert adm["failure_reason"] == "overflow"
+    assert adm["failure_reason"] == reason
 
 
 # -- CLI ---------------------------------------------------------------------------

@@ -1,0 +1,68 @@
+"""Print the exit code and SHA-256 of report.json for a fixed set of runs.
+
+    PYTHONPATH=src python tools/report_digests.py [repo root]
+
+Runs ``finslergeo <subcommand> <scene> --out <dir>`` in process for every
+subcommand, on every ``scenes/*.json`` and every catalog entry (with its
+default samples), at ``options.seed`` 0 and 3.  Each run prints one line:
+
+    <scene> <subcommand> <seed> <exit code> <sha256 of report.json or ->
+
+Two checkouts that print the same lines write byte-identical reports, so a
+refactoring can be checked against its parent by diffing the two outputs.
+The repository root defaults to the parent of this script's directory.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+from finslergeo import catalog, cli
+from finslergeo.scene import SUBCOMMANDS
+
+SEEDS = (0, 3)
+
+
+def scene_documents(root: Path):
+    """(name, scene document) for the fixture scenes and the catalog."""
+    for path in sorted((root / "scenes").glob("*.json")):
+        yield path.name, json.loads(path.read_text(encoding="utf-8"))
+    for name in catalog.names():
+        yield f"catalog:{name}", {"lagrangian": {"catalog": name}}
+
+
+def digest(doc: dict, subcommand: str, workdir: Path) -> tuple[int, str]:
+    scene_path = workdir / "scene.json"
+    scene_path.write_text(json.dumps(doc), encoding="utf-8")
+    out = workdir / "out"
+    report = out / "report.json"
+    if report.exists():
+        report.unlink()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main([subcommand, str(scene_path), "--out", str(out)])
+    sha = hashlib.sha256(report.read_bytes()).hexdigest() if report.exists() else "-"
+    return code, sha
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    root = Path(argv[0]) if argv else Path(__file__).resolve().parents[1]
+    with tempfile.TemporaryDirectory() as tmp:
+        workdir = Path(tmp)
+        for name, doc in scene_documents(root):
+            for seed in SEEDS:
+                seeded = dict(doc, options={**doc.get("options", {}), "seed": seed})
+                for sub in SUBCOMMANDS:
+                    code, sha = digest(seeded, sub, workdir)
+                    print(f"{name} {sub} {seed} {code} {sha}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
