@@ -93,10 +93,12 @@ def _summary_lines(report: dict, exit_code: int) -> list[str]:
     if "berwald" in geo:
         b = geo["berwald"]
         dev = b["max_gamma_deviation"]
-        lines.append(
-            f"berwald: {'YES' if b['is_berwald'] else 'NO'}"
-            + (f" (max deviation {dev:.3e})" if dev is not None else "")
-        )
+        if dev is None:
+            lines.append("berwald: not computed (no base point evaluated)")
+        else:
+            lines.append(
+                f"berwald: {'YES' if b['is_berwald'] else 'NO'} (max deviation {dev:.3e})"
+            )
     if "obstruction" in geo:
         o = geo["obstruction"]
         mx = o["max_skew_abs"]
@@ -116,7 +118,18 @@ def _summary_lines(report: dict, exit_code: int) -> list[str]:
         )
     if "causal" in geo:
         c = geo["causal"]
-        lines.append(f"causal: {'viable' if c['viable'] else 'NOT viable'}")
+        points = c["per_base_point"]
+        classified = [e for e in points if "error" not in e]
+        if c["viable"]:
+            lines.append("causal: viable")
+        elif not all(e["viable"] for e in classified):
+            lines.append("causal: NOT viable")
+        else:
+            unclassified = len(points) - len(classified)
+            lines.append(
+                f"causal: inconclusive ({unclassified} of {len(points)}"
+                " base points not classified)"
+            )
     if "nonmetricity" in geo:
         qs = [
             e["Q_norm"] for e in geo["nonmetricity"]["per_base_point"] if "Q_norm" in e

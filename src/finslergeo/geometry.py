@@ -164,20 +164,31 @@ def invert_jet_matrix(g) -> np.ndarray:
 
 
 def det_jet_matrix(g):
-    """Determinant of a jet-valued matrix by cofactor expansion."""
+    """Determinant of a jet-valued matrix by cofactor expansion along the
+    first row, each minor computed once.
+
+    The minor on the last ``len(cols)`` rows and the columns ``cols`` is
+    memoised on ``cols``; its terms are summed in the same order as the
+    plain recursion, so the result is the same jet bit for bit.
+    """
     n = len(g)
-    if n == 1:
-        return g[0][0]
-    total = None
-    for j in range(n):
-        minor = [
-            [g[i][k] for k in range(n) if k != j] for i in range(1, n)
-        ]
-        term = g[0][j] * det_jet_matrix(minor)
-        if j % 2 == 1:
-            term = -term
-        total = term if total is None else total + term
-    return total
+    minors: dict = {}
+
+    def minor(cols):
+        row = n - len(cols)
+        if len(cols) == 1:
+            return g[row][cols[0]]
+        if cols not in minors:
+            total = None
+            for pos, c in enumerate(cols):
+                term = g[row][c] * minor(cols[:pos] + cols[pos + 1:])
+                if pos % 2 == 1:
+                    term = -term
+                total = term if total is None else total + term
+            minors[cols] = total
+        return minors[cols]
+
+    return minor(tuple(range(n)))
 
 
 # -- Lagrangian evaluation -----------------------------------------------------

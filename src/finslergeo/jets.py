@@ -74,7 +74,18 @@ def _monomials(nvars: int, order: int) -> list[tuple[int, ...]]:
 
 
 class JetSpace:
-    """Shared immutable tables for jets of a given (nvars, order) signature."""
+    """Shared immutable tables for jets of a given (nvars, order) signature.
+
+    The tables are built with array operations.  Each monomial is encoded as
+    a mixed-radix integer in base ``order + 1`` (exact, since no exponent
+    exceeds ``order``), so the slot of a sum ``mi + mj`` or of a lowered
+    monomial ``m - e_v`` is a ``searchsorted`` over the sorted codes.  The
+    Cauchy pairs are enumerated i-major, j over the graded prefix that keeps
+    ``deg i + deg j <= order``, then stably sorted by product degree.  That
+    order is part of the result: ``Jet.__mul__`` sums each coefficient's
+    products with ``np.bincount`` in pair order, so a different pair order
+    gives jets that differ in the last bits.
+    """
 
     def __init__(self, nvars: int, order: int):
         if nvars < 0:
@@ -93,22 +104,30 @@ class JetSpace:
         # graded order => all monomials of degree <= d form a prefix
         self.ncoeff_upto = [int(np.sum(self.degrees <= d)) for d in range(order + 1)]
 
+        # Mixed-radix codes; Python ints (object arrays) where int64 would
+        # overflow, i.e. beyond 27 variables at order 4.
+        code_dtype = np.int64 if (order + 1) ** nvars <= np.iinfo(np.int64).max else object
+        radix = np.array([(order + 1) ** v for v in range(nvars)], dtype=code_dtype)
+        exps = np.array(self.monomials, dtype=np.int64).reshape(self.ncoeff, nvars)
+        codes = exps.astype(code_dtype) @ radix
+        by_code = np.argsort(codes, kind="stable")
+
+        def slot(target):
+            return by_code[np.searchsorted(codes, target, sorter=by_code)].astype(np.int64)
+
         # Cauchy-product table sorted by total degree of the product, so the
         # slice [:pair_count[v]] multiplies exactly up to validity v.
-        pairs = []
-        for i, mi in enumerate(self.monomials):
-            di = sum(mi)
-            for j, mj in enumerate(self.monomials):
-                dj = sum(mj)
-                if di + dj > order:
-                    continue
-                k = self.index[tuple(a + b for a, b in zip(mi, mj))]
-                pairs.append((di + dj, i, j, k))
-        pairs.sort(key=lambda t: t[0])
-        self._mul_i = np.array([p[1] for p in pairs], dtype=np.int64)
-        self._mul_j = np.array([p[2] for p in pairs], dtype=np.int64)
-        self._mul_k = np.array([p[3] for p in pairs], dtype=np.int64)
-        degs = np.array([p[0] for p in pairs], dtype=np.int64)
+        upto = np.array(self.ncoeff_upto, dtype=np.int64)
+        counts = upto[order - self.degrees]
+        mul_i = np.repeat(np.arange(self.ncoeff, dtype=np.int64), counts)
+        starts = np.repeat(np.cumsum(counts) - counts, counts)
+        mul_j = np.arange(len(mul_i), dtype=np.int64) - starts
+        degs = self.degrees[mul_i] + self.degrees[mul_j]
+        by_degree = np.argsort(degs, kind="stable")
+        self._mul_i = mul_i[by_degree]
+        self._mul_j = mul_j[by_degree]
+        self._mul_k = slot(codes[self._mul_i] + codes[self._mul_j])
+        degs = degs[by_degree]
         self.pair_count = [int(np.sum(degs <= v)) for v in range(order + 1)]
 
         # per-variable polynomial differentiation maps
@@ -116,18 +135,10 @@ class JetSpace:
         self._diff_dst = []
         self._diff_fac = []
         for v in range(nvars):
-            src, dst, fac = [], [], []
-            for i, m in enumerate(self.monomials):
-                if m[v] == 0:
-                    continue
-                lower = list(m)
-                lower[v] -= 1
-                src.append(i)
-                dst.append(self.index[tuple(lower)])
-                fac.append(float(m[v]))
-            self._diff_src.append(np.array(src, dtype=np.int64))
-            self._diff_dst.append(np.array(dst, dtype=np.int64))
-            self._diff_fac.append(np.array(fac, dtype=np.float64))
+            src = np.flatnonzero(exps[:, v]).astype(np.int64)
+            self._diff_src.append(src)
+            self._diff_dst.append(slot(codes[src] - radix[v]))
+            self._diff_fac.append(exps[src, v].astype(np.float64))
 
     def constant(self, value: float, order: int | None = None) -> "Jet":
         c = np.zeros(self.ncoeff)

@@ -7,6 +7,7 @@ import pytest
 from finslergeo import catalog, expr, geometry
 from finslergeo.defs import DslLagrangian, TangentSample, fiber_aliases
 from finslergeo.geometry import DegenerateMetric, _Eval
+from finslergeo.jets import Jet, jet_space
 
 
 @pytest.fixture(scope="module")
@@ -312,3 +313,29 @@ def test_homogeneity_on_random_admissible_samples(szabo):
             np.testing.assert_allclose(
                 evs.spray_values, lam**2 * ev.spray_values, rtol=1e-8, atol=1e-10
             )
+
+
+def plain_cofactor_det(g):
+    """Cofactor expansion along the first row, every minor recomputed."""
+    n = len(g)
+    if n == 1:
+        return g[0][0]
+    total = None
+    for j in range(n):
+        minor = [[g[i][k] for k in range(n) if k != j] for i in range(1, n)]
+        term = g[0][j] * plain_cofactor_det(minor)
+        if j % 2 == 1:
+            term = -term
+        total = term if total is None else total + term
+    return total
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_det_jet_matrix_matches_plain_cofactor_expansion(n):
+    rng = np.random.default_rng([11, n])
+    space = jet_space(3, 4)
+    g = [[Jet(space, rng.uniform(-2, 2, space.ncoeff), 4) for _ in range(n)] for _ in range(n)]
+    got = geometry.det_jet_matrix(g)
+    expected = plain_cofactor_det(g)
+    assert got.order == expected.order
+    assert np.array_equal(got.coeffs, expected.coeffs)

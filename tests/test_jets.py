@@ -8,8 +8,71 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from finslergeo import jets
-from finslergeo.jets import DomainError, Jet, extract_partial, jet_space, seed
+from finslergeo.jets import DomainError, Jet, JetSpace, extract_partial, jet_space, seed
 from finslergeo.oracle import fd_partial
+
+# -- the product and differentiation tables -------------------------------------
+
+
+def reference_tables(space):
+    """The seven tables of `space`, built by a plain loop over monomial pairs."""
+    pairs = []
+    for i, mi in enumerate(space.monomials):
+        di = sum(mi)
+        for j, mj in enumerate(space.monomials):
+            dj = sum(mj)
+            if di + dj > space.order:
+                continue
+            k = space.index[tuple(a + b for a, b in zip(mi, mj))]
+            pairs.append((di + dj, i, j, k))
+    pairs.sort(key=lambda t: t[0])
+    degs = np.array([p[0] for p in pairs], dtype=np.int64)
+    tables = {
+        "_mul_i": np.array([p[1] for p in pairs], dtype=np.int64),
+        "_mul_j": np.array([p[2] for p in pairs], dtype=np.int64),
+        "_mul_k": np.array([p[3] for p in pairs], dtype=np.int64),
+        "pair_count": [int(np.sum(degs <= v)) for v in range(space.order + 1)],
+        "_diff_src": [],
+        "_diff_dst": [],
+        "_diff_fac": [],
+    }
+    for v in range(space.nvars):
+        src, dst, fac = [], [], []
+        for i, m in enumerate(space.monomials):
+            if m[v] == 0:
+                continue
+            lower = list(m)
+            lower[v] -= 1
+            src.append(i)
+            dst.append(space.index[tuple(lower)])
+            fac.append(float(m[v]))
+        tables["_diff_src"].append(np.array(src, dtype=np.int64))
+        tables["_diff_dst"].append(np.array(dst, dtype=np.int64))
+        tables["_diff_fac"].append(np.array(fac, dtype=np.float64))
+    return tables
+
+
+def assert_tables_match_reference(space):
+    for name, expected in reference_tables(space).items():
+        got = getattr(space, name)
+        if name == "pair_count":
+            assert got == expected
+            continue
+        arrays = zip(got, expected, strict=True) if isinstance(expected, list) else [(got, expected)]
+        for g, e in arrays:
+            assert g.dtype == e.dtype, name
+            assert np.array_equal(g, e), name
+
+
+@pytest.mark.parametrize(
+    "nvars, order",
+    [(n, o) for n in range(9) for o in range(jets.MAX_ORDER + 1)]
+    # (12, 4) is the dim-6 space; at (40, 2) the codes exceed int64
+    + [(12, 4), (40, 2)],
+)
+def test_tables_match_reference_loop(nvars, order):
+    assert_tables_match_reference(JetSpace(nvars, order))
+
 
 
 def test_square_at_three():

@@ -428,6 +428,34 @@ def test_cli_obstruction_not_computed_without_berwald_point(tmp_path, capsys):
     assert report["geometry"]["obstruction"]["max_skew_abs"] is None
 
 
+def test_cli_berwald_not_computed_without_evaluated_point(tmp_path, capsys):
+    doc = {
+        "chart": {"dim": 2},
+        "lagrangian": {"dsl": {"source": "dx0^2 - exp(x0)*dx1^2"}},
+        "samples": [{"x": [1e308, 0], "xdot": [1, 0.3], "label": "far"}],
+    }
+    p = _write_scene(tmp_path, doc)
+    code = cli.main(["berwald", str(p), "--out", str(tmp_path / "out")])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "berwald: not computed (no base point evaluated)" in out
+    assert "berwald: NO" not in out
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["geometry"]["berwald"]["max_gamma_deviation"] is None
+
+
+def test_cli_causal_inconclusive_when_a_point_is_not_classified(tmp_path, capsys):
+    p = _write_scene(tmp_path, _singular_alpha_scene())
+    code = cli.main(["causal", str(p), "--out", str(tmp_path / "out")])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "causal: inconclusive (1 of 2 base points not classified)" in out
+    assert "NOT viable" not in out
+    assert "warning" not in out
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["geometry"]["causal"]["viable"] is False
+
+
 def test_cli_minkowski_exit_zero(tmp_path):
     p = _write_scene(tmp_path, minkowski_scene())
     assert cli.main(["report", str(p), "--out", str(tmp_path / "out")]) == 0

@@ -4,7 +4,9 @@
 
 Runs ``finslergeo <subcommand> <scene> --out <dir>`` in process for every
 subcommand, on every ``scenes/*.json`` and every catalog entry (with its
-default samples), at ``options.seed`` 0 and 3.  Each run prints one line:
+default samples) and on one fixed dim-6 DSL scene (12 jet variables, so the
+largest jet space the reports build), at ``options.seed`` 0 and 3.  Each run
+prints one line:
 
     <scene> <subcommand> <seed> <exit code> <sha256 of report.json or ->
 
@@ -28,13 +30,30 @@ from finslergeo.scene import SUBCOMMANDS
 
 SEEDS = (0, 3)
 
+# The shape of the report-dim6 benchmark scene, with fixed coefficients and
+# base points.
+DIM6_SCENE = {
+    "chart": {"dim": 6},
+    "lagrangian": {"dsl": {
+        "source": "exp(0.2*x1*x2 + 0.15*x4)*(dx0^2 - dx1^2 - dx2^2 - dx3^2 - dx4^2 - dx5^2)",
+    }},
+    "samples": [
+        {"x": [0.1, -0.3, 0.25, 0.0, 0.4, -0.2],
+         "xdot": [1.0, 0.1, -0.15, 0.05, 0.2, -0.1], "label": "p0"},
+        {"x": [-0.35, 0.2, -0.1, 0.3, -0.45, 0.15],
+         "xdot": [1.0, -0.2, 0.05, 0.15, -0.05, 0.1], "label": "p1"},
+    ],
+}
+
 
 def scene_documents(root: Path):
-    """(name, scene document) for the fixture scenes and the catalog."""
+    """(name, scene document) for the fixture scenes, the catalog and the
+    dim-6 scene."""
     for path in sorted((root / "scenes").glob("*.json")):
         yield path.name, json.loads(path.read_text(encoding="utf-8"))
     for name in catalog.names():
         yield f"catalog:{name}", {"lagrangian": {"catalog": name}}
+    yield "dim6", DIM6_SCENE
 
 
 def digest(doc: dict, subcommand: str, workdir: Path) -> tuple[int, str]:
