@@ -82,44 +82,47 @@ def _as_rng(rng) -> np.random.Generator:
     return np.random.default_rng(0 if rng is None else rng)
 
 
-def _admissible_context(lag: LagrangianDef, x: np.ndarray, direction) -> Optional[_Eval]:
-    """The order-2 evaluation context at (x, direction) when it lies in A."""
-    verdict, ev = geometry.probe_context(lag, TangentSample(x, direction), 2)
-    return ev if verdict.in_A else None
-
-
-def _admissible_contexts(
+def _witnesses(
     lag: LagrangianDef,
     x: np.ndarray,
     seed_direction: np.ndarray,
-    seed_context: Optional[_Eval],
+    seed_spray: Optional[np.ndarray],
     count: int,
     rng,
     spread: float,
     max_attempts: int = MAX_ATTEMPTS,
-) -> list[_Eval]:
-    """Evaluation contexts at admissible fiber vectors near `seed_direction`,
-    rejection-sampled; `seed_context` is the seed's own admissible context,
-    or None when the seed lies outside A."""
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Admissible fiber vectors near `seed_direction` and the spray at each.
+
+    The seed comes first, with `seed_spray`, unless that is None (the seed
+    lies outside A).  Candidates are drawn from the generator in blocks of
+    the number still needed, each evaluated by one `geometry.spray_witness`
+    pass, and kept in draw order; a draw outside A counts against the
+    attempt budget.  The draws, the attempts and the kept vectors are those
+    of drawing and probing one candidate at a time.  Raises
+    NoAdmissibleDirections with fewer than two vectors.
+    """
     gen = _as_rng(rng)
     n = len(x)
     scale = spread * max(1.0, float(np.max(np.abs(seed_direction))))
-    found = [] if seed_context is None else [seed_context]
+    directions = [] if seed_spray is None else [seed_direction]
+    sprays = [] if seed_spray is None else [seed_spray]
     attempts = 0
-    while len(found) < count and attempts < max_attempts:
-        attempts += 1
-        cand = seed_direction + scale * gen.uniform(-1.0, 1.0, size=n)
-        if not np.any(cand != 0.0):
-            continue
-        ev = _admissible_context(lag, x, cand)
-        if ev is not None:
-            found.append(ev)
-    if len(found) < 2:
+    while len(directions) < count and attempts < max_attempts:
+        size = min(count - len(directions), max_attempts - attempts)
+        block = seed_direction + scale * gen.uniform(-1.0, 1.0, size=(size, n))
+        in_A, spray = geometry.spray_witness(lag, x, block)
+        attempts += size
+        for d, ok, s in zip(block, in_A, spray):
+            if ok and np.any(d != 0.0):
+                directions.append(d)
+                sprays.append(s)
+    if len(directions) < 2:
         raise NoAdmissibleDirections(
-            f"found {len(found)} admissible directions at x={x} "
+            f"found {len(directions)} admissible directions at x={x} "
             f"after {attempts} attempts"
         )
-    return found
+    return directions, sprays
 
 
 def sample_admissible_directions(
@@ -139,11 +142,12 @@ def sample_admissible_directions(
     """
     x = np.asarray(x, dtype=float)
     seed_direction = np.asarray(seed_direction, dtype=float)
-    contexts = _admissible_contexts(
-        lag, x, seed_direction, _admissible_context(lag, x, seed_direction),
+    in_A, spray = geometry.spray_witness(lag, x, seed_direction[None, :])
+    directions, _ = _witnesses(
+        lag, x, seed_direction, spray[0] if in_A[0] else None,
         count, rng, spread, max_attempts,
     )
-    return [ev.sample.xdot for ev in contexts]
+    return directions
 
 
 # -- Berwald detection ---------------------------------------------------------
@@ -171,22 +175,21 @@ def verdict_at(
     scale = max(1.0, _max_abs(gamma))
     xdot_scale = max(1.0, _max_abs(ev.sample.xdot))
     fiber = _max_abs(ev.gamma_fiber_derivatives) * xdot_scale / scale
-    witnesses = _admissible_contexts(
-        ev.lag, ev.sample.x, ev.sample.xdot, ev, count, rng, spread
+    directions, sprays = _witnesses(
+        ev.lag, ev.sample.x, ev.sample.xdot, ev.spray_values, count, rng, spread
     )
     spray = 0.0
-    for w in witnesses:
-        d = w.sample.xdot
+    for d, g_d in zip(directions, sprays):
         quadratic = 0.5 * np.einsum("abc,b,c->a", gamma, d, d)
         d_scale = max(1.0, _max_abs(d))
-        spray = max(spray, _max_abs(w.spray_values - quadratic) / (scale * d_scale**2))
+        spray = max(spray, _max_abs(g_d - quadratic) / (scale * d_scale**2))
     dev = max(fiber, spray)
     return BerwaldVerdict(
         is_berwald=dev < tol_berwald,
         max_gamma_deviation=dev,
         fiber_derivative_deviation=fiber,
         spray_deviation=spray,
-        directions_tested=len(witnesses),
+        directions_tested=len(directions),
         affine_connection=gamma,
     )
 

@@ -92,22 +92,21 @@ def _summary_lines(report: dict, exit_code: int) -> list[str]:
     geo = report.get("geometry", {})
     if "berwald" in geo:
         b = geo["berwald"]
-        dev = b["max_gamma_deviation"]
-        if dev is None:
+        if b["is_berwald"] is None:
             lines.append("berwald: not computed (no base point evaluated)")
         else:
             lines.append(
-                f"berwald: {'YES' if b['is_berwald'] else 'NO'} (max deviation {dev:.3e})"
+                f"berwald: {'YES' if b['is_berwald'] else 'NO'}"
+                f" (max deviation {b['max_gamma_deviation']:.3e})"
             )
     if "obstruction" in geo:
         o = geo["obstruction"]
-        mx = o["max_skew_abs"]
-        if mx is None:
+        met = o["metrizability_necessary_condition_met"]
+        if met is None:
             lines.append("obstruction: not computed (no Berwald base point)")
         else:
-            met = o["metrizability_necessary_condition_met"]
             lines.append(
-                f"obstruction: skew max {mx:.6g}"
+                f"obstruction: skew max {o['max_skew_abs']:.6g}"
                 + (" — necessary condition met" if met else " — NON-METRIZABLE")
             )
     if "family_proposition" in geo:

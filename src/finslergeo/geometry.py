@@ -24,7 +24,7 @@ All operations are pure functions of (definition, sample).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -32,7 +32,7 @@ import numpy as np
 from . import expr as exprmod
 from .defs import DslLagrangian, LagrangianDef, TangentSample
 from .expr import ExprDomainError
-from .jets import DomainError, Jet, powx, seed
+from .jets import DomainError, Jet, jet_space, powx, seed, seed_block
 
 TOL_DEGENERATE = 1e-10
 TOL_NULL = 1e-10
@@ -581,6 +581,81 @@ def probe_context(
         reason = getattr(err, "reason", None) or str(err)
         return _outside_A(reason), None
     return ev.admissibility(convention, tol_degenerate, tol_null), ev
+
+
+@lru_cache(maxsize=None)
+def _order2_slots(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Coefficient slots in JetSpace(2n, 2), variables x then xdot, of the
+    monomials xdot^a xdot^b [a, b], x^m xdot^q [m, q] and x^q [q]."""
+    space = jet_space(2 * n, 2)
+
+    def slot(*variables):
+        e = [0] * (2 * n)
+        for v in variables:
+            e[v] += 1
+        return space.index[tuple(e)]
+
+    vv = np.array([[slot(n + a, n + b) for b in range(n)] for a in range(n)])
+    xv = np.array([[slot(m, n + q) for q in range(n)] for m in range(n)])
+    x1 = np.array([slot(q) for q in range(n)])
+    return vv, xv, x1
+
+
+def spray_witness(
+    lag: LagrangianDef, x: np.ndarray, directions: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Membership in A and the spray at (x, d) for each row d of `directions`.
+
+    L is evaluated once, to order 2, over the whole block: the x-jets are
+    scalar, so every x-only subexpression is evaluated once, and the
+    xdot-jets are batched.  Row by row, the mask equals the `in_A` of
+    ``probe_context(lag, TangentSample(x, d), 2)`` and the spray equals its
+    context's `spray_values`, bit for bit: both are read from L's
+    coefficients with the float operations of `_Eval`, in its order (each
+    validity-0 jet product is the 0.0 + a * b of `np.bincount`; `eigvalsh`
+    and `inv` run on the stacked matrices).  A row outside A, including one
+    whose L left a function's domain, has a spray of NaN.
+    """
+    x = np.asarray(x, dtype=float)
+    directions = np.asarray(directions, dtype=float)
+    rows, n = directions.shape
+    in_A = np.zeros(rows, dtype=bool)
+    spray = np.full((rows, n), np.nan)
+    cjets = seed_block(x, directions, 2)
+    space = cjets[0].space
+    try:
+        with np.errstate(all="ignore"):
+            L = eval_L_jets(lag, cjets)
+    except (DomainError, ExprDomainError):
+        return in_A, spray  # raised by the x-jets or a constant: every row alike
+    coeffs = np.broadcast_to(L.coeffs, (rows, space.ncoeff))
+    vv, xv, x1 = _order2_slots(n)
+
+    # g_jets values: 0.5 * dv_b dv_a L, each diff scaling by the exponent
+    raw = coeffs[:, vv] * np.where(np.eye(n, dtype=bool), 2.0, 1.0) * 0.5
+    g = 0.5 * (raw + raw.transpose(0, 2, 1))
+    finite = np.all(np.isfinite(coeffs), axis=1) & np.all(np.isfinite(g), axis=(1, 2))
+    eig = np.linalg.eigvalsh(np.where(finite[:, None, None], g, np.eye(n)))
+    thr = TOL_DEGENERATE * np.max(np.abs(eig), axis=1)
+    nonzero = np.sum(eig > thr[:, None], axis=1) + np.sum(eig < -thr[:, None], axis=1)
+    in_A = finite & (nonzero == n)
+
+    inside = np.flatnonzero(in_A)
+    if inside.size:
+        coeffs = coeffs[inside]
+        # bracket_q = sum_m xdot^m d_m ddot_q L - d_q L, summed over m in order
+        terms = 0.0 + directions[inside][:, :, None] * coeffs[:, xv]  # [row, m, q]
+        bracket = terms[:, 0]
+        for m in range(1, n):
+            bracket = bracket + terms[:, m]
+        bracket = bracket - coeffs[:, x1]
+        # G^a = (1/4) sum_q g^{aq} bracket_q, summed over q in order
+        terms = 0.0 + np.linalg.inv(raw[inside]) * bracket[:, None, :]  # [row, a, q]
+        acc = terms[:, :, 0]
+        for q in range(1, n):
+            acc = acc + terms[:, :, q]
+        spray[inside] = acc * 0.25
+    return in_A, spray
 
 
 def probe_admissibility(

@@ -15,7 +15,10 @@ Conventions:
     identically zero and are not meaningful (they drop out of any result).
 
 Jets are immutable value types; all operations return fresh jets and are safe
-to use from multiple threads.
+to use from multiple threads.  A `BatchJet` holds B jets of one space as the
+rows of a (B, ncoeff) array and gives each row the coefficients of the
+scalar operation bit for bit (Griewank & Walther's vector mode over
+evaluation points).
 """
 
 from __future__ import annotations
@@ -272,50 +275,25 @@ class Jet:
 
     @_overflow_is_domain_error
     def _reciprocal(self) -> "Jet":
-        v = self.value
-        if v == 0.0:
-            raise DomainError("division-by-zero", "jet value is zero")
-        return self._compose([(-1.0) ** k / v ** (k + 1) for k in range(self.order + 1)])
+        return self._compose(_reciprocal_taylor(self.value, self.order))
 
     @_overflow_is_domain_error
     def exp(self) -> "Jet":
-        ev = math.exp(self.value)
-        return self._compose([ev / math.factorial(k) for k in range(self.order + 1)])
+        return self._compose(_exp_taylor(self.value, self.order))
 
     @_overflow_is_domain_error
     def ln(self) -> "Jet":
-        v = self.value
-        if v <= 0.0:
-            raise DomainError("log-domain", f"ln of {v}")
-        taylor = [math.log(v)]
-        taylor += [(-1.0) ** (k + 1) / (k * v**k) for k in range(1, self.order + 1)]
-        return self._compose(taylor)
+        return self._compose(_ln_taylor(self.value, self.order))
 
     @_overflow_is_domain_error
     def sqrt(self) -> "Jet":
-        v = self.value
-        if v <= 0.0:
-            raise DomainError("sqrt-domain", f"sqrt of {v}")
-        taylor = [math.sqrt(v)]
-        coef = 0.5
-        for k in range(1, self.order + 1):
-            taylor.append(coef * v ** (0.5 - k))
-            coef *= (0.5 - k) / (k + 1)
-        return self._compose(taylor)
+        return self._compose(_sqrt_taylor(self.value, self.order))
 
     def sin(self) -> "Jet":
-        s, c = math.sin(self.value), math.cos(self.value)
-        cycle = [s, c, -s, -c]
-        return self._compose(
-            [cycle[k % 4] / math.factorial(k) for k in range(self.order + 1)]
-        )
+        return self._compose(_sin_taylor(self.value, self.order))
 
     def cos(self) -> "Jet":
-        s, c = math.sin(self.value), math.cos(self.value)
-        cycle = [c, -s, -c, s]
-        return self._compose(
-            [cycle[k % 4] / math.factorial(k) for k in range(self.order + 1)]
-        )
+        return self._compose(_cos_taylor(self.value, self.order))
 
     def __abs__(self) -> "Jet":
         v = self.value
@@ -341,20 +319,246 @@ class Jet:
 
     @_overflow_is_domain_error
     def _powr(self, r: float) -> "Jet":
-        v = self.value
-        if v <= 0.0:
-            raise DomainError(
-                "power-domain", f"non-integer power of non-positive base {v}"
-            )
-        taylor = [v**r]
-        coef = r
-        for k in range(1, self.order + 1):
-            taylor.append(coef * v ** (r - k))
-            coef *= (r - k) / (k + 1)
-        return self._compose(taylor)
+        return self._compose(_powr_taylor(self.value, self.order, r))
 
     def __repr__(self) -> str:
         return f"Jet(order={self.order}, value={self.value!r})"
+
+
+# -- univariate Taylor coefficients ----------------------------------------
+#
+# Each returns the Taylor coefficients [f(v), f'(v), f''(v)/2, ...] up to
+# `order`, or raises DomainError outside the domain.  Scalar and batched jets
+# share them, so a batch row gets the same float arithmetic as a scalar jet.
+
+
+def _reciprocal_taylor(v: float, order: int) -> list[float]:
+    if v == 0.0:
+        raise DomainError("division-by-zero", "jet value is zero")
+    return [(-1.0) ** k / v ** (k + 1) for k in range(order + 1)]
+
+
+def _exp_taylor(v: float, order: int) -> list[float]:
+    ev = math.exp(v)
+    return [ev / math.factorial(k) for k in range(order + 1)]
+
+
+def _ln_taylor(v: float, order: int) -> list[float]:
+    if v <= 0.0:
+        raise DomainError("log-domain", f"ln of {v}")
+    taylor = [math.log(v)]
+    taylor += [(-1.0) ** (k + 1) / (k * v**k) for k in range(1, order + 1)]
+    return taylor
+
+
+def _sqrt_taylor(v: float, order: int) -> list[float]:
+    if v <= 0.0:
+        raise DomainError("sqrt-domain", f"sqrt of {v}")
+    taylor = [math.sqrt(v)]
+    coef = 0.5
+    for k in range(1, order + 1):
+        taylor.append(coef * v ** (0.5 - k))
+        coef *= (0.5 - k) / (k + 1)
+    return taylor
+
+
+def _sin_taylor(v: float, order: int) -> list[float]:
+    s, c = math.sin(v), math.cos(v)
+    cycle = [s, c, -s, -c]
+    return [cycle[k % 4] / math.factorial(k) for k in range(order + 1)]
+
+
+def _cos_taylor(v: float, order: int) -> list[float]:
+    s, c = math.sin(v), math.cos(v)
+    cycle = [c, -s, -c, s]
+    return [cycle[k % 4] / math.factorial(k) for k in range(order + 1)]
+
+
+def _powr_taylor(v: float, order: int, r: float) -> list[float]:
+    if v <= 0.0:
+        raise DomainError("power-domain", f"non-integer power of non-positive base {v}")
+    taylor = [v**r]
+    coef = r
+    for k in range(1, order + 1):
+        taylor.append(coef * v ** (r - k))
+        coef *= (r - k) / (k + 1)
+    return taylor
+
+
+# -- batched jets ----------------------------------------------------------
+
+
+@lru_cache(maxsize=256)
+def _row_bins(space: JetSpace, rows: int, order: int) -> np.ndarray:
+    """The np.bincount keys of a batched product: mul_k + row * ncoeff."""
+    cnt = space.pair_count[order]
+    return (space._mul_k[:cnt] + space.ncoeff * np.arange(rows)[:, None]).ravel()
+
+
+def _batch_product(a: Jet, b: Jet) -> "BatchJet":
+    """a * b with at least one operand batched, each row summed over the
+    Cauchy pairs in the order of `Jet.__mul__`."""
+    sp = a.space
+    order = min(a.order, b.order)
+    cnt = sp.pair_count[order]
+    prods = a.coeffs.take(sp._mul_i[:cnt], axis=-1) * b.coeffs.take(sp._mul_j[:cnt], axis=-1)
+    rows = len(prods)
+    out = np.bincount(
+        _row_bins(sp, rows, order), weights=prods.ravel(), minlength=rows * sp.ncoeff
+    )
+    return BatchJet(sp, out.reshape(rows, sp.ncoeff), order)
+
+
+class BatchJet(Jet):
+    """B jets over one space with one validity order, one per row of
+    ``coeffs`` (shape (B, ncoeff)).
+
+    Every operation gives each row the coefficients that the scalar
+    operation gives that row's jet, bit for bit: a product sums each row's
+    Cauchy pairs in the scalar pair order (one ``np.bincount`` over
+    ``mul_k + row * ncoeff``), and an elementary function takes its Taylor
+    coefficients row by row from the scalar formulas.  A row that leaves a
+    function's domain, where a scalar jet raises, becomes a row of NaN and
+    the other rows go on.  A scalar `Jet` combines with a BatchJet as if it
+    stood in every row; Python tries a subclass's reflected operator first,
+    so `Jet` itself needs no batch checks.
+    """
+
+    __slots__ = ()
+
+    def diff(self, var: int) -> "BatchJet":
+        if self.order < 1:
+            raise ValueError("cannot differentiate an order-0 jet")
+        sp = self.space
+        out = np.zeros(self.coeffs.shape)
+        out[:, sp._diff_dst[var]] = self.coeffs[:, sp._diff_src[var]] * sp._diff_fac[var]
+        return BatchJet(sp, out, self.order - 1)
+
+    def _trunc(self, coeffs: np.ndarray, order: int) -> "BatchJet":
+        coeffs[:, self.space.ncoeff_upto[order]:] = 0.0
+        return BatchJet(self.space, coeffs, order)
+
+    def _rows_constant(self, column: np.ndarray, order: int) -> "BatchJet":
+        coeffs = np.zeros(self.coeffs.shape)
+        coeffs[:, 0] = column
+        return BatchJet(self.space, coeffs, order)
+
+    # -- ring operations --------------------------------------------------
+
+    def __add__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return self._trunc(self.coeffs + o.coeffs, min(self.order, o.order))
+
+    def __radd__(self, other):
+        return self.__add__(other)
+
+    def __sub__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return self._trunc(self.coeffs - o.coeffs, min(self.order, o.order))
+
+    def __rsub__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return self._trunc(o.coeffs - self.coeffs, min(self.order, o.order))
+
+    def __neg__(self):
+        return BatchJet(self.space, -self.coeffs, self.order)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, float, np.integer, np.floating)):
+            return BatchJet(self.space, self.coeffs * float(other), self.order)
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return _batch_product(self, o)
+
+    def __rmul__(self, other):
+        if isinstance(other, (int, float, np.integer, np.floating)):
+            return self.__mul__(other)
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return _batch_product(o, self)
+
+    def __truediv__(self, other):
+        if isinstance(other, (int, float, np.integer, np.floating)):
+            if float(other) == 0.0:
+                raise DomainError("division-by-zero")
+            return BatchJet(self.space, self.coeffs / float(other), self.order)
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return self * o._reciprocal()
+
+    def __rtruediv__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return o * self._reciprocal()
+
+    # -- univariate composition -------------------------------------------
+
+    def _compose(self, taylor: np.ndarray) -> "BatchJet":
+        """Row r is sum_k taylor[r, k] * (row r - its value)^k, by Horner."""
+        h = self.coeffs.copy()
+        h[:, 0] = 0.0
+        h = BatchJet(self.space, h, self.order)
+        out = self._rows_constant(taylor[:, self.order], self.order)
+        for k in range(self.order - 1, -1, -1):
+            out = out * h + self._rows_constant(taylor[:, k], self.space.order)
+        return out
+
+    def _apply(self, taylor_of, *args) -> "BatchJet":
+        """Compose each row with taylor_of(row value, order, *args).  A row
+        where that raises gets NaN Taylor coefficients, which Horner's
+        scheme spreads to every coefficient of the row."""
+        table = []
+        for v in self.coeffs[:, 0].tolist():
+            try:
+                table.append(taylor_of(v, self.order, *args))
+            except (ArithmeticError, ValueError):
+                table.append([math.nan] * (self.order + 1))
+        return self._compose(np.array(table))
+
+    def _reciprocal(self) -> "BatchJet":
+        return self._apply(_reciprocal_taylor)
+
+    def exp(self) -> "BatchJet":
+        return self._apply(_exp_taylor)
+
+    def ln(self) -> "BatchJet":
+        return self._apply(_ln_taylor)
+
+    def sqrt(self) -> "BatchJet":
+        return self._apply(_sqrt_taylor)
+
+    def sin(self) -> "BatchJet":
+        return self._apply(_sin_taylor)
+
+    def cos(self) -> "BatchJet":
+        return self._apply(_cos_taylor)
+
+    def _powr(self, r: float) -> "BatchJet":
+        return self._apply(_powr_taylor, r)
+
+    def __abs__(self) -> "BatchJet":
+        v = self.coeffs[:, 0]
+        sign = np.where(v > 0.0, 1.0, np.where(v < 0.0, -1.0, math.nan))
+        return BatchJet(self.space, self.coeffs * sign[:, None], self.order)
+
+    def _powi(self, k: int) -> Jet:
+        # a row at 0 fails in the reciprocal, where the scalar jet fails first
+        if k < 0:
+            return Jet._powi(self, -k)._reciprocal()
+        return Jet._powi(self, k)
+
+    def __repr__(self) -> str:
+        return f"BatchJet(order={self.order}, rows={len(self.coeffs)})"
 
 
 # -- generic scalar helpers (accept floats or jets) --------------------------
@@ -461,6 +665,32 @@ def seed(
             e[slot[i]] = 1
             j.coeffs[sp.index[tuple(e)]] = 1.0
         out.append(j)
+    return out
+
+
+def seed_block(point: Sequence[float], rows: np.ndarray, order: int) -> list[Jet]:
+    """Jets for B points that share their leading coordinates `point`.
+
+    The active variables are the coordinates of `point`, then the columns of
+    `rows` (shape (B, k)).  Returns one scalar jet per coordinate of `point`
+    and one BatchJet per column; row r of the block holds the jets that
+    `seed` gives the point ``point + rows[r]``.
+    """
+    if not 1 <= order <= MAX_ORDER:
+        raise ValueError(f"order must be in 1..{MAX_ORDER}, got {order}")
+    rows = np.asarray(rows, dtype=float)
+    nfixed = len(point)
+    sp = jet_space(nfixed + rows.shape[1], order)
+    out: list[Jet] = []
+    for i, v in enumerate(point):
+        j = sp.constant(float(v))
+        j.coeffs[sp.first_index[i]] = 1.0
+        out.append(j)
+    for m in range(rows.shape[1]):
+        coeffs = np.zeros((len(rows), sp.ncoeff))
+        coeffs[:, 0] = rows[:, m]
+        coeffs[:, sp.first_index[nfixed + m]] = 1.0
+        out.append(BatchJet(sp, coeffs, sp.order))
     return out
 
 

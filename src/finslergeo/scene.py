@@ -614,16 +614,17 @@ class _Summary:
 def _summary(name: str, per_point: list, opts: SceneOptions) -> _Summary:
     ok = [e for e in per_point if "error" not in e]
     every = len(ok) == len(per_point)
+    # a verdict with no computed entry is null: nothing was decided
     if name == "berwald":
         return _Summary({
-            "is_berwald": bool(ok) and all(e["is_berwald"] for e in ok),
+            "is_berwald": all(e["is_berwald"] for e in ok) if ok else None,
             "max_gamma_deviation": max((e["max_gamma_deviation"] for e in ok), default=None),
             "per_base_point": per_point,
         })
     if name == "obstruction":
         met = all(e["condition_met"] for e in ok)
         return _Summary({
-            "metrizability_necessary_condition_met": every and met,
+            "metrizability_necessary_condition_met": every and met if ok else None,
             "max_skew_abs": max((e["skew_max_abs"] for e in ok), default=None),
             "per_base_point": per_point,
         }, nonmetrizable=not met)

@@ -1,9 +1,13 @@
 """Berwald detection, affine Ricci, the obstruction, and non-metricity."""
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from finslergeo import berwald, catalog, expr, geometry
+from finslergeo import berwald, catalog, expr, geometry, scene
 from finslergeo.berwald import NoAdmissibleDirections, NotBerwald, affine_ricci_from_values
 from finslergeo.defs import TangentSample
 from finslergeo.geometry import _Eval
@@ -72,6 +76,122 @@ def test_no_admissible_directions():
     with pytest.raises(NoAdmissibleDirections):
         berwald.sample_admissible_directions(
             ent.lagrangian, x, bad_seed, count=8, spread=0.01
+        )
+
+
+# -- the spray witness against one context per candidate ---------------------------
+
+
+def _rejection_scenes():
+    """The DSL scenes of tools/report_digests.py whose witness draws leave A."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "report_digests.py"
+    spec = importlib.util.spec_from_file_location("report_digests", path)
+    module = importlib.util.module_from_spec(spec)
+    saved = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = saved
+    return {name: scene.load_scene(doc) for name, doc in module.REJECTION_SCENES.items()}
+
+
+REJECTION_SCENES = _rejection_scenes()
+
+
+def _witness_cases():
+    for name in catalog.names():
+        entry = catalog.get(name)
+        for i, s in enumerate(entry.default_samples):
+            yield pytest.param(
+                entry.lagrangian, s, berwald.DEFAULT_SPREAD, False, id=f"{name}-{i}"
+            )
+    for name, scn in REJECTION_SCENES.items():
+        for label, s in scn.samples:
+            yield pytest.param(scn.lagrangian, s, scn.options.spread, True, id=f"{name}-{label}")
+
+
+def reference_directions(lag, x, seed_direction, count, rng, spread, max_attempts):
+    """Draw and probe one candidate at a time, each in its own order-2
+    context: the sampler's reference.  Returns (directions, sprays,
+    attempts), the seed first when it lies in A."""
+    gen = np.random.default_rng(rng)
+    scale = spread * max(1.0, float(np.max(np.abs(seed_direction))))
+    verdict, ev = geometry.probe_context(lag, TangentSample(x, seed_direction), 2)
+    found = [ev] if verdict.in_A else []
+    attempts = 0
+    while len(found) < count and attempts < max_attempts:
+        attempts += 1
+        cand = seed_direction + scale * gen.uniform(-1.0, 1.0, size=len(x))
+        verdict, ev = geometry.probe_context(lag, TangentSample(x, cand), 2)
+        if verdict.in_A:
+            found.append(ev)
+    return [e.sample.xdot for e in found], [e.spray_values for e in found], attempts
+
+
+@pytest.mark.parametrize("lag, sample, spread, rejects", list(_witness_cases()))
+def test_spray_witness_rows_equal_one_context_per_row(lag, sample, spread, rejects):
+    scale = spread * max(1.0, float(np.max(np.abs(sample.xdot))))
+    gen = np.random.default_rng(11)
+    block = sample.xdot + scale * gen.uniform(-1.0, 1.0, size=(17, sample.dim))
+    in_A, spray = geometry.spray_witness(lag, sample.x, block)
+    for d, row_in_A, row_spray in zip(block, in_A, spray):
+        verdict, ev = geometry.probe_context(lag, TangentSample(sample.x, d), 2)
+        assert row_in_A == verdict.in_A
+        if verdict.in_A:
+            assert row_spray.tobytes() == ev.spray_values.tobytes()  # down to signed zeros
+        else:
+            assert np.all(np.isnan(row_spray))
+    # the rejection scenes reach the out-of-A rows; the catalog samples do not
+    assert (not np.all(in_A)) == rejects
+
+
+@pytest.mark.parametrize("name", sorted(REJECTION_SCENES))
+@pytest.mark.parametrize("seed", [0, 3])
+def test_sampled_directions_equal_one_at_a_time(name, seed):
+    scn = REJECTION_SCENES[name]
+    _, s = scn.samples[0]
+    spread = scn.options.spread
+    want, want_sprays, _ = reference_directions(
+        scn.lagrangian, s.x, s.xdot, 16, seed, spread, berwald.MAX_ATTEMPTS
+    )
+    got = berwald.sample_admissible_directions(
+        scn.lagrangian, s.x, s.xdot, rng=seed, spread=spread
+    )
+    assert len(got) == len(want) == 16
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+    # verdict_at keeps the order-4 context's own spray for the seed and the
+    # sampled sprays for the rest
+    ev = geometry.probe_context(scn.lagrangian, s, 4)[1]
+    verdict = berwald.verdict_at(ev, rng=seed, spread=spread)
+    gamma = ev.gamma_values
+    scale = max(1.0, float(np.max(np.abs(gamma))))
+    deviation = 0.0
+    for d, g_d in zip(want, [ev.spray_values] + want_sprays[1:]):
+        quadratic = 0.5 * np.einsum("abc,b,c->a", gamma, d, d)
+        d_scale = max(1.0, float(np.max(np.abs(d))))
+        deviation = max(deviation, float(np.max(np.abs(g_d - quadratic))) / (scale * d_scale**2))
+    assert verdict.directions_tested == 16
+    assert verdict.spray_deviation == deviation
+
+
+def test_no_admissible_directions_reports_the_attempts():
+    # with this stream the first three draws leave the sqrt's domain
+    scn = REJECTION_SCENES["sqrt-domain"]
+    _, s = scn.samples[0]
+    spread = scn.options.spread
+    for max_attempts in (1, 2, 3):
+        want, _, attempts = reference_directions(
+            scn.lagrangian, s.x, s.xdot, 16, 7, spread, max_attempts
+        )
+        assert len(want) < 2 and attempts == max_attempts
+        with pytest.raises(NoAdmissibleDirections) as err:
+            berwald.sample_admissible_directions(
+                scn.lagrangian, s.x, s.xdot, rng=7, spread=spread, max_attempts=max_attempts
+            )
+        assert str(err.value) == (
+            f"found {len(want)} admissible directions at x={s.x} after {attempts} attempts"
         )
 
 

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from finslergeo import jets
-from finslergeo.jets import DomainError, Jet, JetSpace, extract_partial, jet_space, seed
+from finslergeo.jets import (
+    BatchJet, DomainError, Jet, JetSpace, extract_partial, jet_space, seed, seed_block,
+)
 from finslergeo.oracle import fd_partial
 
 # -- the product and differentiation tables -------------------------------------
@@ -272,3 +274,124 @@ def test_float_helpers_match_math():
         jets.sqrt(-1.0)
     with pytest.raises(DomainError):
         jets.divide(1.0, 0.0)
+
+
+# -- batched jets: each row equals the scalar operation bit for bit ----------------
+
+batches = st.fixed_dictionaries({
+    "nvars": st.integers(1, 8),
+    "order": st.integers(0, jets.MAX_ORDER),
+    "rows": st.integers(1, 17),
+    "seed": st.integers(0, 2**32 - 1),
+})
+
+
+def _random_block(space, rng, rows):
+    """A BatchJet with random coefficients, validity and row values, and
+    the scalar jets of its rows."""
+    order = int(rng.integers(0, space.order + 1))
+    coeffs = rng.uniform(-2.0, 2.0, (rows, space.ncoeff))
+    coeffs[:, space.ncoeff_upto[order]:] = 0.0
+    batch = BatchJet(space, coeffs, order)
+    return batch, [Jet(space, coeffs[r].copy(), order) for r in range(rows)]
+
+
+def _with_values(batch, scalars, values):
+    batch.coeffs[:, 0] = values
+    for j, v in zip(scalars, values):
+        j.coeffs[0] = v
+
+
+def same_bits(a, b) -> bool:
+    """Equal float arrays, down to the sign of zero."""
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def assert_rows_match(batch_op, scalar_op, batch, scalars):
+    """batch_op(batch) equals scalar_op on each row bit for bit; a row where
+    the scalar operation raises DomainError is NaN in the batch, in every
+    coefficient up to the validity order (those above it are zero)."""
+    out = batch_op(batch)
+    coeffs = np.broadcast_to(out.coeffs, (len(scalars), out.space.ncoeff))
+    valid = out.space.ncoeff_upto[out.order]
+    for r, j in enumerate(scalars):
+        try:
+            expected = scalar_op(j)
+        except DomainError:
+            assert np.all(np.isnan(coeffs[r, :valid])), r
+            continue
+        assert out.order == expected.order
+        assert same_bits(coeffs[r], expected.coeffs), r
+
+
+@settings(max_examples=60, deadline=None)
+@given(batches)
+def test_batch_ring_operations_match_scalar_rows(case):
+    rng = np.random.default_rng(case["seed"])
+    space = jet_space(case["nvars"], case["order"])
+    a, a_rows = _random_block(space, rng, case["rows"])
+    b, b_rows = _random_block(space, rng, case["rows"])
+    c = _random_jet(space, rng, int(rng.integers(0, space.order + 1)))
+    c.coeffs[space.ncoeff_upto[c.order]:] = 0.0
+    k = float(rng.uniform(-3.0, 3.0))
+    for op in (lambda u, v: u * v, lambda u, v: u + v, lambda u, v: u - v):
+        out = op(a, b)
+        for r in range(case["rows"]):
+            expected = op(a_rows[r], b_rows[r])
+            assert out.order == expected.order
+            assert same_bits(out.coeffs[r], expected.coeffs)
+        # a scalar jet or a float on either side stands in every row
+        assert_rows_match(lambda u: op(c, u), lambda u: op(c, u), a, a_rows)
+        assert_rows_match(lambda u: op(u, c), lambda u: op(u, c), a, a_rows)
+        assert_rows_match(lambda u: op(k, u), lambda u: op(k, u), a, a_rows)
+        assert_rows_match(lambda u: op(u, k), lambda u: op(u, k), a, a_rows)
+    assert_rows_match(lambda u: -u, lambda u: -u, a, a_rows)
+    if a.order >= 1:
+        for v in range(case["nvars"]):
+            assert_rows_match(lambda u: u.diff(v), lambda u: u.diff(v), a, a_rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(batches)
+def test_batch_functions_match_scalar_rows_and_nan_outside_the_domain(case):
+    rng = np.random.default_rng(case["seed"])
+    space = jet_space(case["nvars"], case["order"])
+    a, a_rows = _random_block(space, rng, case["rows"])
+    # a third of the rows at zero, a third negative, the rest positive
+    kind = rng.integers(0, 3, case["rows"])
+    values = np.where(kind == 0, 0.0, np.where(kind == 1, -1.0, 1.0)) * rng.uniform(
+        0.25, 2.0, case["rows"]
+    )
+    _with_values(a, a_rows, values)
+    functions = [
+        lambda u: u.exp(),
+        lambda u: u.ln(),
+        lambda u: u.sqrt(),
+        lambda u: u.sin(),
+        lambda u: u.cos(),
+        abs,
+        lambda u: u._reciprocal(),
+        lambda u: jets.divide(1.5, u),
+    ]
+    functions += [lambda u, e=e: jets.powx(u, e) for e in (-3.0, -1.0, 0.0, 2.0, 3.0)]
+    functions += [lambda u, e=e: jets.powx(u, e) for e in (0.5, -1.5, 2.7)]
+    for f in functions:
+        assert_rows_match(f, f, a, a_rows)
+    if not np.all(kind == 2):
+        # some row left a domain: its NaN stays in that row alone
+        out = a.ln() * a
+        valid = space.ncoeff_upto[out.order]
+        assert np.all(np.isnan(out.coeffs[kind != 2, :valid]))
+        assert not np.any(np.isnan(out.coeffs[kind == 2]))
+
+
+def test_seed_block_rows_are_seeded_points():
+    x = [0.3, -1.2]
+    rows = np.array([[1.0, 0.5, -0.25], [2.0, 0.0, 4.0]])
+    block = seed_block(x, rows, 3)
+    for r in range(len(rows)):
+        scalar = seed(x + list(rows[r]), range(5), 3)
+        for j, s in zip(block, scalar):
+            got = j.coeffs if not isinstance(j, BatchJet) else j.coeffs[r]
+            assert j.order == s.order
+            assert same_bits(got, s.coeffs)

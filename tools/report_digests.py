@@ -4,9 +4,11 @@
 
 Runs ``finslergeo <subcommand> <scene> --out <dir>`` in process for every
 subcommand, on every ``scenes/*.json`` and every catalog entry (with its
-default samples) and on one fixed dim-6 DSL scene (12 jet variables, so the
-largest jet space the reports build), at ``options.seed`` 0 and 3.  Each run
-prints one line:
+default samples), on one fixed dim-6 DSL scene (12 jet variables, so the
+largest jet space the reports build) and on three DSL scenes whose Berwald
+witness rejects sampled directions (a sqrt, a power and a log leave their
+domain outside the cone), at ``options.seed`` 0 and 3.  Each run prints one
+line:
 
     <scene> <subcommand> <seed> <exit code> <sha256 of report.json or ->
 
@@ -45,15 +47,41 @@ DIM6_SCENE = {
     ],
 }
 
+# Scenes whose spray witness draws directions outside A, so the rejection
+# path of the direction sampler shows in the digests.
+REJECTION_SCENES = {
+    "sqrt-domain": {
+        "chart": {"dim": 3},
+        "lagrangian": {"dsl": {"source": "exp(0.1*x1)*sqrt(dx0^2 - dx1^2 - dx2^2)^2"}},
+        "samples": [{"x": [0.1, 0.2, 0.3], "xdot": [1.0, 0.6, 0.3], "label": "p0"}],
+        "options": {"spread": 0.6},
+    },
+    "power-domain": {
+        "chart": {"dim": 2},
+        "lagrangian": {"dsl": {
+            "source": "(dx0^2 - dx1^2)^0.75*((dx0 - dx1)^2)^0.25*exp(0.2*x0)",
+        }},
+        "samples": [{"x": [0.1, 0.2], "xdot": [1.0, 0.7], "label": "p0"}],
+        "options": {"spread": 0.8},
+    },
+    "log-domain": {
+        "chart": {"dim": 2},
+        "lagrangian": {"dsl": {"source": "dx0^2*exp(0.5*ln(1 - dx1^2/dx0^2))*(1+x1^2)"}},
+        "samples": [{"x": [0.1, 0.2], "xdot": [1.0, 0.8], "label": "p0"}],
+        "options": {"spread": 0.9},
+    },
+}
+
 
 def scene_documents(root: Path):
-    """(name, scene document) for the fixture scenes, the catalog and the
-    dim-6 scene."""
+    """(name, scene document) for the fixture scenes, the catalog, the
+    dim-6 scene and the rejection scenes."""
     for path in sorted((root / "scenes").glob("*.json")):
         yield path.name, json.loads(path.read_text(encoding="utf-8"))
     for name in catalog.names():
         yield f"catalog:{name}", {"lagrangian": {"catalog": name}}
     yield "dim6", DIM6_SCENE
+    yield from REJECTION_SCENES.items()
 
 
 def digest(doc: dict, subcommand: str, workdir: Path) -> tuple[int, str]:
