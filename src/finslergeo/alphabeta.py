@@ -181,6 +181,11 @@ class FamilyEval:
         )
         return values(self.christoffel_jets) - h * W
 
+    def spray(self, xdot, h: Optional[float] = None) -> np.ndarray:
+        """G^a = (1/2) Gamma^a_bc(x) xdot^b xdot^c, with Gamma from
+        `connection(h)`."""
+        return 0.5 * np.einsum("abc,b,c->a", self.connection(h), xdot, xdot)
+
     @cached_property
     def ricci(self) -> ClosedFormRicci:
         """The family's affine Ricci tensor, its skew part, and the data of
@@ -270,26 +275,6 @@ class FamilyEval:
 def check_berwald_condition(inst: FamilyInstance, x) -> BerwaldConditionFit:
     """Fit H at x and report the residual of the Berwald condition."""
     return FamilyEval(inst, x).fit
-
-
-def h_with_gradient(inst: FamilyInstance, x) -> tuple[float, np.ndarray]:
-    """H and dH at x, from the stored expression when present, else fitted."""
-    return FamilyEval(inst, x).h_gradient
-
-
-def closed_form_connection(
-    inst: FamilyInstance, x, h: Optional[float] = None
-) -> np.ndarray:
-    """Gamma^a_bc(x) = gamma^a_bc(x) - H W^a_bc for a Berwald family instance."""
-    return FamilyEval(inst, x).connection(h)
-
-
-def closed_form_spray(
-    inst: FamilyInstance, sample: TangentSample, h: Optional[float] = None
-) -> np.ndarray:
-    """G^a = (1/2) Gamma^a_bc(x) xdot^b xdot^c."""
-    gamma = FamilyEval(inst, sample.x).connection(h)
-    return 0.5 * np.einsum("abc,b,c->a", gamma, sample.xdot, sample.xdot)
 
 
 def closed_form_ricci(inst: FamilyInstance, x) -> ClosedFormRicci:

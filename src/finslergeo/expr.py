@@ -25,9 +25,16 @@ from typing import Mapping, Sequence, Union
 from . import jets
 from .jets import DomainError
 
-FUNCTIONS = ("sin", "cos", "exp", "ln", "sqrt", "abs")
-_UNARY_OPS = ("neg",) + FUNCTIONS
-_BINARY_OPS = ("add", "sub", "mul", "div", "pow")
+# name -> the function over floats or jets
+_FUNCTION_OF = {
+    "sin": jets.sin,
+    "cos": jets.cos,
+    "exp": jets.exp,
+    "ln": jets.ln,
+    "sqrt": jets.sqrt,
+    "abs": jets.absval,
+}
+FUNCTIONS = tuple(_FUNCTION_OF)
 
 
 class ExprSyntaxError(ValueError):
@@ -308,19 +315,9 @@ def eval(
                 v = rec(node.arg)
                 if node.op == "neg":
                     return -v
-                if node.op == "sin":
-                    return jets.sin(v)
-                if node.op == "cos":
-                    return jets.cos(v)
-                if node.op == "exp":
-                    return jets.exp(v)
-                if node.op == "ln":
-                    return jets.ln(v)
-                if node.op == "sqrt":
-                    return jets.sqrt(v)
-                if node.op == "abs":
-                    return jets.absval(v)
-                raise ValueError(f"unknown unary op {node.op!r}")
+                if node.op not in _FUNCTION_OF:
+                    raise ValueError(f"unknown unary op {node.op!r}")
+                return _FUNCTION_OF[node.op](v)
             lhs = rec(node.left)
             if node.op == "pow":
                 # constant integer exponents keep negative bases legal

@@ -194,6 +194,18 @@ def det_jet_matrix(g):
 # -- Lagrangian evaluation -----------------------------------------------------
 
 
+def _half_hessian(L: Jet, n: int) -> np.ndarray:
+    """The L-metric g_ab = (1/2) ddot_a ddot_b L as jets, from the jet of L
+    over x then xdot (variable n + a is xdot^a)."""
+    out = np.empty((n, n), dtype=object)
+    for a in range(n):
+        da = L.diff(n + a)
+        for b in range(a, n):
+            out[a, b] = 0.5 * da.diff(n + b)
+            out[b, a] = out[a, b]
+    return out
+
+
 def eval_L_jets(lag: LagrangianDef, coord_jets: Sequence[Jet]) -> Jet:
     """L as a jet, given the 2n seeded coordinate jets (x then xdot)."""
     if isinstance(lag, DslLagrangian):
@@ -267,14 +279,7 @@ class _Eval:
 
     @cached_property
     def g_jets(self) -> np.ndarray:
-        n = self.n
-        out = np.empty((n, n), dtype=object)
-        for a in range(n):
-            da = self.dv(self.L, a)
-            for b in range(a, n):
-                out[a, b] = 0.5 * self.dv(da, b)
-                out[b, a] = out[a, b]
-        return out
+        return _half_hessian(self.L, self.n)
 
     @cached_property
     def g_values(self) -> np.ndarray:
@@ -305,7 +310,7 @@ class _Eval:
         self.require_nondegenerate(tol_degenerate)
         return MetricValue(
             g=self.g_values,
-            g_inv=np.linalg.inv(self.g_values),
+            g_inv=self.g_inv_values,
             det=float(np.linalg.det(self.g_values)),
             signature=self.signature(tol_degenerate),
         )
@@ -341,7 +346,8 @@ class _Eval:
 
     @cached_property
     def g_inv_values(self) -> np.ndarray:
-        self.require_nondegenerate()
+        """The inverse of g's values; its readers check g is nondegenerate
+        first, `metric` at its own tolerance."""
         return np.linalg.inv(self.g_values)
 
     @cached_property
@@ -423,11 +429,9 @@ class _Eval:
         n = self.n
         out = np.empty((n, n, n))
         for a in range(n):
-            da = self.dv(self.L, a)
             for b in range(a, n):
-                dab = self.dv(da, b)
                 for c in range(b, n):
-                    v = 0.25 * self.dv(dab, c).value
+                    v = 0.5 * self.dv(self.g_jets[a, b], c).value
                     for idx in {
                         (a, b, c), (a, c, b), (b, a, c),
                         (b, c, a), (c, a, b), (c, b, a),
@@ -437,6 +441,7 @@ class _Eval:
 
     @cached_property
     def cartan_trace(self) -> np.ndarray:
+        self.require_nondegenerate()
         return np.einsum("mn,amn->a", self.g_inv_values, self.cartan_values)
 
     @cached_property
@@ -468,10 +473,15 @@ class _Eval:
         skew = 0.5 * (ricci - ricci.T)
         return CurvatureValue(hh_riemann=riem, ricci=ricci, skew_ricci=skew)
 
-    def commutator_residual(self, scalar_field: Callable[[Sequence[Jet]], Jet]) -> float:
-        """Residual of [delta_a, delta_b] f = R^c_{dab} xdot^d ddot_c f."""
+    @cached_property
+    def log_sqrt_det(self) -> Jet:
+        """ln sqrt|det g| as a jet over this context's coordinates."""
+        return 0.5 * abs(det_jet_matrix(self.g_jets)).ln()
+
+    def commutator_residual(self, f: Jet) -> float:
+        """Residual of [delta_a, delta_b] f = R^c_{dab} xdot^d ddot_c f for a
+        scalar field f given as a jet over this context's coordinates."""
         n = self.n
-        f = scalar_field(self.cjets)
         Nv = self.nonlinear_values
         ddf = first_derivatives(self.delta_of(f), range(2 * n))  # [var, b]
         dd = np.empty((n, n))
@@ -515,26 +525,6 @@ def hh_curvature(lag: LagrangianDef, sample: TangentSample) -> CurvatureValue:
     return _Eval(lag, sample, 4).curvature
 
 
-def horizontal_derivative(
-    lag: LagrangianDef,
-    sample: TangentSample,
-    scalar_field: Callable[[Sequence[Jet]], Jet],
-) -> np.ndarray:
-    """delta_a f for a jet-valued scalar field on TM."""
-    ev = _Eval(lag, sample, 3)
-    f = scalar_field(ev.cjets)
-    n = ev.n
-    N = ev.nonlinear_values
-    df = first_derivatives(f, range(2 * n))
-    out = np.empty(n)
-    for a in range(n):
-        acc = df[a]
-        for b in range(n):
-            acc -= N[b, a] * df[n + b]
-        out[a] = acc
-    return out
-
-
 def vertical_derivative(
     lag: LagrangianDef,
     sample: TangentSample,
@@ -560,7 +550,8 @@ def commutator_check(
     scalar_field: Callable[[Sequence[Jet]], Jet],
 ) -> float:
     """Residual of [delta_a, delta_b] f = R^c_{dab} xdot^d ddot_c f."""
-    return _Eval(lag, sample, 4).commutator_residual(scalar_field)
+    ev = _Eval(lag, sample, 4)
+    return ev.commutator_residual(scalar_field(ev.cjets))
 
 
 def probe_context(
@@ -673,14 +664,7 @@ def log_sqrt_det_metric_field(lag: LagrangianDef) -> Callable[[Sequence[Jet]], J
     """The scalar field ln sqrt|det g| as a jet-valued function on TM."""
 
     def field(coord_jets: Sequence[Jet]) -> Jet:
-        n = len(coord_jets) // 2
-        L = eval_L_jets(lag, coord_jets)
-        g = [[None] * n for _ in range(n)]
-        for a in range(n):
-            da = L.diff(n + a)
-            for b in range(a, n):
-                g[a][b] = 0.5 * da.diff(n + b)
-                g[b][a] = g[a][b]
+        g = _half_hessian(eval_L_jets(lag, coord_jets), len(coord_jets) // 2)
         return 0.5 * abs(det_jet_matrix(g)).ln()
 
     return field

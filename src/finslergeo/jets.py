@@ -19,12 +19,19 @@ to use from multiple threads.  A `BatchJet` holds B jets of one space as the
 rows of a (B, ncoeff) array and gives each row the coefficients of the
 scalar operation bit for bit (Griewank & Walther's vector mode over
 evaluation points).
+
+Every elementary function, on a float, a jet or a batch row, takes its
+Taylor coefficients from one univariate formula through `_taylor`, the one
+place where a float error of the formula becomes a `DomainError`: a result
+out of float range is ``overflow``, an underflowed divisor (the reciprocal
+of a value whose powers underflow to 0) is ``division-by-zero``, and sin or
+cos of an infinite value is ``non-finite``.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache, wraps
+from functools import lru_cache
 from itertools import combinations_with_replacement
 from typing import Iterable, Sequence, Union
 
@@ -40,26 +47,13 @@ class DomainError(ArithmeticError):
 
     ``reason`` is a short machine-readable tag (``division-by-zero``,
     ``log-domain``, ``sqrt-domain``, ``power-domain``, ``abs-domain``,
-    ``overflow``) used by admissibility probing to classify why a
-    tangent-bundle point fails.
+    ``overflow``, ``non-finite``) used by admissibility probing to classify
+    why a tangent-bundle point fails.
     """
 
     def __init__(self, reason: str, detail: str = ""):
         self.reason = reason
         super().__init__(f"{reason}: {detail}" if detail else reason)
-
-
-def _overflow_is_domain_error(fn):
-    """Report a float overflow inside `fn` as DomainError("overflow")."""
-
-    @wraps(fn)
-    def wrapper(*args):
-        try:
-            return fn(*args)
-        except OverflowError as err:
-            raise DomainError("overflow", f"{fn.__name__}: {err}") from err
-
-    return wrapper
 
 
 def _monomials(nvars: int, order: int) -> list[tuple[int, ...]]:
@@ -223,11 +217,11 @@ class Jet:
         return self._trunc(o.coeffs - self.coeffs, min(self.order, o.order))
 
     def __neg__(self):
-        return Jet(self.space, -self.coeffs, self.order)
+        return type(self)(self.space, -self.coeffs, self.order)
 
     def __mul__(self, other):
         if isinstance(other, (int, float, np.integer, np.floating)):
-            return Jet(self.space, self.coeffs * float(other), self.order)
+            return type(self)(self.space, self.coeffs * float(other), self.order)
         o = self._lift(other)
         if o is None:
             return NotImplemented
@@ -244,7 +238,7 @@ class Jet:
         if isinstance(other, (int, float, np.integer, np.floating)):
             if float(other) == 0.0:
                 raise DomainError("division-by-zero")
-            return Jet(self.space, self.coeffs / float(other), self.order)
+            return type(self)(self.space, self.coeffs / float(other), self.order)
         o = self._lift(other)
         if o is None:
             return NotImplemented
@@ -273,27 +267,27 @@ class Jet:
             out = out * h + taylor[k]
         return out
 
-    @_overflow_is_domain_error
+    def _apply(self, taylor_of, *args) -> "Jet":
+        """Compose with the Taylor coefficients taylor_of(value, order, *args)."""
+        return self._compose(_taylor(taylor_of, self.value, self.order, *args))
+
     def _reciprocal(self) -> "Jet":
-        return self._compose(_reciprocal_taylor(self.value, self.order))
+        return self._apply(_reciprocal_taylor)
 
-    @_overflow_is_domain_error
     def exp(self) -> "Jet":
-        return self._compose(_exp_taylor(self.value, self.order))
+        return self._apply(_exp_taylor)
 
-    @_overflow_is_domain_error
     def ln(self) -> "Jet":
-        return self._compose(_ln_taylor(self.value, self.order))
+        return self._apply(_ln_taylor)
 
-    @_overflow_is_domain_error
     def sqrt(self) -> "Jet":
-        return self._compose(_sqrt_taylor(self.value, self.order))
+        return self._apply(_sqrt_taylor)
 
     def sin(self) -> "Jet":
-        return self._compose(_sin_taylor(self.value, self.order))
+        return self._apply(_sin_taylor)
 
     def cos(self) -> "Jet":
-        return self._compose(_cos_taylor(self.value, self.order))
+        return self._apply(_cos_taylor)
 
     def __abs__(self) -> "Jet":
         v = self.value
@@ -317,9 +311,8 @@ class Jet:
             k >>= 1
         return result
 
-    @_overflow_is_domain_error
     def _powr(self, r: float) -> "Jet":
-        return self._compose(_powr_taylor(self.value, self.order, r))
+        return self._apply(_powr_taylor, r)
 
     def __repr__(self) -> str:
         return f"Jet(order={self.order}, value={self.value!r})"
@@ -328,8 +321,26 @@ class Jet:
 # -- univariate Taylor coefficients ----------------------------------------
 #
 # Each returns the Taylor coefficients [f(v), f'(v), f''(v)/2, ...] up to
-# `order`, or raises DomainError outside the domain.  Scalar and batched jets
-# share them, so a batch row gets the same float arithmetic as a scalar jet.
+# `order`, or raises DomainError outside the domain.  Floats, scalar jets and
+# batched jets share them, so all three get the same float arithmetic; they
+# are called only through `_taylor`.
+
+
+def _taylor(taylor_of, v: float, order: int, *args) -> list[float]:
+    """taylor_of(v, order, *args), with the float errors it raises reported
+    as DomainError: OverflowError as ``overflow``, ZeroDivisionError as
+    ``division-by-zero`` and ValueError (sin or cos of an infinite value) as
+    ``non-finite``.  The detail names the function, e.g. ``exp``."""
+    try:
+        return taylor_of(v, order, *args)
+    except OverflowError as err:
+        reason, error = "overflow", err
+    except ZeroDivisionError as err:
+        reason, error = "division-by-zero", err
+    except ValueError as err:
+        reason, error = "non-finite", err
+    name = taylor_of.__name__.strip("_").removesuffix("_taylor")
+    raise DomainError(reason, f"{name}: {error}") from error
 
 
 def _reciprocal_taylor(v: float, order: int) -> list[float]:
@@ -372,6 +383,14 @@ def _cos_taylor(v: float, order: int) -> list[float]:
     s, c = math.sin(v), math.cos(v)
     cycle = [c, -s, -c, s]
     return [cycle[k % 4] / math.factorial(k) for k in range(order + 1)]
+
+
+def _powi_taylor(v: float, order: int, k: int) -> list[float]:
+    """Only the value v**k, for floats: an integer power of a jet is a
+    repeated product (`Jet._powi`), valid for any base."""
+    if v == 0.0 and k < 0:
+        raise DomainError("power-domain", "0 raised to a negative power")
+    return [v**k]
 
 
 def _powr_taylor(v: float, order: int, r: float) -> list[float]:
@@ -420,8 +439,10 @@ class BatchJet(Jet):
     coefficients row by row from the scalar formulas.  A row that leaves a
     function's domain, where a scalar jet raises, becomes a row of NaN and
     the other rows go on.  A scalar `Jet` combines with a BatchJet as if it
-    stood in every row; Python tries a subclass's reflected operator first,
-    so `Jet` itself needs no batch checks.
+    stood in every row: Python tries a subclass's reflected operator first
+    when it differs from the base class's, so `Jet` itself needs no batch
+    checks, and `Jet`'s other operators and functions serve batches as they
+    are.
     """
 
     __slots__ = ()
@@ -443,31 +464,14 @@ class BatchJet(Jet):
         coeffs[:, 0] = column
         return BatchJet(self.space, coeffs, order)
 
-    # -- ring operations --------------------------------------------------
-
-    def __add__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return self._trunc(self.coeffs + o.coeffs, min(self.order, o.order))
+    # -- ring operations: the reflected ones are BatchJet's own, so that a
+    # scalar jet on the left defers to them --------------------------------
 
     def __radd__(self, other):
-        return self.__add__(other)
-
-    def __sub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return self._trunc(self.coeffs - o.coeffs, min(self.order, o.order))
+        return Jet.__add__(self, other)
 
     def __rsub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return self._trunc(o.coeffs - self.coeffs, min(self.order, o.order))
-
-    def __neg__(self):
-        return BatchJet(self.space, -self.coeffs, self.order)
+        return Jet.__rsub__(self, other)
 
     def __mul__(self, other):
         if isinstance(other, (int, float, np.integer, np.floating)):
@@ -485,21 +489,8 @@ class BatchJet(Jet):
             return NotImplemented
         return _batch_product(o, self)
 
-    def __truediv__(self, other):
-        if isinstance(other, (int, float, np.integer, np.floating)):
-            if float(other) == 0.0:
-                raise DomainError("division-by-zero")
-            return BatchJet(self.space, self.coeffs / float(other), self.order)
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return self * o._reciprocal()
-
     def __rtruediv__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return o * self._reciprocal()
+        return Jet.__rtruediv__(self, other)
 
     # -- univariate composition -------------------------------------------
 
@@ -520,31 +511,10 @@ class BatchJet(Jet):
         table = []
         for v in self.coeffs[:, 0].tolist():
             try:
-                table.append(taylor_of(v, self.order, *args))
-            except (ArithmeticError, ValueError):
+                table.append(_taylor(taylor_of, v, self.order, *args))
+            except DomainError:
                 table.append([math.nan] * (self.order + 1))
         return self._compose(np.array(table))
-
-    def _reciprocal(self) -> "BatchJet":
-        return self._apply(_reciprocal_taylor)
-
-    def exp(self) -> "BatchJet":
-        return self._apply(_exp_taylor)
-
-    def ln(self) -> "BatchJet":
-        return self._apply(_ln_taylor)
-
-    def sqrt(self) -> "BatchJet":
-        return self._apply(_sqrt_taylor)
-
-    def sin(self) -> "BatchJet":
-        return self._apply(_sin_taylor)
-
-    def cos(self) -> "BatchJet":
-        return self._apply(_cos_taylor)
-
-    def _powr(self, r: float) -> "BatchJet":
-        return self._apply(_powr_taylor, r)
 
     def __abs__(self) -> "BatchJet":
         v = self.coeffs[:, 0]
@@ -569,32 +539,23 @@ def _is_number(v) -> bool:
 
 
 def sin(v: Scalar):
-    return v.sin() if isinstance(v, Jet) else math.sin(v)
+    return v.sin() if isinstance(v, Jet) else _taylor(_sin_taylor, v, 0)[0]
 
 
 def cos(v: Scalar):
-    return v.cos() if isinstance(v, Jet) else math.cos(v)
+    return v.cos() if isinstance(v, Jet) else _taylor(_cos_taylor, v, 0)[0]
 
 
-@_overflow_is_domain_error
 def exp(v: Scalar):
-    return v.exp() if isinstance(v, Jet) else math.exp(v)
+    return v.exp() if isinstance(v, Jet) else _taylor(_exp_taylor, v, 0)[0]
 
 
 def ln(v: Scalar):
-    if isinstance(v, Jet):
-        return v.ln()
-    if v <= 0.0:
-        raise DomainError("log-domain", f"ln of {v}")
-    return math.log(v)
+    return v.ln() if isinstance(v, Jet) else _taylor(_ln_taylor, v, 0)[0]
 
 
 def sqrt(v: Scalar):
-    if isinstance(v, Jet):
-        return v.sqrt()
-    if v <= 0.0:
-        raise DomainError("sqrt-domain", f"sqrt of {v}")
-    return math.sqrt(v)
+    return v.sqrt() if isinstance(v, Jet) else _taylor(_sqrt_taylor, v, 0)[0]
 
 
 def absval(v: Scalar):
@@ -609,7 +570,6 @@ def divide(a: Scalar, b: Scalar):
     return a / b
 
 
-@_overflow_is_domain_error
 def powx(base: Scalar, expo: Scalar):
     """base**expo with principal real semantics.
 
@@ -624,16 +584,10 @@ def powx(base: Scalar, expo: Scalar):
         k = int(e)
         if isinstance(base, Jet):
             return base._powi(k)
-        b = float(base)
-        if b == 0.0 and k < 0:
-            raise DomainError("power-domain", "0 raised to a negative power")
-        return b**k
+        return _taylor(_powi_taylor, float(base), 0, k)[0]
     if isinstance(base, Jet):
         return base._powr(e)
-    b = float(base)
-    if b <= 0.0:
-        raise DomainError("power-domain", f"non-integer power of non-positive base {b}")
-    return b**e
+    return _taylor(_powr_taylor, float(base), 0, e)[0]
 
 
 # -- seeding and extraction ---------------------------------------------------

@@ -489,9 +489,7 @@ def _sample_block(
                 "skew_identity": float(
                     np.max(np.abs((curv.ricci - curv.ricci.T) - skew_route))
                 ),
-                "commutator": ev.commutator_residual(
-                    geometry.log_sqrt_det_metric_field(scene.lagrangian)
-                ),
+                "commutator": ev.commutator_residual(ev.log_sqrt_det),
             }
             # a family evaluation that failed is an error entry of the family
             # sections; the chain's own residuals still stand

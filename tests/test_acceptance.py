@@ -179,11 +179,12 @@ def test_criterion_5_closed_form_equivalence(entries):
             fit = alphabeta.check_berwald_condition(inst, s.x)
             if fit.residual >= 1e-9:
                 continue
-            h = alphabeta.h_with_gradient(inst, s.x)[0]
-            spray_cf = alphabeta.closed_form_spray(inst, s, h)
+            fam = alphabeta.FamilyEval(inst, s.x)
+            h = fam.h_gradient[0]
+            spray_cf = fam.spray(s.xdot, h)
             spray_pipe = geometry.spray(inst, s)
             assert np.max(np.abs(spray_cf - spray_pipe)) < 1e-6
-            gam_cf = alphabeta.closed_form_connection(inst, s.x, h)
+            gam_cf = fam.connection(h)
             gam_pipe = geometry.chern_rund(inst, s)
             assert np.max(np.abs(gam_cf - gam_pipe)) < 1e-6
             cf = alphabeta.closed_form_ricci(inst, s.x)

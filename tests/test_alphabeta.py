@@ -76,7 +76,7 @@ def test_fitted_h_expression_consistency(szabo):
     inst = szabo.lagrangian
     x = szabo.default_samples[0].x
     fit = alphabeta.check_berwald_condition(inst, x)
-    h_expr_val, dh = alphabeta.h_with_gradient(inst, x)
+    h_expr_val, dh = alphabeta.FamilyEval(inst, x).h_gradient
     assert h_expr_val == pytest.approx(fit.h, abs=1e-12)
     # phi = x: dH/dx = 1/(2c(1-p)) = -1/2, other components zero
     np.testing.assert_allclose(dh, [0.0, 0.0, -0.5, 0.0], atol=1e-12)
@@ -89,8 +89,8 @@ def test_fitted_h_gradient_without_expression(szabo):
         inst.dim, inst.alpha, inst.beta, inst.c, inst.m, inst.p, h_expr=None
     )
     x = szabo.default_samples[0].x
-    h_fit, dh_fit = alphabeta.h_with_gradient(bare, x)
-    h_expr, dh_expr = alphabeta.h_with_gradient(inst, x)
+    h_fit, dh_fit = alphabeta.FamilyEval(bare, x).h_gradient
+    h_expr, dh_expr = alphabeta.FamilyEval(inst, x).h_gradient
     assert h_fit == pytest.approx(h_expr, abs=1e-10)
     np.testing.assert_allclose(dh_fit, dh_expr, atol=1e-9)
 
@@ -121,22 +121,21 @@ def test_one_evaluation_inverts_alpha_once(monkeypatch, szabo):
 def test_h_zero_reduces_to_christoffel_spray():
     inst = _minkowski_family(["1", "0", "0", "0"], c=1.0, m=0.0, p=0.5)
     s = TangentSample([0, 0, 0, 0], [1.0, 0.2, 0.1, -0.3])
-    np.testing.assert_allclose(alphabeta.closed_form_spray(inst, s), np.zeros(4), atol=1e-14)
-    np.testing.assert_allclose(
-        alphabeta.closed_form_connection(inst, s.x), np.zeros((4, 4, 4)), atol=1e-14
-    )
+    fam = alphabeta.FamilyEval(inst, s.x)
+    np.testing.assert_allclose(fam.spray(s.xdot), np.zeros(4), atol=1e-14)
+    np.testing.assert_allclose(fam.connection(), np.zeros((4, 4, 4)), atol=1e-14)
 
 
 def test_closed_form_spray_matches_pipeline(szabo):
     for s in szabo.default_samples:
-        cf = alphabeta.closed_form_spray(szabo.lagrangian, s)
+        cf = alphabeta.FamilyEval(szabo.lagrangian, s.x).spray(s.xdot)
         pipe = geometry.spray(szabo.lagrangian, s)
         assert np.max(np.abs(cf - pipe)) < 1e-8 * max(1.0, np.max(np.abs(pipe)))
 
 
 def test_closed_form_connection_matches_pipeline(szabo):
     for s in szabo.default_samples:
-        cf = alphabeta.closed_form_connection(szabo.lagrangian, s.x)
+        cf = alphabeta.FamilyEval(szabo.lagrangian, s.x).connection()
         pipe = geometry.chern_rund(szabo.lagrangian, s)
         assert np.max(np.abs(cf - pipe)) < 1e-8 * max(1.0, np.max(np.abs(pipe)))
 
@@ -144,7 +143,7 @@ def test_closed_form_connection_matches_pipeline(szabo):
 def test_closed_form_connection_matches_extracted_affine(szabo):
     s = szabo.default_samples[0]
     verdict = berwald.detect_berwald(szabo.lagrangian, s.x, s.xdot)
-    cf = alphabeta.closed_form_connection(szabo.lagrangian, s.x)
+    cf = alphabeta.FamilyEval(szabo.lagrangian, s.x).connection()
     assert np.max(np.abs(cf - verdict.affine_connection)) < 1e-7
 
 
@@ -152,7 +151,7 @@ def test_closed_form_nonlinear_connection_is_fiber_derivative_of_spray(szabo):
     # derived: the closed-form nonlinear connection is the contraction of the
     # x-only connection with xdot
     s = szabo.default_samples[0]
-    gamma = alphabeta.closed_form_connection(szabo.lagrangian, s.x)
+    gamma = alphabeta.FamilyEval(szabo.lagrangian, s.x).connection()
     closed_N = np.einsum("abc,c->ab", gamma, s.xdot)
     pipe_N = geometry.nonlinear_connection(szabo.lagrangian, s)
     assert np.max(np.abs(closed_N - pipe_N)) < 1e-8
@@ -262,7 +261,7 @@ def test_degenerate_alpha_rejected():
     beta = tuple(expr.parse(src, dim) for src in ["1", "0"])
     inst = FamilyInstance(dim, alpha, beta, c=1.0, m=0.0, p=2.0)
     with pytest.raises(DegenerateMetric):
-        alphabeta.closed_form_connection(inst, np.zeros(2))
+        alphabeta.FamilyEval(inst, np.zeros(2)).connection()
 
 
 # -- family instance invariants ------------------------------------------------------
@@ -298,7 +297,7 @@ def test_p_zero_closed_form_spray_is_alpha_spray():
     s = ent.default_samples[0]
     gamma_alpha = geometry.christoffel_values(inst0.alpha, s.x)
     expected = 0.5 * np.einsum("abc,b,c->a", gamma_alpha, s.xdot, s.xdot)
-    got = alphabeta.closed_form_spray(inst0, s, h=0.7)  # any H: the bracket is 0
+    got = alphabeta.FamilyEval(inst0, s.x).spray(s.xdot, h=0.7)  # any H: the bracket is 0
     np.testing.assert_allclose(got, expected, atol=1e-12)
     pipe = geometry.spray(inst0, s)
     np.testing.assert_allclose(pipe, expected, atol=1e-10)
@@ -328,16 +327,16 @@ def test_radial_instance_with_m_nonzero_matches_pipeline():
     x = np.array([1.2, 0.7])
     fit = alphabeta.check_berwald_condition(inst, x)
     assert fit.residual < 1e-12
-    h_val, _ = alphabeta.h_with_gradient(inst, x)
+    h_val, _ = alphabeta.FamilyEval(inst, x).h_gradient
     assert fit.h == pytest.approx(h_val, abs=1e-12)
     seed_dir = x / np.linalg.norm(x)
     verdict = berwald.detect_berwald(inst, x, seed_dir, spread=0.2)
     assert verdict.is_berwald and verdict.max_gamma_deviation < 1e-10
     s = TangentSample(x, seed_dir)
-    gam_cf = alphabeta.closed_form_connection(inst, x)
+    gam_cf = alphabeta.FamilyEval(inst, x).connection()
     np.testing.assert_allclose(gam_cf, geometry.chern_rund(inst, s), atol=1e-10)
     np.testing.assert_allclose(
-        alphabeta.closed_form_spray(inst, s), geometry.spray(inst, s), atol=1e-10
+        alphabeta.FamilyEval(inst, s.x).spray(s.xdot), geometry.spray(inst, s), atol=1e-10
     )
     # three independent Ricci routes agree the connection is flat here:
     # jet hh-curvature, the extracted affine route, and finite differences
@@ -352,8 +351,8 @@ def test_radial_instance_with_m_nonzero_matches_pipeline():
         xm = x.copy()
         xm[mu] -= step
         dgam[mu] = (
-            alphabeta.closed_form_connection(inst, xp)
-            - alphabeta.closed_form_connection(inst, xm)
+            alphabeta.FamilyEval(inst, xp).connection()
+            - alphabeta.FamilyEval(inst, xm).connection()
         ) / (2 * step)
     fd = berwald.affine_ricci_from_values(gam_cf, dgam)
     assert np.max(np.abs(ev_ricci)) < 1e-9

@@ -165,13 +165,30 @@ def test_commutator_residual(minkowski, conformal, szabo):
         assert geometry.commutator_check(entry.lagrangian, s, f) < tol
 
 
+def test_context_log_det_commutator_equals_the_public_field():
+    # the context's own ln sqrt|det g| is the public field's jet, bit for bit
+    samples = [
+        (ent.lagrangian, s)
+        for ent in map(catalog.get, catalog.names())
+        for s in ent.default_samples
+    ]
+    assert len(samples) == 14
+    for lag, s in samples:
+        ev = _Eval(lag, s, 4)
+        field = geometry.log_sqrt_det_metric_field(lag)
+        assert ev.log_sqrt_det.coeffs.tobytes() == field(ev.cjets).coeffs.tobytes()
+        got = ev.commutator_residual(ev.log_sqrt_det)
+        want = geometry.commutator_check(lag, s, field)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
 def test_log_det_field_identities(szabo):
     # delta_a ln sqrt|det g| = Gamma^m_am  and  ddot_a of it = C_a
     s = szabo.default_samples[0]
     lag = szabo.lagrangian
     f = geometry.log_sqrt_det_metric_field(lag)
     ev = _Eval(lag, s, 3)
-    hd = geometry.horizontal_derivative(lag, s, f)
+    hd = geometry.values(ev.delta_of(f(ev.cjets)))
     np.testing.assert_allclose(
         hd, np.einsum("mam->a", ev.gamma_values), atol=1e-7
     )
@@ -186,7 +203,8 @@ def test_horizontal_derivative_of_x_free_field_vanishes(minkowski):
         n = len(cjets) // 2
         return cjets[n] * cjets[n]  # depends on xdot only
 
-    assert np.max(np.abs(geometry.horizontal_derivative(minkowski.lagrangian, s, field))) == 0.0
+    ev = _Eval(minkowski.lagrangian, s, 3)
+    assert np.max(np.abs(geometry.values(ev.delta_of(field(ev.cjets))))) == 0.0
 
 
 # -- eval_L ------------------------------------------------------------------------

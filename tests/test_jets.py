@@ -256,6 +256,20 @@ def test_domain_errors():
     assert err.value.reason == "power-domain"
     with pytest.raises(DomainError):
         jets.powx(x - 1.0, 0.5)
+    # float errors of a Taylor formula, on jets and on floats
+    (tiny,) = seed([1e-200], {0}, 2)  # its reciprocal divides by 1e-400 = 0.0
+    for op, reason in [
+        (lambda: tiny._reciprocal(), "division-by-zero"),
+        (lambda: (x + 1000.0).exp(), "overflow"),
+        (lambda: jets.exp(1000.0), "overflow"),
+        (lambda: jets.powx(1e200, 2.0), "overflow"),
+        (lambda: (x + math.inf).sin(), "non-finite"),
+        (lambda: jets.sin(math.inf), "non-finite"),
+        (lambda: jets.cos(-math.inf), "non-finite"),
+    ]:
+        with pytest.raises(DomainError) as err:
+            op()
+        assert err.value.reason == reason
 
 
 def test_integer_pow_negative_base():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from finslergeo import alphabeta, cli, geometry
+from finslergeo.jets import BatchJet
 from finslergeo.scene import (
     SceneError,
     load_scene,
@@ -185,6 +186,20 @@ def test_nonmetricity_report_with_reference_metric():
     assert max(qs) > 0.1
 
 
+def test_nonmetricity_reference_metric_out_of_float_range_is_an_error_entry():
+    # sin of x0*1e300*1e300 = inf at x0 = 1, first met over floats
+    doc = {
+        "chart": {"dim": 2},
+        "lagrangian": _dsl("dx0^2 - dx1^2"),
+        "samples": [_DSL_SAMPLE],
+        "options": {"reference_metric": [["1+sin(x0*1e300*1e300)", "0"], ["0", "-1"]]},
+    }
+    report, code = run_scene(load_scene(doc), "nonmetricity")
+    assert code == 0
+    (entry,) = report["geometry"]["nonmetricity"]["per_base_point"]
+    assert entry["error"].startswith("non-finite")
+
+
 def test_nonmetricity_requires_reference_metric():
     scn = load_scene(szabo_scene())
     with pytest.raises(SceneError):
@@ -217,6 +232,25 @@ def test_report_builds_one_order_4_context_per_base_point(monkeypatch):
     in_A = sum(s["admissibility"]["in_A"] for s in report["samples"])
     assert in_A == len(scn.samples) == 2
     assert orders == [4] * in_A
+
+
+def test_report_evaluates_L_once_per_base_point(monkeypatch):
+    # the commutator residual differentiates the context's own L; the spray
+    # witness's batched evaluations are counted apart
+    scn = load_scene_file(str(REPO / "scenes" / "szabo.json"))
+    scalar_calls = []
+    eval_L_jets = geometry.eval_L_jets
+
+    def counting(lag, coord_jets):
+        if not any(isinstance(j, BatchJet) for j in coord_jets):
+            scalar_calls.append(coord_jets)
+        return eval_L_jets(lag, coord_jets)
+
+    monkeypatch.setattr(geometry, "eval_L_jets", counting)
+    report, _ = run_scene(scn, "report")
+    in_A = sum(s["admissibility"]["in_A"] for s in report["samples"])
+    assert in_A == 2
+    assert len(scalar_calls) == in_A
 
 
 def test_affine_connection_is_gamma_at_the_sample():
@@ -367,28 +401,48 @@ def test_proposition_needs_the_berwald_condition():
     assert szabo_code == 2
 
 
+def _dsl(source):
+    return {"dsl": {"source": source}}
+
+
+_DSL_SAMPLE = {"x": [1, 0], "xdot": [1, 0.2]}
 # exp(1000) overflows the value of L; exp(700) does not, but the products
 # that build L's higher Taylor coefficients do
-_OVERFLOW = ("exp(1000*x0)*dx0^2 - dx1^2", "overflow")
-_NON_FINITE = ("exp(700*x0)*dx0^2 - dx1^2", "non-finite")
+_OVERFLOW = (_dsl("exp(1000*x0)*dx0^2 - dx1^2"), _DSL_SAMPLE, "overflow")
+_NON_FINITE = (_dsl("exp(700*x0)*dx0^2 - dx1^2"), _DSL_SAMPLE, "non-finite")
+# s = beta(xdot)^2/alpha(xdot, xdot) = 1e-100, and s^-2 is the reciprocal of
+# s^2 = 1e-200, whose Taylor coefficients divide by (s^2)^2, which underflows
+_UNDERFLOW = (
+    {"family": {
+        "alpha": [["1", "0"], ["0", "1"]], "beta": ["1", "0"], "c": 1, "m": 0, "p": 2,
+    }},
+    {"x": [0, 0], "xdot": [1e-50, 1]},
+    "division-by-zero",
+)
+_SIN_OF_INF = (
+    _dsl("dx0^2 - dx1^2 + sin(x0*1e300*1e300)*dx1^2"), _DSL_SAMPLE, "non-finite"
+)
 
 
 @pytest.mark.parametrize(
-    "subcommand, source, reason",
+    "subcommand, lagrangian, sample, reason",
     [
         ("probe", *_OVERFLOW),
         ("report", *_OVERFLOW),
         ("probe", *_NON_FINITE),
         ("report", *_NON_FINITE),
+        ("probe", *_UNDERFLOW),
+        ("report", *_UNDERFLOW),
+        ("probe", *_SIN_OF_INF),
+        ("report", *_SIN_OF_INF),
     ],
-    ids=["probe", "report", "probe-non-finite", "report-non-finite"],
+    ids=[
+        "probe", "report", "probe-non-finite", "report-non-finite",
+        "probe-underflow", "report-underflow", "probe-sin-of-inf", "report-sin-of-inf",
+    ],
 )
-def test_overflow_is_a_tagged_sample_error(subcommand, source, reason):
-    doc = {
-        "chart": {"dim": 2},
-        "lagrangian": {"dsl": {"source": source}},
-        "samples": [{"x": [1, 0], "xdot": [1, 0.2]}],
-    }
+def test_overflow_is_a_tagged_sample_error(subcommand, lagrangian, sample, reason):
+    doc = {"chart": {"dim": 2}, "lagrangian": lagrangian, "samples": [sample]}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         report, code = run_scene(load_scene(doc), subcommand)

@@ -5,10 +5,11 @@
 Runs ``finslergeo <subcommand> <scene> --out <dir>`` in process for every
 subcommand, on every ``scenes/*.json`` and every catalog entry (with its
 default samples), on one fixed dim-6 DSL scene (12 jet variables, so the
-largest jet space the reports build) and on three DSL scenes whose Berwald
+largest jet space the reports build), on three DSL scenes whose Berwald
 witness rejects sampled directions (a sqrt, a power and a log leave their
-domain outside the cone), at ``options.seed`` 0 and 3.  Each run prints one
-line:
+domain outside the cone) and on two DSL scenes whose only sample leaves float
+range (tagged ``overflow`` and ``non-finite``), at ``options.seed`` 0 and 3.
+Each run prints one line:
 
     <scene> <subcommand> <seed> <exit code> <sha256 of report.json or ->
 
@@ -72,16 +73,32 @@ REJECTION_SCENES = {
     },
 }
 
+# Scenes whose only sample is outside A because L leaves float range, so the
+# error route of every section shows in the digests: exp(1000) overflows L's
+# value, exp(700) overflows the products that build its higher coefficients.
+ERROR_SCENES = {
+    name: {
+        "chart": {"dim": 2},
+        "lagrangian": {"dsl": {"source": source}},
+        "samples": [{"x": [1.0, 0.0], "xdot": [1.0, 0.2], "label": "p0"}],
+    }
+    for name, source in [
+        ("overflow", "exp(1000*x0)*dx0^2 - dx1^2"),
+        ("non-finite", "exp(700*x0)*dx0^2 - dx1^2"),
+    ]
+}
+
 
 def scene_documents(root: Path):
     """(name, scene document) for the fixture scenes, the catalog, the
-    dim-6 scene and the rejection scenes."""
+    dim-6 scene, the rejection scenes and the error scenes."""
     for path in sorted((root / "scenes").glob("*.json")):
         yield path.name, json.loads(path.read_text(encoding="utf-8"))
     for name in catalog.names():
         yield f"catalog:{name}", {"lagrangian": {"catalog": name}}
     yield "dim6", DIM6_SCENE
     yield from REJECTION_SCENES.items()
+    yield from ERROR_SCENES.items()
 
 
 def digest(doc: dict, subcommand: str, workdir: Path) -> tuple[int, str]:
