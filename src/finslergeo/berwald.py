@@ -297,7 +297,8 @@ def nonmetricity(
     Q_abc = nabla_a g_bc = -D^s_ac g_sb - D^s_ab g_sc of the reference metric."""
     x = np.asarray(x, dtype=float)
     gamma = np.asarray(gamma, dtype=float)
-    g_vals_obj = geometry.eval_metric_exprs(g_ref_exprs, list(x), params)
+    # over Python floats, which leave float range as inf without a warning
+    g_vals_obj = geometry.eval_metric_exprs(g_ref_exprs, x.tolist(), params)
     g_vals = g_vals_obj.astype(float)
     if abs(np.linalg.det(g_vals)) == 0.0:
         raise DegenerateMetric("reference metric is singular at x")

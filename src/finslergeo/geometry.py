@@ -613,13 +613,12 @@ def spray_witness(
     in_A = np.zeros(rows, dtype=bool)
     spray = np.full((rows, n), np.nan)
     cjets = seed_block(x, directions, 2)
-    space = cjets[0].space
     try:
         with np.errstate(all="ignore"):
             L = eval_L_jets(lag, cjets)
     except (DomainError, ExprDomainError):
         return in_A, spray  # raised by the x-jets or a constant: every row alike
-    coeffs = np.broadcast_to(L.coeffs, (rows, space.ncoeff))
+    coeffs = np.broadcast_to(L.coeffs, (rows, L.coeffs.shape[-1]))
     vv, xv, x1 = _order2_slots(n)
 
     # g_jets values: 0.5 * dv_b dv_a L, each diff scaling by the exponent

@@ -11,14 +11,16 @@ Conventions:
   * coefficients are Taylor coefficients, i.e. the coefficient of the
     monomial ``prod(v_i^e_i)`` is ``partial^e f / prod(e_i!)``;
   * ``extract_partial`` converts back to true mixed partials;
-  * each jet carries a validity ``order``: coefficients of higher degree are
-    identically zero and are not meaningful (they drop out of any result).
+  * each jet carries a validity ``order`` and stores only the coefficients
+    of degree <= order, the first ``space.ncoeff_upto[order]`` slots of the
+    graded monomial order; coefficients above the validity are not stored,
+    since no result valid to that order reads them.
 
 Jets are immutable value types; all operations return fresh jets and are safe
-to use from multiple threads.  A `BatchJet` holds B jets of one space as the
-rows of a (B, ncoeff) array and gives each row the coefficients of the
-scalar operation bit for bit (Griewank & Walther's vector mode over
-evaluation points).
+to use from multiple threads.  A `BatchJet` holds B jets of one space and one
+validity as the rows of a (B, ncoeff_upto[order]) array and gives each row
+the coefficients of the scalar operation bit for bit (Griewank & Walther's
+vector mode over evaluation points).
 
 Every elementary function, on a float, a jet or a batch row, takes its
 Taylor coefficients from one univariate formula through `_taylor`, the one
@@ -72,6 +74,11 @@ def _monomials(nvars: int, order: int) -> list[tuple[int, ...]]:
 
 class JetSpace:
     """Shared immutable tables for jets of a given (nvars, order) signature.
+
+    The space spans the monomials up to degree ``order`` in graded order; a
+    jet of validity v stores the coefficients of the prefix
+    ``ncoeff_upto[v]`` only, and the tables are cut to that prefix by
+    ``pair_count[v]`` (products) and ``diff_prefix[var][v]`` (derivatives).
 
     The tables are built with array operations.  Each monomial is encoded as
     a mixed-radix integer in base ``order + 1`` (exact, since no exponent
@@ -127,20 +134,22 @@ class JetSpace:
         degs = degs[by_degree]
         self.pair_count = [int(np.sum(degs <= v)) for v in range(order + 1)]
 
-        # per-variable polynomial differentiation maps
-        self._diff_src = []
-        self._diff_dst = []
-        self._diff_fac = []
+        # per-variable polynomial differentiation maps (source slot, target
+        # slot, exponent); the sources ascend, so diff_prefix[v][d] keeps
+        # those of degree <= d, and diff_prefix[v][order] is the whole map
+        self.diff_prefix = []
         for v in range(nvars):
             src = np.flatnonzero(exps[:, v]).astype(np.int64)
-            self._diff_src.append(src)
-            self._diff_dst.append(slot(codes[src] - radix[v]))
-            self._diff_fac.append(exps[src, v].astype(np.float64))
+            dst = slot(codes[src] - radix[v])
+            fac = exps[src, v].astype(np.float64)
+            counts = np.searchsorted(src, upto).tolist()
+            self.diff_prefix.append([(src[:c], dst[:c], fac[:c]) for c in counts])
 
     def constant(self, value: float, order: int | None = None) -> "Jet":
-        c = np.zeros(self.ncoeff)
+        order = self.order if order is None else order
+        c = np.zeros(self.ncoeff_upto[order])
         c[0] = float(value)
-        return Jet(self, c, self.order if order is None else order)
+        return Jet(self, c, order)
 
 
 @lru_cache(maxsize=None)
@@ -166,6 +175,8 @@ class Jet:
 
     def first(self, var: int) -> float:
         """First partial derivative with respect to active variable `var`."""
+        if self.order < 1:
+            raise ValueError("an order-0 jet has no first derivatives")
         return float(self.coeffs[self.space.first_index[var]])
 
     def diff(self, var: int) -> "Jet":
@@ -173,8 +184,9 @@ class Jet:
         if self.order < 1:
             raise ValueError("cannot differentiate an order-0 jet")
         sp = self.space
-        out = np.zeros(sp.ncoeff)
-        out[sp._diff_dst[var]] = self.coeffs[sp._diff_src[var]] * sp._diff_fac[var]
+        src, dst, fac = sp.diff_prefix[var][self.order]
+        out = np.zeros(sp.ncoeff_upto[self.order - 1])
+        out[dst] = self.coeffs[src] * fac
         return Jet(sp, out, self.order - 1)
 
     # -- coercion ---------------------------------------------------------
@@ -185,22 +197,26 @@ class Jet:
                 raise ValueError("jets from different spaces cannot be combined")
             return other
         if isinstance(other, (int, float, np.integer, np.floating)):
-            return self.space.constant(float(other))
+            return self.space.constant(float(other), self.order)
         return None
 
-    def _trunc(self, coeffs: np.ndarray, order: int) -> "Jet":
+    def _prefixes(self, o: "Jet") -> tuple[np.ndarray, np.ndarray, int]:
+        """Both operands' coefficients over their common validity."""
+        a, b = self.coeffs, o.coeffs
+        if self.order == o.order:
+            return a, b, self.order
+        order = min(self.order, o.order)
         cut = self.space.ncoeff_upto[order]
-        if cut < self.space.ncoeff:
-            coeffs[cut:] = 0.0
-        return Jet(self.space, coeffs, order)
+        return a[..., :cut], b[..., :cut], order
 
-    # -- ring operations --------------------------------------------------
+    # -- ring operations: a batch operand is always `self` (see BatchJet) ---
 
     def __add__(self, other):
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return self._trunc(self.coeffs + o.coeffs, min(self.order, o.order))
+        a, b, order = self._prefixes(o)
+        return type(self)(self.space, a + b, order)
 
     __radd__ = __add__
 
@@ -208,13 +224,15 @@ class Jet:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return self._trunc(self.coeffs - o.coeffs, min(self.order, o.order))
+        a, b, order = self._prefixes(o)
+        return type(self)(self.space, a - b, order)
 
     def __rsub__(self, other):
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return self._trunc(o.coeffs - self.coeffs, min(self.order, o.order))
+        a, b, order = self._prefixes(o)
+        return type(self)(self.space, b - a, order)
 
     def __neg__(self):
         return type(self)(self.space, -self.coeffs, self.order)
@@ -229,7 +247,7 @@ class Jet:
         order = min(self.order, o.order)
         cnt = sp.pair_count[order]
         prods = self.coeffs[sp._mul_i[:cnt]] * o.coeffs[sp._mul_j[:cnt]]
-        out = np.bincount(sp._mul_k[:cnt], weights=prods, minlength=sp.ncoeff)
+        out = np.bincount(sp._mul_k[:cnt], weights=prods, minlength=sp.ncoeff_upto[order])
         return Jet(sp, out, order)
 
     __rmul__ = __mul__
@@ -409,9 +427,11 @@ def _powr_taylor(v: float, order: int, r: float) -> list[float]:
 
 @lru_cache(maxsize=256)
 def _row_bins(space: JetSpace, rows: int, order: int) -> np.ndarray:
-    """The np.bincount keys of a batched product: mul_k + row * ncoeff."""
+    """The np.bincount keys of a batched product: mul_k + row * width, for
+    rows of the product's width ncoeff_upto[order]."""
     cnt = space.pair_count[order]
-    return (space._mul_k[:cnt] + space.ncoeff * np.arange(rows)[:, None]).ravel()
+    width = space.ncoeff_upto[order]
+    return (space._mul_k[:cnt] + width * np.arange(rows)[:, None]).ravel()
 
 
 def _batch_product(a: Jet, b: Jet) -> "BatchJet":
@@ -422,20 +442,19 @@ def _batch_product(a: Jet, b: Jet) -> "BatchJet":
     cnt = sp.pair_count[order]
     prods = a.coeffs.take(sp._mul_i[:cnt], axis=-1) * b.coeffs.take(sp._mul_j[:cnt], axis=-1)
     rows = len(prods)
-    out = np.bincount(
-        _row_bins(sp, rows, order), weights=prods.ravel(), minlength=rows * sp.ncoeff
-    )
-    return BatchJet(sp, out.reshape(rows, sp.ncoeff), order)
+    width = sp.ncoeff_upto[order]
+    out = np.bincount(_row_bins(sp, rows, order), weights=prods.ravel(), minlength=rows * width)
+    return BatchJet(sp, out.reshape(rows, width), order)
 
 
 class BatchJet(Jet):
     """B jets over one space with one validity order, one per row of
-    ``coeffs`` (shape (B, ncoeff)).
+    ``coeffs`` (shape (B, ncoeff_upto[order])).
 
     Every operation gives each row the coefficients that the scalar
     operation gives that row's jet, bit for bit: a product sums each row's
     Cauchy pairs in the scalar pair order (one ``np.bincount`` over
-    ``mul_k + row * ncoeff``), and an elementary function takes its Taylor
+    ``mul_k + row * width``), and an elementary function takes its Taylor
     coefficients row by row from the scalar formulas.  A row that leaves a
     function's domain, where a scalar jet raises, becomes a row of NaN and
     the other rows go on.  A scalar `Jet` combines with a BatchJet as if it
@@ -451,18 +470,15 @@ class BatchJet(Jet):
         if self.order < 1:
             raise ValueError("cannot differentiate an order-0 jet")
         sp = self.space
-        out = np.zeros(self.coeffs.shape)
-        out[:, sp._diff_dst[var]] = self.coeffs[:, sp._diff_src[var]] * sp._diff_fac[var]
+        src, dst, fac = sp.diff_prefix[var][self.order]
+        out = np.zeros((len(self.coeffs), sp.ncoeff_upto[self.order - 1]))
+        out[:, dst] = self.coeffs[:, src] * fac
         return BatchJet(sp, out, self.order - 1)
 
-    def _trunc(self, coeffs: np.ndarray, order: int) -> "BatchJet":
-        coeffs[:, self.space.ncoeff_upto[order]:] = 0.0
-        return BatchJet(self.space, coeffs, order)
-
-    def _rows_constant(self, column: np.ndarray, order: int) -> "BatchJet":
+    def _rows_constant(self, column: np.ndarray) -> "BatchJet":
         coeffs = np.zeros(self.coeffs.shape)
         coeffs[:, 0] = column
-        return BatchJet(self.space, coeffs, order)
+        return BatchJet(self.space, coeffs, self.order)
 
     # -- ring operations: the reflected ones are BatchJet's own, so that a
     # scalar jet on the left defers to them --------------------------------
@@ -499,9 +515,9 @@ class BatchJet(Jet):
         h = self.coeffs.copy()
         h[:, 0] = 0.0
         h = BatchJet(self.space, h, self.order)
-        out = self._rows_constant(taylor[:, self.order], self.order)
+        out = self._rows_constant(taylor[:, self.order])
         for k in range(self.order - 1, -1, -1):
-            out = out * h + self._rows_constant(taylor[:, k], self.space.order)
+            out = out * h + self._rows_constant(taylor[:, k])
         return out
 
     def _apply(self, taylor_of, *args) -> "BatchJet":
@@ -641,7 +657,7 @@ def seed_block(point: Sequence[float], rows: np.ndarray, order: int) -> list[Jet
         j.coeffs[sp.first_index[i]] = 1.0
         out.append(j)
     for m in range(rows.shape[1]):
-        coeffs = np.zeros((len(rows), sp.ncoeff))
+        coeffs = np.zeros((len(rows), sp.ncoeff))  # validity sp.order: full width
         coeffs[:, 0] = rows[:, m]
         coeffs[:, sp.first_index[nfixed + m]] = 1.0
         out.append(BatchJet(sp, coeffs, sp.order))

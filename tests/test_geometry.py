@@ -352,7 +352,8 @@ def plain_cofactor_det(g):
 def test_det_jet_matrix_matches_plain_cofactor_expansion(n):
     rng = np.random.default_rng([11, n])
     space = jet_space(3, 4)
-    g = [[Jet(space, rng.uniform(-2, 2, space.ncoeff), 4) for _ in range(n)] for _ in range(n)]
+    width = space.ncoeff_upto[4]
+    g = [[Jet(space, rng.uniform(-2, 2, width), 4) for _ in range(n)] for _ in range(n)]
     got = geometry.det_jet_matrix(g)
     expected = plain_cofactor_det(g)
     assert got.order == expected.order

@@ -17,7 +17,7 @@ from finslergeo.oracle import fd_partial
 
 
 def reference_tables(space):
-    """The seven tables of `space`, built by a plain loop over monomial pairs."""
+    """The tables of `space`, built by a plain loop over monomial pairs."""
     pairs = []
     for i, mi in enumerate(space.monomials):
         di = sum(mi)
@@ -34,12 +34,10 @@ def reference_tables(space):
         "_mul_j": np.array([p[2] for p in pairs], dtype=np.int64),
         "_mul_k": np.array([p[3] for p in pairs], dtype=np.int64),
         "pair_count": [int(np.sum(degs <= v)) for v in range(space.order + 1)],
-        "_diff_src": [],
-        "_diff_dst": [],
-        "_diff_fac": [],
+        "diff_prefix": [],
     }
     for v in range(space.nvars):
-        src, dst, fac = [], [], []
+        src, dst, fac, deg = [], [], [], []
         for i, m in enumerate(space.monomials):
             if m[v] == 0:
                 continue
@@ -48,9 +46,15 @@ def reference_tables(space):
             src.append(i)
             dst.append(space.index[tuple(lower)])
             fac.append(float(m[v]))
-        tables["_diff_src"].append(np.array(src, dtype=np.int64))
-        tables["_diff_dst"].append(np.array(dst, dtype=np.int64))
-        tables["_diff_fac"].append(np.array(fac, dtype=np.float64))
+            deg.append(sum(m))
+        # the maps of a validity-d jet: its sources of degree <= d
+        tables["diff_prefix"].append([
+            tuple(
+                np.array([t for t, e in zip(table, deg) if e <= d], dtype=dtype)
+                for table, dtype in ((src, np.int64), (dst, np.int64), (fac, np.float64))
+            )
+            for d in range(space.order + 1)
+        ])
     return tables
 
 
@@ -60,6 +64,9 @@ def assert_tables_match_reference(space):
         if name == "pair_count":
             assert got == expected
             continue
+        if name == "diff_prefix":
+            got = [a for per_var in got for maps in per_var for a in maps]
+            expected = [a for per_var in expected for maps in per_var for a in maps]
         arrays = zip(got, expected, strict=True) if isinstance(expected, list) else [(got, expected)]
         for g, e in arrays:
             assert g.dtype == e.dtype, name
@@ -143,6 +150,13 @@ def test_extract_degree_exceeds_order():
         extract_partial(x * x, [0, 0, 0])
 
 
+def test_first_derivative_needs_validity_one():
+    (x,) = seed([0.5], {0}, 1)
+    assert (x * x).first(0) == 1.0
+    with pytest.raises(ValueError):
+        x.diff(0).first(0)
+
+
 def smooth(x, y):
     return (x * x * y).sin() if isinstance(x, Jet) else math.sin(x * x * y)
 
@@ -183,7 +197,7 @@ def test_high_order_partials_match_fd_of_lower_order_jets(multi):
 
 
 def _random_jet(space, rng, order):
-    return Jet(space, rng.uniform(-2, 2, space.ncoeff), order)
+    return Jet(space, rng.uniform(-2, 2, space.ncoeff_upto[order]), order)
 
 
 @settings(max_examples=30, deadline=None)
@@ -304,8 +318,7 @@ def _random_block(space, rng, rows):
     """A BatchJet with random coefficients, validity and row values, and
     the scalar jets of its rows."""
     order = int(rng.integers(0, space.order + 1))
-    coeffs = rng.uniform(-2.0, 2.0, (rows, space.ncoeff))
-    coeffs[:, space.ncoeff_upto[order]:] = 0.0
+    coeffs = rng.uniform(-2.0, 2.0, (rows, space.ncoeff_upto[order]))
     batch = BatchJet(space, coeffs, order)
     return batch, [Jet(space, coeffs[r].copy(), order) for r in range(rows)]
 
@@ -324,15 +337,14 @@ def same_bits(a, b) -> bool:
 def assert_rows_match(batch_op, scalar_op, batch, scalars):
     """batch_op(batch) equals scalar_op on each row bit for bit; a row where
     the scalar operation raises DomainError is NaN in the batch, in every
-    coefficient up to the validity order (those above it are zero)."""
+    stored coefficient."""
     out = batch_op(batch)
-    coeffs = np.broadcast_to(out.coeffs, (len(scalars), out.space.ncoeff))
-    valid = out.space.ncoeff_upto[out.order]
+    coeffs = np.broadcast_to(out.coeffs, (len(scalars), out.coeffs.shape[-1]))
     for r, j in enumerate(scalars):
         try:
             expected = scalar_op(j)
         except DomainError:
-            assert np.all(np.isnan(coeffs[r, :valid])), r
+            assert np.all(np.isnan(coeffs[r])), r
             continue
         assert out.order == expected.order
         assert same_bits(coeffs[r], expected.coeffs), r
@@ -346,7 +358,6 @@ def test_batch_ring_operations_match_scalar_rows(case):
     a, a_rows = _random_block(space, rng, case["rows"])
     b, b_rows = _random_block(space, rng, case["rows"])
     c = _random_jet(space, rng, int(rng.integers(0, space.order + 1)))
-    c.coeffs[space.ncoeff_upto[c.order]:] = 0.0
     k = float(rng.uniform(-3.0, 3.0))
     for op in (lambda u, v: u * v, lambda u, v: u + v, lambda u, v: u - v):
         out = op(a, b)
@@ -394,8 +405,7 @@ def test_batch_functions_match_scalar_rows_and_nan_outside_the_domain(case):
     if not np.all(kind == 2):
         # some row left a domain: its NaN stays in that row alone
         out = a.ln() * a
-        valid = space.ncoeff_upto[out.order]
-        assert np.all(np.isnan(out.coeffs[kind != 2, :valid]))
+        assert np.all(np.isnan(out.coeffs[kind != 2]))
         assert not np.any(np.isnan(out.coeffs[kind == 2]))
 
 
@@ -409,3 +419,234 @@ def test_seed_block_rows_are_seeded_points():
             got = j.coeffs if not isinstance(j, BatchJet) else j.coeffs[r]
             assert j.order == s.order
             assert same_bits(got, s.coeffs)
+
+
+# -- storage: a jet keeps exactly the prefix of its validity -----------------------
+#
+# The reference is the full-width jet algebra: every jet padded with zeros to
+# space.ncoeff, products summed over the Cauchy pairs up to the validity into a
+# full-width array, sums cut at the validity by zeroing the tail, and every
+# diff source mapped.  A stored jet must hold ncoeff_upto[order] coefficients,
+# bit for bit the prefix of the reference, whose tail is zero.
+
+
+def ref_trunc(space, coeffs, order):
+    coeffs[space.ncoeff_upto[order]:] = 0.0
+    return coeffs
+
+
+def ref_mul(space, a, b, order):
+    cnt = space.pair_count[order]
+    prods = a[space._mul_i[:cnt]] * b[space._mul_j[:cnt]]
+    return np.bincount(space._mul_k[:cnt], weights=prods, minlength=space.ncoeff)
+
+
+def ref_diff(space, a, var):
+    src, dst, fac = space.diff_prefix[var][space.order]  # every source
+    out = np.zeros(space.ncoeff)
+    out[dst] = a[src] * fac
+    return out
+
+
+class FullJet:
+    """A jet padded to the full width of its space, with the full-width
+    arithmetic above and the composition and powers of `Jet`."""
+
+    def __init__(self, space, coeffs, order):
+        self.space, self.coeffs, self.order = space, coeffs, order
+
+    @classmethod
+    def padded(cls, space, coeffs, order):
+        full = np.zeros(space.ncoeff)
+        full[: len(coeffs)] = coeffs
+        return cls(space, full, order)
+
+    @property
+    def value(self):
+        return float(self.coeffs[0])
+
+    def _lift(self, other):
+        if isinstance(other, FullJet):
+            return other
+        return FullJet.padded(self.space, [float(other)], self.space.order)
+
+    def _trunc(self, coeffs, other):
+        order = min(self.order, other.order)
+        return FullJet(self.space, ref_trunc(self.space, coeffs, order), order)
+
+    def __add__(self, other):
+        o = self._lift(other)
+        return self._trunc(self.coeffs + o.coeffs, o)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = self._lift(other)
+        return self._trunc(self.coeffs - o.coeffs, o)
+
+    def __rsub__(self, other):
+        o = self._lift(other)
+        return self._trunc(o.coeffs - self.coeffs, o)
+
+    def __neg__(self):
+        return FullJet(self.space, -self.coeffs, self.order)
+
+    def __mul__(self, other):
+        if not isinstance(other, FullJet):
+            return FullJet(self.space, self.coeffs * float(other), self.order)
+        order = min(self.order, other.order)
+        return FullJet(self.space, ref_mul(self.space, self.coeffs, other.coeffs, order), order)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if not isinstance(other, FullJet):
+            return FullJet(self.space, self.coeffs / float(other), self.order)
+        return self * other._reciprocal()
+
+    def __rtruediv__(self, other):
+        return self._lift(other) * self._reciprocal()
+
+    def diff(self, var):
+        return FullJet(self.space, ref_diff(self.space, self.coeffs, var), self.order - 1)
+
+    def __abs__(self):
+        if self.value == 0.0:
+            raise DomainError("abs-domain")
+        return self if self.value > 0.0 else -self
+
+    def _apply(self, taylor_of, *args):
+        taylor = jets._taylor(taylor_of, self.value, self.order, *args)
+        h = FullJet(self.space, self.coeffs.copy(), self.order)
+        h.coeffs[0] = 0.0
+        out = FullJet.padded(self.space, [taylor[self.order]], self.order)
+        for k in range(self.order - 1, -1, -1):
+            out = out * h + taylor[k]
+        return out
+
+    def exp(self):
+        return self._apply(jets._exp_taylor)
+
+    def ln(self):
+        return self._apply(jets._ln_taylor)
+
+    def sqrt(self):
+        return self._apply(jets._sqrt_taylor)
+
+    def sin(self):
+        return self._apply(jets._sin_taylor)
+
+    def cos(self):
+        return self._apply(jets._cos_taylor)
+
+    def _reciprocal(self):
+        return self._apply(jets._reciprocal_taylor)
+
+    def _powr(self, r):
+        return self._apply(jets._powr_taylor, r)
+
+    def _powi(self, k):
+        if k < 0:
+            if self.value == 0.0:
+                raise DomainError("power-domain")
+            return self._powi(-k)._reciprocal()
+        result, base = FullJet.padded(self.space, [1.0], self.order), self
+        while k:
+            if k & 1:
+                result = result * base
+            base = base * base
+            k >>= 1
+        return result
+
+
+def _full_row(u, r):
+    """Row r of an operand as the reference sees it."""
+    if isinstance(u, BatchJet):
+        return FullJet.padded(u.space, u.coeffs[r], u.order)
+    if isinstance(u, Jet):
+        return FullJet.padded(u.space, u.coeffs, u.order)
+    return u
+
+
+def assert_prefix_of_reference(space, coeffs, order, expected):
+    width = space.ncoeff_upto[order]
+    assert order == expected.order
+    assert coeffs.shape == (width,)
+    assert same_bits(coeffs, expected.coeffs[:width])
+    assert np.all(expected.coeffs[width:] == 0.0)
+
+
+def assert_stores_reference_prefix(op, *operands):
+    """op on the stored jets, row by row for a batch, keeps exactly the
+    prefix of op on the full-width reference; where the reference raises
+    DomainError, a scalar jet raises the same reason and a batch row is NaN."""
+    batch = next((u for u in operands if isinstance(u, BatchJet)), None)
+    rows = 1 if batch is None else len(batch.coeffs)
+    try:
+        out = op(*operands)
+    except DomainError as err:
+        assert batch is None
+        with pytest.raises(DomainError) as ref_err:
+            op(*(_full_row(u, 0) for u in operands))
+        assert ref_err.value.reason == err.reason
+        return
+    # a scalar result of a batch operation (u**0) stands in every row
+    stored = np.broadcast_to(out.coeffs, (rows, out.coeffs.shape[-1]))
+    for r in range(rows):
+        coeffs = stored[r]
+        try:
+            expected = op(*(_full_row(u, r) for u in operands))
+        except DomainError:
+            assert batch is not None and np.all(np.isnan(coeffs)), r
+            continue
+        assert_prefix_of_reference(out.space, coeffs, out.order, expected)
+
+
+_UNARY = [
+    lambda u: -u,
+    lambda u: u.exp(),
+    lambda u: u.ln(),
+    lambda u: u.sqrt(),
+    lambda u: u.sin(),
+    lambda u: u.cos(),
+    abs,
+    lambda u: u._reciprocal(),
+] + [lambda u, k=k: u._powi(k) for k in (-3, -1, 0, 2, 3)] + [
+    lambda u, e=e: u._powr(e) for e in (0.5, -1.5, 2.7)
+]
+_BINARY = [
+    lambda u, v: u * v,
+    lambda u, v: u + v,
+    lambda u, v: u - v,
+    lambda u, v: u / v,
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.fixed_dictionaries({
+    "nvars": st.integers(0, 8),
+    "order": st.integers(0, jets.MAX_ORDER),
+    "rows": st.integers(1, 5),
+    "seed": st.integers(0, 2**32 - 1),
+}))
+def test_jets_store_exactly_the_valid_prefix_of_the_full_width_result(case):
+    rng = np.random.default_rng(case["seed"])
+    space = jet_space(case["nvars"], case["order"])
+    a, b = (_random_jet(space, rng, int(rng.integers(0, space.order + 1))) for _ in range(2))
+    block, _ = _random_block(space, rng, case["rows"])
+    # values of either sign, so that ln, sqrt and the real powers fail on some
+    for u in (a, b, block):
+        u.coeffs[..., 0] = rng.choice([-1.0, 1.0], u.coeffs.shape[:-1]) * rng.uniform(
+            0.25, 2.0, u.coeffs.shape[:-1]
+        )
+    k = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 3.0))
+    for u in (a, block):
+        assert u.coeffs.shape[-1] == space.ncoeff_upto[u.order]
+        for op in _UNARY:
+            assert_stores_reference_prefix(op, u)
+        for op in _BINARY:
+            for v in (b, block, k):
+                assert_stores_reference_prefix(op, u, v)
+                assert_stores_reference_prefix(op, v, u)
+        for var in range(space.nvars if u.order >= 1 else 0):
+            assert_stores_reference_prefix(lambda w: w.diff(var), u)

@@ -194,7 +194,9 @@ def test_nonmetricity_reference_metric_out_of_float_range_is_an_error_entry():
         "samples": [_DSL_SAMPLE],
         "options": {"reference_metric": [["1+sin(x0*1e300*1e300)", "0"], ["0", "-1"]]},
     }
-    report, code = run_scene(load_scene(doc), "nonmetricity")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # inf is met without a RuntimeWarning
+        report, code = run_scene(load_scene(doc), "nonmetricity")
     assert code == 0
     (entry,) = report["geometry"]["nonmetricity"]["per_base_point"]
     assert entry["error"].startswith("non-finite")

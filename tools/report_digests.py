@@ -1,4 +1,5 @@
-"""Print the exit code and SHA-256 of report.json for a fixed set of runs.
+"""Print the exit code and SHA-256 of report.json for a fixed set of runs,
+and the SHA-256 of every public chain call at the same scenes' samples.
 
     PYTHONPATH=src python tools/report_digests.py [repo root]
 
@@ -13,8 +14,19 @@ Each run prints one line:
 
     <scene> <subcommand> <seed> <exit code> <sha256 of report.json or ->
 
-Two checkouts that print the same lines write byte-identical reports, so a
-refactoring can be checked against its parent by diffing the two outputs.
+Then, for every sample of the same scenes (a catalog entry's default
+samples), each public chain call -- ``metric`` (g and g^-1), ``spray``,
+``nonlinear_connection``, ``chern_rund``, ``hh_curvature``, and
+``commutator_check`` and ``vertical_derivative`` of ln sqrt|det g| -- prints
+
+    <scene> chain:<call> <sample label> <sha256 of the result's raw bytes>
+
+or the name of the exception class it raised in place of the digest.  These
+calls build order-2 and order-3 contexts, which no report builds.
+
+Two checkouts that print the same lines write byte-identical reports and
+return byte-identical arrays, so a refactoring can be checked against its
+parent by diffing the two outputs.
 The repository root defaults to the parent of this script's directory.
 """
 
@@ -28,8 +40,10 @@ import sys
 import tempfile
 from pathlib import Path
 
-from finslergeo import catalog, cli
-from finslergeo.scene import SUBCOMMANDS
+import numpy as np
+
+from finslergeo import catalog, cli, geometry
+from finslergeo.scene import SUBCOMMANDS, load_scene
 
 SEEDS = (0, 3)
 
@@ -114,6 +128,42 @@ def digest(doc: dict, subcommand: str, workdir: Path) -> tuple[int, str]:
     return code, sha
 
 
+def _chain_calls(lag, sample):
+    """(name, thunk) for each public chain call at one sample; a thunk
+    returns the arrays whose bytes are digested."""
+    field = geometry.log_sqrt_det_metric_field(lag)
+
+    def metric():
+        value = geometry.metric(lag, sample)
+        return [value.g, value.g_inv]
+
+    def curvature():
+        value = geometry.hh_curvature(lag, sample)
+        return [value.hh_riemann, value.ricci, value.skew_ricci]
+
+    return [
+        ("metric", metric),
+        ("spray", lambda: [geometry.spray(lag, sample)]),
+        ("nonlinear_connection", lambda: [geometry.nonlinear_connection(lag, sample)]),
+        ("chern_rund", lambda: [geometry.chern_rund(lag, sample)]),
+        ("hh_curvature", curvature),
+        ("commutator_check", lambda: [geometry.commutator_check(lag, sample, field)]),
+        ("vertical_derivative", lambda: [geometry.vertical_derivative(lag, sample, field)]),
+    ]
+
+
+def chain_digest(thunk) -> str:
+    try:
+        with np.errstate(all="ignore"):
+            arrays = thunk()
+    except Exception as err:  # the outcome of the call is what is compared
+        return type(err).__name__
+    sha = hashlib.sha256()
+    for a in arrays:
+        sha.update(np.asarray(a, dtype=np.float64).tobytes())
+    return sha.hexdigest()
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     root = Path(argv[0]) if argv else Path(__file__).resolve().parents[1]
@@ -125,6 +175,11 @@ def main(argv=None) -> int:
                 for sub in SUBCOMMANDS:
                     code, sha = digest(seeded, sub, workdir)
                     print(f"{name} {sub} {seed} {code} {sha}", flush=True)
+    for name, doc in scene_documents(root):
+        scn = load_scene(doc)
+        for label, sample in scn.samples:
+            for call, thunk in _chain_calls(scn.lagrangian, sample):
+                print(f"{name} chain:{call} {label} {chain_digest(thunk)}", flush=True)
     return 0
 
 
