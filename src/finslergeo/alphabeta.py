@@ -30,8 +30,10 @@ from . import expr as exprmod
 from . import geometry
 from .berwald import affine_ricci_from_values
 from .defs import FamilyInstance, TangentSample
-from .geometry import DegenerateMetric, first_derivatives, values
-from .jets import Jet, seed
+from .geometry import (
+    DegenerateMetric, dot_rows, first_derivatives, stack_jets, take_rows, values,
+)
+from .jets import BatchJet, Jet, seed
 
 TOL_CONDITION = 1e-9
 
@@ -67,14 +69,6 @@ class CausalClass:
 # -- one evaluation per base point ---------------------------------------------------
 
 
-def _dot(u, v):
-    """sum_i u[i] v[i] over jets, accumulated in index order."""
-    acc = u[0] * v[0]
-    for i in range(1, len(u)):
-        acc = acc + u[i] * v[i]
-    return acc
-
-
 class FamilyEval:
     """Evaluation of the family's closed forms at one base point.
 
@@ -90,56 +84,54 @@ class FamilyEval:
     def __init__(self, inst: FamilyInstance, x):
         self.inst = inst
         self.x = np.asarray(x, dtype=float)
-        self.n = inst.dim
-        self.xjets = seed(list(self.x), range(self.n), 2)
-        self.alpha_jets = geometry.eval_metric_exprs(inst.alpha, self.xjets, inst.params)
-        self.beta_jets = geometry.eval_metric_exprs(inst.beta, self.xjets, inst.params)
+        self.n = n = inst.dim
+        self.xjets = seed(list(self.x), range(n), 2)
+        # alpha, its inverse and beta as stacks (`geometry.stack_jets`)
+        evaluate = geometry.eval_metric_exprs
+        self.alpha_jets = stack_jets(evaluate(inst.alpha, self.xjets, inst.params))
+        self.beta_jets = stack_jets(evaluate(inst.beta, self.xjets, inst.params))
         try:
             self.alpha_inv_jets = geometry.invert_jet_matrix(self.alpha_jets)
         except DegenerateMetric as err:
             raise DegenerateMetric(f"alpha is singular at x={self.x}") from err
         # beta^a = alpha^{ab} beta_b and a1 = alpha^{-1}(beta, beta)
-        self.beta_up_jets = np.array(
-            [_dot(row, self.beta_jets) for row in self.alpha_inv_jets], dtype=object
-        )
-        self.a1_jet = _dot(self.beta_up_jets, self.beta_jets)
-        self.alpha = values(self.alpha_jets)
-        self.beta = values(self.beta_jets)
-        self.beta_up = values(self.beta_up_jets)
+        self.beta_up_jets = geometry.matvec(self.alpha_inv_jets, self.beta_jets)
+        self.a1_jet = dot_rows(self.beta_up_jets, self.beta_jets)
+        self.alpha = values(self.alpha_jets, (n, n))
+        self.beta = values(self.beta_jets, (n,))
+        self.beta_up = values(self.beta_up_jets, (n,))
         self.a1 = self.a1_jet.value
 
     @cached_property
-    def christoffel_jets(self) -> np.ndarray:
-        """gamma^a_bc, the Levi-Civita connection of alpha."""
+    def christoffel_jets(self) -> BatchJet:
+        """gamma^a_bc, the Levi-Civita connection of alpha, as a stack."""
         return geometry.levi_civita_jets(self.alpha_jets, self.alpha_inv_jets)
 
     # -- the Berwald condition and H ------------------------------------------------
 
     @cached_property
-    def condition_jets(self) -> tuple[np.ndarray, np.ndarray]:
-        """Both sides of the Berwald condition: nabla_a beta_b for the
-        Levi-Civita connection of alpha, and the tensor multiplying H."""
+    def condition_jets(self) -> tuple[BatchJet, BatchJet]:
+        """Both sides of the Berwald condition as (n, n) stacks: nabla_a beta_b
+        for the Levi-Civita connection of alpha, and the tensor multiplying H."""
         inst, n = self.inst, self.n
         alpha, beta, gamma = self.alpha_jets, self.beta_jets, self.christoffel_jets
         coeff = inst.c * (1.0 - inst.p) + inst.m * self.a1_jet
         cp_a1 = (inst.c * inst.p) * self.a1_jet
-        nabla = np.empty((n, n), dtype=object)
-        basis = np.empty((n, n), dtype=object)
-        for a in range(n):
-            for b in range(n):
-                acc = beta[b].diff(a)
-                for s in range(n):
-                    acc = acc - gamma[s, a, b] * beta[s]
-                nabla[a, b] = acc
-                basis[a, b] = coeff * (beta[a] * beta[b]) + cp_a1 * alpha[a, b]
+        rows = np.arange(n * n)  # [a, b]
+        # d_a beta_b - gamma^s_ab beta_s, subtracted in s order
+        nabla = geometry.partials(beta, range(n))
+        for s in range(n):
+            nabla = nabla - take_rows(gamma, s * n * n + rows) * take_rows(beta, np.full(n * n, s))
+        outer = take_rows(beta, rows // n) * take_rows(beta, rows % n)
+        basis = coeff * outer + cp_a1 * alpha
         return nabla, basis
 
     @cached_property
     def fit(self) -> BerwaldConditionFit:
         """Least-squares H at x and the residual of the Berwald condition."""
         A, B = self.condition_jets
-        a_vals = values(A)
-        b_vals = values(B)
+        a_vals = values(A, (self.n, self.n))
+        b_vals = values(B, (self.n, self.n))
         den = float(np.sum(b_vals * b_vals))
         h = float(np.sum(a_vals * b_vals)) / den if den > 1e-300 else 0.0
         residual = float(np.max(np.abs(a_vals - h * b_vals)))
@@ -154,11 +146,11 @@ class FamilyEval:
             if not isinstance(hj, Jet):
                 return float(hj), np.zeros(self.n)
         else:
-            A, B = (side.ravel() for side in self.condition_jets)
-            den = _dot(B, B)
+            A, B = self.condition_jets
+            den = dot_rows(B, B)
             if abs(den.value) < 1e-300:
                 return 0.0, np.zeros(self.n)
-            hj = _dot(A, B) / den
+            hj = dot_rows(A, B) / den
         return hj.value, first_derivatives(hj, range(self.n))
 
     # -- closed forms -------------------------------------------------------------------
@@ -179,7 +171,7 @@ class FamilyEval:
         W -= np.einsum(
             "a,bc->abc", self.beta_up, self.inst.m * np.outer(beta, beta) + cp * self.alpha
         )
-        return values(self.christoffel_jets) - h * W
+        return values(self.christoffel_jets, (self.n,) * 3) - h * W
 
     def spray(self, xdot, h: Optional[float] = None) -> np.ndarray:
         """G^a = (1/2) Gamma^a_bc(x) xdot^b xdot^c, with Gamma from
@@ -204,8 +196,9 @@ class FamilyEval:
         h, dh = self.h_gradient
         c, m, p = self.inst.c, self.inst.m, self.inst.p
         gamma = self.christoffel_jets
+        shape = (self.n,) * 3
         ricci_alpha = affine_ricci_from_values(
-            values(gamma), first_derivatives(gamma, range(self.n))
+            values(gamma, shape), first_derivatives(gamma, range(self.n), shape)
         )
         beta_dh = float(self.beta_up @ dh)
         ricci = (

@@ -18,13 +18,25 @@ Horizontal derivatives of tensors are taken by keeping the tensor jet-valued
 and combining its x-derivatives with N times its xdot-derivatives, so no
 symbolic differentiation is needed anywhere.
 
+Each tensor of jets from g on is a stack: one `BatchJet` whose row r holds
+the tensor's component r in row-major order (g and N have n^2 rows, Gamma
+n^3).  A stage is a few batched operations on stacks.  A contraction
+sum_k A[..k] B[k..] is one batched product per contraction index k, both
+operands gathered by row-index arrays (`contract`), accumulated as
+``acc = acc + term`` in k order: the order of the loop that would sum one
+component at a time, so every row is that loop's jet bit for bit, and no
+temporary has more rows than the result.  The values and first
+derivatives of a stack are columns of its coefficient array.
+
 All operations are pure functions of (definition, sample).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import combinations
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -32,7 +44,7 @@ import numpy as np
 from . import expr as exprmod
 from .defs import DslLagrangian, LagrangianDef, TangentSample
 from .expr import ExprDomainError
-from .jets import DomainError, Jet, jet_space, powx, seed, seed_block
+from .jets import BatchJet, DomainError, Jet, jet_space, powx, seed, seed_block
 
 TOL_DEGENERATE = 1e-10
 TOL_NULL = 1e-10
@@ -80,130 +92,206 @@ def _outside_A(reason: str) -> AdmissibilityVerdict:
     )
 
 
-# -- jet-array helpers --------------------------------------------------------
+# -- tensor stacks ------------------------------------------------------------------
 
 
-def values(jets) -> np.ndarray:
-    """The value parts of a jet-valued array, as floats of the same shape."""
-    jets = np.asarray(jets, dtype=object)
-    out = np.empty(jets.shape)
-    for idx in np.ndindex(jets.shape):
-        out[idx] = jets[idx].value
-    return out
+def stack_jets(jets) -> BatchJet:
+    """The jets of an array of any shape as one stack: row r holds component
+    r in row-major order, cut to the jets' common validity."""
+    flat = np.asarray(jets, dtype=object).ravel()
+    space = flat[0].space
+    order = min(j.order for j in flat)
+    width = space.ncoeff_upto[order]
+    return BatchJet(space, np.array([j.coeffs[:width] for j in flat]), order)
 
 
-def first_derivatives(jets, variables) -> np.ndarray:
-    """out[m, ...] = d jets[...] / d variables[m], read off the jets."""
-    jets = np.asarray(jets, dtype=object)
-    variables = list(variables)
-    out = np.empty((len(variables),) + jets.shape)
-    for idx in np.ndindex(jets.shape):
-        j = jets[idx]
-        for m, var in enumerate(variables):
-            out[(m,) + idx] = j.first(var)
-    return out
+def take_rows(s: BatchJet, index) -> BatchJet:
+    """The stack of the rows `index` of the stack s."""
+    return BatchJet(s.space, s.coeffs[index], s.order)
 
 
-def koszul(ginv, dg) -> np.ndarray:
+def contract(a: BatchJet, b: BatchJet, ia: np.ndarray, ib: np.ndarray) -> BatchJet:
+    """Row r is sum_k a[ia[r, k]] * b[ib[r, k]]: one batched product per k,
+    accumulated as ``acc = acc + term`` in k order, which is the scalar
+    loop's order, so every row is that loop's jet bit for bit."""
+    acc = take_rows(a, ia[:, 0]) * take_rows(b, ib[:, 0])
+    for k in range(1, ia.shape[1]):
+        acc = acc + take_rows(a, ia[:, k]) * take_rows(b, ib[:, k])
+    return acc
+
+
+def matvec(A: BatchJet, v: BatchJet) -> BatchJet:
+    """y[i] = sum_k A[i, k] v[k] of a stacked n x n matrix and n-vector."""
+    ia, ib = _indices(len(v.coeffs))["matvec"]
+    return contract(A, v, ia, ib)
+
+
+def dot_rows(u: BatchJet, v: BatchJet) -> Jet:
+    """sum_i u[i] v[i] as a scalar jet, accumulated in row order."""
+    prods = u * v
+    acc = prods.coeffs[0]
+    for row in prods.coeffs[1:]:
+        acc = acc + row
+    return Jet(prods.space, acc, prods.order)
+
+
+def partials(j: Jet, variables) -> BatchJet:
+    """The stack of d j / d v for v in `variables`, of a jet or a stack j:
+    rows v-major, then j's rows.  Each row is `Jet.diff`'s jet."""
+    if j.order < 1:
+        raise ValueError("cannot differentiate an order-0 jet")
+    sp = j.space
+    rows = j.coeffs.reshape(-1, j.coeffs.shape[-1])
+    out = np.zeros((len(variables), len(rows), sp.ncoeff_upto[j.order - 1]))
+    for k, var in enumerate(variables):
+        src, dst, fac = sp.diff_prefix[var][j.order]
+        out[k][:, dst] = rows[:, src] * fac
+    return BatchJet(sp, out.reshape(-1, out.shape[-1]), j.order - 1)
+
+
+def values(jets: Jet, shape=()) -> np.ndarray:
+    """The value parts of a jet or a stack, as floats of the tensor's shape."""
+    return jets.coeffs[..., 0].reshape(shape).copy()
+
+
+def first_derivatives(jets: Jet, variables, shape=()) -> np.ndarray:
+    """out[m, ...] = d jets[...] / d variables[m], read off a jet or a stack
+    of the tensor's shape."""
+    if jets.order < 1:
+        raise ValueError("an order-0 jet has no first derivatives")
+    cols = [jets.space.first_index[var] for var in variables]
+    return np.moveaxis(jets.coeffs[..., cols], -1, 0).reshape((len(cols),) + tuple(shape))
+
+
+@lru_cache(maxsize=None)
+def _indices(n: int) -> dict:
+    """Row-index arrays of the stacked contractions of n-dimensional tensors;
+    a contraction's pair of arrays is indexed [result row, k]."""
+    rows = np.arange(n * n).reshape(n, n)  # rows[i, k] of an n x n stack
+    b, c = np.triu_indices(n)  # the components b <= c of a symmetric matrix
+    pairs = len(b)
+    pair = np.empty((n, n), dtype=np.int64)  # pair[b, c]: the place of (min, max)
+    pair[b, c] = pair[c, b] = np.arange(pairs)
+    upper = np.arange(n * pairs).reshape(n, pairs)  # upper[q, p] of an n x pairs stack
+    return {
+        # C[i, j] = sum_k A[i, k] B[k, j]
+        "matmul": (np.repeat(rows, n, axis=0), np.tile(rows.T, (n, 1))),
+        # y[i] = sum_k A[i, k] v[k]
+        "matvec": (rows, rows % n),
+        # G[a, p] = sum_q A[a, q] T[q, p] over the pairs p = (b <= c)
+        "koszul": (np.repeat(rows, pairs, axis=0), np.tile(upper.T, (n, 1))),
+        # (q, b, c) of the rows (q, p) of T
+        "koszul_terms": (np.repeat(np.arange(n), pairs), np.tile(b, n), np.tile(c, n)),
+        "diagonal": np.arange(n) * (n + 1),
+        "transpose": rows.T.ravel(),
+        "upper": (b, c),
+        # the rows (m, b, c) of a stack whose rows are (m, b <= c)
+        "expand": (np.arange(n)[:, None, None] * pairs + pair).ravel(),
+    }
+
+
+def koszul(ginv: BatchJet, dg: BatchJet) -> BatchJet:
     """Gamma^a_bc = (1/2) g^{aq} (D_b g_cq + D_c g_bq - D_q g_bc), with
-    dg[m, a, b] = D_m g_ab for a derivation D (partial or horizontal)."""
-    n = len(ginv)
-    out = np.empty((n, n, n), dtype=object)
-    for b in range(n):
-        for c in range(b, n):
-            for a in range(n):
-                acc = None
-                for q in range(n):
-                    term = ginv[a, q] * (dg[b, c, q] + dg[c, b, q] - dg[q, b, c])
-                    acc = term if acc is None else acc + term
-                out[a, b, c] = 0.5 * acc
-                out[a, c, b] = out[a, b, c]
-    return out
+    dg[m, a, b] = D_m g_ab for a derivation D (partial or horizontal); both
+    operands and the result are stacks.  The b <= c part is one contraction
+    over q, g^{-1} on the left, scaled after the sum."""
+    n = math.isqrt(len(ginv.coeffs))
+    idx = _indices(n)
+    q, b, c = idx["koszul_terms"]
+    inner = (  # T[q, b <= c]
+        take_rows(dg, (b * n + c) * n + q)
+        + take_rows(dg, (c * n + b) * n + q)
+        - take_rows(dg, (q * n + b) * n + c)
+    )
+    ia, ib = idx["koszul"]
+    return take_rows(0.5 * contract(ginv, inner, ia, ib), idx["expand"])
 
 
-def matmul_jets(A, B):
-    n = len(A)
-    out = np.empty((n, n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            acc = A[i][0] * B[0][j]
-            for k in range(1, n):
-                acc = acc + A[i][k] * B[k][j]
-            out[i, j] = acc
-    return out
-
-
-def invert_jet_matrix(g) -> np.ndarray:
-    """Inverse of a jet-valued matrix via Newton iteration in the truncated
+def invert_jet_matrix(g: BatchJet) -> BatchJet:
+    """Inverse of a stacked jet matrix via Newton iteration in the truncated
     algebra, started from the numeric inverse of the value part."""
-    n = len(g)
-    space = g[0][0].space
-    order = min(g[i][j].order for i in range(n) for j in range(n))
-    values = np.array([[g[i][j].value for j in range(n)] for i in range(n)])
+    n = math.isqrt(len(g.coeffs))
+    space, order = g.space, g.order
     try:
-        vinv = np.linalg.inv(values)
+        vinv = np.linalg.inv(values(g, (n, n)))
     except np.linalg.LinAlgError as err:
         raise DegenerateMetric(str(err)) from err
-    X = np.empty((n, n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            X[i, j] = space.constant(vinv[i, j], order)
+    coeffs = np.zeros((n * n, space.ncoeff_upto[order]))
+    coeffs[:, 0] = vinv.ravel()
+    X = BatchJet(space, coeffs, order)
+    idx = _indices(n)
+    ia, ib = idx["matmul"]
+    diag = idx["diagonal"]
     iters, errdeg = 0, 1
     while errdeg <= order:
         iters += 1
         errdeg *= 2
     for _ in range(iters):
-        GX = matmul_jets(g, X)
-        for i in range(n):
-            GX[i, i] = 2.0 - GX[i, i]
-            for j in range(n):
-                if i != j:
-                    GX[i, j] = -GX[i, j]
-        X = matmul_jets(X, GX)
+        GX = contract(g, X, ia, ib)
+        # 2 I - GX as the scalar loop forms it, signed zeros included: the
+        # diagonal through the lifted constant 2.0, the rest negated
+        coeffs = -GX.coeffs
+        coeffs[diag] = (2.0 - take_rows(GX, diag)).coeffs
+        X = contract(X, BatchJet(space, coeffs, GX.order), ia, ib)
     return X
 
 
-def det_jet_matrix(g):
-    """Determinant of a jet-valued matrix by cofactor expansion along the
-    first row, each minor computed once.
+def det_jet_matrix(g: BatchJet) -> Jet:
+    """Determinant of a stacked jet matrix by cofactor expansion along the
+    first row, level by level.
 
-    The minor on the last ``len(cols)`` rows and the columns ``cols`` is
-    memoised on ``cols``; its terms are summed in the same order as the
-    plain recursion, so the result is the same jet bit for bit.
+    Level s holds the minors on the last s rows, one per s-subset of the
+    columns; each is summed over its cofactors in the order of the plain
+    recursion, with one batched product per position, so the result is the
+    recursion's jet bit for bit.
     """
-    n = len(g)
-    minors: dict = {}
+    n = math.isqrt(len(g.coeffs))
+    index = {(c,): c for c in range(n)}
+    level = take_rows(g, (n - 1) * n + np.arange(n))
+    for size in range(2, n + 1):
+        row = n - size
+        subsets = list(combinations(range(n), size))
+        total = None
+        for pos in range(size):
+            entries = [row * n + subset[pos] for subset in subsets]
+            minors = [index[subset[:pos] + subset[pos + 1:]] for subset in subsets]
+            term = take_rows(g, entries) * take_rows(level, minors)
+            if pos % 2 == 1:
+                term = -term
+            total = term if total is None else total + term
+        level = total
+        index = {subset: i for i, subset in enumerate(subsets)}
+    return Jet(level.space, level.coeffs[0], level.order)
 
-    def minor(cols):
-        row = n - len(cols)
-        if len(cols) == 1:
-            return g[row][cols[0]]
-        if cols not in minors:
-            total = None
-            for pos, c in enumerate(cols):
-                term = g[row][c] * minor(cols[:pos] + cols[pos + 1:])
-                if pos % 2 == 1:
-                    term = -term
-                total = term if total is None else total + term
-            minors[cols] = total
-        return minors[cols]
 
-    return minor(tuple(range(n)))
+def log_sqrt_abs_det(g: BatchJet) -> Jet:
+    """ln sqrt|det g| of a stacked jet matrix.
+
+    The determinant is taken of g scaled by 2^-k, k the binary exponent of
+    max |g value|, so it stays in float range where det g would not, and
+    n k ln 2 is added to the constant term of the logarithm.  Scaling by a
+    power of two is exact short of underflow, so the derivative coefficients
+    are those of the unscaled determinant's logarithm; only the constant
+    term can differ in its last bits.
+    """
+    n = math.isqrt(len(g.coeffs))
+    k = math.frexp(float(np.max(np.abs(g.coeffs[:, 0]))))[1]
+    scaled = BatchJet(g.space, np.ldexp(g.coeffs, -k), g.order)
+    log_det = abs(det_jet_matrix(scaled)).ln()
+    log_det.coeffs[0] += n * k * math.log(2.0)
+    return 0.5 * log_det
 
 
 # -- Lagrangian evaluation -----------------------------------------------------
 
 
-def _half_hessian(L: Jet, n: int) -> np.ndarray:
-    """The L-metric g_ab = (1/2) ddot_a ddot_b L as jets, from the jet of L
-    over x then xdot (variable n + a is xdot^a)."""
-    out = np.empty((n, n), dtype=object)
-    for a in range(n):
-        da = L.diff(n + a)
-        for b in range(a, n):
-            out[a, b] = 0.5 * da.diff(n + b)
-            out[b, a] = out[a, b]
-    return out
+def _half_hessian(L: Jet, n: int) -> BatchJet:
+    """The L-metric g_ab = (1/2) ddot_b ddot_a L as a stack, from the jet of
+    L over x then xdot (variable n + a is xdot^a); both triangles read the
+    jet of the upper one."""
+    hess = partials(partials(L, range(n, 2 * n)), range(n, 2 * n))  # [b, a]
+    a, b = np.indices((n, n))
+    return 0.5 * take_rows(hess, (np.maximum(a, b) * n + np.minimum(a, b)).ravel())
 
 
 def eval_L_jets(lag: LagrangianDef, coord_jets: Sequence[Jet]) -> Jet:
@@ -270,20 +358,13 @@ class _Eval:
         with np.errstate(over="ignore", invalid="ignore"):
             self.L = eval_L_jets(lag, self.cjets)
 
-    # index helpers: variable a is x^a, variable n+a is xdot^a
-    def dx(self, j: Jet, a: int) -> Jet:
-        return j.diff(a)
-
-    def dv(self, j: Jet, a: int) -> Jet:
-        return j.diff(self.n + a)
-
     @cached_property
-    def g_jets(self) -> np.ndarray:
+    def g_jets(self) -> BatchJet:
         return _half_hessian(self.L, self.n)
 
     @cached_property
     def g_values(self) -> np.ndarray:
-        raw = values(self.g_jets)
+        raw = values(self.g_jets, (self.n, self.n))
         return 0.5 * (raw + raw.T)
 
     @cached_property
@@ -308,10 +389,12 @@ class _Eval:
 
     def metric(self, tol_degenerate: float = TOL_DEGENERATE) -> MetricValue:
         self.require_nondegenerate(tol_degenerate)
+        with np.errstate(over="ignore", invalid="ignore"):  # out of float range: inf
+            det = float(np.linalg.det(self.g_values))
         return MetricValue(
             g=self.g_values,
             g_inv=self.g_inv_values,
-            det=float(np.linalg.det(self.g_values)),
+            det=det,
             signature=self.signature(tol_degenerate),
         )
 
@@ -351,93 +434,73 @@ class _Eval:
         return np.linalg.inv(self.g_values)
 
     @cached_property
-    def g_inv_jets(self) -> np.ndarray:
+    def g_inv_jets(self) -> BatchJet:
         self.require_nondegenerate()
         return invert_jet_matrix(self.g_jets)
 
     @cached_property
-    def spray_jets(self) -> np.ndarray:
+    def spray_jets(self) -> BatchJet:
         n = self.n
-        bracket = np.empty(n, dtype=object)
-        for q in range(n):
-            acc = None
-            dLq = self.dv(self.L, q)
-            for m in range(n):
-                term = self.cjets[n + m] * self.dx(dLq, m)
-                acc = term if acc is None else acc + term
-            bracket[q] = acc - self.dx(self.L, q)
-        ginv = self.g_inv_jets
-        out = np.empty(n, dtype=object)
-        for a in range(n):
-            acc = ginv[a, 0] * bracket[0]
-            for q in range(1, n):
-                acc = acc + ginv[a, q] * bracket[q]
-            out[a] = 0.25 * acc
-        return out
+        # bracket_q = sum_m xdot^m d_m ddot_q L - d_q L, summed over m in order
+        dvL = partials(self.L, range(n, 2 * n))
+        acc = None
+        for m in range(n):
+            term = self.cjets[n + m] * dvL.diff(m)
+            acc = term if acc is None else acc + term
+        bracket = acc - partials(self.L, range(n))
+        return 0.25 * matvec(self.g_inv_jets, bracket)
 
     @cached_property
     def spray_values(self) -> np.ndarray:
-        return values(self.spray_jets)
+        return values(self.spray_jets, (self.n,))
 
     @cached_property
-    def nonlinear_jets(self) -> np.ndarray:
-        n = self.n
-        out = np.empty((n, n), dtype=object)
-        for a in range(n):
-            for b in range(n):
-                out[a, b] = self.dv(self.spray_jets[a], b)
-        return out
+    def nonlinear_jets(self) -> BatchJet:
+        """N^a_b = ddot_b G^a."""
+        dv = partials(self.spray_jets, range(self.n, 2 * self.n))  # [b, a]
+        return take_rows(dv, _indices(self.n)["transpose"])
 
     @cached_property
     def nonlinear_values(self) -> np.ndarray:
-        return values(self.nonlinear_jets)
+        return values(self.nonlinear_jets, (self.n, self.n))
 
-    def delta_of(self, j: Jet) -> list[Jet]:
-        """Horizontal derivative of a jet-valued scalar, one jet per index."""
+    def delta_of(self, j: Jet) -> BatchJet:
+        """Horizontal derivative delta_a j = d_a j - N^b_a ddot_b j of a jet
+        or a stack j: rows a-major, then j's rows.  One product per b, with
+        N on the left, subtracted in b order."""
         n = self.n
-        out = []
-        for a in range(n):
-            acc = self.dx(j, a)
-            for b in range(n):
-                acc = acc - self.nonlinear_jets[b, a] * self.dv(j, b)
-            out.append(acc)
-        return out
+        count = len(j.coeffs.reshape(-1, j.coeffs.shape[-1]))
+        a, r = np.divmod(np.arange(n * count), count)
+        dv = partials(j, range(n, 2 * n))  # [b, r]
+        acc = partials(j, range(n))  # [a, r]
+        for b in range(n):
+            acc = acc - take_rows(self.nonlinear_jets, b * n + a) * take_rows(dv, b * count + r)
+        return acc
 
     @cached_property
-    def gamma_jets(self) -> np.ndarray:
-        n = self.n
-        dg = np.empty((n, n, n), dtype=object)  # dg[b, c, q] = delta_b g_cq
-        for c in range(n):
-            for q in range(c, n):
-                cols = self.delta_of(self.g_jets[c, q])
-                for b in range(n):
-                    dg[b, c, q] = cols[b]
-                    dg[b, q, c] = cols[b]
-        return koszul(self.g_inv_jets, dg)
+    def gamma_jets(self) -> BatchJet:
+        idx = _indices(self.n)
+        c, q = idx["upper"]
+        dg = self.delta_of(take_rows(self.g_jets, c * self.n + q))  # [b, c <= q]
+        # dg[b, c, q] = delta_b g_cq, both triangles from the c <= q jet
+        return koszul(self.g_inv_jets, take_rows(dg, idx["expand"]))
 
     @cached_property
     def gamma_values(self) -> np.ndarray:
-        return values(self.gamma_jets)
+        return values(self.gamma_jets, (self.n,) * 3)
 
     @cached_property
     def gamma_x_derivatives(self) -> np.ndarray:
         """dGamma[m, a, b, c] = d Gamma^a_bc / d x^m at fixed xdot."""
-        return first_derivatives(self.gamma_jets, range(self.n))
+        return first_derivatives(self.gamma_jets, range(self.n), (self.n,) * 3)
 
     @cached_property
     def cartan_values(self) -> np.ndarray:
+        """C_abc = (1/2) ddot_c g_ab, read for a <= b <= c and symmetrised."""
         n = self.n
-        out = np.empty((n, n, n))
-        for a in range(n):
-            for b in range(a, n):
-                for c in range(b, n):
-                    v = 0.5 * self.dv(self.g_jets[a, b], c).value
-                    for idx in {
-                        (a, b, c), (a, c, b), (b, a, c),
-                        (b, c, a), (c, a, b), (c, b, a),
-                    }:
-                        out[idx] = v
-        return out
+        dv = first_derivatives(self.g_jets, range(n, 2 * n), (n, n))  # [c, a, b]
+        a, b, c = np.sort(np.indices((n, n, n)).reshape(3, -1), axis=0)
+        return (0.5 * dv[c, a, b]).reshape(n, n, n)
 
     @cached_property
     def cartan_trace(self) -> np.ndarray:
@@ -447,27 +510,20 @@ class _Eval:
     @cached_property
     def gamma_fiber_derivatives(self) -> np.ndarray:
         """dGamma_v[e, a, b, c] = d Gamma^a_bc / d xdot^e at fixed x."""
-        return first_derivatives(self.gamma_jets, range(self.n, 2 * self.n))
+        return first_derivatives(self.gamma_jets, range(self.n, 2 * self.n), (self.n,) * 3)
 
     @cached_property
     def curvature(self) -> CurvatureValue:
-        n = self.n
         gamma = self.gamma_values
         # delta_d Gamma^c_ab = d_d Gamma - N^e_d ddot_e Gamma
         dgam_x = self.gamma_x_derivatives  # [m, c, a, b]
         dgam_v = self.gamma_fiber_derivatives  # [e, c, a, b]
         delta_gam = dgam_x - np.einsum("ed,ecab->dcab", self.nonlinear_values, dgam_v)
-        riem = np.empty((n, n, n, n))
         quad = np.einsum("cds,sab->cadb", gamma, gamma) - np.einsum(
             "cbs,sad->cadb", gamma, gamma
         )
-        for c in range(n):
-            for a in range(n):
-                for d in range(n):
-                    for b in range(n):
-                        riem[c, a, d, b] = (
-                            delta_gam[d, c, a, b] - delta_gam[b, c, a, d]
-                        )
+        # riem[c, a, d, b] = delta_gam[d, c, a, b] - delta_gam[b, c, a, d]
+        riem = delta_gam.transpose(1, 2, 0, 3) - delta_gam.transpose(1, 2, 3, 0)
         riem += quad
         ricci = np.einsum("mamb->ab", riem)
         skew = 0.5 * (ricci - ricci.T)
@@ -476,21 +532,18 @@ class _Eval:
     @cached_property
     def log_sqrt_det(self) -> Jet:
         """ln sqrt|det g| as a jet over this context's coordinates."""
-        return 0.5 * abs(det_jet_matrix(self.g_jets)).ln()
+        return log_sqrt_abs_det(self.g_jets)
 
     def commutator_residual(self, f: Jet) -> float:
         """Residual of [delta_a, delta_b] f = R^c_{dab} xdot^d ddot_c f for a
         scalar field f given as a jet over this context's coordinates."""
         n = self.n
         Nv = self.nonlinear_values
-        ddf = first_derivatives(self.delta_of(f), range(2 * n))  # [var, b]
-        dd = np.empty((n, n))
-        for a in range(n):
-            for b in range(n):
-                acc = ddf[a, b]
-                for c in range(n):
-                    acc -= Nv[c, a] * ddf[n + c, b]
-                dd[a, b] = acc
+        ddf = first_derivatives(self.delta_of(f), range(2 * n), (n,))  # [var, b]
+        # dd[a, b] = ddf[a, b] - sum_c N^c_a ddf[n + c, b], subtracted in c order
+        dd = ddf[:n].copy()
+        for c in range(n):
+            dd -= Nv[c][:, None] * ddf[n + c][None, :]
         lhs = dd - dd.T
         dvf = first_derivatives(f, range(n, 2 * n))
         rhs = ricci_skew_from_curvature(self.curvature.hh_riemann, self.sample.xdot, dvf)
@@ -663,8 +716,7 @@ def log_sqrt_det_metric_field(lag: LagrangianDef) -> Callable[[Sequence[Jet]], J
     """The scalar field ln sqrt|det g| as a jet-valued function on TM."""
 
     def field(coord_jets: Sequence[Jet]) -> Jet:
-        g = _half_hessian(eval_L_jets(lag, coord_jets), len(coord_jets) // 2)
-        return 0.5 * abs(det_jet_matrix(g)).ln()
+        return log_sqrt_abs_det(_half_hessian(eval_L_jets(lag, coord_jets), len(coord_jets) // 2))
 
     return field
 
@@ -685,32 +737,29 @@ def eval_metric_exprs(exprs, coords, params=None) -> np.ndarray:
     return out
 
 
-def levi_civita_jets(g, ginv) -> np.ndarray:
-    """Christoffel symbols of a metric g given as jets over seeded base
-    coordinates, from g and its inverse g^-1 as jets."""
-    n = len(g)
-    dg = np.empty((n, n, n), dtype=object)  # dg[m, a, b] = d_m g_ab
-    for a in range(n):
-        for b in range(n):
-            for m in range(n):
-                dg[m, a, b] = g[a, b].diff(m)
-    return koszul(ginv, dg)
+def levi_civita_jets(g: BatchJet, ginv: BatchJet) -> BatchJet:
+    """Christoffel symbols of a metric g given as a stack of jets over seeded
+    base coordinates, from g and its inverse as stacks."""
+    n = math.isqrt(len(g.coeffs))
+    return koszul(ginv, partials(g, range(n)))  # dg[m, a, b] = d_m g_ab
 
 
-def christoffel_jets(g_exprs, x_jets, params=None) -> np.ndarray:
+def christoffel_jets(g_exprs, x_jets, params=None) -> BatchJet:
     """Christoffel symbols of an expression metric over seeded base jets."""
-    g = eval_metric_exprs(g_exprs, x_jets, params)
+    g = stack_jets(eval_metric_exprs(g_exprs, x_jets, params))
     return levi_civita_jets(g, invert_jet_matrix(g))
 
 
 def christoffel_values(g_exprs, x: np.ndarray, params=None) -> np.ndarray:
-    xj = seed(list(x), range(len(x)), 1)
-    return values(christoffel_jets(g_exprs, xj, params))
+    n = len(x)
+    xj = seed(list(x), range(n), 1)
+    return values(christoffel_jets(g_exprs, xj, params), (n, n, n))
 
 
 def christoffel_gradient(g_exprs, x, params=None) -> tuple[np.ndarray, np.ndarray]:
     """Christoffel symbols of an expression metric at x, and their exact
     x-derivatives dgamma[m, a, b, c] = d Gamma^a_bc / d x^m."""
     x = np.asarray(x, dtype=float)
-    gamma = christoffel_jets(g_exprs, seed(list(x), range(len(x)), 2), params)
-    return values(gamma), first_derivatives(gamma, range(len(x)))
+    n = len(x)
+    gamma = christoffel_jets(g_exprs, seed(list(x), range(n), 2), params)
+    return values(gamma, (n, n, n)), first_derivatives(gamma, range(n), (n, n, n))

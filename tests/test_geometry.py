@@ -1,13 +1,16 @@
 """Geometry chain: metric, spray, connection, curvature, and the identities
 tying them together."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from finslergeo import catalog, expr, geometry
 from finslergeo.defs import DslLagrangian, TangentSample, fiber_aliases
 from finslergeo.geometry import DegenerateMetric, _Eval
-from finslergeo.jets import Jet, jet_space
+from finslergeo.jets import BatchJet, Jet, jet_space
 
 
 @pytest.fixture(scope="module")
@@ -188,7 +191,7 @@ def test_log_det_field_identities(szabo):
     lag = szabo.lagrangian
     f = geometry.log_sqrt_det_metric_field(lag)
     ev = _Eval(lag, s, 3)
-    hd = geometry.values(ev.delta_of(f(ev.cjets)))
+    hd = geometry.values(ev.delta_of(f(ev.cjets)), (ev.n,))
     np.testing.assert_allclose(
         hd, np.einsum("mam->a", ev.gamma_values), atol=1e-7
     )
@@ -204,7 +207,7 @@ def test_horizontal_derivative_of_x_free_field_vanishes(minkowski):
         return cjets[n] * cjets[n]  # depends on xdot only
 
     ev = _Eval(minkowski.lagrangian, s, 3)
-    assert np.max(np.abs(geometry.values(ev.delta_of(field(ev.cjets))))) == 0.0
+    assert np.max(np.abs(geometry.values(ev.delta_of(field(ev.cjets)), (ev.n,)))) == 0.0
 
 
 # -- eval_L ------------------------------------------------------------------------
@@ -353,8 +356,300 @@ def test_det_jet_matrix_matches_plain_cofactor_expansion(n):
     rng = np.random.default_rng([11, n])
     space = jet_space(3, 4)
     width = space.ncoeff_upto[4]
-    g = [[Jet(space, rng.uniform(-2, 2, width), 4) for _ in range(n)] for _ in range(n)]
-    got = geometry.det_jet_matrix(g)
+    stack = BatchJet(space, rng.uniform(-2, 2, (n * n, width)), 4)
+    g = [[Jet(space, stack.coeffs[i * n + j], 4) for j in range(n)] for i in range(n)]
+    got = geometry.det_jet_matrix(stack)
     expected = plain_cofactor_det(g)
     assert got.order == expected.order
     assert np.array_equal(got.coeffs, expected.coeffs)
+
+
+# -- the stacked chain against the scalar loops it replaced -------------------------
+#
+# The chain used to run one scalar Jet operation per tensor component.  These
+# loops are kept as references: every stack must hold their jets bit for bit.
+
+
+def ref_matmul(A, B):
+    n = len(A)
+    out = np.empty((n, n), dtype=object)
+    for i in range(n):
+        for j in range(n):
+            acc = A[i][0] * B[0][j]
+            for k in range(1, n):
+                acc = acc + A[i][k] * B[k][j]
+            out[i, j] = acc
+    return out
+
+
+def ref_invert(g):
+    n = len(g)
+    space = g[0][0].space
+    order = min(g[i][j].order for i in range(n) for j in range(n))
+    vinv = np.linalg.inv(np.array([[g[i][j].value for j in range(n)] for i in range(n)]))
+    X = np.empty((n, n), dtype=object)
+    for i in range(n):
+        for j in range(n):
+            X[i, j] = space.constant(vinv[i, j], order)
+    iters, errdeg = 0, 1
+    while errdeg <= order:
+        iters += 1
+        errdeg *= 2
+    for _ in range(iters):
+        GX = ref_matmul(g, X)
+        for i in range(n):
+            GX[i, i] = 2.0 - GX[i, i]
+            for j in range(n):
+                if i != j:
+                    GX[i, j] = -GX[i, j]
+        X = ref_matmul(X, GX)
+    return X
+
+
+def ref_koszul(ginv, dg):
+    n = len(ginv)
+    out = np.empty((n, n, n), dtype=object)
+    for b in range(n):
+        for c in range(b, n):
+            for a in range(n):
+                acc = None
+                for q in range(n):
+                    term = ginv[a, q] * (dg[b, c, q] + dg[c, b, q] - dg[q, b, c])
+                    acc = term if acc is None else acc + term
+                out[a, b, c] = 0.5 * acc
+                out[a, c, b] = out[a, b, c]
+    return out
+
+
+def ref_half_hessian(L, n):
+    out = np.empty((n, n), dtype=object)
+    for a in range(n):
+        da = L.diff(n + a)
+        for b in range(a, n):
+            out[a, b] = 0.5 * da.diff(n + b)
+            out[b, a] = out[a, b]
+    return out
+
+
+def ref_delta_of(N, j, n):
+    out = []
+    for a in range(n):
+        acc = j.diff(a)
+        for b in range(n):
+            acc = acc - N[b, a] * j.diff(n + b)
+        out.append(acc)
+    return np.array(out, dtype=object)
+
+
+def ref_log_sqrt_det(g):
+    """ln sqrt|det g| of the scaled matrix, as `geometry.log_sqrt_abs_det`."""
+    n = len(g)
+    k = math.frexp(max(abs(g[i, j].value) for i in range(n) for j in range(n)))[1]
+    scaled = [[Jet(g[i, j].space, np.ldexp(g[i, j].coeffs, -k), g[i, j].order)
+               for j in range(n)] for i in range(n)]
+    log_det = abs(plain_cofactor_det(scaled)).ln()
+    log_det.coeffs[0] += n * k * math.log(2.0)
+    return 0.5 * log_det
+
+
+def ref_values(jets):
+    return np.vectorize(lambda j: j.value, otypes=[float])(jets)
+
+
+def ref_first(jets, variables):
+    return np.array([np.vectorize(lambda j: j.first(v), otypes=[float])(jets) for v in variables])
+
+
+def ref_chain(ev):
+    """g, g^-1, the spray, N and Gamma of an evaluation context by the scalar
+    loops, as far as its order carries them."""
+    n, L, cjets = ev.n, ev.L, ev.cjets
+    g = ref_half_hessian(L, n)
+    ginv = ref_invert(g)
+    bracket = np.empty(n, dtype=object)
+    for q in range(n):
+        acc = None
+        dLq = L.diff(n + q)
+        for m in range(n):
+            term = cjets[n + m] * dLq.diff(m)
+            acc = term if acc is None else acc + term
+        bracket[q] = acc - L.diff(q)
+    spray = np.empty(n, dtype=object)
+    for a in range(n):
+        acc = ginv[a, 0] * bracket[0]
+        for q in range(1, n):
+            acc = acc + ginv[a, q] * bracket[q]
+        spray[a] = 0.25 * acc
+    chain = {"g": g, "g_inv": ginv, "spray": spray}
+    if ev.order >= 3:
+        N = np.empty((n, n), dtype=object)
+        for a in range(n):
+            for b in range(n):
+                N[a, b] = spray[a].diff(n + b)
+        dg = np.empty((n, n, n), dtype=object)
+        for c in range(n):
+            for q in range(c, n):
+                cols = ref_delta_of(N, g[c, q], n)
+                for b in range(n):
+                    dg[b, c, q] = dg[b, q, c] = cols[b]
+        chain.update(N=N, gamma=ref_koszul(ginv, dg))
+    return chain
+
+
+def ref_curvature(gamma, dgam_x, dgam_v, Nv):
+    n = len(gamma)
+    delta_gam = dgam_x - np.einsum("ed,ecab->dcab", Nv, dgam_v)
+    riem = np.empty((n, n, n, n))
+    quad = np.einsum("cds,sab->cadb", gamma, gamma) - np.einsum("cbs,sad->cadb", gamma, gamma)
+    for c in range(n):
+        for a in range(n):
+            for d in range(n):
+                for b in range(n):
+                    riem[c, a, d, b] = delta_gam[d, c, a, b] - delta_gam[b, c, a, d]
+    riem += quad
+    ricci = np.einsum("mamb->ab", riem)
+    return [riem, ricci, 0.5 * (ricci - ricci.T)]
+
+
+def ref_commutator_residual(ev, N, f):
+    n = ev.n
+    Nv = ref_values(N)
+    ddf = ref_first(ref_delta_of(N, f, n), range(2 * n))
+    dd = np.empty((n, n))
+    for a in range(n):
+        for b in range(n):
+            acc = ddf[a, b]
+            for c in range(n):
+                acc -= Nv[c, a] * ddf[n + c, b]
+            dd[a, b] = acc
+    dvf = ref_first(f, range(n, 2 * n))
+    rhs = geometry.ricci_skew_from_curvature(ev.curvature.hh_riemann, ev.sample.xdot, dvf)
+    return float(np.max(np.abs(dd - dd.T - rhs)))
+
+
+def assert_same_stack(stack, jets):
+    """The stack holds the jets of the array, row-major, bit for bit."""
+    flat = np.ravel(jets)
+    assert all(j.order == stack.order for j in flat)
+    assert stack.coeffs.tobytes() == np.array([j.coeffs for j in flat]).tobytes()
+
+
+def assert_same_bytes(got, want):
+    for g, w in zip(got, want, strict=True):
+        assert np.float64(g).tobytes() == np.float64(w).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 2), st.integers(0, 10**6))
+def test_stacked_matrix_algebra_matches_the_scalar_loops(n, validity, seed):
+    rng = np.random.default_rng(seed)
+    space = jet_space(3, 2)
+    width = space.ncoeff_upto[validity]
+    coeffs = rng.uniform(-1.0, 1.0, (n * n, width))
+    # signed zeros, which the scalar operations keep or drop case by case,
+    # and a well-conditioned value part
+    coeffs[rng.random(coeffs.shape) < 0.2] = rng.choice([0.0, -0.0])
+    coeffs[:, 0] += 3.0 * np.eye(n).ravel()
+    g = BatchJet(space, coeffs, validity)
+    rows = np.array(
+        [[Jet(space, coeffs[i * n + j], validity) for j in range(n)] for i in range(n)]
+    )
+    ginv = geometry.invert_jet_matrix(g)
+    ref_ginv = ref_invert(rows)
+    assert_same_stack(ginv, ref_ginv)
+    det = geometry.det_jet_matrix(g)
+    ref_det = plain_cofactor_det(rows)
+    assert det.order == ref_det.order and det.coeffs.tobytes() == ref_det.coeffs.tobytes()
+    dg = BatchJet(space, rng.uniform(-1.0, 1.0, (n**3, width)), validity)
+    ref_dg = np.array([Jet(space, row, validity) for row in dg.coeffs]).reshape(n, n, n)
+    assert_same_stack(geometry.koszul(ginv, dg), ref_koszul(ref_ginv, ref_dg))
+
+
+_CATALOG_SAMPLES = [
+    (ent.lagrangian, s) for ent in map(catalog.get, catalog.names()) for s in ent.default_samples
+]
+
+
+def _dsl_sample(rng):
+    """A non-quadratic DSL Lagrangian in dimension 2 or 3 and a sample of it."""
+    n = int(rng.integers(2, 4))
+    a, b, c = rng.uniform(-0.5, 0.5, 3)
+    spatial = " - ".join(f"dx{i}^2" for i in range(1, n))
+    src = (
+        f"exp({a:.3f}*x0 + {b:.3f}*x0*x1)*(dx0^2 - {spatial})"
+        f" + {c:.3f}*(dx0^4 + dx1^4)/(dx0^2 + {spatial.replace(' - ', ' + ')})"
+    )
+    lag = DslLagrangian(n, expr.parse(src, 2 * n, aliases=fiber_aliases(n, None)))
+    xdot = np.concatenate([[1.0], rng.uniform(-0.3, 0.3, n - 1)])
+    return lag, TangentSample(rng.uniform(-1.0, 1.0, n), xdot)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.integers(2, 4), st.booleans())
+def test_stacked_chain_matches_the_scalar_loops(seed, order, from_catalog):
+    rng = np.random.default_rng(seed)
+    if from_catalog:
+        lag, sample = _CATALOG_SAMPLES[int(rng.integers(len(_CATALOG_SAMPLES)))]
+    else:
+        lag, sample = _dsl_sample(rng)
+    ev = _Eval(lag, sample, order)
+    assume(ev.admissibility().in_A)
+    n = ev.n
+    ref = ref_chain(ev)
+    assert_same_stack(ev.g_jets, ref["g"])
+    assert_same_stack(ev.g_inv_jets, ref["g_inv"])
+    assert_same_stack(ev.spray_jets, ref["spray"])
+    assert_same_bytes([ev.g_values, ev.spray_values], [
+        0.5 * (ref_values(ref["g"]) + ref_values(ref["g"]).T), ref_values(ref["spray"]),
+    ])
+    f = ev.log_sqrt_det
+    want = ref_log_sqrt_det(ref["g"])
+    assert f.order == want.order and f.coeffs.tobytes() == want.coeffs.tobytes()
+    # the scaling leaves every derivative coefficient of the unscaled logarithm
+    unscaled = 0.5 * abs(plain_cofactor_det(ref["g"])).ln()
+    assert f.coeffs[1:].tobytes() == unscaled.coeffs[1:].tobytes()
+    assert f.value == pytest.approx(unscaled.value, rel=1e-14, abs=1e-14)
+    if order < 3:
+        return
+    assert_same_stack(ev.nonlinear_jets, ref["N"])
+    assert_same_stack(ev.gamma_jets, ref["gamma"])
+    assert_same_stack(ev.delta_of(f), ref_delta_of(ref["N"], f, n))
+    assert_same_bytes([ev.nonlinear_values, ev.gamma_values],
+                      [ref_values(ref["N"]), ref_values(ref["gamma"])])
+    cartan = np.empty((n, n, n))
+    for a in range(n):
+        for b in range(a, n):
+            for c in range(b, n):
+                v = 0.5 * ref["g"][a, b].diff(n + c).value
+                for idx in {(a, b, c), (a, c, b), (b, a, c), (b, c, a), (c, a, b), (c, b, a)}:
+                    cartan[idx] = v
+    assert_same_bytes([ev.cartan_values], [cartan])
+    if order < 4:
+        return
+    dgam_x = ref_first(ref["gamma"], range(n))
+    dgam_v = ref_first(ref["gamma"], range(n, 2 * n))
+    assert_same_bytes([ev.gamma_x_derivatives, ev.gamma_fiber_derivatives], [dgam_x, dgam_v])
+    curv = ev.curvature
+    assert_same_bytes(
+        [curv.hh_riemann, curv.ricci, curv.skew_ricci],
+        ref_curvature(ref_values(ref["gamma"]), dgam_x, dgam_v, ref_values(ref["N"])),
+    )
+    assert_same_bytes([ev.commutator_residual(f)], [ref_commutator_residual(ev, ref["N"], f)])
+
+
+def test_stacked_chain_makes_no_scalar_jet_product(monkeypatch, szabo):
+    # from g through the curvature every product is a batched one
+    ev = _Eval(szabo.lagrangian, szabo.default_samples[0], 4)
+    calls = []
+    mul = Jet.__mul__
+
+    def counting(self, other):
+        calls.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(Jet, "__mul__", counting)
+    monkeypatch.setattr(Jet, "__rmul__", counting)
+    ev.g_jets, ev.g_inv_jets, ev.spray_jets, ev.nonlinear_jets, ev.gamma_jets, ev.curvature
+    assert calls == []
+    ev.L * ev.L  # the counter sees a scalar product
+    assert len(calls) == 1

@@ -35,7 +35,7 @@ def test_counterexample_gamma_x_derivative_matches_jets():
     ent = catalog.get("szabo-counterexample")
     s = ent.default_samples[0]
     ev = _Eval(ent.lagrangian, s, 4)
-    jet_val = ev.gamma_jets[1, 0, 2].first(2)  # d Gamma^v_ux / d x
+    jet_val = ev.gamma_x_derivatives[2, 1, 0, 2]  # d Gamma^v_ux / d x
 
     def gamma_component(x):
         return geometry.chern_rund(ent.lagrangian, TangentSample(x, s.xdot))[1, 0, 2]

@@ -454,6 +454,26 @@ def test_overflow_is_a_tagged_sample_error(subcommand, lagrangian, sample, reaso
     assert adm["failure_reason"] == reason
 
 
+def test_det_out_of_float_range_after_L_keeps_the_commutator_residual():
+    # L = exp(360) * 0.96 ~ 2e156 is finite, and so are Gamma, N and the
+    # curvature, but det g ~ -1e312 is not
+    doc = {
+        "chart": {"dim": 2},
+        "lagrangian": _dsl("exp(360*x0)*(dx0^2 - dx1^2)"),
+        "samples": [_DSL_SAMPLE],
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow warning from det or a jet product
+        report, code = run_scene(load_scene(doc), "report")
+        text = render_json(report)
+    assert code == 0
+    (sample,) = report["samples"]
+    assert sample["admissibility"]["in_A"] is True
+    assert "error" not in sample
+    assert json.loads(text)["samples"][0]["metric"]["det"] is None
+    assert sample["residuals"]["commutator"] == 0.0
+
+
 # -- CLI ---------------------------------------------------------------------------
 
 

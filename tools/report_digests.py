@@ -9,8 +9,9 @@ default samples), on one fixed dim-6 DSL scene (12 jet variables, so the
 largest jet space the reports build), on three DSL scenes whose Berwald
 witness rejects sampled directions (a sqrt, a power and a log leave their
 domain outside the cone) and on two DSL scenes whose only sample leaves float
-range (tagged ``overflow`` and ``non-finite``), at ``options.seed`` 0 and 3.
-Each run prints one line:
+range (tagged ``overflow`` and ``non-finite``) and on one DSL scene whose L is
+finite but whose det g is not, at ``options.seed`` 0 and 3.  Each run prints
+one line:
 
     <scene> <subcommand> <seed> <exit code> <sha256 of report.json or ->
 
@@ -22,7 +23,16 @@ samples), each public chain call -- ``metric`` (g and g^-1), ``spray``,
     <scene> chain:<call> <sample label> <sha256 of the result's raw bytes>
 
 or the name of the exception class it raised in place of the digest.  These
-calls build order-2 and order-3 contexts, which no report builds.
+calls build order-2 and order-3 contexts, which no report builds.  For every
+sample of a scene with a family Lagrangian (the family catalog entries with
+their default samples among them), each `alphabeta.FamilyEval` reader --
+``christoffel_jets`` (values and x-derivatives), ``fit``, ``h_gradient``,
+``connection()`` and ``ricci`` -- and ``geometry.christoffel_gradient`` of
+alpha print
+
+    <scene> family:<reader> <sample label> <sha256 of the result's raw bytes>
+
+in the same way.
 
 Two checkouts that print the same lines write byte-identical reports and
 return byte-identical arrays, so a refactoring can be checked against its
@@ -42,7 +52,8 @@ from pathlib import Path
 
 import numpy as np
 
-from finslergeo import catalog, cli, geometry
+from finslergeo import alphabeta, catalog, cli, geometry
+from finslergeo.defs import FamilyInstance
 from finslergeo.scene import SUBCOMMANDS, load_scene
 
 SEEDS = (0, 3)
@@ -103,9 +114,19 @@ ERROR_SCENES = {
 }
 
 
+# A scene whose L stays in float range (about 2e156) while det g, about
+# -1e312, does not.
+OVERFLOW_AFTER_L_SCENE = {
+    "chart": {"dim": 2},
+    "lagrangian": {"dsl": {"source": "exp(360*x0)*(dx0^2 - dx1^2)"}},
+    "samples": [{"x": [1.0, 0.0], "xdot": [1.0, 0.2], "label": "p0"}],
+}
+
+
 def scene_documents(root: Path):
     """(name, scene document) for the fixture scenes, the catalog, the
-    dim-6 scene, the rejection scenes and the error scenes."""
+    dim-6 scene, the rejection scenes, the error scenes and the
+    overflow-after-L scene."""
     for path in sorted((root / "scenes").glob("*.json")):
         yield path.name, json.loads(path.read_text(encoding="utf-8"))
     for name in catalog.names():
@@ -113,6 +134,7 @@ def scene_documents(root: Path):
     yield "dim6", DIM6_SCENE
     yield from REJECTION_SCENES.items()
     yield from ERROR_SCENES.items()
+    yield "overflow-after-L", OVERFLOW_AFTER_L_SCENE
 
 
 def digest(doc: dict, subcommand: str, workdir: Path) -> tuple[int, str]:
@@ -152,6 +174,35 @@ def _chain_calls(lag, sample):
     ]
 
 
+def _family_calls(inst, x):
+    """(name, thunk) for each `FamilyEval` reader at the base point x, each
+    of a fresh evaluation, and for the Christoffel gradient of alpha."""
+    n = inst.dim
+    shape = (n, n, n)
+
+    def christoffel():
+        jets = alphabeta.FamilyEval(inst, x).christoffel_jets
+        return [geometry.values(jets, shape), geometry.first_derivatives(jets, range(n), shape)]
+
+    def fit():
+        value = alphabeta.FamilyEval(inst, x).fit
+        return [value.residual, value.h]
+
+    def ricci():
+        value = alphabeta.FamilyEval(inst, x).ricci
+        return [value.ricci, value.skew, value.f_scalar, value.beta_wedge_dh]
+
+    return [
+        ("christoffel_jets", christoffel),
+        ("fit", fit),
+        ("h_gradient", lambda: list(alphabeta.FamilyEval(inst, x).h_gradient)),
+        ("connection", lambda: [alphabeta.FamilyEval(inst, x).connection()]),
+        ("ricci", ricci),
+        ("christoffel_gradient",
+         lambda: list(geometry.christoffel_gradient(inst.alpha, x, inst.params))),
+    ]
+
+
 def chain_digest(thunk) -> str:
     try:
         with np.errstate(all="ignore"):
@@ -180,6 +231,9 @@ def main(argv=None) -> int:
         for label, sample in scn.samples:
             for call, thunk in _chain_calls(scn.lagrangian, sample):
                 print(f"{name} chain:{call} {label} {chain_digest(thunk)}", flush=True)
+            if isinstance(scn.lagrangian, FamilyInstance):
+                for call, thunk in _family_calls(scn.lagrangian, sample.x):
+                    print(f"{name} family:{call} {label} {chain_digest(thunk)}", flush=True)
     return 0
 
 
