@@ -171,13 +171,19 @@ def verdict_at(
     direction, and the spray at `count` sampled admissible directions d
     against Gamma^a_bc d^b d^c / 2.  Both are necessary conditions.
     """
-    gamma = ev.gamma_values
+    # past a finite L, Gamma or a spray can leave float range, and a NaN
+    # deviation would read as a verdict
+    gamma = geometry.require_finite(ev.gamma_values, "the Chern-Rund connection")
+    fiber_derivatives = geometry.require_finite(
+        ev.gamma_fiber_derivatives, "the fiber derivative of the Chern-Rund connection"
+    )
     scale = max(1.0, _max_abs(gamma))
     xdot_scale = max(1.0, _max_abs(ev.sample.xdot))
-    fiber = _max_abs(ev.gamma_fiber_derivatives) * xdot_scale / scale
+    fiber = _max_abs(fiber_derivatives) * xdot_scale / scale
     directions, sprays = _witnesses(
         ev.lag, ev.sample.x, ev.sample.xdot, ev.spray_values, count, rng, spread
     )
+    geometry.require_finite(np.array(sprays), "the spray")
     spray = 0.0
     for d, g_d in zip(directions, sprays):
         quadratic = 0.5 * np.einsum("abc,b,c->a", gamma, d, d)
@@ -251,7 +257,9 @@ def obstruction_at(
     of the curvature-route skew at the context's direction (the two routes
     agree on Berwald geometries)."""
     require_berwald(verdict)
-    ricci = affine_ricci_from_values(ev.gamma_values, ev.gamma_x_derivatives)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ricci = affine_ricci_from_values(ev.gamma_values, ev.gamma_x_derivatives)
+    geometry.require_finite(ricci, "the affine Ricci tensor")
     skew = 0.5 * (ricci - ricci.T)
     skew_max = _max_abs(skew)
     curv_route = geometry.ricci_skew_from_curvature(

@@ -14,6 +14,7 @@ branch on the verdict.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import replace
@@ -23,7 +24,9 @@ from . import __version__, scene as scenemod
 from .scene import SceneError
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="finslergeo",
         description="pseudo-Finsler geometry diagnostics on tangent-bundle samples",
@@ -103,7 +106,14 @@ def _summary_lines(report: dict, exit_code: int) -> list[str]:
         o = geo["obstruction"]
         met = o["metrizability_necessary_condition_met"]
         if met is None:
-            lines.append("obstruction: not computed (no Berwald base point)")
+            # the error of a Berwald base point, else there was none
+            berwald_points = geo["berwald"]["per_base_point"]
+            reason = next(
+                (e["error"] for e, b in zip(o["per_base_point"], berwald_points)
+                 if b.get("is_berwald")),
+                "no Berwald base point",
+            )
+            lines.append(f"obstruction: not computed ({reason})")
         else:
             lines.append(
                 f"obstruction: skew max {o['max_skew_abs']:.6g}"
@@ -142,8 +152,7 @@ def _summary_lines(report: dict, exit_code: int) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         scene = scenemod.load_scene_file(args.scene)
         scene = _apply_flag_overrides(scene, args)

@@ -293,53 +293,63 @@ def eval(
     coords: Sequence,
     params: Mapping[str, float] | None = None,
 ):
-    """Evaluate over scalar-like coordinates (floats or jets).
+    """Evaluate over scalar-like coordinates (floats or jets of one seeded
+    space).
 
+    Each scalar jet coordinate is restricted to the variables it depends on,
+    every subexpression is a jet over its own variables, and a jet result is
+    returned over all the seeded variables (`jets.Restricted`, `jets.embed`).
     Domain failures (log of a non-positive value, division by zero, ...) are
     reported as ExprDomainError carrying the offending node's byte offset.
     """
-    params = params or {}
+    coords = jets.Restricted(coords)
+    return jets.embed(evaluate(ast, coords, params))
 
-    def rec(node):
-        if isinstance(node, Const):
-            return node.value
-        if isinstance(node, Coord):
-            return coords[node.index]
-        if isinstance(node, Param):
-            try:
-                return float(params[node.name])
-            except KeyError:
-                raise ExprNameError(f"parameter {node.name!r} has no value", node.span)
+
+def evaluate(
+    node: ExpressionAst,
+    coords: Sequence,
+    params: Mapping[str, float] | None = None,
+):
+    """`eval` with no restriction or embedding: over jets with supports (a
+    `jets.Restricted`), the result keeps its support."""
+    if isinstance(node, Const):
+        return node.value
+    if isinstance(node, Coord):
+        return coords[node.index]
+    if isinstance(node, Param):
         try:
-            if isinstance(node, Unary):
-                v = rec(node.arg)
-                if node.op == "neg":
-                    return -v
-                if node.op not in _FUNCTION_OF:
-                    raise ValueError(f"unknown unary op {node.op!r}")
-                return _FUNCTION_OF[node.op](v)
-            lhs = rec(node.left)
-            if node.op == "pow":
-                # constant integer exponents keep negative bases legal
-                if isinstance(node.right, Const):
-                    return jets.powx(lhs, node.right.value)
-                return jets.powx(lhs, rec(node.right))
-            rhs = rec(node.right)
-            if node.op == "add":
-                return lhs + rhs
-            if node.op == "sub":
-                return lhs - rhs
-            if node.op == "mul":
-                return lhs * rhs
-            if node.op == "div":
-                return jets.divide(lhs, rhs)
-            raise ValueError(f"unknown binary op {node.op!r}")
-        except DomainError as err:
-            raise ExprDomainError(err.reason, node.span) from err
-        except ZeroDivisionError:
-            raise ExprDomainError("division-by-zero", node.span) from None
-
-    return rec(ast)
+            return float((params or {})[node.name])
+        except KeyError:
+            raise ExprNameError(f"parameter {node.name!r} has no value", node.span)
+    try:
+        if isinstance(node, Unary):
+            v = evaluate(node.arg, coords, params)
+            if node.op == "neg":
+                return -v
+            if node.op not in _FUNCTION_OF:
+                raise ValueError(f"unknown unary op {node.op!r}")
+            return _FUNCTION_OF[node.op](v)
+        lhs = evaluate(node.left, coords, params)
+        if node.op == "pow":
+            # constant integer exponents keep negative bases legal
+            if isinstance(node.right, Const):
+                return jets.powx(lhs, node.right.value)
+            return jets.powx(lhs, evaluate(node.right, coords, params))
+        rhs = evaluate(node.right, coords, params)
+        if node.op == "add":
+            return lhs + rhs
+        if node.op == "sub":
+            return lhs - rhs
+        if node.op == "mul":
+            return lhs * rhs
+        if node.op == "div":
+            return jets.divide(lhs, rhs)
+        raise ValueError(f"unknown binary op {node.op!r}")
+    except DomainError as err:
+        raise ExprDomainError(err.reason, node.span) from err
+    except ZeroDivisionError:
+        raise ExprDomainError("division-by-zero", node.span) from None
 
 
 # -- pretty printing -------------------------------------------------------

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, wraps
 from itertools import combinations
 from typing import Callable, Optional, Sequence
 
@@ -44,7 +44,9 @@ import numpy as np
 from . import expr as exprmod
 from .defs import DslLagrangian, LagrangianDef, TangentSample
 from .expr import ExprDomainError
-from .jets import BatchJet, DomainError, Jet, jet_space, powx, seed, seed_block
+from .jets import (
+    BatchJet, DomainError, Jet, Restricted, embed, jet_space, powx, seed, seed_block
+)
 
 TOL_DEGENERATE = 1e-10
 TOL_NULL = 1e-10
@@ -54,6 +56,26 @@ TOL_NULL = 1e-10
 # fixed once by requiring the identity to hold numerically on non-quadratic
 # Lagrangians (it is a pure index-convention choice).
 SKEW_CONTRACTION_SIGN = -1.0
+
+
+def _quiet(fn):
+    """fn with numpy's overflow and invalid-value warnings off.  Past a finite
+    L a stage of the chain can leave float range; what reads its values
+    checks them (`require_finite`) and tags the overflow."""
+
+    @wraps(fn)
+    def quiet(*args, **kwargs):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return fn(*args, **kwargs)
+
+    return quiet
+
+
+def require_finite(values: np.ndarray, what: str) -> np.ndarray:
+    """values, or DomainError("overflow") when one is not finite."""
+    if not np.all(np.isfinite(values)):
+        raise DomainError("overflow", f"{what} is out of float range")
+    return values
 
 
 class DegenerateMetric(Exception):
@@ -264,6 +286,7 @@ def det_jet_matrix(g: BatchJet) -> Jet:
     return Jet(level.space, level.coeffs[0], level.order)
 
 
+@_quiet
 def log_sqrt_abs_det(g: BatchJet) -> Jet:
     """ln sqrt|det g| of a stacked jet matrix.
 
@@ -295,16 +318,18 @@ def _half_hessian(L: Jet, n: int) -> BatchJet:
 
 
 def eval_L_jets(lag: LagrangianDef, coord_jets: Sequence[Jet]) -> Jet:
-    """L as a jet, given the 2n seeded coordinate jets (x then xdot)."""
+    """L as a jet, given the 2n seeded coordinate jets (x then xdot).  Each
+    subexpression is a jet over the seeded variables it depends on, and L is
+    returned over all of them (see `expr.eval`)."""
     if isinstance(lag, DslLagrangian):
         return exprmod.eval(lag.ast, coord_jets, lag.params)
     n = lag.dim
-    xj = coord_jets[:n]
-    vj = coord_jets[n:]
+    coords = Restricted(coord_jets)  # alpha and beta read coords[:n], x
+    vj = [coords[n + a] for a in range(n)]
     aval = None
     for a in range(n):
         for b in range(a, n):
-            entry = exprmod.eval(lag.alpha[a][b], xj, lag.params)
+            entry = exprmod.evaluate(lag.alpha[a][b], coords, lag.params)
             if isinstance(entry, (int, float)) and entry == 0.0:
                 continue
             weight = 1.0 if a == b else 2.0
@@ -314,15 +339,15 @@ def eval_L_jets(lag: LagrangianDef, coord_jets: Sequence[Jet]) -> Jet:
         raise DegenerateMetric("alpha is identically zero")
     bval = None
     for a in range(n):
-        entry = exprmod.eval(lag.beta[a], xj, lag.params)
+        entry = exprmod.evaluate(lag.beta[a], coords, lag.params)
         if isinstance(entry, (int, float)) and entry == 0.0:
             continue
         term = entry * vj[a]
         bval = term if bval is None else bval + term
     if bval is None:
-        bval = xj[0].space.constant(0.0)
+        bval = 0.0
     s = bval * bval / aval
-    return aval * powx(s, -lag.p) * powx(lag.c + lag.m * s, lag.p + 1.0)
+    return embed(aval * powx(s, -lag.p) * powx(lag.c + lag.m * s, lag.p + 1.0))
 
 
 def eval_L(lag: LagrangianDef, sample: TangentSample, order: int = 4) -> Jet:
@@ -439,6 +464,7 @@ class _Eval:
         return invert_jet_matrix(self.g_jets)
 
     @cached_property
+    @_quiet
     def spray_jets(self) -> BatchJet:
         n = self.n
         # bracket_q = sum_m xdot^m d_m ddot_q L - d_q L, summed over m in order
@@ -478,6 +504,7 @@ class _Eval:
         return acc
 
     @cached_property
+    @_quiet
     def gamma_jets(self) -> BatchJet:
         idx = _indices(self.n)
         c, q = idx["upper"]
@@ -513,6 +540,7 @@ class _Eval:
         return first_derivatives(self.gamma_jets, range(self.n, 2 * self.n), (self.n,) * 3)
 
     @cached_property
+    @_quiet
     def curvature(self) -> CurvatureValue:
         gamma = self.gamma_values
         # delta_d Gamma^c_ab = d_d Gamma - N^e_d ddot_e Gamma
@@ -525,6 +553,7 @@ class _Eval:
         # riem[c, a, d, b] = delta_gam[d, c, a, b] - delta_gam[b, c, a, d]
         riem = delta_gam.transpose(1, 2, 0, 3) - delta_gam.transpose(1, 2, 3, 0)
         riem += quad
+        require_finite(riem, "the hh-curvature")
         ricci = np.einsum("mamb->ab", riem)
         skew = 0.5 * (ricci - ricci.T)
         return CurvatureValue(hh_riemann=riem, ricci=ricci, skew_ricci=skew)
@@ -534,6 +563,7 @@ class _Eval:
         """ln sqrt|det g| as a jet over this context's coordinates."""
         return log_sqrt_abs_det(self.g_jets)
 
+    @_quiet
     def commutator_residual(self, f: Jet) -> float:
         """Residual of [delta_a, delta_b] f = R^c_{dab} xdot^d ddot_c f for a
         scalar field f given as a jet over this context's coordinates."""
@@ -547,7 +577,7 @@ class _Eval:
         lhs = dd - dd.T
         dvf = first_derivatives(f, range(n, 2 * n))
         rhs = ricci_skew_from_curvature(self.curvature.hh_riemann, self.sample.xdot, dvf)
-        return float(np.max(np.abs(lhs - rhs)))
+        return float(require_finite(np.max(np.abs(lhs - rhs)), "the commutator residual"))
 
 
 # -- public operations ---------------------------------------------------------
@@ -645,6 +675,7 @@ def _order2_slots(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return vv, xv, x1
 
 
+@_quiet
 def spray_witness(
     lag: LagrangianDef, x: np.ndarray, directions: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -658,7 +689,8 @@ def spray_witness(
     coefficients with the float operations of `_Eval`, in its order (each
     validity-0 jet product is the 0.0 + a * b of `np.bincount`; `eigvalsh`
     and `inv` run on the stacked matrices).  A row outside A, including one
-    whose L left a function's domain, has a spray of NaN.
+    whose L left a function's domain, has a spray of NaN; a row inside A can
+    have a spray out of float range, which its reader checks.
     """
     x = np.asarray(x, dtype=float)
     directions = np.asarray(directions, dtype=float)

@@ -22,6 +22,27 @@ validity as the rows of a (B, ncoeff_upto[order]) array and gives each row
 the coefficients of the scalar operation bit for bit (Griewank & Walther's
 vector mode over evaluation points).
 
+Supports (Griewank & Walther's sparse forward mode, *Evaluating
+Derivatives*, ch. 13).  A scalar jet built inside `expr.eval` or
+`geometry.eval_L_jets` records its ``support``: the sorted tuple of the
+seeded variables it depends on, a seeded coordinate one and a constant none.
+It stores its coefficients in ``jet_space(len(support), order)``, keeps the
+space it was seeded in as ``seeded`` (jets of different seeded spaces do not
+combine), and its ``fill`` is the value that every coefficient outside the
+support has over all the seeded variables (+0.0, -0.0 after a negation, or
+NaN).  `restrict` and `embed` convert at the boundary, so every jet returned
+to a caller spans all the seeded variables, as do every BatchJet and every
+jet with ``support`` None.  Jets of equal supports combine over their one space;
+otherwise both are widened into the union of the supports (a cached slot
+map, `_merge`), and a product of disjoint supports is an outer product with
+one pair per coefficient.  The graded monomial order and the pair order both
+restrict to a sorted subset of the variables keeping their order, so each
+stored coefficient sums the same nonzero terms in the same order as over all
+the variables, where the rest of the sum only adds +-0.0 to a sum that starts
+at +0.0: the coefficients are the same bit for bit.  The one exception is a
+non-finite coefficient, which over all the variables also meets the zeros
+outside a support and turns inf * 0 into NaN there.
+
 Every elementary function, on a float, a jet or a batch row, takes its
 Taylor coefficients from one univariate formula through `_taylor`, the one
 place where a float error of the formula becomes a `DomainError`: a result
@@ -35,7 +56,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import combinations_with_replacement
-from typing import Iterable, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -113,11 +134,10 @@ class JetSpace:
         code_dtype = np.int64 if (order + 1) ** nvars <= np.iinfo(np.int64).max else object
         radix = np.array([(order + 1) ** v for v in range(nvars)], dtype=code_dtype)
         exps = np.array(self.monomials, dtype=np.int64).reshape(self.ncoeff, nvars)
-        codes = exps.astype(code_dtype) @ radix
-        by_code = np.argsort(codes, kind="stable")
-
-        def slot(target):
-            return by_code[np.searchsorted(codes, target, sorter=by_code)].astype(np.int64)
+        self._radix, self.exponents = radix, exps
+        self._codes = codes = exps.astype(code_dtype) @ radix
+        self._by_code = np.argsort(codes, kind="stable")
+        slot = self._slot_of_code
 
         # Cauchy-product table sorted by total degree of the product, so the
         # slice [:pair_count[v]] multiplies exactly up to validity v.
@@ -145,6 +165,14 @@ class JetSpace:
             counts = np.searchsorted(src, upto).tolist()
             self.diff_prefix.append([(src[:c], dst[:c], fac[:c]) for c in counts])
 
+    def _slot_of_code(self, target: np.ndarray) -> np.ndarray:
+        by_code = self._by_code
+        return by_code[np.searchsorted(self._codes, target, sorter=by_code)].astype(np.int64)
+
+    def slots(self, exponents: np.ndarray) -> np.ndarray:
+        """The slot of each monomial given as a row of exponents."""
+        return self._slot_of_code(exponents.astype(self._codes.dtype) @ self._radix)
+
     def constant(self, value: float, order: int | None = None) -> "Jet":
         order = self.order if order is None else order
         c = np.zeros(self.ncoeff_upto[order])
@@ -157,15 +185,39 @@ def jet_space(nvars: int, order: int) -> JetSpace:
     return JetSpace(nvars, order)
 
 
+def _product(space: JetSpace, a: np.ndarray, b: np.ndarray, order: int) -> np.ndarray:
+    """The Cauchy product of two coefficient vectors of `space` to validity
+    `order`, each coefficient summed over its pairs in pair order."""
+    cnt = space.pair_count[order]
+    prods = a[space._mul_i[:cnt]] * b[space._mul_j[:cnt]]
+    return np.bincount(space._mul_k[:cnt], weights=prods, minlength=space.ncoeff_upto[order])
+
+
 class Jet:
-    """Truncated multivariate Taylor value; see module docstring."""
+    """Truncated multivariate Taylor value; see module docstring.
 
-    __slots__ = ("space", "coeffs", "order")
+    ``support`` is None for a jet over every variable of its space, else the
+    variables of the space ``seeded`` it depends on; ``fill`` is then the
+    value of every coefficient outside them (see "Supports" in the module
+    docstring).  ``seeded`` is the space itself when ``support`` is None."""
 
-    def __init__(self, space: JetSpace, coeffs: np.ndarray, order: int):
+    __slots__ = ("space", "coeffs", "order", "support", "fill", "seeded")
+
+    def __init__(
+        self,
+        space: JetSpace,
+        coeffs: np.ndarray,
+        order: int,
+        support: tuple[int, ...] | None = None,
+        fill: float = 0.0,
+        seeded: JetSpace | None = None,
+    ):
         self.space = space
         self.coeffs = coeffs
         self.order = order
+        self.support = support
+        self.fill = fill
+        self.seeded = space if seeded is None else seeded
 
     # -- coefficient access ---------------------------------------------
 
@@ -191,23 +243,35 @@ class Jet:
 
     # -- coercion ---------------------------------------------------------
 
+    def _constant(self, value: float, order: int) -> "Jet":
+        """A constant scalar jet over this jet's space and support."""
+        c = np.zeros(self.space.ncoeff_upto[order])
+        c[0] = value
+        return Jet(self.space, c, order, self.support, 0.0, self.seeded)
+
     def _lift(self, other) -> "Jet | None":
         if isinstance(other, Jet):
-            if other.space is not self.space:
-                raise ValueError("jets from different spaces cannot be combined")
             return other
         if isinstance(other, (int, float, np.integer, np.floating)):
-            return self.space.constant(float(other), self.order)
+            return self._constant(float(other), self.order)
         return None
 
-    def _prefixes(self, o: "Jet") -> tuple[np.ndarray, np.ndarray, int]:
-        """Both operands' coefficients over their common validity."""
-        a, b = self.coeffs, o.coeffs
-        if self.order == o.order:
-            return a, b, self.order
+    def _aligned(self, o: "Jet") -> tuple[JetSpace, tuple | None, np.ndarray, np.ndarray, int]:
+        """The space and support both operands combine over, and their
+        coefficients there over their common validity."""
         order = min(self.order, o.order)
-        cut = self.space.ncoeff_upto[order]
-        return a[..., :cut], b[..., :cut], order
+        if self.support == o.support:
+            _same_seeded(self, o)
+            a, b = self.coeffs, o.coeffs
+            if self.order != o.order:
+                cut = self.space.ncoeff_upto[order]
+                a, b = a[..., :cut], b[..., :cut]
+            return self.space, self.support, a, b, order
+        union = _union(self, o)
+        width = union.space.ncoeff_upto[order]
+        a = _widen(self, union.slots_a, width, order)
+        b = _widen(o, union.slots_b, width, order)
+        return union.space, union.support, a, b, order
 
     # -- ring operations: a batch operand is always `self` (see BatchJet) ---
 
@@ -215,8 +279,8 @@ class Jet:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        a, b, order = self._prefixes(o)
-        return type(self)(self.space, a + b, order)
+        space, support, a, b, order = self._aligned(o)
+        return type(self)(space, a + b, order, support, self.fill + o.fill, self.seeded)
 
     __radd__ = __add__
 
@@ -224,39 +288,54 @@ class Jet:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        a, b, order = self._prefixes(o)
-        return type(self)(self.space, a - b, order)
+        space, support, a, b, order = self._aligned(o)
+        return type(self)(space, a - b, order, support, self.fill - o.fill, self.seeded)
 
     def __rsub__(self, other):
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        a, b, order = self._prefixes(o)
-        return type(self)(self.space, b - a, order)
+        space, support, a, b, order = self._aligned(o)
+        return type(self)(space, b - a, order, support, o.fill - self.fill, self.seeded)
 
     def __neg__(self):
-        return type(self)(self.space, -self.coeffs, self.order)
+        return type(self)(
+            self.space, -self.coeffs, self.order, self.support, -self.fill, self.seeded
+        )
 
     def __mul__(self, other):
         if isinstance(other, (int, float, np.integer, np.floating)):
-            return type(self)(self.space, self.coeffs * float(other), self.order)
+            c = float(other)
+            return type(self)(
+                self.space, self.coeffs * c, self.order, self.support, self.fill * c, self.seeded
+            )
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        sp = self.space
-        order = min(self.order, o.order)
-        cnt = sp.pair_count[order]
-        prods = self.coeffs[sp._mul_i[:cnt]] * o.coeffs[sp._mul_j[:cnt]]
-        out = np.bincount(sp._mul_k[:cnt], weights=prods, minlength=sp.ncoeff_upto[order])
-        return Jet(sp, out, order)
+        # outside both supports every sum is +0.0 plus products with a fill
+        fill = self.fill * o.fill + 0.0
+        if self.support != o.support:
+            union = _union(self, o)
+            if union.outer is not None:
+                # disjoint supports: one pair per coefficient, summed from +0.0
+                order = min(self.order, o.order)
+                width = union.space.ncoeff_upto[order]
+                ia, ib = union.outer
+                out = self.coeffs[ia[:width]] * o.coeffs[ib[:width]] + 0.0
+                return Jet(union.space, out, order, union.support, fill, self.seeded)
+        space, support, a, b, order = self._aligned(o)
+        return Jet(space, _product(space, a, b, order), order, support, fill, self.seeded)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, (int, float, np.integer, np.floating)):
-            if float(other) == 0.0:
+            c = float(other)
+            if c == 0.0:
                 raise DomainError("division-by-zero")
-            return type(self)(self.space, self.coeffs / float(other), self.order)
+            return type(self)(
+                self.space, self.coeffs / c, self.order, self.support, self.fill / c, self.seeded
+            )
         o = self._lift(other)
         if o is None:
             return NotImplemented
@@ -278,10 +357,14 @@ class Jet:
 
     def _compose(self, taylor: Sequence[float]) -> "Jet":
         """sum_k taylor[k] * (self - value)^k by Horner in the jet algebra."""
-        h = Jet(self.space, self.coeffs.copy(), self.order)
+        if self.order == 0:
+            return self._constant(taylor[0], 0)
+        h = Jet(self.space, self.coeffs.copy(), self.order, self.support, self.fill, self.seeded)
         h.coeffs[0] = 0.0
-        out = self.space.constant(taylor[self.order], self.order)
-        for k in range(self.order - 1, -1, -1):
+        # the first step, constant(taylor[order]) * h, is a scale; its 0.0 is
+        # the +0.0 at which np.bincount starts every product's sum
+        out = h * taylor[self.order] + 0.0 + taylor[self.order - 1]
+        for k in range(self.order - 2, -1, -1):
             out = out * h + taylor[k]
         return out
 
@@ -320,20 +403,149 @@ class Jet:
             if self.value == 0.0:
                 raise DomainError("power-domain", "0 raised to a negative power")
             return self._powi(-k)._reciprocal()
-        result = self.space.constant(1.0, self.order)
+        if k == 0:
+            return self._constant(1.0, self.order)
+        # binary powering from the lowest bit, with no product by the
+        # constant 1 and no squaring after the highest bit
+        result = None
         base = self
-        while k:
+        while True:
             if k & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             k >>= 1
-        return result
+            if not k:
+                break
+            base = base * base
+        # the product 1 * self this skips adds 0.0 to self's coefficients
+        return result + 0.0 if result is self else result
 
     def _powr(self, r: float) -> "Jet":
         return self._apply(_powr_taylor, r)
 
     def __repr__(self) -> str:
         return f"Jet(order={self.order}, value={self.value!r})"
+
+
+# -- supports --------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _all_variables(nvars: int) -> tuple[int, ...]:
+    return tuple(range(nvars))
+
+
+@lru_cache(maxsize=1024)
+def _embedding(sub: tuple[int, ...], sup: tuple[int, ...], order: int) -> np.ndarray:
+    """The slot in jet_space(len(sup), order) of each monomial of
+    jet_space(len(sub), order), where sub is a sorted subset of sup.  The
+    slots ascend and keep the degree, so a validity prefix maps into the
+    prefix of the same validity."""
+    small, big = jet_space(len(sub), order), jet_space(len(sup), order)
+    exps = np.zeros((small.ncoeff, big.nvars), dtype=np.int64)
+    exps[:, [sup.index(v) for v in sub]] = small.exponents
+    return big.slots(exps)
+
+
+class _Union(NamedTuple):
+    """Two jets' supports merged: the space and support of the union, the
+    slots each operand's coefficients take there (None: they are already
+    over it), and for disjoint supports the `outer` tables, the slot of
+    each factor of every coefficient of the union's space."""
+
+    space: JetSpace
+    support: tuple[int, ...] | None
+    slots_a: np.ndarray | None
+    slots_b: np.ndarray | None
+    outer: tuple[np.ndarray, np.ndarray] | None = None
+
+
+@lru_cache(maxsize=1024)
+def _merge(sa: tuple[int, ...], sb: tuple[int, ...], order: int) -> _Union:
+    support = tuple(sorted(set(sa) | set(sb)))
+    space = jet_space(len(support), order)
+    outer = None
+    if not set(sa) & set(sb):
+        exps = space.exponents
+        outer = tuple(
+            jet_space(len(s), order).slots(exps[:, [support.index(v) for v in s]])
+            for s in (sa, sb)
+        )
+    return _Union(
+        space, support, _embedding(sa, support, order), _embedding(sb, support, order), outer
+    )
+
+
+def _same_seeded(a: Jet, b: Jet) -> None:
+    if a.seeded is not b.seeded:
+        raise ValueError("jets from different spaces cannot be combined")
+
+
+def _union(a: Jet, b: Jet) -> _Union:
+    """The union of the supports of two jets of one seeded space."""
+    _same_seeded(a, b)
+    if a.support is not None and b.support is not None:
+        return _merge(a.support, b.support, a.space.order)
+    full, sub = (a, b) if a.support is None else (b, a)
+    slots = _embedding(sub.support, _all_variables(full.space.nvars), full.space.order)
+    return _Union(full.space, None, *((None, slots) if full is a else (slots, None)))
+
+
+def _widen(j: Jet, slots: np.ndarray | None, width: int, order: int) -> np.ndarray:
+    """j's coefficients of validity `order` at `slots` of a vector of
+    `width` that holds j.fill elsewhere; with slots None, just cut."""
+    cut = j.space.ncoeff_upto[order]
+    if slots is None:
+        return j.coeffs[..., :cut]
+    out = np.full(width, j.fill)
+    out[slots[:cut]] = j.coeffs[:cut]
+    return out
+
+
+def restrict(j):
+    """A scalar jet over all its space's variables as a jet over the ones its
+    coefficients depend on: every coefficient outside them is +0.0, which
+    becomes the fill.  Anything else (a float, a BatchJet, a jet that
+    already has a support) is returned as it is."""
+    if type(j) is not Jet or j.support is not None:
+        return j
+    sp = j.space
+    # the slots whose bits are not those of +0.0, and the variables they touch
+    touched = np.flatnonzero(np.ascontiguousarray(j.coeffs).view(np.int64))
+    support = tuple(np.flatnonzero(sp.exponents[touched].any(axis=0)).tolist())
+    if len(support) == sp.nvars:
+        return j
+    sub = jet_space(len(support), sp.order)
+    slots = _embedding(support, _all_variables(sp.nvars), sp.order)
+    return Jet(sub, j.coeffs[slots[: sub.ncoeff_upto[j.order]]], j.order, support, 0.0, sp)
+
+
+def embed(j):
+    """A jet with a support as the jet over all the variables of its seeded
+    space, with its fill in every slot outside the support.  Anything else
+    is returned as it is."""
+    if not isinstance(j, Jet) or j.support is None:
+        return j
+    space = j.seeded
+    slots = _embedding(j.support, _all_variables(space.nvars), space.order)
+    coeffs = np.full(space.ncoeff_upto[j.order], j.fill)
+    coeffs[slots[: len(j.coeffs)]] = j.coeffs
+    return Jet(space, coeffs, j.order)
+
+
+class Restricted:
+    """A sequence of coordinates (floats or jets over one seeded space) whose
+    scalar jets are restricted to their supports on first use."""
+
+    def __init__(self, coords: Sequence):
+        self.coords = coords
+        self._restricted: dict[int, object] = {}
+
+    def __getitem__(self, i: int):
+        try:
+            return self._restricted[i]
+        except KeyError:
+            v = self._restricted[i] = restrict(self.coords[i])
+            return v
 
 
 # -- univariate Taylor coefficients ----------------------------------------
@@ -405,7 +617,7 @@ def _cos_taylor(v: float, order: int) -> list[float]:
 
 def _powi_taylor(v: float, order: int, k: int) -> list[float]:
     """Only the value v**k, for floats: an integer power of a jet is a
-    repeated product (`Jet._powi`), valid for any base."""
+    product by binary powering (`Jet._powi`), valid for any base."""
     if v == 0.0 and k < 0:
         raise DomainError("power-domain", "0 raised to a negative power")
     return [v**k]
@@ -475,6 +687,14 @@ class BatchJet(Jet):
         out[:, dst] = self.coeffs[:, src] * fac
         return BatchJet(sp, out, self.order - 1)
 
+    def _lift(self, other) -> "Jet | None":
+        o = Jet._lift(self, other)
+        if o is None or o.space is self.space:
+            return o
+        _same_seeded(self, o)
+        # a jet with a support stands in every row over all the variables
+        return embed(o)
+
     def _rows_constant(self, column: np.ndarray) -> "BatchJet":
         coeffs = np.zeros(self.coeffs.shape)
         coeffs[:, 0] = column
@@ -512,11 +732,15 @@ class BatchJet(Jet):
 
     def _compose(self, taylor: np.ndarray) -> "BatchJet":
         """Row r is sum_k taylor[r, k] * (row r - its value)^k, by Horner."""
+        if self.order == 0:
+            return self._rows_constant(taylor[:, 0])
         h = self.coeffs.copy()
         h[:, 0] = 0.0
+        # the scale that opens the scalar scheme, row by row
+        out = BatchJet(self.space, h * taylor[:, self.order, None] + 0.0, self.order)
+        out = out + self._rows_constant(taylor[:, self.order - 1])
         h = BatchJet(self.space, h, self.order)
-        out = self._rows_constant(taylor[:, self.order])
-        for k in range(self.order - 1, -1, -1):
+        for k in range(self.order - 2, -1, -1):
             out = out * h + self._rows_constant(taylor[:, k])
         return out
 
@@ -589,7 +813,7 @@ def divide(a: Scalar, b: Scalar):
 def powx(base: Scalar, expo: Scalar):
     """base**expo with principal real semantics.
 
-    Integer-valued exponents use repeated multiplication and are valid for
+    Integer-valued exponents use binary powering and are valid for
     any base (except 0 to a negative power); non-integer exponents require a
     strictly positive base.
     """

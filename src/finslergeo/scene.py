@@ -475,11 +475,11 @@ def _sample_block(
         mv = ev.metric(opts.tol_degenerate)
         block["metric"] = {"det": mv.det, "signature": list(mv.signature)}
         if detail:
-            curv = ev.curvature
             block["spray"] = ev.spray_values
             block["nonlinear"] = ev.nonlinear_values
             block["chern_rund"] = ev.gamma_values
             block["cartan_trace"] = ev.cartan_trace
+            curv = ev.curvature
             block["ricci"] = curv.ricci
             block["skew_ricci"] = curv.skew_ricci
             skew_route = geometry.ricci_skew_from_curvature(

@@ -653,3 +653,26 @@ def test_stacked_chain_makes_no_scalar_jet_product(monkeypatch, szabo):
     assert calls == []
     ev.L * ev.L  # the counter sees a scalar product
     assert len(calls) == 1
+
+
+def test_dim6_L_makes_no_product_over_all_twelve_variables(monkeypatch):
+    # each factor of L is a jet over the variables it depends on
+    lag = DslLagrangian(dim=6, ast=expr.parse(
+        "exp(0.2*x1*x2 + 0.15*x4)*(dx0^2 - dx1^2 - dx2^2 - dx3^2 - dx4^2 - dx5^2)",
+        12, aliases=fiber_aliases(6, None),
+    ))
+    sample = TangentSample([0.1, -0.3, 0.25, 0.0, 0.4, -0.2], [1.0, 0.1, -0.15, 0.05, 0.2, -0.1])
+    spaces = []
+    mul = Jet.__mul__
+
+    def counting(self, other):
+        if isinstance(other, Jet):
+            spaces.append((self.space.nvars, other.space.nvars))
+        return mul(self, other)
+
+    monkeypatch.setattr(Jet, "__mul__", counting)
+    L = geometry.eval_L(lag, sample, 4)
+    assert L.space is jet_space(12, 4) and L.support is None
+    # x1 * x2, three Horner products of exp, six squares and the final product
+    assert len(spaces) == 11
+    assert all(max(pair) < 12 for pair in spaces)

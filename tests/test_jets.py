@@ -650,3 +650,50 @@ def test_jets_store_exactly_the_valid_prefix_of_the_full_width_result(case):
                 assert_stores_reference_prefix(op, v, u)
         for var in range(space.nvars if u.order >= 1 else 0):
             assert_stores_reference_prefix(lambda w: w.diff(var), u)
+
+
+# -- the work of powers and compositions ---------------------------------------------
+
+
+def _count_products(monkeypatch):
+    """The spaces of the scalar jet products made from now on."""
+    spaces = []
+    mul = Jet.__mul__
+
+    def counting(self, other):
+        if isinstance(other, Jet):
+            spaces.append(self.space)
+        return mul(self, other)
+
+    monkeypatch.setattr(Jet, "__mul__", counting)
+    return spaces
+
+
+@pytest.mark.parametrize("k, products", [(1, 0), (2, 1), (3, 2), (4, 2), (5, 3)])
+def test_binary_powering_makes_no_wasted_product(monkeypatch, k, products):
+    (x,) = seed([0.7], [0], 4)
+    expected = x
+    for _ in range(k - 1):
+        expected = expected * x
+    spaces = _count_products(monkeypatch)
+    got = x._powi(k)
+    assert len(spaces) == products
+    np.testing.assert_allclose(got.coeffs, expected.coeffs, rtol=1e-15)
+
+
+def test_the_first_power_is_the_product_by_one_it_skips():
+    # 1 * u sums from +0.0, so u's -0.0 coefficients come out as +0.0
+    (x,) = seed([0.7], [0], 4)
+    u = -x
+    assert np.any(np.signbit(u.coeffs) & (u.coeffs == 0.0))
+    assert same_bits(u._powi(1).coeffs, (u.space.constant(1.0) * u).coeffs)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_a_composition_makes_order_minus_one_products(monkeypatch, order):
+    x, y = seed([0.4, -0.3], [0, 1], order)
+    u = x * y + x
+    spaces = _count_products(monkeypatch)
+    for f in (u.exp(), u.sin(), u._reciprocal(), u._powr(0.5)):
+        assert f.order == order
+    assert len(spaces) == 4 * (order - 1)

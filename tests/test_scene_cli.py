@@ -1,13 +1,16 @@
 """Scene validation, report schema conformance, CLI behavior, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from finslergeo import alphabeta, cli, geometry
+from finslergeo import __version__, alphabeta, cli, geometry
 from finslergeo.jets import BatchJet
 from finslergeo.scene import (
     SceneError,
@@ -474,6 +477,69 @@ def test_det_out_of_float_range_after_L_keeps_the_commutator_residual():
     assert sample["residuals"]["commutator"] == 0.0
 
 
+def test_curvature_out_of_float_range_after_L_is_not_a_verdict(capsys, tmp_path):
+    # L, g and Gamma (about 5e159) are finite; Gamma * Gamma in the curvature
+    # and the affine Ricci tensor is not, and nan < tol decides nothing
+    doc = {
+        "chart": {"dim": 2},
+        "lagrangian": _dsl("(1 + 1e160*x0)*dx0^2 - dx1^2"),
+        "samples": [{"x": [0, 0], "xdot": [1, 0.1]}],
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow warning from a product or the curvature
+        report, code = run_scene(load_scene(doc), "report")
+        code_cli = cli.main(["report", str(_write_scene(tmp_path, doc)), "--out", str(tmp_path)])
+    assert code == code_cli == 0
+    (sample,) = report["samples"]
+    assert sample["admissibility"]["in_A"] is True
+    assert sample["error"] == "overflow: the hh-curvature is out of float range"
+    assert "ricci" not in sample and "residuals" not in sample
+    assert report["geometry"]["berwald"]["is_berwald"] is True
+    obstruction = report["geometry"]["obstruction"]
+    assert obstruction["metrizability_necessary_condition_met"] is None
+    assert obstruction["max_skew_abs"] is None
+    (entry,) = obstruction["per_base_point"]
+    assert entry["error"] == "overflow: the affine Ricci tensor is out of float range"
+    out = capsys.readouterr().out
+    assert "obstruction: not computed (overflow: the affine Ricci tensor" in out
+    assert "NON-METRIZABLE" not in out
+
+
+@pytest.mark.parametrize(
+    "source, xdot, what",
+    [
+        # g (det about -1e-5) is finite; Gamma^0_00 = 0.5 * 1e5 * 1e306 is not
+        ("(1e-5 + 1e306*x0)*dx0^2 - dx1^2", [1, 0.1], "the Chern-Rund connection"),
+        # Gamma = 5e306 and the spray at xdot (1.7e307) are finite; the spray
+        # at a witness direction 1.3 times longer is not
+        ("(1 + 1e307*x0)*dx0^2 - dx1^2", [2.6, 0.1], "the spray"),
+    ],
+    ids=["connection", "witness-spray"],
+)
+def test_out_of_float_range_after_L_is_not_a_berwald_verdict(source, xdot, what):
+    # a deviation of nan, or a max() that drops one, decides nothing
+    doc = {
+        "chart": {"dim": 2},
+        "lagrangian": _dsl(source),
+        "samples": [{"x": [0, 0], "xdot": xdot}],
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow warning from the chain or the witness
+        report, code = run_scene(load_scene(doc), "report")
+    assert code == 0
+    (sample,) = report["samples"]
+    assert sample["admissibility"]["in_A"] is True
+    assert sample["error"] == "overflow: the hh-curvature is out of float range"
+    detail = f"overflow: {what} is out of float range"
+    berwald_section = report["geometry"]["berwald"]
+    assert berwald_section["is_berwald"] is None
+    assert berwald_section["max_gamma_deviation"] is None
+    assert [e["error"] for e in berwald_section["per_base_point"]] == [detail]
+    obstruction = report["geometry"]["obstruction"]
+    assert obstruction["metrizability_necessary_condition_met"] is None
+    assert [e["error"] for e in obstruction["per_base_point"]] == [detail]
+
+
 # -- CLI ---------------------------------------------------------------------------
 
 
@@ -600,6 +666,40 @@ def test_cli_seed_flag_overrides_scene(tmp_path):
     cli.main(["berwald", str(p), "--out", str(tmp_path / "a"), "--seed", "11"])
     report = json.loads((tmp_path / "a" / "report.json").read_text())
     assert report["metadata"]["seed"] == 11
+
+
+def test_cli_calls_in_one_process_share_no_state(tmp_path, capsys):
+    # the parser is built once; a flag of one call does not reach the next
+    p = _write_scene(tmp_path, szabo_scene(seed=7))
+    cli.main(["berwald", str(p), "--out", str(tmp_path / "a"), "--seed", "3"])
+    cli.main(["berwald", str(p), "--out", str(tmp_path / "b")])
+    seeds = [
+        json.loads((tmp_path / d / "report.json").read_text())["metadata"]["seed"]
+        for d in ("a", "b")
+    ]
+    assert seeds == [3, 7]
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as err:
+        cli.main(["--version"])
+    assert err.value.code == 0
+    assert capsys.readouterr().out.strip() == f"finslergeo {__version__}"
+    with pytest.raises(SystemExit) as err:
+        cli.main(["berwald", str(p), "--no-such-flag"])
+    assert err.value.code == 2
+    assert "unrecognized arguments: --no-such-flag" in capsys.readouterr().err
+    assert cli.main(["berwald", str(p), "--out", str(tmp_path / "c")]) == 0
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    )}
+    done = subprocess.run(
+        [sys.executable, "-m", "finslergeo", "--version"], capture_output=True, text=True, env=env
+    )
+    assert done.returncode == 0
+    assert done.stdout.strip() == f"finslergeo {__version__}"
 
 
 def test_cli_out_env_var(tmp_path, monkeypatch):

@@ -1,0 +1,326 @@
+"""Support tracking: `expr.eval` and `geometry.eval_L_jets` evaluate each
+subexpression as a jet over the seeded variables it depends on, and return
+jets over all of them.  Every such result must equal, bit for bit, the jet
+of the full-space route, which evaluates every subexpression over all the
+seeded variables.  The one exception is a non-finite coefficient: there the
+full-space route also multiplies inf by the zeros outside a support, so only
+the non-finiteness itself is compared."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from finslergeo import expr, geometry, jets
+from finslergeo.defs import DslLagrangian, FamilyInstance, TangentSample
+from finslergeo.expr import Binary, Const, Coord, ExprDomainError, Param, Unary
+from finslergeo.geometry import DegenerateMetric
+from finslergeo.jets import BatchJet, DomainError, Jet, jet_space, seed, seed_block
+
+# -- the full-space route: the reference ----------------------------------------
+#
+# `expr.evaluate` neither restricts nor embeds, so over seeded jets every
+# subexpression is a jet over all the seeded variables.
+
+
+def full_space_eval(ast, coords, params=None):
+    return expr.evaluate(ast, coords, params)
+
+
+def full_space_L(lag, coords):
+    """`geometry.eval_L_jets` with every subexpression over all the seeded
+    variables."""
+    if isinstance(lag, DslLagrangian):
+        return full_space_eval(lag.ast, coords, lag.params)
+    n = lag.dim
+    xj, vj = coords[:n], coords[n:]
+    aval = None
+    for a in range(n):
+        for b in range(a, n):
+            entry = full_space_eval(lag.alpha[a][b], xj, lag.params)
+            if isinstance(entry, (int, float)) and entry == 0.0:
+                continue
+            weight = 1.0 if a == b else 2.0
+            term = (weight * entry) * vj[a] * vj[b]
+            aval = term if aval is None else aval + term
+    if aval is None:
+        raise DegenerateMetric("alpha is identically zero")
+    bval = None
+    for a in range(n):
+        entry = full_space_eval(lag.beta[a], xj, lag.params)
+        if isinstance(entry, (int, float)) and entry == 0.0:
+            continue
+        term = entry * vj[a]
+        bval = term if bval is None else bval + term
+    if bval is None:
+        bval = 0.0
+    s = bval * bval / aval
+    return aval * jets.powx(s, -lag.p) * jets.powx(lag.c + lag.m * s, lag.p + 1.0)
+
+
+# -- comparison ---------------------------------------------------------------------
+
+
+def same_bits(a, b) -> bool:
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+_ERRORS = (DomainError, ExprDomainError, DegenerateMetric)
+
+
+def assert_matches_full_space(tracked, reference):
+    """tracked() equals reference() bit for bit, or raises what it raises."""
+    with np.errstate(all="ignore"):
+        try:
+            expected = reference()
+        except _ERRORS as err:
+            with pytest.raises(type(err)) as got:
+                tracked()
+            assert str(got.value) == str(err)
+            return
+        got = tracked()
+    if not isinstance(expected, Jet):
+        assert not isinstance(got, Jet) and same_bits(float(got), float(expected))
+        return
+    assert type(got) is type(expected)
+    assert got.support is None and got.space is expected.space
+    assert got.order == expected.order
+    if np.all(np.isfinite(expected.coeffs)):
+        assert same_bits(got.coeffs, expected.coeffs)
+    else:
+        assert not np.all(np.isfinite(got.coeffs))
+
+
+# -- random inputs ------------------------------------------------------------------
+
+
+def _random_coordinates(rng, nvars, order, count):
+    """`count` jets over one seeded space, each depending on a random subset
+    of its variables (none: a constant; all: a full-space jet), with random
+    coefficients on that subset's monomials and a random validity."""
+    space = jet_space(nvars, order)
+    coords = []
+    for _ in range(count):
+        support = rng.random(nvars) < 0.4
+        validity = int(rng.integers(0, order + 1))
+        width = space.ncoeff_upto[validity]
+        inside = ~np.any(space.exponents[:width][:, ~support], axis=1)
+        coeffs = np.where(inside, rng.uniform(-1.5, 1.5, width), 0.0)
+        coeffs[0] = rng.choice([-1.0, 1.0]) * rng.uniform(0.3, 1.5)
+        coords.append(Jet(space, coeffs, validity))
+    return coords
+
+
+def _ast(max_leaves):
+    leaves = st.one_of(
+        st.builds(Const, st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, -0.25])),
+        st.builds(Coord, st.integers(0, 3)),
+        st.builds(Param, st.just("a")),
+    )
+
+    def extend(children):
+        unary = st.builds(
+            Unary, st.sampled_from(["neg", "sin", "cos", "exp", "ln", "sqrt", "abs"]), children
+        )
+        binary = st.builds(
+            Binary, st.sampled_from(["add", "sub", "mul", "div"]), children, children
+        )
+        power = st.builds(
+            Binary,
+            st.just("pow"),
+            children,
+            st.builds(Const, st.sampled_from([0.0, 1.0, 2.0, 3.0, 5.0, -1.0, -2.0, 0.5, 1.5])),
+        )
+        return st.one_of(unary, binary, power)
+
+    return st.recursive(leaves, extend, max_leaves=max_leaves)
+
+
+def _subtrees(node):
+    yield node
+    if isinstance(node, Unary):
+        yield from _subtrees(node.arg)
+    elif isinstance(node, Binary):
+        yield from _subtrees(node.left)
+        yield from _subtrees(node.right)
+
+
+_spaces = st.fixed_dictionaries({
+    "nvars": st.integers(1, 6),
+    "order": st.integers(1, jets.MAX_ORDER),
+    "seed": st.integers(0, 2**32 - 1),
+})
+
+
+@settings(max_examples=80, deadline=None)
+@given(_ast(12), _spaces)
+def test_every_subexpression_matches_the_full_space_route(ast, case):
+    rng = np.random.default_rng(case["seed"])
+    coords = _random_coordinates(rng, case["nvars"], case["order"], 4)
+    params = {"a": float(rng.uniform(-2.0, 2.0))}
+    for node in _subtrees(ast):
+        assert_matches_full_space(
+            lambda: expr.eval(node, coords, params),
+            lambda: full_space_eval(node, coords, params),
+        )
+
+
+@settings(max_examples=60, deadline=None)
+@given(_ast(10), _spaces)
+def test_seeded_coordinates_with_random_active_sets(ast, case):
+    # inactive coordinates are constants: their support is empty
+    rng = np.random.default_rng(case["seed"])
+    active = [v for v in range(4) if rng.random() < 0.6]
+    coords = seed(rng.uniform(-1.5, 1.5, 4), active, case["order"])
+    params = {"a": 0.75}
+    assert_matches_full_space(
+        lambda: expr.eval(ast, coords, params), lambda: full_space_eval(ast, coords, params)
+    )
+
+
+def _family(rng, n, draw_ast):
+    """A random family instance over n base coordinates."""
+    def entry():
+        return draw_ast() if rng.random() < 0.6 else Const(float(rng.choice([0.0, 1.0, -1.0])))
+
+    upper = {(a, b): entry() for a in range(n) for b in range(a, n)}
+    alpha = tuple(tuple(upper[min(a, b), max(a, b)] for b in range(n)) for a in range(n))
+    beta = tuple(entry() for _ in range(n))
+    c, m = (float(v) for v in rng.uniform(0.5, 2.0, 2))
+    p = float(rng.choice([0.0, 1.0, 2.0, 0.5, -1.0]))
+    return FamilyInstance(dim=n, alpha=alpha, beta=beta, c=c, m=m, p=p, params={"a": 0.5})
+
+
+def _base_ast(n):
+    # coordinates of the base only, for alpha and beta
+    return _ast(6).filter(lambda t: all(
+        not isinstance(s, Coord) or s.index < n for s in _subtrees(t)
+    ))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), _spaces)
+def test_lagrangians_match_the_full_space_route(data, case):
+    rng = np.random.default_rng(case["seed"])
+    n = 2
+    if data.draw(st.booleans()):
+        lag = DslLagrangian(dim=n, ast=data.draw(_ast(12)), params={"a": 0.5})
+    else:
+        lag = _family(rng, n, lambda: data.draw(_base_ast(n)))
+    # seeded points, random coordinates and, as in the spray witness, a
+    # block of batched fiber coordinates next to scalar base coordinates
+    x = rng.uniform(-1.0, 1.0, n)
+    xdot = rng.uniform(0.3, 1.5, n)
+    order = case["order"]
+    rows = xdot * (1.0 + 0.1 * rng.uniform(-1.0, 1.0, (3, n)))
+    for coords in (
+        seed(list(x) + list(xdot), range(2 * n), order),
+        _random_coordinates(rng, 2 * n, order, 2 * n),
+        seed_block(x, rows, min(order, 2)),
+    ):
+        assert_matches_full_space(
+            lambda: geometry.eval_L_jets(lag, coords), lambda: full_space_L(lag, coords)
+        )
+
+
+# -- the scenes whose L leaves float range --------------------------------------------
+
+
+@pytest.mark.parametrize("source, reason", [
+    ("exp(1000*x0)*dx0^2 - dx1^2", "overflow"),
+    ("exp(700*x0)*dx0^2 - dx1^2", "non-finite"),
+])
+def test_out_of_range_L_keeps_its_tag_and_detail(source, reason):
+    lag = DslLagrangian(dim=2, ast=expr.parse(source, 4, aliases={
+        "dx0": 2, "dx1": 3,
+    }))
+    sample = TangentSample([1.0, 0.0], [1.0, 0.2])
+    coords = seed([1.0, 0.0, 1.0, 0.2], range(4), 4)
+    with np.errstate(all="ignore"):
+        verdict, _ = geometry.probe_context(lag, sample, 4)
+        try:
+            reference = full_space_L(lag, coords)
+        except ExprDomainError as err:
+            expected = err.reason
+            with pytest.raises(ExprDomainError) as got:
+                geometry.eval_L(lag, sample, 4)
+            assert str(got.value) == str(err)
+        else:
+            expected = "non-finite" if not np.all(np.isfinite(reference.coeffs)) else None
+            assert not np.all(np.isfinite(geometry.eval_L(lag, sample, 4).coeffs))
+    assert expected == reason
+    assert verdict.failure_reason == reason
+
+
+# -- restriction and embedding ---------------------------------------------------------
+
+
+def test_a_seeded_coordinate_depends_on_its_own_variable():
+    coords = seed([0.5, -1.0, 2.0], range(3), 4)
+    x1 = jets.restrict(coords[1])
+    assert x1.support == (1,) and x1.space is jet_space(1, 4)
+    assert same_bits(x1.coeffs, [-1.0, 1.0, 0.0, 0.0, 0.0])
+    assert same_bits(jets.embed(x1).coeffs, coords[1].coeffs)
+    # a constant depends on no variable; a jet over every variable stays as it is
+    (c, _) = seed([3.0, 1.0], [1], 2)
+    assert jets.restrict(c).support == ()
+    full = coords[0] * coords[1] * coords[2]
+    assert jets.restrict(full) is full
+
+
+def test_jets_seeded_apart_cannot_be_combined():
+    # x0 of a 2-variable seed restricts to jet_space(1, 4), the space of a
+    # 1-variable seed, and x0 of a 3-variable seed to the same space and
+    # support: the seeded spaces still differ
+    a = seed([1.0, 2.0], [0, 1], 4)
+    b = seed([3.0], [0], 4)
+    ra, rc = jets.restrict(a[0]), jets.restrict(seed([3.0, 4.0, 5.0], range(3), 4)[0])
+    assert ra.space is b[0].space is rc.space and ra.support == rc.support == (0,)
+    for u, v in [(ra, b[0]), (b[0], ra), (ra, rc), (ra.exp(), rc), (ra, b[0].sin())]:
+        for op in (lambda p, q: p + q, lambda p, q: p - q, lambda p, q: p * q):
+            with pytest.raises(ValueError, match="different spaces"):
+                op(u, v)
+    with pytest.raises(ValueError, match="different spaces"):
+        expr.eval(expr.parse("x0 * x1", 2), [a[0], b[0]])
+    x, v = seed_block([0.3], np.array([[1.0], [2.0]]), 2)
+    with pytest.raises(ValueError, match="different spaces"):
+        jets.restrict(seed([1.0, 2.0, 3.0], range(3), 2)[0]) * v
+
+
+def test_the_fill_keeps_the_sign_of_the_zeros_outside_the_support():
+    # -(x0) - x1 holds -0.0 in x2's slots over all the variables
+    x0, x1, x2 = seed([0.5, -1.0, 2.0], range(3), 2)
+    ast = expr.parse("-x0 - x1", 3)
+    got = expr.eval(ast, [x0, x1, x2])
+    expected = -x0 - x1
+    assert same_bits(got.coeffs, expected.coeffs)
+    assert math.copysign(1.0, got.coeffs[x2.space.first_index[2]]) == -1.0
+    # a product sums from +0.0 outside its operands' supports too
+    ast = expr.parse("-x0*x1 + -x1*x1", 3)
+    assert same_bits(expr.eval(ast, [x0, x1, x2]).coeffs, full_space_eval(ast, [x0, x1, x2]).coeffs)
+
+
+def test_disjoint_supports_multiply_as_an_outer_product():
+    x0, x1 = (jets.restrict(j) for j in seed([0.5, -1.0], range(2), 4))
+    product = x0.exp() * x1.sin()
+    assert product.support == (0, 1)
+    full = seed([0.5, -1.0], range(2), 4)
+    assert same_bits(jets.embed(product).coeffs, (full[0].exp() * full[1].sin()).coeffs)
+
+
+def test_a_jet_with_a_support_meets_a_batch_over_all_the_variables():
+    x, v = seed_block([0.3], np.array([[1.0], [2.0]]), 2)
+    (xr,) = (jets.restrict(x),)
+    out = xr.exp() * v
+    assert isinstance(out, BatchJet) and out.support is None
+    assert same_bits(out.coeffs, (x.exp() * v).coeffs)
+
+
+def test_an_outer_product_sums_from_plus_zero():
+    # x0 * -x1: the zeros of x0 times -1 are -0.0 before the sum from +0.0
+    coords = seed([0.5, -1.0], range(2), 4)
+    ast = expr.parse("x0*-x1", 2)
+    got = expr.eval(ast, coords)
+    assert same_bits(got.coeffs, full_space_eval(ast, coords).coeffs)
+    assert not np.any(np.signbit(got.coeffs) & (got.coeffs == 0.0))

@@ -9,9 +9,11 @@ default samples), on one fixed dim-6 DSL scene (12 jet variables, so the
 largest jet space the reports build), on three DSL scenes whose Berwald
 witness rejects sampled directions (a sqrt, a power and a log leave their
 domain outside the cone) and on two DSL scenes whose only sample leaves float
-range (tagged ``overflow`` and ``non-finite``) and on one DSL scene whose L is
-finite but whose det g is not, at ``options.seed`` 0 and 3.  Each run prints
-one line:
+range (tagged ``overflow`` and ``non-finite``), on one DSL scene whose L is
+finite but whose det g is not, on one whose L is finite but whose
+curvature is not, on one whose L is finite but whose Chern-Rund connection
+is not, and on one whose spray at the sample is finite but at a witness
+direction is not, at ``options.seed`` 0 and 3.  Each run prints one line:
 
     <scene> <subcommand> <seed> <exit code> <sha256 of report.json or ->
 
@@ -32,7 +34,12 @@ alpha print
 
     <scene> family:<reader> <sample label> <sha256 of the result's raw bytes>
 
-in the same way.
+in the same way.  For every sample of every scene, the Taylor coefficients
+of L -- ``geometry.eval_L`` at orders 2 and 4, and the batched order-2 L of
+the spray witness over one fixed block of directions near the sample's --
+print
+
+    <scene> L:<evaluation> <sample label> <sha256 of the coefficients' raw bytes>
 
 Two checkouts that print the same lines write byte-identical reports and
 return byte-identical arrays, so a refactoring can be checked against its
@@ -54,6 +61,7 @@ import numpy as np
 
 from finslergeo import alphabeta, catalog, cli, geometry
 from finslergeo.defs import FamilyInstance
+from finslergeo.jets import seed_block
 from finslergeo.scene import SUBCOMMANDS, load_scene
 
 SEEDS = (0, 3)
@@ -123,10 +131,39 @@ OVERFLOW_AFTER_L_SCENE = {
 }
 
 
+# A scene whose L, g and Gamma (about 5e159) stay in float range while the
+# curvature's Gamma * Gamma terms do not.
+CURVATURE_OVERFLOW_SCENE = {
+    "chart": {"dim": 2},
+    "lagrangian": {"dsl": {"source": "(1 + 1e160*x0)*dx0^2 - dx1^2"}},
+    "samples": [{"x": [0.0, 0.0], "xdot": [1.0, 0.1], "label": "p0"}],
+}
+
+# A scene whose L and g (det about -1e-5) stay in float range while Gamma,
+# about 0.5 * 1e5 * 1e306, does not.
+CONNECTION_OVERFLOW_SCENE = {
+    "chart": {"dim": 2},
+    "lagrangian": {"dsl": {"source": "(1e-5 + 1e306*x0)*dx0^2 - dx1^2"}},
+    "samples": [{"x": [0.0, 0.0], "xdot": [1.0, 0.1], "label": "p0"}],
+}
+
+# A scene whose Gamma (5e306) and spray at the sample (1.7e307) stay in float
+# range while the spray at a longer witness direction does not.
+WITNESS_OVERFLOW_SCENE = {
+    "chart": {"dim": 2},
+    "lagrangian": {"dsl": {"source": "(1 + 1e307*x0)*dx0^2 - dx1^2"}},
+    "samples": [{"x": [0.0, 0.0], "xdot": [2.6, 0.1], "label": "p0"}],
+}
+
+# Offsets of the fixed witness block from a sample's direction.
+WITNESS_OFFSETS = 0.05 * np.array([[0.0, 1.0, -1.0, 0.5], [1.0, -0.5, 0.25, -1.0]])
+
+
 def scene_documents(root: Path):
     """(name, scene document) for the fixture scenes, the catalog, the
     dim-6 scene, the rejection scenes, the error scenes and the
-    overflow-after-L scene."""
+    overflow-after-L, curvature-overflow, connection-overflow and
+    witness-overflow scenes."""
     for path in sorted((root / "scenes").glob("*.json")):
         yield path.name, json.loads(path.read_text(encoding="utf-8"))
     for name in catalog.names():
@@ -135,6 +172,9 @@ def scene_documents(root: Path):
     yield from REJECTION_SCENES.items()
     yield from ERROR_SCENES.items()
     yield "overflow-after-L", OVERFLOW_AFTER_L_SCENE
+    yield "curvature-overflow", CURVATURE_OVERFLOW_SCENE
+    yield "connection-overflow", CONNECTION_OVERFLOW_SCENE
+    yield "witness-overflow", WITNESS_OVERFLOW_SCENE
 
 
 def digest(doc: dict, subcommand: str, workdir: Path) -> tuple[int, str]:
@@ -203,6 +243,23 @@ def _family_calls(inst, x):
     ]
 
 
+def _L_calls(lag, sample):
+    """(name, thunk) for each evaluation of L at one sample: the jet of
+    `geometry.eval_L` at orders 2 and 4, and the witness's block jet."""
+    n = sample.dim
+    offsets = np.resize(WITNESS_OFFSETS, (len(WITNESS_OFFSETS), n))
+    block = sample.xdot * (1.0 + offsets)
+
+    def witness():
+        return [geometry.eval_L_jets(lag, seed_block(sample.x, block, 2)).coeffs]
+
+    return [
+        ("order2", lambda: [geometry.eval_L(lag, sample, 2).coeffs]),
+        ("order4", lambda: [geometry.eval_L(lag, sample, 4).coeffs]),
+        ("witness-block", witness),
+    ]
+
+
 def chain_digest(thunk) -> str:
     try:
         with np.errstate(all="ignore"):
@@ -231,6 +288,8 @@ def main(argv=None) -> int:
         for label, sample in scn.samples:
             for call, thunk in _chain_calls(scn.lagrangian, sample):
                 print(f"{name} chain:{call} {label} {chain_digest(thunk)}", flush=True)
+            for call, thunk in _L_calls(scn.lagrangian, sample):
+                print(f"{name} L:{call} {label} {chain_digest(thunk)}", flush=True)
             if isinstance(scn.lagrangian, FamilyInstance):
                 for call, thunk in _family_calls(scn.lagrangian, sample.x):
                     print(f"{name} family:{call} {label} {chain_digest(thunk)}", flush=True)
