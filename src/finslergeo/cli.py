@@ -17,7 +17,6 @@ import argparse
 import functools
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import __version__, scene as scenemod
@@ -61,18 +60,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Flags that override the scene option of the same name.
-_OVERRIDES = (
-    "tol_berwald", "tol_sym", "tol_degenerate", "tol_null",
-    "directions", "seed", "signature_convention",
-)
-
-
 def _apply_flag_overrides(scene, args):
-    updates = {k: getattr(args, k) for k in _OVERRIDES if getattr(args, k) is not None}
-    if updates:
-        scene = replace(scene, options=replace(scene.options, **updates))
-    return scene
+    updates = {k: getattr(args, k) for k in scenemod.FLAG_OPTIONS if getattr(args, k) is not None}
+    return scenemod.override_options(scene, **updates) if updates else scene
 
 
 def _summary_lines(report: dict, exit_code: int) -> list[str]:

@@ -229,9 +229,36 @@ def koszul(ginv: BatchJet, dg: BatchJet) -> BatchJet:
     return take_rows(0.5 * contract(ginv, inner, ia, ib), idx["expand"])
 
 
+def _matmul_by_constant(a: BatchJet, b: BatchJet, constant_left: bool) -> BatchJet:
+    """The stacked matrix product of a and b, bit for bit
+    ``contract(a, b, *_indices(n)["matmul"])``, where a (if `constant_left`)
+    or else b is constant: all its coefficients but the values are +0.0.
+
+    A coefficient's Cauchy sum starts at +0.0 and meets the constant's value
+    in one pair; its other pairs meet the constant's zeros and add ±0.0 while
+    the other operand is finite.  So each product is the scaling
+    ``0.0 + coefficient * value`` per coefficient (operands in the product's
+    order), summed over k as `contract` does.  A non-finite coefficient times
+    a zero is NaN in the Cauchy sum, so such an operand takes `contract`."""
+    ia, ib = _indices(math.isqrt(len(a.coeffs)))["matmul"]
+    const, other = (a, b) if constant_left else (b, a)
+    if not np.isfinite(other.coeffs).all():
+        return contract(a, b, ia, ib)
+    v = const.coeffs[:, :1]
+    terms = 0.0 + (v[ia] * b.coeffs[ib] if constant_left else a.coeffs[ia] * v[ib])
+    acc = terms[:, 0]
+    for k in range(1, terms.shape[1]):
+        acc = acc + terms[:, k]
+    return BatchJet(other.space, acc, other.order)
+
+
 def invert_jet_matrix(g: BatchJet) -> BatchJet:
     """Inverse of a stacked jet matrix via Newton iteration in the truncated
-    algebra, started from the numeric inverse of the value part."""
+    algebra, X <- X (2I - gX), started from the constant jet X0 of the
+    numeric inverse of the value part.  A product with the constant X0 is a
+    scaling, so the first step's two products are scalings
+    (`_matmul_by_constant`), bit for bit the contractions the later steps
+    make."""
     n = math.isqrt(len(g.coeffs))
     space, order = g.space, g.order
     try:
@@ -248,13 +275,14 @@ def invert_jet_matrix(g: BatchJet) -> BatchJet:
     while errdeg <= order:
         iters += 1
         errdeg *= 2
-    for _ in range(iters):
-        GX = contract(g, X, ia, ib)
+    for step in range(iters):
+        GX = _matmul_by_constant(g, X, False) if step == 0 else contract(g, X, ia, ib)
         # 2 I - GX as the scalar loop forms it, signed zeros included: the
         # diagonal through the lifted constant 2.0, the rest negated
         coeffs = -GX.coeffs
         coeffs[diag] = (2.0 - take_rows(GX, diag)).coeffs
-        X = contract(X, BatchJet(space, coeffs, GX.order), ia, ib)
+        M = BatchJet(space, coeffs, GX.order)
+        X = _matmul_by_constant(X, M, True) if step == 0 else contract(X, M, ia, ib)
     return X
 
 

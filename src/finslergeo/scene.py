@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
+from json.encoder import encode_basestring_ascii as _string
 from typing import Mapping, Optional
 
 import numpy as np
@@ -101,11 +102,52 @@ def _expect_known_keys(obj, pointer, known):
 
 def _positive_number(val, pointer) -> float:
     _expect(
-        isinstance(val, (int, float)) and not isinstance(val, bool) and val > 0,
+        isinstance(val, (int, float)) and not isinstance(val, bool) and 0 < val < math.inf,
         pointer,
-        "expected a positive number",
+        "expected a finite positive number",
     )
     return float(val)
+
+
+def _at_least_two(val, pointer) -> int:
+    _expect(val >= 2, pointer, "need at least 2 directions")
+    return val
+
+
+def _non_negative(val, pointer) -> int:
+    _expect(val >= 0, pointer, "expected a non-negative integer")
+    return val
+
+
+def _convention(val, pointer) -> str:
+    _expect(val in ("+---", "-+++"), pointer, "must be '+---' or '-+++'")
+    return val
+
+
+# The check of each option a command-line flag can replace, and the pointer
+# of the scene option it replaces; `load_scene` checks the scene's own
+# options with the same functions.
+_FLAG_OPTIONS = {
+    "tol_berwald": (_positive_number, "/options/tolerances/berwald"),
+    "tol_sym": (_positive_number, "/options/tolerances/sym"),
+    "tol_degenerate": (_positive_number, "/options/tolerances/degenerate"),
+    "tol_null": (_positive_number, "/options/tolerances/null"),
+    "directions": (_at_least_two, "/options/directions"),
+    "seed": (_non_negative, "/options/seed"),
+    "signature_convention": (_convention, "/options/signature_convention"),
+}
+FLAG_OPTIONS = tuple(_FLAG_OPTIONS)
+
+
+def override_options(scene: Scene, **updates) -> Scene:
+    """The scene with the named options (keys of `FLAG_OPTIONS`) replaced,
+    each checked as `load_scene` checks the scene option it replaces: a bad
+    value is a `SceneError` at that option's pointer."""
+    checked = {}
+    for key, val in updates.items():
+        check, pointer = _FLAG_OPTIONS[key]
+        checked[key] = check(val, pointer)
+    return replace(scene, options=replace(scene.options, **checked))
 
 
 def _float_list(val, pointer, length=None):
@@ -277,17 +319,17 @@ def load_scene(obj: Mapping) -> Scene:
     def tolval(key, default):
         return _positive_number(tol.get(key, default), f"/options/tolerances/{key}")
 
-    convention = _get(
-        opts_obj, "signature_convention", "/options", str, required=False, default="+---"
-    )
-    _expect(
-        convention in ("+---", "-+++"),
+    convention = _convention(
+        _get(opts_obj, "signature_convention", "/options", str, required=False, default="+---"),
         "/options/signature_convention",
-        "must be '+---' or '-+++'",
     )
-    directions = _get(opts_obj, "directions", "/options", int, required=False, default=16)
-    _expect(directions >= 2, "/options/directions", "need at least 2 directions")
-    seed_val = _get(opts_obj, "seed", "/options", int, required=False, default=0)
+    directions = _at_least_two(
+        _get(opts_obj, "directions", "/options", int, required=False, default=16),
+        "/options/directions",
+    )
+    seed_val = _non_negative(
+        _get(opts_obj, "seed", "/options", int, required=False, default=0), "/options/seed"
+    )
     spread = _positive_number(
         opts_obj.get("spread", berwald.DEFAULT_SPREAD), "/options/spread"
     )
@@ -348,15 +390,32 @@ def load_scene_file(path: str) -> Scene:
 
 # -- canonical serialization -------------------------------------------------------
 
+_SCALARS = frozenset((str, float, int, bool, type(None)))
+
 
 def _canon(value):
-    """Recursively normalize report values for serialization."""
+    """The report value as JSON-native Python: dicts with str keys, lists,
+    str, int, float, bool and None.  Dispatch is on the exact type; an
+    ndarray's `tolist()` is already native, and so is a list or tuple of
+    native scalars, which is copied without recursion.  Other types (numpy
+    scalars, subclasses) take the isinstance rules."""
+    t = type(value)
+    if t in _SCALARS:
+        return value
+    if t is dict:
+        return {str(k): _canon(v) for k, v in value.items()}
+    if t is list or t is tuple:
+        if all(type(v) in _SCALARS for v in value):
+            return list(value)
+        return [_canon(v) for v in value]
+    if t is np.ndarray and value.dtype != object:
+        return value.tolist()
     if isinstance(value, dict):
         return {str(k): _canon(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_canon(v) for v in value]
     if isinstance(value, np.ndarray):
-        return [_canon(v) for v in value.tolist()]
+        return _canon(value.tolist())
     if isinstance(value, (bool, np.bool_)):
         return bool(value)
     if isinstance(value, (int, np.integer)):
@@ -366,35 +425,75 @@ def _canon(value):
     return value
 
 
+def _float(x: float) -> str:
+    return f"{x:.17g}" if math.isfinite(x) else "null"
+
+
+def _emit(obj, pad: str, out: list) -> None:
+    """Append the canonical JSON text of obj, whose first line continues at
+    indentation `pad`, to out."""
+    t = type(obj)
+    if t is float:
+        out.append(_float(obj))
+    elif t is str:
+        out.append(_string(obj))
+    elif t is dict:
+        if not obj:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        sep = "{\n" + inner
+        for k, v in obj.items():
+            out.append(sep + _string(str(k)) + ": ")
+            _emit(v, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + pad + "}")
+    elif t is list or t is tuple:
+        if not obj:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        sep = ",\n" + inner
+        if all(type(v) is float for v in obj):
+            out.append("[\n" + inner + sep.join(map(_float, obj)) + "\n" + pad + "]")
+            return
+        out.append("[\n" + inner)
+        _emit(obj[0], inner, out)
+        for v in obj[1:]:
+            out.append(sep)
+            _emit(v, inner, out)
+        out.append("\n" + pad + "]")
+    elif obj is None:
+        out.append("null")
+    elif t is bool:
+        out.append("true" if obj else "false")
+    elif t is int:
+        out.append(str(obj))
+    # subclasses of the JSON types (np.float64 is a float), by the same rules
+    elif isinstance(obj, int):
+        out.append(str(obj))
+    elif isinstance(obj, float):
+        out.append(_float(obj))
+    elif isinstance(obj, str):
+        out.append(_string(obj))
+    elif isinstance(obj, dict):
+        _emit(dict(obj), pad, out)
+    elif isinstance(obj, (list, tuple)):
+        _emit(list(obj), pad, out)
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
 def render_json(obj, indent: int = 0) -> str:
-    """Canonical JSON: floats with 17 significant digits, stable layout."""
-    pad = "  " * indent
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        if not math.isfinite(obj):
-            return "null"
-        return f"{obj:.17g}"
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        inner = ",\n".join(
-            f"{pad}  {json.dumps(str(k))}: {render_json(v, indent + 1)}"
-            for k, v in obj.items()
-        )
-        return "{\n" + inner + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        inner = ",\n".join(f"{pad}  {render_json(v, indent + 1)}" for v in obj)
-        return "[\n" + inner + "\n" + pad + "]"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+    """Canonical JSON of a JSON-native value (see `_canon`), built in one
+    pass into one buffer: floats as ``.17g`` (lossless for IEEE doubles) and
+    ``null`` when not finite, strings ASCII-escaped as `json.dumps` does,
+    two-space indentation with one element or member per line, keys in
+    insertion order, ``{}``/``[]`` for empty containers.  `indent` is the
+    nesting depth the first line continues at."""
+    out: list = []
+    _emit(obj, "  " * indent, out)
+    return "".join(out)
 
 
 def parse_report(text: str) -> dict:

@@ -565,6 +565,78 @@ def test_stacked_matrix_algebra_matches_the_scalar_loops(n, validity, seed):
     assert_same_stack(geometry.koszul(ginv, dg), ref_koszul(ref_ginv, ref_dg))
 
 
+def ref_newton_invert(g: BatchJet) -> BatchJet:
+    """`geometry.invert_jet_matrix` with every Newton step a general
+    contraction, the first one's products with the constant start included."""
+    n = math.isqrt(len(g.coeffs))
+    space, order = g.space, g.order
+    try:
+        vinv = np.linalg.inv(geometry.values(g, (n, n)))
+    except np.linalg.LinAlgError as err:
+        raise DegenerateMetric(str(err)) from err
+    coeffs = np.zeros((n * n, space.ncoeff_upto[order]))
+    coeffs[:, 0] = vinv.ravel()
+    X = BatchJet(space, coeffs, order)
+    idx = geometry._indices(n)
+    ia, ib = idx["matmul"]
+    diag = idx["diagonal"]
+    iters, errdeg = 0, 1
+    while errdeg <= order:
+        iters += 1
+        errdeg *= 2
+    for _ in range(iters):
+        GX = geometry.contract(g, X, ia, ib)
+        coeffs = -GX.coeffs
+        coeffs[diag] = (2.0 - geometry.take_rows(GX, diag)).coeffs
+        X = geometry.contract(X, BatchJet(space, coeffs, GX.order), ia, ib)
+    return X
+
+
+def _outcome(invert, g):
+    """The inverse's validity and raw bytes, or the exception it raised."""
+    try:
+        with np.errstate(all="ignore"):
+            X = invert(g)
+    except Exception as err:  # the outcome is what is compared
+        return type(err).__name__, str(err)
+    return X.order, X.coeffs.tobytes()
+
+
+def _random_stack(rng, n, validity, kind):
+    space = jet_space(3, 2)
+    width = space.ncoeff_upto[validity]
+    coeffs = rng.uniform(-1.0, 1.0, (n * n, width))
+    coeffs[rng.random(coeffs.shape) < 0.3] = rng.choice([0.0, -0.0])
+    # a small diagonal gives a start with entries above 1
+    diagonal = 0.4 if kind == "huge" else rng.choice([0.4, 3.0])
+    coeffs[:, 0] += diagonal * np.eye(n).ravel()
+    row, col = int(rng.integers(n * n)), int(rng.integers(width))
+    if kind in ("inf", "nan"):
+        coeffs[row, col] = {"inf": rng.choice([np.inf, -np.inf]), "nan": np.nan}[kind]
+    elif kind == "huge":  # a finite g whose product with the start overflows
+        coeffs[row, min(col, 1)] = rng.choice([1.7e308, -1.7e308])
+    elif kind == "singular":
+        coeffs[np.arange(n) * n + row % n, 0] = 0.0
+        coeffs[(row % n) * n + np.arange(n), 0] = 0.0
+    return BatchJet(space, coeffs, validity)
+
+
+_STACK_KINDS = ("finite", "inf", "nan", "huge", "singular")
+
+
+@pytest.mark.parametrize("kind", _STACK_KINDS)
+@pytest.mark.parametrize("n", range(1, 7))
+def test_first_newton_step_by_scaling_is_the_contraction(n, kind):
+    rng = np.random.default_rng([n, _STACK_KINDS.index(kind)])
+    for validity in range(3):
+        for _ in range(6):
+            g = _random_stack(rng, n, validity, kind)
+            got, want = _outcome(geometry.invert_jet_matrix, g), _outcome(ref_newton_invert, g)
+            assert got == want
+            if kind == "singular":
+                assert got[0] == "DegenerateMetric"
+
+
 _CATALOG_SAMPLES = [
     (ent.lagrangian, s) for ent in map(catalog.get, catalog.names()) for s in ent.default_samples
 ]

@@ -1,0 +1,53 @@
+"""Smoke test of tools/report_digests.py, the byte-identity check of reports
+and chain arrays: it runs, and every line it prints has its documented shape."""
+
+import importlib.util
+import re
+from collections import Counter
+from pathlib import Path
+
+from finslergeo.scene import SUBCOMMANDS
+
+REPO = Path(__file__).resolve().parents[1]
+
+_DIGEST = r"[0-9a-f]{64}"
+_REPORT = re.compile(
+    rf"(?P<scene>\S+) (?P<sub>{'|'.join(SUBCOMMANDS)}) (?P<seed>\d+) [012] ({_DIGEST}|-)"
+)
+_CALL = re.compile(rf"(?P<scene>\S+) (?P<kind>chain|L|family):(?P<call>\S+) \S+ ({_DIGEST}|\w+)")
+
+
+def _load_tool():
+    spec = importlib.util.spec_from_file_location(
+        "report_digests", REPO / "tools" / "report_digests.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_report_digests_lines_have_their_shape(capsys):
+    tool = _load_tool()
+    assert tool.main([str(REPO)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    scenes = [name for name, _ in tool.scene_documents(REPO)]
+    reports = [m for m in map(_REPORT.fullmatch, lines) if m]
+    calls = [m for m in map(_CALL.fullmatch, lines) if m]
+    assert len(reports) + len(calls) == len(lines), [
+        line for line in lines if not (_REPORT.fullmatch(line) or _CALL.fullmatch(line))
+    ]
+    # one line per scene, seed and subcommand, in that order, before the calls
+    assert [(m["scene"], int(m["seed"]), m["sub"]) for m in reports] == [
+        (name, seed, sub) for name in scenes for seed in tool.SEEDS for sub in SUBCOMMANDS
+    ]
+    assert lines[: len(reports)] == [m.group(0) for m in reports]
+    kinds = Counter(m["kind"] for m in calls)
+    chain_calls = {m["call"] for m in calls if m["kind"] == "chain"}
+    assert chain_calls == {
+        "metric", "spray", "nonlinear_connection", "chern_rund", "hh_curvature",
+        "commutator_check", "vertical_derivative",
+    }
+    assert {m["call"] for m in calls if m["kind"] == "L"} == {"order2", "order4", "witness-block"}
+    assert kinds["L"] * 7 == kinds["chain"] * 3
+    assert kinds["family"] > 0
+    assert {m["scene"] for m in calls} == set(scenes)

@@ -1,6 +1,7 @@
 """Scene validation, report schema conformance, CLI behavior, determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -127,6 +128,8 @@ def test_scene_schema_accepts_fixture_scenes():
         pytest.param({"spread": True}, "/options/spread", id="bool-spread"),
         pytest.param({"threads": 2}, "/options/threads", id="removed-threads"),
         pytest.param({"seed": True}, "/options/seed", id="bool-seed"),
+        pytest.param({"seed": -1}, "/options/seed", id="negative-seed"),
+        pytest.param({"directions": 1}, "/options/directions", id="one-direction"),
     ],
 )
 def test_loader_and_schema_reject_the_same_options(options, pointer):
@@ -646,6 +649,53 @@ def test_cli_threads_flag_is_a_usage_error(tmp_path):
     with pytest.raises(SystemExit) as err:
         cli.main(["report", str(p), "--out", str(tmp_path / "out"), "--threads", "2"])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "flags, pointer",
+    [
+        (["--seed", "-1"], "/options/seed"),
+        (["--directions", "0"], "/options/directions"),
+        (["--directions", "1"], "/options/directions"),
+        (["--tol-berwald", "-1"], "/options/tolerances/berwald"),
+        (["--tol-sym", "nan"], "/options/tolerances/sym"),
+        (["--tol-degenerate", "0"], "/options/tolerances/degenerate"),
+        (["--tol-null", "-0.5"], "/options/tolerances/null"),
+        (["--tol-sym", "inf"], "/options/tolerances/sym"),
+    ],
+)
+def test_cli_flags_get_the_scene_option_checks(tmp_path, capsys, flags, pointer):
+    p = _write_scene(tmp_path, szabo_scene())
+    code = cli.main(["report", str(p), "--out", str(tmp_path / "out"), *flags])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"scene error: {pointer}: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_negative_scene_seed_is_a_scene_error(tmp_path, capsys):
+    p = _write_scene(tmp_path, szabo_scene(seed=-1))
+    assert cli.main(["berwald", str(p), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("scene error: /options/seed: ")
+    # the scene itself is invalid, whatever the flags say
+    assert cli.main(["berwald", str(p), "--out", str(tmp_path / "out"), "--seed", "0"]) == 1
+
+
+@pytest.mark.parametrize(
+    "options, pointer",
+    [
+        ({"spread": math.inf}, "/options/spread"),
+        ({"tolerances": {"sym": math.inf}}, "/options/tolerances/sym"),
+        ({"tolerances": {"berwald": math.nan}}, "/options/tolerances/berwald"),
+    ],
+)
+def test_non_finite_scene_options_are_scene_errors(options, pointer):
+    # json.load reads Infinity and NaN; an infinite tolerance would pass
+    # every test and be written to the report as null
+    with pytest.raises(SceneError) as err:
+        load_scene(json.loads(json.dumps(szabo_scene(**options))))
+    assert err.value.pointer == pointer
 
 
 def test_cli_missing_file_exit_one(tmp_path):
