@@ -154,9 +154,13 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 1
     out_dir = Path(args.out or os.environ.get("FINSLER_OUT_DIR") or ".")
-    out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / "report.json"
-    out_path.write_text(scenemod.render_json(report) + "\n", encoding="utf-8")
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        out_path.write_text(scenemod.render_json(report) + "\n", encoding="utf-8")
+    except OSError as err:  # e.g. --out names a regular file or a path under one
+        print(f"error: {err}", file=sys.stderr)
+        return 1
     for line in _summary_lines(report, exit_code):
         print(line)
     print(f"report written to {out_path}")

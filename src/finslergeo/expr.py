@@ -282,7 +282,11 @@ def parse(
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    return _Parser(source, dim, params, aliases).parse()
+    parser = _Parser(source, dim, params, aliases)
+    try:
+        return parser.parse()
+    except RecursionError:  # the parser descends once per nesting level
+        raise ExprSyntaxError("expression nested too deeply", parser.peek()[2]) from None
 
 
 # -- evaluation ----------------------------------------------------------
@@ -312,44 +316,61 @@ def evaluate(
     params: Mapping[str, float] | None = None,
 ):
     """`eval` with no restriction or embedding: over jets with supports (a
-    `jets.Restricted`), the result keeps its support."""
+    `jets.Restricted`), the result keeps its support.
+
+    The chain of first operands (a binary node's left operand, a unary
+    node's argument) is walked with a loop, not recursion, so a long sum
+    such as ``x0 + x0 + ... + x0`` needs no deep Python stack; each node
+    still evaluates its first operand, then its second, then itself."""
+    spine = []
+    while isinstance(node, (Unary, Binary)):
+        spine.append(node)
+        node = node.arg if isinstance(node, Unary) else node.left
+    value = _leaf(node, coords, params)
+    for node in reversed(spine):
+        try:
+            value = _apply(node, value, coords, params)
+        except DomainError as err:
+            raise ExprDomainError(err.reason, node.span) from err
+        except ZeroDivisionError:
+            raise ExprDomainError("division-by-zero", node.span) from None
+    return value
+
+
+def _leaf(node: ExpressionAst, coords: Sequence, params: Mapping[str, float] | None):
     if isinstance(node, Const):
         return node.value
     if isinstance(node, Coord):
         return coords[node.index]
-    if isinstance(node, Param):
-        try:
-            return float((params or {})[node.name])
-        except KeyError:
-            raise ExprNameError(f"parameter {node.name!r} has no value", node.span)
     try:
-        if isinstance(node, Unary):
-            v = evaluate(node.arg, coords, params)
-            if node.op == "neg":
-                return -v
-            if node.op not in _FUNCTION_OF:
-                raise ValueError(f"unknown unary op {node.op!r}")
-            return _FUNCTION_OF[node.op](v)
-        lhs = evaluate(node.left, coords, params)
-        if node.op == "pow":
-            # constant integer exponents keep negative bases legal
-            if isinstance(node.right, Const):
-                return jets.powx(lhs, node.right.value)
-            return jets.powx(lhs, evaluate(node.right, coords, params))
-        rhs = evaluate(node.right, coords, params)
-        if node.op == "add":
-            return lhs + rhs
-        if node.op == "sub":
-            return lhs - rhs
-        if node.op == "mul":
-            return lhs * rhs
-        if node.op == "div":
-            return jets.divide(lhs, rhs)
-        raise ValueError(f"unknown binary op {node.op!r}")
-    except DomainError as err:
-        raise ExprDomainError(err.reason, node.span) from err
-    except ZeroDivisionError:
-        raise ExprDomainError("division-by-zero", node.span) from None
+        return float((params or {})[node.name])
+    except KeyError:
+        raise ExprNameError(f"parameter {node.name!r} has no value", node.span)
+
+
+def _apply(node: Unary | Binary, first, coords: Sequence, params):
+    """The value of `node` given the value of its first operand."""
+    if isinstance(node, Unary):
+        if node.op == "neg":
+            return -first
+        if node.op not in _FUNCTION_OF:
+            raise ValueError(f"unknown unary op {node.op!r}")
+        return _FUNCTION_OF[node.op](first)
+    if node.op == "pow":
+        # constant integer exponents keep negative bases legal
+        if isinstance(node.right, Const):
+            return jets.powx(first, node.right.value)
+        return jets.powx(first, evaluate(node.right, coords, params))
+    rhs = evaluate(node.right, coords, params)
+    if node.op == "add":
+        return first + rhs
+    if node.op == "sub":
+        return first - rhs
+    if node.op == "mul":
+        return first * rhs
+    if node.op == "div":
+        return jets.divide(first, rhs)
+    raise ValueError(f"unknown binary op {node.op!r}")
 
 
 # -- pretty printing -------------------------------------------------------

@@ -26,7 +26,11 @@ operands gathered by row-index arrays (`contract`), accumulated as
 ``acc = acc + term`` in k order: the order of the loop that would sum one
 component at a time, so every row is that loop's jet bit for bit, and no
 temporary has more rows than the result.  The values and first
-derivatives of a stack are columns of its coefficient array.
+derivatives of a stack are columns of its coefficient array.  The inversion
+of g, ln sqrt|det g| and the Koszul contraction run over the variables their
+operands depend on (`_over_support`), and a horizontal derivative of a jet
+that does not depend on xdot is its x-partials (`_Eval.delta_of`); both
+give the bits of the full computation.
 
 All operations are pure functions of (definition, sample).
 """
@@ -45,7 +49,8 @@ from . import expr as exprmod
 from .defs import DslLagrangian, LagrangianDef, TangentSample
 from .expr import ExprDomainError
 from .jets import (
-    BatchJet, DomainError, Jet, Restricted, embed, jet_space, powx, seed, seed_block
+    BatchJet, DomainError, Jet, Restricted, embed, embed_stack, jet_space, powx,
+    restrict_stack, seed, seed_block, stack_support,
 )
 
 TOL_DEGENERATE = 1e-10
@@ -212,11 +217,35 @@ def _indices(n: int) -> dict:
     }
 
 
+def _over_support(fn, *stacks):
+    """fn(*stacks), run over the variables the stacks depend on and written
+    back over all of them (`jets.stack_support`, `restrict_stack`,
+    `embed_stack`).  While every operand is finite, a coefficient outside
+    those variables is a sum of products with a +0.0 factor, +0.0, and one
+    inside them sums the same products in the same order, so the bits are
+    those of fn over all the variables.  A non-finite stack or cut result
+    could meet a zero there (inf * 0 is NaN), so then fn runs over all the
+    variables as it is."""
+    space = stacks[0].space
+    if all(np.isfinite(s.coeffs).all() for s in stacks):
+        support = stack_support(*stacks)
+        if len(support) < space.nvars:
+            out = fn(*(restrict_stack(s, support) for s in stacks))
+            if np.isfinite(out.coeffs).all():
+                return embed_stack(out, support, space)
+    return fn(*stacks)
+
+
 def koszul(ginv: BatchJet, dg: BatchJet) -> BatchJet:
     """Gamma^a_bc = (1/2) g^{aq} (D_b g_cq + D_c g_bq - D_q g_bc), with
     dg[m, a, b] = D_m g_ab for a derivation D (partial or horizontal); both
     operands and the result are stacks.  The b <= c part is one contraction
-    over q, g^{-1} on the left, scaled after the sum."""
+    over q, g^{-1} on the left, scaled after the sum, run over the variables
+    the operands depend on (`_over_support`)."""
+    return _over_support(_koszul, ginv, dg)
+
+
+def _koszul(ginv: BatchJet, dg: BatchJet) -> BatchJet:
     n = math.isqrt(len(ginv.coeffs))
     idx = _indices(n)
     q, b, c = idx["koszul_terms"]
@@ -255,10 +284,14 @@ def _matmul_by_constant(a: BatchJet, b: BatchJet, constant_left: bool) -> BatchJ
 def invert_jet_matrix(g: BatchJet) -> BatchJet:
     """Inverse of a stacked jet matrix via Newton iteration in the truncated
     algebra, X <- X (2I - gX), started from the constant jet X0 of the
-    numeric inverse of the value part.  A product with the constant X0 is a
-    scaling, so the first step's two products are scalings
-    (`_matmul_by_constant`), bit for bit the contractions the later steps
-    make."""
+    numeric inverse of the value part, run over the variables g depends on
+    (`_over_support`).  A product with the constant X0 is a scaling, so the
+    first step's two products are scalings (`_matmul_by_constant`), bit for
+    bit the contractions the later steps make."""
+    return _over_support(_newton_inverse, g)
+
+
+def _newton_inverse(g: BatchJet) -> BatchJet:
     n = math.isqrt(len(g.coeffs))
     space, order = g.space, g.order
     try:
@@ -286,37 +319,54 @@ def invert_jet_matrix(g: BatchJet) -> BatchJet:
     return X
 
 
+@lru_cache(maxsize=None)
+def _cofactor_plan(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """For each minor size s = 2..n of `det_jet_matrix`, the rows of g and
+    of the level below that its cofactor products multiply, position-major:
+    for each position pos in an s-subset of the columns, then each subset in
+    the order of `combinations`, the entry at the subset's pos-th column of
+    row n - s and the minor without that column."""
+    plan = []
+    index = {(c,): c for c in range(n)}
+    for size in range(2, n + 1):
+        row = n - size
+        subsets = list(combinations(range(n), size))
+        entries = [row * n + subset[pos] for pos in range(size) for subset in subsets]
+        minors = [
+            index[subset[:pos] + subset[pos + 1:]] for pos in range(size) for subset in subsets
+        ]
+        plan.append((np.array(entries), np.array(minors)))
+        index = {subset: i for i, subset in enumerate(subsets)}
+    return plan
+
+
 def det_jet_matrix(g: BatchJet) -> Jet:
     """Determinant of a stacked jet matrix by cofactor expansion along the
     first row, level by level.
 
     Level s holds the minors on the last s rows, one per s-subset of the
-    columns; each is summed over its cofactors in the order of the plain
-    recursion, with one batched product per position, so the result is the
-    recursion's jet bit for bit.
+    columns.  All of a level's cofactor products are one batched product
+    (each row is summed on its own, so batching changes no bits), and each
+    minor sums its cofactors in the order of the plain recursion, the odd
+    positions negated, so the result is the recursion's jet bit for bit.
+    The row indices of every level are planned once per n (`_cofactor_plan`).
     """
     n = math.isqrt(len(g.coeffs))
-    index = {(c,): c for c in range(n)}
     level = take_rows(g, (n - 1) * n + np.arange(n))
-    for size in range(2, n + 1):
-        row = n - size
-        subsets = list(combinations(range(n), size))
-        total = None
-        for pos in range(size):
-            entries = [row * n + subset[pos] for subset in subsets]
-            minors = [index[subset[:pos] + subset[pos + 1:]] for subset in subsets]
-            term = take_rows(g, entries) * take_rows(level, minors)
-            if pos % 2 == 1:
-                term = -term
-            total = term if total is None else total + term
-        level = total
-        index = {subset: i for i, subset in enumerate(subsets)}
+    for size, (entries, minors) in enumerate(_cofactor_plan(n), start=2):
+        terms = take_rows(g, entries) * take_rows(level, minors)
+        by_pos = terms.coeffs.reshape(size, -1, terms.coeffs.shape[-1])
+        total = by_pos[0]
+        for pos in range(1, size):
+            total = total + (-by_pos[pos] if pos % 2 == 1 else by_pos[pos])
+        level = BatchJet(terms.space, total, terms.order)
     return Jet(level.space, level.coeffs[0], level.order)
 
 
 @_quiet
 def log_sqrt_abs_det(g: BatchJet) -> Jet:
-    """ln sqrt|det g| of a stacked jet matrix.
+    """ln sqrt|det g| of a stacked jet matrix, run over the variables g
+    depends on (`_over_support`).
 
     The determinant is taken of g scaled by 2^-k, k the binary exponent of
     max |g value|, so it stays in float range where det g would not, and
@@ -325,6 +375,10 @@ def log_sqrt_abs_det(g: BatchJet) -> Jet:
     are those of the unscaled determinant's logarithm; only the constant
     term can differ in its last bits.
     """
+    return _over_support(_log_sqrt_abs_det, g)
+
+
+def _log_sqrt_abs_det(g: BatchJet) -> Jet:
     n = math.isqrt(len(g.coeffs))
     k = math.frexp(float(np.max(np.abs(g.coeffs[:, 0]))))[1]
     scaled = BatchJet(g.space, np.ldexp(g.coeffs, -k), g.order)
@@ -521,14 +575,24 @@ class _Eval:
     def delta_of(self, j: Jet) -> BatchJet:
         """Horizontal derivative delta_a j = d_a j - N^b_a ddot_b j of a jet
         or a stack j: rows a-major, then j's rows.  One product per b, with
-        N on the left, subtracted in b order."""
+        N on the left, subtracted in b order.
+
+        Where every fiber partial of j is +-0.0 and N is finite, each of
+        those products is +0.0, and acc - 0.0 is acc bit for bit: the
+        result is then the x-partials, cut to the validity the products
+        would leave (as for a g that does not depend on xdot)."""
         n = self.n
         count = len(j.coeffs.reshape(-1, j.coeffs.shape[-1]))
         a, r = np.divmod(np.arange(n * count), count)
         dv = partials(j, range(n, 2 * n))  # [b, r]
         acc = partials(j, range(n))  # [a, r]
+        N = self.nonlinear_jets
+        order = min(acc.order, N.order)
+        width = self.space.ncoeff_upto[order]
+        if not dv.coeffs.any() and np.isfinite(N.coeffs[:, :width]).all():
+            return BatchJet(acc.space, acc.coeffs[:, :width], order)
         for b in range(n):
-            acc = acc - take_rows(self.nonlinear_jets, b * n + a) * take_rows(dv, b * count + r)
+            acc = acc - take_rows(N, b * n + a) * take_rows(dv, b * count + r)
         return acc
 
     @cached_property

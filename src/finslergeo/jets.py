@@ -41,7 +41,11 @@ stored coefficient sums the same nonzero terms in the same order as over all
 the variables, where the rest of the sum only adds +-0.0 to a sum that starts
 at +0.0: the coefficients are the same bit for bit.  The one exception is a
 non-finite coefficient, which over all the variables also meets the zeros
-outside a support and turns inf * 0 into NaN there.
+outside a support and turns inf * 0 into NaN there.  A stack (a BatchJet
+whose rows are a tensor's components) is cut the same way, by
+`restrict_stack` to the variables of `stack_support` and back by
+`embed_stack`; that gives the same bits only while every operand and
+result is finite, which `geometry._over_support` checks.
 
 Every elementary function, on a float, a jet or a batch row, takes its
 Taylor coefficients from one univariate formula through `_taylor`, the one
@@ -530,6 +534,40 @@ def embed(j):
     coeffs = np.full(space.ncoeff_upto[j.order], j.fill)
     coeffs[slots[: len(j.coeffs)]] = j.coeffs
     return Jet(space, coeffs, j.order)
+
+
+def stack_support(*stacks: "BatchJet") -> tuple[int, ...]:
+    """The variables of the stacks' one space that some coefficient of
+    theirs depends on: those of every slot whose bits are not +0.0 in some
+    row, so a coefficient of -0.0 or NaN keeps its variables in."""
+    sp = stacks[0].space
+    touched = np.zeros(sp.ncoeff, dtype=bool)
+    for s in stacks:
+        rows = np.ascontiguousarray(s.coeffs).view(np.int64)
+        touched[: rows.shape[-1]] |= rows.reshape(-1, rows.shape[-1]).any(axis=0)
+    return tuple(np.flatnonzero(sp.exponents[touched].any(axis=0)).tolist())
+
+
+def restrict_stack(s: "BatchJet", support: tuple[int, ...]) -> "BatchJet":
+    """The stack s over the variables `support` of its space, which hold
+    every coefficient whose bits are not +0.0 (`stack_support`).  Products,
+    sums and scalings of such stacks give each coefficient the bits they
+    give it over all the variables while every operand stays finite; see
+    "Supports" in the module docstring."""
+    sp = s.space
+    sub = jet_space(len(support), sp.order)
+    slots = _embedding(support, _all_variables(sp.nvars), sp.order)
+    return BatchJet(sub, s.coeffs[:, slots[: sub.ncoeff_upto[s.order]]], s.order)
+
+
+def embed_stack(s: Jet, support: tuple[int, ...], space: JetSpace) -> Jet:
+    """A jet or a stack over the variables `support` of `space` as one over
+    all of them, with +0.0 in every other slot."""
+    slots = _embedding(support, _all_variables(space.nvars), space.order)
+    width = s.coeffs.shape[-1]
+    out = np.zeros(s.coeffs.shape[:-1] + (space.ncoeff_upto[s.order],))
+    out[..., slots[:width]] = s.coeffs
+    return type(s)(space, out, s.order)
 
 
 class Restricted:

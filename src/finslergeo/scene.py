@@ -383,7 +383,8 @@ def load_scene_file(path: str) -> Scene:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
-        except json.JSONDecodeError as err:
+        # bytes that are not UTF-8, and nesting past the decoder's recursion limit
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as err:
             raise SceneError("", f"invalid JSON: {err}") from err
     return load_scene(obj)
 

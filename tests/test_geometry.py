@@ -592,11 +592,11 @@ def ref_newton_invert(g: BatchJet) -> BatchJet:
     return X
 
 
-def _outcome(invert, g):
-    """The inverse's validity and raw bytes, or the exception it raised."""
+def _outcome(fn, *args):
+    """The validity and raw bytes of fn(*args), or the exception it raised."""
     try:
         with np.errstate(all="ignore"):
-            X = invert(g)
+            X = fn(*args)
     except Exception as err:  # the outcome is what is compared
         return type(err).__name__, str(err)
     return X.order, X.coeffs.tobytes()
@@ -635,6 +635,140 @@ def test_first_newton_step_by_scaling_is_the_contraction(n, kind):
             assert got == want
             if kind == "singular":
                 assert got[0] == "DegenerateMetric"
+
+
+# -- the stages over the variables g depends on --------------------------------
+#
+# The full-space routes the restricted ones must match bit for bit: the
+# Newton inversion is `ref_newton_invert`; the others are the functions as
+# they read before they ran over a stack's support.
+
+
+def ref_full_log_sqrt_abs_det(g: BatchJet) -> Jet:
+    n = math.isqrt(len(g.coeffs))
+    k = math.frexp(float(np.max(np.abs(g.coeffs[:, 0]))))[1]
+    scaled = BatchJet(g.space, np.ldexp(g.coeffs, -k), g.order)
+    log_det = abs(geometry.det_jet_matrix(scaled)).ln()
+    log_det.coeffs[0] += n * k * math.log(2.0)
+    return 0.5 * log_det
+
+
+def ref_full_koszul(ginv: BatchJet, dg: BatchJet) -> BatchJet:
+    n = math.isqrt(len(ginv.coeffs))
+    idx = geometry._indices(n)
+    q, b, c = idx["koszul_terms"]
+    inner = (
+        geometry.take_rows(dg, (b * n + c) * n + q)
+        + geometry.take_rows(dg, (c * n + b) * n + q)
+        - geometry.take_rows(dg, (q * n + b) * n + c)
+    )
+    ia, ib = idx["koszul"]
+    return geometry.take_rows(0.5 * geometry.contract(ginv, inner, ia, ib), idx["expand"])
+
+
+def ref_full_delta_of(N: BatchJet, j: Jet, n: int) -> BatchJet:
+    count = len(j.coeffs.reshape(-1, j.coeffs.shape[-1]))
+    a, r = np.divmod(np.arange(n * count), count)
+    dv = geometry.partials(j, range(n, 2 * n))
+    acc = geometry.partials(j, range(n))
+    for b in range(n):
+        acc = acc - geometry.take_rows(N, b * n + a) * geometry.take_rows(dv, b * count + r)
+    return acc
+
+
+_SPARSE_KINDS = ("finite", "negzero", "inf", "nan", "huge")
+
+
+def _sparse_stack(rng, space, rows, validity, subset, kind, diagonal=0.0):
+    """A stack whose coefficients are +0.0 outside the variables `subset`,
+    then, by `kind`, one -0.0, inf or NaN anywhere, or a finite value that
+    overflows a product (1.7e308 in a value or a first-order slot)."""
+    width = space.ncoeff_upto[validity]
+    coeffs = rng.uniform(-1.0, 1.0, (rows, width))
+    outside = [v for v in range(space.nvars) if v not in subset]
+    coeffs[:, space.exponents[:width][:, outside].any(axis=1)] = 0.0
+    coeffs[rng.random(coeffs.shape) < 0.2] = 0.0
+    if diagonal:
+        coeffs[:, 0] += diagonal * np.eye(math.isqrt(rows)).ravel()
+    row, col = int(rng.integers(rows)), int(rng.integers(width))
+    if kind in ("negzero", "inf", "nan"):
+        coeffs[row, col] = {"negzero": -0.0, "inf": np.inf, "nan": np.nan}[kind]
+    elif kind == "huge":
+        inside = [0] + [space.first_index[v] for v in subset if validity >= 1]
+        coeffs[row, inside[col % len(inside)]] = rng.choice([1.7e308, -1.7e308])
+    return BatchJet(space, coeffs, validity)
+
+
+def _subset(rng, nvars):
+    return sorted(int(v) for v in np.flatnonzero(rng.random(nvars) < rng.random()))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 6), st.integers(0, 2), st.integers(1, 5), st.sampled_from(_SPARSE_KINDS),
+    st.integers(0, 10**6),
+)
+def test_stages_over_the_support_match_the_full_space(n, validity, nvars, kind, seed):
+    rng = np.random.default_rng(seed)
+    space = jet_space(nvars, 2)
+    subset = _subset(rng, nvars)
+    g = _sparse_stack(rng, space, n * n, validity, subset, kind, rng.choice([0.4, 3.0]))
+    assert _outcome(geometry.invert_jet_matrix, g) == _outcome(ref_newton_invert, g)
+    assert _outcome(geometry.log_sqrt_abs_det, g) == _outcome(ref_full_log_sqrt_abs_det, g)
+    ginv = _sparse_stack(rng, space, n * n, validity, _subset(rng, nvars), "finite", 1.0)
+    dg = _sparse_stack(rng, space, n**3, validity, subset, kind)
+    for pair in ((ginv, dg), (g, dg)):
+        assert _outcome(geometry.koszul, *pair) == _outcome(ref_full_koszul, *pair)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 6), st.integers(0, 2), st.sampled_from(("finite", "inf", "nan", "fiber")),
+    st.integers(0, 10**6),
+)
+def test_delta_of_without_fiber_dependence_matches_the_loop(n, validity, kind, seed):
+    rng = np.random.default_rng(seed)
+    space = jet_space(2 * n, 3)
+    count = int(rng.choice([1, n * (n + 1) // 2]))
+    # j depends on a subset of the x-variables, and on one xdot if "fiber"
+    subset = _subset(rng, n) + ([n + int(rng.integers(n))] if kind == "fiber" else [])
+    j = _sparse_stack(rng, space, count, validity + 1, subset, rng.choice(["finite", "negzero"]))
+    N = _sparse_stack(
+        rng, space, n * n, validity, range(2 * n), "finite" if kind == "fiber" else kind
+    )
+    ctx = type("Context", (), {"n": n, "space": space, "nonlinear_jets": N})()
+    assert _outcome(_Eval.delta_of, ctx, j) == _outcome(ref_full_delta_of, N, j, n)
+
+
+def _inverted_spaces(monkeypatch, lag, sample):
+    """The number of variables of the space each inversion ran in, for the
+    order-4 context of the sample."""
+    spaces = []
+    newton = geometry._newton_inverse
+
+    def recording(g):
+        spaces.append(g.space.nvars)
+        return newton(g)
+
+    monkeypatch.setattr(geometry, "_newton_inverse", recording)
+    _Eval(lag, sample, 4).g_inv_jets
+    return spaces
+
+
+def test_inversion_runs_over_the_variables_g_depends_on(monkeypatch, minkowski):
+    dim6 = DslLagrangian(dim=6, ast=expr.parse(
+        "exp(0.2*x1*x2 + 0.15*x4)*(dx0^2 - dx1^2 - dx2^2 - dx3^2 - dx4^2 - dx5^2)",
+        12, aliases=fiber_aliases(6, None),
+    ))
+    sample = TangentSample([0.1, -0.3, 0.25, 0.0, 0.4, -0.2], [1.0, 0.1, -0.15, 0.05, 0.2, -0.1])
+    assert _inverted_spaces(monkeypatch, dim6, sample) == [3]  # x1, x2, x4
+    assert _inverted_spaces(monkeypatch, minkowski.lagrangian, minkowski.default_samples[0]) == [0]
+    # a g that depends on every variable is inverted over all of them, once
+    lag = DslLagrangian(dim=2, ast=expr.parse(
+        "exp(0.3*x0 + 0.2*x1)*(dx0^2 - dx1^2) + 0.1*(dx0^4 + dx1^4)/(dx0^2 + dx1^2)",
+        4, aliases=fiber_aliases(2, None),
+    ))
+    assert _inverted_spaces(monkeypatch, lag, TangentSample([0.1, 0.2], [1.0, 0.3])) == [4]
 
 
 _CATALOG_SAMPLES = [

@@ -702,6 +702,57 @@ def test_cli_missing_file_exit_one(tmp_path):
     assert cli.main(["probe", str(tmp_path / "missing.json")]) == 1
 
 
+@pytest.mark.parametrize("under", ["", "sub"])
+def test_cli_out_at_or_under_a_regular_file_exit_one(tmp_path, capsys, under):
+    p = _write_scene(tmp_path, minkowski_scene())
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory")
+    out = blocker / under if under else blocker
+    assert cli.main(["probe", str(p), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert blocker.read_text() == "not a directory"
+
+
+@pytest.mark.parametrize(
+    "content, what",
+    [(b'\xff\xfe{"a":1}', "UTF-8"), (b"[" * 200_000, "nesting")],
+    ids=["not-utf8", "nested-too-deeply"],
+)
+def test_malformed_scene_files_are_scene_errors(tmp_path, capsys, content, what):
+    p = tmp_path / "scene.json"
+    p.write_bytes(content)
+    with pytest.raises(SceneError) as err:
+        load_scene_file(str(p))
+    assert err.value.pointer == "" and "invalid JSON: " in str(err.value)
+    assert cli.main(["probe", str(p), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("scene error: : invalid JSON: ")
+
+
+def test_deeply_nested_dsl_source_is_a_scene_error(tmp_path, capsys):
+    doc = minkowski_scene()
+    doc["lagrangian"]["dsl"]["source"] = "(" * 199 + "dx0^2 - dx1^2" + ")" * 199
+    with pytest.raises(SceneError) as err:
+        load_scene(doc)
+    assert err.value.pointer == "/lagrangian/dsl/source"
+    assert "nested too deeply" in str(err.value)
+    p = _write_scene(tmp_path, doc)
+    assert cli.main(["probe", str(p), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("scene error: /lagrangian/dsl/source: ")
+
+
+def test_long_dsl_sum_evaluates(tmp_path):
+    # a left spine 1000 nodes deep; 900 evaluated before the walk was a loop
+    doc = minkowski_scene()
+    for terms in (900, 1000):
+        doc["lagrangian"]["dsl"]["source"] = "dx0^2 - dx1^2 - dx2^2 - dx3^2" + " + x0" * terms
+        p = _write_scene(tmp_path, doc)
+        assert cli.main(["probe", str(p), "--out", str(tmp_path / "out")]) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        # x0 is 0 at every sample, so L is that of Minkowski space
+        assert [s["admissibility"]["L"] for s in report["samples"]] == [1.0, 0.0]
+
+
 def test_cli_determinism_byte_identical(tmp_path):
     p = _write_scene(tmp_path, szabo_scene(seed=7))
     cli.main(["report", str(p), "--out", str(tmp_path / "a")])

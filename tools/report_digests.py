@@ -12,8 +12,10 @@ domain outside the cone) and on two DSL scenes whose only sample leaves float
 range (tagged ``overflow`` and ``non-finite``), on one DSL scene whose L is
 finite but whose det g is not, on one whose L is finite but whose
 curvature is not, on one whose L is finite but whose Chern-Rund connection
-is not, and on one whose spray at the sample is finite but at a witness
-direction is not, at ``options.seed`` 0 and 3.  Each run prints one line:
+is not, on one whose spray at the sample is finite but at a witness
+direction is not, on one whose g depends on xdot and on only some of the
+variables, and on a quadratic one whose g holds -0.0 coefficients from a
+negated sum, at ``options.seed`` 0 and 3.  Each run prints one line:
 
     <scene> <subcommand> <seed> <exit code> <sha256 of report.json or ->
 
@@ -155,15 +157,34 @@ WITNESS_OVERFLOW_SCENE = {
     "samples": [{"x": [0.0, 0.0], "xdot": [2.6, 0.1], "label": "p0"}],
 }
 
+# A scene whose g depends on xdot but not on every variable: x1, dx0 and
+# dx1, of six.
+PARTIAL_SUPPORT_SCENE = {
+    "chart": {"dim": 3},
+    "lagrangian": {"dsl": {
+        "source": "exp(0.2*x1)*(dx0^2 - dx1^2 - dx2^2) + 0.1*(dx0^4 + dx1^4)/(dx0^2 + dx1^2)",
+    }},
+    "samples": [{"x": [0.1, 0.3, -0.2], "xdot": [1.0, 0.2, 0.1], "label": "p0"}],
+}
+
+# A quadratic scene whose L is a negated sum, so that the coefficients of L
+# and g that are zero are -0.0.
+NEGATED_SCENE = {
+    "chart": {"dim": 3},
+    "lagrangian": {"dsl": {"source": "-(exp(0.3*x1)*(dx1^2 + dx2^2) - dx0^2)"}},
+    "samples": [{"x": [0.2, -0.1, 0.4], "xdot": [1.0, 0.3, -0.2], "label": "p0"}],
+}
+
 # Offsets of the fixed witness block from a sample's direction.
 WITNESS_OFFSETS = 0.05 * np.array([[0.0, 1.0, -1.0, 0.5], [1.0, -0.5, 0.25, -1.0]])
 
 
 def scene_documents(root: Path):
     """(name, scene document) for the fixture scenes, the catalog, the
-    dim-6 scene, the rejection scenes, the error scenes and the
+    dim-6 scene, the rejection scenes, the error scenes, the
     overflow-after-L, curvature-overflow, connection-overflow and
-    witness-overflow scenes."""
+    witness-overflow scenes, and the partial-support and negated-quadratic
+    scenes."""
     for path in sorted((root / "scenes").glob("*.json")):
         yield path.name, json.loads(path.read_text(encoding="utf-8"))
     for name in catalog.names():
@@ -175,6 +196,8 @@ def scene_documents(root: Path):
     yield "curvature-overflow", CURVATURE_OVERFLOW_SCENE
     yield "connection-overflow", CONNECTION_OVERFLOW_SCENE
     yield "witness-overflow", WITNESS_OVERFLOW_SCENE
+    yield "partial-support", PARTIAL_SUPPORT_SCENE
+    yield "negated-quadratic", NEGATED_SCENE
 
 
 def digest(doc: dict, subcommand: str, workdir: Path) -> tuple[int, str]:
