@@ -196,7 +196,7 @@ def verdict_at(
         fiber_derivative_deviation=fiber,
         spray_deviation=spray,
         directions_tested=len(directions),
-        affine_connection=gamma,
+        affine_connection=gamma.copy(),  # the context's array stays its own
     )
 
 

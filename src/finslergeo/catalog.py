@@ -14,7 +14,10 @@ import numpy as np
 
 from . import alphabeta, geometry
 from . import expr as exprmod
-from .defs import DslLagrangian, FamilyInstance, LagrangianDef, TangentSample, fiber_aliases
+from .defs import (
+    BadNumber, DslLagrangian, FamilyInstance, LagrangianDef, TangentSample, as_number,
+    fiber_aliases,
+)
 
 
 class UnknownEntry(KeyError):
@@ -22,7 +25,12 @@ class UnknownEntry(KeyError):
 
 
 class InvalidOverride(ValueError):
-    pass
+    """An override the entry does not take; `key` names the override whose
+    value is bad, when one is."""
+
+    def __init__(self, message: str, key: Optional[str] = None):
+        self.key = key
+        super().__init__(message)
 
 
 @dataclass(frozen=True)
@@ -52,6 +60,14 @@ _MINKOWSKI_ALPHA = [
     ["0", "0", "-1", "0"],
     ["0", "0", "0", "-1"],
 ]
+
+
+def _number(overrides, key: str, default: float) -> float:
+    """The numeric override `key`, or `default` when it is not given."""
+    try:
+        return as_number(overrides.get(key, default))
+    except BadNumber as err:
+        raise InvalidOverride(f"override {key!r}: {err}", key) from None
 
 
 def _check_samples(entry: CatalogEntry) -> CatalogEntry:
@@ -91,7 +107,7 @@ def _schwarzschild(overrides) -> CatalogEntry:
     allowed = {"M"}
     if set(overrides) - allowed:
         raise InvalidOverride(f"schwarzschild accepts only {allowed}")
-    M = float(overrides.get("M", 1.0))
+    M = _number(overrides, "M", 1.0)
     dim = 4
     aliases = {"t": 0, "r": 1, "th": 2, "ph": 3}
     src = (
@@ -139,7 +155,7 @@ def _bogoslovsky(overrides) -> CatalogEntry:
     allowed = {"p"}
     if set(overrides) - allowed:
         raise InvalidOverride(f"bogoslovsky accepts only {allowed}")
-    p = float(overrides.get("p", 0.5))
+    p = _number(overrides, "p", 0.5)
     dim = 4
     inst = FamilyInstance(
         dim,
@@ -216,9 +232,9 @@ def _szabo_counterexample(overrides) -> CatalogEntry:
     allowed = {"c", "m", "p", "phi"}
     if set(overrides) - allowed:
         raise InvalidOverride(f"szabo-counterexample accepts only {allowed}")
-    c = float(overrides.get("c", 1.0))
-    m = float(overrides.get("m", 0.0))
-    p = float(overrides.get("p", 2.0))
+    c = _number(overrides, "c", 1.0)
+    m = _number(overrides, "m", 0.0)
+    p = _number(overrides, "p", 2.0)
     phi_src = str(overrides.get("phi", "x"))
     if p == 1.0:
         raise InvalidOverride("the counterexample construction requires p != 1")

@@ -10,6 +10,22 @@ import numpy as np
 from .expr import ExpressionAst
 
 
+class BadNumber(ValueError):
+    """A value read as a number is a bool, not a number, or beyond float
+    range."""
+
+
+def as_number(value) -> float:
+    """A number read from a scene or an override, as a float: a bool, any
+    other non-number and an integer beyond float range raise BadNumber."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise BadNumber(f"expected a number, got {type(value).__name__}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise BadNumber("the number is beyond float range") from None
+
+
 @dataclass(frozen=True)
 class TangentSample:
     """A point (x, xdot) of the slit tangent bundle in a single chart."""

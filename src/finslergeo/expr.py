@@ -62,37 +62,99 @@ class ExprDomainError(ArithmeticError):
         super().__init__(f"{reason} (at byte {offset})")
 
 
-@dataclass(frozen=True)
-class Const:
+class _Node:
+    """Equality and hashing of AST nodes by their compared fields (every
+    field but `span`), as a frozen dataclass's generated methods give them,
+    but walked with a loop: a long sum such as ``x0 + x0 + ... + x0`` needs
+    no deep Python stack."""
+
+    _compared: tuple = ()  # the names of the compared fields, in order
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if a.__class__ is not b.__class__:
+                return False
+            for name in a._compared:
+                u, v = getattr(a, name), getattr(b, name)
+                if isinstance(u, _Node):
+                    if u is not v:
+                        pairs.append((u, v))
+                elif not (u is v or u == v):  # a tuple's comparison of fields
+                    return False
+        return True
+
+    def __hash__(self):
+        # hash((f1, f2, ...)) of the compared fields, children first, each
+        # child in the tuple as a stand-in that hashes to the child's hash
+        hashes: dict[int, _Hashed] = {}
+        stack = [self]
+        while stack:
+            node = stack[-1]
+            fields = [getattr(node, name) for name in node._compared]
+            pending = [f for f in fields if isinstance(f, _Node) and id(f) not in hashes]
+            if pending:
+                stack.extend(pending)
+                continue
+            stack.pop()
+            hashes[id(node)] = _Hashed(
+                hash(tuple(hashes[id(f)] if isinstance(f, _Node) else f for f in fields))
+            )
+        return hashes[id(self)].value
+
+
+class _Hashed:
+    """A stand-in for a node in a tuple being hashed: it hashes to the
+    node's hash."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: int):
+        self.value = value
+
+    def __hash__(self):
+        return self.value
+
+
+@dataclass(frozen=True, eq=False)
+class Const(_Node):
     value: float
     span: int = field(default=-1, compare=False)
+    _compared = ("value",)
 
 
-@dataclass(frozen=True)
-class Coord:
+@dataclass(frozen=True, eq=False)
+class Coord(_Node):
     index: int
     span: int = field(default=-1, compare=False)
+    _compared = ("index",)
 
 
-@dataclass(frozen=True)
-class Param:
+@dataclass(frozen=True, eq=False)
+class Param(_Node):
     name: str
     span: int = field(default=-1, compare=False)
+    _compared = ("name",)
 
 
-@dataclass(frozen=True)
-class Unary:
+@dataclass(frozen=True, eq=False)
+class Unary(_Node):
     op: str
     arg: "ExpressionAst"
     span: int = field(default=-1, compare=False)
+    _compared = ("op", "arg")
 
 
-@dataclass(frozen=True)
-class Binary:
+@dataclass(frozen=True, eq=False)
+class Binary(_Node):
     op: str
     left: "ExpressionAst"
     right: "ExpressionAst"
     span: int = field(default=-1, compare=False)
+    _compared = ("op", "left", "right")
 
 
 ExpressionAst = Union[Const, Coord, Param, Unary, Binary]
@@ -378,39 +440,50 @@ def _apply(node: Unary | Binary, first, coords: Sequence, params):
 _PREC = {"add": 1, "sub": 1, "mul": 2, "div": 2, "neg": 3, "pow": 4}
 
 
+_SYMBOL = {"add": "+", "sub": "-", "mul": "*", "div": "/", "pow": "^"}
+
+
+def _prec(node) -> int:
+    if isinstance(node, Binary):
+        return _PREC[node.op]
+    if isinstance(node, Unary) and node.op == "neg":
+        return _PREC["neg"]
+    return 9
+
+
+def _operand(node, parenthesized: bool) -> list:
+    return ["(", node, ")"] if parenthesized else [node]
+
+
 def pretty(ast: ExpressionAst) -> str:
-    """Render with minimal parentheses; reparsing gives an identical AST."""
+    """Render with minimal parentheses; reparsing gives an identical AST.
 
-    def prec(node) -> int:
-        if isinstance(node, Binary):
-            return _PREC[node.op]
-        if isinstance(node, Unary) and node.op == "neg":
-            return _PREC["neg"]
-        return 9
-
-    def rec(node) -> str:
-        if isinstance(node, Const):
-            return repr(node.value)
-        if isinstance(node, Coord):
-            return f"x{node.index}"
-        if isinstance(node, Param):
-            return node.name
-        if isinstance(node, Unary):
-            if node.op == "neg":
-                inner = rec(node.arg)
-                if prec(node.arg) < _PREC["neg"]:
-                    inner = f"({inner})"
-                return f"-{inner}"
-            return f"{node.op}({rec(node.arg)})"
-        sym = {"add": "+", "sub": "-", "mul": "*", "div": "/", "pow": "^"}[node.op]
-        p = _PREC[node.op]
-        left = rec(node.left)
-        if prec(node.left) < p:
-            left = f"({left})"
-        right = rec(node.right)
-        # left associativity: same-precedence right children need parens
-        if prec(node.right) <= p:
-            right = f"({right})"
-        return f"{left}{sym}{right}"
-
-    return rec(ast)
+    A stack of pending pieces, each a string or a node still to render, is
+    expanded with a loop, so a long sum needs no deep Python stack."""
+    out = []
+    stack = [ast]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, str):
+            out.append(node)
+        elif isinstance(node, Const):
+            out.append(repr(node.value))
+        elif isinstance(node, Coord):
+            out.append(f"x{node.index}")
+        elif isinstance(node, Param):
+            out.append(node.name)
+        else:
+            if isinstance(node, Unary) and node.op == "neg":
+                pieces = ["-", *_operand(node.arg, _prec(node.arg) < _PREC["neg"])]
+            elif isinstance(node, Unary):
+                pieces = [f"{node.op}(", node.arg, ")"]
+            else:
+                p = _PREC[node.op]
+                # left associativity: same-precedence right children need parens
+                pieces = [
+                    *_operand(node.left, _prec(node.left) < p),
+                    _SYMBOL[node.op],
+                    *_operand(node.right, _prec(node.right) <= p),
+                ]
+            stack.extend(reversed(pieces))
+    return "".join(out)

@@ -32,13 +32,15 @@ operands depend on (`_over_support`), and a horizontal derivative of a jet
 that does not depend on xdot is its x-partials (`_Eval.delta_of`); both
 give the bits of the full computation.
 
-All operations are pure functions of (definition, sample).
+All operations are pure functions of (definition, sample).  The public
+readers of one sample share its evaluation context (`_context`).
 """
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache, wraps
 from itertools import combinations
 from typing import Callable, Optional, Sequence
@@ -674,30 +676,83 @@ class _Eval:
 
 # -- public operations ---------------------------------------------------------
 
+# The last context `_context` built: (lag, key, context).
+_last_context: Optional[tuple] = None
+
+
+def _context(lag: LagrangianDef, sample: TangentSample, order: int) -> _Eval:
+    """The evaluation context of (lag, sample, order), which every public
+    reader of the chain gets from here: the context built last when this
+    request has its key, else a new one, kept in its place.
+
+    The key is `lag` by identity, the bytes of `sample.x` and `sample.xdot`,
+    the order and a snapshot of `lag.params` (the repr of each value, so
+    -0.0 and 0.0 differ), all taken when the context is built.  A request
+    is served only at the order it was built for: a higher order is not
+    proven to give a lower one's bits.  The context holds its own copy of
+    the sample, so a caller who mutates theirs changes neither the context
+    nor the next key it matches.  A constructor that raises keeps nothing.
+    The slot is read and written whole, so callers in several threads can
+    at worst each build their own context."""
+    global _last_context
+    params = tuple((name, repr(value)) for name, value in lag.params.items())
+    key = (sample.x.tobytes(), sample.xdot.tobytes(), order, params)
+    last = _last_context
+    if last is not None and last[0] is lag and last[1] == key:
+        return last[2]
+    ev = _Eval(lag, copy.deepcopy(sample), order)
+    _last_context = (lag, key, ev)
+    return ev
+
+
+def _field_jet(ev: _Eval, scalar_field: Callable[[Sequence[Jet]], Jet]) -> Jet:
+    """The scalar field as a jet over the context's coordinates: the
+    context's own ln sqrt|det g| when the field is that of its Lagrangian
+    (the same jet, bit for bit), else the field evaluated on them."""
+    if isinstance(scalar_field, _LogSqrtDetField) and scalar_field.lag is ev.lag:
+        return ev.log_sqrt_det
+    return scalar_field(ev.cjets)
+
+
+# The readers below get their context from `_context`, so successive calls at
+# one sample and order share it, and return arrays the caller owns.
+
 
 def metric(
     lag: LagrangianDef,
     sample: TangentSample,
     tol_degenerate: float = TOL_DEGENERATE,
 ) -> MetricValue:
-    """The L-metric (half the vertical Hessian) with inverse and signature."""
-    return _Eval(lag, sample, 2).metric(tol_degenerate)
+    """The L-metric (half the vertical Hessian) with inverse and signature,
+    from the sample's order-2 context; g and g^-1 are the caller's copies."""
+    value = _context(lag, sample, 2).metric(tol_degenerate)
+    return replace(value, g=value.g.copy(), g_inv=value.g_inv.copy())
 
 
 def spray(lag: LagrangianDef, sample: TangentSample) -> np.ndarray:
-    return _Eval(lag, sample, 2).spray_values
+    """G^a from the sample's order-2 context, as the caller's copy."""
+    return _context(lag, sample, 2).spray_values.copy()
 
 
 def nonlinear_connection(lag: LagrangianDef, sample: TangentSample) -> np.ndarray:
-    return _Eval(lag, sample, 3).nonlinear_values
+    """N^a_b from the sample's order-3 context, as the caller's copy."""
+    return _context(lag, sample, 3).nonlinear_values.copy()
 
 
 def chern_rund(lag: LagrangianDef, sample: TangentSample) -> np.ndarray:
-    return _Eval(lag, sample, 3).gamma_values
+    """Gamma^a_bc from the sample's order-3 context, as the caller's copy."""
+    return _context(lag, sample, 3).gamma_values.copy()
 
 
 def hh_curvature(lag: LagrangianDef, sample: TangentSample) -> CurvatureValue:
-    return _Eval(lag, sample, 4).curvature
+    """The hh-curvature and its Ricci tensors from the sample's order-4
+    context, as the caller's copies."""
+    value = _context(lag, sample, 4).curvature
+    return CurvatureValue(
+        hh_riemann=value.hh_riemann.copy(),
+        ricci=value.ricci.copy(),
+        skew_ricci=value.skew_ricci.copy(),
+    )
 
 
 def vertical_derivative(
@@ -705,10 +760,10 @@ def vertical_derivative(
     sample: TangentSample,
     scalar_field: Callable[[Sequence[Jet]], Jet],
 ) -> np.ndarray:
-    """ddot_a f, the fiber derivative of a jet-valued scalar field."""
-    ev = _Eval(lag, sample, 3)
-    f = scalar_field(ev.cjets)
-    return first_derivatives(f, range(ev.n, 2 * ev.n))
+    """ddot_a f, the fiber derivative of a jet-valued scalar field, in the
+    sample's order-3 context (see `_field_jet`)."""
+    ev = _context(lag, sample, 3)
+    return first_derivatives(_field_jet(ev, scalar_field), range(ev.n, 2 * ev.n))
 
 
 def ricci_skew_from_curvature(
@@ -724,9 +779,10 @@ def commutator_check(
     sample: TangentSample,
     scalar_field: Callable[[Sequence[Jet]], Jet],
 ) -> float:
-    """Residual of [delta_a, delta_b] f = R^c_{dab} xdot^d ddot_c f."""
-    ev = _Eval(lag, sample, 4)
-    return ev.commutator_residual(scalar_field(ev.cjets))
+    """Residual of [delta_a, delta_b] f = R^c_{dab} xdot^d ddot_c f in the
+    sample's order-4 context (see `_field_jet`)."""
+    ev = _context(lag, sample, 4)
+    return ev.commutator_residual(_field_jet(ev, scalar_field))
 
 
 def probe_context(
@@ -738,11 +794,13 @@ def probe_context(
     tol_null: float = TOL_NULL,
 ) -> tuple[AdmissibilityVerdict, Optional[_Eval]]:
     """Admissibility of the sample and the evaluation context, seeded at
-    `order`, that decided it; the context is None when L cannot be evaluated."""
+    `order`, that decided it; the context is None when L cannot be evaluated.
+    The context is `_context`'s, shared with later calls of the same key, so
+    its readers' arrays are read, never mutated."""
     if convention not in ("+---", "-+++"):
         raise ValueError(f"unknown signature convention {convention!r}")
     try:
-        ev = _Eval(lag, sample, order)
+        ev = _context(lag, sample, order)
     except (DomainError, ExprDomainError) as err:
         reason = getattr(err, "reason", None) or str(err)
         return _outside_A(reason), None
@@ -836,13 +894,24 @@ def probe_admissibility(
     return probe_context(lag, sample, 2, convention, tol_degenerate, tol_null)[0]
 
 
+@dataclass(frozen=True, eq=False)
+class _LogSqrtDetField:
+    """The field of `log_sqrt_det_metric_field`: a callable that names its
+    Lagrangian, so the chain can tell it from any other field."""
+
+    lag: LagrangianDef
+
+    def __call__(self, coord_jets: Sequence[Jet]) -> Jet:
+        L = eval_L_jets(self.lag, coord_jets)
+        return log_sqrt_abs_det(_half_hessian(L, len(coord_jets) // 2))
+
+
 def log_sqrt_det_metric_field(lag: LagrangianDef) -> Callable[[Sequence[Jet]], Jet]:
-    """The scalar field ln sqrt|det g| as a jet-valued function on TM."""
-
-    def field(coord_jets: Sequence[Jet]) -> Jet:
-        return log_sqrt_abs_det(_half_hessian(eval_L_jets(lag, coord_jets), len(coord_jets) // 2))
-
-    return field
+    """The scalar field ln sqrt|det g| as a jet-valued function on TM.
+    Given to `commutator_check` or `vertical_derivative` with the same
+    `lag`, it is read off the sample's context (`_Eval.log_sqrt_det`, the
+    same jet) without evaluating L again."""
+    return _LogSqrtDetField(lag)
 
 
 # -- expression-metric helpers (pseudo-Riemannian reference data) -------------

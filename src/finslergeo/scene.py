@@ -20,7 +20,10 @@ import numpy as np
 from . import __version__
 from . import alphabeta, berwald, catalog, expr as exprmod, geometry
 from .berwald import NoAdmissibleDirections, NotBerwald
-from .defs import DslLagrangian, FamilyInstance, LagrangianDef, TangentSample, fiber_aliases
+from .defs import (
+    BadNumber, DslLagrangian, FamilyInstance, LagrangianDef, TangentSample, as_number,
+    fiber_aliases,
+)
 from .expr import ExprDomainError
 from .geometry import DegenerateMetric
 from .jets import DomainError
@@ -94,19 +97,35 @@ def _get(obj, key, pointer, typ=None, required=True, default=None):
     return val
 
 
+def _token(key) -> str:
+    """An object key as a JSON pointer token."""
+    return str(key).replace("~", "~0").replace("/", "~1")
+
+
 def _expect_known_keys(obj, pointer, known):
     for key in obj:
-        escaped = str(key).replace("~", "~0").replace("/", "~1")
-        _expect(key in known, f"{pointer}/{escaped}", "unknown field")
+        _expect(key in known, f"{pointer}/{_token(key)}", "unknown field")
+
+
+def _number(val, pointer, message=None) -> float:
+    """Every number of a scene is read here: a bool, any other non-number
+    and an integer beyond float range are a SceneError at its pointer."""
+    try:
+        return as_number(val)
+    except BadNumber as err:
+        raise SceneError(pointer, message or str(err)) from None
+
+
+def _numbers(obj: dict, pointer) -> dict:
+    """The values of a JSON object of numbers, as floats."""
+    return {k: _number(v, f"{pointer}/{_token(k)}") for k, v in obj.items()}
 
 
 def _positive_number(val, pointer) -> float:
-    _expect(
-        isinstance(val, (int, float)) and not isinstance(val, bool) and 0 < val < math.inf,
-        pointer,
-        "expected a finite positive number",
-    )
-    return float(val)
+    message = "expected a finite positive number"
+    num = _number(val, pointer, message)
+    _expect(0 < num < math.inf, pointer, message)
+    return num
 
 
 def _at_least_two(val, pointer) -> int:
@@ -154,15 +173,7 @@ def _float_list(val, pointer, length=None):
     _expect(isinstance(val, list), pointer, "expected an array of numbers")
     if length is not None:
         _expect(len(val) == length, pointer, f"expected {length} entries, got {len(val)}")
-    out = []
-    for i, v in enumerate(val):
-        _expect(
-            isinstance(v, (int, float)) and not isinstance(v, bool),
-            f"{pointer}/{i}",
-            "expected a number",
-        )
-        out.append(float(v))
-    return out
+    return [_number(v, f"{pointer}/{i}") for i, v in enumerate(val)]
 
 
 def _parse_expr(src, dim, pointer, params=(), aliases=None):
@@ -218,7 +229,12 @@ def load_scene(obj: Mapping) -> Scene:
         overrides = _get(lag_obj, "overrides", "/lagrangian", dict, required=False, default={})
         try:
             entry = catalog.get(catalog_name, overrides)
-        except (catalog.UnknownEntry, catalog.InvalidOverride, ValueError) as err:
+        except catalog.InvalidOverride as err:
+            pointer = "/lagrangian/catalog" if err.key is None else (
+                f"/lagrangian/overrides/{_token(err.key)}"
+            )
+            raise SceneError(pointer, str(err)) from err
+        except (catalog.UnknownEntry, ValueError) as err:
             raise SceneError("/lagrangian/catalog", str(err)) from err
         lag = entry.lagrangian
         dim = entry.dim
@@ -265,16 +281,14 @@ def load_scene(obj: Mapping) -> Scene:
             if h_src is not None
             else None
         )
+        c, m, p = (
+            _number(_get(fam, key, "/lagrangian/family"), f"/lagrangian/family/{key}")
+            for key in "cmp"
+        )
+        values = _numbers(params, "/lagrangian/family/params")
         try:
             lag = FamilyInstance(
-                dim,
-                tuple(alpha),
-                beta,
-                c=float(_get(fam, "c", "/lagrangian/family", (int, float))),
-                m=float(_get(fam, "m", "/lagrangian/family", (int, float))),
-                p=float(_get(fam, "p", "/lagrangian/family", (int, float))),
-                h_expr=h_ast,
-                params={k: float(v) for k, v in params.items()},
+                dim, tuple(alpha), beta, c=c, m=m, p=p, h_expr=h_ast, params=values
             )
         except ValueError as err:
             raise SceneError("/lagrangian/family", str(err)) from err
@@ -287,7 +301,7 @@ def load_scene(obj: Mapping) -> Scene:
         ast = _parse_expr(
             src, 2 * dim, "/lagrangian/dsl/source", set(params), fiber_aliases(dim, aliases)
         )
-        lag = DslLagrangian(dim, ast, {k: float(v) for k, v in params.items()})
+        lag = DslLagrangian(dim, ast, _numbers(params, "/lagrangian/dsl/params"))
 
     samples_obj = _get(obj, "samples", "", list, required=False)
     samples: list[tuple[str, TangentSample]] = []

@@ -1,5 +1,8 @@
 """Expression parsing, evaluation, and the pretty-print round trip."""
 
+import math
+from dataclasses import dataclass
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -170,6 +173,138 @@ def test_pretty_print_round_trip(ast):
 def test_round_trip_from_source(src):
     a1 = expr.parse(src, 3)
     assert expr.parse(expr.pretty(a1), 3) == a1
+
+
+# -- equality, hashing and printing without recursion ---------------------------
+
+
+# The reference: the AST as plain frozen dataclasses, whose generated __eq__
+# and __hash__ recurse once per node, and the recursive printer.
+@dataclass(frozen=True)
+class _RefConst:
+    value: float
+
+
+@dataclass(frozen=True)
+class _RefCoord:
+    index: int
+
+
+@dataclass(frozen=True)
+class _RefParam:
+    name: str
+
+
+@dataclass(frozen=True)
+class _RefUnary:
+    op: str
+    arg: object
+
+
+@dataclass(frozen=True)
+class _RefBinary:
+    op: str
+    left: object
+    right: object
+
+
+def _reference(node):
+    if isinstance(node, Const):
+        return _RefConst(node.value)
+    if isinstance(node, Coord):
+        return _RefCoord(node.index)
+    if isinstance(node, Param):
+        return _RefParam(node.name)
+    if isinstance(node, Unary):
+        return _RefUnary(node.op, _reference(node.arg))
+    return _RefBinary(node.op, _reference(node.left), _reference(node.right))
+
+
+def _reference_pretty(ast) -> str:
+    def prec(node) -> int:
+        if isinstance(node, Binary):
+            return expr._PREC[node.op]
+        if isinstance(node, Unary) and node.op == "neg":
+            return expr._PREC["neg"]
+        return 9
+
+    def rec(node) -> str:
+        if isinstance(node, Const):
+            return repr(node.value)
+        if isinstance(node, Coord):
+            return f"x{node.index}"
+        if isinstance(node, Param):
+            return node.name
+        if isinstance(node, Unary):
+            if node.op == "neg":
+                inner = rec(node.arg)
+                if prec(node.arg) < expr._PREC["neg"]:
+                    inner = f"({inner})"
+                return f"-{inner}"
+            return f"{node.op}({rec(node.arg)})"
+        sym = {"add": "+", "sub": "-", "mul": "*", "div": "/", "pow": "^"}[node.op]
+        p = expr._PREC[node.op]
+        left = rec(node.left)
+        if prec(node.left) < p:
+            left = f"({left})"
+        right = rec(node.right)
+        if prec(node.right) <= p:
+            right = f"({right})"
+        return f"{left}{sym}{right}"
+
+    return rec(ast)
+
+
+def _rebuilt(node):
+    """An equal tree of new nodes with other spans."""
+    if isinstance(node, Unary):
+        return Unary(node.op, _rebuilt(node.arg), node.span + 1)
+    if isinstance(node, Binary):
+        return Binary(node.op, _rebuilt(node.left), _rebuilt(node.right), node.span + 1)
+    return type(node)(getattr(node, node._compared[0]), node.span + 1)
+
+
+def _small_trees():
+    """Trees over few leaves, so that equal trees are drawn often; -0.0 and
+    NaN constants among them."""
+    leaves = st.one_of(
+        st.builds(Const, st.sampled_from([0.0, -0.0, 1.0, 2.5, math.nan])),
+        st.builds(Coord, st.integers(0, 1)),
+        st.builds(Param, st.sampled_from(["a", "b"])),
+    )
+
+    def extend(children):
+        return st.one_of(
+            st.builds(Unary, st.sampled_from(["neg", "sin"]), children),
+            st.builds(Binary, st.sampled_from(["add", "mul"]), children, children),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_small_trees(), _small_trees())
+def test_equality_and_hash_match_the_recursive_dataclass_methods(a, b):
+    for u, v in ((a, b), (a, _rebuilt(a)), (a, a), (b, _rebuilt(a))):
+        assert (u == v) == (_reference(u) == _reference(v))
+        assert (u != v) == (_reference(u) != _reference(v))
+    assert hash(a) == hash(_reference(a))
+    assert hash(_rebuilt(b)) == hash(_reference(b))
+    assert (a == 1.0) is False
+
+
+@settings(max_examples=60, deadline=None)
+@given(_ast_strategy())
+def test_pretty_matches_the_recursive_printer(ast):
+    assert expr.pretty(ast) == _reference_pretty(ast)
+
+
+def test_long_sum_compares_hashes_and_prints_without_recursion():
+    src = " + ".join(f"{i}*x0" for i in range(5000))
+    a, b = expr.parse(src, 1), expr.parse(src, 1)
+    assert a == b and hash(a) == hash(b)
+    assert a != expr.parse(src + " + x0", 1)
+    assert expr.parse(expr.pretty(a), 1) == a
 
 
 # -- jet derivatives vs finite differences -----------------------------------------

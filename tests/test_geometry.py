@@ -1,13 +1,14 @@
 """Geometry chain: metric, spray, connection, curvature, and the identities
 tying them together."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from finslergeo import catalog, expr, geometry
+from finslergeo import berwald, catalog, expr, geometry
 from finslergeo.defs import DslLagrangian, TangentSample, fiber_aliases
 from finslergeo.geometry import DegenerateMetric, _Eval
 from finslergeo.jets import BatchJet, Jet, jet_space
@@ -183,6 +184,20 @@ def test_context_log_det_commutator_equals_the_public_field():
         got = ev.commutator_residual(ev.log_sqrt_det)
         want = geometry.commutator_check(lag, s, field)
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        # a plain callable is evaluated on the coordinates, as is the field
+        # of another Lagrangian: the public calls read the context's own jet
+        # only for its own Lagrangian's field
+        plain = lambda cj: field(cj)  # noqa: E731
+        for call in (geometry.commutator_check, geometry.vertical_derivative):
+            assert _outcome_of(lambda: call(lag, s, plain)) == _outcome_of(
+                lambda: call(lag, s, field)
+            )
+        other = geometry.log_sqrt_det_metric_field(
+            next(o for o, _ in samples if o is not lag and o.dim == lag.dim)
+        )
+        assert _outcome_of(lambda: geometry.commutator_check(lag, s, other)) == _outcome_of(
+            lambda: geometry.commutator_check(lag, s, lambda cj: other(cj))
+        )
 
 
 def test_log_det_field_identities(szabo):
@@ -882,3 +897,170 @@ def test_dim6_L_makes_no_product_over_all_twelve_variables(monkeypatch):
     # x1 * x2, three Horner products of exp, six squares and the final product
     assert len(spaces) == 11
     assert all(max(pair) < 12 for pair in spaces)
+
+
+# -- one evaluation context per sample ------------------------------------------------
+
+
+def _raw(value):
+    """The raw bytes of a result: of each array and float, field by field."""
+    if dataclasses.is_dataclass(value):
+        return tuple(_raw(getattr(value, f.name)) for f in dataclasses.fields(value))
+    if isinstance(value, np.ndarray):
+        return (value.dtype.str, value.shape, value.tobytes())
+    if isinstance(value, float):
+        return np.float64(value).tobytes()
+    return repr(value)
+
+
+def _outcome_of(call):
+    """The raw bytes of call(), or the type and message of what it raised."""
+    try:
+        with np.errstate(all="ignore"):
+            return _raw(call())
+    except Exception as err:
+        return (type(err).__name__, str(err))
+
+
+def _fresh(call):
+    """_outcome_of(call) with no context kept from before: a fresh one."""
+    geometry._last_context = None
+    return _outcome_of(call)
+
+
+def _field(lag):
+    return geometry.log_sqrt_det_metric_field(lag)
+
+
+_SZABO = catalog.get("szabo-counterexample")
+_SCHWARZSCHILD = catalog.get("schwarzschild")
+_LAGS = (_SZABO.lagrangian, _SCHWARZSCHILD.lagrangian)
+_SAMPLES = (_SZABO.default_samples[0], _SCHWARZSCHILD.default_samples[1])
+
+# Each call at (lag, sample); the commutator of the other Lagrangian's field
+# takes the path of a field that is not the context's own.
+_CALLS = {
+    "probe_admissibility": geometry.probe_admissibility,
+    "metric": geometry.metric,
+    "spray": geometry.spray,
+    "nonlinear_connection": geometry.nonlinear_connection,
+    "chern_rund": geometry.chern_rund,
+    "hh_curvature": geometry.hh_curvature,
+    "vertical_derivative": lambda lag, s: geometry.vertical_derivative(lag, s, _field(lag)),
+    "commutator_check": lambda lag, s: geometry.commutator_check(lag, s, _field(lag)),
+    "commutator_check_other_field": lambda lag, s: geometry.commutator_check(
+        lag, s, _field(_LAGS[1] if lag is _LAGS[0] else _LAGS[0])
+    ),
+    "detect_berwald": lambda lag, s: berwald.detect_berwald(lag, s.x, s.xdot, count=4, rng=1),
+    "obstruction": lambda lag, s: berwald.obstruction(lag, s.x, s.xdot, count=4),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(
+    st.tuples(st.sampled_from(sorted(_CALLS)), st.integers(0, 1), st.integers(0, 1)),
+    min_size=1,
+    max_size=8,
+))
+def test_successive_calls_give_the_bytes_of_a_fresh_context_per_call(calls):
+    thunks = [
+        lambda c=c, lag=_LAGS[i], s=_SAMPLES[j]: _CALLS[c](lag, s) for c, i, j in calls
+    ]
+    geometry._last_context = None
+    shared = [_outcome_of(thunk) for thunk in thunks]
+    assert shared == [_fresh(thunk) for thunk in thunks]
+
+
+@pytest.mark.parametrize("lag, sample", _CATALOG_SAMPLES[::3])
+def test_a_context_serves_only_its_own_order(lag, sample):
+    # after an order-4 and an order-3 call, each lower-order reader still
+    # gives a fresh context's bytes
+    for first in ("hh_curvature", "chern_rund"):
+        for call in ("probe_admissibility", "metric", "spray", "nonlinear_connection"):
+            geometry._last_context = None
+            _CALLS[first](lag, sample)
+            thunk = lambda: _CALLS[call](lag, sample)  # noqa: E731
+            assert _outcome_of(thunk) == _fresh(thunk), (first, call)
+
+
+def test_successive_calls_at_one_sample_build_one_context_per_order(monkeypatch):
+    lag, sample = _LAGS[0], _SAMPLES[0]
+    orders, scalar_L = [], []
+    init, eval_L_jets = _Eval.__init__, geometry.eval_L_jets
+
+    def counting_init(self, lag, sample, order):
+        orders.append(order)
+        init(self, lag, sample, order)
+
+    def counting_L(lag, coord_jets):
+        scalar_L.append(lag)
+        return eval_L_jets(lag, coord_jets)
+
+    monkeypatch.setattr(_Eval, "__init__", counting_init)
+    monkeypatch.setattr(geometry, "eval_L_jets", counting_L)
+    geometry._last_context = None
+    # the public chain of one sample; the commutator reads the context's own
+    # ln sqrt|det g| and evaluates no L of its own
+    assert geometry.probe_admissibility(lag, sample).in_A
+    geometry.metric(lag, sample)
+    geometry.chern_rund(lag, sample)
+    geometry.nonlinear_connection(lag, sample)
+    geometry.hh_curvature(lag, sample)
+    geometry.commutator_check(lag, sample, _field(lag))
+    assert orders == [2, 3, 4]
+    assert len(scalar_L) == 3
+    # an equal sample of another object is the same key
+    geometry.hh_curvature(lag, TangentSample(sample.x.copy(), sample.xdot.copy()))
+    assert orders == [2, 3, 4]
+
+
+def _arrays(value):
+    if isinstance(value, np.ndarray):
+        return [value]
+    return [v for f in dataclasses.fields(value) if isinstance(v := getattr(value, f.name), np.ndarray)]
+
+
+@pytest.mark.parametrize("call", [
+    "metric", "spray", "nonlinear_connection", "chern_rund", "hh_curvature",
+    "vertical_derivative", "detect_berwald",
+])
+def test_mutating_a_returned_array_leaves_later_results_alone(call):
+    lag, sample = _LAGS[0], _SAMPLES[0]
+    thunk = lambda: _CALLS[call](lag, sample)  # noqa: E731
+    geometry._last_context = None
+    for a in _arrays(thunk()):
+        a[...] = 12345.0
+    assert _outcome_of(thunk) == _fresh(thunk)
+
+
+def test_mutating_the_sample_in_place_leaves_later_results_alone():
+    lag, base = _LAGS[0], _SAMPLES[0]
+    sample = TangentSample(base.x.copy(), base.xdot.copy())
+    geometry._last_context = None
+    geometry.hh_curvature(lag, sample)
+    sample.x[1] += 0.01
+    curvature = lambda: geometry.hh_curvature(lag, sample)  # noqa: E731
+    assert _outcome_of(curvature) == _fresh(curvature)
+    # the context keeps its own copy of the sample it was built for, so an
+    # equal sample still gets that sample's results
+    sample = TangentSample(base.x.copy(), base.xdot.copy())
+    geometry._last_context = None
+    geometry.hh_curvature(lag, sample)
+    sample.xdot[1] += 0.01
+    commutator = lambda: geometry.commutator_check(lag, base, _field(lag))  # noqa: E731
+    assert _outcome_of(commutator) == _fresh(commutator)
+
+
+def test_mutating_the_params_in_place_leaves_later_results_alone():
+    lag = DslLagrangian(2, expr.parse(
+        "exp(a*x0)*(dx0^2 - dx1^2) + a*dx0^4/(dx0^2 + dx1^2)", 4, {"a"}, fiber_aliases(2, None),
+    ), {"a": 0.3})
+    sample = TangentSample([0.1, 0.2], [1.0, 0.3])
+    for call in ("metric", "chern_rund", "hh_curvature", "commutator_check"):
+        thunk = lambda: _CALLS[call](lag, sample)  # noqa: E731
+        geometry._last_context = None
+        before = _outcome_of(thunk)
+        lag.params["a"] = 0.5
+        assert _outcome_of(thunk) == _fresh(thunk) != before
+        lag.params["a"] = 0.3
+        assert _outcome_of(thunk) == before

@@ -1,5 +1,6 @@
 """Smoke test of tools/report_digests.py, the byte-identity check of reports
-and chain arrays: it runs, and every line it prints has its documented shape."""
+and chain arrays: it runs, every line it prints has its documented shape,
+and the chain calls give the same digests in either call order."""
 
 import importlib.util
 import re
@@ -14,7 +15,10 @@ _DIGEST = r"[0-9a-f]{64}"
 _REPORT = re.compile(
     rf"(?P<scene>\S+) (?P<sub>{'|'.join(SUBCOMMANDS)}) (?P<seed>\d+) [012] ({_DIGEST}|-)"
 )
-_CALL = re.compile(rf"(?P<scene>\S+) (?P<kind>chain|L|family):(?P<call>\S+) \S+ ({_DIGEST}|\w+)")
+_CALL = re.compile(
+    rf"(?P<scene>\S+) (?P<kind>chain-rev|chain|L|family):(?P<call>\S+) (?P<label>\S+)"
+    rf" (?P<digest>{_DIGEST}|\w+)"
+)
 
 
 def _load_tool():
@@ -49,5 +53,14 @@ def test_report_digests_lines_have_their_shape(capsys):
     }
     assert {m["call"] for m in calls if m["kind"] == "L"} == {"order2", "order4", "witness-block"}
     assert kinds["L"] * 7 == kinds["chain"] * 3
+    # the reverse pass gives each call at each sample its forward digest
+    forward = {
+        (m["scene"], m["call"], m["label"]): m["digest"] for m in calls if m["kind"] == "chain"
+    }
+    reverse = {
+        (m["scene"], m["call"], m["label"]): m["digest"] for m in calls if m["kind"] == "chain-rev"
+    }
+    assert kinds["chain-rev"] == kinds["chain"] == len(forward)
+    assert reverse == forward
     assert kinds["family"] > 0
     assert {m["scene"] for m in calls} == set(scenes)

@@ -49,6 +49,14 @@ def minkowski_scene():
     }
 
 
+def dsl_params_scene(params):
+    return {
+        "chart": {"dim": 2},
+        "lagrangian": {"dsl": {"source": "a*dx0^2 - dx1^2", "params": params}},
+        "samples": [{"x": [0, 0], "xdot": [1, 0.1]}],
+    }
+
+
 # -- validation --------------------------------------------------------------------
 
 
@@ -117,30 +125,137 @@ def test_scene_schema_accepts_fixture_scenes():
 
 
 @pytest.mark.parametrize(
-    "options, pointer",
+    "doc, pointer",
     [
-        pytest.param({"directoins": 4}, "/options/directoins", id="unknown-option"),
+        pytest.param(szabo_scene(directoins=4), "/options/directoins", id="unknown-option"),
         pytest.param(
-            {"tolerances": {"berwlad": 1}}, "/options/tolerances/berwlad", id="unknown-tolerance"
+            szabo_scene(tolerances={"berwlad": 1}),
+            "/options/tolerances/berwlad",
+            id="unknown-tolerance",
         ),
-        pytest.param({"spread": 0}, "/options/spread", id="zero-spread"),
-        pytest.param({"spread": -0.5}, "/options/spread", id="negative-spread"),
-        pytest.param({"spread": True}, "/options/spread", id="bool-spread"),
-        pytest.param({"threads": 2}, "/options/threads", id="removed-threads"),
-        pytest.param({"seed": True}, "/options/seed", id="bool-seed"),
-        pytest.param({"seed": -1}, "/options/seed", id="negative-seed"),
-        pytest.param({"directions": 1}, "/options/directions", id="one-direction"),
+        pytest.param(szabo_scene(spread=0), "/options/spread", id="zero-spread"),
+        pytest.param(szabo_scene(spread=-0.5), "/options/spread", id="negative-spread"),
+        pytest.param(szabo_scene(spread=True), "/options/spread", id="bool-spread"),
+        pytest.param(szabo_scene(threads=2), "/options/threads", id="removed-threads"),
+        pytest.param(szabo_scene(seed=True), "/options/seed", id="bool-seed"),
+        pytest.param(szabo_scene(seed=-1), "/options/seed", id="negative-seed"),
+        pytest.param(szabo_scene(directions=1), "/options/directions", id="one-direction"),
+        pytest.param(
+            dsl_params_scene({"a": "abc"}), "/lagrangian/dsl/params/a", id="string-param"
+        ),
     ],
 )
-def test_loader_and_schema_reject_the_same_options(options, pointer):
+def test_loader_and_schema_reject_the_same_options(doc, pointer):
     jsonschema = pytest.importorskip("jsonschema")
     schema = json.loads((SCHEMA_DIR / "scene.schema.json").read_text())
-    doc = szabo_scene(**options)
     with pytest.raises(jsonschema.ValidationError):
         jsonschema.validate(doc, schema)
     with pytest.raises(SceneError) as err:
         load_scene(doc)
     assert err.value.pointer == pointer
+
+
+# An integer beyond float range, as a JSON number.
+_HUGE = "1" + "0" * 400
+
+
+def _with_huge(doc, *path):
+    """The scene text with the value at `path` replaced by _HUGE."""
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = "HUGE"
+    return json.dumps(doc).replace('"HUGE"', _HUGE)
+
+
+def _family_scene(**extra):
+    return {
+        "chart": {"dim": 2},
+        "lagrangian": {"family": {
+            "alpha": [["1", "0"], ["0", "-1"]], "beta": ["1", "0"], "c": 1, "m": 0, "p": 2,
+            **extra,
+        }},
+        "samples": [{"x": [0, 0], "xdot": [1, 0.1]}],
+    }
+
+
+@pytest.mark.parametrize(
+    "text, pointer",
+    [
+        pytest.param(
+            _with_huge(minkowski_scene(), "samples", 0, "x", 0), "/samples/0/x/0",
+            id="huge-sample",
+        ),
+        pytest.param(
+            _with_huge(szabo_scene(spread=1), "options", "spread"), "/options/spread",
+            id="huge-spread",
+        ),
+        pytest.param(
+            _with_huge(_family_scene(), "lagrangian", "family", "c"), "/lagrangian/family/c",
+            id="huge-family-c",
+        ),
+        pytest.param(
+            _with_huge(_family_scene(params={"a": 1}), "lagrangian", "family", "params", "a"),
+            "/lagrangian/family/params/a",
+            id="huge-family-param",
+        ),
+        pytest.param(
+            _with_huge(dsl_params_scene({"a": 1}), "lagrangian", "dsl", "params", "a"),
+            "/lagrangian/dsl/params/a",
+            id="huge-dsl-param",
+        ),
+        pytest.param(
+            _with_huge(
+                {"lagrangian": {"catalog": "schwarzschild", "overrides": {"M": 1}}},
+                "lagrangian", "overrides", "M",
+            ),
+            "/lagrangian/overrides/M",
+            id="huge-override",
+        ),
+        pytest.param(
+            json.dumps(dsl_params_scene({"a": "abc"})), "/lagrangian/dsl/params/a",
+            id="string-param",
+        ),
+        pytest.param(
+            json.dumps(dsl_params_scene({"a": [1]})), "/lagrangian/dsl/params/a",
+            id="list-param",
+        ),
+        pytest.param(
+            json.dumps(dsl_params_scene({"a": "nan"})), "/lagrangian/dsl/params/a",
+            id="nan-string-param",
+        ),
+        pytest.param(
+            json.dumps(dsl_params_scene({"a": True})), "/lagrangian/dsl/params/a",
+            id="bool-param",
+        ),
+        pytest.param(
+            json.dumps({"lagrangian": {"catalog": "schwarzschild", "overrides": {"M": [1]}}}),
+            "/lagrangian/overrides/M",
+            id="list-override",
+        ),
+    ],
+)
+def test_scene_numbers_are_read_by_one_checked_reader(tmp_path, capsys, text, pointer):
+    # each of these ended in a traceback: OverflowError, ValueError or
+    # TypeError from float(), or "nan" accepted as a parameter
+    p = tmp_path / "scene.json"
+    p.write_text(text)
+    assert cli.main(["report", str(p), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"scene error: {pointer}: ") and err.count("\n") == 1
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_family_scene_with_a_5000_term_alpha_entry_gives_a_report():
+    # the symmetry check of alpha compares the two 5000-term sums
+    total = " + ".join(["0.0001*x0"] * 5000)
+    doc = _family_scene()
+    fam = doc["lagrangian"]["family"]
+    fam["alpha"] = [["1", total], [total, "-1"]]
+    fam["beta"], fam["p"] = ["1", "0.5"], 0.5
+    report, code = run_scene(load_scene(doc), "report")
+    assert code == 0
+    assert report["samples"][0]["admissibility"]["in_A"]
 
 
 # -- reports -----------------------------------------------------------------------

@@ -27,12 +27,19 @@ samples), each public chain call -- ``metric`` (g and g^-1), ``spray``,
     <scene> chain:<call> <sample label> <sha256 of the result's raw bytes>
 
 or the name of the exception class it raised in place of the digest.  These
-calls build order-2 and order-3 contexts, which no report builds.  For every
-sample of a scene with a family Lagrangian (the family catalog entries with
-their default samples among them), each `alphabeta.FamilyEval` reader --
-``christoffel_jets`` (values and x-derivatives), ``fit``, ``h_gradient``,
-``connection()`` and ``ricci`` -- and ``geometry.christoffel_gradient`` of
-alpha print
+calls build order-2 and order-3 contexts, which no report builds.  Then the
+same calls run again in the reverse order, each printing
+
+    <scene> chain-rev:<call> <sample label> <digest>
+
+Successive calls at one sample and order share one evaluation context, and
+the two passes build each context through a different call and read it
+through the others in the other order, so the two digests of a call must
+be equal.  For every sample of a scene with a family Lagrangian (the family
+catalog entries with their default samples among them), each
+`alphabeta.FamilyEval` reader -- ``christoffel_jets`` (values and
+x-derivatives), ``fit``, ``h_gradient``, ``connection()`` and ``ricci`` --
+and ``geometry.christoffel_gradient`` of alpha print
 
     <scene> family:<reader> <sample label> <sha256 of the result's raw bytes>
 
@@ -309,8 +316,11 @@ def main(argv=None) -> int:
     for name, doc in scene_documents(root):
         scn = load_scene(doc)
         for label, sample in scn.samples:
-            for call, thunk in _chain_calls(scn.lagrangian, sample):
+            calls = _chain_calls(scn.lagrangian, sample)
+            for call, thunk in calls:
                 print(f"{name} chain:{call} {label} {chain_digest(thunk)}", flush=True)
+            for call, thunk in reversed(calls):
+                print(f"{name} chain-rev:{call} {label} {chain_digest(thunk)}", flush=True)
             for call, thunk in _L_calls(scn.lagrangian, sample):
                 print(f"{name} L:{call} {label} {chain_digest(thunk)}", flush=True)
             if isinstance(scn.lagrangian, FamilyInstance):
