@@ -19,7 +19,7 @@ evaluating over seeded jets yields the expression's derivatives for free.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Mapping, Sequence, Union
 
 from . import jets
@@ -64,9 +64,9 @@ class ExprDomainError(ArithmeticError):
 
 class _Node:
     """Equality and hashing of AST nodes by their compared fields (every
-    field but `span`), as a frozen dataclass's generated methods give them,
-    but walked with a loop: a long sum such as ``x0 + x0 + ... + x0`` needs
-    no deep Python stack."""
+    field but `span`), and their repr, as a frozen dataclass's generated
+    methods give them, but walked with a loop: a long sum such as
+    ``x0 + x0 + ... + x0`` needs no deep Python stack."""
 
     _compared: tuple = ()  # the names of the compared fields, in order
 
@@ -105,6 +105,25 @@ class _Node:
             )
         return hashes[id(self)].value
 
+    def __repr__(self):
+        # ClassName(field=value, ...) over every field, a child node being a
+        # piece still to render, expanded with a loop as `pretty` does
+        out = []
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, str):
+                out.append(node)
+                continue
+            pieces = [f"{node.__class__.__qualname__}("]
+            for i, f in enumerate(fields(node)):
+                value = getattr(node, f.name)
+                pieces.append(f"{', ' if i else ''}{f.name}=")
+                pieces.append(value if isinstance(value, _Node) else repr(value))
+            pieces.append(")")
+            stack.extend(reversed(pieces))
+        return "".join(out)
+
 
 class _Hashed:
     """A stand-in for a node in a tuple being hashed: it hashes to the
@@ -119,28 +138,28 @@ class _Hashed:
         return self.value
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Const(_Node):
     value: float
     span: int = field(default=-1, compare=False)
     _compared = ("value",)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Coord(_Node):
     index: int
     span: int = field(default=-1, compare=False)
     _compared = ("index",)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Param(_Node):
     name: str
     span: int = field(default=-1, compare=False)
     _compared = ("name",)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Unary(_Node):
     op: str
     arg: "ExpressionAst"
@@ -148,7 +167,7 @@ class Unary(_Node):
     _compared = ("op", "arg")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Binary(_Node):
     op: str
     left: "ExpressionAst"

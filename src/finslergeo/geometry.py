@@ -166,16 +166,31 @@ def dot_rows(u: BatchJet, v: BatchJet) -> Jet:
 
 def partials(j: Jet, variables) -> BatchJet:
     """The stack of d j / d v for v in `variables`, of a jet or a stack j:
-    rows v-major, then j's rows.  Each row is `Jet.diff`'s jet."""
+    rows v-major, then j's rows.  Each row is `Jet.diff`'s jet: every
+    coefficient is the one product source * exponent that `Jet.diff` makes,
+    gathered, scaled and scattered for all the variables at once
+    (`_partials_plan`), and every other coefficient is +0.0."""
     if j.order < 1:
         raise ValueError("cannot differentiate an order-0 jet")
     sp = j.space
     rows = j.coeffs.reshape(-1, j.coeffs.shape[-1])
+    src, var, dst, fac = _partials_plan(sp, j.order, tuple(variables))
     out = np.zeros((len(variables), len(rows), sp.ncoeff_upto[j.order - 1]))
-    for k, var in enumerate(variables):
-        src, dst, fac = sp.diff_prefix[var][j.order]
-        out[k][:, dst] = rows[:, src] * fac
+    out[var, :, dst] = (rows[:, src] * fac).T
     return BatchJet(sp, out.reshape(-1, out.shape[-1]), j.order - 1)
+
+
+_NO_MAP = (np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))
+
+
+@lru_cache(maxsize=None)
+def _partials_plan(space, order: int, variables: tuple) -> tuple:
+    """The maps `JetSpace.diff_prefix` of each variable at validity `order`,
+    joined: (source slot, place k in `variables`, target slot, exponent) of
+    every coefficient of the k-th partial."""
+    maps = [space.diff_prefix[var][order] for var in variables]
+    src, dst, fac = (np.concatenate(parts) for parts in zip(_NO_MAP, *maps))
+    return src, np.repeat(np.arange(len(maps)), [len(m[0]) for m in maps]), dst, fac
 
 
 def values(jets: Jet, shape=()) -> np.ndarray:
@@ -451,7 +466,11 @@ class _Eval:
     """Lazy evaluation of the geometry chain at one sample.
 
     Jet validity bookkeeping (seeded order k): g has validity k-2, the spray
-    k-2, N and Gamma k-3.  Values need k=3, curvature needs k=4.
+    k-2, N and Gamma k-3.  g's values need k=2, the values of N and Gamma
+    k=3 and the curvature k=4.  The public readers ask for k=2 (the probe
+    and `metric`) or k=4 (every other reader), see `_context`.  g is built
+    only from a finite L (`g_jets`), so at a sample whose L is not, every
+    reader of g raises DomainError("non-finite").
     """
 
     def __init__(self, lag: LagrangianDef, sample: TangentSample, order: int):
@@ -469,6 +488,8 @@ class _Eval:
 
     @cached_property
     def g_jets(self) -> BatchJet:
+        if not np.isfinite(self.L.coeffs).all():
+            raise DomainError("non-finite", "L is not finite at the sample")
         return _half_hessian(self.L, self.n)
 
     @cached_property
@@ -513,10 +534,11 @@ class _Eval:
         tol_degenerate: float = TOL_DEGENERATE,
         tol_null: float = TOL_NULL,
     ) -> AdmissibilityVerdict:
-        if not np.all(np.isfinite(self.L.coeffs)):
-            return _outside_A("non-finite")
+        try:
+            sig = self.signature(tol_degenerate)
+        except DomainError as err:
+            return _outside_A(err.reason)
         L_value = self.L.value
-        sig = self.signature(tol_degenerate)
         in_A = sig[2] == 0
         xdot = np.abs(self.sample.xdot)
         scale = float(np.abs(self.g_values).dot(xdot).dot(xdot))
@@ -683,7 +705,9 @@ _last_context: Optional[tuple] = None
 def _context(lag: LagrangianDef, sample: TangentSample, order: int) -> _Eval:
     """The evaluation context of (lag, sample, order), which every public
     reader of the chain gets from here: the context built last when this
-    request has its key, else a new one, kept in its place.
+    request has its key, else a new one, kept in its place.  Two orders are
+    asked for: 2 by the probe and `metric`, 4 by every other reader, which
+    so reads the context a report is written from.
 
     The key is `lag` by identity, the bytes of `sample.x` and `sample.xdot`,
     the order and a snapshot of `lag.params` (the repr of each value, so
@@ -715,7 +739,8 @@ def _field_jet(ev: _Eval, scalar_field: Callable[[Sequence[Jet]], Jet]) -> Jet:
 
 
 # The readers below get their context from `_context`, so successive calls at
-# one sample and order share it, and return arrays the caller owns.
+# one sample and order share it, and return arrays the caller owns.  Past
+# `metric` they read the order-4 context, so their arrays are the report's.
 
 
 def metric(
@@ -730,18 +755,18 @@ def metric(
 
 
 def spray(lag: LagrangianDef, sample: TangentSample) -> np.ndarray:
-    """G^a from the sample's order-2 context, as the caller's copy."""
-    return _context(lag, sample, 2).spray_values.copy()
+    """G^a from the sample's order-4 context, as the caller's copy."""
+    return _context(lag, sample, 4).spray_values.copy()
 
 
 def nonlinear_connection(lag: LagrangianDef, sample: TangentSample) -> np.ndarray:
-    """N^a_b from the sample's order-3 context, as the caller's copy."""
-    return _context(lag, sample, 3).nonlinear_values.copy()
+    """N^a_b from the sample's order-4 context, as the caller's copy."""
+    return _context(lag, sample, 4).nonlinear_values.copy()
 
 
 def chern_rund(lag: LagrangianDef, sample: TangentSample) -> np.ndarray:
-    """Gamma^a_bc from the sample's order-3 context, as the caller's copy."""
-    return _context(lag, sample, 3).gamma_values.copy()
+    """Gamma^a_bc from the sample's order-4 context, as the caller's copy."""
+    return _context(lag, sample, 4).gamma_values.copy()
 
 
 def hh_curvature(lag: LagrangianDef, sample: TangentSample) -> CurvatureValue:
@@ -761,8 +786,8 @@ def vertical_derivative(
     scalar_field: Callable[[Sequence[Jet]], Jet],
 ) -> np.ndarray:
     """ddot_a f, the fiber derivative of a jet-valued scalar field, in the
-    sample's order-3 context (see `_field_jet`)."""
-    ev = _context(lag, sample, 3)
+    sample's order-4 context (see `_field_jet`)."""
+    ev = _context(lag, sample, 4)
     return first_derivatives(_field_jet(ev, scalar_field), range(ev.n, 2 * ev.n))
 
 

@@ -1,5 +1,6 @@
 """Expression parsing, evaluation, and the pretty-print round trip."""
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -305,6 +306,43 @@ def test_long_sum_compares_hashes_and_prints_without_recursion():
     assert a == b and hash(a) == hash(b)
     assert a != expr.parse(src + " + x0", 1)
     assert expr.parse(expr.pretty(a), 1) == a
+
+
+# The reference repr: the one a frozen dataclass generates, of classes with
+# the AST classes' names and fields.
+_REPR_REFERENCE = {
+    cls: dataclasses.make_dataclass(
+        cls.__name__, [f.name for f in dataclasses.fields(cls)], frozen=True
+    )
+    for cls in (Const, Coord, Param, Unary, Binary)
+}
+
+
+def _repr_reference(node):
+    values = [getattr(node, f.name) for f in dataclasses.fields(node)]
+    return _REPR_REFERENCE[type(node)](
+        *(_repr_reference(v) if isinstance(v, expr._Node) else v for v in values)
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_small_trees(), _ast_strategy()))
+def test_repr_matches_the_generated_dataclass_repr(ast):
+    for node in (ast, _rebuilt(ast)):
+        assert repr(node) == str(node) == repr(_repr_reference(node))
+
+
+def test_long_sum_has_a_repr():
+    a = expr.parse(" + ".join(["x0"] * 5000), 1)
+    try:
+        text, printed = repr(a), str(a)
+    except RecursionError:  # fail below, not with a thousand-frame traceback
+        text = printed = None
+    assert text is not None, "repr recursed once per node"
+    assert printed == text
+    assert text.startswith("Binary(op='add', left=Binary(op='add', left=")
+    assert text.count("Coord(index=0, span=") == 5000
+    assert text.endswith(f"right=Coord(index=0, span={5 * 4999}), span={5 * 4999 - 2})")
 
 
 # -- jet derivatives vs finite differences -----------------------------------------

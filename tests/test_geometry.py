@@ -2,16 +2,21 @@
 tying them together."""
 
 import dataclasses
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from finslergeo import berwald, catalog, expr, geometry
+from finslergeo import berwald, catalog, cli, expr, geometry
 from finslergeo.defs import DslLagrangian, TangentSample, fiber_aliases
 from finslergeo.geometry import DegenerateMetric, _Eval
-from finslergeo.jets import BatchJet, Jet, jet_space
+from finslergeo.jets import BatchJet, DomainError, Jet, jet_space
+from finslergeo.scene import load_scene
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(scope="module")
@@ -971,32 +976,50 @@ def test_successive_calls_give_the_bytes_of_a_fresh_context_per_call(calls):
     assert shared == [_fresh(thunk) for thunk in thunks]
 
 
-@pytest.mark.parametrize("lag, sample", _CATALOG_SAMPLES[::3])
-def test_a_context_serves_only_its_own_order(lag, sample):
-    # after an order-4 and an order-3 call, each lower-order reader still
-    # gives a fresh context's bytes
-    for first in ("hh_curvature", "chern_rund"):
-        for call in ("probe_admissibility", "metric", "spray", "nonlinear_connection"):
-            geometry._last_context = None
-            _CALLS[first](lag, sample)
-            thunk = lambda: _CALLS[call](lag, sample)  # noqa: E731
-            assert _outcome_of(thunk) == _fresh(thunk), (first, call)
-
-
-def test_successive_calls_at_one_sample_build_one_context_per_order(monkeypatch):
-    lag, sample = _LAGS[0], _SAMPLES[0]
-    orders, scalar_L = [], []
-    init, eval_L_jets = _Eval.__init__, geometry.eval_L_jets
+def _counting_orders(monkeypatch) -> list:
+    """The order of every `_Eval` built from now on, in build order."""
+    orders = []
+    init = _Eval.__init__
 
     def counting_init(self, lag, sample, order):
         orders.append(order)
         init(self, lag, sample, order)
 
+    monkeypatch.setattr(_Eval, "__init__", counting_init)
+    return orders
+
+
+@pytest.mark.parametrize("lag, sample", _CATALOG_SAMPLES[::3])
+def test_a_context_serves_only_its_own_order(lag, sample, monkeypatch):
+    orders = _counting_orders(monkeypatch)
+    # after hh_curvature, every reader past g reads its order-4 context
+    for call in ("spray", "nonlinear_connection", "chern_rund", "vertical_derivative"):
+        geometry._last_context = None
+        _CALLS["hh_curvature"](lag, sample)
+        thunk = lambda: _CALLS[call](lag, sample)  # noqa: E731
+        orders.clear()
+        shared = _outcome_of(thunk)
+        assert orders == [], call
+        assert shared == _fresh(thunk), call
+    # and the probe and metric still give a fresh order-2 context's bytes
+    for call in ("probe_admissibility", "metric"):
+        geometry._last_context = None
+        _CALLS["hh_curvature"](lag, sample)
+        thunk = lambda: _CALLS[call](lag, sample)  # noqa: E731
+        orders.clear()
+        assert _outcome_of(thunk) == _fresh(thunk), call
+        assert orders == [2, 2], call
+
+
+def test_successive_calls_at_one_sample_build_one_context_per_order(monkeypatch):
+    lag, sample = _LAGS[0], _SAMPLES[0]
+    orders, scalar_L = _counting_orders(monkeypatch), []
+    eval_L_jets = geometry.eval_L_jets
+
     def counting_L(lag, coord_jets):
         scalar_L.append(lag)
         return eval_L_jets(lag, coord_jets)
 
-    monkeypatch.setattr(_Eval, "__init__", counting_init)
     monkeypatch.setattr(geometry, "eval_L_jets", counting_L)
     geometry._last_context = None
     # the public chain of one sample; the commutator reads the context's own
@@ -1007,11 +1030,11 @@ def test_successive_calls_at_one_sample_build_one_context_per_order(monkeypatch)
     geometry.nonlinear_connection(lag, sample)
     geometry.hh_curvature(lag, sample)
     geometry.commutator_check(lag, sample, _field(lag))
-    assert orders == [2, 3, 4]
-    assert len(scalar_L) == 3
+    assert orders == [2, 4]
+    assert len(scalar_L) == 2
     # an equal sample of another object is the same key
     geometry.hh_curvature(lag, TangentSample(sample.x.copy(), sample.xdot.copy()))
-    assert orders == [2, 3, 4]
+    assert orders == [2, 4]
 
 
 def _arrays(value):
@@ -1064,3 +1087,103 @@ def test_mutating_the_params_in_place_leaves_later_results_alone():
         assert _outcome_of(thunk) == _fresh(thunk) != before
         lag.params["a"] = 0.3
         assert _outcome_of(thunk) == before
+
+
+def _report_scenes():
+    """(name, scene document) of every scene file and catalog entry."""
+    for path in sorted((REPO / "scenes").glob("*.json")):
+        yield path.name, json.loads(path.read_text(encoding="utf-8"))
+    for name in catalog.names():
+        yield f"catalog:{name}", {"lagrangian": {"catalog": name}}
+
+
+@pytest.mark.parametrize("name, doc", list(_report_scenes()))
+def test_public_chain_arrays_equal_the_report_arrays(name, doc, tmp_path):
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps(doc), encoding="utf-8")
+    cli.main(["report", str(scene), "--out", str(tmp_path / "out")])
+    # report.json writes each float to 17 digits, so it reads back exactly;
+    # read as an int, a -0 would lose its sign
+    text = (tmp_path / "out" / "report.json").read_text(encoding="utf-8")
+    blocks = json.loads(text, parse_int=float)["samples"]
+    scn = load_scene(doc)
+    lag = scn.lagrangian
+    for (label, sample), block in zip(scn.samples, blocks, strict=True):
+        assert block["label"] == label and block["admissibility"]["in_A"]
+        curvature = geometry.hh_curvature(lag, sample)
+        arrays = {
+            "spray": geometry.spray(lag, sample),
+            "nonlinear": geometry.nonlinear_connection(lag, sample),
+            "chern_rund": geometry.chern_rund(lag, sample),
+            "ricci": curvature.ricci,
+            "skew_ricci": curvature.skew_ricci,
+        }
+        for key, array in arrays.items():
+            reported = np.array(block[key], dtype=np.float64)
+            assert reported.tobytes() == array.tobytes(), (label, key)
+
+
+# exp(700 x0) at x0 = 1 is finite, but the products that build L's higher
+# coefficients leave float range
+_NON_FINITE_LAG = DslLagrangian(2, expr.parse(
+    "exp(700*x0)*dx0^2 - dx1^2", 4, aliases=fiber_aliases(2, None),
+))
+_NON_FINITE_SAMPLE = TangentSample([1.0, 0.0], [1.0, 0.2])
+
+
+@pytest.mark.parametrize("call", [
+    "metric", "spray", "nonlinear_connection", "chern_rund", "hh_curvature",
+    "vertical_derivative", "commutator_check",
+])
+def test_every_reader_of_g_at_a_non_finite_L_raises_non_finite(call):
+    lag, sample = _NON_FINITE_LAG, _NON_FINITE_SAMPLE
+    geometry._last_context = None
+    verdict = geometry.probe_admissibility(lag, sample)
+    assert not verdict.in_A and verdict.failure_reason == "non-finite"
+    for _ in range(2):  # and again from the context that failed
+        with pytest.raises(DomainError) as err:
+            _CALLS[call](lag, sample)
+        assert err.value.reason == "non-finite"
+
+
+def test_a_field_that_does_not_read_L_has_a_fiber_derivative_at_a_non_finite_L():
+    geometry._last_context = None
+    field = lambda c: c[0] * c[2]  # noqa: E731  x0 * dx0
+    got = geometry.vertical_derivative(_NON_FINITE_LAG, _NON_FINITE_SAMPLE, field)
+    assert got.tolist() == [1.0, 0.0]
+
+
+def ref_partials(j: Jet, variables) -> BatchJet:
+    """`geometry.partials` as a loop over the variables, one `Jet.diff` map
+    at a time: the reference for its single gather, scale and scatter."""
+    sp = j.space
+    rows = j.coeffs.reshape(-1, j.coeffs.shape[-1])
+    out = np.zeros((len(variables), len(rows), sp.ncoeff_upto[j.order - 1]))
+    for k, var in enumerate(variables):
+        src, dst, fac = sp.diff_prefix[var][j.order]
+        out[k][:, dst] = rows[:, src] * fac
+    return BatchJet(sp, out.reshape(-1, out.shape[-1]), j.order - 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 5), st.integers(1, 4), st.one_of(st.none(), st.integers(1, 6)),
+    st.integers(0, 10**6), st.data(),
+)
+def test_partials_match_the_per_variable_loop(nvars, validity, rows, seed, data):
+    rng = np.random.default_rng(seed)
+    space = jet_space(nvars, rng.choice([validity, 4]))
+    shape = (space.ncoeff_upto[validity],) if rows is None else (rows, space.ncoeff_upto[validity])
+    coeffs = rng.uniform(-3.0, 3.0, shape)
+    special = rng.random(shape) < rng.choice([0.0, 0.1, 0.5])
+    coeffs[special] = rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan], special.sum())
+    j = Jet(space, coeffs, validity) if rows is None else BatchJet(space, coeffs, validity)
+    variables = data.draw(st.one_of(
+        st.permutations(range(nvars)),
+        st.lists(st.integers(0, nvars - 1), max_size=2 * nvars),
+    ))
+    for vs in (variables, tuple(variables)):
+        got, want = geometry.partials(j, vs), ref_partials(j, vs)
+        assert type(got) is BatchJet and got.order == want.order
+        assert got.coeffs.shape == want.coeffs.shape
+        assert got.coeffs.tobytes() == want.coeffs.tobytes()

@@ -26,9 +26,12 @@ samples), each public chain call -- ``metric`` (g and g^-1), ``spray``,
 
     <scene> chain:<call> <sample label> <sha256 of the result's raw bytes>
 
-or the name of the exception class it raised in place of the digest.  These
-calls build order-2 and order-3 contexts, which no report builds.  Then the
-same calls run again in the reverse order, each printing
+or the name of the exception class it raised in place of the digest.
+``metric`` reads the sample's order-2 context and every other call its
+order-4 context, the one its report is written from, so the arrays of
+``spray``, ``nonlinear_connection``, ``chern_rund`` and ``hh_curvature`` are
+the report's.  Then the same calls run again in the reverse order, each
+printing
 
     <scene> chain-rev:<call> <sample label> <digest>
 
