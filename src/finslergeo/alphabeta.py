@@ -33,7 +33,7 @@ from .defs import FamilyInstance, TangentSample
 from .geometry import (
     DegenerateMetric, dot_rows, first_derivatives, stack_jets, take_rows, values,
 )
-from .jets import BatchJet, Jet, seed
+from .jets import Jet, seed
 
 TOL_CONDITION = 1e-9
 
@@ -103,14 +103,14 @@ class FamilyEval:
         self.a1 = self.a1_jet.value
 
     @cached_property
-    def christoffel_jets(self) -> BatchJet:
+    def christoffel_jets(self) -> Jet:
         """gamma^a_bc, the Levi-Civita connection of alpha, as a stack."""
         return geometry.levi_civita_jets(self.alpha_jets, self.alpha_inv_jets)
 
     # -- the Berwald condition and H ------------------------------------------------
 
     @cached_property
-    def condition_jets(self) -> tuple[BatchJet, BatchJet]:
+    def condition_jets(self) -> tuple[Jet, Jet]:
         """Both sides of the Berwald condition as (n, n) stacks: nabla_a beta_b
         for the Levi-Civita connection of alpha, and the tensor multiplying H."""
         inst, n = self.inst, self.n

@@ -18,10 +18,10 @@ Horizontal derivatives of tensors are taken by keeping the tensor jet-valued
 and combining its x-derivatives with N times its xdot-derivatives, so no
 symbolic differentiation is needed anywhere.
 
-Each tensor of jets from g on is a stack: one `BatchJet` whose row r holds
-the tensor's component r in row-major order (g and N have n^2 rows, Gamma
-n^3).  A stage is a few batched operations on stacks.  A contraction
-sum_k A[..k] B[k..] is one batched product per contraction index k, both
+Each tensor of jets from g on is a stack: one `Jet` whose coefficient row
+r holds the tensor's component r in row-major order (g and N have n^2
+rows, Gamma n^3).  A stage is a few operations on stacks.  A contraction
+sum_k A[..k] B[k..] is one stacked product per contraction index k, both
 operands gathered by row-index arrays (`contract`), accumulated as
 ``acc = acc + term`` in k order: the order of the loop that would sum one
 component at a time, so every row is that loop's jet bit for bit, and no
@@ -51,8 +51,8 @@ from . import expr as exprmod
 from .defs import DslLagrangian, LagrangianDef, TangentSample
 from .expr import ExprDomainError
 from .jets import (
-    BatchJet, DomainError, Jet, Restricted, embed, embed_stack, jet_space, powx,
-    restrict_stack, seed, seed_block, stack_support,
+    DomainError, Jet, Restricted, embed, embed_stack, jet_space, powx, restrict_stack,
+    seed, seed_block, stack_support,
 )
 
 TOL_DEGENERATE = 1e-10
@@ -124,23 +124,23 @@ def _outside_A(reason: str) -> AdmissibilityVerdict:
 # -- tensor stacks ------------------------------------------------------------------
 
 
-def stack_jets(jets) -> BatchJet:
+def stack_jets(jets) -> Jet:
     """The jets of an array of any shape as one stack: row r holds component
     r in row-major order, cut to the jets' common validity."""
     flat = np.asarray(jets, dtype=object).ravel()
     space = flat[0].space
     order = min(j.order for j in flat)
     width = space.ncoeff_upto[order]
-    return BatchJet(space, np.array([j.coeffs[:width] for j in flat]), order)
+    return Jet(space, np.array([j.coeffs[:width] for j in flat]), order)
 
 
-def take_rows(s: BatchJet, index) -> BatchJet:
+def take_rows(s: Jet, index) -> Jet:
     """The stack of the rows `index` of the stack s."""
-    return BatchJet(s.space, s.coeffs[index], s.order)
+    return Jet(s.space, s.coeffs[index], s.order)
 
 
-def contract(a: BatchJet, b: BatchJet, ia: np.ndarray, ib: np.ndarray) -> BatchJet:
-    """Row r is sum_k a[ia[r, k]] * b[ib[r, k]]: one batched product per k,
+def contract(a: Jet, b: Jet, ia: np.ndarray, ib: np.ndarray) -> Jet:
+    """Row r is sum_k a[ia[r, k]] * b[ib[r, k]]: one stacked product per k,
     accumulated as ``acc = acc + term`` in k order, which is the scalar
     loop's order, so every row is that loop's jet bit for bit."""
     acc = take_rows(a, ia[:, 0]) * take_rows(b, ib[:, 0])
@@ -149,13 +149,13 @@ def contract(a: BatchJet, b: BatchJet, ia: np.ndarray, ib: np.ndarray) -> BatchJ
     return acc
 
 
-def matvec(A: BatchJet, v: BatchJet) -> BatchJet:
+def matvec(A: Jet, v: Jet) -> Jet:
     """y[i] = sum_k A[i, k] v[k] of a stacked n x n matrix and n-vector."""
     ia, ib = _indices(len(v.coeffs))["matvec"]
     return contract(A, v, ia, ib)
 
 
-def dot_rows(u: BatchJet, v: BatchJet) -> Jet:
+def dot_rows(u: Jet, v: Jet) -> Jet:
     """sum_i u[i] v[i] as a scalar jet, accumulated in row order."""
     prods = u * v
     acc = prods.coeffs[0]
@@ -164,7 +164,7 @@ def dot_rows(u: BatchJet, v: BatchJet) -> Jet:
     return Jet(prods.space, acc, prods.order)
 
 
-def partials(j: Jet, variables) -> BatchJet:
+def partials(j: Jet, variables) -> Jet:
     """The stack of d j / d v for v in `variables`, of a jet or a stack j:
     rows v-major, then j's rows.  Each row is `Jet.diff`'s jet: every
     coefficient is the one product source * exponent that `Jet.diff` makes,
@@ -172,12 +172,13 @@ def partials(j: Jet, variables) -> BatchJet:
     (`_partials_plan`), and every other coefficient is +0.0."""
     if j.order < 1:
         raise ValueError("cannot differentiate an order-0 jet")
+    j = embed(j)
     sp = j.space
     rows = j.coeffs.reshape(-1, j.coeffs.shape[-1])
     src, var, dst, fac = _partials_plan(sp, j.order, tuple(variables))
     out = np.zeros((len(variables), len(rows), sp.ncoeff_upto[j.order - 1]))
     out[var, :, dst] = (rows[:, src] * fac).T
-    return BatchJet(sp, out.reshape(-1, out.shape[-1]), j.order - 1)
+    return Jet(sp, out.reshape(-1, out.shape[-1]), j.order - 1)
 
 
 _NO_MAP = (np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))
@@ -199,10 +200,11 @@ def values(jets: Jet, shape=()) -> np.ndarray:
 
 
 def first_derivatives(jets: Jet, variables, shape=()) -> np.ndarray:
-    """out[m, ...] = d jets[...] / d variables[m], read off a jet or a stack
-    of the tensor's shape."""
+    """out[m, ...] = d jets[...] / d variables[m], for seeded variables,
+    read off a jet or a stack of the tensor's shape."""
     if jets.order < 1:
         raise ValueError("an order-0 jet has no first derivatives")
+    jets = embed(jets)
     cols = [jets.space.first_index[var] for var in variables]
     return np.moveaxis(jets.coeffs[..., cols], -1, 0).reshape((len(cols),) + tuple(shape))
 
@@ -253,7 +255,7 @@ def _over_support(fn, *stacks):
     return fn(*stacks)
 
 
-def koszul(ginv: BatchJet, dg: BatchJet) -> BatchJet:
+def koszul(ginv: Jet, dg: Jet) -> Jet:
     """Gamma^a_bc = (1/2) g^{aq} (D_b g_cq + D_c g_bq - D_q g_bc), with
     dg[m, a, b] = D_m g_ab for a derivation D (partial or horizontal); both
     operands and the result are stacks.  The b <= c part is one contraction
@@ -262,7 +264,7 @@ def koszul(ginv: BatchJet, dg: BatchJet) -> BatchJet:
     return _over_support(_koszul, ginv, dg)
 
 
-def _koszul(ginv: BatchJet, dg: BatchJet) -> BatchJet:
+def _koszul(ginv: Jet, dg: Jet) -> Jet:
     n = math.isqrt(len(ginv.coeffs))
     idx = _indices(n)
     q, b, c = idx["koszul_terms"]
@@ -275,7 +277,7 @@ def _koszul(ginv: BatchJet, dg: BatchJet) -> BatchJet:
     return take_rows(0.5 * contract(ginv, inner, ia, ib), idx["expand"])
 
 
-def _matmul_by_constant(a: BatchJet, b: BatchJet, constant_left: bool) -> BatchJet:
+def _matmul_by_constant(a: Jet, b: Jet, constant_left: bool) -> Jet:
     """The stacked matrix product of a and b, bit for bit
     ``contract(a, b, *_indices(n)["matmul"])``, where a (if `constant_left`)
     or else b is constant: all its coefficients but the values are +0.0.
@@ -295,10 +297,10 @@ def _matmul_by_constant(a: BatchJet, b: BatchJet, constant_left: bool) -> BatchJ
     acc = terms[:, 0]
     for k in range(1, terms.shape[1]):
         acc = acc + terms[:, k]
-    return BatchJet(other.space, acc, other.order)
+    return Jet(other.space, acc, other.order)
 
 
-def invert_jet_matrix(g: BatchJet) -> BatchJet:
+def invert_jet_matrix(g: Jet) -> Jet:
     """Inverse of a stacked jet matrix via Newton iteration in the truncated
     algebra, X <- X (2I - gX), started from the constant jet X0 of the
     numeric inverse of the value part, run over the variables g depends on
@@ -308,7 +310,7 @@ def invert_jet_matrix(g: BatchJet) -> BatchJet:
     return _over_support(_newton_inverse, g)
 
 
-def _newton_inverse(g: BatchJet) -> BatchJet:
+def _newton_inverse(g: Jet) -> Jet:
     n = math.isqrt(len(g.coeffs))
     space, order = g.space, g.order
     try:
@@ -317,7 +319,7 @@ def _newton_inverse(g: BatchJet) -> BatchJet:
         raise DegenerateMetric(str(err)) from err
     coeffs = np.zeros((n * n, space.ncoeff_upto[order]))
     coeffs[:, 0] = vinv.ravel()
-    X = BatchJet(space, coeffs, order)
+    X = Jet(space, coeffs, order)
     idx = _indices(n)
     ia, ib = idx["matmul"]
     diag = idx["diagonal"]
@@ -331,7 +333,7 @@ def _newton_inverse(g: BatchJet) -> BatchJet:
         # diagonal through the lifted constant 2.0, the rest negated
         coeffs = -GX.coeffs
         coeffs[diag] = (2.0 - take_rows(GX, diag)).coeffs
-        M = BatchJet(space, coeffs, GX.order)
+        M = Jet(space, coeffs, GX.order)
         X = _matmul_by_constant(X, M, True) if step == 0 else contract(X, M, ia, ib)
     return X
 
@@ -357,13 +359,13 @@ def _cofactor_plan(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
     return plan
 
 
-def det_jet_matrix(g: BatchJet) -> Jet:
+def det_jet_matrix(g: Jet) -> Jet:
     """Determinant of a stacked jet matrix by cofactor expansion along the
     first row, level by level.
 
     Level s holds the minors on the last s rows, one per s-subset of the
-    columns.  All of a level's cofactor products are one batched product
-    (each row is summed on its own, so batching changes no bits), and each
+    columns.  All of a level's cofactor products are one stacked product
+    (each row is summed on its own, so stacking changes no bits), and each
     minor sums its cofactors in the order of the plain recursion, the odd
     positions negated, so the result is the recursion's jet bit for bit.
     The row indices of every level are planned once per n (`_cofactor_plan`).
@@ -376,12 +378,12 @@ def det_jet_matrix(g: BatchJet) -> Jet:
         total = by_pos[0]
         for pos in range(1, size):
             total = total + (-by_pos[pos] if pos % 2 == 1 else by_pos[pos])
-        level = BatchJet(terms.space, total, terms.order)
+        level = Jet(terms.space, total, terms.order)
     return Jet(level.space, level.coeffs[0], level.order)
 
 
 @_quiet
-def log_sqrt_abs_det(g: BatchJet) -> Jet:
+def log_sqrt_abs_det(g: Jet) -> Jet:
     """ln sqrt|det g| of a stacked jet matrix, run over the variables g
     depends on (`_over_support`).
 
@@ -395,10 +397,10 @@ def log_sqrt_abs_det(g: BatchJet) -> Jet:
     return _over_support(_log_sqrt_abs_det, g)
 
 
-def _log_sqrt_abs_det(g: BatchJet) -> Jet:
+def _log_sqrt_abs_det(g: Jet) -> Jet:
     n = math.isqrt(len(g.coeffs))
     k = math.frexp(float(np.max(np.abs(g.coeffs[:, 0]))))[1]
-    scaled = BatchJet(g.space, np.ldexp(g.coeffs, -k), g.order)
+    scaled = Jet(g.space, np.ldexp(g.coeffs, -k), g.order)
     log_det = abs(det_jet_matrix(scaled)).ln()
     log_det.coeffs[0] += n * k * math.log(2.0)
     return 0.5 * log_det
@@ -407,7 +409,7 @@ def _log_sqrt_abs_det(g: BatchJet) -> Jet:
 # -- Lagrangian evaluation -----------------------------------------------------
 
 
-def _half_hessian(L: Jet, n: int) -> BatchJet:
+def _half_hessian(L: Jet, n: int) -> Jet:
     """The L-metric g_ab = (1/2) ddot_b ddot_a L as a stack, from the jet of
     L over x then xdot (variable n + a is xdot^a); both triangles read the
     jet of the upper one."""
@@ -487,7 +489,7 @@ class _Eval:
             self.L = eval_L_jets(lag, self.cjets)
 
     @cached_property
-    def g_jets(self) -> BatchJet:
+    def g_jets(self) -> Jet:
         if not np.isfinite(self.L.coeffs).all():
             raise DomainError("non-finite", "L is not finite at the sample")
         return _half_hessian(self.L, self.n)
@@ -565,13 +567,13 @@ class _Eval:
         return np.linalg.inv(self.g_values)
 
     @cached_property
-    def g_inv_jets(self) -> BatchJet:
+    def g_inv_jets(self) -> Jet:
         self.require_nondegenerate()
         return invert_jet_matrix(self.g_jets)
 
     @cached_property
     @_quiet
-    def spray_jets(self) -> BatchJet:
+    def spray_jets(self) -> Jet:
         n = self.n
         # bracket_q = sum_m xdot^m d_m ddot_q L - d_q L, summed over m in order
         dvL = partials(self.L, range(n, 2 * n))
@@ -587,7 +589,7 @@ class _Eval:
         return values(self.spray_jets, (self.n,))
 
     @cached_property
-    def nonlinear_jets(self) -> BatchJet:
+    def nonlinear_jets(self) -> Jet:
         """N^a_b = ddot_b G^a."""
         dv = partials(self.spray_jets, range(self.n, 2 * self.n))  # [b, a]
         return take_rows(dv, _indices(self.n)["transpose"])
@@ -596,7 +598,7 @@ class _Eval:
     def nonlinear_values(self) -> np.ndarray:
         return values(self.nonlinear_jets, (self.n, self.n))
 
-    def delta_of(self, j: Jet) -> BatchJet:
+    def delta_of(self, j: Jet) -> Jet:
         """Horizontal derivative delta_a j = d_a j - N^b_a ddot_b j of a jet
         or a stack j: rows a-major, then j's rows.  One product per b, with
         N on the left, subtracted in b order.
@@ -614,14 +616,14 @@ class _Eval:
         order = min(acc.order, N.order)
         width = self.space.ncoeff_upto[order]
         if not dv.coeffs.any() and np.isfinite(N.coeffs[:, :width]).all():
-            return BatchJet(acc.space, acc.coeffs[:, :width], order)
+            return Jet(acc.space, acc.coeffs[:, :width], order)
         for b in range(n):
             acc = acc - take_rows(N, b * n + a) * take_rows(dv, b * count + r)
         return acc
 
     @cached_property
     @_quiet
-    def gamma_jets(self) -> BatchJet:
+    def gamma_jets(self) -> Jet:
         idx = _indices(self.n)
         c, q = idx["upper"]
         dg = self.delta_of(take_rows(self.g_jets, c * self.n + q))  # [b, c <= q]
@@ -858,7 +860,7 @@ def spray_witness(
 
     L is evaluated once, to order 2, over the whole block: the x-jets are
     scalar, so every x-only subexpression is evaluated once, and the
-    xdot-jets are batched.  Row by row, the mask equals the `in_A` of
+    xdot-jets are stacks.  Row by row, the mask equals the `in_A` of
     ``probe_context(lag, TangentSample(x, d), 2)`` and the spray equals its
     context's `spray_values`, bit for bit: both are read from L's
     coefficients with the float operations of `_Eval`, in its order (each
@@ -955,14 +957,14 @@ def eval_metric_exprs(exprs, coords, params=None) -> np.ndarray:
     return out
 
 
-def levi_civita_jets(g: BatchJet, ginv: BatchJet) -> BatchJet:
+def levi_civita_jets(g: Jet, ginv: Jet) -> Jet:
     """Christoffel symbols of a metric g given as a stack of jets over seeded
     base coordinates, from g and its inverse as stacks."""
     n = math.isqrt(len(g.coeffs))
     return koszul(ginv, partials(g, range(n)))  # dg[m, a, b] = d_m g_ab
 
 
-def christoffel_jets(g_exprs, x_jets, params=None) -> BatchJet:
+def christoffel_jets(g_exprs, x_jets, params=None) -> Jet:
     """Christoffel symbols of an expression metric over seeded base jets."""
     g = stack_jets(eval_metric_exprs(g_exprs, x_jets, params))
     return levi_civita_jets(g, invert_jet_matrix(g))

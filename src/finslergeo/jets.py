@@ -17,13 +17,18 @@ Conventions:
     since no result valid to that order reads them.
 
 Jets are immutable value types; all operations return fresh jets and are safe
-to use from multiple threads.  A `BatchJet` holds B jets of one space and one
-validity as the rows of a (B, ncoeff_upto[order]) array and gives each row
-the coefficients of the scalar operation bit for bit (Griewank & Walther's
-vector mode over evaluation points).
+to use from multiple threads.  A jet's ``coeffs`` is one vector of
+``ncoeff_upto[order]`` coefficients, or a stack of such rows (shape (B,
+ncoeff_upto[order])), B jets of one space and one validity (Griewank &
+Walther's vector mode over evaluation points).  Every operation gives each
+row of a stack the coefficients it gives that row as one jet, bit for bit,
+and a single jet combines with a stack as if it stood in every row.  The
+shape decides two things only: where one jet raises `DomainError`, a stack
+row that leaves a function's domain becomes a row of NaN and the other rows
+go on; and only a single jet is restricted to a support.
 
 Supports (Griewank & Walther's sparse forward mode, *Evaluating
-Derivatives*, ch. 13).  A scalar jet built inside `expr.eval` or
+Derivatives*, ch. 13).  A single jet built inside `expr.eval` or
 `geometry.eval_L_jets` records its ``support``: the sorted tuple of the
 seeded variables it depends on, a seeded coordinate one and a constant none.
 It stores its coefficients in ``jet_space(len(support), order)``, keeps the
@@ -31,7 +36,7 @@ space it was seeded in as ``seeded`` (jets of different seeded spaces do not
 combine), and its ``fill`` is the value that every coefficient outside the
 support has over all the seeded variables (+0.0, -0.0 after a negation, or
 NaN).  `restrict` and `embed` convert at the boundary, so every jet returned
-to a caller spans all the seeded variables, as do every BatchJet and every
+to a caller spans all the seeded variables, as do every stack and every
 jet with ``support`` None.  Jets of equal supports combine over their one space;
 otherwise both are widened into the union of the supports (a cached slot
 map, `_merge`), and a product of disjoint supports is an outer product with
@@ -41,13 +46,13 @@ stored coefficient sums the same nonzero terms in the same order as over all
 the variables, where the rest of the sum only adds +-0.0 to a sum that starts
 at +0.0: the coefficients are the same bit for bit.  The one exception is a
 non-finite coefficient, which over all the variables also meets the zeros
-outside a support and turns inf * 0 into NaN there.  A stack (a BatchJet
-whose rows are a tensor's components) is cut the same way, by
-`restrict_stack` to the variables of `stack_support` and back by
-`embed_stack`; that gives the same bits only while every operand and
-result is finite, which `geometry._over_support` checks.
+outside a support and turns inf * 0 into NaN there.  A stack whose rows are
+a tensor's components is cut the same way, by `restrict_stack` to the
+variables of `stack_support` and back by `embed_stack`; that gives the same
+bits only while every operand and result is finite, which
+`geometry._over_support` checks.
 
-Every elementary function, on a float, a jet or a batch row, takes its
+Every elementary function, on a float, a jet or a stack row, takes its
 Taylor coefficients from one univariate formula through `_taylor`, the one
 place where a float error of the formula becomes a `DomainError`: a result
 out of float range is ``overflow``, an underflowed divisor (the reciprocal
@@ -190,15 +195,33 @@ def jet_space(nvars: int, order: int) -> JetSpace:
 
 
 def _product(space: JetSpace, a: np.ndarray, b: np.ndarray, order: int) -> np.ndarray:
-    """The Cauchy product of two coefficient vectors of `space` to validity
-    `order`, each coefficient summed over its pairs in pair order."""
+    """The Cauchy product of two coefficient arrays of `space` to validity
+    `order`, each coefficient summed over its pairs in pair order.  The
+    pairs of validity `order` read only that prefix, so an operand of a
+    higher validity needs no cut.  With a stack operand the product is a
+    stack, every row summed on its own by one np.bincount over `_row_bins`."""
     cnt = space.pair_count[order]
-    prods = a[space._mul_i[:cnt]] * b[space._mul_j[:cnt]]
-    return np.bincount(space._mul_k[:cnt], weights=prods, minlength=space.ncoeff_upto[order])
+    width = space.ncoeff_upto[order]
+    prods = a.take(space._mul_i[:cnt], axis=-1) * b.take(space._mul_j[:cnt], axis=-1)
+    if prods.ndim == 1:
+        return np.bincount(space._mul_k[:cnt], weights=prods, minlength=width)
+    rows = len(prods)
+    out = np.bincount(_row_bins(space, rows, order), weights=prods.ravel(), minlength=rows * width)
+    return out.reshape(rows, width)
+
+
+@lru_cache(maxsize=256)
+def _row_bins(space: JetSpace, rows: int, order: int) -> np.ndarray:
+    """The np.bincount keys of a stacked product: mul_k + row * width, for
+    rows of the product's width ncoeff_upto[order]."""
+    cnt = space.pair_count[order]
+    width = space.ncoeff_upto[order]
+    return (space._mul_k[:cnt] + width * np.arange(rows)[:, None]).ravel()
 
 
 class Jet:
-    """Truncated multivariate Taylor value; see module docstring.
+    """Truncated multivariate Taylor value, or a stack of them; see module
+    docstring.
 
     ``support`` is None for a jet over every variable of its space, else the
     variables of the space ``seeded`` it depends on; ``fill`` is then the
@@ -230,27 +253,35 @@ class Jet:
         return float(self.coeffs[0])
 
     def first(self, var: int) -> float:
-        """First partial derivative with respect to active variable `var`."""
+        """First partial derivative with respect to seeded variable `var`."""
         if self.order < 1:
             raise ValueError("an order-0 jet has no first derivatives")
-        return float(self.coeffs[self.space.first_index[var]])
+        return float(embed(self).coeffs[self.seeded.first_index[var]])
 
     def diff(self, var: int) -> "Jet":
-        """Jet of the partial derivative; validity drops by one order."""
+        """Jet of the partial derivative with respect to seeded variable
+        `var`, over all the seeded variables; validity drops by one order."""
         if self.order < 1:
             raise ValueError("cannot differentiate an order-0 jet")
-        sp = self.space
-        src, dst, fac = sp.diff_prefix[var][self.order]
-        out = np.zeros(sp.ncoeff_upto[self.order - 1])
-        out[dst] = self.coeffs[src] * fac
-        return Jet(sp, out, self.order - 1)
+        j = embed(self)
+        sp = j.space
+        src, dst, fac = sp.diff_prefix[var][j.order]
+        out = np.zeros(j.coeffs.shape[:-1] + (sp.ncoeff_upto[j.order - 1],))
+        out[..., dst] = j.coeffs[..., src] * fac
+        return Jet(sp, out, j.order - 1)
 
     # -- coercion ---------------------------------------------------------
 
-    def _constant(self, value: float, order: int) -> "Jet":
-        """A constant scalar jet over this jet's space and support."""
-        c = np.zeros(self.space.ncoeff_upto[order])
-        c[0] = value
+    def _constant(self, value, order: int) -> "Jet":
+        """A constant jet over this jet's space and support, or a stack of
+        constants for a column of values (shape (rows, 1))."""
+        width = self.space.ncoeff_upto[order]
+        if isinstance(value, np.ndarray):
+            c = np.zeros((len(value), width))
+            c[:, :1] = value
+        else:
+            c = np.zeros(width)
+            c[0] = value
         return Jet(self.space, c, order, self.support, 0.0, self.seeded)
 
     def _lift(self, other) -> "Jet | None":
@@ -277,14 +308,14 @@ class Jet:
         b = _widen(o, union.slots_b, width, order)
         return union.space, union.support, a, b, order
 
-    # -- ring operations: a batch operand is always `self` (see BatchJet) ---
+    # -- ring operations ------------------------------------------------------
 
     def __add__(self, other):
         o = self._lift(other)
         if o is None:
             return NotImplemented
         space, support, a, b, order = self._aligned(o)
-        return type(self)(space, a + b, order, support, self.fill + o.fill, self.seeded)
+        return Jet(space, a + b, order, support, self.fill + o.fill, self.seeded)
 
     __radd__ = __add__
 
@@ -293,41 +324,42 @@ class Jet:
         if o is None:
             return NotImplemented
         space, support, a, b, order = self._aligned(o)
-        return type(self)(space, a - b, order, support, self.fill - o.fill, self.seeded)
+        return Jet(space, a - b, order, support, self.fill - o.fill, self.seeded)
 
     def __rsub__(self, other):
         o = self._lift(other)
         if o is None:
             return NotImplemented
         space, support, a, b, order = self._aligned(o)
-        return type(self)(space, b - a, order, support, o.fill - self.fill, self.seeded)
+        return Jet(space, b - a, order, support, o.fill - self.fill, self.seeded)
 
     def __neg__(self):
-        return type(self)(
-            self.space, -self.coeffs, self.order, self.support, -self.fill, self.seeded
-        )
+        return Jet(self.space, -self.coeffs, self.order, self.support, -self.fill, self.seeded)
 
     def __mul__(self, other):
-        if isinstance(other, (int, float, np.integer, np.floating)):
-            c = float(other)
-            return type(self)(
-                self.space, self.coeffs * c, self.order, self.support, self.fill * c, self.seeded
-            )
-        o = self._lift(other)
-        if o is None:
+        if not isinstance(other, Jet):
+            if isinstance(other, (int, float, np.integer, np.floating)):
+                c = float(other)
+                return Jet(
+                    self.space, self.coeffs * c, self.order, self.support, self.fill * c,
+                    self.seeded,
+                )
             return NotImplemented
         # outside both supports every sum is +0.0 plus products with a fill
-        fill = self.fill * o.fill + 0.0
-        if self.support != o.support:
-            union = _union(self, o)
-            if union.outer is not None:
-                # disjoint supports: one pair per coefficient, summed from +0.0
-                order = min(self.order, o.order)
-                width = union.space.ncoeff_upto[order]
-                ia, ib = union.outer
-                out = self.coeffs[ia[:width]] * o.coeffs[ib[:width]] + 0.0
-                return Jet(union.space, out, order, union.support, fill, self.seeded)
-        space, support, a, b, order = self._aligned(o)
+        fill = self.fill * other.fill + 0.0
+        order = min(self.order, other.order)
+        if self.support == other.support:
+            _same_seeded(self, other)
+            out = _product(self.space, self.coeffs, other.coeffs, order)
+            return Jet(self.space, out, order, self.support, fill, self.seeded)
+        union = _union(self, other)
+        if union.outer is not None:
+            # disjoint supports: one pair per coefficient, summed from +0.0
+            width = union.space.ncoeff_upto[order]
+            ia, ib = union.outer
+            out = self.coeffs[ia[:width]] * other.coeffs[ib[:width]] + 0.0
+            return Jet(union.space, out, order, union.support, fill, self.seeded)
+        space, support, a, b, order = self._aligned(other)
         return Jet(space, _product(space, a, b, order), order, support, fill, self.seeded)
 
     __rmul__ = __mul__
@@ -337,7 +369,7 @@ class Jet:
             c = float(other)
             if c == 0.0:
                 raise DomainError("division-by-zero")
-            return type(self)(
+            return Jet(
                 self.space, self.coeffs / c, self.order, self.support, self.fill / c, self.seeded
             )
         o = self._lift(other)
@@ -359,22 +391,40 @@ class Jet:
 
     # -- univariate composition -------------------------------------------
 
-    def _compose(self, taylor: Sequence[float]) -> "Jet":
-        """sum_k taylor[k] * (self - value)^k by Horner in the jet algebra."""
-        if self.order == 0:
+    def _compose(self, taylor) -> "Jet":
+        """sum_k taylor[k] * (self - value)^k by Horner in the jet algebra;
+        for a stack, taylor[k] is a column of one coefficient per row."""
+        order = self.order
+        if order == 0:
             return self._constant(taylor[0], 0)
-        h = Jet(self.space, self.coeffs.copy(), self.order, self.support, self.fill, self.seeded)
-        h.coeffs[0] = 0.0
+        h = self.coeffs.copy()
+        h[..., 0] = 0.0
         # the first step, constant(taylor[order]) * h, is a scale; its 0.0 is
-        # the +0.0 at which np.bincount starts every product's sum
-        out = h * taylor[self.order] + 0.0 + taylor[self.order - 1]
-        for k in range(self.order - 2, -1, -1):
-            out = out * h + taylor[k]
+        # the +0.0 at which np.bincount starts every product's sum.  Only a
+        # jet with a support reads its fill, and a stack has none.
+        top = taylor[order]
+        fill = 0.0 if self.support is None else self.fill * top + 0.0
+        out = Jet(self.space, h * top + 0.0, order, self.support, fill, self.seeded)
+        out = out + self._constant(taylor[order - 1], order)
+        h = Jet(self.space, h, order, self.support, self.fill, self.seeded)
+        for k in range(order - 2, -1, -1):
+            out = out * h + self._constant(taylor[k], order)
         return out
 
     def _apply(self, taylor_of, *args) -> "Jet":
-        """Compose with the Taylor coefficients taylor_of(value, order, *args)."""
-        return self._compose(_taylor(taylor_of, self.value, self.order, *args))
+        """Compose with the Taylor coefficients taylor_of(value, order, *args),
+        row by row for a stack.  Where that raises, one jet raises and a
+        stack row gets NaN Taylor coefficients, which Horner's scheme spreads
+        to every coefficient of the row."""
+        if self.coeffs.ndim == 1:
+            return self._compose(_taylor(taylor_of, self.value, self.order, *args))
+        table = []
+        for v in self.coeffs[:, 0].tolist():
+            try:
+                table.append(_taylor(taylor_of, v, self.order, *args))
+            except DomainError:
+                table.append([math.nan] * (self.order + 1))
+        return self._compose(np.array(table).T[..., None])
 
     def _reciprocal(self) -> "Jet":
         return self._apply(_reciprocal_taylor)
@@ -395,6 +445,11 @@ class Jet:
         return self._apply(_cos_taylor)
 
     def __abs__(self) -> "Jet":
+        if self.coeffs.ndim == 2:
+            # a row at 0 becomes NaN where one jet raises
+            v = self.coeffs[:, :1]
+            sign = np.where(v > 0.0, 1.0, np.where(v < 0.0, -1.0, math.nan))
+            return Jet(self.space, self.coeffs * sign, self.order)
         v = self.value
         if v > 0.0:
             return self
@@ -404,7 +459,8 @@ class Jet:
 
     def _powi(self, k: int) -> "Jet":
         if k < 0:
-            if self.value == 0.0:
+            # a stack row at 0 fails in the reciprocal, where one jet fails here
+            if self.coeffs.ndim == 1 and self.value == 0.0:
                 raise DomainError("power-domain", "0 raised to a negative power")
             return self._powi(-k)._reciprocal()
         if k == 0:
@@ -427,6 +483,8 @@ class Jet:
         return self._apply(_powr_taylor, r)
 
     def __repr__(self) -> str:
+        if self.coeffs.ndim == 2:
+            return f"Jet(order={self.order}, rows={len(self.coeffs)})"
         return f"Jet(order={self.order}, value={self.value!r})"
 
 
@@ -506,21 +564,17 @@ def _widen(j: Jet, slots: np.ndarray | None, width: int, order: int) -> np.ndarr
 
 
 def restrict(j):
-    """A scalar jet over all its space's variables as a jet over the ones its
-    coefficients depend on: every coefficient outside them is +0.0, which
-    becomes the fill.  Anything else (a float, a BatchJet, a jet that
-    already has a support) is returned as it is."""
-    if type(j) is not Jet or j.support is not None:
+    """A single jet over all its space's variables as a jet over the ones its
+    coefficients depend on (`stack_support`): every coefficient outside them
+    is +0.0, which becomes the fill.  Anything else (a float, a stack, a jet
+    that already has a support) is returned as it is."""
+    if not isinstance(j, Jet) or j.support is not None or j.coeffs.ndim != 1:
         return j
-    sp = j.space
-    # the slots whose bits are not those of +0.0, and the variables they touch
-    touched = np.flatnonzero(np.ascontiguousarray(j.coeffs).view(np.int64))
-    support = tuple(np.flatnonzero(sp.exponents[touched].any(axis=0)).tolist())
-    if len(support) == sp.nvars:
+    support = stack_support(j)
+    if len(support) == j.space.nvars:
         return j
-    sub = jet_space(len(support), sp.order)
-    slots = _embedding(support, _all_variables(sp.nvars), sp.order)
-    return Jet(sub, j.coeffs[slots[: sub.ncoeff_upto[j.order]]], j.order, support, 0.0, sp)
+    sub = restrict_stack(j, support)
+    return Jet(sub.space, sub.coeffs, j.order, support, 0.0, j.space)
 
 
 def embed(j):
@@ -536,10 +590,11 @@ def embed(j):
     return Jet(space, coeffs, j.order)
 
 
-def stack_support(*stacks: "BatchJet") -> tuple[int, ...]:
-    """The variables of the stacks' one space that some coefficient of
-    theirs depends on: those of every slot whose bits are not +0.0 in some
-    row, so a coefficient of -0.0 or NaN keeps its variables in."""
+def stack_support(*stacks: Jet) -> tuple[int, ...]:
+    """The variables of the one space of some jets or stacks that some
+    coefficient of theirs depends on: those of every slot whose bits are
+    not +0.0 in some row, so a coefficient of -0.0 or NaN keeps its
+    variables in."""
     sp = stacks[0].space
     touched = np.zeros(sp.ncoeff, dtype=bool)
     for s in stacks:
@@ -548,16 +603,16 @@ def stack_support(*stacks: "BatchJet") -> tuple[int, ...]:
     return tuple(np.flatnonzero(sp.exponents[touched].any(axis=0)).tolist())
 
 
-def restrict_stack(s: "BatchJet", support: tuple[int, ...]) -> "BatchJet":
-    """The stack s over the variables `support` of its space, which hold
-    every coefficient whose bits are not +0.0 (`stack_support`).  Products,
+def restrict_stack(s: Jet, support: tuple[int, ...]) -> Jet:
+    """The jet or stack s over the variables `support` of its space, which
+    hold every coefficient whose bits are not +0.0 (`stack_support`).  Products,
     sums and scalings of such stacks give each coefficient the bits they
     give it over all the variables while every operand stays finite; see
     "Supports" in the module docstring."""
     sp = s.space
     sub = jet_space(len(support), sp.order)
     slots = _embedding(support, _all_variables(sp.nvars), sp.order)
-    return BatchJet(sub, s.coeffs[:, slots[: sub.ncoeff_upto[s.order]]], s.order)
+    return Jet(sub, s.coeffs[..., slots[: sub.ncoeff_upto[s.order]]], s.order)
 
 
 def embed_stack(s: Jet, support: tuple[int, ...], space: JetSpace) -> Jet:
@@ -567,12 +622,12 @@ def embed_stack(s: Jet, support: tuple[int, ...], space: JetSpace) -> Jet:
     width = s.coeffs.shape[-1]
     out = np.zeros(s.coeffs.shape[:-1] + (space.ncoeff_upto[s.order],))
     out[..., slots[:width]] = s.coeffs
-    return type(s)(space, out, s.order)
+    return Jet(space, out, s.order)
 
 
 class Restricted:
-    """A sequence of coordinates (floats or jets over one seeded space) whose
-    scalar jets are restricted to their supports on first use."""
+    """A sequence of coordinates (floats, jets or stacks over one seeded
+    space) whose single jets are restricted to their supports on first use."""
 
     def __init__(self, coords: Sequence):
         self.coords = coords
@@ -589,8 +644,8 @@ class Restricted:
 # -- univariate Taylor coefficients ----------------------------------------
 #
 # Each returns the Taylor coefficients [f(v), f'(v), f''(v)/2, ...] up to
-# `order`, or raises DomainError outside the domain.  Floats, scalar jets and
-# batched jets share them, so all three get the same float arithmetic; they
+# `order`, or raises DomainError outside the domain.  Floats, jets and the
+# rows of stacks share them, so all three get the same float arithmetic; they
 # are called only through `_taylor`.
 
 
@@ -670,143 +725,6 @@ def _powr_taylor(v: float, order: int, r: float) -> list[float]:
         taylor.append(coef * v ** (r - k))
         coef *= (r - k) / (k + 1)
     return taylor
-
-
-# -- batched jets ----------------------------------------------------------
-
-
-@lru_cache(maxsize=256)
-def _row_bins(space: JetSpace, rows: int, order: int) -> np.ndarray:
-    """The np.bincount keys of a batched product: mul_k + row * width, for
-    rows of the product's width ncoeff_upto[order]."""
-    cnt = space.pair_count[order]
-    width = space.ncoeff_upto[order]
-    return (space._mul_k[:cnt] + width * np.arange(rows)[:, None]).ravel()
-
-
-def _batch_product(a: Jet, b: Jet) -> "BatchJet":
-    """a * b with at least one operand batched, each row summed over the
-    Cauchy pairs in the order of `Jet.__mul__`."""
-    sp = a.space
-    order = min(a.order, b.order)
-    cnt = sp.pair_count[order]
-    prods = a.coeffs.take(sp._mul_i[:cnt], axis=-1) * b.coeffs.take(sp._mul_j[:cnt], axis=-1)
-    rows = len(prods)
-    width = sp.ncoeff_upto[order]
-    out = np.bincount(_row_bins(sp, rows, order), weights=prods.ravel(), minlength=rows * width)
-    return BatchJet(sp, out.reshape(rows, width), order)
-
-
-class BatchJet(Jet):
-    """B jets over one space with one validity order, one per row of
-    ``coeffs`` (shape (B, ncoeff_upto[order])).
-
-    Every operation gives each row the coefficients that the scalar
-    operation gives that row's jet, bit for bit: a product sums each row's
-    Cauchy pairs in the scalar pair order (one ``np.bincount`` over
-    ``mul_k + row * width``), and an elementary function takes its Taylor
-    coefficients row by row from the scalar formulas.  A row that leaves a
-    function's domain, where a scalar jet raises, becomes a row of NaN and
-    the other rows go on.  A scalar `Jet` combines with a BatchJet as if it
-    stood in every row: Python tries a subclass's reflected operator first
-    when it differs from the base class's, so `Jet` itself needs no batch
-    checks, and `Jet`'s other operators and functions serve batches as they
-    are.
-    """
-
-    __slots__ = ()
-
-    def diff(self, var: int) -> "BatchJet":
-        if self.order < 1:
-            raise ValueError("cannot differentiate an order-0 jet")
-        sp = self.space
-        src, dst, fac = sp.diff_prefix[var][self.order]
-        out = np.zeros((len(self.coeffs), sp.ncoeff_upto[self.order - 1]))
-        out[:, dst] = self.coeffs[:, src] * fac
-        return BatchJet(sp, out, self.order - 1)
-
-    def _lift(self, other) -> "Jet | None":
-        o = Jet._lift(self, other)
-        if o is None or o.space is self.space:
-            return o
-        _same_seeded(self, o)
-        # a jet with a support stands in every row over all the variables
-        return embed(o)
-
-    def _rows_constant(self, column: np.ndarray) -> "BatchJet":
-        coeffs = np.zeros(self.coeffs.shape)
-        coeffs[:, 0] = column
-        return BatchJet(self.space, coeffs, self.order)
-
-    # -- ring operations: the reflected ones are BatchJet's own, so that a
-    # scalar jet on the left defers to them --------------------------------
-
-    def __radd__(self, other):
-        return Jet.__add__(self, other)
-
-    def __rsub__(self, other):
-        return Jet.__rsub__(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float, np.integer, np.floating)):
-            return BatchJet(self.space, self.coeffs * float(other), self.order)
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return _batch_product(self, o)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, float, np.integer, np.floating)):
-            return self.__mul__(other)
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return _batch_product(o, self)
-
-    def __rtruediv__(self, other):
-        return Jet.__rtruediv__(self, other)
-
-    # -- univariate composition -------------------------------------------
-
-    def _compose(self, taylor: np.ndarray) -> "BatchJet":
-        """Row r is sum_k taylor[r, k] * (row r - its value)^k, by Horner."""
-        if self.order == 0:
-            return self._rows_constant(taylor[:, 0])
-        h = self.coeffs.copy()
-        h[:, 0] = 0.0
-        # the scale that opens the scalar scheme, row by row
-        out = BatchJet(self.space, h * taylor[:, self.order, None] + 0.0, self.order)
-        out = out + self._rows_constant(taylor[:, self.order - 1])
-        h = BatchJet(self.space, h, self.order)
-        for k in range(self.order - 2, -1, -1):
-            out = out * h + self._rows_constant(taylor[:, k])
-        return out
-
-    def _apply(self, taylor_of, *args) -> "BatchJet":
-        """Compose each row with taylor_of(row value, order, *args).  A row
-        where that raises gets NaN Taylor coefficients, which Horner's
-        scheme spreads to every coefficient of the row."""
-        table = []
-        for v in self.coeffs[:, 0].tolist():
-            try:
-                table.append(_taylor(taylor_of, v, self.order, *args))
-            except DomainError:
-                table.append([math.nan] * (self.order + 1))
-        return self._compose(np.array(table))
-
-    def __abs__(self) -> "BatchJet":
-        v = self.coeffs[:, 0]
-        sign = np.where(v > 0.0, 1.0, np.where(v < 0.0, -1.0, math.nan))
-        return BatchJet(self.space, self.coeffs * sign[:, None], self.order)
-
-    def _powi(self, k: int) -> Jet:
-        # a row at 0 fails in the reciprocal, where the scalar jet fails first
-        if k < 0:
-            return Jet._powi(self, -k)._reciprocal()
-        return Jet._powi(self, k)
-
-    def __repr__(self) -> str:
-        return f"BatchJet(order={self.order}, rows={len(self.coeffs)})"
 
 
 # -- generic scalar helpers (accept floats or jets) --------------------------
@@ -904,8 +822,8 @@ def seed_block(point: Sequence[float], rows: np.ndarray, order: int) -> list[Jet
     """Jets for B points that share their leading coordinates `point`.
 
     The active variables are the coordinates of `point`, then the columns of
-    `rows` (shape (B, k)).  Returns one scalar jet per coordinate of `point`
-    and one BatchJet per column; row r of the block holds the jets that
+    `rows` (shape (B, k)).  Returns one jet per coordinate of `point` and
+    one stack per column; row r of the block holds the jets that
     `seed` gives the point ``point + rows[r]``.
     """
     if not 1 <= order <= MAX_ORDER:
@@ -922,17 +840,18 @@ def seed_block(point: Sequence[float], rows: np.ndarray, order: int) -> list[Jet
         coeffs = np.zeros((len(rows), sp.ncoeff))  # validity sp.order: full width
         coeffs[:, 0] = rows[:, m]
         coeffs[:, sp.first_index[nfixed + m]] = 1.0
-        out.append(BatchJet(sp, coeffs, sp.order))
+        out.append(Jet(sp, coeffs, sp.order))
     return out
 
 
 def extract_partial(jet: Jet, multi_index: Sequence[int]) -> float:
-    """True mixed partial derivative for the given variable-slot list.
+    """True mixed partial derivative for the given seeded-variable list.
 
     ``multi_index`` lists one entry per differentiation, e.g. ``[0, 1, 1]``
     for the third mixed partial d^3 f / (dv0 dv1^2).  Stored Taylor
     coefficients are multiplied back by the multinomial factorials.
     """
+    jet = embed(jet)
     e = [0] * jet.space.nvars
     for v in multi_index:
         e[v] += 1

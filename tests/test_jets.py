@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from finslergeo import jets
 from finslergeo.jets import (
-    BatchJet, DomainError, Jet, JetSpace, extract_partial, jet_space, seed, seed_block,
+    DomainError, Jet, JetSpace, extract_partial, jet_space, seed, seed_block,
 )
 from finslergeo.oracle import fd_partial
 
@@ -315,11 +315,11 @@ batches = st.fixed_dictionaries({
 
 
 def _random_block(space, rng, rows):
-    """A BatchJet with random coefficients, validity and row values, and
+    """A stack with random coefficients, validity and row values, and
     the scalar jets of its rows."""
     order = int(rng.integers(0, space.order + 1))
     coeffs = rng.uniform(-2.0, 2.0, (rows, space.ncoeff_upto[order]))
-    batch = BatchJet(space, coeffs, order)
+    batch = Jet(space, coeffs, order)
     return batch, [Jet(space, coeffs[r].copy(), order) for r in range(rows)]
 
 
@@ -409,6 +409,34 @@ def test_batch_functions_match_scalar_rows_and_nan_outside_the_domain(case):
         assert not np.any(np.isnan(out.coeffs[kind == 2]))
 
 
+def assert_same_bits_as_one_row(got, expected_op):
+    """got, a stack of one row, is expected_op()'s jet bit for bit, or NaN
+    where that raises DomainError."""
+    try:
+        expected = expected_op()
+    except DomainError:  # values of either sign: ln and real powers fail
+        assert np.all(np.isnan(got.coeffs))
+        return
+    assert got.order == expected.order
+    assert got.coeffs.shape == (1,) + expected.coeffs.shape
+    assert same_bits(got.coeffs[0], expected.coeffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8), st.integers(0, jets.MAX_ORDER), st.integers(0, 2**32 - 1))
+def test_a_one_row_stack_and_the_jet_give_the_same_bits(nvars, order, seed_int):
+    rng = np.random.default_rng(seed_int)
+    space = jet_space(nvars, order)
+    (a, (a_row,)), (b, (b_row,)) = (_random_block(space, rng, 1) for _ in range(2))
+    for op in (lambda u, v: u + v, lambda u, v: u - v, lambda u, v: u * v, lambda u, v: u / v):
+        for u, v in ((a, b), (a, b_row), (a_row, b)):
+            assert_same_bits_as_one_row(op(u, v), lambda: op(a_row, b_row))
+    unary = [lambda u: u.exp(), lambda u: u.ln(), abs]
+    unary += [lambda u, e=e: u**e for e in (2, 3, -1, -2, 0.5, -1.5, 2.7)]
+    for op in unary:
+        assert_same_bits_as_one_row(op(a), lambda: op(a_row))
+
+
 def test_seed_block_rows_are_seeded_points():
     x = [0.3, -1.2]
     rows = np.array([[1.0, 0.5, -0.25], [2.0, 0.0, 4.0]])
@@ -416,7 +444,7 @@ def test_seed_block_rows_are_seeded_points():
     for r in range(len(rows)):
         scalar = seed(x + list(rows[r]), range(5), 3)
         for j, s in zip(block, scalar):
-            got = j.coeffs if not isinstance(j, BatchJet) else j.coeffs[r]
+            got = j.coeffs if j.coeffs.ndim == 1 else j.coeffs[r]
             assert j.order == s.order
             assert same_bits(got, s.coeffs)
 
@@ -561,7 +589,7 @@ class FullJet:
 
 def _full_row(u, r):
     """Row r of an operand as the reference sees it."""
-    if isinstance(u, BatchJet):
+    if isinstance(u, Jet) and u.coeffs.ndim == 2:
         return FullJet.padded(u.space, u.coeffs[r], u.order)
     if isinstance(u, Jet):
         return FullJet.padded(u.space, u.coeffs, u.order)
@@ -580,7 +608,7 @@ def assert_stores_reference_prefix(op, *operands):
     """op on the stored jets, row by row for a batch, keeps exactly the
     prefix of op on the full-width reference; where the reference raises
     DomainError, a scalar jet raises the same reason and a batch row is NaN."""
-    batch = next((u for u in operands if isinstance(u, BatchJet)), None)
+    batch = next((u for u in operands if isinstance(u, Jet) and u.coeffs.ndim == 2), None)
     rows = 1 if batch is None else len(batch.coeffs)
     try:
         out = op(*operands)

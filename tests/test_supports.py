@@ -16,7 +16,7 @@ from finslergeo import expr, geometry, jets
 from finslergeo.defs import DslLagrangian, FamilyInstance, TangentSample
 from finslergeo.expr import Binary, Const, Coord, ExprDomainError, Param, Unary
 from finslergeo.geometry import DegenerateMetric
-from finslergeo.jets import BatchJet, DomainError, Jet, jet_space, seed, seed_block
+from finslergeo.jets import DomainError, Jet, jet_space, seed, seed_block
 
 # -- the full-space route: the reference ----------------------------------------
 #
@@ -313,8 +313,26 @@ def test_a_jet_with_a_support_meets_a_batch_over_all_the_variables():
     x, v = seed_block([0.3], np.array([[1.0], [2.0]]), 2)
     (xr,) = (jets.restrict(x),)
     out = xr.exp() * v
-    assert isinstance(out, BatchJet) and out.support is None
+    assert out.coeffs.ndim == 2 and out.support is None
     assert same_bits(out.coeffs, (x.exp() * v).coeffs)
+
+
+def test_derivatives_of_a_jet_with_a_support_are_by_seeded_variable():
+    # x1*x1 is stored over its support (x1) alone, where slot 0 is x1's
+    coords = seed([0.5, 2.0], range(2), 2)
+    ast = expr.parse("x1*x1", 2)
+    j = expr.evaluate(ast, jets.Restricted(coords))
+    full = expr.eval(ast, coords)
+    assert j.support == (1,) and full.support is None
+    assert [j.first(v) for v in range(2)] == [full.first(v) for v in range(2)] == [0.0, 4.0]
+    for multi in ([0], [1], [0, 1], [1, 1]):
+        assert jets.extract_partial(j, multi) == jets.extract_partial(full, multi)
+    assert jets.extract_partial(j, [1, 1]) == 2.0
+    for v in range(2):
+        assert same_bits(j.diff(v).coeffs, full.diff(v).coeffs)
+    for derivatives in (geometry.first_derivatives, geometry.partials):
+        got, want = derivatives(j, range(2)), derivatives(full, range(2))
+        assert same_bits(getattr(got, "coeffs", got), getattr(want, "coeffs", want))
 
 
 def test_an_outer_product_sums_from_plus_zero():
