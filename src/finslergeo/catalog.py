@@ -264,10 +264,17 @@ def _szabo_counterexample(overrides) -> CatalogEntry:
         np.array([0.0, 1.0, 0.5, 0.3]),
         np.array([0.2, 0.8, -0.4, 1.1]),
     )
-    samples = tuple(
-        TangentSample(x, _find_admissible_direction(inst, x))
-        for x in base_points
-    )
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # a phi out of range raises below
+            samples = tuple(
+                TangentSample(x, _find_admissible_direction(inst, x))
+                for x in base_points
+            )
+    except (exprmod.ExprDomainError, geometry.DegenerateMetric) as err:
+        raise InvalidOverride(
+            f"override 'phi': {phi_src!r} cannot be evaluated at the entry's base points ({err})",
+            "phi",
+        ) from err
     return CatalogEntry(
         name="szabo-counterexample",
         lagrangian=inst,

@@ -374,30 +374,15 @@ def parse(
 
 
 def eval(
-    ast: ExpressionAst,
-    coords: Sequence,
-    params: Mapping[str, float] | None = None,
-):
-    """Evaluate over scalar-like coordinates (floats or jets of one seeded
-    space).
-
-    Each scalar jet coordinate is restricted to the variables it depends on,
-    every subexpression is a jet over its own variables, and a jet result is
-    returned over all the seeded variables (`jets.Restricted`, `jets.embed`).
-    Domain failures (log of a non-positive value, division by zero, ...) are
-    reported as ExprDomainError carrying the offending node's byte offset.
-    """
-    coords = jets.Restricted(coords)
-    return jets.embed(evaluate(ast, coords, params))
-
-
-def evaluate(
     node: ExpressionAst,
     coords: Sequence,
     params: Mapping[str, float] | None = None,
 ):
-    """`eval` with no restriction or embedding: over jets with supports (a
-    `jets.Restricted`), the result keeps its support.
+    """Evaluate over scalar-like coordinates (floats, or jets and stacks of
+    one space); each jet it makes keeps the support its operation gives it
+    (see "Supports" in `jets`).  Domain failures (log of a non-positive
+    value, division by zero, ...) are reported as ExprDomainError carrying
+    the offending node's byte offset.
 
     The chain of first operands (a binary node's left operand, a unary
     node's argument) is walked with a loop, not recursion, so a long sum
@@ -437,12 +422,10 @@ def _apply(node: Unary | Binary, first, coords: Sequence, params):
         if node.op not in _FUNCTION_OF:
             raise ValueError(f"unknown unary op {node.op!r}")
         return _FUNCTION_OF[node.op](first)
+    rhs = eval(node.right, coords, params)
     if node.op == "pow":
-        # constant integer exponents keep negative bases legal
-        if isinstance(node.right, Const):
-            return jets.powx(first, node.right.value)
-        return jets.powx(first, evaluate(node.right, coords, params))
-    rhs = evaluate(node.right, coords, params)
+        # a constant integer exponent keeps a negative base legal (`jets.powx`)
+        return jets.powx(first, rhs)
     if node.op == "add":
         return first + rhs
     if node.op == "sub":

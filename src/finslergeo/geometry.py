@@ -27,10 +27,12 @@ operands gathered by row-index arrays (`contract`), accumulated as
 component at a time, so every row is that loop's jet bit for bit, and no
 temporary has more rows than the result.  The values and first
 derivatives of a stack are columns of its coefficient array.  The inversion
-of g, ln sqrt|det g| and the Koszul contraction run over the variables their
-operands depend on (`_over_support`), and a horizontal derivative of a jet
-that does not depend on xdot is its x-partials (`_Eval.delta_of`); both
-give the bits of the full computation.
+of g, ln sqrt|det g| and the Koszul contraction run over the variables g
+depends on, as every product runs over its operands' supports (see
+"Supports" in `jets`): g's is read off its coefficients, so a quadratic L
+gives a g, a g^-1 and a Koszul contraction free of xdot.  A horizontal
+derivative of a jet that does not depend on xdot is its x-partials
+(`_Eval.delta_of`), the bits of the full computation.
 
 All operations are pure functions of (definition, sample).  The public
 readers of one sample share its evaluation context (`_context`).
@@ -50,10 +52,7 @@ import numpy as np
 from . import expr as exprmod
 from .defs import DslLagrangian, LagrangianDef, TangentSample
 from .expr import ExprDomainError
-from .jets import (
-    DomainError, Jet, Restricted, embed, embed_stack, jet_space, powx, restrict_stack,
-    seed, seed_block, stack_support,
-)
+from .jets import DomainError, Jet, jet_space, powx, seed, seed_block
 
 TOL_DEGENERATE = 1e-10
 TOL_NULL = 1e-10
@@ -126,7 +125,8 @@ def _outside_A(reason: str) -> AdmissibilityVerdict:
 
 def stack_jets(jets) -> Jet:
     """The jets of an array of any shape as one stack: row r holds component
-    r in row-major order, cut to the jets' common validity."""
+    r in row-major order, cut to the jets' common validity.  Its support is
+    read off its coefficients."""
     flat = np.asarray(jets, dtype=object).ravel()
     space = flat[0].space
     order = min(j.order for j in flat)
@@ -135,8 +135,8 @@ def stack_jets(jets) -> Jet:
 
 
 def take_rows(s: Jet, index) -> Jet:
-    """The stack of the rows `index` of the stack s."""
-    return Jet(s.space, s.coeffs[index], s.order)
+    """The stack of the rows `index` of the stack s, with s's support."""
+    return Jet(s.space, s.coeffs[index], s.order, s.support)
 
 
 def contract(a: Jet, b: Jet, ia: np.ndarray, ib: np.ndarray) -> Jet:
@@ -161,7 +161,7 @@ def dot_rows(u: Jet, v: Jet) -> Jet:
     acc = prods.coeffs[0]
     for row in prods.coeffs[1:]:
         acc = acc + row
-    return Jet(prods.space, acc, prods.order)
+    return Jet(prods.space, acc, prods.order, prods.support)
 
 
 def partials(j: Jet, variables) -> Jet:
@@ -169,16 +169,16 @@ def partials(j: Jet, variables) -> Jet:
     rows v-major, then j's rows.  Each row is `Jet.diff`'s jet: every
     coefficient is the one product source * exponent that `Jet.diff` makes,
     gathered, scaled and scattered for all the variables at once
-    (`_partials_plan`), and every other coefficient is +0.0."""
+    (`_partials_plan`), and every other coefficient is +0.0.  The stack
+    has j's support."""
     if j.order < 1:
         raise ValueError("cannot differentiate an order-0 jet")
-    j = embed(j)
     sp = j.space
     rows = j.coeffs.reshape(-1, j.coeffs.shape[-1])
     src, var, dst, fac = _partials_plan(sp, j.order, tuple(variables))
     out = np.zeros((len(variables), len(rows), sp.ncoeff_upto[j.order - 1]))
     out[var, :, dst] = (rows[:, src] * fac).T
-    return Jet(sp, out.reshape(-1, out.shape[-1]), j.order - 1)
+    return Jet(sp, out.reshape(-1, out.shape[-1]), j.order - 1, j.support)
 
 
 _NO_MAP = (np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))
@@ -204,7 +204,6 @@ def first_derivatives(jets: Jet, variables, shape=()) -> np.ndarray:
     read off a jet or a stack of the tensor's shape."""
     if jets.order < 1:
         raise ValueError("an order-0 jet has no first derivatives")
-    jets = embed(jets)
     cols = [jets.space.first_index[var] for var in variables]
     return np.moveaxis(jets.coeffs[..., cols], -1, 0).reshape((len(cols),) + tuple(shape))
 
@@ -236,35 +235,11 @@ def _indices(n: int) -> dict:
     }
 
 
-def _over_support(fn, *stacks):
-    """fn(*stacks), run over the variables the stacks depend on and written
-    back over all of them (`jets.stack_support`, `restrict_stack`,
-    `embed_stack`).  While every operand is finite, a coefficient outside
-    those variables is a sum of products with a +0.0 factor, +0.0, and one
-    inside them sums the same products in the same order, so the bits are
-    those of fn over all the variables.  A non-finite stack or cut result
-    could meet a zero there (inf * 0 is NaN), so then fn runs over all the
-    variables as it is."""
-    space = stacks[0].space
-    if all(np.isfinite(s.coeffs).all() for s in stacks):
-        support = stack_support(*stacks)
-        if len(support) < space.nvars:
-            out = fn(*(restrict_stack(s, support) for s in stacks))
-            if np.isfinite(out.coeffs).all():
-                return embed_stack(out, support, space)
-    return fn(*stacks)
-
-
 def koszul(ginv: Jet, dg: Jet) -> Jet:
     """Gamma^a_bc = (1/2) g^{aq} (D_b g_cq + D_c g_bq - D_q g_bc), with
     dg[m, a, b] = D_m g_ab for a derivation D (partial or horizontal); both
     operands and the result are stacks.  The b <= c part is one contraction
-    over q, g^{-1} on the left, scaled after the sum, run over the variables
-    the operands depend on (`_over_support`)."""
-    return _over_support(_koszul, ginv, dg)
-
-
-def _koszul(ginv: Jet, dg: Jet) -> Jet:
+    over q, g^{-1} on the left, scaled after the sum."""
     n = math.isqrt(len(ginv.coeffs))
     idx = _indices(n)
     q, b, c = idx["koszul_terms"]
@@ -286,8 +261,9 @@ def _matmul_by_constant(a: Jet, b: Jet, constant_left: bool) -> Jet:
     in one pair; its other pairs meet the constant's zeros and add ±0.0 while
     the other operand is finite.  So each product is the scaling
     ``0.0 + coefficient * value`` per coefficient (operands in the product's
-    order), summed over k as `contract` does.  A non-finite coefficient times
-    a zero is NaN in the Cauchy sum, so such an operand takes `contract`."""
+    order), summed over k as `contract` does, with the other operand's
+    support while the constant is finite.  A non-finite coefficient times a
+    zero is NaN in the Cauchy sum, so such an operand takes `contract`."""
     ia, ib = _indices(math.isqrt(len(a.coeffs)))["matmul"]
     const, other = (a, b) if constant_left else (b, a)
     if not np.isfinite(other.coeffs).all():
@@ -297,20 +273,16 @@ def _matmul_by_constant(a: Jet, b: Jet, constant_left: bool) -> Jet:
     acc = terms[:, 0]
     for k in range(1, terms.shape[1]):
         acc = acc + terms[:, k]
-    return Jet(other.space, acc, other.order)
+    return Jet(other.space, acc, other.order, other.support if np.isfinite(v).all() else None)
 
 
 def invert_jet_matrix(g: Jet) -> Jet:
     """Inverse of a stacked jet matrix via Newton iteration in the truncated
     algebra, X <- X (2I - gX), started from the constant jet X0 of the
-    numeric inverse of the value part, run over the variables g depends on
-    (`_over_support`).  A product with the constant X0 is a scaling, so the
-    first step's two products are scalings (`_matmul_by_constant`), bit for
-    bit the contractions the later steps make."""
-    return _over_support(_newton_inverse, g)
-
-
-def _newton_inverse(g: Jet) -> Jet:
+    numeric inverse of the value part.  A product with the constant X0 is a
+    scaling, so the first step's two products are scalings
+    (`_matmul_by_constant`), bit for bit the contractions the later steps
+    make."""
     n = math.isqrt(len(g.coeffs))
     space, order = g.space, g.order
     try:
@@ -319,7 +291,7 @@ def _newton_inverse(g: Jet) -> Jet:
         raise DegenerateMetric(str(err)) from err
     coeffs = np.zeros((n * n, space.ncoeff_upto[order]))
     coeffs[:, 0] = vinv.ravel()
-    X = Jet(space, coeffs, order)
+    X = Jet(space, coeffs, order, ())
     idx = _indices(n)
     ia, ib = idx["matmul"]
     diag = idx["diagonal"]
@@ -333,7 +305,7 @@ def _newton_inverse(g: Jet) -> Jet:
         # diagonal through the lifted constant 2.0, the rest negated
         coeffs = -GX.coeffs
         coeffs[diag] = (2.0 - take_rows(GX, diag)).coeffs
-        M = Jet(space, coeffs, GX.order)
+        M = Jet(space, coeffs, GX.order, GX.support)
         X = _matmul_by_constant(X, M, True) if step == 0 else contract(X, M, ia, ib)
     return X
 
@@ -378,14 +350,13 @@ def det_jet_matrix(g: Jet) -> Jet:
         total = by_pos[0]
         for pos in range(1, size):
             total = total + (-by_pos[pos] if pos % 2 == 1 else by_pos[pos])
-        level = Jet(terms.space, total, terms.order)
-    return Jet(level.space, level.coeffs[0], level.order)
+        level = Jet(terms.space, total, terms.order, terms.support)
+    return Jet(level.space, level.coeffs[0], level.order, level.support)
 
 
 @_quiet
 def log_sqrt_abs_det(g: Jet) -> Jet:
-    """ln sqrt|det g| of a stacked jet matrix, run over the variables g
-    depends on (`_over_support`).
+    """ln sqrt|det g| of a stacked jet matrix.
 
     The determinant is taken of g scaled by 2^-k, k the binary exponent of
     max |g value|, so it stays in float range where det g would not, and
@@ -394,13 +365,9 @@ def log_sqrt_abs_det(g: Jet) -> Jet:
     are those of the unscaled determinant's logarithm; only the constant
     term can differ in its last bits.
     """
-    return _over_support(_log_sqrt_abs_det, g)
-
-
-def _log_sqrt_abs_det(g: Jet) -> Jet:
     n = math.isqrt(len(g.coeffs))
     k = math.frexp(float(np.max(np.abs(g.coeffs[:, 0]))))[1]
-    scaled = Jet(g.space, np.ldexp(g.coeffs, -k), g.order)
+    scaled = Jet(g.space, np.ldexp(g.coeffs, -k), g.order, g.support)
     log_det = abs(det_jet_matrix(scaled)).ln()
     log_det.coeffs[0] += n * k * math.log(2.0)
     return 0.5 * log_det
@@ -412,25 +379,26 @@ def _log_sqrt_abs_det(g: Jet) -> Jet:
 def _half_hessian(L: Jet, n: int) -> Jet:
     """The L-metric g_ab = (1/2) ddot_b ddot_a L as a stack, from the jet of
     L over x then xdot (variable n + a is xdot^a); both triangles read the
-    jet of the upper one."""
+    jet of the upper one.  Its support is read off its coefficients: g can
+    depend on fewer variables than L (none of xdot, for a quadratic L)."""
     hess = partials(partials(L, range(n, 2 * n)), range(n, 2 * n))  # [b, a]
     a, b = np.indices((n, n))
-    return 0.5 * take_rows(hess, (np.maximum(a, b) * n + np.minimum(a, b)).ravel())
+    rows = (np.maximum(a, b) * n + np.minimum(a, b)).ravel()
+    return 0.5 * Jet(hess.space, hess.coeffs[rows], hess.order)
 
 
 def eval_L_jets(lag: LagrangianDef, coord_jets: Sequence[Jet]) -> Jet:
-    """L as a jet, given the 2n seeded coordinate jets (x then xdot).  Each
-    subexpression is a jet over the seeded variables it depends on, and L is
-    returned over all of them (see `expr.eval`)."""
+    """L as a jet, given the 2n seeded coordinate jets (x then xdot); alpha
+    and beta read the first n.  Each jet it makes keeps the support of the
+    operation that made it (see `expr.eval`)."""
     if isinstance(lag, DslLagrangian):
         return exprmod.eval(lag.ast, coord_jets, lag.params)
     n = lag.dim
-    coords = Restricted(coord_jets)  # alpha and beta read coords[:n], x
-    vj = [coords[n + a] for a in range(n)]
+    vj = coord_jets[n:]
     aval = None
     for a in range(n):
         for b in range(a, n):
-            entry = exprmod.evaluate(lag.alpha[a][b], coords, lag.params)
+            entry = exprmod.eval(lag.alpha[a][b], coord_jets, lag.params)
             if isinstance(entry, (int, float)) and entry == 0.0:
                 continue
             weight = 1.0 if a == b else 2.0
@@ -440,7 +408,7 @@ def eval_L_jets(lag: LagrangianDef, coord_jets: Sequence[Jet]) -> Jet:
         raise DegenerateMetric("alpha is identically zero")
     bval = None
     for a in range(n):
-        entry = exprmod.evaluate(lag.beta[a], coords, lag.params)
+        entry = exprmod.eval(lag.beta[a], coord_jets, lag.params)
         if isinstance(entry, (int, float)) and entry == 0.0:
             continue
         term = entry * vj[a]
@@ -448,7 +416,7 @@ def eval_L_jets(lag: LagrangianDef, coord_jets: Sequence[Jet]) -> Jet:
     if bval is None:
         bval = 0.0
     s = bval * bval / aval
-    return embed(aval * powx(s, -lag.p) * powx(lag.c + lag.m * s, lag.p + 1.0))
+    return aval * powx(s, -lag.p) * powx(lag.c + lag.m * s, lag.p + 1.0)
 
 
 def eval_L(lag: LagrangianDef, sample: TangentSample, order: int = 4) -> Jet:
@@ -616,7 +584,7 @@ class _Eval:
         order = min(acc.order, N.order)
         width = self.space.ncoeff_upto[order]
         if not dv.coeffs.any() and np.isfinite(N.coeffs[:, :width]).all():
-            return Jet(acc.space, acc.coeffs[:, :width], order)
+            return Jet(acc.space, acc.coeffs[:, :width], order, acc.support)
         for b in range(n):
             acc = acc - take_rows(N, b * n + a) * take_rows(dv, b * count + r)
         return acc
@@ -821,7 +789,8 @@ def probe_context(
     tol_null: float = TOL_NULL,
 ) -> tuple[AdmissibilityVerdict, Optional[_Eval]]:
     """Admissibility of the sample and the evaluation context, seeded at
-    `order`, that decided it; the context is None when L cannot be evaluated.
+    `order`, that decided it; the context is None when L cannot be evaluated
+    (it leaves a function's domain, or a family's alpha is identically zero).
     The context is `_context`'s, shared with later calls of the same key, so
     its readers' arrays are read, never mutated."""
     if convention not in ("+---", "-+++"):
@@ -831,6 +800,8 @@ def probe_context(
     except (DomainError, ExprDomainError) as err:
         reason = getattr(err, "reason", None) or str(err)
         return _outside_A(reason), None
+    except DegenerateMetric:  # a family whose alpha is identically zero
+        return _outside_A("degenerate-metric"), None
     return ev.admissibility(convention, tol_degenerate, tol_null), ev
 
 

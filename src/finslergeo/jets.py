@@ -23,34 +23,31 @@ ncoeff_upto[order])), B jets of one space and one validity (Griewank &
 Walther's vector mode over evaluation points).  Every operation gives each
 row of a stack the coefficients it gives that row as one jet, bit for bit,
 and a single jet combines with a stack as if it stood in every row.  The
-shape decides two things only: where one jet raises `DomainError`, a stack
+shape decides one thing only: where one jet raises `DomainError`, a stack
 row that leaves a function's domain becomes a row of NaN and the other rows
-go on; and only a single jet is restricted to a support.
+go on.
 
 Supports (Griewank & Walther's sparse forward mode, *Evaluating
-Derivatives*, ch. 13).  A single jet built inside `expr.eval` or
-`geometry.eval_L_jets` records its ``support``: the sorted tuple of the
-seeded variables it depends on, a seeded coordinate one and a constant none.
-It stores its coefficients in ``jet_space(len(support), order)``, keeps the
-space it was seeded in as ``seeded`` (jets of different seeded spaces do not
-combine), and its ``fill`` is the value that every coefficient outside the
-support has over all the seeded variables (+0.0, -0.0 after a negation, or
-NaN).  `restrict` and `embed` convert at the boundary, so every jet returned
-to a caller spans all the seeded variables, as do every stack and every
-jet with ``support`` None.  Jets of equal supports combine over their one space;
-otherwise both are widened into the union of the supports (a cached slot
-map, `_merge`), and a product of disjoint supports is an outer product with
-one pair per coefficient.  The graded monomial order and the pair order both
-restrict to a sorted subset of the variables keeping their order, so each
-stored coefficient sums the same nonzero terms in the same order as over all
-the variables, where the rest of the sum only adds +-0.0 to a sum that starts
-at +0.0: the coefficients are the same bit for bit.  The one exception is a
-non-finite coefficient, which over all the variables also meets the zeros
-outside a support and turns inf * 0 into NaN there.  A stack whose rows are
-a tensor's components is cut the same way, by `restrict_stack` to the
-variables of `stack_support` and back by `embed_stack`; that gives the same
-bits only while every operand and result is finite, which
-`geometry._over_support` checks.
+Derivatives*, ch. 13).  Every jet, one row or a stack, stores its
+coefficients over all the variables of its space, and its ``support`` is a
+sorted tuple of variables outside which every coefficient is +-0.0 (a
+coefficient is outside when its monomial has a variable that is not in the
+tuple).  The operation that makes a jet sets it: a seeded coordinate has
+its own variable, a constant none, a sum the union of its operands', a
+derivative or a gather of rows its parent's, and a scaling by a finite
+value keeps it.  Where it is not known (a product that is not finite, a
+scaling by a value that is not, a stack assembled from jets, the metric
+read off a Hessian), `stack_support` reads it off the coefficients once.
+
+A product sums only the Cauchy pairs whose two monomials lie in the union U
+of its operands' supports (`_pairs`), in pair order, over the full-width
+arrays.  Every pair left out has a factor +-0.0; while its other factor is
+finite it adds +-0.0 to a sum that starts at +0.0 and so is never -0.0,
+which leaves the sum as it is: every coefficient has the bits of the
+product over every pair (+0.0 outside U).  A non-finite operand coefficient would meet a zero in a
+pair left out (inf * 0 is NaN), but it also reaches the result through its
+pair with the constant monomial; so when the result is not finite, the
+product runs again over every pair, the full-space route bit for bit.
 
 Every elementary function, on a float, a jet or a stack row, takes its
 Taylor coefficients from one univariate formula through `_taylor`, the one
@@ -65,7 +62,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import combinations_with_replacement
-from typing import Iterable, NamedTuple, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -186,7 +183,7 @@ class JetSpace:
         order = self.order if order is None else order
         c = np.zeros(self.ncoeff_upto[order])
         c[0] = float(value)
-        return Jet(self, c, order)
+        return Jet(self, c, order, ())
 
 
 @lru_cache(maxsize=None)
@@ -194,41 +191,85 @@ def jet_space(nvars: int, order: int) -> JetSpace:
     return JetSpace(nvars, order)
 
 
-def _product(space: JetSpace, a: np.ndarray, b: np.ndarray, order: int) -> np.ndarray:
-    """The Cauchy product of two coefficient arrays of `space` to validity
-    `order`, each coefficient summed over its pairs in pair order.  The
-    pairs of validity `order` read only that prefix, so an operand of a
-    higher validity needs no cut.  With a stack operand the product is a
-    stack, every row summed on its own by one np.bincount over `_row_bins`."""
-    cnt = space.pair_count[order]
-    width = space.ncoeff_upto[order]
-    prods = a.take(space._mul_i[:cnt], axis=-1) * b.take(space._mul_j[:cnt], axis=-1)
-    if prods.ndim == 1:
-        return np.bincount(space._mul_k[:cnt], weights=prods, minlength=width)
-    rows = len(prods)
-    out = np.bincount(_row_bins(space, rows, order), weights=prods.ravel(), minlength=rows * width)
-    return out.reshape(rows, width)
+def stack_support(s: "Jet") -> tuple[int, ...]:
+    """The variables of s's space that some coefficient of the jet or stack
+    s depends on: those of every slot that is not +-0.0 in some row (a NaN
+    keeps its variables in)."""
+    width = s.coeffs.shape[-1]
+    touched = (s.coeffs.reshape(-1, width) != 0.0).any(axis=0)
+    return tuple(np.flatnonzero(s.space.exponents[:width][touched].any(axis=0)).tolist())
+
+
+@lru_cache(maxsize=4096)
+def _union(a: tuple[int, ...] | None, b: tuple[int, ...] | None) -> tuple[int, ...] | None:
+    """The union of two supports; None (not known) if either is."""
+    if a is None or b is None:
+        return None
+    return a if a == b else tuple(sorted(set(a).union(b)))
 
 
 @lru_cache(maxsize=256)
-def _row_bins(space: JetSpace, rows: int, order: int) -> np.ndarray:
-    """The np.bincount keys of a stacked product: mul_k + row * width, for
-    rows of the product's width ncoeff_upto[order]."""
-    cnt = space.pair_count[order]
+def _pairs(space: JetSpace, support: tuple[int, ...] | None) -> tuple:
+    """The Cauchy pairs of `space` whose two monomials lie in the variables
+    `support` (every pair for None), in pair order: their slots (i, j, k)
+    and, for each validity, how many of them it keeps, as ``pair_count``."""
+    if support is None or len(support) == space.nvars:
+        return space._mul_i, space._mul_j, space._mul_k, space.pair_count
+    outside = np.ones(space.nvars, dtype=bool)
+    outside[list(support)] = False
+    inside = ~space.exponents[:, outside].any(axis=1)
+    keep = np.flatnonzero(inside[space._mul_i] & inside[space._mul_j])
+    counts = np.searchsorted(keep, space.pair_count).tolist()
+    return space._mul_i[keep], space._mul_j[keep], space._mul_k[keep], counts
+
+
+def _product(
+    space: JetSpace, a: np.ndarray, b: np.ndarray, order: int, support: tuple[int, ...] | None
+) -> tuple[np.ndarray, tuple[int, ...] | None]:
+    """The Cauchy product of two coefficient arrays of `space` to validity
+    `order` over the pairs of `support` (`_pairs`), each coefficient summed
+    over its pairs in pair order, and the product's support.  The pairs of
+    validity `order` read only that prefix, so an operand of a higher
+    validity needs no cut.  With a stack operand the product is a stack,
+    every row summed on its own by one np.bincount over `_row_bins`.  A
+    result over fewer pairs that is not finite is made again over every
+    pair, with its support not known (see "Supports" in the module
+    docstring)."""
+    mul_i, mul_j, mul_k, counts = _pairs(space, support)
+    cnt = counts[order]
     width = space.ncoeff_upto[order]
-    return (space._mul_k[:cnt] + width * np.arange(rows)[:, None]).ravel()
+    prods = a.take(mul_i[:cnt], axis=-1) * b.take(mul_j[:cnt], axis=-1)
+    if prods.ndim == 1:
+        out = np.bincount(mul_k[:cnt], weights=prods, minlength=width)
+    else:
+        rows = len(prods)
+        bins = _row_bins(space, support, rows, order)
+        out = np.bincount(bins, weights=prods.ravel(), minlength=rows * width)
+        out = out.reshape(rows, width)
+    if cnt < space.pair_count[order] and not np.isfinite(out).all():
+        return _product(space, a, b, order, None)
+    return out, support
+
+
+@lru_cache(maxsize=256)
+def _row_bins(
+    space: JetSpace, support: tuple[int, ...] | None, rows: int, order: int
+) -> np.ndarray:
+    """The np.bincount keys of a stacked product over the pairs of
+    `support`: mul_k + row * width, for rows of the product's width
+    ncoeff_upto[order]."""
+    _, _, mul_k, counts = _pairs(space, support)
+    width = space.ncoeff_upto[order]
+    return (mul_k[: counts[order]] + width * np.arange(rows)[:, None]).ravel()
 
 
 class Jet:
-    """Truncated multivariate Taylor value, or a stack of them; see module
-    docstring.
+    """Truncated multivariate Taylor value, or a stack of them, and its
+    support; see module docstring.  A jet made with ``support`` None has a
+    support not known yet, which the `support` property reads off the
+    coefficients on first use."""
 
-    ``support`` is None for a jet over every variable of its space, else the
-    variables of the space ``seeded`` it depends on; ``fill`` is then the
-    value of every coefficient outside them (see "Supports" in the module
-    docstring).  ``seeded`` is the space itself when ``support`` is None."""
-
-    __slots__ = ("space", "coeffs", "order", "support", "fill", "seeded")
+    __slots__ = ("space", "coeffs", "order", "_support")
 
     def __init__(
         self,
@@ -236,15 +277,18 @@ class Jet:
         coeffs: np.ndarray,
         order: int,
         support: tuple[int, ...] | None = None,
-        fill: float = 0.0,
-        seeded: JetSpace | None = None,
     ):
         self.space = space
         self.coeffs = coeffs
         self.order = order
-        self.support = support
-        self.fill = fill
-        self.seeded = space if seeded is None else seeded
+        self._support = support
+
+    @property
+    def support(self) -> tuple[int, ...]:
+        """The sorted variables outside which every coefficient is +-0.0."""
+        if self._support is None:
+            self._support = stack_support(self)
+        return self._support
 
     # -- coefficient access ---------------------------------------------
 
@@ -256,25 +300,24 @@ class Jet:
         """First partial derivative with respect to seeded variable `var`."""
         if self.order < 1:
             raise ValueError("an order-0 jet has no first derivatives")
-        return float(embed(self).coeffs[self.seeded.first_index[var]])
+        return float(self.coeffs[self.space.first_index[var]])
 
     def diff(self, var: int) -> "Jet":
         """Jet of the partial derivative with respect to seeded variable
-        `var`, over all the seeded variables; validity drops by one order."""
+        `var`; validity drops by one order."""
         if self.order < 1:
             raise ValueError("cannot differentiate an order-0 jet")
-        j = embed(self)
-        sp = j.space
-        src, dst, fac = sp.diff_prefix[var][j.order]
-        out = np.zeros(j.coeffs.shape[:-1] + (sp.ncoeff_upto[j.order - 1],))
-        out[..., dst] = j.coeffs[..., src] * fac
-        return Jet(sp, out, j.order - 1)
+        sp = self.space
+        src, dst, fac = sp.diff_prefix[var][self.order]
+        out = np.zeros(self.coeffs.shape[:-1] + (sp.ncoeff_upto[self.order - 1],))
+        out[..., dst] = self.coeffs[..., src] * fac
+        return Jet(sp, out, self.order - 1, self._support)
 
     # -- coercion ---------------------------------------------------------
 
     def _constant(self, value, order: int) -> "Jet":
-        """A constant jet over this jet's space and support, or a stack of
-        constants for a column of values (shape (rows, 1))."""
+        """A constant jet over this jet's space, or a stack of constants for
+        a column of values (shape (rows, 1))."""
         width = self.space.ncoeff_upto[order]
         if isinstance(value, np.ndarray):
             c = np.zeros((len(value), width))
@@ -282,7 +325,7 @@ class Jet:
         else:
             c = np.zeros(width)
             c[0] = value
-        return Jet(self.space, c, order, self.support, 0.0, self.seeded)
+        return Jet(self.space, c, order, ())
 
     def _lift(self, other) -> "Jet | None":
         if isinstance(other, Jet):
@@ -291,22 +334,22 @@ class Jet:
             return self._constant(float(other), self.order)
         return None
 
-    def _aligned(self, o: "Jet") -> tuple[JetSpace, tuple | None, np.ndarray, np.ndarray, int]:
-        """The space and support both operands combine over, and their
-        coefficients there over their common validity."""
+    def _aligned(self, o: "Jet") -> tuple[np.ndarray, np.ndarray, int]:
+        """Both operands' coefficients over their common validity."""
+        if o.space is not self.space:
+            raise ValueError("jets from different spaces cannot be combined")
         order = min(self.order, o.order)
-        if self.support == o.support:
-            _same_seeded(self, o)
-            a, b = self.coeffs, o.coeffs
-            if self.order != o.order:
-                cut = self.space.ncoeff_upto[order]
-                a, b = a[..., :cut], b[..., :cut]
-            return self.space, self.support, a, b, order
-        union = _union(self, o)
-        width = union.space.ncoeff_upto[order]
-        a = _widen(self, union.slots_a, width, order)
-        b = _widen(o, union.slots_b, width, order)
-        return union.space, union.support, a, b, order
+        a, b = self.coeffs, o.coeffs
+        if self.order != o.order:
+            cut = self.space.ncoeff_upto[order]
+            a, b = a[..., :cut], b[..., :cut]
+        return a, b, order
+
+    def _scaled(self, coeffs: np.ndarray, factor) -> "Jet":
+        """The jet of `coeffs`, self's coefficients scaled by `factor` (a
+        float or a column), which keeps self's support while it is finite."""
+        support = self._support if np.isfinite(factor).all() else None
+        return Jet(self.space, coeffs, self.order, support)
 
     # -- ring operations ------------------------------------------------------
 
@@ -314,8 +357,8 @@ class Jet:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        space, support, a, b, order = self._aligned(o)
-        return Jet(space, a + b, order, support, self.fill + o.fill, self.seeded)
+        a, b, order = self._aligned(o)
+        return Jet(self.space, a + b, order, _union(self._support, o._support))
 
     __radd__ = __add__
 
@@ -323,44 +366,28 @@ class Jet:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        space, support, a, b, order = self._aligned(o)
-        return Jet(space, a - b, order, support, self.fill - o.fill, self.seeded)
+        a, b, order = self._aligned(o)
+        return Jet(self.space, a - b, order, _union(self._support, o._support))
 
     def __rsub__(self, other):
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        space, support, a, b, order = self._aligned(o)
-        return Jet(space, b - a, order, support, o.fill - self.fill, self.seeded)
+        a, b, order = self._aligned(o)
+        return Jet(self.space, b - a, order, _union(self._support, o._support))
 
     def __neg__(self):
-        return Jet(self.space, -self.coeffs, self.order, self.support, -self.fill, self.seeded)
+        return Jet(self.space, -self.coeffs, self.order, self._support)
 
     def __mul__(self, other):
         if not isinstance(other, Jet):
             if isinstance(other, (int, float, np.integer, np.floating)):
                 c = float(other)
-                return Jet(
-                    self.space, self.coeffs * c, self.order, self.support, self.fill * c,
-                    self.seeded,
-                )
+                return self._scaled(self.coeffs * c, c)
             return NotImplemented
-        # outside both supports every sum is +0.0 plus products with a fill
-        fill = self.fill * other.fill + 0.0
-        order = min(self.order, other.order)
-        if self.support == other.support:
-            _same_seeded(self, other)
-            out = _product(self.space, self.coeffs, other.coeffs, order)
-            return Jet(self.space, out, order, self.support, fill, self.seeded)
-        union = _union(self, other)
-        if union.outer is not None:
-            # disjoint supports: one pair per coefficient, summed from +0.0
-            width = union.space.ncoeff_upto[order]
-            ia, ib = union.outer
-            out = self.coeffs[ia[:width]] * other.coeffs[ib[:width]] + 0.0
-            return Jet(union.space, out, order, union.support, fill, self.seeded)
-        space, support, a, b, order = self._aligned(other)
-        return Jet(space, _product(space, a, b, order), order, support, fill, self.seeded)
+        a, b, order = self._aligned(other)
+        out, support = _product(self.space, a, b, order, _union(self.support, other.support))
+        return Jet(self.space, out, order, support)
 
     __rmul__ = __mul__
 
@@ -369,9 +396,7 @@ class Jet:
             c = float(other)
             if c == 0.0:
                 raise DomainError("division-by-zero")
-            return Jet(
-                self.space, self.coeffs / c, self.order, self.support, self.fill / c, self.seeded
-            )
+            return self._scaled(self.coeffs / c, c)
         o = self._lift(other)
         if o is None:
             return NotImplemented
@@ -400,13 +425,11 @@ class Jet:
         h = self.coeffs.copy()
         h[..., 0] = 0.0
         # the first step, constant(taylor[order]) * h, is a scale; its 0.0 is
-        # the +0.0 at which np.bincount starts every product's sum.  Only a
-        # jet with a support reads its fill, and a stack has none.
+        # the +0.0 at which np.bincount starts every product's sum
         top = taylor[order]
-        fill = 0.0 if self.support is None else self.fill * top + 0.0
-        out = Jet(self.space, h * top + 0.0, order, self.support, fill, self.seeded)
+        out = self._scaled(h * top + 0.0, top)
         out = out + self._constant(taylor[order - 1], order)
-        h = Jet(self.space, h, order, self.support, self.fill, self.seeded)
+        h = Jet(self.space, h, order, self._support)
         for k in range(order - 2, -1, -1):
             out = out * h + self._constant(taylor[k], order)
         return out
@@ -449,7 +472,7 @@ class Jet:
             # a row at 0 becomes NaN where one jet raises
             v = self.coeffs[:, :1]
             sign = np.where(v > 0.0, 1.0, np.where(v < 0.0, -1.0, math.nan))
-            return Jet(self.space, self.coeffs * sign, self.order)
+            return self._scaled(self.coeffs * sign, sign)
         v = self.value
         if v > 0.0:
             return self
@@ -486,159 +509,6 @@ class Jet:
         if self.coeffs.ndim == 2:
             return f"Jet(order={self.order}, rows={len(self.coeffs)})"
         return f"Jet(order={self.order}, value={self.value!r})"
-
-
-# -- supports --------------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _all_variables(nvars: int) -> tuple[int, ...]:
-    return tuple(range(nvars))
-
-
-@lru_cache(maxsize=1024)
-def _embedding(sub: tuple[int, ...], sup: tuple[int, ...], order: int) -> np.ndarray:
-    """The slot in jet_space(len(sup), order) of each monomial of
-    jet_space(len(sub), order), where sub is a sorted subset of sup.  The
-    slots ascend and keep the degree, so a validity prefix maps into the
-    prefix of the same validity."""
-    small, big = jet_space(len(sub), order), jet_space(len(sup), order)
-    exps = np.zeros((small.ncoeff, big.nvars), dtype=np.int64)
-    exps[:, [sup.index(v) for v in sub]] = small.exponents
-    return big.slots(exps)
-
-
-class _Union(NamedTuple):
-    """Two jets' supports merged: the space and support of the union, the
-    slots each operand's coefficients take there (None: they are already
-    over it), and for disjoint supports the `outer` tables, the slot of
-    each factor of every coefficient of the union's space."""
-
-    space: JetSpace
-    support: tuple[int, ...] | None
-    slots_a: np.ndarray | None
-    slots_b: np.ndarray | None
-    outer: tuple[np.ndarray, np.ndarray] | None = None
-
-
-@lru_cache(maxsize=1024)
-def _merge(sa: tuple[int, ...], sb: tuple[int, ...], order: int) -> _Union:
-    support = tuple(sorted(set(sa) | set(sb)))
-    space = jet_space(len(support), order)
-    outer = None
-    if not set(sa) & set(sb):
-        exps = space.exponents
-        outer = tuple(
-            jet_space(len(s), order).slots(exps[:, [support.index(v) for v in s]])
-            for s in (sa, sb)
-        )
-    return _Union(
-        space, support, _embedding(sa, support, order), _embedding(sb, support, order), outer
-    )
-
-
-def _same_seeded(a: Jet, b: Jet) -> None:
-    if a.seeded is not b.seeded:
-        raise ValueError("jets from different spaces cannot be combined")
-
-
-def _union(a: Jet, b: Jet) -> _Union:
-    """The union of the supports of two jets of one seeded space."""
-    _same_seeded(a, b)
-    if a.support is not None and b.support is not None:
-        return _merge(a.support, b.support, a.space.order)
-    full, sub = (a, b) if a.support is None else (b, a)
-    slots = _embedding(sub.support, _all_variables(full.space.nvars), full.space.order)
-    return _Union(full.space, None, *((None, slots) if full is a else (slots, None)))
-
-
-def _widen(j: Jet, slots: np.ndarray | None, width: int, order: int) -> np.ndarray:
-    """j's coefficients of validity `order` at `slots` of a vector of
-    `width` that holds j.fill elsewhere; with slots None, just cut."""
-    cut = j.space.ncoeff_upto[order]
-    if slots is None:
-        return j.coeffs[..., :cut]
-    out = np.full(width, j.fill)
-    out[slots[:cut]] = j.coeffs[:cut]
-    return out
-
-
-def restrict(j):
-    """A single jet over all its space's variables as a jet over the ones its
-    coefficients depend on (`stack_support`): every coefficient outside them
-    is +0.0, which becomes the fill.  Anything else (a float, a stack, a jet
-    that already has a support) is returned as it is."""
-    if not isinstance(j, Jet) or j.support is not None or j.coeffs.ndim != 1:
-        return j
-    support = stack_support(j)
-    if len(support) == j.space.nvars:
-        return j
-    sub = restrict_stack(j, support)
-    return Jet(sub.space, sub.coeffs, j.order, support, 0.0, j.space)
-
-
-def embed(j):
-    """A jet with a support as the jet over all the variables of its seeded
-    space, with its fill in every slot outside the support.  Anything else
-    is returned as it is."""
-    if not isinstance(j, Jet) or j.support is None:
-        return j
-    space = j.seeded
-    slots = _embedding(j.support, _all_variables(space.nvars), space.order)
-    coeffs = np.full(space.ncoeff_upto[j.order], j.fill)
-    coeffs[slots[: len(j.coeffs)]] = j.coeffs
-    return Jet(space, coeffs, j.order)
-
-
-def stack_support(*stacks: Jet) -> tuple[int, ...]:
-    """The variables of the one space of some jets or stacks that some
-    coefficient of theirs depends on: those of every slot whose bits are
-    not +0.0 in some row, so a coefficient of -0.0 or NaN keeps its
-    variables in."""
-    sp = stacks[0].space
-    touched = np.zeros(sp.ncoeff, dtype=bool)
-    for s in stacks:
-        rows = np.ascontiguousarray(s.coeffs).view(np.int64)
-        touched[: rows.shape[-1]] |= rows.reshape(-1, rows.shape[-1]).any(axis=0)
-    return tuple(np.flatnonzero(sp.exponents[touched].any(axis=0)).tolist())
-
-
-def restrict_stack(s: Jet, support: tuple[int, ...]) -> Jet:
-    """The jet or stack s over the variables `support` of its space, which
-    hold every coefficient whose bits are not +0.0 (`stack_support`).  Products,
-    sums and scalings of such stacks give each coefficient the bits they
-    give it over all the variables while every operand stays finite; see
-    "Supports" in the module docstring."""
-    sp = s.space
-    sub = jet_space(len(support), sp.order)
-    slots = _embedding(support, _all_variables(sp.nvars), sp.order)
-    return Jet(sub, s.coeffs[..., slots[: sub.ncoeff_upto[s.order]]], s.order)
-
-
-def embed_stack(s: Jet, support: tuple[int, ...], space: JetSpace) -> Jet:
-    """A jet or a stack over the variables `support` of `space` as one over
-    all of them, with +0.0 in every other slot."""
-    slots = _embedding(support, _all_variables(space.nvars), space.order)
-    width = s.coeffs.shape[-1]
-    out = np.zeros(s.coeffs.shape[:-1] + (space.ncoeff_upto[s.order],))
-    out[..., slots[:width]] = s.coeffs
-    return Jet(space, out, s.order)
-
-
-class Restricted:
-    """A sequence of coordinates (floats, jets or stacks over one seeded
-    space) whose single jets are restricted to their supports on first use."""
-
-    def __init__(self, coords: Sequence):
-        self.coords = coords
-        self._restricted: dict[int, object] = {}
-
-    def __getitem__(self, i: int):
-        try:
-            return self._restricted[i]
-        except KeyError:
-            v = self._restricted[i] = restrict(self.coords[i])
-            return v
 
 
 # -- univariate Taylor coefficients ----------------------------------------
@@ -811,9 +681,8 @@ def seed(
     for i, v in enumerate(values):
         j = sp.constant(float(v))
         if i in slot:
-            e = [0] * sp.nvars
-            e[slot[i]] = 1
-            j.coeffs[sp.index[tuple(e)]] = 1.0
+            j.coeffs[sp.first_index[slot[i]]] = 1.0
+            j._support = (slot[i],)
         out.append(j)
     return out
 
@@ -835,12 +704,13 @@ def seed_block(point: Sequence[float], rows: np.ndarray, order: int) -> list[Jet
     for i, v in enumerate(point):
         j = sp.constant(float(v))
         j.coeffs[sp.first_index[i]] = 1.0
+        j._support = (i,)
         out.append(j)
     for m in range(rows.shape[1]):
         coeffs = np.zeros((len(rows), sp.ncoeff))  # validity sp.order: full width
         coeffs[:, 0] = rows[:, m]
         coeffs[:, sp.first_index[nfixed + m]] = 1.0
-        out.append(Jet(sp, coeffs, sp.order))
+        out.append(Jet(sp, coeffs, sp.order, (nfixed + m,)))
     return out
 
 
@@ -851,7 +721,6 @@ def extract_partial(jet: Jet, multi_index: Sequence[int]) -> float:
     for the third mixed partial d^3 f / (dv0 dv1^2).  Stored Taylor
     coefficients are multiplied back by the multinomial factorials.
     """
-    jet = embed(jet)
     e = [0] * jet.space.nvars
     for v in multi_index:
         e[v] += 1

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from finslergeo import berwald, catalog, cli, expr, geometry
+from finslergeo import berwald, catalog, cli, expr, geometry, jets
 from finslergeo.defs import DslLagrangian, TangentSample, fiber_aliases
 from finslergeo.geometry import DegenerateMetric, _Eval
 from finslergeo.jets import DomainError, Jet, jet_space
@@ -659,31 +659,21 @@ def test_first_newton_step_by_scaling_is_the_contraction(n, kind):
 
 # -- the stages over the variables g depends on --------------------------------
 #
-# The full-space routes the restricted ones must match bit for bit: the
-# Newton inversion is `ref_newton_invert`; the others are the functions as
-# they read before they ran over a stack's support.
+# Each stage must match, bit for bit, the full-space route: the same stage
+# with every jet product run over every Cauchy pair (`over_every_pair`); for
+# the Newton inversion, `ref_newton_invert` run so.
 
 
-def ref_full_log_sqrt_abs_det(g: Jet) -> Jet:
-    n = math.isqrt(len(g.coeffs))
-    k = math.frexp(float(np.max(np.abs(g.coeffs[:, 0]))))[1]
-    scaled = Jet(g.space, np.ldexp(g.coeffs, -k), g.order)
-    log_det = abs(geometry.det_jet_matrix(scaled)).ln()
-    log_det.coeffs[0] += n * k * math.log(2.0)
-    return 0.5 * log_det
+def over_every_pair(fn):
+    """fn with every jet product it makes run over every Cauchy pair of its
+    space: the union of any two supports is taken as not known."""
 
+    def full_space(*args):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(jets, "_union", lambda a, b: None)
+            return fn(*args)
 
-def ref_full_koszul(ginv: Jet, dg: Jet) -> Jet:
-    n = math.isqrt(len(ginv.coeffs))
-    idx = geometry._indices(n)
-    q, b, c = idx["koszul_terms"]
-    inner = (
-        geometry.take_rows(dg, (b * n + c) * n + q)
-        + geometry.take_rows(dg, (c * n + b) * n + q)
-        - geometry.take_rows(dg, (q * n + b) * n + c)
-    )
-    ia, ib = idx["koszul"]
-    return geometry.take_rows(0.5 * geometry.contract(ginv, inner, ia, ib), idx["expand"])
+    return full_space
 
 
 def ref_full_delta_of(N: Jet, j: Jet, n: int) -> Jet:
@@ -733,12 +723,16 @@ def test_stages_over_the_support_match_the_full_space(n, validity, nvars, kind, 
     space = jet_space(nvars, 2)
     subset = _subset(rng, nvars)
     g = _sparse_stack(rng, space, n * n, validity, subset, kind, rng.choice([0.4, 3.0]))
-    assert _outcome(geometry.invert_jet_matrix, g) == _outcome(ref_newton_invert, g)
-    assert _outcome(geometry.log_sqrt_abs_det, g) == _outcome(ref_full_log_sqrt_abs_det, g)
+    assert _outcome(geometry.invert_jet_matrix, g) == _outcome(
+        over_every_pair(ref_newton_invert), g
+    )
+    assert _outcome(geometry.log_sqrt_abs_det, g) == _outcome(
+        over_every_pair(geometry.log_sqrt_abs_det), g
+    )
     ginv = _sparse_stack(rng, space, n * n, validity, _subset(rng, nvars), "finite", 1.0)
     dg = _sparse_stack(rng, space, n**3, validity, subset, kind)
     for pair in ((ginv, dg), (g, dg)):
-        assert _outcome(geometry.koszul, *pair) == _outcome(ref_full_koszul, *pair)
+        assert _outcome(geometry.koszul, *pair) == _outcome(over_every_pair(geometry.koszul), *pair)
 
 
 @settings(max_examples=60, deadline=None)
@@ -760,19 +754,27 @@ def test_delta_of_without_fiber_dependence_matches_the_loop(n, validity, kind, s
     assert _outcome(_Eval.delta_of, ctx, j) == _outcome(ref_full_delta_of, N, j, n)
 
 
-def _inverted_spaces(monkeypatch, lag, sample):
-    """The number of variables of the space each inversion ran in, for the
-    order-4 context of the sample."""
-    spaces = []
-    newton = geometry._newton_inverse
+def _product_supports(monkeypatch, call) -> list:
+    """The support each jet product made by call() ran its pairs over."""
+    supports = []
+    product = jets._product
 
-    def recording(g):
-        spaces.append(g.space.nvars)
-        return newton(g)
+    def recording(space, a, b, order, support):
+        supports.append(support)
+        return product(space, a, b, order, support)
 
-    monkeypatch.setattr(geometry, "_newton_inverse", recording)
-    _Eval(lag, sample, 4).g_inv_jets
-    return spaces
+    with monkeypatch.context() as patch:
+        patch.setattr(jets, "_product", recording)
+        call()
+    return supports
+
+
+def _inversion_supports(monkeypatch, lag, sample):
+    """The supports the products of g's inversion ran their pairs over, in
+    the order-4 context of the sample."""
+    ev = _Eval(lag, sample, 4)
+    ev.g_jets
+    return set(_product_supports(monkeypatch, lambda: ev.g_inv_jets))
 
 
 def test_inversion_runs_over_the_variables_g_depends_on(monkeypatch, minkowski):
@@ -781,14 +783,18 @@ def test_inversion_runs_over_the_variables_g_depends_on(monkeypatch, minkowski):
         12, aliases=fiber_aliases(6, None),
     ))
     sample = TangentSample([0.1, -0.3, 0.25, 0.0, 0.4, -0.2], [1.0, 0.1, -0.15, 0.05, 0.2, -0.1])
-    assert _inverted_spaces(monkeypatch, dim6, sample) == [3]  # x1, x2, x4
-    assert _inverted_spaces(monkeypatch, minkowski.lagrangian, minkowski.default_samples[0]) == [0]
-    # a g that depends on every variable is inverted over all of them, once
+    assert _inversion_supports(monkeypatch, dim6, sample) == {(1, 2, 4)}
+    assert _inversion_supports(
+        monkeypatch, minkowski.lagrangian, minkowski.default_samples[0]
+    ) == {()}
+    # a g that depends on every variable is inverted over all of them
     lag = DslLagrangian(dim=2, ast=expr.parse(
         "exp(0.3*x0 + 0.2*x1)*(dx0^2 - dx1^2) + 0.1*(dx0^4 + dx1^4)/(dx0^2 + dx1^2)",
         4, aliases=fiber_aliases(2, None),
     ))
-    assert _inverted_spaces(monkeypatch, lag, TangentSample([0.1, 0.2], [1.0, 0.3])) == [4]
+    assert _inversion_supports(monkeypatch, lag, TangentSample([0.1, 0.2], [1.0, 0.3])) == {
+        (0, 1, 2, 3)
+    }
 
 
 _CATALOG_SAMPLES = [
@@ -883,26 +889,18 @@ def test_stacked_chain_makes_no_scalar_jet_product(monkeypatch, szabo):
 
 
 def test_dim6_L_makes_no_product_over_all_twelve_variables(monkeypatch):
-    # each factor of L is a jet over the variables it depends on
+    # each product of L runs over the variables its factors depend on
     lag = DslLagrangian(dim=6, ast=expr.parse(
         "exp(0.2*x1*x2 + 0.15*x4)*(dx0^2 - dx1^2 - dx2^2 - dx3^2 - dx4^2 - dx5^2)",
         12, aliases=fiber_aliases(6, None),
     ))
     sample = TangentSample([0.1, -0.3, 0.25, 0.0, 0.4, -0.2], [1.0, 0.1, -0.15, 0.05, 0.2, -0.1])
-    spaces = []
-    mul = Jet.__mul__
-
-    def counting(self, other):
-        if isinstance(other, Jet):
-            spaces.append((self.space.nvars, other.space.nvars))
-        return mul(self, other)
-
-    monkeypatch.setattr(Jet, "__mul__", counting)
+    supports = _product_supports(monkeypatch, lambda: geometry.eval_L(lag, sample, 4))
     L = geometry.eval_L(lag, sample, 4)
-    assert L.space is jet_space(12, 4) and L.support is None
+    assert L.space is jet_space(12, 4) and L.support == (1, 2, 4, 6, 7, 8, 9, 10, 11)
     # x1 * x2, three Horner products of exp, six squares and the final product
-    assert len(spaces) == 11
-    assert all(max(pair) < 12 for pair in spaces)
+    assert len(supports) == 11
+    assert all(len(s) < 12 for s in supports)
 
 
 # -- one evaluation context per sample ------------------------------------------------

@@ -245,6 +245,31 @@ def test_scene_numbers_are_read_by_one_checked_reader(tmp_path, capsys, text, po
     assert not (tmp_path / "out" / "report.json").exists()
 
 
+@pytest.mark.parametrize("phi", ["1/0", "ln(x-1)", "exp(1000)", "1e308*1e308"])
+@pytest.mark.parametrize("subcommand", ["probe", "report"])
+def test_a_phi_that_cannot_be_evaluated_is_a_scene_error(tmp_path, capsys, phi, subcommand):
+    # each ended in a traceback: ExprDomainError (the first three) or
+    # DegenerateMetric from the search for the entry's default samples
+    doc = {"lagrangian": {"catalog": "szabo-counterexample", "overrides": {"phi": phi}}}
+    p = _write_scene(tmp_path, doc)
+    assert cli.main([subcommand, str(p), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("scene error: /lagrangian/overrides/phi: ") and err.count("\n") == 1
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+@pytest.mark.parametrize("subcommand", ["probe", "report", "causal", "berwald", "obstruction"])
+def test_a_family_whose_alpha_is_identically_zero_is_outside_A(tmp_path, capsys, subcommand):
+    # ended in DegenerateMetric: "alpha is identically zero"
+    p = _write_scene(tmp_path, _family_scene(alpha=[["0", "0"], ["0", "0"]]))
+    assert cli.main([subcommand, str(p), "--out", str(tmp_path / "out")]) == 0
+    assert "exit code 0" in capsys.readouterr().out
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    (sample,) = report["samples"]
+    assert sample["admissibility"]["in_A"] is False
+    assert sample["admissibility"]["failure_reason"] == "degenerate-metric"
+
+
 def test_family_scene_with_a_5000_term_alpha_entry_gives_a_report():
     # the symmetry check of alpha compares the two 5000-term sums
     total = " + ".join(["0.0001*x0"] * 5000)

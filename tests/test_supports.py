@@ -1,10 +1,11 @@
-"""Support tracking: `expr.eval` and `geometry.eval_L_jets` evaluate each
-subexpression as a jet over the seeded variables it depends on, and return
-jets over all of them.  Every such result must equal, bit for bit, the jet
-of the full-space route, which evaluates every subexpression over all the
-seeded variables.  The one exception is a non-finite coefficient: there the
-full-space route also multiplies inf by the zeros outside a support, so only
-the non-finiteness itself is compared."""
+"""Supports: every jet stores its coefficients over all the variables of
+its space, records the variables outside which they are all +-0.0, and a
+product runs only the Cauchy pairs whose monomials lie in the union of its
+operands' supports.  Every result of `expr.eval` and
+`geometry.eval_L_jets` must equal, bit for bit and non-finite coefficients
+included, the jet of the full-space route: the same evaluation with every
+coordinate's support set to all the variables of its space, so that every
+product it makes of them runs over every pair."""
 
 import math
 
@@ -12,51 +13,29 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from finslergeo import expr, geometry, jets
+from finslergeo import catalog, expr, geometry, jets
 from finslergeo.defs import DslLagrangian, FamilyInstance, TangentSample
 from finslergeo.expr import Binary, Const, Coord, ExprDomainError, Param, Unary
 from finslergeo.geometry import DegenerateMetric
 from finslergeo.jets import DomainError, Jet, jet_space, seed, seed_block
 
 # -- the full-space route: the reference ----------------------------------------
-#
-# `expr.evaluate` neither restricts nor embeds, so over seeded jets every
-# subexpression is a jet over all the seeded variables.
+
+
+def full_space(coords):
+    """The coordinates, each jet with the support of all its space's variables."""
+    return [
+        Jet(c.space, c.coeffs, c.order, tuple(range(c.space.nvars))) if isinstance(c, Jet) else c
+        for c in coords
+    ]
 
 
 def full_space_eval(ast, coords, params=None):
-    return expr.evaluate(ast, coords, params)
+    return expr.eval(ast, full_space(coords), params)
 
 
 def full_space_L(lag, coords):
-    """`geometry.eval_L_jets` with every subexpression over all the seeded
-    variables."""
-    if isinstance(lag, DslLagrangian):
-        return full_space_eval(lag.ast, coords, lag.params)
-    n = lag.dim
-    xj, vj = coords[:n], coords[n:]
-    aval = None
-    for a in range(n):
-        for b in range(a, n):
-            entry = full_space_eval(lag.alpha[a][b], xj, lag.params)
-            if isinstance(entry, (int, float)) and entry == 0.0:
-                continue
-            weight = 1.0 if a == b else 2.0
-            term = (weight * entry) * vj[a] * vj[b]
-            aval = term if aval is None else aval + term
-    if aval is None:
-        raise DegenerateMetric("alpha is identically zero")
-    bval = None
-    for a in range(n):
-        entry = full_space_eval(lag.beta[a], xj, lag.params)
-        if isinstance(entry, (int, float)) and entry == 0.0:
-            continue
-        term = entry * vj[a]
-        bval = term if bval is None else bval + term
-    if bval is None:
-        bval = 0.0
-    s = bval * bval / aval
-    return aval * jets.powx(s, -lag.p) * jets.powx(lag.c + lag.m * s, lag.p + 1.0)
+    return geometry.eval_L_jets(lag, full_space(coords))
 
 
 # -- comparison ---------------------------------------------------------------------
@@ -69,8 +48,17 @@ def same_bits(a, b) -> bool:
 _ERRORS = (DomainError, ExprDomainError, DegenerateMetric)
 
 
+def assert_support_holds(j: Jet):
+    """Every coefficient of j outside its support is +-0.0."""
+    width = j.coeffs.shape[-1]
+    outside = [v for v in range(j.space.nvars) if v not in j.support]
+    slots = j.space.exponents[:width][:, outside].any(axis=1)
+    assert np.all(j.coeffs[..., slots] == 0.0)
+
+
 def assert_matches_full_space(tracked, reference):
-    """tracked() equals reference() bit for bit, or raises what it raises."""
+    """tracked() equals reference() bit for bit, or raises what it raises;
+    a jet's support holds."""
     with np.errstate(all="ignore"):
         try:
             expected = reference()
@@ -84,12 +72,24 @@ def assert_matches_full_space(tracked, reference):
         assert not isinstance(got, Jet) and same_bits(float(got), float(expected))
         return
     assert type(got) is type(expected)
-    assert got.support is None and got.space is expected.space
-    assert got.order == expected.order
-    if np.all(np.isfinite(expected.coeffs)):
-        assert same_bits(got.coeffs, expected.coeffs)
-    else:
-        assert not np.all(np.isfinite(got.coeffs))
+    assert got.space is expected.space and got.order == expected.order
+    assert same_bits(got.coeffs, expected.coeffs)
+    assert_support_holds(got)
+
+
+def recorded_supports(monkeypatch, call) -> list:
+    """The support each jet product made by call() ran its pairs over."""
+    supports = []
+    product = jets._product
+
+    def recording(space, a, b, order, support):
+        supports.append(support)
+        return product(space, a, b, order, support)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(jets, "_product", recording)
+        call()
+    return supports
 
 
 # -- random inputs ------------------------------------------------------------------
@@ -227,14 +227,16 @@ def test_lagrangians_match_the_full_space_route(data, case):
 # -- the scenes whose L leaves float range --------------------------------------------
 
 
+def _dsl(source):
+    return DslLagrangian(dim=2, ast=expr.parse(source, 4, aliases={"dx0": 2, "dx1": 3}))
+
+
 @pytest.mark.parametrize("source, reason", [
     ("exp(1000*x0)*dx0^2 - dx1^2", "overflow"),
     ("exp(700*x0)*dx0^2 - dx1^2", "non-finite"),
 ])
 def test_out_of_range_L_keeps_its_tag_and_detail(source, reason):
-    lag = DslLagrangian(dim=2, ast=expr.parse(source, 4, aliases={
-        "dx0": 2, "dx1": 3,
-    }))
+    lag = _dsl(source)
     sample = TangentSample([1.0, 0.0], [1.0, 0.2])
     coords = seed([1.0, 0.0, 1.0, 0.2], range(4), 4)
     with np.errstate(all="ignore"):
@@ -253,31 +255,43 @@ def test_out_of_range_L_keeps_its_tag_and_detail(source, reason):
     assert verdict.failure_reason == reason
 
 
-# -- restriction and embedding ---------------------------------------------------------
+def test_a_non_finite_L_has_the_bits_of_the_full_space_route():
+    # the digest tool's non-finite sample: exp(700) * 1.4^k overflows in
+    # products whose pairs over every variable also meet the zeros outside
+    # a support
+    lag = _dsl("exp(700*x0)*dx0^2 - dx1^2")
+    coords = seed([1.0, 0.0, 1.0, 0.2], range(4), 4)
+    assert_matches_full_space(
+        lambda: geometry.eval_L_jets(lag, coords), lambda: full_space_L(lag, coords)
+    )
+    with np.errstate(all="ignore"):
+        L = geometry.eval_L(lag, TangentSample([1.0, 0.0], [1.0, 0.2]), 4)
+    assert np.isnan(L.coeffs).any()
+
+
+# -- supports of seeded coordinates and of what is made from them ----------------------
 
 
 def test_a_seeded_coordinate_depends_on_its_own_variable():
     coords = seed([0.5, -1.0, 2.0], range(3), 4)
-    x1 = jets.restrict(coords[1])
-    assert x1.support == (1,) and x1.space is jet_space(1, 4)
-    assert same_bits(x1.coeffs, [-1.0, 1.0, 0.0, 0.0, 0.0])
-    assert same_bits(jets.embed(x1).coeffs, coords[1].coeffs)
-    # a constant depends on no variable; a jet over every variable stays as it is
+    x1 = coords[1]
+    assert x1.support == (1,) and x1.space is jet_space(3, 4)
+    assert x1.value == -1.0 and x1.first(1) == 1.0 and np.count_nonzero(x1.coeffs) == 2
+    # a constant depends on no variable; a product on its factors' variables
     (c, _) = seed([3.0, 1.0], [1], 2)
-    assert jets.restrict(c).support == ()
-    full = coords[0] * coords[1] * coords[2]
-    assert jets.restrict(full) is full
+    assert c.support == ()
+    assert (coords[0] * coords[2]).support == (0, 2)
+    assert (coords[0] * coords[1] * coords[2]).support == (0, 1, 2)
 
 
 def test_jets_seeded_apart_cannot_be_combined():
-    # x0 of a 2-variable seed restricts to jet_space(1, 4), the space of a
-    # 1-variable seed, and x0 of a 3-variable seed to the same space and
-    # support: the seeded spaces still differ
+    # x0 of a 2-variable seed, of a 1-variable seed and of a 3-variable seed
+    # share a support, not a space
     a = seed([1.0, 2.0], [0, 1], 4)
     b = seed([3.0], [0], 4)
-    ra, rc = jets.restrict(a[0]), jets.restrict(seed([3.0, 4.0, 5.0], range(3), 4)[0])
-    assert ra.space is b[0].space is rc.space and ra.support == rc.support == (0,)
-    for u, v in [(ra, b[0]), (b[0], ra), (ra, rc), (ra.exp(), rc), (ra, b[0].sin())]:
+    c = seed([3.0, 4.0, 5.0], range(3), 4)[0]
+    assert a[0].support == b[0].support == c.support == (0,)
+    for u, v in [(a[0], b[0]), (b[0], a[0]), (a[0], c), (a[0].exp(), c), (a[0], b[0].sin())]:
         for op in (lambda p, q: p + q, lambda p, q: p - q, lambda p, q: p * q):
             with pytest.raises(ValueError, match="different spaces"):
                 op(u, v)
@@ -285,16 +299,30 @@ def test_jets_seeded_apart_cannot_be_combined():
         expr.eval(expr.parse("x0 * x1", 2), [a[0], b[0]])
     x, v = seed_block([0.3], np.array([[1.0], [2.0]]), 2)
     with pytest.raises(ValueError, match="different spaces"):
-        jets.restrict(seed([1.0, 2.0, 3.0], range(3), 2)[0]) * v
+        seed([1.0, 2.0, 3.0], range(3), 2)[0] * v
 
 
-def test_the_fill_keeps_the_sign_of_the_zeros_outside_the_support():
-    # -(x0) - x1 holds -0.0 in x2's slots over all the variables
+def test_a_scaling_by_a_value_that_is_not_finite_reads_its_support_off():
+    # inf or NaN times the zeros outside x0's support is NaN there
+    x0, x1 = seed([0.5, -1.0], range(2), 2)
+    _, v = seed_block([0.3], np.array([[1.0], [0.0], [-1.0]]), 2)
+    with np.errstate(all="ignore"):
+        # a scaling, abs of a stack row at 0, and Horner's first scaling by
+        # the NaN Taylor coefficients of a row outside ln's domain
+        scaled = [x0 * math.inf, x0 * math.nan, x0 / math.nan, abs(v), v.ln()]
+    for j in scaled:
+        assert j.support == (0, 1)
+        assert_support_holds(j)
+    assert (x0 * 1e300).support == (x0 / 1e-300).support == (0,)
+
+
+def test_a_sum_keeps_the_sign_of_the_zeros_outside_its_support():
+    # -(x0) - x1 holds -0.0 in x2's slots
     x0, x1, x2 = seed([0.5, -1.0, 2.0], range(3), 2)
     ast = expr.parse("-x0 - x1", 3)
     got = expr.eval(ast, [x0, x1, x2])
-    expected = -x0 - x1
-    assert same_bits(got.coeffs, expected.coeffs)
+    expected = full_space_eval(ast, [x0, x1, x2])
+    assert same_bits(got.coeffs, expected.coeffs) and got.support == (0, 1)
     assert math.copysign(1.0, got.coeffs[x2.space.first_index[2]]) == -1.0
     # a product sums from +0.0 outside its operands' supports too
     ast = expr.parse("-x0*x1 + -x1*x1", 3)
@@ -302,37 +330,46 @@ def test_the_fill_keeps_the_sign_of_the_zeros_outside_the_support():
 
 
 def test_disjoint_supports_multiply_as_an_outer_product():
-    x0, x1 = (jets.restrict(j) for j in seed([0.5, -1.0], range(2), 4))
+    x0, x1 = seed([0.5, -1.0], range(2), 4)
     product = x0.exp() * x1.sin()
     assert product.support == (0, 1)
-    full = seed([0.5, -1.0], range(2), 4)
-    assert same_bits(jets.embed(product).coeffs, (full[0].exp() * full[1].sin()).coeffs)
+    full = full_space(seed([0.5, -1.0], range(2), 4))
+    assert same_bits(product.coeffs, (full[0].exp() * full[1].sin()).coeffs)
+    # with a third variable outside both supports
+    x0, x1, x2 = seed([0.5, -1.0, 2.0], range(3), 4)
+    product = x0.exp() * x1.sin()
+    assert product.support == (0, 1)
+    full = full_space([x0, x1])
+    assert same_bits(product.coeffs, (full[0].exp() * full[1].sin()).coeffs)
 
 
 def test_a_jet_with_a_support_meets_a_batch_over_all_the_variables():
     x, v = seed_block([0.3], np.array([[1.0], [2.0]]), 2)
-    (xr,) = (jets.restrict(x),)
-    out = xr.exp() * v
-    assert out.coeffs.ndim == 2 and out.support is None
-    assert same_bits(out.coeffs, (x.exp() * v).coeffs)
+    assert x.support == (0,) and v.support == (1,)
+    out = x.exp() * v
+    assert out.coeffs.ndim == 2 and out.support == (0, 1)
+    fx, fv = full_space([x, v])
+    assert same_bits(out.coeffs, (fx.exp() * fv).coeffs)
 
 
 def test_derivatives_of_a_jet_with_a_support_are_by_seeded_variable():
-    # x1*x1 is stored over its support (x1) alone, where slot 0 is x1's
+    # x1*x1 depends on x1 alone; its coefficients span both variables
     coords = seed([0.5, 2.0], range(2), 2)
     ast = expr.parse("x1*x1", 2)
-    j = expr.evaluate(ast, jets.Restricted(coords))
-    full = expr.eval(ast, coords)
-    assert j.support == (1,) and full.support is None
+    j = expr.eval(ast, coords)
+    full = full_space_eval(ast, coords)
+    assert j.support == (1,) and full.support == (0, 1)
     assert [j.first(v) for v in range(2)] == [full.first(v) for v in range(2)] == [0.0, 4.0]
     for multi in ([0], [1], [0, 1], [1, 1]):
         assert jets.extract_partial(j, multi) == jets.extract_partial(full, multi)
     assert jets.extract_partial(j, [1, 1]) == 2.0
     for v in range(2):
+        assert j.diff(v).support == (1,)
         assert same_bits(j.diff(v).coeffs, full.diff(v).coeffs)
     for derivatives in (geometry.first_derivatives, geometry.partials):
         got, want = derivatives(j, range(2)), derivatives(full, range(2))
         assert same_bits(getattr(got, "coeffs", got), getattr(want, "coeffs", want))
+    assert geometry.partials(j, range(2)).support == (1,)
 
 
 def test_an_outer_product_sums_from_plus_zero():
@@ -342,3 +379,16 @@ def test_an_outer_product_sums_from_plus_zero():
     got = expr.eval(ast, coords)
     assert same_bits(got.coeffs, full_space_eval(ast, coords).coeffs)
     assert not np.any(np.signbit(got.coeffs) & (got.coeffs == 0.0))
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_the_witness_block_makes_no_product_over_all_the_variables(name, monkeypatch):
+    # the x-jets and the stacks of fiber coordinates keep their supports
+    entry = catalog.get(name)
+    sample, n = entry.default_samples[0], entry.dim
+    rng = np.random.default_rng(7)
+    block = sample.xdot * (1.0 + 0.05 * rng.uniform(-1.0, 1.0, (16, n)))
+    supports = recorded_supports(
+        monkeypatch, lambda: geometry.spray_witness(entry.lagrangian, sample.x, block)
+    )
+    assert supports and all(s is not None and len(s) < 2 * n for s in supports)
