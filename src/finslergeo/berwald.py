@@ -91,6 +91,7 @@ def _witnesses(
     rng,
     spread: float,
     max_attempts: int = MAX_ATTEMPTS,
+    tol_degenerate: float = geometry.TOL_DEGENERATE,
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Admissible fiber vectors near `seed_direction` and the spray at each.
 
@@ -98,9 +99,10 @@ def _witnesses(
     lies outside A).  Candidates are drawn from the generator in blocks of
     the number still needed, each evaluated by one `geometry.spray_witness`
     pass, and kept in draw order; a draw outside A counts against the
-    attempt budget.  The draws, the attempts and the kept vectors are those
-    of drawing and probing one candidate at a time.  Raises
-    NoAdmissibleDirections with fewer than two vectors.
+    attempt budget; A's nondegeneracy is read at `tol_degenerate`.  The
+    draws, the attempts and the kept vectors are those of drawing and
+    probing one candidate at a time.  Raises NoAdmissibleDirections with
+    fewer than two vectors.
     """
     gen = _as_rng(rng)
     n = len(x)
@@ -111,7 +113,7 @@ def _witnesses(
     while len(directions) < count and attempts < max_attempts:
         size = min(count - len(directions), max_attempts - attempts)
         block = seed_direction + scale * gen.uniform(-1.0, 1.0, size=(size, n))
-        in_A, spray = geometry.spray_witness(lag, x, block)
+        in_A, spray = geometry.spray_witness(lag, x, block, tol_degenerate)
         attempts += size
         for d, ok, s in zip(block, in_A, spray):
             if ok and np.any(d != 0.0):
@@ -169,7 +171,8 @@ def verdict_at(
     Two deviations, each relative to max(1, |Gamma|), must fall below
     `tol_berwald`: the fiber derivative of Gamma at the context's own
     direction, and the spray at `count` sampled admissible directions d
-    against Gamma^a_bc d^b d^c / 2.  Both are necessary conditions.
+    against Gamma^a_bc d^b d^c / 2.  Both are necessary conditions.  A
+    direction is admissible at the context's degenerate tolerance.
     """
     # past a finite L, Gamma or a spray can leave float range, and a NaN
     # deviation would read as a verdict
@@ -181,7 +184,8 @@ def verdict_at(
     xdot_scale = max(1.0, _max_abs(ev.sample.xdot))
     fiber = _max_abs(fiber_derivatives) * xdot_scale / scale
     directions, sprays = _witnesses(
-        ev.lag, ev.sample.x, ev.sample.xdot, ev.spray_values, count, rng, spread
+        ev.lag, ev.sample.x, ev.sample.xdot, ev.spray_values, count, rng, spread,
+        tol_degenerate=ev.tol_degenerate,
     )
     geometry.require_finite(np.array(sprays), "the spray")
     spray = 0.0

@@ -1,14 +1,19 @@
 """Built-in geometry instances used by tests, docs and the CLI.
 
-Each entry carries a Lagrangian, chart metadata, default tangent samples
-(verified admissible when the entry is instantiated) and an expected-values
-block that the regression suite reproduces through the full pipeline.
+Each entry is declared once, as a DSL entry (`_dsl_entry`) or an (alpha,
+beta) family entry (`_family_entry`): its sources, its default tangent
+samples, the parameters an override may replace (with their defaults) and an
+expected-values block that the regression suite reproduces through the full
+pipeline.  Overrides are read by one checked reader (`_parameters`), and
+every default sample is verified admissible when the entry is instantiated.
+`szabo-counterexample` builds its alpha and H from the override phi and
+searches for its default directions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Callable, Mapping, Optional
 
 import numpy as np
 
@@ -44,14 +49,82 @@ class CatalogEntry:
     description: str = ""
 
 
-def _parse_matrix(rows, dim, aliases=None, params=()):
-    return tuple(
-        tuple(exprmod.parse(src, dim, params, aliases) for src in row) for row in rows
+def _parameters(name: str, overrides: Mapping, defaults: Mapping) -> dict:
+    """`defaults` with each override in its place.  An override the entry
+    does not take is an InvalidOverride, and so is a value of a numeric
+    parameter that is not a number; a string parameter takes the text of
+    its value."""
+    for key in overrides:
+        if key not in defaults:
+            allowed = ", ".join(map(repr, sorted(defaults)))
+            raise InvalidOverride(
+                f"{name} accepts only {allowed}" if defaults else f"{name} takes no overrides",
+                key,
+            )
+    values = dict(defaults)
+    for key, default in defaults.items():
+        if key in overrides:
+            read = str if isinstance(default, str) else as_number
+            try:
+                values[key] = read(overrides[key])
+            except BadNumber as err:
+                raise InvalidOverride(f"override {key!r}: {err}", key) from None
+    return values
+
+
+def _entry(name, lag, aliases, samples, expected, description) -> CatalogEntry:
+    return CatalogEntry(
+        name=name,
+        lagrangian=lag,
+        dim=lag.dim,
+        aliases=aliases,
+        default_samples=tuple(TangentSample(x, xdot) for x, xdot in samples),
+        expected=dict(expected),
+        description=description,
     )
 
 
-def _parse_vector(row, dim, aliases=None, params=()):
-    return tuple(exprmod.parse(src, dim, params, aliases) for src in row)
+_Builder = Callable[[str, Mapping], CatalogEntry]
+
+
+def _dsl_entry(source: str, params: Mapping = {}, aliases=None, **entry) -> _Builder:
+    """An entry whose L is `source` over (x, xdot); overrides may replace
+    its `params` (name: default)."""
+
+    def build(name: str, overrides: Mapping) -> CatalogEntry:
+        values = _parameters(name, overrides, params)
+        dim = len(entry["samples"][0][0])
+        ast = exprmod.parse(source, 2 * dim, set(params), fiber_aliases(dim, aliases))
+        return _entry(name, DslLagrangian(dim, ast, values), aliases, **entry)
+
+    return build
+
+
+def _family(alpha, beta, aliases, c, m, p, h=None) -> FamilyInstance:
+    """The family instance of the alpha rows, beta and H sources."""
+    dim = len(beta)
+    return FamilyInstance(
+        dim,
+        tuple(tuple(exprmod.parse(src, dim, aliases=aliases) for src in row) for row in alpha),
+        tuple(exprmod.parse(src, dim, aliases=aliases) for src in beta),
+        c=c,
+        m=m,
+        p=p,
+        h_expr=None if h is None else exprmod.parse(h, dim, aliases=aliases),
+    )
+
+
+def _family_entry(
+    alpha, beta, fixed: Mapping, params: Mapping = {}, aliases=None, **entry
+) -> _Builder:
+    """An (alpha, beta) family entry whose c, m and p are `fixed` or, for
+    those in `params` (name: default), the overrides'."""
+
+    def build(name: str, overrides: Mapping) -> CatalogEntry:
+        values = {**fixed, **_parameters(name, overrides, params)}
+        return _entry(name, _family(alpha, beta, aliases, **values), aliases, **entry)
+
+    return build
 
 
 _MINKOWSKI_ALPHA = [
@@ -60,14 +133,8 @@ _MINKOWSKI_ALPHA = [
     ["0", "0", "-1", "0"],
     ["0", "0", "0", "-1"],
 ]
-
-
-def _number(overrides, key: str, default: float) -> float:
-    """The numeric override `key`, or `default` when it is not given."""
-    try:
-        return as_number(overrides.get(key, default))
-    except BadNumber as err:
-        raise InvalidOverride(f"override {key!r}: {err}", key) from None
+_TIME = ["1", "0", "0", "0"]
+_LIGHTCONE_ALIASES = {"u": 0, "v": 1, "x": 2, "y": 3}
 
 
 def _check_samples(entry: CatalogEntry) -> CatalogEntry:
@@ -79,135 +146,6 @@ def _check_samples(entry: CatalogEntry) -> CatalogEntry:
                 f"admissible ({verdict.failure_reason})"
             )
     return entry
-
-
-def _minkowski4(overrides) -> CatalogEntry:
-    if overrides:
-        raise InvalidOverride("minkowski4 takes no overrides")
-    dim = 4
-    ast = exprmod.parse(
-        "dx0^2 - dx1^2 - dx2^2 - dx3^2", 2 * dim, aliases=fiber_aliases(dim, None)
-    )
-    samples = (
-        TangentSample([0.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]),
-        TangentSample([0.3, -0.2, 0.5, 1.0], [2.0, 0.3, -0.2, 0.1]),
-    )
-    return CatalogEntry(
-        name="minkowski4",
-        lagrangian=DslLagrangian(dim, ast),
-        dim=dim,
-        aliases=None,
-        default_samples=samples,
-        expected={"is_berwald": True, "flat": True, "skew_max": 0.0},
-        description="flat Lorentzian metric, quadratic Lagrangian",
-    )
-
-
-def _schwarzschild(overrides) -> CatalogEntry:
-    allowed = {"M"}
-    if set(overrides) - allowed:
-        raise InvalidOverride(f"schwarzschild accepts only {allowed}")
-    M = _number(overrides, "M", 1.0)
-    dim = 4
-    aliases = {"t": 0, "r": 1, "th": 2, "ph": 3}
-    src = (
-        "(1 - 2*M/r)*dt^2 - dr^2/(1 - 2*M/r)"
-        " - r^2*dth^2 - r^2*sin(th)^2*dph^2"
-    )
-    ast = exprmod.parse(src, 2 * dim, {"M"}, fiber_aliases(dim, aliases))
-    samples = (
-        TangentSample([0.0, 3.0, 1.2, 0.5], [1.0, 0.05, 0.02, 0.01]),
-        TangentSample([1.0, 5.0, 0.9, -0.3], [1.0, -0.1, 0.03, 0.02]),
-    )
-    return CatalogEntry(
-        name="schwarzschild",
-        lagrangian=DslLagrangian(dim, ast, {"M": M}),
-        dim=dim,
-        aliases=aliases,
-        default_samples=samples,
-        expected={"is_berwald": True, "vacuum": True},
-        description="vacuum black-hole metric, quadratic Lagrangian",
-    )
-
-
-def _conformally_flat(overrides) -> CatalogEntry:
-    if overrides:
-        raise InvalidOverride("conformally-flat takes no overrides")
-    dim = 4
-    src = "exp(0.2*x1*x2 + 0.1*x3)*(dx0^2 - dx1^2 - dx2^2 - dx3^2)"
-    ast = exprmod.parse(src, 2 * dim, aliases=fiber_aliases(dim, None))
-    samples = (
-        TangentSample([0.3, 0.5, -0.4, 0.7], [1.0, 0.2, 0.1, -0.3]),
-        TangentSample([-0.1, 0.2, 0.6, -0.5], [1.5, -0.3, 0.2, 0.1]),
-    )
-    return CatalogEntry(
-        name="conformally-flat",
-        lagrangian=DslLagrangian(dim, ast),
-        dim=dim,
-        aliases=None,
-        default_samples=samples,
-        expected={"is_berwald": True, "vacuum": False},
-        description="curved non-vacuum pseudo-Riemannian metric",
-    )
-
-
-def _bogoslovsky(overrides) -> CatalogEntry:
-    allowed = {"p"}
-    if set(overrides) - allowed:
-        raise InvalidOverride(f"bogoslovsky accepts only {allowed}")
-    p = _number(overrides, "p", 0.5)
-    dim = 4
-    inst = FamilyInstance(
-        dim,
-        _parse_matrix(_MINKOWSKI_ALPHA, dim),
-        _parse_vector(["1", "0", "0", "0"], dim),
-        c=1.0,
-        m=0.0,
-        p=p,
-    )
-    samples = (
-        TangentSample([0.0, 0.0, 0.0, 0.0], [1.0, 0.2, 0.1, -0.3]),
-        TangentSample([0.5, 0.1, -0.2, 0.3], [1.0, -0.1, 0.25, 0.05]),
-    )
-    return CatalogEntry(
-        name="bogoslovsky",
-        lagrangian=inst,
-        dim=dim,
-        aliases=None,
-        default_samples=samples,
-        expected={"is_berwald": True, "flat": True, "skew_max": 0.0},
-        description="flat very-general-relativity family member (c=1, m=0)",
-    )
-
-
-def _kropina(overrides) -> CatalogEntry:
-    if overrides:
-        raise InvalidOverride("kropina takes no overrides")
-    dim = 4
-    inst = FamilyInstance(
-        dim,
-        _parse_matrix(_MINKOWSKI_ALPHA, dim),
-        _parse_vector(["1", "0", "0", "0"], dim),
-        c=1.0,
-        m=0.0,
-        p=1.0,
-    )
-    samples = (
-        TangentSample([0.0, 0.0, 0.0, 0.0], [1.0, 0.3, -0.2, 0.1]),
-        TangentSample([0.2, -0.4, 0.1, 0.0], [2.0, 0.5, 0.4, -0.3]),
-    )
-    return CatalogEntry(
-        name="kropina",
-        lagrangian=inst,
-        dim=dim,
-        aliases=None,
-        default_samples=samples,
-        expected={"is_berwald": True, "flat": True, "skew_max": 0.0},
-        description="classical Kropina case (p=1) on flat data",
-    )
-
-
-_LIGHTCONE_ALIASES = {"u": 0, "v": 1, "x": 2, "y": 3}
 
 
 def _find_admissible_direction(inst: FamilyInstance, x: np.ndarray) -> np.ndarray:
@@ -228,110 +166,105 @@ def _find_admissible_direction(inst: FamilyInstance, x: np.ndarray) -> np.ndarra
     raise ValueError(f"no admissible direction found at x={x}")
 
 
-def _szabo_counterexample(overrides) -> CatalogEntry:
-    allowed = {"c", "m", "p", "phi"}
-    if set(overrides) - allowed:
-        raise InvalidOverride(f"szabo-counterexample accepts only {allowed}")
-    c = _number(overrides, "c", 1.0)
-    m = _number(overrides, "m", 0.0)
-    p = _number(overrides, "p", 2.0)
-    phi_src = str(overrides.get("phi", "x"))
+def _szabo_counterexample(name: str, overrides: Mapping) -> CatalogEntry:
+    values = _parameters(name, overrides, {"c": 1.0, "m": 0.0, "p": 2.0, "phi": "x"})
+    c, m, p, phi = values["c"], values["m"], values["p"], values["phi"]
     if p == 1.0:
-        raise InvalidOverride("the counterexample construction requires p != 1")
+        raise InvalidOverride("the counterexample construction requires p != 1", "p")
     if c == 0.0:
-        raise InvalidOverride("the counterexample construction requires c != 0")
-    dim = 4
+        raise InvalidOverride("the counterexample construction requires c != 0", "c")
     aliases = _LIGHTCONE_ALIASES
-    alpha_src = [
-        [f"v*({phi_src})", "1", "0", "0"],
+    alpha = [
+        [f"v*({phi})", "1", "0", "0"],
         ["1", "0", "0", "0"],
         ["0", "0", "1", "0"],
         ["0", "0", "0", "1"],
     ]
     # H satisfying the Berwald condition for nabla beta = (phi/2) beta x beta;
     # the sign is opposite to phi/(2c(p-1)) (resolved against the pipeline).
-    h_src = f"({phi_src})/({2.0 * c * (1.0 - p)!r})"
-    inst = FamilyInstance(
-        dim,
-        _parse_matrix(alpha_src, dim, aliases),
-        _parse_vector(["1", "0", "0", "0"], dim, aliases),
-        c=c,
-        m=m,
-        p=p,
-        h_expr=exprmod.parse(h_src, dim, aliases=aliases),
-    )
+    h = f"({phi})/({2.0 * c * (1.0 - p)!r})"
+    try:
+        # phi parses on its own, so the splices above keep it whole and an
+        # error's offsets are into the override
+        exprmod.parse(phi, len(alpha), aliases=aliases)
+        inst = _family(alpha, _TIME, aliases, c, m, p, h)
+    except (exprmod.ExprSyntaxError, exprmod.ExprNameError) as err:
+        raise InvalidOverride(f"override 'phi': {err}", "phi") from None
     base_points = (
         np.array([0.0, 1.0, 0.5, 0.3]),
         np.array([0.2, 0.8, -0.4, 1.1]),
     )
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # a phi out of range raises below
-            samples = tuple(
-                TangentSample(x, _find_admissible_direction(inst, x))
-                for x in base_points
-            )
+            samples = [(x, _find_admissible_direction(inst, x)) for x in base_points]
     except (exprmod.ExprDomainError, geometry.DegenerateMetric) as err:
         raise InvalidOverride(
-            f"override 'phi': {phi_src!r} cannot be evaluated at the entry's base points ({err})",
+            f"override 'phi': {phi!r} cannot be evaluated at the entry's base points ({err})",
             "phi",
         ) from err
-    return CatalogEntry(
-        name="szabo-counterexample",
-        lagrangian=inst,
-        dim=dim,
-        aliases=aliases,
-        default_samples=samples,
-        expected={
-            "is_berwald": True,
-            "half_skew_magnitude": abs(p / (p - 1.0)),
-            "abs_H_formula": "abs(phi)/abs(2c(p-1))",
-        },
-        description="plane-wave family member with non-symmetric Ricci tensor",
-    )
+    expected = {
+        "is_berwald": True,
+        "half_skew_magnitude": abs(p / (p - 1.0)),
+        "abs_H_formula": "abs(phi)/abs(2c(p-1))",
+    }
+    description = "plane-wave family member with non-symmetric Ricci tensor"
+    return _entry(name, inst, aliases, samples, expected, description)
 
 
-def _nonberwald_flat(overrides) -> CatalogEntry:
-    if overrides:
-        raise InvalidOverride("nonberwald-flat takes no overrides")
-    dim = 4
-    aliases = _LIGHTCONE_ALIASES
-    alpha_src = [
-        ["0", "1", "0", "0"],
-        ["1", "0", "0", "0"],
-        ["0", "0", "1", "0"],
-        ["0", "0", "0", "1"],
-    ]
-    inst = FamilyInstance(
-        dim,
-        _parse_matrix(alpha_src, dim, aliases),
-        _parse_vector(["x", "0", "0", "0"], dim, aliases),
-        c=1.0,
-        m=0.0,
-        p=2.0,
-    )
-    samples = (
-        TangentSample([0.0, 0.0, 1.0, 0.0], [1.0, 1.0, 0.1, 0.1]),
-        TangentSample([0.3, -0.2, 1.5, 0.4], [1.0, 2.0, -0.2, 0.3]),
-    )
-    return CatalogEntry(
-        name="nonberwald-flat",
-        lagrangian=inst,
-        dim=dim,
-        aliases=aliases,
-        default_samples=samples,
+_FLAT_BERWALD = {"is_berwald": True, "flat": True, "skew_max": 0.0}
+
+_BUILDERS: dict[str, _Builder] = {
+    "minkowski4": _dsl_entry(
+        "dx0^2 - dx1^2 - dx2^2 - dx3^2",
+        samples=[([0.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]),
+                 ([0.3, -0.2, 0.5, 1.0], [2.0, 0.3, -0.2, 0.1])],
+        expected=_FLAT_BERWALD,
+        description="flat Lorentzian metric, quadratic Lagrangian",
+    ),
+    "schwarzschild": _dsl_entry(
+        "(1 - 2*M/r)*dt^2 - dr^2/(1 - 2*M/r) - r^2*dth^2 - r^2*sin(th)^2*dph^2",
+        params={"M": 1.0},
+        aliases={"t": 0, "r": 1, "th": 2, "ph": 3},
+        samples=[([0.0, 3.0, 1.2, 0.5], [1.0, 0.05, 0.02, 0.01]),
+                 ([1.0, 5.0, 0.9, -0.3], [1.0, -0.1, 0.03, 0.02])],
+        expected={"is_berwald": True, "vacuum": True},
+        description="vacuum black-hole metric, quadratic Lagrangian",
+    ),
+    "conformally-flat": _dsl_entry(
+        "exp(0.2*x1*x2 + 0.1*x3)*(dx0^2 - dx1^2 - dx2^2 - dx3^2)",
+        samples=[([0.3, 0.5, -0.4, 0.7], [1.0, 0.2, 0.1, -0.3]),
+                 ([-0.1, 0.2, 0.6, -0.5], [1.5, -0.3, 0.2, 0.1])],
+        expected={"is_berwald": True, "vacuum": False},
+        description="curved non-vacuum pseudo-Riemannian metric",
+    ),
+    "bogoslovsky": _family_entry(
+        _MINKOWSKI_ALPHA, _TIME,
+        fixed={"c": 1.0, "m": 0.0},
+        params={"p": 0.5},
+        samples=[([0.0, 0.0, 0.0, 0.0], [1.0, 0.2, 0.1, -0.3]),
+                 ([0.5, 0.1, -0.2, 0.3], [1.0, -0.1, 0.25, 0.05])],
+        expected=_FLAT_BERWALD,
+        description="flat very-general-relativity family member (c=1, m=0)",
+    ),
+    "kropina": _family_entry(
+        _MINKOWSKI_ALPHA, _TIME,
+        fixed={"c": 1.0, "m": 0.0, "p": 1.0},
+        samples=[([0.0, 0.0, 0.0, 0.0], [1.0, 0.3, -0.2, 0.1]),
+                 ([0.2, -0.4, 0.1, 0.0], [2.0, 0.5, 0.4, -0.3])],
+        expected=_FLAT_BERWALD,
+        description="classical Kropina case (p=1) on flat data",
+    ),
+    "szabo-counterexample": _szabo_counterexample,
+    "nonberwald-flat": _family_entry(
+        [["0", "1", "0", "0"], ["1", "0", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "1"]],
+        ["x", "0", "0", "0"],
+        fixed={"c": 1.0, "m": 0.0, "p": 2.0},
+        aliases=_LIGHTCONE_ALIASES,
+        samples=[([0.0, 0.0, 1.0, 0.0], [1.0, 1.0, 0.1, 0.1]),
+                 ([0.3, -0.2, 1.5, 0.4], [1.0, 2.0, -0.2, 0.3])],
         expected={"is_berwald": False},
         description="flat alpha with beta = x du: violates the Berwald condition",
-    )
-
-
-_BUILDERS = {
-    "minkowski4": _minkowski4,
-    "schwarzschild": _schwarzschild,
-    "conformally-flat": _conformally_flat,
-    "bogoslovsky": _bogoslovsky,
-    "kropina": _kropina,
-    "szabo-counterexample": _szabo_counterexample,
-    "nonberwald-flat": _nonberwald_flat,
+    ),
 }
 
 
@@ -347,4 +280,4 @@ def get(name: str, overrides: Optional[Mapping] = None) -> CatalogEntry:
         raise UnknownEntry(
             f"unknown catalog entry {name!r}; available: {', '.join(names())}"
         ) from None
-    return _check_samples(builder(dict(overrides or {})))
+    return _check_samples(builder(name, dict(overrides or {})))

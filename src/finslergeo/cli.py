@@ -6,9 +6,9 @@ Subcommands: probe, berwald, obstruction, causal, nonmetricity, report
 (report runs everything applicable).  The machine-readable output is written
 to <out>/report.json; a short human-readable summary goes to stdout.
 
-Exit codes: 0 success, 1 errors, 2 when a diagnostic proves
-non-metrizability (skew Ricci beyond tolerance), so shell pipelines can
-branch on the verdict.
+Exit codes: 0 success, 1 errors (usage errors included), 2 when a
+diagnostic proves non-metrizability (skew Ricci beyond tolerance), so shell
+pipelines can branch on the verdict.
 """
 
 from __future__ import annotations
@@ -23,10 +23,20 @@ from . import __version__, scene as scenemod
 from .scene import SceneError
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors exit 1, as argparse's exit 2 is the code
+    of a proof of non-metrizability."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The parser, built once per process: parsing leaves it unchanged."""
-    parser = argparse.ArgumentParser(
+    """The parser, built once per process: parsing leaves it unchanged.  A
+    flag's value is kept as its text, for `scene.override_options`."""
+    parser = _Parser(
         prog="finslergeo",
         description="pseudo-Finsler geometry diagnostics on tangent-bundle samples",
     )
@@ -42,15 +52,11 @@ def _build_parser() -> argparse.ArgumentParser:
     ]:
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("scene", help="scene JSON file")
-        sp.add_argument("--tol-berwald", type=float, default=None, metavar="TOL")
-        sp.add_argument("--tol-sym", type=float, default=None, metavar="TOL")
-        sp.add_argument("--tol-degenerate", type=float, default=None, metavar="TOL")
-        sp.add_argument("--tol-null", type=float, default=None, metavar="TOL")
-        sp.add_argument("--directions", type=int, default=None, metavar="N")
-        sp.add_argument("--seed", type=int, default=None, metavar="SEED")
-        sp.add_argument(
-            "--signature-convention", choices=["+---", "-+++"], default=None
-        )
+        for opt in scenemod.OPTIONS:
+            if opt.flag:
+                sp.add_argument(
+                    opt.flag, dest=opt.field, metavar="VALUE", help=f"replaces {opt.pointer}"
+                )
         sp.add_argument(
             "--out",
             default=None,
@@ -61,8 +67,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_flag_overrides(scene, args):
-    updates = {k: getattr(args, k) for k in scenemod.FLAG_OPTIONS if getattr(args, k) is not None}
-    return scenemod.override_options(scene, **updates) if updates else scene
+    texts = {
+        opt.field: getattr(args, opt.field)
+        for opt in scenemod.OPTIONS
+        if opt.flag and getattr(args, opt.field) is not None
+    }
+    return scenemod.override_options(scene, **texts)
 
 
 def _summary_lines(report: dict, exit_code: int) -> list[str]:

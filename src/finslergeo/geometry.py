@@ -440,13 +440,22 @@ class _Eval:
     k=3 and the curvature k=4.  The public readers ask for k=2 (the probe
     and `metric`) or k=4 (every other reader), see `_context`.  g is built
     only from a finite L (`g_jets`), so at a sample whose L is not, every
-    reader of g raises DomainError("non-finite").
+    reader of g raises DomainError("non-finite").  g counts as degenerate
+    where an eigenvalue is within `tol_degenerate` of zero, relative to the
+    largest (`signature`); every nondegeneracy check reads that tolerance.
     """
 
-    def __init__(self, lag: LagrangianDef, sample: TangentSample, order: int):
+    def __init__(
+        self,
+        lag: LagrangianDef,
+        sample: TangentSample,
+        order: int,
+        tol_degenerate: float = TOL_DEGENERATE,
+    ):
         self.lag = lag
         self.sample = sample
         self.order = order
+        self.tol_degenerate = tol_degenerate
         self.n = sample.dim
         self.cjets = seed(
             list(sample.x) + list(sample.xdot), range(2 * self.n), order
@@ -471,41 +480,40 @@ class _Eval:
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.g_values)
 
-    def signature(self, tol_degenerate: float = TOL_DEGENERATE) -> tuple[int, int, int]:
+    def signature(self) -> tuple[int, int, int]:
+        """(n+, n-, n0) of g's eigenvalues, where an eigenvalue within
+        `tol_degenerate` times the largest in magnitude counts as zero."""
         eig = self.eigenvalues
         scale = float(np.max(np.abs(eig)))
         if scale == 0.0:
             return (0, 0, self.n)
-        thr = tol_degenerate * scale
+        thr = self.tol_degenerate * scale
         n_plus = int(np.sum(eig > thr))
         n_minus = int(np.sum(eig < -thr))
         return (n_plus, n_minus, self.n - n_plus - n_minus)
 
-    def require_nondegenerate(self, tol_degenerate: float = TOL_DEGENERATE):
-        if self.signature(tol_degenerate)[2] > 0:
+    def require_nondegenerate(self):
+        if self.signature()[2] > 0:
             raise DegenerateMetric(
                 f"L-metric is singular at the sample (eigenvalues {self.eigenvalues})"
             )
 
-    def metric(self, tol_degenerate: float = TOL_DEGENERATE) -> MetricValue:
-        self.require_nondegenerate(tol_degenerate)
+    def metric(self) -> MetricValue:
+        self.require_nondegenerate()
         with np.errstate(over="ignore", invalid="ignore"):  # out of float range: inf
             det = float(np.linalg.det(self.g_values))
         return MetricValue(
             g=self.g_values,
             g_inv=self.g_inv_values,
             det=det,
-            signature=self.signature(tol_degenerate),
+            signature=self.signature(),
         )
 
     def admissibility(
-        self,
-        convention: str = "+---",
-        tol_degenerate: float = TOL_DEGENERATE,
-        tol_null: float = TOL_NULL,
+        self, convention: str = "+---", tol_null: float = TOL_NULL
     ) -> AdmissibilityVerdict:
         try:
-            sig = self.signature(tol_degenerate)
+            sig = self.signature()
         except DomainError as err:
             return _outside_A(err.reason)
         L_value = self.L.value
@@ -531,7 +539,7 @@ class _Eval:
     @cached_property
     def g_inv_values(self) -> np.ndarray:
         """The inverse of g's values; its readers check g is nondegenerate
-        first, `metric` at its own tolerance."""
+        first."""
         return np.linalg.inv(self.g_values)
 
     @cached_property
@@ -672,29 +680,34 @@ class _Eval:
 _last_context: Optional[tuple] = None
 
 
-def _context(lag: LagrangianDef, sample: TangentSample, order: int) -> _Eval:
-    """The evaluation context of (lag, sample, order), which every public
-    reader of the chain gets from here: the context built last when this
-    request has its key, else a new one, kept in its place.  Two orders are
-    asked for: 2 by the probe and `metric`, 4 by every other reader, which
-    so reads the context a report is written from.
+def _context(
+    lag: LagrangianDef,
+    sample: TangentSample,
+    order: int,
+    tol_degenerate: float = TOL_DEGENERATE,
+) -> _Eval:
+    """The evaluation context of (lag, sample, order, tol_degenerate), which
+    every public reader of the chain gets from here: the context built last
+    when this request has its key, else a new one, kept in its place.  Two
+    orders are asked for: 2 by the probe and `metric`, 4 by every other
+    reader, which so reads the context a report is written from.
 
     The key is `lag` by identity, the bytes of `sample.x` and `sample.xdot`,
-    the order and a snapshot of `lag.params` (the repr of each value, so
-    -0.0 and 0.0 differ), all taken when the context is built.  A request
-    is served only at the order it was built for: a higher order is not
-    proven to give a lower one's bits.  The context holds its own copy of
+    the order, the degenerate tolerance and a snapshot of `lag.params` (the
+    repr of each value, so -0.0 and 0.0 differ), all taken when the context
+    is built.  A request is served only at the order it was built for: a
+    higher order is not proven to give a lower one's bits.  The context holds its own copy of
     the sample, so a caller who mutates theirs changes neither the context
     nor the next key it matches.  A constructor that raises keeps nothing.
     The slot is read and written whole, so callers in several threads can
     at worst each build their own context."""
     global _last_context
     params = tuple((name, repr(value)) for name, value in lag.params.items())
-    key = (sample.x.tobytes(), sample.xdot.tobytes(), order, params)
+    key = (sample.x.tobytes(), sample.xdot.tobytes(), order, tol_degenerate, params)
     last = _last_context
     if last is not None and last[0] is lag and last[1] == key:
         return last[2]
-    ev = _Eval(lag, copy.deepcopy(sample), order)
+    ev = _Eval(lag, copy.deepcopy(sample), order, tol_degenerate)
     _last_context = (lag, key, ev)
     return ev
 
@@ -720,7 +733,7 @@ def metric(
 ) -> MetricValue:
     """The L-metric (half the vertical Hessian) with inverse and signature,
     from the sample's order-2 context; g and g^-1 are the caller's copies."""
-    value = _context(lag, sample, 2).metric(tol_degenerate)
+    value = _context(lag, sample, 2, tol_degenerate).metric()
     return replace(value, g=value.g.copy(), g_inv=value.g_inv.copy())
 
 
@@ -796,13 +809,13 @@ def probe_context(
     if convention not in ("+---", "-+++"):
         raise ValueError(f"unknown signature convention {convention!r}")
     try:
-        ev = _context(lag, sample, order)
+        ev = _context(lag, sample, order, tol_degenerate)
     except (DomainError, ExprDomainError) as err:
         reason = getattr(err, "reason", None) or str(err)
         return _outside_A(reason), None
     except DegenerateMetric:  # a family whose alpha is identically zero
         return _outside_A("degenerate-metric"), None
-    return ev.admissibility(convention, tol_degenerate, tol_null), ev
+    return ev.admissibility(convention, tol_null), ev
 
 
 @lru_cache(maxsize=None)
@@ -825,18 +838,21 @@ def _order2_slots(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 @_quiet
 def spray_witness(
-    lag: LagrangianDef, x: np.ndarray, directions: np.ndarray
+    lag: LagrangianDef,
+    x: np.ndarray,
+    directions: np.ndarray,
+    tol_degenerate: float = TOL_DEGENERATE,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Membership in A and the spray at (x, d) for each row d of `directions`.
 
     L is evaluated once, to order 2, over the whole block: the x-jets are
     scalar, so every x-only subexpression is evaluated once, and the
     xdot-jets are stacks.  Row by row, the mask equals the `in_A` of
-    ``probe_context(lag, TangentSample(x, d), 2)`` and the spray equals its
-    context's `spray_values`, bit for bit: both are read from L's
-    coefficients with the float operations of `_Eval`, in its order (each
-    validity-0 jet product is the 0.0 + a * b of `np.bincount`; `eigvalsh`
-    and `inv` run on the stacked matrices).  A row outside A, including one
+    ``probe_context(lag, TangentSample(x, d), 2, tol_degenerate=tol_degenerate)``
+    and the spray equals its context's `spray_values`, bit for bit: both
+    are read from L's coefficients with the float operations of `_Eval`, in
+    its order (each validity-0 jet product is the 0.0 + a * b of
+    `np.bincount`; `eigvalsh` and `inv` run on the stacked matrices).  A row outside A, including one
     whose L left a function's domain, has a spray of NaN; a row inside A can
     have a spray out of float range, which its reader checks.
     """
@@ -859,7 +875,7 @@ def spray_witness(
     g = 0.5 * (raw + raw.transpose(0, 2, 1))
     finite = np.all(np.isfinite(coeffs), axis=1) & np.all(np.isfinite(g), axis=(1, 2))
     eig = np.linalg.eigvalsh(np.where(finite[:, None, None], g, np.eye(n)))
-    thr = TOL_DEGENERATE * np.max(np.abs(eig), axis=1)
+    thr = tol_degenerate * np.max(np.abs(eig), axis=1)
     nonzero = np.sum(eig > thr[:, None], axis=1) + np.sum(eig < -thr[:, None], axis=1)
     in_A = finite & (nonzero == n)
 

@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, replace
 from json.encoder import encode_basestring_ascii as _string
-from typing import Mapping, Optional
+from typing import Callable, Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -59,12 +59,6 @@ class SceneOptions:
     reference_metric_src: Optional[tuple] = None
 
 
-_OPTION_KEYS = (
-    "tolerances", "directions", "seed", "spread", "signature_convention", "reference_metric",
-)
-_TOLERANCE_KEYS = ("berwald", "sym", "degenerate", "null")
-
-
 @dataclass(frozen=True)
 class Scene:
     dim: int
@@ -83,28 +77,26 @@ def _expect(cond: bool, pointer: str, message: str):
         raise SceneError(pointer, message)
 
 
+def _expect_type(val, typ, pointer):
+    _expect(
+        isinstance(val, typ) and not isinstance(val, bool),
+        pointer,
+        f"expected {typ.__name__}, got {type(val).__name__}",
+    )
+    return val
+
+
 def _get(obj, key, pointer, typ=None, required=True, default=None):
     if key not in obj:
         _expect(not required, f"{pointer}/{key}", "missing required field")
         return default
     val = obj[key]
-    if typ is not None:
-        _expect(
-            isinstance(val, typ) and not isinstance(val, bool),
-            f"{pointer}/{key}",
-            f"expected {getattr(typ, '__name__', typ)}, got {type(val).__name__}",
-        )
-    return val
+    return val if typ is None else _expect_type(val, typ, f"{pointer}/{key}")
 
 
 def _token(key) -> str:
     """An object key as a JSON pointer token."""
     return str(key).replace("~", "~0").replace("/", "~1")
-
-
-def _expect_known_keys(obj, pointer, known):
-    for key in obj:
-        _expect(key in known, f"{pointer}/{_token(key)}", "unknown field")
 
 
 def _number(val, pointer, message=None) -> float:
@@ -129,12 +121,12 @@ def _positive_number(val, pointer) -> float:
 
 
 def _at_least_two(val, pointer) -> int:
-    _expect(val >= 2, pointer, "need at least 2 directions")
+    _expect(_expect_type(val, int, pointer) >= 2, pointer, "need at least 2 directions")
     return val
 
 
 def _non_negative(val, pointer) -> int:
-    _expect(val >= 0, pointer, "expected a non-negative integer")
+    _expect(_expect_type(val, int, pointer) >= 0, pointer, "expected a non-negative integer")
     return val
 
 
@@ -143,30 +135,81 @@ def _convention(val, pointer) -> str:
     return val
 
 
-# The check of each option a command-line flag can replace, and the pointer
-# of the scene option it replaces; `load_scene` checks the scene's own
-# options with the same functions.
-_FLAG_OPTIONS = {
-    "tol_berwald": (_positive_number, "/options/tolerances/berwald"),
-    "tol_sym": (_positive_number, "/options/tolerances/sym"),
-    "tol_degenerate": (_positive_number, "/options/tolerances/degenerate"),
-    "tol_null": (_positive_number, "/options/tolerances/null"),
-    "directions": (_at_least_two, "/options/directions"),
-    "seed": (_non_negative, "/options/seed"),
-    "signature_convention": (_convention, "/options/signature_convention"),
-}
-FLAG_OPTIONS = tuple(_FLAG_OPTIONS)
+class _Option(NamedTuple):
+    field: str  # of SceneOptions, whose default is the option's
+    pointer: str  # of the option in a scene file
+    check: Callable  # (value, pointer) -> the checked value
+    flag: Optional[str]  # the command-line flag that replaces it
 
 
-def override_options(scene: Scene, **updates) -> Scene:
-    """The scene with the named options (keys of `FLAG_OPTIONS`) replaced,
-    each checked as `load_scene` checks the scene option it replaces: a bad
-    value is a `SceneError` at that option's pointer."""
-    checked = {}
-    for key, val in updates.items():
-        check, pointer = _FLAG_OPTIONS[key]
-        checked[key] = check(val, pointer)
-    return replace(scene, options=replace(scene.options, **checked))
+# Every option but the reference metric, which is read with the chart: each
+# is read from a scene and checked here, replaced by its flag, and written to
+# a report's metadata in this order.
+OPTIONS = (
+    _Option("seed", "/options/seed", _non_negative, "--seed"),
+    _Option("directions", "/options/directions", _at_least_two, "--directions"),
+    _Option("spread", "/options/spread", _positive_number, None),
+    _Option(
+        "signature_convention", "/options/signature_convention", _convention,
+        "--signature-convention",
+    ),
+    _Option("tol_berwald", "/options/tolerances/berwald", _positive_number, "--tol-berwald"),
+    _Option("tol_sym", "/options/tolerances/sym", _positive_number, "--tol-sym"),
+    _Option(
+        "tol_degenerate", "/options/tolerances/degenerate", _positive_number, "--tol-degenerate"
+    ),
+    _Option("tol_null", "/options/tolerances/null", _positive_number, "--tol-null"),
+)
+_OPTION_AT = {opt.pointer: opt for opt in OPTIONS}
+# the objects that hold options, below /options
+_OPTION_GROUPS = {opt.pointer.rsplit("/", 1)[0] for opt in OPTIONS} - {"/options"}
+_DEFAULTS = SceneOptions()
+
+
+def _read_options(node: dict, pointer: str, values: dict) -> dict:
+    """`values` with the options set in the object at `pointer` (and in
+    the objects it holds), each checked, by SceneOptions field.  A member
+    that is no option is a SceneError."""
+    for key, val in node.items():
+        at = f"{pointer}/{_token(key)}"
+        if at in _OPTION_AT:
+            values[_OPTION_AT[at].field] = _OPTION_AT[at].check(val, at)
+        elif at in _OPTION_GROUPS:
+            _read_options(_expect_type(val, dict, at), at, values)
+        else:
+            _expect(at == "/options/reference_metric", at, "unknown field")
+    return values
+
+
+def override_options(scene: Scene, **texts: str) -> Scene:
+    """The scene with the named options (`OPTIONS` fields) replaced by the
+    texts of their flags.  A text is converted by the type of its option's
+    default (int, float or str), then checked as `load_scene` checks that
+    option: a bad text is a `SceneError` at the option's pointer."""
+    values = {}
+    option_of = {opt.field: opt for opt in OPTIONS}
+    for field, text in texts.items():
+        opt = option_of[field]
+        kind = type(getattr(_DEFAULTS, field))
+        try:
+            value = kind(text)
+        except ValueError:
+            raise SceneError(opt.pointer, f"expected {kind.__name__}, got {text!r}") from None
+        values[field] = opt.check(value, opt.pointer)
+    return replace(scene, options=replace(scene.options, **values))
+
+
+def _option_metadata(options: SceneOptions) -> dict:
+    """The options of `OPTIONS` as a report's metadata: each at its pointer
+    below /options."""
+    tree: dict = {}
+    for opt in OPTIONS:
+        *groups, key = opt.pointer.split("/")[2:]
+        node = tree
+        for group in groups:
+            node = node.setdefault(group, {})
+        node[key] = getattr(options, opt.field)
+    return tree
 
 
 def _float_list(val, pointer, length=None):
@@ -326,28 +369,7 @@ def load_scene(obj: Mapping) -> Scene:
         samples = list(entry_samples)
 
     opts_obj = _get(obj, "options", "", dict, required=False, default={})
-    _expect_known_keys(opts_obj, "/options", _OPTION_KEYS)
-    tol = _get(opts_obj, "tolerances", "/options", dict, required=False, default={})
-    _expect_known_keys(tol, "/options/tolerances", _TOLERANCE_KEYS)
-
-    def tolval(key, default):
-        return _positive_number(tol.get(key, default), f"/options/tolerances/{key}")
-
-    convention = _convention(
-        _get(opts_obj, "signature_convention", "/options", str, required=False, default="+---"),
-        "/options/signature_convention",
-    )
-    directions = _at_least_two(
-        _get(opts_obj, "directions", "/options", int, required=False, default=16),
-        "/options/directions",
-    )
-    seed_val = _non_negative(
-        _get(opts_obj, "seed", "/options", int, required=False, default=0), "/options/seed"
-    )
-    spread = _positive_number(
-        opts_obj.get("spread", berwald.DEFAULT_SPREAD), "/options/spread"
-    )
-
+    values = _read_options(opts_obj, "/options", {})
     ref = _get(opts_obj, "reference_metric", "/options", list, required=False)
     ref_exprs = None
     ref_src = None
@@ -371,18 +393,7 @@ def load_scene(obj: Mapping) -> Scene:
         ref_exprs = tuple(rows)
         ref_src = tuple(src_rows)
 
-    options = SceneOptions(
-        tol_berwald=tolval("berwald", berwald.TOL_BERWALD),
-        tol_sym=tolval("sym", berwald.TOL_SYM),
-        tol_degenerate=tolval("degenerate", geometry.TOL_DEGENERATE),
-        tol_null=tolval("null", geometry.TOL_NULL),
-        directions=directions,
-        spread=spread,
-        seed=seed_val,
-        signature_convention=convention,
-        reference_metric=ref_exprs,
-        reference_metric_src=ref_src,
-    )
+    options = SceneOptions(**values, reference_metric=ref_exprs, reference_metric_src=ref_src)
     return Scene(
         dim=dim,
         aliases=aliases,
@@ -586,7 +597,7 @@ def _sample_block(
     if not verdict.in_A:
         return _canon(block)
     try:
-        mv = ev.metric(opts.tol_degenerate)
+        mv = ev.metric()
         block["metric"] = {"det": mv.det, "signature": list(mv.signature)}
         if detail:
             block["spray"] = ev.spray_values
@@ -762,16 +773,7 @@ def run_scene(scene: Scene, subcommand: str) -> tuple[dict, int]:
             "tool": "finslergeo",
             "version": __version__,
             "subcommand": subcommand,
-            "seed": opts.seed,
-            "directions": opts.directions,
-            "spread": opts.spread,
-            "signature_convention": opts.signature_convention,
-            "tolerances": {
-                "berwald": opts.tol_berwald,
-                "sym": opts.tol_sym,
-                "degenerate": opts.tol_degenerate,
-                "null": opts.tol_null,
-            },
+            **_option_metadata(opts),
             "catalog": scene.catalog_name,
             "dim": scene.dim,
         }

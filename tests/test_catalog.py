@@ -6,6 +6,7 @@ import pytest
 from finslergeo import berwald, catalog, expr, geometry
 from finslergeo.catalog import InvalidOverride, UnknownEntry
 from finslergeo.defs import DslLagrangian, FamilyInstance
+from finslergeo.scene import SceneError, load_scene
 
 
 def test_names_are_stable():
@@ -117,3 +118,33 @@ def test_counterexample_phi_override_changes_skew():
     s = e.default_samples[0]
     rep = berwald.obstruction(e.lagrangian, s.x, s.xdot)
     assert abs(rep.skew[0, 2]) == pytest.approx(6.0, abs=1e-5)
+
+
+# The message of an override that no entry takes, by entry.
+_UNKNOWN_OVERRIDE = {
+    "bogoslovsky": "bogoslovsky accepts only 'p'",
+    "conformally-flat": "conformally-flat takes no overrides",
+    "kropina": "kropina takes no overrides",
+    "minkowski4": "minkowski4 takes no overrides",
+    "nonberwald-flat": "nonberwald-flat takes no overrides",
+    "schwarzschild": "schwarzschild accepts only 'M'",
+    "szabo-counterexample": "szabo-counterexample accepts only 'c', 'm', 'p', 'phi'",
+}
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_every_entry_names_its_overrides_in_sorted_order(name):
+    # the names were a set, printed in an order that changed with the hash seed
+    with pytest.raises(InvalidOverride) as err:
+        catalog.get(name, {"mass": 2.0})
+    assert str(err.value) == _UNKNOWN_OVERRIDE[name] and err.value.key == "mass"
+    with pytest.raises(SceneError) as err:
+        load_scene({"lagrangian": {"catalog": name, "overrides": {"mass": 2.0}}})
+    assert err.value.pointer == "/lagrangian/overrides/mass"
+
+
+@pytest.mark.parametrize("overrides, key", [({"p": 1.0}, "p"), ({"c": 0.0}, "c")])
+def test_counterexample_constraints_name_their_override(overrides, key):
+    with pytest.raises(SceneError) as err:
+        load_scene({"lagrangian": {"catalog": "szabo-counterexample", "overrides": overrides}})
+    assert err.value.pointer == f"/lagrangian/overrides/{key}"

@@ -980,9 +980,9 @@ def _counting_orders(monkeypatch) -> list:
     orders = []
     init = _Eval.__init__
 
-    def counting_init(self, lag, sample, order):
+    def counting_init(self, lag, sample, order, tol_degenerate=geometry.TOL_DEGENERATE):
         orders.append(order)
-        init(self, lag, sample, order)
+        init(self, lag, sample, order, tol_degenerate)
 
     monkeypatch.setattr(_Eval, "__init__", counting_init)
     return orders

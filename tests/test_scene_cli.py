@@ -13,6 +13,7 @@ import pytest
 
 from finslergeo import __version__, alphabeta, cli, geometry
 from finslergeo.scene import (
+    OPTIONS,
     SceneError,
     load_scene,
     load_scene_file,
@@ -258,6 +259,50 @@ def test_a_phi_that_cannot_be_evaluated_is_a_scene_error(tmp_path, capsys, phi, 
     assert not (tmp_path / "out" / "report.json").exists()
 
 
+@pytest.mark.parametrize(
+    "phi, message",
+    [
+        ("1)*0+(1", "unexpected trailing input ')' (at byte 1)"),
+        ("x +", "(at byte 3)"),
+        ("q*x", "unknown identifier 'q' (at byte 0)"),
+    ],
+)
+def test_a_phi_that_does_not_parse_is_a_scene_error(tmp_path, capsys, phi, message):
+    # phi was spliced into v*(phi) and (phi)/(...) first: the first value
+    # escaped its parentheses and gave a report, the others were errors at
+    # /lagrangian/catalog with offsets into the splice
+    doc = {"lagrangian": {"catalog": "szabo-counterexample", "overrides": {"phi": phi}}}
+    assert cli.main(["report", str(_write_scene(tmp_path, doc)), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("scene error: /lagrangian/overrides/phi: override 'phi': ")
+    assert err.endswith(message + "\n")
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_the_degenerate_tolerance_reaches_every_nondegeneracy_check(tmp_path):
+    # g = diag(1, -1e-12) is nondegenerate at 1e-14: the sample block, the
+    # Berwald witness directions and the obstruction read it so, not only
+    # the probe
+    doc = {
+        "chart": {"dim": 2},
+        "lagrangian": {"dsl": {"source": "dx0^2 - 1e-12*dx1^2"}},
+        "samples": [{"x": [0, 0], "xdot": [1, 0.3]}],
+        "options": {"tolerances": {"degenerate": 1e-14}},
+    }
+    report, code = run_scene(load_scene(doc), "report")
+    assert code == 0
+    sample = report["samples"][0]
+    assert sample["admissibility"]["in_A"] and sample["metric"]["signature"] == [1, 1, 0]
+    assert "error" not in sample and "cartan_trace" in sample
+    (point,) = report["geometry"]["berwald"]["per_base_point"]
+    assert point["is_berwald"] and point["directions_tested"] == 16
+    assert report["geometry"]["obstruction"]["metrizability_necessary_condition_met"]
+    # at the default tolerance the sample is outside A
+    doc["options"] = {}
+    report, _ = run_scene(load_scene(doc), "report")
+    assert report["samples"][0]["admissibility"]["failure_reason"] == "degenerate-metric"
+
+
 @pytest.mark.parametrize("subcommand", ["probe", "report", "causal", "berwald", "obstruction"])
 def test_a_family_whose_alpha_is_identically_zero_is_outside_A(tmp_path, capsys, subcommand):
     # ended in DegenerateMetric: "alpha is identically zero"
@@ -370,9 +415,9 @@ def test_report_builds_one_order_4_context_per_base_point(monkeypatch):
     orders = []
     init = geometry._Eval.__init__
 
-    def counting_init(self, lag, sample, order):
+    def counting_init(self, lag, sample, order, tol_degenerate=geometry.TOL_DEGENERATE):
         orders.append(order)
-        init(self, lag, sample, order)
+        init(self, lag, sample, order, tol_degenerate)
 
     monkeypatch.setattr(geometry._Eval, "__init__", counting_init)
     report, _ = run_scene(scn, "report")
@@ -787,7 +832,61 @@ def test_cli_threads_flag_is_a_usage_error(tmp_path):
     p = _write_scene(tmp_path, minkowski_scene())
     with pytest.raises(SystemExit) as err:
         cli.main(["report", str(p), "--out", str(tmp_path / "out"), "--threads", "2"])
-    assert err.value.code == 2
+    assert err.value.code == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        pytest.param([], "the following arguments are required: subcommand", id="no-subcommand"),
+        pytest.param(
+            ["reprot", "SCENE"], "argument subcommand: invalid choice: 'reprot'",
+            id="unknown-subcommand",
+        ),
+        pytest.param(["report"], "the following arguments are required: scene", id="no-scene"),
+        pytest.param(
+            ["report", "SCENE", "--threads", "2"], "unrecognized arguments: --threads 2",
+            id="unknown-flag",
+        ),
+        pytest.param(
+            ["report", "SCENE", "--spread", "0.5"], "unrecognized arguments: --spread 0.5",
+            id="spread-has-no-flag",
+        ),
+        pytest.param(
+            ["report", "SCENE", "--seed"], "argument --seed: expected one argument",
+            id="flag-without-value",
+        ),
+    ],
+)
+def test_usage_errors_exit_one(tmp_path, capsys, monkeypatch, argv, message):
+    # exit code 2 is reserved for a proof of non-metrizability
+    p = _write_scene(tmp_path, minkowski_scene())
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as err:
+        cli.main([str(p) if a == "SCENE" else a for a in argv])
+    assert err.value.code == 1
+    stderr = capsys.readouterr().err
+    assert stderr.startswith("usage: finslergeo") and f"error: {message}" in stderr
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["report", "--help"]])
+def test_help_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv)
+    assert err.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: finslergeo")
+
+
+def test_every_scene_option_but_spread_has_a_flag(capsys):
+    flags = {opt.field: opt.flag for opt in OPTIONS}
+    assert [field for field, flag in flags.items() if flag is None] == ["spread"]
+    with pytest.raises(SystemExit):
+        cli.main(["report", "--help"])
+    usage = capsys.readouterr().out
+    for field, flag in flags.items():
+        assert (f"{flag} VALUE" in usage) == (flag is not None), field
+    assert "--spread" not in usage
 
 
 @pytest.mark.parametrize(
@@ -801,6 +900,10 @@ def test_cli_threads_flag_is_a_usage_error(tmp_path):
         (["--tol-degenerate", "0"], "/options/tolerances/degenerate"),
         (["--tol-null", "-0.5"], "/options/tolerances/null"),
         (["--tol-sym", "inf"], "/options/tolerances/sym"),
+        (["--directions", "abc"], "/options/directions"),
+        (["--directions", "3.0"], "/options/directions"),
+        (["--tol-sym", "x"], "/options/tolerances/sym"),
+        (["--signature-convention", "foo"], "/options/signature_convention"),
     ],
 )
 def test_cli_flags_get_the_scene_option_checks(tmp_path, capsys, flags, pointer):
@@ -901,6 +1004,15 @@ def test_cli_determinism_byte_identical(tmp_path):
     assert a == b
 
 
+def test_flag_texts_are_read_as_their_option_type(tmp_path):
+    # int() and float() of the text: json.loads would reject both
+    p = _write_scene(tmp_path, szabo_scene(seed=7))
+    argv = ["berwald", str(p), "--out", str(tmp_path / "a"), "--tol-sym", ".5", "--seed", "007"]
+    assert cli.main(argv) == 0
+    meta = json.loads((tmp_path / "a" / "report.json").read_text())["metadata"]
+    assert meta["seed"] == 7 and meta["tolerances"]["sym"] == 0.5
+
+
 def test_cli_seed_flag_overrides_scene(tmp_path):
     p = _write_scene(tmp_path, szabo_scene(seed=7))
     cli.main(["berwald", str(p), "--out", str(tmp_path / "a"), "--seed", "11"])
@@ -925,7 +1037,7 @@ def test_cli_calls_in_one_process_share_no_state(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == f"finslergeo {__version__}"
     with pytest.raises(SystemExit) as err:
         cli.main(["berwald", str(p), "--no-such-flag"])
-    assert err.value.code == 2
+    assert err.value.code == 1
     assert "unrecognized arguments: --no-such-flag" in capsys.readouterr().err
     assert cli.main(["berwald", str(p), "--out", str(tmp_path / "c")]) == 0
 

@@ -14,8 +14,10 @@ finite but whose det g is not, on one whose L is finite but whose
 curvature is not, on one whose L is finite but whose Chern-Rund connection
 is not, on one whose spray at the sample is finite but at a witness
 direction is not, on one whose g depends on xdot and on only some of the
-variables, and on a quadratic one whose g holds -0.0 coefficients from a
-negated sum, at ``options.seed`` 0 and 3.  Each run prints one line:
+variables, on a quadratic one whose g holds -0.0 coefficients from a
+negated sum, on a quadratic one whose g is nondegenerate only at its
+scene's ``degenerate`` tolerance, and on ``szabo-counterexample`` with a phi
+override, at ``options.seed`` 0 and 3.  Each run prints one line:
 
     <scene> <subcommand> <seed> <exit code> <sha256 of report.json or ->
 
@@ -185,6 +187,20 @@ NEGATED_SCENE = {
     "samples": [{"x": [0.2, -0.1, 0.4], "xdot": [1.0, 0.3, -0.2], "label": "p0"}],
 }
 
+# A quadratic scene whose g, diag(1, -1e-12), is nondegenerate at its
+# degenerate tolerance and not at the default one.
+NEAR_DEGENERATE_SCENE = {
+    "chart": {"dim": 2},
+    "lagrangian": {"dsl": {"source": "dx0^2 - 1e-12*dx1^2"}},
+    "samples": [{"x": [0.0, 0.0], "xdot": [1.0, 0.3], "label": "p0"}],
+    "options": {"tolerances": {"degenerate": 1e-14}},
+}
+
+# The counterexample with phi = 2x, spliced into its alpha and H.
+PHI_OVERRIDE_SCENE = {
+    "lagrangian": {"catalog": "szabo-counterexample", "overrides": {"phi": "2*x"}},
+}
+
 # Offsets of the fixed witness block from a sample's direction.
 WITNESS_OFFSETS = 0.05 * np.array([[0.0, 1.0, -1.0, 0.5], [1.0, -0.5, 0.25, -1.0]])
 
@@ -193,8 +209,8 @@ def scene_documents(root: Path):
     """(name, scene document) for the fixture scenes, the catalog, the
     dim-6 scene, the rejection scenes, the error scenes, the
     overflow-after-L, curvature-overflow, connection-overflow and
-    witness-overflow scenes, and the partial-support and negated-quadratic
-    scenes."""
+    witness-overflow scenes, the partial-support, negated-quadratic and
+    near-degenerate scenes, and the phi-override scene."""
     for path in sorted((root / "scenes").glob("*.json")):
         yield path.name, json.loads(path.read_text(encoding="utf-8"))
     for name in catalog.names():
@@ -208,6 +224,8 @@ def scene_documents(root: Path):
     yield "witness-overflow", WITNESS_OVERFLOW_SCENE
     yield "partial-support", PARTIAL_SUPPORT_SCENE
     yield "negated-quadratic", NEGATED_SCENE
+    yield "near-degenerate", NEAR_DEGENERATE_SCENE
+    yield "szabo-phi-2x", PHI_OVERRIDE_SCENE
 
 
 def digest(doc: dict, subcommand: str, workdir: Path) -> tuple[int, str]:
