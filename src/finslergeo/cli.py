@@ -4,7 +4,10 @@
 
 Subcommands: probe, berwald, obstruction, causal, nonmetricity, report
 (report runs everything applicable).  The machine-readable output is written
-to <out>/report.json; a short human-readable summary goes to stdout.
+to <out>/report.json; stdout gets a short summary: the samples, a line per
+section from `scene.summary_lines` (a negative verdict needs one computed
+base point, a positive one all of them, else it is inconclusive), the
+warnings and the exit code.  A flag's value may start with '-'.
 
 Exit codes: 0 success, 1 errors (usage errors included), 2 when a
 diagnostic proves non-metrizability (skew Ricci beyond tolerance), so shell
@@ -35,7 +38,8 @@ class _Parser(argparse.ArgumentParser):
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The parser, built once per process: parsing leaves it unchanged.  A
-    flag's value is kept as its text, for `scene.override_options`."""
+    flag's value is kept as its text, for `scene.override_options`, and a
+    flag that is not given is not in the namespace."""
     parser = _Parser(
         prog="finslergeo",
         description="pseudo-Finsler geometry diagnostics on tangent-bundle samples",
@@ -55,7 +59,8 @@ def _build_parser() -> argparse.ArgumentParser:
         for opt in scenemod.OPTIONS:
             if opt.flag:
                 sp.add_argument(
-                    opt.flag, dest=opt.field, metavar="VALUE", help=f"replaces {opt.pointer}"
+                    opt.flag, dest=opt.field, default=argparse.SUPPRESS, metavar="VALUE",
+                    help=f"replaces {opt.pointer}",
                 )
         sp.add_argument(
             "--out",
@@ -66,23 +71,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_flag_overrides(scene, args):
-    texts = {
-        opt.field: getattr(args, opt.field)
-        for opt in scenemod.OPTIONS
-        if opt.flag and getattr(args, opt.field) is not None
-    }
-    return scenemod.override_options(scene, **texts)
-
-
-def _summary_lines(report: dict, exit_code: int) -> list[str]:
+def _summary_lines(report: dict, options: scenemod.SceneOptions, exit_code: int) -> list[str]:
     meta = report["metadata"]
     lines = [
         f"finslergeo {meta['version']} — {meta['subcommand']}"
-        f" (seed {meta['seed']}, {meta['directions']} directions)"
+        f" (seed {meta['seed']}, {meta['directions']} directions)",
+        f"{'sample':<16} {'in_A':<5} {'in_T':<5} {'L':>14} {'signature':>12}",
     ]
-    header = f"{'sample':<16} {'in_A':<5} {'in_T':<5} {'L':>14} {'signature':>12}"
-    lines.append(header)
     for s in report.get("samples", []):
         adm = s["admissibility"]
         lval = adm["L"]
@@ -92,70 +87,32 @@ def _summary_lines(report: dict, exit_code: int) -> list[str]:
             f"{'-' if lval is None else format(lval, '.6g'):>14} "
             f"{'-' if sig is None else str(tuple(sig)):>12}"
         )
-    geo = report.get("geometry", {})
-    if "berwald" in geo:
-        b = geo["berwald"]
-        if b["is_berwald"] is None:
-            lines.append("berwald: not computed (no base point evaluated)")
+    lines += scenemod.summary_lines(report, options)
+    lines += [f"warning: {w}" for w in report.get("warnings", [])]
+    return lines + [f"exit code {exit_code}"]
+
+
+def _join_values(argv: list) -> list:
+    """argv with each flag that takes a value joined to the word after it
+    as `flag=word`, since argparse reads a word that starts with '-' (the
+    convention -+++) as a flag.  A word that starts with '--' stays a flag,
+    and a flag with no word after it stays for argparse to refuse."""
+    flags = {opt.flag for opt in scenemod.OPTIONS if opt.flag} | {"--out"}
+    words = []
+    for word in argv:
+        if words and words[-1] in flags and not word.startswith("--"):
+            words[-1] += "=" + word
         else:
-            lines.append(
-                f"berwald: {'YES' if b['is_berwald'] else 'NO'}"
-                f" (max deviation {b['max_gamma_deviation']:.3e})"
-            )
-    if "obstruction" in geo:
-        o = geo["obstruction"]
-        met = o["metrizability_necessary_condition_met"]
-        if met is None:
-            # the error of a Berwald base point, else there was none
-            berwald_points = geo["berwald"]["per_base_point"]
-            reason = next(
-                (e["error"] for e, b in zip(o["per_base_point"], berwald_points)
-                 if b.get("is_berwald")),
-                "no Berwald base point",
-            )
-            lines.append(f"obstruction: not computed ({reason})")
-        else:
-            lines.append(
-                f"obstruction: skew max {o['max_skew_abs']:.6g}"
-                + (" — necessary condition met" if met else " — NON-METRIZABLE")
-            )
-    if "family_proposition" in geo:
-        p = geo["family_proposition"]
-        lines.append(
-            "family proposition: "
-            + ("non-metrizable (f != 0 and beta^dH != 0)" if p["fires"] else "inconclusive")
-        )
-    if "causal" in geo:
-        c = geo["causal"]
-        points = c["per_base_point"]
-        classified = [e for e in points if "error" not in e]
-        if c["viable"]:
-            lines.append("causal: viable")
-        elif not all(e["viable"] for e in classified):
-            lines.append("causal: NOT viable")
-        else:
-            unclassified = len(points) - len(classified)
-            lines.append(
-                f"causal: inconclusive ({unclassified} of {len(points)}"
-                " base points not classified)"
-            )
-    if "nonmetricity" in geo:
-        qs = [
-            e["Q_norm"] for e in geo["nonmetricity"]["per_base_point"] if "Q_norm" in e
-        ]
-        if qs:
-            lines.append(f"nonmetricity: max |Q| = {max(qs):.6g}")
-    for w in report.get("warnings", []):
-        lines.append(f"warning: {w}")
-    lines.append(f"exit code {exit_code}")
-    return lines
+            words.append(word)
+    return words
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _build_parser().parse_args(_join_values(sys.argv[1:] if argv is None else argv))
     try:
-        scene = scenemod.load_scene_file(args.scene)
-        scene = _apply_flag_overrides(scene, args)
+        texts = {opt.field: vars(args)[opt.field] for opt in scenemod.OPTIONS
+                 if opt.field in vars(args)}
+        scene = scenemod.override_options(scenemod.load_scene_file(args.scene), **texts)
         report, exit_code = scenemod.run_scene(scene, args.subcommand)
     except SceneError as err:
         print(f"scene error: {err}", file=sys.stderr)
@@ -171,7 +128,7 @@ def main(argv=None) -> int:
     except OSError as err:  # e.g. --out names a regular file or a path under one
         print(f"error: {err}", file=sys.stderr)
         return 1
-    for line in _summary_lines(report, exit_code):
+    for line in _summary_lines(report, scene.options, exit_code):
         print(line)
     print(f"report written to {out_path}")
     return exit_code

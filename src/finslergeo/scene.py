@@ -572,7 +572,6 @@ def _applicable_sections(scene: Scene, subcommand: str) -> tuple[tuple[str, ...]
 
 
 def _sample_block(
-    scene: Scene,
     label: str,
     sample: TangentSample,
     detail: bool,
@@ -580,7 +579,6 @@ def _sample_block(
     ev: Optional[geometry._Eval],
     fam,
 ) -> dict:
-    opts = scene.options
     block: dict = {
         "label": label,
         "x": _canon(sample.x),
@@ -716,7 +714,7 @@ def _base_point(
         "nonmetricity": (_nonmetricity_fields, bv, opts.reference_metric, sample.x),
     }
     detail = "sample_detail" in sections
-    point = {"sample": _sample_block(scene, label, sample, detail, verdict, ev, fam)}
+    point = {"sample": _sample_block(label, sample, detail, verdict, ev, fam)}
     head = {"label": label, "x": _canon(sample.x)}
     for section in sections:
         if section in builders:
@@ -727,41 +725,88 @@ def _base_point(
 @dataclass(frozen=True)
 class _Summary:
     """A section's verdict, read from the per-point entries that were
-    computed: an entry with an error decides nothing."""
+    computed (an entry with an error decides nothing): its report fields,
+    its printed line, its effect on the exit code and its warning."""
 
     section: dict
+    line: Optional[str]
     nonmetrizable: bool = False  # proves non-metrizability: exit code 2
     warning: Optional[str] = None
 
 
-def _summary(name: str, per_point: list, opts: SceneOptions) -> _Summary:
-    ok = [e for e in per_point if "error" not in e]
-    every = len(ok) == len(per_point)
-    # a verdict with no computed entry is null: nothing was decided
-    if name == "berwald":
-        return _Summary({
-            "is_berwald": all(e["is_berwald"] for e in ok) if ok else None,
-            "max_gamma_deviation": max((e["max_gamma_deviation"] for e in ok), default=None),
-            "per_base_point": per_point,
-        })
-    if name == "obstruction":
-        met = all(e["condition_met"] for e in ok)
-        return _Summary({
-            "metrizability_necessary_condition_met": every and met if ok else None,
-            "max_skew_abs": max((e["skew_max_abs"] for e in ok), default=None),
-            "per_base_point": per_point,
-        }, nonmetrizable=not met)
-    if name == "family_proposition":
-        fires = any(e["nonmetrizable"] for e in ok)
-        return _Summary({"fires": fires, "per_base_point": per_point}, nonmetrizable=fires)
-    if name == "causal":
-        viable = all(e["viable"] for e in ok)
-        warning = None if viable else "causal classification reports a non-viable instance"
-        return _Summary({"viable": every and viable, "per_base_point": per_point}, warning=warning)
-    return _Summary({
-        "reference_metric": [list(r) for r in opts.reference_metric_src],
-        "per_base_point": per_point,
-    })
+def _line(per_point: list, ok: list, negative: bool, verdict: str, missing="computed") -> str:
+    """The printed verdict by the one rule: a negative verdict needs one
+    computed base point, a positive one every base point, and anything else
+    is inconclusive."""
+    n = len(per_point)
+    if negative or len(ok) == n:
+        return verdict
+    return f"inconclusive ({n - len(ok)} of {n} base points not {missing})"
+
+
+def _summary(entries: Mapping[str, list], opts: SceneOptions) -> dict[str, _Summary]:
+    """The summary of each section from its per-point entries, both keyed by
+    section name: the one reader of those entries that decides a verdict.
+    A verdict with no computed entry is null in the report."""
+    summaries = {}
+    for name, per_point in entries.items():
+        ok = [e for e in per_point if "error" not in e]
+        every = len(ok) == len(per_point)
+        nonmetrizable, warning = False, None
+        if name == "berwald":
+            is_berwald = all(e["is_berwald"] for e in ok) if ok else None
+            dev = max((e["max_gamma_deviation"] for e in ok), default=None)
+            fields = {"is_berwald": is_berwald, "max_gamma_deviation": dev}
+            line = "not computed (no base point evaluated)" if not ok else _line(
+                per_point, ok, not is_berwald,
+                f"{'YES' if is_berwald else 'NO'} (max deviation {dev:.3e})", "evaluated",
+            )
+        elif name == "obstruction":
+            met = all(e["condition_met"] for e in ok)
+            skew = max((e["skew_max_abs"] for e in ok), default=None)
+            fields = {
+                "metrizability_necessary_condition_met": every and met if ok else None,
+                "max_skew_abs": skew,
+            }
+            nonmetrizable = not met
+            if ok:
+                verdict = "necessary condition met" if met else "NON-METRIZABLE"
+                line = _line(per_point, ok, not met, f"skew max {skew:.6g} — {verdict}")
+            else:  # the error of a Berwald base point, else there was none
+                line = "not computed ({})".format(next(
+                    (e["error"] for e, b in zip(per_point, entries["berwald"])
+                     if b.get("is_berwald")),
+                    "no Berwald base point",
+                ))
+        elif name == "family_proposition":
+            nonmetrizable = fires = any(e["nonmetrizable"] for e in ok)
+            fields = {"fires": fires}
+            verdict = "non-metrizable (f != 0 and beta^dH != 0)" if fires else "inconclusive"
+            line = _line(per_point, ok, fires, verdict)
+        elif name == "causal":
+            viable = all(e["viable"] for e in ok)
+            fields = {"viable": every and viable}
+            if not viable:
+                warning = "causal classification reports a non-viable instance"
+            verdict = "viable" if viable else "NOT viable"
+            line = _line(per_point, ok, not viable, verdict, "classified")
+        else:
+            fields = {"reference_metric": [list(r) for r in opts.reference_metric_src]}
+            qs = [e["Q_norm"] for e in ok]
+            line = f"max |Q| = {max(qs):.6g}" if qs else None
+        summaries[name] = _Summary(
+            {**fields, "per_base_point": per_point},
+            line and f"{name.replace('_', ' ')}: {line}", nonmetrizable, warning,
+        )
+    return summaries
+
+
+def summary_lines(report: dict, opts: SceneOptions) -> list[str]:
+    """The printed line of each section of the report that has one, in
+    report order: the lines of `_summary` on the report's per-point entries,
+    the ones `run_scene` read, so a pure function of the report."""
+    entries = {name: s["per_base_point"] for name, s in report.get("geometry", {}).items()}
+    return [s.line for s in _summary(entries, opts).values() if s.line]
 
 
 def run_scene(scene: Scene, subcommand: str) -> tuple[dict, int]:
@@ -783,10 +828,7 @@ def run_scene(scene: Scene, subcommand: str) -> tuple[dict, int]:
         for idx, (label, sample) in enumerate(scene.samples)
     ]
     report["samples"] = [p.pop("sample") for p in points]
-    summaries = {
-        section: _summary(section, [p[section] for p in points], opts)
-        for section in points[0]
-    }
+    summaries = _summary({section: [p[section] for p in points] for section in points[0]}, opts)
     report["geometry"] = {section: s.section for section, s in summaries.items()}
     warnings += [s.warning for s in summaries.values() if s.warning]
     if warnings:

@@ -1,6 +1,7 @@
-"""Smoke test of tools/report_digests.py, the byte-identity check of reports
-and chain arrays: it runs, every line it prints has its documented shape,
-and the chain calls give the same digests in either call order."""
+"""Smoke test of tools/report_digests.py, the byte-identity check of reports,
+printed summaries and chain arrays: it runs, every line it prints has its
+documented shape, and the chain calls give the same digests in either call
+order."""
 
 import importlib.util
 import re
@@ -14,6 +15,9 @@ REPO = Path(__file__).resolve().parents[1]
 _DIGEST = r"[0-9a-f]{64}"
 _REPORT = re.compile(
     rf"(?P<scene>\S+) (?P<sub>{'|'.join(SUBCOMMANDS)}) (?P<seed>\d+) [012] ({_DIGEST}|-)"
+)
+_SUMMARY = re.compile(
+    rf"(?P<scene>\S+) (?P<sub>{'|'.join(SUBCOMMANDS)}) (?P<seed>\d+) summary {_DIGEST}"
 )
 _CALL = re.compile(
     rf"(?P<scene>\S+) (?P<kind>chain-rev|chain|L|family):(?P<call>\S+) (?P<label>\S+)"
@@ -35,16 +39,21 @@ def test_report_digests_lines_have_their_shape(capsys):
     assert tool.main([str(REPO)]) == 0
     lines = capsys.readouterr().out.splitlines()
     scenes = [name for name, _ in tool.scene_documents(REPO)]
-    reports = [m for m in map(_REPORT.fullmatch, lines) if m]
-    calls = [m for m in map(_CALL.fullmatch, lines) if m]
-    assert len(reports) + len(calls) == len(lines), [
-        line for line in lines if not (_REPORT.fullmatch(line) or _CALL.fullmatch(line))
+    shapes = (_REPORT, _SUMMARY, _CALL)
+    reports, summaries, calls = (
+        [m for m in map(shape.fullmatch, lines) if m] for shape in shapes
+    )
+    assert len(reports) + len(summaries) + len(calls) == len(lines), [
+        line for line in lines if not any(shape.fullmatch(line) for shape in shapes)
     ]
-    # one line per scene, seed and subcommand, in that order, before the calls
-    assert [(m["scene"], int(m["seed"]), m["sub"]) for m in reports] == [
-        (name, seed, sub) for name in scenes for seed in tool.SEEDS for sub in SUBCOMMANDS
+    # a report line and its summary line per scene, seed and subcommand, in
+    # that order, before the calls
+    runs = [(name, seed, sub) for name in scenes for seed in tool.SEEDS for sub in SUBCOMMANDS]
+    assert [(m["scene"], int(m["seed"]), m["sub"]) for m in reports] == runs
+    assert [(m["scene"], int(m["seed"]), m["sub"]) for m in summaries] == runs
+    assert lines[: 2 * len(runs)] == [
+        m.group(0) for pair in zip(reports, summaries) for m in pair
     ]
-    assert lines[: len(reports)] == [m.group(0) for m in reports]
     kinds = Counter(m["kind"] for m in calls)
     chain_calls = {m["call"] for m in calls if m["kind"] == "chain"}
     assert chain_calls == {

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from finslergeo import __version__, alphabeta, cli, geometry
+from finslergeo import __version__, alphabeta, catalog, cli, geometry
 from finslergeo.scene import (
     OPTIONS,
     SceneError,
@@ -20,6 +20,7 @@ from finslergeo.scene import (
     parse_report,
     render_json,
     run_scene,
+    summary_lines,
 )
 
 REPO = Path(__file__).resolve().parents[1]
@@ -807,6 +808,78 @@ def test_cli_causal_inconclusive_when_a_point_is_not_classified(tmp_path, capsys
     assert report["geometry"]["causal"]["viable"] is False
 
 
+def _partial_evaluation_scene():
+    # the near sample is in A; the far one leaves float range, so every
+    # section is computed at one of the two base points
+    return {
+        "chart": {"dim": 2},
+        "lagrangian": {"dsl": {"source": "dx0^2 - exp(x0)*dx1^2"}},
+        "samples": [
+            {"x": [0.1, 0], "xdot": [1, 0.3], "label": "near"},
+            {"x": [1e308, 0], "xdot": [1, 0.3], "label": "far"},
+        ],
+    }
+
+
+def test_cli_berwald_inconclusive_when_a_point_is_not_evaluated(tmp_path, capsys):
+    p = _write_scene(tmp_path, _partial_evaluation_scene())
+    code = cli.main(["report", str(p), "--out", str(tmp_path / "out")])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "berwald: inconclusive (1 of 2 base points not evaluated)" in out
+    assert "berwald: YES" not in out
+    # the report's boolean keeps its meaning until the verdict type changes
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["geometry"]["berwald"]["is_berwald"] is True
+
+
+def test_cli_obstruction_inconclusive_when_a_point_is_not_computed(tmp_path, capsys):
+    p = _write_scene(tmp_path, _partial_evaluation_scene())
+    code = cli.main(["report", str(p), "--out", str(tmp_path / "out")])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "obstruction: inconclusive (1 of 2 base points not computed)" in out
+    assert "NON-METRIZABLE" not in out
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    obstruction = report["geometry"]["obstruction"]
+    assert obstruction["metrizability_necessary_condition_met"] is False
+    assert obstruction["max_skew_abs"] == 0.0
+
+
+def test_cli_negative_verdict_needs_one_computed_point(tmp_path, capsys):
+    doc = {
+        "lagrangian": {"catalog": "nonberwald-flat"},
+        "samples": [
+            {"x": [0, 0, 1, 0], "xdot": [1, 1, 0.1, 0.1], "label": "near"},
+            {"x": [0, 0, 1, 0], "xdot": [1, 1, 1e300, 1e300], "label": "far"},
+        ],
+    }
+    p = _write_scene(tmp_path, doc)
+    assert cli.main(["berwald", str(p), "--out", str(tmp_path / "out")]) == 0
+    out = capsys.readouterr().out
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert [e["label"] for e in report["geometry"]["berwald"]["per_base_point"]
+            if "error" in e] == ["far"]
+    assert "berwald: NO (max deviation" in out
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_summary_lines_give_one_line_per_printed_section(tmp_path, capsys, name):
+    scn = load_scene({"lagrangian": {"catalog": name}})
+    report, _ = run_scene(scn, "report")
+    lines = summary_lines(report, scn.options)
+    assert [line.split(":")[0] for line in lines] == [
+        section.replace("_", " ") for section in report["geometry"]
+    ]
+    p = _write_scene(tmp_path, {"lagrangian": {"catalog": name}})
+    cli.main(["report", str(p), "--out", str(tmp_path / "out")])
+    # the header, the column heads and a row per sample come first
+    out = capsys.readouterr().out.splitlines()
+    assert out[1].split() == ["sample", "in_A", "in_T", "L", "signature"]
+    start = 2 + len(report["samples"])
+    assert out[start : start + len(lines)] == lines
+
+
 def test_cli_minkowski_exit_zero(tmp_path):
     p = _write_scene(tmp_path, minkowski_scene())
     assert cli.main(["report", str(p), "--out", str(tmp_path / "out")]) == 0
@@ -856,6 +929,16 @@ def test_cli_threads_flag_is_a_usage_error(tmp_path):
             ["report", "SCENE", "--seed"], "argument --seed: expected one argument",
             id="flag-without-value",
         ),
+        pytest.param(
+            ["report", "SCENE", "--signature-convention"],
+            "argument --signature-convention: expected one argument",
+            id="convention-without-value",
+        ),
+        pytest.param(
+            ["report", "SCENE", "--seed", "--directions", "3"],
+            "argument --seed: expected one argument",
+            id="flag-before-a-flag",
+        ),
     ],
 )
 def test_usage_errors_exit_one(tmp_path, capsys, monkeypatch, argv, message):
@@ -887,6 +970,20 @@ def test_every_scene_option_but_spread_has_a_flag(capsys):
     for field, flag in flags.items():
         assert (f"{flag} VALUE" in usage) == (flag is not None), field
     assert "--spread" not in usage
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--signature-convention", "-+++"], ["--signature-convention=-+++"]],
+    ids=["two-words", "equals"],
+)
+def test_cli_flag_value_may_start_with_a_dash(tmp_path, flags):
+    p = _write_scene(tmp_path, minkowski_scene())
+    assert cli.main(["probe", str(p), "--out", str(tmp_path / "out"), *flags]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["metadata"]["signature_convention"] == "-+++"
+    # L > 0 is spacelike under -+++
+    assert [s["admissibility"]["in_T"] for s in report["samples"]] == [False, False]
 
 
 @pytest.mark.parametrize(

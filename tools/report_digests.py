@@ -1,5 +1,6 @@
-"""Print the exit code and SHA-256 of report.json for a fixed set of runs,
-and the SHA-256 of every public chain call at the same scenes' samples.
+"""Print the exit code and SHA-256 of report.json and of the printed
+summary for a fixed set of runs, and the SHA-256 of every public chain call
+at the same scenes' samples.
 
     PYTHONPATH=src python tools/report_digests.py [repo root]
 
@@ -16,10 +17,16 @@ is not, on one whose spray at the sample is finite but at a witness
 direction is not, on one whose g depends on xdot and on only some of the
 variables, on a quadratic one whose g holds -0.0 coefficients from a
 negated sum, on a quadratic one whose g is nondegenerate only at its
-scene's ``degenerate`` tolerance, and on ``szabo-counterexample`` with a phi
-override, at ``options.seed`` 0 and 3.  Each run prints one line:
+scene's ``degenerate`` tolerance, on ``szabo-counterexample`` with a phi
+override and on a DSL scene with one sample in A and one outside it (tagged
+``partial-evaluation``), at ``options.seed`` 0 and 3.  Each run prints two
+lines:
 
     <scene> <subcommand> <seed> <exit code> <sha256 of report.json or ->
+    <scene> <subcommand> <seed> summary <sha256 of the printed summary>
+
+The summary is the run's standard output without its last line, ``report
+written to <path>``, whose path is a temporary directory's.
 
 Then, for every sample of the same scenes (a catalog entry's default
 samples), each public chain call -- ``metric`` (g and g^-1), ``spray``,
@@ -55,8 +62,8 @@ print
 
     <scene> L:<evaluation> <sample label> <sha256 of the coefficients' raw bytes>
 
-Two checkouts that print the same lines write byte-identical reports and
-return byte-identical arrays, so a refactoring can be checked against its
+Two checkouts that print the same lines write byte-identical reports,
+print the same summaries and return byte-identical arrays, so a refactoring can be checked against its
 parent by diffing the two outputs.
 The repository root defaults to the parent of this script's directory.
 """
@@ -201,6 +208,17 @@ PHI_OVERRIDE_SCENE = {
     "lagrangian": {"catalog": "szabo-counterexample", "overrides": {"phi": "2*x"}},
 }
 
+# A scene whose first sample is in A and whose second leaves float range,
+# so its sections are computed at one of two base points.
+PARTIAL_EVALUATION_SCENE = {
+    "chart": {"dim": 2},
+    "lagrangian": {"dsl": {"source": "dx0^2 - exp(x0)*dx1^2"}},
+    "samples": [
+        {"x": [0.1, 0], "xdot": [1, 0.3], "label": "near"},
+        {"x": [1e308, 0], "xdot": [1, 0.3], "label": "far"},
+    ],
+}
+
 # Offsets of the fixed witness block from a sample's direction.
 WITNESS_OFFSETS = 0.05 * np.array([[0.0, 1.0, -1.0, 0.5], [1.0, -0.5, 0.25, -1.0]])
 
@@ -210,7 +228,8 @@ def scene_documents(root: Path):
     dim-6 scene, the rejection scenes, the error scenes, the
     overflow-after-L, curvature-overflow, connection-overflow and
     witness-overflow scenes, the partial-support, negated-quadratic and
-    near-degenerate scenes, and the phi-override scene."""
+    near-degenerate scenes, the phi-override scene and the
+    partial-evaluation scene."""
     for path in sorted((root / "scenes").glob("*.json")):
         yield path.name, json.loads(path.read_text(encoding="utf-8"))
     for name in catalog.names():
@@ -226,19 +245,26 @@ def scene_documents(root: Path):
     yield "negated-quadratic", NEGATED_SCENE
     yield "near-degenerate", NEAR_DEGENERATE_SCENE
     yield "szabo-phi-2x", PHI_OVERRIDE_SCENE
+    yield "partial-evaluation", PARTIAL_EVALUATION_SCENE
 
 
-def digest(doc: dict, subcommand: str, workdir: Path) -> tuple[int, str]:
+def digest(doc: dict, subcommand: str, workdir: Path) -> tuple[int, str, str]:
+    """The exit code of one run and the SHA-256 of its report.json (or "-")
+    and of its summary."""
     scene_path = workdir / "scene.json"
     scene_path.write_text(json.dumps(doc), encoding="utf-8")
     out = workdir / "out"
     report = out / "report.json"
     if report.exists():
         report.unlink()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
         code = cli.main([subcommand, str(scene_path), "--out", str(out)])
     sha = hashlib.sha256(report.read_bytes()).hexdigest() if report.exists() else "-"
-    return code, sha
+    lines = stdout.getvalue().splitlines(keepends=True)
+    if lines and lines[-1].startswith("report written to "):
+        lines.pop()
+    return code, sha, hashlib.sha256("".join(lines).encode()).hexdigest()
 
 
 def _chain_calls(lag, sample):
@@ -332,8 +358,9 @@ def main(argv=None) -> int:
             for seed in SEEDS:
                 seeded = dict(doc, options={**doc.get("options", {}), "seed": seed})
                 for sub in SUBCOMMANDS:
-                    code, sha = digest(seeded, sub, workdir)
+                    code, sha, summary = digest(seeded, sub, workdir)
                     print(f"{name} {sub} {seed} {code} {sha}", flush=True)
+                    print(f"{name} {sub} {seed} summary {summary}", flush=True)
     for name, doc in scene_documents(root):
         scn = load_scene(doc)
         for label, sample in scn.samples:
