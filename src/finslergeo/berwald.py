@@ -205,8 +205,10 @@ def verdict_at(
 
 
 def _seed_context(lag: LagrangianDef, x: np.ndarray, seed_direction: np.ndarray) -> _Eval:
+    """The order-4 context of the seed direction, evaluated afresh
+    (`geometry.probe_context`); NoAdmissibleDirections outside A."""
     sample = TangentSample(x, seed_direction)
-    verdict, ev = geometry.probe_context(lag, sample, 4)
+    verdict, ev = geometry.probe_context(lag, sample)
     if not verdict.in_A:
         raise NoAdmissibleDirections(
             f"the seed direction at x={sample.x} is outside A ({verdict.failure_reason})"

@@ -128,9 +128,17 @@ def main(argv=None) -> int:
     except OSError as err:  # e.g. --out names a regular file or a path under one
         print(f"error: {err}", file=sys.stderr)
         return 1
-    for line in _summary_lines(report, scene.options, exit_code):
-        print(line)
-    print(f"report written to {out_path}")
+    try:
+        for line in _summary_lines(report, scene.options, exit_code):
+            print(line)
+        print(f"report written to {out_path}", flush=True)
+    except BrokenPipeError:
+        # the reader closed stdout early (`| head`); report.json is complete,
+        # so the run keeps its exit code, and what is left of stdout goes to
+        # the null device, so the flush at interpreter exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return exit_code
 
 

@@ -35,7 +35,7 @@ derivative of a jet that does not depend on xdot is its x-partials
 (`_Eval.delta_of`), the bits of the full computation.
 
 All operations are pure functions of (definition, sample).  The public
-readers of one sample share its evaluation context (`_context`).
+readers of one sample share its order-4 evaluation context (`_context`).
 """
 
 from __future__ import annotations
@@ -437,8 +437,11 @@ class _Eval:
 
     Jet validity bookkeeping (seeded order k): g has validity k-2, the spray
     k-2, N and Gamma k-3.  g's values need k=2, the values of N and Gamma
-    k=3 and the curvature k=4.  The public readers ask for k=2 (the probe
-    and `metric`) or k=4 (every other reader), see `_context`.  g is built
+    k=3 and the curvature k=4.  Every public reader reads a k=4 context
+    (`_context`); a lower k is a reference, as k=2 is for `spray_witness`.
+    Where the k=4 L is finite, a k=2 context has the bits of its L value,
+    g, eigenvalues and admissibility; where a higher coefficient of L leaves
+    float range, only the k=4 context sees it.  g is built
     only from a finite L (`g_jets`), so at a sample whose L is not, every
     reader of g raises DomainError("non-finite").  g counts as degenerate
     where an eigenvalue is within `tol_degenerate` of zero, relative to the
@@ -683,31 +686,31 @@ _last_context: Optional[tuple] = None
 def _context(
     lag: LagrangianDef,
     sample: TangentSample,
-    order: int,
     tol_degenerate: float = TOL_DEGENERATE,
+    fresh: bool = False,
 ) -> _Eval:
-    """The evaluation context of (lag, sample, order, tol_degenerate), which
-    every public reader of the chain gets from here: the context built last
-    when this request has its key, else a new one, kept in its place.  Two
-    orders are asked for: 2 by the probe and `metric`, 4 by every other
-    reader, which so reads the context a report is written from.
+    """The order-4 evaluation context of (lag, sample, tol_degenerate),
+    which every public reader of the chain gets from here: the context built
+    last when this request has its key and is not `fresh`, else a new one,
+    kept in its place.  Order 4 is the curvature's, so every reader, the
+    probe and `metric` among them, reads the one context a report is
+    written from, and one sample's public chain evaluates L once.
 
     The key is `lag` by identity, the bytes of `sample.x` and `sample.xdot`,
-    the order, the degenerate tolerance and a snapshot of `lag.params` (the
-    repr of each value, so -0.0 and 0.0 differ), all taken when the context
-    is built.  A request is served only at the order it was built for: a
-    higher order is not proven to give a lower one's bits.  The context holds its own copy of
-    the sample, so a caller who mutates theirs changes neither the context
-    nor the next key it matches.  A constructor that raises keeps nothing.
-    The slot is read and written whole, so callers in several threads can
-    at worst each build their own context."""
+    the degenerate tolerance and a snapshot of `lag.params` (the repr of
+    each value, so -0.0 and 0.0 differ), all taken when the context is
+    built.  The context holds its own copy of the sample, so a caller who
+    mutates theirs changes neither the context nor the next key it matches.
+    A constructor that raises keeps nothing.  The slot is read and written
+    whole, so callers in several threads can at worst each build their own
+    context."""
     global _last_context
     params = tuple((name, repr(value)) for name, value in lag.params.items())
-    key = (sample.x.tobytes(), sample.xdot.tobytes(), order, tol_degenerate, params)
+    key = (sample.x.tobytes(), sample.xdot.tobytes(), tol_degenerate, params)
     last = _last_context
-    if last is not None and last[0] is lag and last[1] == key:
+    if not fresh and last is not None and last[0] is lag and last[1] == key:
         return last[2]
-    ev = _Eval(lag, copy.deepcopy(sample), order, tol_degenerate)
+    ev = _Eval(lag, copy.deepcopy(sample), 4, tol_degenerate)
     _last_context = (lag, key, ev)
     return ev
 
@@ -722,8 +725,7 @@ def _field_jet(ev: _Eval, scalar_field: Callable[[Sequence[Jet]], Jet]) -> Jet:
 
 
 # The readers below get their context from `_context`, so successive calls at
-# one sample and order share it, and return arrays the caller owns.  Past
-# `metric` they read the order-4 context, so their arrays are the report's.
+# one sample share it, and return arrays the caller owns: the report's arrays.
 
 
 def metric(
@@ -732,30 +734,30 @@ def metric(
     tol_degenerate: float = TOL_DEGENERATE,
 ) -> MetricValue:
     """The L-metric (half the vertical Hessian) with inverse and signature,
-    from the sample's order-2 context; g and g^-1 are the caller's copies."""
-    value = _context(lag, sample, 2, tol_degenerate).metric()
+    from the sample's context; g and g^-1 are the caller's copies."""
+    value = _context(lag, sample, tol_degenerate).metric()
     return replace(value, g=value.g.copy(), g_inv=value.g_inv.copy())
 
 
 def spray(lag: LagrangianDef, sample: TangentSample) -> np.ndarray:
-    """G^a from the sample's order-4 context, as the caller's copy."""
-    return _context(lag, sample, 4).spray_values.copy()
+    """G^a from the sample's context, as the caller's copy."""
+    return _context(lag, sample).spray_values.copy()
 
 
 def nonlinear_connection(lag: LagrangianDef, sample: TangentSample) -> np.ndarray:
-    """N^a_b from the sample's order-4 context, as the caller's copy."""
-    return _context(lag, sample, 4).nonlinear_values.copy()
+    """N^a_b from the sample's context, as the caller's copy."""
+    return _context(lag, sample).nonlinear_values.copy()
 
 
 def chern_rund(lag: LagrangianDef, sample: TangentSample) -> np.ndarray:
-    """Gamma^a_bc from the sample's order-4 context, as the caller's copy."""
-    return _context(lag, sample, 4).gamma_values.copy()
+    """Gamma^a_bc from the sample's context, as the caller's copy."""
+    return _context(lag, sample).gamma_values.copy()
 
 
 def hh_curvature(lag: LagrangianDef, sample: TangentSample) -> CurvatureValue:
-    """The hh-curvature and its Ricci tensors from the sample's order-4
-    context, as the caller's copies."""
-    value = _context(lag, sample, 4).curvature
+    """The hh-curvature and its Ricci tensors from the sample's context, as
+    the caller's copies."""
+    value = _context(lag, sample).curvature
     return CurvatureValue(
         hh_riemann=value.hh_riemann.copy(),
         ricci=value.ricci.copy(),
@@ -769,8 +771,8 @@ def vertical_derivative(
     scalar_field: Callable[[Sequence[Jet]], Jet],
 ) -> np.ndarray:
     """ddot_a f, the fiber derivative of a jet-valued scalar field, in the
-    sample's order-4 context (see `_field_jet`)."""
-    ev = _context(lag, sample, 4)
+    sample's context (see `_field_jet`)."""
+    ev = _context(lag, sample)
     return first_derivatives(_field_jet(ev, scalar_field), range(ev.n, 2 * ev.n))
 
 
@@ -788,28 +790,27 @@ def commutator_check(
     scalar_field: Callable[[Sequence[Jet]], Jet],
 ) -> float:
     """Residual of [delta_a, delta_b] f = R^c_{dab} xdot^d ddot_c f in the
-    sample's order-4 context (see `_field_jet`)."""
-    ev = _context(lag, sample, 4)
+    sample's context (see `_field_jet`)."""
+    ev = _context(lag, sample)
     return ev.commutator_residual(_field_jet(ev, scalar_field))
 
 
 def probe_context(
     lag: LagrangianDef,
     sample: TangentSample,
-    order: int,
     convention: str = "+---",
     tol_degenerate: float = TOL_DEGENERATE,
     tol_null: float = TOL_NULL,
 ) -> tuple[AdmissibilityVerdict, Optional[_Eval]]:
-    """Admissibility of the sample and the evaluation context, seeded at
-    `order`, that decided it; the context is None when L cannot be evaluated
-    (it leaves a function's domain, or a family's alpha is identically zero).
-    The context is `_context`'s, shared with later calls of the same key, so
-    its readers' arrays are read, never mutated."""
+    """Admissibility of the sample and the evaluation context that decided
+    it; the context is None when L cannot be evaluated (it leaves a
+    function's domain, or a family's alpha is identically zero).  The sample
+    is evaluated afresh, and its context left in `_context`'s slot for the
+    readers called after it, so its arrays are read, never mutated."""
     if convention not in ("+---", "-+++"):
         raise ValueError(f"unknown signature convention {convention!r}")
     try:
-        ev = _context(lag, sample, order, tol_degenerate)
+        ev = _context(lag, sample, tol_degenerate, fresh=True)
     except (DomainError, ExprDomainError) as err:
         reason = getattr(err, "reason", None) or str(err)
         return _outside_A(reason), None
@@ -847,12 +848,13 @@ def spray_witness(
 
     L is evaluated once, to order 2, over the whole block: the x-jets are
     scalar, so every x-only subexpression is evaluated once, and the
-    xdot-jets are stacks.  Row by row, the mask equals the `in_A` of
-    ``probe_context(lag, TangentSample(x, d), 2, tol_degenerate=tol_degenerate)``
-    and the spray equals its context's `spray_values`, bit for bit: both
-    are read from L's coefficients with the float operations of `_Eval`, in
-    its order (each validity-0 jet product is the 0.0 + a * b of
-    `np.bincount`; `eigvalsh` and `inv` run on the stacked matrices).  A row outside A, including one
+    xdot-jets are stacks.  Row by row, the mask equals the `in_A` of the
+    admissibility of an order-2 ``_Eval(lag, TangentSample(x, d), 2,
+    tol_degenerate)`` (False where that constructor raises) and the spray
+    equals its `spray_values`, bit for bit: both are read from L's
+    coefficients with the float operations of `_Eval`, in its order (each
+    validity-0 jet product is the 0.0 + a * b of `np.bincount`; `eigvalsh`
+    and `inv` run on the stacked matrices).  A row outside A, including one
     whose L left a function's domain, has a spray of NaN; a row inside A can
     have a spray out of float range, which its reader checks.
     """
@@ -904,8 +906,9 @@ def probe_admissibility(
     tol_degenerate: float = TOL_DEGENERATE,
     tol_null: float = TOL_NULL,
 ) -> AdmissibilityVerdict:
-    """Membership in the sets A (smooth, nondegenerate), N (null), A0, T."""
-    return probe_context(lag, sample, 2, convention, tol_degenerate, tol_null)[0]
+    """Membership in the sets A (smooth, nondegenerate), N (null), A0, T of
+    the sample, evaluated afresh (`probe_context`)."""
+    return probe_context(lag, sample, convention, tol_degenerate, tol_null)[0]
 
 
 @dataclass(frozen=True, eq=False)

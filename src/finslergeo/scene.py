@@ -227,6 +227,22 @@ def _parse_expr(src, dim, pointer, params=(), aliases=None):
         raise SceneError(pointer, str(err)) from err
 
 
+def _expr_matrix(rows: list, dim, pointer, params, aliases) -> tuple:
+    """A dim x dim matrix of expressions, read from `rows` row by row: the
+    row's shape, then each entry at its own pointer."""
+    _expect(len(rows) == dim, pointer, f"expected {dim} rows")
+    matrix = []
+    for i, row in enumerate(rows):
+        _expect(
+            isinstance(row, list) and len(row) == dim, f"{pointer}/{i}", f"expected {dim} entries"
+        )
+        matrix.append(tuple(
+            _parse_expr(src, dim, f"{pointer}/{i}/{j}", params, aliases)
+            for j, src in enumerate(row)
+        ))
+    return tuple(matrix)
+
+
 # -- scene loading ----------------------------------------------------------------
 
 
@@ -297,21 +313,10 @@ def load_scene(obj: Mapping) -> Scene:
         fam = _get(lag_obj, "family", "/lagrangian", dict)
         params = _get(fam, "params", "/lagrangian/family", dict, required=False, default={})
         pnames = set(params)
-        alpha_rows = _get(fam, "alpha", "/lagrangian/family", list)
-        _expect(len(alpha_rows) == dim, "/lagrangian/family/alpha", f"expected {dim} rows")
-        alpha = []
-        for i, row in enumerate(alpha_rows):
-            _expect(
-                isinstance(row, list) and len(row) == dim,
-                f"/lagrangian/family/alpha/{i}",
-                f"expected {dim} entries",
-            )
-            alpha.append(
-                tuple(
-                    _parse_expr(src, dim, f"/lagrangian/family/alpha/{i}/{j}", pnames, aliases)
-                    for j, src in enumerate(row)
-                )
-            )
+        alpha = _expr_matrix(
+            _get(fam, "alpha", "/lagrangian/family", list),
+            dim, "/lagrangian/family/alpha", pnames, aliases,
+        )
         beta_row = _get(fam, "beta", "/lagrangian/family", list)
         _expect(len(beta_row) == dim, "/lagrangian/family/beta", f"expected {dim} entries")
         beta = tuple(
@@ -331,7 +336,7 @@ def load_scene(obj: Mapping) -> Scene:
         values = _numbers(params, "/lagrangian/family/params")
         try:
             lag = FamilyInstance(
-                dim, tuple(alpha), beta, c=c, m=m, p=p, h_expr=h_ast, params=values
+                dim, alpha, beta, c=c, m=m, p=p, h_expr=h_ast, params=values
             )
         except ValueError as err:
             raise SceneError("/lagrangian/family", str(err)) from err
@@ -371,27 +376,10 @@ def load_scene(obj: Mapping) -> Scene:
     opts_obj = _get(obj, "options", "", dict, required=False, default={})
     values = _read_options(opts_obj, "/options", {})
     ref = _get(opts_obj, "reference_metric", "/options", list, required=False)
-    ref_exprs = None
-    ref_src = None
+    ref_exprs = ref_src = None
     if ref is not None:
-        _expect(len(ref) == dim, "/options/reference_metric", f"expected {dim} rows")
-        rows = []
-        src_rows = []
-        for i, row in enumerate(ref):
-            _expect(
-                isinstance(row, list) and len(row) == dim,
-                f"/options/reference_metric/{i}",
-                f"expected {dim} entries",
-            )
-            rows.append(
-                tuple(
-                    _parse_expr(s, dim, f"/options/reference_metric/{i}/{j}", (), aliases)
-                    for j, s in enumerate(row)
-                )
-            )
-            src_rows.append(tuple(str(s) for s in row))
-        ref_exprs = tuple(rows)
-        ref_src = tuple(src_rows)
+        ref_exprs = _expr_matrix(ref, dim, "/options/reference_metric", (), aliases)
+        ref_src = tuple(tuple(row) for row in ref)  # each entry a string, as parsed
 
     options = SceneOptions(**values, reference_metric=ref_exprs, reference_metric_src=ref_src)
     return Scene(
@@ -689,14 +677,14 @@ def _base_point(
     scene: Scene, idx: int, label: str, sample: TangentSample, sections: tuple
 ) -> dict:
     """Every per-point entry of the requested sections at one base point,
-    read from one chain evaluation (order 4 when a Berwald verdict is needed,
-    else 2) and, for a family, one closed-form evaluation."""
+    read from one order-4 chain evaluation and, for a family, one
+    closed-form evaluation.  The order is the same for every subcommand, so
+    each writes a sample's admissibility and metric alike."""
     opts = scene.options
     lag = scene.lagrangian
     verdict, ev = geometry.probe_context(
         lag,
         sample,
-        4 if "berwald" in sections else 2,
         convention=opts.signature_convention,
         tol_degenerate=opts.tol_degenerate,
         tol_null=opts.tol_null,

@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from finslergeo import berwald, catalog, cli, expr, geometry, jets
 from finslergeo.defs import DslLagrangian, TangentSample, fiber_aliases
+from finslergeo.expr import ExprDomainError
 from finslergeo.geometry import DegenerateMetric, _Eval
 from finslergeo.jets import DomainError, Jet, jet_space
 from finslergeo.scene import load_scene
@@ -991,8 +992,8 @@ def _counting_orders(monkeypatch) -> list:
 @pytest.mark.parametrize("lag, sample", _CATALOG_SAMPLES[::3])
 def test_a_context_serves_only_its_own_order(lag, sample, monkeypatch):
     orders = _counting_orders(monkeypatch)
-    # after hh_curvature, every reader past g reads its order-4 context
-    for call in ("spray", "nonlinear_connection", "chern_rund", "vertical_derivative"):
+    # after hh_curvature, every reader reads its order-4 context, metric too
+    for call in ("metric", "spray", "nonlinear_connection", "chern_rund", "vertical_derivative"):
         geometry._last_context = None
         _CALLS["hh_curvature"](lag, sample)
         thunk = lambda: _CALLS[call](lag, sample)  # noqa: E731
@@ -1000,14 +1001,14 @@ def test_a_context_serves_only_its_own_order(lag, sample, monkeypatch):
         shared = _outcome_of(thunk)
         assert orders == [], call
         assert shared == _fresh(thunk), call
-    # and the probe and metric still give a fresh order-2 context's bytes
-    for call in ("probe_admissibility", "metric"):
-        geometry._last_context = None
-        _CALLS["hh_curvature"](lag, sample)
-        thunk = lambda: _CALLS[call](lag, sample)  # noqa: E731
-        orders.clear()
-        assert _outcome_of(thunk) == _fresh(thunk), call
-        assert orders == [2, 2], call
+    # and the probe evaluates its sample afresh, at order 4, with a fresh
+    # context's bytes
+    geometry._last_context = None
+    _CALLS["hh_curvature"](lag, sample)
+    thunk = lambda: _CALLS["probe_admissibility"](lag, sample)  # noqa: E731
+    orders.clear()
+    assert _outcome_of(thunk) == _fresh(thunk)
+    assert orders == [4, 4]
 
 
 def test_successive_calls_at_one_sample_build_one_context_per_order(monkeypatch):
@@ -1021,19 +1022,63 @@ def test_successive_calls_at_one_sample_build_one_context_per_order(monkeypatch)
 
     monkeypatch.setattr(geometry, "eval_L_jets", counting_L)
     geometry._last_context = None
-    # the public chain of one sample; the commutator reads the context's own
-    # ln sqrt|det g| and evaluates no L of its own
+    # the public chain of one sample reads one order-4 context, built by the
+    # probe; the commutator reads the context's own ln sqrt|det g| and
+    # evaluates no L of its own
     assert geometry.probe_admissibility(lag, sample).in_A
     geometry.metric(lag, sample)
     geometry.chern_rund(lag, sample)
     geometry.nonlinear_connection(lag, sample)
     geometry.hh_curvature(lag, sample)
     geometry.commutator_check(lag, sample, _field(lag))
-    assert orders == [2, 4]
-    assert len(scalar_L) == 2
+    assert orders == [4]
+    assert len(scalar_L) == 1
     # an equal sample of another object is the same key
     geometry.hh_curvature(lag, TangentSample(sample.x.copy(), sample.xdot.copy()))
-    assert orders == [2, 4]
+    assert orders == [4]
+
+
+def _order_samples(digest_scenes):
+    """(lag, sample, degenerate tolerance) of every catalog default sample,
+    of five seeded perturbations of each, and of every digest scene's
+    samples."""
+    rng = np.random.default_rng(24)
+    for lag, s in _CATALOG_SAMPLES:
+        yield lag, s, geometry.TOL_DEGENERATE
+        for _ in range(5):
+            x = s.x + 0.05 * max(1.0, np.max(np.abs(s.x))) * rng.uniform(-1, 1, s.dim)
+            v = s.xdot + 0.05 * np.max(np.abs(s.xdot)) * rng.uniform(-1, 1, s.dim)
+            yield lag, TangentSample(x, v), geometry.TOL_DEGENERATE
+    for _, doc in digest_scenes:
+        scn = load_scene(doc)
+        for _, s in scn.samples:
+            yield scn.lagrangian, s, scn.options.tol_degenerate
+
+
+def test_order_2_and_order_4_contexts_agree_where_the_order_4_L_is_finite(digest_scenes):
+    # every reader reads an order-4 context; an order-2 one, the reference
+    # of the spray witness, gives the same probe and g bits wherever the
+    # order-4 L is finite
+    compared = skipped = 0
+    for lag, sample, tol in _order_samples(digest_scenes):
+        try:
+            with np.errstate(all="ignore"):
+                ev4 = _Eval(lag, sample, 4, tol)
+        except (DomainError, ExprDomainError, DegenerateMetric):
+            ev4 = None
+        if ev4 is None or not np.isfinite(ev4.L.coeffs).all():
+            skipped += 1
+            continue
+        ev2 = _Eval(lag, sample, 2, tol)
+        assert _raw(ev2.L.value) == _raw(ev4.L.value)
+        for reader in ("g_values", "eigenvalues"):
+            assert _outcome_of(lambda: getattr(ev2, reader)) == _outcome_of(
+                lambda: getattr(ev4, reader)
+            ), reader
+        for convention in ("+---", "-+++"):
+            assert _raw(ev2.admissibility(convention)) == _raw(ev4.admissibility(convention))
+        compared += 1
+    assert compared > 100 and skipped > 0
 
 
 def _arrays(value):

@@ -14,6 +14,7 @@ import pytest
 from finslergeo import __version__, alphabeta, catalog, cli, geometry
 from finslergeo.scene import (
     OPTIONS,
+    SUBCOMMANDS,
     SceneError,
     load_scene,
     load_scene_file,
@@ -92,6 +93,37 @@ def test_bad_expression_pointer():
     with pytest.raises(SceneError) as err:
         load_scene(doc)
     assert err.value.pointer == "/lagrangian/family/alpha/1/1"
+
+
+@pytest.mark.parametrize("rows, at, message", [
+    ([["1", "0"]], "", "expected 2 rows"),
+    ([["1", "0"], ["0"]], "/1", "expected 2 entries"),
+    ([["1", "0"], "0"], "/1", "expected 2 entries"),
+    ([["1", "0"], ["0", 1]], "/1/1", "expected an expression string"),
+    ([["1", "0"], ["0", "nope"]], "/1/1", None),
+])
+def test_expression_matrices_are_read_alike(rows, at, message):
+    # a family's alpha and a reference metric: the same errors at the same
+    # places under their own pointers
+    doc = {
+        "chart": {"dim": 2},
+        "lagrangian": {"family": {"alpha": [["1", "0"], ["0", "-1"]], "beta": ["1", "0"],
+                                  "c": 1, "m": 0, "p": 2}},
+        "samples": [{"x": [0, 0], "xdot": [1, 0.1]}],
+    }
+    errors = []
+    for pointer in ("/lagrangian/family/alpha", "/options/reference_metric"):
+        bad = json.loads(json.dumps(doc))
+        if pointer == "/lagrangian/family/alpha":
+            bad["lagrangian"]["family"]["alpha"] = rows
+        else:
+            bad["options"] = {"reference_metric": rows}
+        with pytest.raises(SceneError) as err:
+            load_scene(bad)
+        assert err.value.pointer == pointer + at
+        errors.append(str(err.value).replace(pointer, ""))
+    assert errors[0] == errors[1]
+    assert message is None or errors[0].endswith(message)
 
 
 def test_two_lagrangian_kinds_rejected():
@@ -425,6 +457,30 @@ def test_report_builds_one_order_4_context_per_base_point(monkeypatch):
     in_A = sum(s["admissibility"]["in_A"] for s in report["samples"])
     assert in_A == len(scn.samples) == 2
     assert orders == [4] * in_A
+
+
+def test_every_subcommand_writes_one_admissibility_and_metric_per_sample(
+    digest_scenes, tmp_path, capsys
+):
+    # every subcommand reads one order-4 evaluation per sample, so which one
+    # ran does not change a sample's admissibility or metric
+    for name, doc in digest_scenes:
+        scene = _write_scene(tmp_path, doc)
+        written = {}
+        for sub in SUBCOMMANDS:
+            out = tmp_path / f"out-{sub}"
+            report = out / "report.json"
+            if report.exists():
+                report.unlink()
+            cli.main([sub, str(scene), "--out", str(out)])
+            if report.exists():  # a subcommand that cannot run writes none
+                samples = json.loads(report.read_text(encoding="utf-8"))["samples"]
+                written[sub] = json.dumps(
+                    [(s["label"], s["admissibility"], s.get("metric")) for s in samples]
+                )
+        capsys.readouterr()
+        assert {"probe", "report"} <= set(written), name
+        assert len(set(written.values())) == 1, (name, written)
 
 
 def test_report_evaluates_L_once_per_base_point(monkeypatch):
@@ -1149,6 +1205,32 @@ def test_python_dash_m_runs_the_cli():
     )
     assert done.returncode == 0
     assert done.stdout.strip() == f"finslergeo {__version__}"
+
+
+@pytest.mark.parametrize("scene, code", [("minkowski.json", 0), ("szabo.json", 2)])
+def test_a_closed_stdout_keeps_the_exit_code_and_prints_no_traceback(tmp_path, scene, code):
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    )}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "finslergeo", "report", str(REPO / "scenes" / scene),
+         "--out", str(tmp_path)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()  # before the run writes its first line
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == code
+    assert stderr == b""
+    assert json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))["samples"]
+
+
+def test_a_run_without_stdout_keeps_the_exit_code(tmp_path, monkeypatch):
+    # a process started with its stdout closed has sys.stdout None
+    monkeypatch.setattr(sys, "stdout", None)
+    assert cli.main(["report", str(REPO / "scenes" / "szabo.json"), "--out", str(tmp_path)]) == 2
+    assert (tmp_path / "report.json").exists()
 
 
 def test_cli_out_env_var(tmp_path, monkeypatch):

@@ -240,7 +240,7 @@ def test_out_of_range_L_keeps_its_tag_and_detail(source, reason):
     sample = TangentSample([1.0, 0.0], [1.0, 0.2])
     coords = seed([1.0, 0.0, 1.0, 0.2], range(4), 4)
     with np.errstate(all="ignore"):
-        verdict, _ = geometry.probe_context(lag, sample, 4)
+        verdict, _ = geometry.probe_context(lag, sample)
         try:
             reference = full_space_L(lag, coords)
         except ExprDomainError as err:

@@ -18,9 +18,10 @@ direction is not, on one whose g depends on xdot and on only some of the
 variables, on a quadratic one whose g holds -0.0 coefficients from a
 negated sum, on a quadratic one whose g is nondegenerate only at its
 scene's ``degenerate`` tolerance, on ``szabo-counterexample`` with a phi
-override and on a DSL scene with one sample in A and one outside it (tagged
-``partial-evaluation``), at ``options.seed`` 0 and 3.  Each run prints two
-lines:
+override, on a DSL scene with one sample in A and one outside it (tagged
+``partial-evaluation``) and on one whose L is finite to order 2 but not to
+order 4 (tagged ``order4-overflow``), at ``options.seed`` 0 and 3.  Each run
+prints two lines:
 
     <scene> <subcommand> <seed> <exit code> <sha256 of report.json or ->
     <scene> <subcommand> <seed> summary <sha256 of the printed summary>
@@ -36,18 +37,18 @@ samples), each public chain call -- ``metric`` (g and g^-1), ``spray``,
     <scene> chain:<call> <sample label> <sha256 of the result's raw bytes>
 
 or the name of the exception class it raised in place of the digest.
-``metric`` reads the sample's order-2 context and every other call its
-order-4 context, the one its report is written from, so the arrays of
-``spray``, ``nonlinear_connection``, ``chern_rund`` and ``hh_curvature`` are
-the report's.  Then the same calls run again in the reverse order, each
+Every call reads the sample's order-4 context, the one every subcommand's
+report is written from, so the arrays of ``metric``, ``spray``,
+``nonlinear_connection``, ``chern_rund`` and ``hh_curvature`` are the
+report's.  Then the same calls run again in the reverse order, each
 printing
 
     <scene> chain-rev:<call> <sample label> <digest>
 
-Successive calls at one sample and order share one evaluation context, and
-the two passes build each context through a different call and read it
-through the others in the other order, so the two digests of a call must
-be equal.  For every sample of a scene with a family Lagrangian (the family
+Successive calls at one sample share one evaluation context.  Each pass
+starts with no context kept, so the two passes build it through a
+different call and read it through the others in the other order, and the
+two digests of a call must be equal.  For every sample of a scene with a family Lagrangian (the family
 catalog entries with their default samples among them), each
 `alphabeta.FamilyEval` reader -- ``christoffel_jets`` (values and
 x-derivatives), ``fit``, ``h_gradient``, ``connection()`` and ``ricci`` --
@@ -219,6 +220,15 @@ PARTIAL_EVALUATION_SCENE = {
     ],
 }
 
+# A scene whose order-2 L (about 8.9e300) and g stay in float range while
+# the products that build its higher coefficients do not: every subcommand
+# reads the order-4 evaluation, so each finds the sample outside A.
+ORDER4_OVERFLOW_SCENE = {
+    "chart": {"dim": 2},
+    "lagrangian": {"dsl": {"source": "exp(700*x0)*(dx0^2 - dx1^2)"}},
+    "samples": [{"x": [0.99, 0.0], "xdot": [1.0, 0.2], "label": "p0"}],
+}
+
 # Offsets of the fixed witness block from a sample's direction.
 WITNESS_OFFSETS = 0.05 * np.array([[0.0, 1.0, -1.0, 0.5], [1.0, -0.5, 0.25, -1.0]])
 
@@ -228,8 +238,8 @@ def scene_documents(root: Path):
     dim-6 scene, the rejection scenes, the error scenes, the
     overflow-after-L, curvature-overflow, connection-overflow and
     witness-overflow scenes, the partial-support, negated-quadratic and
-    near-degenerate scenes, the phi-override scene and the
-    partial-evaluation scene."""
+    near-degenerate scenes, the phi-override scene, the partial-evaluation
+    scene and the order4-overflow scene."""
     for path in sorted((root / "scenes").glob("*.json")):
         yield path.name, json.loads(path.read_text(encoding="utf-8"))
     for name in catalog.names():
@@ -246,6 +256,7 @@ def scene_documents(root: Path):
     yield "near-degenerate", NEAR_DEGENERATE_SCENE
     yield "szabo-phi-2x", PHI_OVERRIDE_SCENE
     yield "partial-evaluation", PARTIAL_EVALUATION_SCENE
+    yield "order4-overflow", ORDER4_OVERFLOW_SCENE
 
 
 def digest(doc: dict, subcommand: str, workdir: Path) -> tuple[int, str, str]:
@@ -365,8 +376,10 @@ def main(argv=None) -> int:
         scn = load_scene(doc)
         for label, sample in scn.samples:
             calls = _chain_calls(scn.lagrangian, sample)
+            geometry._last_context = None
             for call, thunk in calls:
                 print(f"{name} chain:{call} {label} {chain_digest(thunk)}", flush=True)
+            geometry._last_context = None
             for call, thunk in reversed(calls):
                 print(f"{name} chain-rev:{call} {label} {chain_digest(thunk)}", flush=True)
             for call, thunk in _L_calls(scn.lagrangian, sample):
