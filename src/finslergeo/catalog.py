@@ -5,14 +5,16 @@ beta) family entry (`_family_entry`): its sources, its default tangent
 samples, the parameters an override may replace (with their defaults) and an
 expected-values block that the regression suite reproduces through the full
 pipeline.  Overrides are read by one checked reader (`_parameters`), and
-every default sample is verified admissible when the entry is instantiated.
-`szabo-counterexample` builds its alpha and H from the override phi and
-searches for its default directions.
+every default sample is verified admissible when the entry is instantiated,
+by one block evaluation of them that the entry keeps (`evaluation`), so a
+report on them evaluates each once.  `szabo-counterexample` builds its alpha
+and H from the override phi and searches for its default directions, whose
+last block of candidates is that evaluation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Optional
 
 import numpy as np
@@ -47,6 +49,8 @@ class CatalogEntry:
     default_samples: tuple[TangentSample, ...]
     expected: Optional[Mapping] = None
     description: str = ""
+    # the order-4 block evaluation of the default samples that checked them
+    evaluation: Optional[geometry._Eval] = field(default=None, compare=False, repr=False)
 
 
 def _parameters(name: str, overrides: Mapping, defaults: Mapping) -> dict:
@@ -72,7 +76,7 @@ def _parameters(name: str, overrides: Mapping, defaults: Mapping) -> dict:
     return values
 
 
-def _entry(name, lag, aliases, samples, expected, description) -> CatalogEntry:
+def _entry(name, lag, aliases, samples, expected, description, evaluation=None) -> CatalogEntry:
     return CatalogEntry(
         name=name,
         lagrangian=lag,
@@ -81,6 +85,7 @@ def _entry(name, lag, aliases, samples, expected, description) -> CatalogEntry:
         default_samples=tuple(TangentSample(x, xdot) for x, xdot in samples),
         expected=dict(expected),
         description=description,
+        evaluation=evaluation,
     )
 
 
@@ -138,32 +143,58 @@ _LIGHTCONE_ALIASES = {"u": 0, "v": 1, "x": 2, "y": 3}
 
 
 def _check_samples(entry: CatalogEntry) -> CatalogEntry:
-    for i, s in enumerate(entry.default_samples):
-        verdict = geometry.probe_admissibility(entry.lagrangian, s)
+    """The entry with the block evaluation of its default samples, its own
+    if it has one, once each is verified admissible."""
+    evaluation, probes = geometry.probe_block(
+        entry.lagrangian, entry.default_samples, evaluation=entry.evaluation
+    )
+    for i, (verdict, _) in enumerate(probes):
         if not verdict.in_A:
             raise ValueError(
                 f"catalog entry {entry.name!r}: default sample {i} is not "
                 f"admissible ({verdict.failure_reason})"
             )
-    return entry
+    return replace(entry, evaluation=evaluation)
 
 
-def _find_admissible_direction(inst: FamilyInstance, x: np.ndarray) -> np.ndarray:
-    """Deterministic search from (1, 1, 0.1, 0.1): scale the v-component up
-    until beta(xdot) > 0, zeta(xdot, xdot) > 0 and the sample is admissible."""
-    base = np.array([1.0, 1.0, 0.1, 0.1])
+def _candidates(inst: FamilyInstance, x: np.ndarray):
+    """The directions the search at x tries, in order: (1, 1, 0.1, 0.1)
+    with its v-component doubled up to 59 times, where beta(xdot) > 0 and
+    zeta(xdot, xdot) > 0."""
     fam = alphabeta.FamilyEval(inst, x)
     alpha, beta = fam.alpha, fam.beta
-    cand = base.copy()
+    cand = np.array([1.0, 1.0, 0.1, 0.1])
     for _ in range(60):
         bval = float(beta @ cand)
         zeta = inst.c * float(cand @ alpha @ cand) + inst.m * bval**2
         if bval > 0.0 and zeta > 0.0:
-            if geometry.probe_admissibility(inst, TangentSample(x, cand)).in_A:
-                return cand
+            yield cand
         cand = cand.copy()
         cand[1] *= 2.0
-    raise ValueError(f"no admissible direction found at x={x}")
+
+
+def _admissible_directions(inst: FamilyInstance, base_points) -> tuple[list, geometry._Eval]:
+    """At each base point the first of its candidates (`_candidates`) that
+    is admissible, and the block evaluation of those directions.  Each round
+    evaluates the current candidate of every base point in one block, and
+    moves on where it is not admissible."""
+    searches = [_candidates(inst, x) for x in base_points]
+    current = [next(search, None) for search in searches]
+    evaluation = None
+    while any(d is not None for d in current):
+        pending = [i for i, d in enumerate(current) if d is not None]
+        evaluation, probes = geometry.probe_block(
+            inst, [TangentSample(base_points[i], current[i]) for i in pending]
+        )
+        rejected = [i for i, (verdict, _) in zip(pending, probes) if not verdict.in_A]
+        if not rejected:
+            break
+        for i in rejected:
+            current[i] = next(searches[i], None)
+    for x, d in zip(base_points, current):
+        if d is None:
+            raise ValueError(f"no admissible direction found at x={x}")
+    return current, evaluation
 
 
 def _szabo_counterexample(name: str, overrides: Mapping) -> CatalogEntry:
@@ -196,7 +227,7 @@ def _szabo_counterexample(name: str, overrides: Mapping) -> CatalogEntry:
     )
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # a phi out of range raises below
-            samples = [(x, _find_admissible_direction(inst, x)) for x in base_points]
+            directions, evaluation = _admissible_directions(inst, base_points)
     except (exprmod.ExprDomainError, geometry.DegenerateMetric) as err:
         raise InvalidOverride(
             f"override 'phi': {phi!r} cannot be evaluated at the entry's base points ({err})",
@@ -208,7 +239,8 @@ def _szabo_counterexample(name: str, overrides: Mapping) -> CatalogEntry:
         "abs_H_formula": "abs(phi)/abs(2c(p-1))",
     }
     description = "plane-wave family member with non-symmetric Ricci tensor"
-    return _entry(name, inst, aliases, samples, expected, description)
+    samples = list(zip(base_points, directions))
+    return _entry(name, inst, aliases, samples, expected, description, evaluation)
 
 
 _FLAT_BERWALD = {"is_berwald": True, "flat": True, "skew_max": 0.0}

@@ -20,12 +20,13 @@ symbolic differentiation is needed anywhere.
 
 Each tensor of jets from g on is a stack: one `Jet` whose coefficient row
 r holds the tensor's component r in row-major order (g and N have n^2
-rows, Gamma n^3).  A stage is a few operations on stacks.  A contraction
-sum_k A[..k] B[k..] is one stacked product per contraction index k, both
-operands gathered by row-index arrays (`contract`), accumulated as
+rows, Gamma n^3), and at a block of samples the rows (component, sample)
+(`_Eval`).  A stage is a few operations on stacks.  A contraction
+sum_k A[..k] B[k..] is one stacked product over the rows (k, result row),
+both operands gathered by row-index arrays (`contract`), summed as
 ``acc = acc + term`` in k order: the order of the loop that would sum one
-component at a time, so every row is that loop's jet bit for bit, and no
-temporary has more rows than the result.  The values and first
+component at a time, so every row is that loop's jet bit for bit.  The
+product's temporaries hold k times the result's rows.  The values and first
 derivatives of a stack are columns of its coefficient array.  The inversion
 of g, ln sqrt|det g| and the Koszul contraction run over the variables g
 depends on, as every product runs over its operands' supports (see
@@ -35,7 +36,9 @@ derivative of a jet that does not depend on xdot is its x-partials
 (`_Eval.delta_of`), the bits of the full computation.
 
 All operations are pure functions of (definition, sample).  The public
-readers of one sample share its order-4 evaluation context (`_context`).
+readers of one sample share its order-4 evaluation context (`_context`); a
+report reads every sample of a scene from one block evaluation
+(`probe_block`), whose rows are bit for bit those contexts.
 """
 
 from __future__ import annotations
@@ -134,24 +137,39 @@ def stack_jets(jets) -> Jet:
     return Jet(space, np.array([j.coeffs[:width] for j in flat]), order)
 
 
-def take_rows(s: Jet, index) -> Jet:
-    """The stack of the rows `index` of the stack s, with s's support."""
-    return Jet(s.space, s.coeffs[index], s.order, s.support)
+def take_rows(s: Jet, index, order: Optional[int] = None) -> Jet:
+    """The stack of the rows `index` of the stack s, with s's support, cut
+    to validity `order` (s's by default): a product of validity `order`
+    reads no coefficient past it."""
+    if order is None or order == s.order:
+        return Jet(s.space, s.coeffs[index], s.order, s.support)
+    return Jet(s.space, s.coeffs[index, : s.space.ncoeff_upto[order]], order, s.support)
 
 
 def contract(a: Jet, b: Jet, ia: np.ndarray, ib: np.ndarray) -> Jet:
-    """Row r is sum_k a[ia[r, k]] * b[ib[r, k]]: one stacked product per k,
-    accumulated as ``acc = acc + term`` in k order, which is the scalar
+    """Row r is sum_k a[ia[r, k]] * b[ib[r, k]]: one stacked product over
+    the rows (k, r), each operand gathered at the product's validity,
+    summed over k in order as ``acc = acc + term``, which is the scalar
     loop's order, so every row is that loop's jet bit for bit."""
-    acc = take_rows(a, ia[:, 0]) * take_rows(b, ib[:, 0])
-    for k in range(1, ia.shape[1]):
-        acc = acc + take_rows(a, ia[:, k]) * take_rows(b, ib[:, k])
-    return acc
+    order = min(a.order, b.order)
+    terms = take_rows(a, ia.T.ravel(), order) * take_rows(b, ib.T.ravel(), order)
+    return _sum_over(terms, ia.shape[1])
 
 
-def matvec(A: Jet, v: Jet) -> Jet:
-    """y[i] = sum_k A[i, k] v[k] of a stacked n x n matrix and n-vector."""
-    ia, ib = _indices(len(v.coeffs))["matvec"]
+def _sum_over(terms: Jet, k: int) -> Jet:
+    """The stack of `terms`, whose rows are (k, rest), summed over k in
+    order as ``acc = acc + term``."""
+    t = terms.coeffs.reshape(k, -1, terms.coeffs.shape[-1])
+    acc = t[0]
+    for i in range(1, k):
+        acc = acc + t[i]
+    return Jet(terms.space, acc, terms.order, terms._support)
+
+
+def matvec(A: Jet, v: Jet, samples: int = 1) -> Jet:
+    """y[i] = sum_k A[i, k] v[k] of a stacked n x n matrix and n-vector, at
+    each of `samples` samples (rows (component, sample))."""
+    ia, ib = _indices(len(v.coeffs) // samples, samples)["matvec"]
     return contract(A, v, ia, ib)
 
 
@@ -205,19 +223,40 @@ def first_derivatives(jets: Jet, variables, shape=()) -> np.ndarray:
     if jets.order < 1:
         raise ValueError("an order-0 jet has no first derivatives")
     cols = [jets.space.first_index[var] for var in variables]
-    return np.moveaxis(jets.coeffs[..., cols], -1, 0).reshape((len(cols),) + tuple(shape))
+    # a jet's coefficients are one row or a stack of rows: .T moves the
+    # variables first
+    return jets.coeffs[..., cols].T.reshape((len(cols),) + tuple(shape))
 
 
-@lru_cache(maxsize=None)
-def _indices(n: int) -> dict:
-    """Row-index arrays of the stacked contractions of n-dimensional tensors;
-    a contraction's pair of arrays is indexed [result row, k]."""
+def _lift(index: np.ndarray, samples: int) -> np.ndarray:
+    """Row indices into a stack of `samples` samples, rows (component,
+    sample), of the component indices `index` (1-D, or [result, k] for a
+    contraction): component r becomes the rows r * samples + s, the sample
+    axis right after the first."""
+    if samples == 1:
+        return index
+    s = np.arange(samples).reshape((1, samples) + (1,) * (index.ndim - 1))
+    return (index[:, None] * samples + s).reshape((-1,) + index.shape[1:])
+
+
+@lru_cache(maxsize=128)
+def _indices(n: int, samples: int = 1) -> dict:
+    """Row-index arrays of the stacked operations on n-dimensional tensors
+    at `samples` samples, whose stacks hold rows (component, sample); a
+    contraction's pair of arrays is indexed [result row, k]."""
+    if samples > 1:
+        return {
+            name: tuple(_lift(i, samples) for i in rows) if isinstance(rows, tuple)
+            else _lift(rows, samples)
+            for name, rows in _indices(n).items()
+        }
     rows = np.arange(n * n).reshape(n, n)  # rows[i, k] of an n x n stack
     b, c = np.triu_indices(n)  # the components b <= c of a symmetric matrix
     pairs = len(b)
     pair = np.empty((n, n), dtype=np.int64)  # pair[b, c]: the place of (min, max)
     pair[b, c] = pair[c, b] = np.arange(pairs)
     upper = np.arange(n * pairs).reshape(n, pairs)  # upper[q, p] of an n x pairs stack
+    q, qb, qc = np.repeat(np.arange(n), pairs), np.tile(b, n), np.tile(c, n)
     return {
         # C[i, j] = sum_k A[i, k] B[k, j]
         "matmul": (np.repeat(rows, n, axis=0), np.tile(rows.T, (n, 1))),
@@ -225,34 +264,35 @@ def _indices(n: int) -> dict:
         "matvec": (rows, rows % n),
         # G[a, p] = sum_q A[a, q] T[q, p] over the pairs p = (b <= c)
         "koszul": (np.repeat(rows, pairs, axis=0), np.tile(upper.T, (n, 1))),
-        # (q, b, c) of the rows (q, p) of T
-        "koszul_terms": (np.repeat(np.arange(n), pairs), np.tile(b, n), np.tile(c, n)),
+        # the rows D[b, c, q], D[c, b, q] and D[q, b, c] of the rows (q, b <= c) of T
+        "koszul_terms": ((qb * n + qc) * n + q, (qc * n + qb) * n + q, (q * n + qb) * n + qc),
         "diagonal": np.arange(n) * (n + 1),
         "transpose": rows.T.ravel(),
-        "upper": (b, c),
+        # the rows (b <= c) of a symmetric matrix
+        "upper": b * n + c,
         # the rows (m, b, c) of a stack whose rows are (m, b <= c)
         "expand": (np.arange(n)[:, None, None] * pairs + pair).ravel(),
+        # the rows [max(a, b), min(a, b)] of a Hessian stack [b, a], for g[a, b]
+        "hessian": (np.maximum(rows // n, rows % n) * n + np.minimum(rows // n, rows % n)).ravel(),
+        # the row of the coordinate xdot^m of each row (m, q) of the spray's bracket
+        "bracket": np.repeat(np.arange(n), n),
     }
 
 
-def koszul(ginv: Jet, dg: Jet) -> Jet:
+def koszul(ginv: Jet, dg: Jet, samples: int = 1) -> Jet:
     """Gamma^a_bc = (1/2) g^{aq} (D_b g_cq + D_c g_bq - D_q g_bc), with
-    dg[m, a, b] = D_m g_ab for a derivation D (partial or horizontal); both
-    operands and the result are stacks.  The b <= c part is one contraction
-    over q, g^{-1} on the left, scaled after the sum."""
-    n = math.isqrt(len(ginv.coeffs))
-    idx = _indices(n)
-    q, b, c = idx["koszul_terms"]
-    inner = (  # T[q, b <= c]
-        take_rows(dg, (b * n + c) * n + q)
-        + take_rows(dg, (c * n + b) * n + q)
-        - take_rows(dg, (q * n + b) * n + c)
-    )
+    dg[m, a, b] = D_m g_ab for a derivation D (partial or horizontal), at
+    each of `samples` samples; both operands and the result are stacks.
+    The b <= c part is one contraction over q, g^{-1} on the left, scaled
+    after the sum."""
+    idx = _indices(math.isqrt(len(ginv.coeffs) // samples), samples)
+    bcq, cbq, qbc = idx["koszul_terms"]
+    inner = take_rows(dg, bcq) + take_rows(dg, cbq) - take_rows(dg, qbc)  # T[q, b <= c]
     ia, ib = idx["koszul"]
     return take_rows(0.5 * contract(ginv, inner, ia, ib), idx["expand"])
 
 
-def _matmul_by_constant(a: Jet, b: Jet, constant_left: bool) -> Jet:
+def _matmul_by_constant(a: Jet, b: Jet, constant_left: bool, samples: int = 1) -> Jet:
     """The stacked matrix product of a and b, bit for bit
     ``contract(a, b, *_indices(n)["matmul"])``, where a (if `constant_left`)
     or else b is constant: all its coefficients but the values are +0.0.
@@ -264,7 +304,7 @@ def _matmul_by_constant(a: Jet, b: Jet, constant_left: bool) -> Jet:
     order), summed over k as `contract` does, with the other operand's
     support while the constant is finite.  A non-finite coefficient times a
     zero is NaN in the Cauchy sum, so such an operand takes `contract`."""
-    ia, ib = _indices(math.isqrt(len(a.coeffs)))["matmul"]
+    ia, ib = _indices(math.isqrt(len(a.coeffs) // samples), samples)["matmul"]
     const, other = (a, b) if constant_left else (b, a)
     if not np.isfinite(other.coeffs).all():
         return contract(a, b, ia, ib)
@@ -276,23 +316,23 @@ def _matmul_by_constant(a: Jet, b: Jet, constant_left: bool) -> Jet:
     return Jet(other.space, acc, other.order, other.support if np.isfinite(v).all() else None)
 
 
-def invert_jet_matrix(g: Jet) -> Jet:
-    """Inverse of a stacked jet matrix via Newton iteration in the truncated
-    algebra, X <- X (2I - gX), started from the constant jet X0 of the
-    numeric inverse of the value part.  A product with the constant X0 is a
-    scaling, so the first step's two products are scalings
-    (`_matmul_by_constant`), bit for bit the contractions the later steps
-    make."""
-    n = math.isqrt(len(g.coeffs))
+def invert_jet_matrix(g: Jet, samples: int = 1) -> Jet:
+    """Inverse of a stacked jet matrix, at each of `samples` samples, via
+    Newton iteration in the truncated algebra, X <- X (2I - gX), started
+    from the constant jet X0 of the numeric inverse of the value part.  A
+    product with the constant X0 is a scaling, so the first step's two
+    products are scalings (`_matmul_by_constant`), bit for bit the
+    contractions the later steps make."""
+    n = math.isqrt(len(g.coeffs) // samples)
     space, order = g.space, g.order
-    try:
-        vinv = np.linalg.inv(values(g, (n, n)))
+    try:  # one inverse per sample, [sample, i, j]
+        vinv = np.linalg.inv(np.moveaxis(values(g, (n, n, samples)), -1, 0))
     except np.linalg.LinAlgError as err:
         raise DegenerateMetric(str(err)) from err
-    coeffs = np.zeros((n * n, space.ncoeff_upto[order]))
-    coeffs[:, 0] = vinv.ravel()
+    coeffs = np.zeros((n * n * samples, space.ncoeff_upto[order]))
+    coeffs[:, 0] = np.moveaxis(vinv, 0, -1).ravel()
     X = Jet(space, coeffs, order, ())
-    idx = _indices(n)
+    idx = _indices(n, samples)
     ia, ib = idx["matmul"]
     diag = idx["diagonal"]
     iters, errdeg = 0, 1
@@ -300,13 +340,13 @@ def invert_jet_matrix(g: Jet) -> Jet:
         iters += 1
         errdeg *= 2
     for step in range(iters):
-        GX = _matmul_by_constant(g, X, False) if step == 0 else contract(g, X, ia, ib)
+        GX = _matmul_by_constant(g, X, False, samples) if step == 0 else contract(g, X, ia, ib)
         # 2 I - GX as the scalar loop forms it, signed zeros included: the
         # diagonal through the lifted constant 2.0, the rest negated
         coeffs = -GX.coeffs
         coeffs[diag] = (2.0 - take_rows(GX, diag)).coeffs
         M = Jet(space, coeffs, GX.order, GX.support)
-        X = _matmul_by_constant(X, M, True) if step == 0 else contract(X, M, ia, ib)
+        X = _matmul_by_constant(X, M, True, samples) if step == 0 else contract(X, M, ia, ib)
     return X
 
 
@@ -331,9 +371,10 @@ def _cofactor_plan(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
     return plan
 
 
-def det_jet_matrix(g: Jet) -> Jet:
+def det_jet_matrix(g: Jet, samples: Optional[int] = None) -> Jet:
     """Determinant of a stacked jet matrix by cofactor expansion along the
-    first row, level by level.
+    first row, level by level: one jet, or with `samples` a stack of one
+    determinant per sample.
 
     Level s holds the minors on the last s rows, one per s-subset of the
     columns.  All of a level's cofactor products are one stacked product
@@ -342,34 +383,41 @@ def det_jet_matrix(g: Jet) -> Jet:
     positions negated, so the result is the recursion's jet bit for bit.
     The row indices of every level are planned once per n (`_cofactor_plan`).
     """
-    n = math.isqrt(len(g.coeffs))
-    level = take_rows(g, (n - 1) * n + np.arange(n))
+    count = samples or 1
+    n = math.isqrt(len(g.coeffs) // count)
+    level = take_rows(g, _lift((n - 1) * n + np.arange(n), count))
     for size, (entries, minors) in enumerate(_cofactor_plan(n), start=2):
-        terms = take_rows(g, entries) * take_rows(level, minors)
+        terms = take_rows(g, _lift(entries, count)) * take_rows(level, _lift(minors, count))
         by_pos = terms.coeffs.reshape(size, -1, terms.coeffs.shape[-1])
         total = by_pos[0]
         for pos in range(1, size):
             total = total + (-by_pos[pos] if pos % 2 == 1 else by_pos[pos])
         level = Jet(terms.space, total, terms.order, terms.support)
-    return Jet(level.space, level.coeffs[0], level.order, level.support)
+    coeffs = level.coeffs if samples else level.coeffs[0]
+    return Jet(level.space, coeffs, level.order, level.support)
 
 
 @_quiet
-def log_sqrt_abs_det(g: Jet) -> Jet:
-    """ln sqrt|det g| of a stacked jet matrix.
+def log_sqrt_abs_det(g: Jet, samples: Optional[int] = None) -> Jet:
+    """ln sqrt|det g| of a stacked jet matrix: one jet, or with `samples` a
+    stack of one per sample, whose rows that leave the domain of abs or ln
+    are NaN where one jet raises.
 
     The determinant is taken of g scaled by 2^-k, k the binary exponent of
-    max |g value|, so it stays in float range where det g would not, and
-    n k ln 2 is added to the constant term of the logarithm.  Scaling by a
-    power of two is exact short of underflow, so the derivative coefficients
-    are those of the unscaled determinant's logarithm; only the constant
-    term can differ in its last bits.
+    max |g value| of its sample, so it stays in float range where det g
+    would not, and n k ln 2 is added to the constant term of the logarithm.
+    Scaling by a power of two is exact short of underflow, so the derivative
+    coefficients are those of the unscaled determinant's logarithm; only the
+    constant term can differ in its last bits.
     """
-    n = math.isqrt(len(g.coeffs))
-    k = math.frexp(float(np.max(np.abs(g.coeffs[:, 0]))))[1]
-    scaled = Jet(g.space, np.ldexp(g.coeffs, -k), g.order, g.support)
-    log_det = abs(det_jet_matrix(scaled)).ln()
-    log_det.coeffs[0] += n * k * math.log(2.0)
+    count = samples or 1
+    n = math.isqrt(len(g.coeffs) // count)
+    k = np.frexp(np.max(np.abs(g.coeffs[:, 0].reshape(n * n, count)), axis=0))[1]
+    k = k.astype(np.int64)
+    scaled = Jet(g.space, np.ldexp(g.coeffs, -np.tile(k, n * n)[:, None]), g.order, g.support)
+    log_det = abs(det_jet_matrix(scaled, samples)).ln()
+    shift = n * k * math.log(2.0)
+    log_det.coeffs[..., 0] += shift if samples else shift[0]
     return 0.5 * log_det
 
 
@@ -378,13 +426,13 @@ def log_sqrt_abs_det(g: Jet) -> Jet:
 
 def _half_hessian(L: Jet, n: int) -> Jet:
     """The L-metric g_ab = (1/2) ddot_b ddot_a L as a stack, from the jet of
-    L over x then xdot (variable n + a is xdot^a); both triangles read the
-    jet of the upper one.  Its support is read off its coefficients: g can
+    L over x then xdot (variable n + a is xdot^a), or from a stack of L at
+    several samples (rows (component, sample)); both triangles read the jet
+    of the upper one.  Its support is read off its coefficients: g can
     depend on fewer variables than L (none of xdot, for a quadratic L)."""
-    hess = partials(partials(L, range(n, 2 * n)), range(n, 2 * n))  # [b, a]
-    a, b = np.indices((n, n))
-    rows = (np.maximum(a, b) * n + np.minimum(a, b)).ravel()
-    return 0.5 * Jet(hess.space, hess.coeffs[rows], hess.order)
+    samples = 1 if L.coeffs.ndim == 1 else len(L.coeffs)
+    hess = partials(partials(L, range(n, 2 * n)), range(n, 2 * n))  # [b, a, sample]
+    return 0.5 * Jet(hess.space, hess.coeffs[_indices(n, samples)["hessian"]], hess.order)
 
 
 def eval_L_jets(lag: LagrangianDef, coord_jets: Sequence[Jet]) -> Jet:
@@ -433,7 +481,8 @@ def eval_L(lag: LagrangianDef, sample: TangentSample, order: int = 4) -> Jet:
 
 
 class _Eval:
-    """Lazy evaluation of the geometry chain at one sample.
+    """Lazy evaluation of the geometry chain at one sample, or at a block
+    of samples of one Lagrangian (`sample` a sequence of them).
 
     Jet validity bookkeeping (seeded order k): g has validity k-2, the spray
     k-2, N and Gamma k-3.  g's values need k=2, the values of N and Gamma
@@ -446,30 +495,144 @@ class _Eval:
     reader of g raises DomainError("non-finite").  g counts as degenerate
     where an eigenvalue is within `tol_degenerate` of zero, relative to the
     largest (`signature`); every nondegeneracy check reads that tolerance.
+
+    A block of B samples is Griewank & Walther's vector mode over evaluation
+    points: the 2n coordinates are B-row stacks, L is evaluated once, and
+    each stage from g on is one stacked pass over the rows (component,
+    sample).  g is taken at the samples whose L is finite (`_finite`), and
+    the stages past g at those whose g is also nondegenerate at the block's
+    tolerance and whose values invert (`_past`).  `row(i)` reads sample i
+    with the readers below, which read one sample: a `_Row`, whose every
+    array is bit for bit that of `_Eval` at the sample alone.  A sample
+    whose L is not finite in the block is evaluated alone, only to raise or
+    tag as `_Eval` does there.  With one sample, L is one jet and the stacks
+    hold that sample: the readers read it directly.
     """
 
     def __init__(
         self,
         lag: LagrangianDef,
-        sample: TangentSample,
+        sample,
         order: int,
         tol_degenerate: float = TOL_DEGENERATE,
     ):
         self.lag = lag
-        self.sample = sample
         self.order = order
         self.tol_degenerate = tol_degenerate
-        self.n = sample.dim
-        self.cjets = seed(
-            list(sample.x) + list(sample.xdot), range(2 * self.n), order
-        )
+        self.samples = (sample,) if isinstance(sample, TangentSample) else tuple(sample)
+        self.sample = self.samples[0]
+        self.n = self.sample.dim
+        # the coordinates evaluated, (x, xdot) per sample
+        self.points = np.array([np.concatenate([s.x, s.xdot]) for s in self.samples])
+        if len(self.samples) == 1:
+            self.cjets = seed(self.points[0].tolist(), range(2 * self.n), order)
+        else:
+            self.cjets = seed_block((), self.points, order)
         self.space = self.cjets[0].space
         # an overflow inside a product is tagged by `admissibility`, not warned
         with np.errstate(over="ignore", invalid="ignore"):
-            self.L = eval_L_jets(lag, self.cjets)
+            if len(self.samples) == 1:
+                self.L = eval_L_jets(lag, self.cjets)
+            else:
+                try:
+                    self.L = eval_L_jets(lag, self.cjets)
+                except (DomainError, ExprDomainError, DegenerateMetric):
+                    self.L = None  # every sample is evaluated alone (`row`)
+
+    # -- a block's samples ---------------------------------------------------
+
+    def evaluates(self, lag: LagrangianDef, samples: Sequence[TangentSample]) -> bool:
+        """Whether this is the order-4 evaluation of `samples` of `lag`: the
+        same Lagrangian object and the same coordinate bytes, in order."""
+        return (
+            self.lag is lag
+            and self.order == 4
+            and len(samples) == len(self.points)
+            and all(
+                np.concatenate([s.x, s.xdot]).tobytes() == p.tobytes()
+                for s, p in zip(samples, self.points)
+            )
+        )
+
+    @cached_property
+    def _finite(self) -> np.ndarray:
+        """The samples of a block whose L is finite, in order: the samples
+        of g's stack."""
+        L = self.L
+        if not (isinstance(L, Jet) and L.coeffs.ndim == 2):
+            return np.empty(0, dtype=np.int64)
+        return np.flatnonzero(np.isfinite(L.coeffs).all(axis=1))
+
+    @cached_property
+    def _spectrum(self) -> tuple:
+        """g's raw values and symmetrised values [sample, a, b] at the
+        samples of g's stack, which of them are finite, and their
+        eigenvalues [sample, k] (those of the identity where g is not
+        finite: such a sample's row reads its own)."""
+        n = self.n
+        raw = np.moveaxis(values(self.g_jets, (n, n, -1)), -1, 0)
+        g = 0.5 * (raw + raw.transpose(0, 2, 1))
+        finite = np.isfinite(g).all(axis=(1, 2))
+        return raw, g, finite, np.linalg.eigvalsh(np.where(finite[:, None, None], g, np.eye(n)))
+
+    @cached_property
+    def _past(self) -> np.ndarray:
+        """The places in g's stack of the samples the stages past g are
+        evaluated at: for one sample, that sample; in a block, those whose g
+        is finite and nondegenerate at the block's tolerance and whose values
+        invert (one that does not is left to its row, which raises as
+        `invert_jet_matrix` does)."""
+        if len(self.samples) == 1:
+            return np.zeros(1, dtype=np.int64)
+        raw, _, finite, eig = self._spectrum
+        past = np.flatnonzero(finite & (_signature(eig, self.tol_degenerate)[:, 2] == 0))
+        try:
+            np.linalg.inv(raw[past])
+        except np.linalg.LinAlgError:
+            past = np.array([p for p in past if _inverts(raw[p])], dtype=np.int64)
+        return past
+
+    @cached_property
+    def _g_past(self) -> Jet:
+        """g at the samples past g; for one sample its g, which must be
+        nondegenerate."""
+        if len(self.samples) == 1:
+            self.require_nondegenerate()
+            return self.g_jets
+        width = len(self._finite)
+        if len(self._past) == width:
+            return self.g_jets
+        return take_rows(self.g_jets, (np.arange(self.n**2)[:, None] * width + self._past).ravel())
+
+    def _at_past(self, j: Jet) -> Jet:
+        """The rows of a jet or stack over the block's samples (L, a
+        coordinate) at the samples past g; for one sample, j."""
+        if len(self.samples) == 1:
+            return j
+        return take_rows(j, self._finite[self._past])
+
+    def row(self, index: int, tol_degenerate: Optional[float] = None) -> "_Eval":
+        """Sample `index`, read with the readers of one sample and
+        `tol_degenerate` (the block's by default): a `_Row` of the block, or,
+        where its L is not finite in the block, `_Eval` at the sample alone,
+        which raises as `_Eval` does.  For one sample at its own tolerance,
+        the evaluation itself."""
+        tol = self.tol_degenerate if tol_degenerate is None else tol_degenerate
+        if len(self.samples) == 1:
+            if tol == self.tol_degenerate:
+                return self
+            return _Eval(self.lag, self.sample, self.order, tol)
+        place = int(np.searchsorted(self._finite, index))
+        if place == len(self._finite) or self._finite[place] != index:
+            return _Eval(self.lag, self.samples[index], self.order, tol)
+        return _Row(self, index, place, tol)
+
+    # -- the stages -------------------------------------------------------------
 
     @cached_property
     def g_jets(self) -> Jet:
+        if len(self.samples) > 1:
+            return _half_hessian(take_rows(self.L, self._finite), self.n)
         if not np.isfinite(self.L.coeffs).all():
             raise DomainError("non-finite", "L is not finite at the sample")
         return _half_hessian(self.L, self.n)
@@ -486,14 +649,11 @@ class _Eval:
     def signature(self) -> tuple[int, int, int]:
         """(n+, n-, n0) of g's eigenvalues, where an eigenvalue within
         `tol_degenerate` times the largest in magnitude counts as zero."""
-        eig = self.eigenvalues
-        scale = float(np.max(np.abs(eig)))
-        if scale == 0.0:
-            return (0, 0, self.n)
-        thr = self.tol_degenerate * scale
-        n_plus = int(np.sum(eig > thr))
-        n_minus = int(np.sum(eig < -thr))
-        return (n_plus, n_minus, self.n - n_plus - n_minus)
+        return self._signature
+
+    @cached_property
+    def _signature(self) -> tuple[int, int, int]:
+        return tuple(int(k) for k in _signature(self.eigenvalues, self.tol_degenerate))
 
     def require_nondegenerate(self):
         if self.signature()[2] > 0:
@@ -545,85 +705,97 @@ class _Eval:
         first."""
         return np.linalg.inv(self.g_values)
 
+    # Past g, a stage is a stack over the samples past g, rows (component,
+    # sample): for one sample, its tensor's components.
+
     @cached_property
     def g_inv_jets(self) -> Jet:
-        self.require_nondegenerate()
-        return invert_jet_matrix(self.g_jets)
+        return invert_jet_matrix(self._g_past, len(self._past))
 
     @cached_property
     @_quiet
     def spray_jets(self) -> Jet:
-        n = self.n
-        # bracket_q = sum_m xdot^m d_m ddot_q L - d_q L, summed over m in order
-        dvL = partials(self.L, range(n, 2 * n))
-        acc = None
-        for m in range(n):
-            term = self.cjets[n + m] * dvL.diff(m)
-            acc = term if acc is None else acc + term
-        bracket = acc - partials(self.L, range(n))
-        return 0.25 * matvec(self.g_inv_jets, bracket)
+        n, samples = self.n, len(self._past)
+        L = self._at_past(self.L)
+        # bracket_q = sum_m xdot^m d_m ddot_q L - d_q L: one product over the
+        # rows (m, q), the coordinate on the left, summed over m in order;
+        # the coordinates are cut to the product's validity, k-2
+        cut = self.space.ncoeff_upto[self.order - 2]
+        xdot = [np.atleast_2d(self._at_past(c).coeffs)[:, :cut] for c in self.cjets[n:]]
+        xdot = Jet(self.space, np.concatenate(xdot), self.order - 2, tuple(range(n, 2 * n)))
+        ddvL = partials(partials(L, range(n, 2 * n)), range(n))  # [m, q, sample]
+        terms = take_rows(xdot, _indices(n, samples)["bracket"]) * ddvL
+        bracket = _sum_over(terms, n) - partials(L, range(n))
+        return 0.25 * matvec(self.g_inv_jets, bracket, samples)
+
+    def _shape(self, *dims: int) -> tuple:
+        """The shape of a stage's tensor, and in a block the samples past g
+        last: the stack's rows (component, sample)."""
+        return dims if len(self.samples) == 1 else dims + (len(self._past),)
 
     @cached_property
     def spray_values(self) -> np.ndarray:
-        return values(self.spray_jets, (self.n,))
+        return values(self.spray_jets, self._shape(self.n))
 
     @cached_property
     def nonlinear_jets(self) -> Jet:
         """N^a_b = ddot_b G^a."""
         dv = partials(self.spray_jets, range(self.n, 2 * self.n))  # [b, a]
-        return take_rows(dv, _indices(self.n)["transpose"])
+        return take_rows(dv, _indices(self.n, len(self._past))["transpose"])
 
     @cached_property
     def nonlinear_values(self) -> np.ndarray:
-        return values(self.nonlinear_jets, (self.n, self.n))
+        return values(self.nonlinear_jets, self._shape(self.n, self.n))
 
     def delta_of(self, j: Jet) -> Jet:
         """Horizontal derivative delta_a j = d_a j - N^b_a ddot_b j of a jet
-        or a stack j: rows a-major, then j's rows.  One product per b, with
-        N on the left, subtracted in b order.
+        or a stack j at the samples of N (rows (component, sample), as N's):
+        rows a-major, then j's rows.  One product over the rows (b, a, j's
+        row), N on the left, subtracted from d_a j in b order.
 
         Where every fiber partial of j is +-0.0 and N is finite, each of
         those products is +0.0, and acc - 0.0 is acc bit for bit: the
         result is then the x-partials, cut to the validity the products
         would leave (as for a g that does not depend on xdot)."""
         n = self.n
+        N = self.nonlinear_jets
         count = len(j.coeffs.reshape(-1, j.coeffs.shape[-1]))
-        a, r = np.divmod(np.arange(n * count), count)
         dv = partials(j, range(n, 2 * n))  # [b, r]
         acc = partials(j, range(n))  # [a, r]
-        N = self.nonlinear_jets
         order = min(acc.order, N.order)
         width = self.space.ncoeff_upto[order]
         if not dv.coeffs.any() and np.isfinite(N.coeffs[:, :width]).all():
             return Jet(acc.space, acc.coeffs[:, :width], order, acc.support)
+        rows_N, rows_dv = _delta_plan(n, count, len(N.coeffs) // (n * n))
+        terms = take_rows(N, rows_N, order) * take_rows(dv, rows_dv, order)
+        by_b = terms.coeffs.reshape(n, n * count, -1)
         for b in range(n):
-            acc = acc - take_rows(N, b * n + a) * take_rows(dv, b * count + r)
+            acc = acc - Jet(terms.space, by_b[b], terms.order, terms._support)
         return acc
 
     @cached_property
     @_quiet
     def gamma_jets(self) -> Jet:
-        idx = _indices(self.n)
-        c, q = idx["upper"]
-        dg = self.delta_of(take_rows(self.g_jets, c * self.n + q))  # [b, c <= q]
+        idx = _indices(self.n, len(self._past))
+        dg = self.delta_of(take_rows(self._g_past, idx["upper"]))  # [b, c <= q]
         # dg[b, c, q] = delta_b g_cq, both triangles from the c <= q jet
-        return koszul(self.g_inv_jets, take_rows(dg, idx["expand"]))
+        return koszul(self.g_inv_jets, take_rows(dg, idx["expand"]), len(self._past))
 
     @cached_property
     def gamma_values(self) -> np.ndarray:
-        return values(self.gamma_jets, (self.n,) * 3)
+        return values(self.gamma_jets, self._shape(*(self.n,) * 3))
 
     @cached_property
     def gamma_x_derivatives(self) -> np.ndarray:
         """dGamma[m, a, b, c] = d Gamma^a_bc / d x^m at fixed xdot."""
-        return first_derivatives(self.gamma_jets, range(self.n), (self.n,) * 3)
+        return first_derivatives(self.gamma_jets, range(self.n), self._shape(*(self.n,) * 3))
 
     @cached_property
     def cartan_values(self) -> np.ndarray:
         """C_abc = (1/2) ddot_c g_ab, read for a <= b <= c and symmetrised."""
         n = self.n
         dv = first_derivatives(self.g_jets, range(n, 2 * n), (n, n))  # [c, a, b]
-        a, b, c = np.sort(np.indices((n, n, n)).reshape(3, -1), axis=0)
+        a, b, c = _sorted_triples(n)
         return (0.5 * dv[c, a, b]).reshape(n, n, n)
 
     @cached_property
@@ -634,7 +806,8 @@ class _Eval:
     @cached_property
     def gamma_fiber_derivatives(self) -> np.ndarray:
         """dGamma_v[e, a, b, c] = d Gamma^a_bc / d xdot^e at fixed x."""
-        return first_derivatives(self.gamma_jets, range(self.n, 2 * self.n), (self.n,) * 3)
+        n = self.n
+        return first_derivatives(self.gamma_jets, range(n, 2 * n), self._shape(n, n, n))
 
     @cached_property
     @_quiet
@@ -657,8 +830,16 @@ class _Eval:
 
     @cached_property
     def log_sqrt_det(self) -> Jet:
-        """ln sqrt|det g| as a jet over this context's coordinates."""
-        return log_sqrt_abs_det(self.g_jets)
+        """ln sqrt|det g| as a jet over this context's coordinates; in a
+        block, a stack over the samples past g."""
+        if len(self.samples) == 1:
+            return log_sqrt_abs_det(self.g_jets)
+        return log_sqrt_abs_det(self._g_past, len(self._past))
+
+    @cached_property
+    def _log_sqrt_det_delta(self) -> Jet:
+        """delta_a ln sqrt|det g| (`log_sqrt_det`), rows (a, sample)."""
+        return self.delta_of(self.log_sqrt_det)
 
     @_quiet
     def commutator_residual(self, f: Jet) -> float:
@@ -666,7 +847,9 @@ class _Eval:
         scalar field f given as a jet over this context's coordinates."""
         n = self.n
         Nv = self.nonlinear_values
-        ddf = first_derivatives(self.delta_of(f), range(2 * n), (n,))  # [var, b]
+        own = f is self.__dict__.get("log_sqrt_det")
+        delta = self._log_sqrt_det_delta if own else self.delta_of(f)
+        ddf = first_derivatives(delta, range(2 * n), (n,))  # [var, b]
         # dd[a, b] = ddf[a, b] - sum_c N^c_a ddf[n + c, b], subtracted in c order
         dd = ddf[:n].copy()
         for c in range(n):
@@ -675,6 +858,124 @@ class _Eval:
         dvf = first_derivatives(f, range(n, 2 * n))
         rhs = ricci_skew_from_curvature(self.curvature.hh_riemann, self.sample.xdot, dvf)
         return float(require_finite(np.max(np.abs(lhs - rhs)), "the commutator residual"))
+
+
+def _from_block(name: str) -> cached_property:
+    """The `_Row` reader of `name`, a stage past g or its values: its
+    sample's part of the block's stack (a jet's rows, an array's last
+    index, as its own array), after the nondegeneracy check at the row's
+    tolerance that `_Eval` makes before that stage, or, where the block did
+    not go past g at the sample, `_Eval`'s reader at the row itself."""
+    alone = _Eval.__dict__[name].func
+
+    def read(self: "_Row"):
+        if self._past_place is None:
+            return alone(self)
+        self.require_nondegenerate()
+        stack, place = getattr(self.block, name), self._past_place
+        if isinstance(stack, np.ndarray):
+            return np.ascontiguousarray(stack[..., place])
+        rows = stack.coeffs[place :: len(self.block._past)]
+        return Jet(stack.space, rows, stack.order, stack._support)
+
+    return cached_property(read)
+
+
+class _Row(_Eval):
+    """Sample `index` of a block `_Eval`, read with `_Eval`'s readers at
+    `tol_degenerate`.  It evaluates nothing the block has evaluated: its L,
+    g, eigenvalues and stage jets are its sample's rows of the block's
+    stacks, bit for bit those of `_Eval` at the sample alone, and every
+    reader of one sample reads them as `_Eval` reads its own.  The
+    tolerance need not be the block's, since the eigenvalues do not depend
+    on it: where the block did not go past g at the sample, the stages past
+    g are evaluated from the row's g, as `_Eval` evaluates them."""
+
+    def __init__(self, block: _Eval, index: int, place: int, tol_degenerate: float):
+        self.block = block
+        self.lag, self.order, self.n, self.space = block.lag, block.order, block.n, block.space
+        self.tol_degenerate = tol_degenerate
+        self.sample = block.samples[index]
+        self.samples = (self.sample,)
+        self._index = index
+        self._place = place  # in g's stack
+        past = int(np.searchsorted(block._past, place))
+        found = past < len(block._past) and block._past[past] == place
+        self._past_place = past if found else None
+        L = block.L
+        self.L = Jet(L.space, L.coeffs[index], L.order, L._support)
+
+    @cached_property
+    def cjets(self) -> list[Jet]:
+        return [Jet(c.space, c.coeffs[self._index], c.order, c._support) for c in self.block.cjets]
+
+    @cached_property
+    def g_jets(self) -> Jet:
+        g = self.block.g_jets
+        return Jet(g.space, g.coeffs[self._place :: len(self.block._finite)], g.order, g._support)
+
+    @cached_property
+    def g_values(self) -> np.ndarray:
+        return self.block._spectrum[1][self._place]
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        _, _, finite, eig = self.block._spectrum
+        return eig[self._place] if finite[self._place] else np.linalg.eigvalsh(self.g_values)
+
+    @cached_property
+    def log_sqrt_det(self) -> Jet:
+        # a row that is not finite is made alone, which raises where the
+        # stack holds NaN
+        if self._past_place is not None:
+            stack = self.block.log_sqrt_det
+            row = stack.coeffs[self._past_place]
+            if np.isfinite(row).all():
+                return Jet(stack.space, row, stack.order, stack._support)
+        return log_sqrt_abs_det(self.g_jets)
+
+    g_inv_jets = _from_block("g_inv_jets")
+    spray_jets = _from_block("spray_jets")
+    nonlinear_jets = _from_block("nonlinear_jets")
+    gamma_jets = _from_block("gamma_jets")
+    _log_sqrt_det_delta = _from_block("_log_sqrt_det_delta")
+    spray_values = _from_block("spray_values")
+    nonlinear_values = _from_block("nonlinear_values")
+    gamma_values = _from_block("gamma_values")
+    gamma_x_derivatives = _from_block("gamma_x_derivatives")
+    gamma_fiber_derivatives = _from_block("gamma_fiber_derivatives")
+
+
+def _signature(eig: np.ndarray, tol: float) -> np.ndarray:
+    """(n+, n-, n0) of each row (last axis) of eigenvalues, where an
+    eigenvalue within `tol` times the largest in magnitude counts as zero."""
+    thr = tol * np.max(np.abs(eig), axis=-1, keepdims=True)
+    plus, minus = np.sum(eig > thr, axis=-1), np.sum(eig < -thr, axis=-1)
+    return np.stack([plus, minus, eig.shape[-1] - plus - minus], axis=-1)
+
+
+def _inverts(matrix: np.ndarray) -> bool:
+    try:
+        np.linalg.inv(matrix)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def _sorted_triples(n: int) -> np.ndarray:
+    """Each index triple (a, b, c) of an n x n x n tensor, row-major, sorted
+    to a <= b <= c: [3, n^3]."""
+    return np.sort(np.indices((n, n, n)).reshape(3, -1), axis=0)
+
+
+@lru_cache(maxsize=128)
+def _delta_plan(n: int, count: int, samples: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of N and of j's fiber partials [b, r] that `_Eval.delta_of`
+    multiplies for each of its rows (b, a, r): r over the `count` rows of j,
+    rows (component, sample) at `samples` samples."""
+    b, a, r = np.indices((n, n, count)).reshape(3, -1)
+    return (b * n + a) * samples + r % samples, b * count + r
 
 
 # -- public operations ---------------------------------------------------------
@@ -739,25 +1040,33 @@ def metric(
     return replace(value, g=value.g.copy(), g_inv=value.g_inv.copy())
 
 
-def spray(lag: LagrangianDef, sample: TangentSample) -> np.ndarray:
+def spray(
+    lag: LagrangianDef, sample: TangentSample, tol_degenerate: float = TOL_DEGENERATE
+) -> np.ndarray:
     """G^a from the sample's context, as the caller's copy."""
-    return _context(lag, sample).spray_values.copy()
+    return _context(lag, sample, tol_degenerate).spray_values.copy()
 
 
-def nonlinear_connection(lag: LagrangianDef, sample: TangentSample) -> np.ndarray:
+def nonlinear_connection(
+    lag: LagrangianDef, sample: TangentSample, tol_degenerate: float = TOL_DEGENERATE
+) -> np.ndarray:
     """N^a_b from the sample's context, as the caller's copy."""
-    return _context(lag, sample).nonlinear_values.copy()
+    return _context(lag, sample, tol_degenerate).nonlinear_values.copy()
 
 
-def chern_rund(lag: LagrangianDef, sample: TangentSample) -> np.ndarray:
+def chern_rund(
+    lag: LagrangianDef, sample: TangentSample, tol_degenerate: float = TOL_DEGENERATE
+) -> np.ndarray:
     """Gamma^a_bc from the sample's context, as the caller's copy."""
-    return _context(lag, sample).gamma_values.copy()
+    return _context(lag, sample, tol_degenerate).gamma_values.copy()
 
 
-def hh_curvature(lag: LagrangianDef, sample: TangentSample) -> CurvatureValue:
+def hh_curvature(
+    lag: LagrangianDef, sample: TangentSample, tol_degenerate: float = TOL_DEGENERATE
+) -> CurvatureValue:
     """The hh-curvature and its Ricci tensors from the sample's context, as
     the caller's copies."""
-    value = _context(lag, sample).curvature
+    value = _context(lag, sample, tol_degenerate).curvature
     return CurvatureValue(
         hh_riemann=value.hh_riemann.copy(),
         ricci=value.ricci.copy(),
@@ -769,10 +1078,11 @@ def vertical_derivative(
     lag: LagrangianDef,
     sample: TangentSample,
     scalar_field: Callable[[Sequence[Jet]], Jet],
+    tol_degenerate: float = TOL_DEGENERATE,
 ) -> np.ndarray:
     """ddot_a f, the fiber derivative of a jet-valued scalar field, in the
     sample's context (see `_field_jet`)."""
-    ev = _context(lag, sample)
+    ev = _context(lag, sample, tol_degenerate)
     return first_derivatives(_field_jet(ev, scalar_field), range(ev.n, 2 * ev.n))
 
 
@@ -788,10 +1098,11 @@ def commutator_check(
     lag: LagrangianDef,
     sample: TangentSample,
     scalar_field: Callable[[Sequence[Jet]], Jet],
+    tol_degenerate: float = TOL_DEGENERATE,
 ) -> float:
     """Residual of [delta_a, delta_b] f = R^c_{dab} xdot^d ddot_c f in the
     sample's context (see `_field_jet`)."""
-    ev = _context(lag, sample)
+    ev = _context(lag, sample, tol_degenerate)
     return ev.commutator_residual(_field_jet(ev, scalar_field))
 
 
@@ -807,10 +1118,51 @@ def probe_context(
     function's domain, or a family's alpha is identically zero).  The sample
     is evaluated afresh, and its context left in `_context`'s slot for the
     readers called after it, so its arrays are read, never mutated."""
+    _check_convention(convention)
+    return _probed(lambda: _context(lag, sample, tol_degenerate, fresh=True), convention, tol_null)
+
+
+def probe_block(
+    lag: LagrangianDef,
+    samples: Sequence[TangentSample],
+    convention: str = "+---",
+    tol_degenerate: float = TOL_DEGENERATE,
+    tol_null: float = TOL_NULL,
+    evaluation: Optional[_Eval] = None,
+) -> tuple[Optional[_Eval], list[tuple[AdmissibilityVerdict, Optional[_Eval]]]]:
+    """Admissibility of each sample and the context that decided it, as
+    `probe_context` gives them, from one block evaluation of the samples:
+    `evaluation` where it evaluates these samples of `lag` (a catalog
+    entry's, say), else a new one at `tol_degenerate`.  Each context is the
+    block's row at `tol_degenerate` (`_Eval.row`).  Returns the block, None
+    where a lone sample's L cannot be evaluated, and (verdict, context) per
+    sample."""
+    _check_convention(convention)
+    samples = tuple(samples)
+    if evaluation is None or not evaluation.evaluates(lag, samples):
+        if len(samples) == 1:
+            alone = _probed(lambda: _Eval(lag, samples[0], 4, tol_degenerate), convention, tol_null)
+            return alone[1], [alone]
+        evaluation = _Eval(lag, samples, 4, tol_degenerate)
+    return evaluation, [
+        _probed(lambda i=i: evaluation.row(i, tol_degenerate), convention, tol_null)
+        for i in range(len(samples))
+    ]
+
+
+def _check_convention(convention: str) -> None:
     if convention not in ("+---", "-+++"):
         raise ValueError(f"unknown signature convention {convention!r}")
+
+
+def _probed(
+    context: Callable[[], _Eval], convention: str, tol_null: float
+) -> tuple[AdmissibilityVerdict, Optional[_Eval]]:
+    """The admissibility of the context `context()` makes and the context,
+    or outside A and None where L cannot be evaluated (it leaves a
+    function's domain, or a family's alpha is identically zero)."""
     try:
-        ev = _context(lag, sample, tol_degenerate, fresh=True)
+        ev = context()
     except (DomainError, ExprDomainError) as err:
         reason = getattr(err, "reason", None) or str(err)
         return _outside_A(reason), None

@@ -231,14 +231,15 @@ def _product(
     over its pairs in pair order, and the product's support.  The pairs of
     validity `order` read only that prefix, so an operand of a higher
     validity needs no cut.  With a stack operand the product is a stack,
-    every row summed on its own by one np.bincount over `_row_bins`.  A
-    result over fewer pairs that is not finite is made again over every
+    every row summed on its own by one np.bincount over `_row_bins`.
+    A result over fewer pairs that is not finite is made again over every
     pair, with its support not known (see "Supports" in the module
     docstring)."""
     mul_i, mul_j, mul_k, counts = _pairs(space, support)
     cnt = counts[order]
     width = space.ncoeff_upto[order]
-    prods = a.take(mul_i[:cnt], axis=-1) * b.take(mul_j[:cnt], axis=-1)
+    left, right = a.take(mul_i[:cnt], axis=-1), b.take(mul_j[:cnt], axis=-1)
+    prods = np.multiply(left, right, out=left if left.shape == right.shape else None)
     if prods.ndim == 1:
         out = np.bincount(mul_k[:cnt], weights=prods, minlength=width)
     else:
@@ -251,16 +252,29 @@ def _product(
     return out, support
 
 
-@lru_cache(maxsize=256)
 def _row_bins(
     space: JetSpace, support: tuple[int, ...] | None, rows: int, order: int
 ) -> np.ndarray:
     """The np.bincount keys of a stacked product over the pairs of
     `support`: mul_k + row * width, for rows of the product's width
-    ncoeff_upto[order]."""
+    ncoeff_upto[order].  The keys of r rows are the first ones of any more
+    rows, so one array per (space, support, order), for the most rows
+    asked yet, serves every row count."""
     _, _, mul_k, counts = _pairs(space, support)
-    width = space.ncoeff_upto[order]
-    return (mul_k[: counts[order]] + width * np.arange(rows)[:, None]).ravel()
+    keys = mul_k[: counts[order]]
+    held = _bins_held(space, support, order)
+    bins = held[0]
+    if len(bins) < rows * len(keys):
+        width = space.ncoeff_upto[order]
+        bins = held[0] = (keys + width * np.arange(rows)[:, None]).ravel()
+    return bins[: rows * len(keys)]
+
+
+@lru_cache(maxsize=256)
+def _bins_held(space: JetSpace, support: tuple[int, ...] | None, order: int) -> list:
+    """The one-element list that holds `_row_bins`'s keys of (space,
+    support, order)."""
+    return [np.empty(0, dtype=np.int64)]
 
 
 class Jet:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from json.encoder import encode_basestring_ascii as _string
 from typing import Callable, Mapping, NamedTuple, Optional
 
@@ -67,6 +67,9 @@ class Scene:
     catalog_name: Optional[str]
     samples: tuple[tuple[str, TangentSample], ...]
     options: SceneOptions
+    # the block evaluation of the samples that loading made (a catalog
+    # entry's default samples), which `run_scene` reads instead of its own
+    evaluation: Optional[geometry._Eval] = field(default=None, compare=False, repr=False)
 
 
 # -- validation helpers ---------------------------------------------------------
@@ -282,6 +285,7 @@ def load_scene(obj: Mapping) -> Scene:
     kind = kinds[0]
     catalog_name = None
     entry_samples: tuple = ()
+    evaluation = None
 
     if kind == "catalog":
         catalog_name = _get(lag_obj, "catalog", "/lagrangian", str)
@@ -372,6 +376,7 @@ def load_scene(obj: Mapping) -> Scene:
             "at least one sample is required (catalog scenes may omit them)",
         )
         samples = list(entry_samples)
+        evaluation = entry.evaluation
 
     opts_obj = _get(obj, "options", "", dict, required=False, default={})
     values = _read_options(opts_obj, "/options", {})
@@ -389,6 +394,7 @@ def load_scene(obj: Mapping) -> Scene:
         catalog_name=catalog_name,
         samples=tuple(samples),
         options=options,
+        evaluation=evaluation,
     )
 
 
@@ -674,21 +680,16 @@ def _proposition_fields(fam: alphabeta.FamilyEval) -> dict:
 
 
 def _base_point(
-    scene: Scene, idx: int, label: str, sample: TangentSample, sections: tuple
+    scene: Scene, idx: int, label: str, sample: TangentSample, sections: tuple,
+    verdict: geometry.AdmissibilityVerdict, ev: Optional[geometry._Eval],
 ) -> dict:
     """Every per-point entry of the requested sections at one base point,
-    read from one order-4 chain evaluation and, for a family, one
-    closed-form evaluation.  The order is the same for every subcommand, so
-    each writes a sample's admissibility and metric alike."""
+    read from its row `ev` of the scene's order-4 block evaluation, whose
+    admissibility is `verdict`, and, for a family, one closed-form
+    evaluation.  The order is the same for every subcommand, so each writes
+    a sample's admissibility and metric alike."""
     opts = scene.options
     lag = scene.lagrangian
-    verdict, ev = geometry.probe_context(
-        lag,
-        sample,
-        convention=opts.signature_convention,
-        tol_degenerate=opts.tol_degenerate,
-        tol_null=opts.tol_null,
-    )
     # family sections apply to family Lagrangians only and come with the
     # sample detail in a report, whose Berwald-condition fit reads `fam` too
     family = any(s in _FAMILY_SECTIONS for s in sections)
@@ -811,9 +812,18 @@ def run_scene(scene: Scene, subcommand: str) -> tuple[dict, int]:
             "dim": scene.dim,
         }
     }
+    # one block evaluation for every base point: the loader's, if it made one
+    _, probes = geometry.probe_block(
+        scene.lagrangian,
+        [sample for _, sample in scene.samples],
+        convention=opts.signature_convention,
+        tol_degenerate=opts.tol_degenerate,
+        tol_null=opts.tol_null,
+        evaluation=scene.evaluation,
+    )
     points = [
-        _base_point(scene, idx, label, sample, sections)
-        for idx, (label, sample) in enumerate(scene.samples)
+        _base_point(scene, idx, label, sample, sections, *probe)
+        for idx, ((label, sample), probe) in enumerate(zip(scene.samples, probes))
     ]
     report["samples"] = [p.pop("sample") for p in points]
     summaries = _summary({section: [p[section] for p in points] for section in points[0]}, opts)

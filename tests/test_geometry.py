@@ -1231,3 +1231,124 @@ def test_partials_match_the_per_variable_loop(nvars, validity, rows, seed, data)
         assert got.coeffs.ndim == 2 and got.order == want.order
         assert got.coeffs.shape == want.coeffs.shape
         assert got.coeffs.tobytes() == want.coeffs.tobytes()
+
+
+# -- one block evaluation of many samples ---------------------------------------------
+
+
+def _report_readers(ev):
+    """(name, thunk) for every array a report reads from a sample's context."""
+    return [
+        ("admissibility", lambda: ev.admissibility()),
+        ("metric", ev.metric),
+        ("spray", lambda: ev.spray_values),
+        ("nonlinear", lambda: ev.nonlinear_values),
+        ("chern_rund", lambda: ev.gamma_values),
+        ("gamma_x", lambda: ev.gamma_x_derivatives),
+        ("gamma_v", lambda: ev.gamma_fiber_derivatives),
+        ("cartan_trace", lambda: ev.cartan_trace),
+        ("curvature", lambda: ev.curvature),
+        ("log_sqrt_det", lambda: ev.log_sqrt_det.coeffs),
+        ("commutator", lambda: ev.commutator_residual(ev.log_sqrt_det)),
+        ("berwald", lambda: berwald.verdict_at(ev, count=3, rng=0)),
+    ]
+
+
+def _context_outcomes(context):
+    """The outcome (`_outcome_of`) of every report reader of the context
+    `context()` makes, or, where that raises, what it raised."""
+    try:
+        with np.errstate(all="ignore"):
+            ev = context()
+    except Exception as err:
+        return (type(err).__name__, str(err))
+    return {name: _outcome_of(thunk) for name, thunk in _report_readers(ev)}
+
+
+def _assert_rows_are_lone_contexts(lag, samples, tol):
+    """Each row of the block of `samples` reads as `_Eval` at its sample
+    alone, at `tol`; returns the admissibility of each row (None where its
+    context raised)."""
+    with np.errstate(all="ignore"):
+        block = _Eval(lag, samples, 4, tol)
+    kinds = []
+    for i, sample in enumerate(samples):
+        got = _context_outcomes(lambda: block.row(i))
+        assert got == _context_outcomes(lambda: _Eval(lag, sample, 4, tol)), (i, sample)
+        kinds.append(None if isinstance(got, tuple) else block.row(i).admissibility())
+    return kinds
+
+
+def _mixed_samples(samples):
+    """The samples, each followed by its direction tripled and by its base
+    point moved to x0 = 1e308, which takes many a Lagrangian out of float
+    range or out of a function's domain."""
+    for s in samples:
+        yield s
+        yield TangentSample(s.x, 3.0 * s.xdot)
+        yield TangentSample(np.concatenate([[1e308], s.x[1:]]), s.xdot)
+
+
+def test_block_rows_are_the_contexts_of_their_samples_alone(digest_scenes):
+    seen = set()
+    for name, doc in digest_scenes:
+        scn = load_scene(doc)
+        samples = list(_mixed_samples(s for _, s in scn.samples))
+        for tol in {scn.options.tol_degenerate, geometry.TOL_DEGENERATE}:
+            for verdict in _assert_rows_are_lone_contexts(scn.lagrangian, samples, tol):
+                seen.add("raised" if verdict is None else verdict.failure_reason)
+    # rows in A, rows that leave a function's domain, degenerate rows and
+    # rows whose order-4 L is not finite all occur
+    assert {None, "raised", "degenerate-metric", "non-finite"} <= seen
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from([geometry.TOL_DEGENERATE, 0.7, 0.95]))
+def test_block_rows_of_random_lagrangians_are_the_contexts_of_their_samples(seed, tol):
+    rng = np.random.default_rng(seed)
+    lag, sample = _dsl_sample(rng)
+    n = lag.dim
+    samples = [sample]
+    for _ in range(3):  # in A, or degenerate at a coarse tolerance
+        samples.append(TangentSample(rng.uniform(-1, 1, n), sample.xdot * rng.uniform(0.5, 2)))
+    # exp(...) near float range and past it, where it raises
+    for t in (600.0, 1500.0, 4000.0, 12000.0):
+        samples.append(TangentSample(np.concatenate([[t], np.zeros(n - 1)]), sample.xdot))
+        samples.append(TangentSample(np.concatenate([[-t], np.zeros(n - 1)]), sample.xdot))
+    rng.shuffle(samples)
+    _assert_rows_are_lone_contexts(lag, samples, tol)
+
+
+def test_readers_at_a_scene_tolerance_return_its_report_arrays(digest_scenes, tmp_path):
+    # g = diag(1, -1e-12) is nondegenerate at the scene's tolerance, 1e-14,
+    # and not at the default one
+    doc = dict(digest_scenes)["near-degenerate"]
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps(doc), encoding="utf-8")
+    cli.main(["report", str(scene), "--out", str(tmp_path / "out")])
+    text = (tmp_path / "out" / "report.json").read_text(encoding="utf-8")
+    (block,) = json.loads(text, parse_int=float)["samples"]
+    scn = load_scene(doc)
+    lag, (_, sample), tol = scn.lagrangian, scn.samples[0], scn.options.tol_degenerate
+    assert tol == 1e-14 and block["admissibility"]["in_A"]
+    field = geometry.log_sqrt_det_metric_field(lag)
+    curvature = geometry.hh_curvature(lag, sample, tol)
+    metric = geometry.metric(lag, sample, tol)
+    arrays = {
+        "spray": geometry.spray(lag, sample, tol),
+        "nonlinear": geometry.nonlinear_connection(lag, sample, tol),
+        "chern_rund": geometry.chern_rund(lag, sample, tol),
+        "ricci": curvature.ricci,
+        "skew_ricci": curvature.skew_ricci,
+    }
+    for key, array in arrays.items():
+        assert np.array(block[key], dtype=np.float64).tobytes() == array.tobytes(), key
+    assert [metric.det, list(metric.signature)] == [
+        block["metric"]["det"], [int(k) for k in block["metric"]["signature"]]
+    ]
+    assert geometry.commutator_check(lag, sample, field, tol) == block["residuals"]["commutator"]
+    assert np.all(np.isfinite(geometry.vertical_derivative(lag, sample, field, tol)))
+    # at the default tolerance every reader past g refuses the sample
+    for call in ("metric", "spray", "nonlinear_connection", "chern_rund", "hh_curvature"):
+        with pytest.raises(DegenerateMetric):
+            getattr(geometry, call)(lag, sample)

@@ -1,13 +1,18 @@
 """Smoke test of tools/report_digests.py, the byte-identity check of reports,
 printed summaries and chain arrays: it runs, every line it prints has its
-documented shape, and the chain calls give the same digests in either call
-order."""
+documented shape, the chain calls give the same digests in either call
+order, and its mixed-rows scene reports its sample in A as that sample
+alone."""
 
+import contextlib
 import importlib.util
+import io
+import json
 import re
 from collections import Counter
 from pathlib import Path
 
+from finslergeo import cli
 from finslergeo.scene import SUBCOMMANDS
 
 REPO = Path(__file__).resolve().parents[1]
@@ -73,3 +78,24 @@ def test_report_digests_lines_have_their_shape(capsys):
     assert reverse == forward
     assert kinds["family"] > 0
     assert {m["scene"] for m in calls} == set(scenes)
+
+
+def test_a_row_in_a_mixed_block_reports_as_its_sample_alone(tmp_path):
+    # the mixed-rows scene's sample in A sits between a sample whose order-4
+    # L is not finite and one whose L leaves the domain of ln: its report
+    # block is that of a scene of that sample alone
+    tool = _load_tool()
+    doc = tool.MIXED_ROWS_SCENE
+    alone = dict(doc, samples=[doc["samples"][1]])
+    blocks = []
+    for name, scene in (("mixed", doc), ("alone", alone)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(scene), encoding="utf-8")
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.main(["report", str(path), "--out", str(tmp_path / name)])
+        blocks.append(json.loads((tmp_path / name / "report.json").read_text(encoding="utf-8")))
+    mixed, single = blocks
+    reasons = [s["admissibility"]["failure_reason"] for s in mixed["samples"]]
+    assert reasons == ["non-finite", None, "log-domain"]
+    assert mixed["samples"][1] == single["samples"][0]
+    assert "spray" in single["samples"][0] and "error" not in single["samples"][0]

@@ -442,21 +442,31 @@ def test_exit_codes():
         assert np.max(np.abs(np.array(s["ricci"]))) == 0.0
 
 
-def test_report_builds_one_order_4_context_per_base_point(monkeypatch):
-    # the spray witness reads L over blocks of directions: no order-2 contexts
-    scn = load_scene_file(str(REPO / "scenes" / "szabo.json"))
-    orders = []
+def test_a_report_builds_one_order_4_block_over_every_base_point(monkeypatch, tmp_path):
+    # loading and running a scene evaluate its base points once, in one
+    # block: a catalog scene's loader builds it (for szabo, its search's last
+    # block of candidates) and run_scene reads it; the spray witness reads L
+    # over blocks of directions, so no other context is built
+    built = []
     init = geometry._Eval.__init__
 
     def counting_init(self, lag, sample, order, tol_degenerate=geometry.TOL_DEGENERATE):
-        orders.append(order)
+        built.append((order, sample))
         init(self, lag, sample, order, tol_degenerate)
 
     monkeypatch.setattr(geometry._Eval, "__init__", counting_init)
-    report, _ = run_scene(scn, "report")
-    in_A = sum(s["admissibility"]["in_A"] for s in report["samples"])
-    assert in_A == len(scn.samples) == 2
-    assert orders == [4] * in_A
+    catalog_scene = _write_scene(tmp_path, {"lagrangian": {"catalog": "bogoslovsky"}})
+    for path in (REPO / "scenes" / "szabo.json", catalog_scene, REPO / "scenes" / "minkowski.json"):
+        built.clear()
+        scn = load_scene_file(str(path))
+        report, _ = run_scene(scn, "report")
+        assert all(s["admissibility"]["in_A"] for s in report["samples"]), path
+        assert len(built) == 1, path
+        order, block = built[0]
+        assert order == 4
+        assert [(s.x.tobytes(), s.xdot.tobytes()) for s in block] == [
+            (s.x.tobytes(), s.xdot.tobytes()) for _, s in scn.samples
+        ], path
 
 
 def test_every_subcommand_writes_one_admissibility_and_metric_per_sample(
@@ -484,22 +494,28 @@ def test_every_subcommand_writes_one_admissibility_and_metric_per_sample(
 
 
 def test_report_evaluates_L_once_per_base_point(monkeypatch):
-    # the commutator residual differentiates the context's own L; the spray
-    # witness's batched evaluations are counted apart
-    scn = load_scene_file(str(REPO / "scenes" / "szabo.json"))
-    scalar_calls = []
+    # loading and running evaluate L once, over a block of the base points
+    # (all 2n coordinates stacked); the commutator residual differentiates
+    # that L, and the spray witness's evaluations (x as one jet, xdot
+    # stacked) are counted apart
+    block_calls, scalar_calls = [], []
     eval_L_jets = geometry.eval_L_jets
 
     def counting(lag, coord_jets):
-        if not any(j.coeffs.ndim == 2 for j in coord_jets):
+        stacked = [j.coeffs.ndim == 2 for j in coord_jets]
+        if all(stacked):
+            block_calls.append(len(coord_jets[0].coeffs))
+        elif not any(stacked):
             scalar_calls.append(coord_jets)
         return eval_L_jets(lag, coord_jets)
 
     monkeypatch.setattr(geometry, "eval_L_jets", counting)
+    scn = load_scene_file(str(REPO / "scenes" / "szabo.json"))
     report, _ = run_scene(scn, "report")
     in_A = sum(s["admissibility"]["in_A"] for s in report["samples"])
     assert in_A == 2
-    assert len(scalar_calls) == in_A
+    assert block_calls == [in_A]
+    assert scalar_calls == []
 
 
 def test_affine_connection_is_gamma_at_the_sample():

@@ -19,9 +19,11 @@ variables, on a quadratic one whose g holds -0.0 coefficients from a
 negated sum, on a quadratic one whose g is nondegenerate only at its
 scene's ``degenerate`` tolerance, on ``szabo-counterexample`` with a phi
 override, on a DSL scene with one sample in A and one outside it (tagged
-``partial-evaluation``) and on one whose L is finite to order 2 but not to
-order 4 (tagged ``order4-overflow``), at ``options.seed`` 0 and 3.  Each run
-prints two lines:
+``partial-evaluation``), on one whose L is finite to order 2 but not to
+order 4 (tagged ``order4-overflow``) and on one whose sample in A sits
+between one whose order-4 L is not finite and one that leaves a
+function's domain (tagged ``mixed-rows``), at ``options.seed`` 0 and 3.
+Each run prints two lines:
 
     <scene> <subcommand> <seed> <exit code> <sha256 of report.json or ->
     <scene> <subcommand> <seed> summary <sha256 of the printed summary>
@@ -32,15 +34,17 @@ written to <path>``, whose path is a temporary directory's.
 Then, for every sample of the same scenes (a catalog entry's default
 samples), each public chain call -- ``metric`` (g and g^-1), ``spray``,
 ``nonlinear_connection``, ``chern_rund``, ``hh_curvature``, and
-``commutator_check`` and ``vertical_derivative`` of ln sqrt|det g| -- prints
+``commutator_check`` and ``vertical_derivative`` of ln sqrt|det g|, each at
+the scene's ``degenerate`` tolerance -- prints
 
     <scene> chain:<call> <sample label> <sha256 of the result's raw bytes>
 
 or the name of the exception class it raised in place of the digest.
-Every call reads the sample's order-4 context, the one every subcommand's
-report is written from, so the arrays of ``metric``, ``spray``,
-``nonlinear_connection``, ``chern_rund`` and ``hh_curvature`` are the
-report's.  Then the same calls run again in the reverse order, each
+Every call reads the sample's order-4 context at the scene's tolerance,
+whose arrays are bit for bit those of the sample's row of the block every
+subcommand's report is written from, so the arrays of ``metric``,
+``spray``, ``nonlinear_connection``, ``chern_rund`` and ``hh_curvature``
+are the report's.  Then the same calls run again in the reverse order, each
 printing
 
     <scene> chain-rev:<call> <sample label> <digest>
@@ -229,6 +233,19 @@ ORDER4_OVERFLOW_SCENE = {
     "samples": [{"x": [0.99, 0.0], "xdot": [1.0, 0.2], "label": "p0"}],
 }
 
+# A scene whose sample in A sits between one whose order-2 L is finite and
+# whose order-4 L is not (as in the order4-overflow scene) and one whose L
+# leaves the domain of ln, so the block of its samples holds all three.
+MIXED_ROWS_SCENE = {
+    "chart": {"dim": 2},
+    "lagrangian": {"dsl": {"source": "exp(700*x0)*ln(x1)*(dx0^2 - dx1^2)"}},
+    "samples": [
+        {"x": [0.99, 2.0], "xdot": [1.0, 0.2], "label": "order4"},
+        {"x": [0.1, 2.0], "xdot": [1.0, 0.2], "label": "inside"},
+        {"x": [0.1, -1.0], "xdot": [1.0, 0.2], "label": "domain"},
+    ],
+}
+
 # Offsets of the fixed witness block from a sample's direction.
 WITNESS_OFFSETS = 0.05 * np.array([[0.0, 1.0, -1.0, 0.5], [1.0, -0.5, 0.25, -1.0]])
 
@@ -239,7 +256,7 @@ def scene_documents(root: Path):
     overflow-after-L, curvature-overflow, connection-overflow and
     witness-overflow scenes, the partial-support, negated-quadratic and
     near-degenerate scenes, the phi-override scene, the partial-evaluation
-    scene and the order4-overflow scene."""
+    scene, the order4-overflow scene and the mixed-rows scene."""
     for path in sorted((root / "scenes").glob("*.json")):
         yield path.name, json.loads(path.read_text(encoding="utf-8"))
     for name in catalog.names():
@@ -257,6 +274,7 @@ def scene_documents(root: Path):
     yield "szabo-phi-2x", PHI_OVERRIDE_SCENE
     yield "partial-evaluation", PARTIAL_EVALUATION_SCENE
     yield "order4-overflow", ORDER4_OVERFLOW_SCENE
+    yield "mixed-rows", MIXED_ROWS_SCENE
 
 
 def digest(doc: dict, subcommand: str, workdir: Path) -> tuple[int, str, str]:
@@ -278,27 +296,28 @@ def digest(doc: dict, subcommand: str, workdir: Path) -> tuple[int, str, str]:
     return code, sha, hashlib.sha256("".join(lines).encode()).hexdigest()
 
 
-def _chain_calls(lag, sample):
-    """(name, thunk) for each public chain call at one sample; a thunk
-    returns the arrays whose bytes are digested."""
+def _chain_calls(lag, sample, tol):
+    """(name, thunk) for each public chain call at one sample and degenerate
+    tolerance; a thunk returns the arrays whose bytes are digested."""
     field = geometry.log_sqrt_det_metric_field(lag)
 
     def metric():
-        value = geometry.metric(lag, sample)
+        value = geometry.metric(lag, sample, tol)
         return [value.g, value.g_inv]
 
     def curvature():
-        value = geometry.hh_curvature(lag, sample)
+        value = geometry.hh_curvature(lag, sample, tol)
         return [value.hh_riemann, value.ricci, value.skew_ricci]
 
     return [
         ("metric", metric),
-        ("spray", lambda: [geometry.spray(lag, sample)]),
-        ("nonlinear_connection", lambda: [geometry.nonlinear_connection(lag, sample)]),
-        ("chern_rund", lambda: [geometry.chern_rund(lag, sample)]),
+        ("spray", lambda: [geometry.spray(lag, sample, tol)]),
+        ("nonlinear_connection", lambda: [geometry.nonlinear_connection(lag, sample, tol)]),
+        ("chern_rund", lambda: [geometry.chern_rund(lag, sample, tol)]),
         ("hh_curvature", curvature),
-        ("commutator_check", lambda: [geometry.commutator_check(lag, sample, field)]),
-        ("vertical_derivative", lambda: [geometry.vertical_derivative(lag, sample, field)]),
+        ("commutator_check", lambda: [geometry.commutator_check(lag, sample, field, tol)]),
+        ("vertical_derivative",
+         lambda: [geometry.vertical_derivative(lag, sample, field, tol)]),
     ]
 
 
@@ -375,7 +394,7 @@ def main(argv=None) -> int:
     for name, doc in scene_documents(root):
         scn = load_scene(doc)
         for label, sample in scn.samples:
-            calls = _chain_calls(scn.lagrangian, sample)
+            calls = _chain_calls(scn.lagrangian, sample, scn.options.tol_degenerate)
             geometry._last_context = None
             for call, thunk in calls:
                 print(f"{name} chain:{call} {label} {chain_digest(thunk)}", flush=True)
