@@ -5,7 +5,9 @@ fiber coordinate, equivalently when the geodesic spray is quadratic in the
 fiber coordinate.  Both are read from exact jets at one tangent sample: the
 fiber derivative of Gamma in the sample's order-4 evaluation context, and
 the spray at fiber vectors sampled inside the admissible cone against the
-quadratic form that Gamma predicts.  On a Berwald verdict, Gamma at the
+quadratic form that Gamma predicts.  The vectors sampled at every base
+point of a scene are evaluated together, one order-2 block evaluation per
+rejection round (`verdicts_at`).  On a Berwald verdict, Gamma at the
 sample is the affine connection of the base point.  Its affine Ricci tensor,
 assembled from the exact x-derivatives in the same context, has a skew part
 that is the metrizability obstruction: a nonzero skew part proves no
@@ -19,13 +21,14 @@ x-derivatives, whether these come from the evaluation context or from
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Sequence
 
 import numpy as np
 
 from . import geometry
 from .defs import LagrangianDef, TangentSample
 from .geometry import DegenerateMetric, _Eval
+from .jets import DomainError
 
 TOL_BERWALD = 1e-7
 TOL_SYM = 1e-7
@@ -82,49 +85,67 @@ def _as_rng(rng) -> np.random.Generator:
     return np.random.default_rng(0 if rng is None else rng)
 
 
+def _witness_block(lag: LagrangianDef, points: np.ndarray, tol_degenerate: float):
+    """Membership in A and the spray of each row (x, d) of `points`, from
+    one order-2 block `_Eval`: a row is in A where the block takes it past g
+    at `tol_degenerate`, with its column of the block's spray (the spray of
+    `_Eval` at that sample alone, bit for bit), and else has a NaN spray;
+    no row, one whose L is not finite included, is evaluated alone."""
+    ev = _Eval(lag, points, 2, tol_degenerate)
+    inside = ev._finite[ev._past]
+    in_A = np.isin(np.arange(len(points)), inside)
+    spray = np.full((len(points), ev.n), np.nan)
+    if len(inside):
+        spray[inside] = ev.spray_values.T
+    return in_A, spray
+
+
 def _witnesses(
     lag: LagrangianDef,
-    x: np.ndarray,
-    seed_direction: np.ndarray,
-    seed_spray: Optional[np.ndarray],
+    bases: list,
     count: int,
-    rng,
     spread: float,
     max_attempts: int = MAX_ATTEMPTS,
     tol_degenerate: float = geometry.TOL_DEGENERATE,
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Admissible fiber vectors near `seed_direction` and the spray at each.
+) -> list:
+    """Admissible fiber vectors near the seed direction of each base point
+    (x, seed_direction, seed_spray, generator) of `bases`, and the spray at
+    each: per base point (directions, sprays), or NoAdmissibleDirections
+    with fewer than two vectors.
 
     The seed comes first, with `seed_spray`, unless that is None (the seed
-    lies outside A).  Candidates are drawn from the generator in blocks of
-    the number still needed, each evaluated by one `geometry.spray_witness`
-    pass, and kept in draw order; a draw outside A counts against the
-    attempt budget; A's nondegeneracy is read at `tol_degenerate`.  The
-    draws, the attempts and the kept vectors are those of drawing and
-    probing one candidate at a time.  Raises NoAdmissibleDirections with
-    fewer than two vectors.
-    """
-    gen = _as_rng(rng)
-    n = len(x)
-    scale = spread * max(1.0, float(np.max(np.abs(seed_direction))))
-    directions = [] if seed_spray is None else [seed_direction]
-    sprays = [] if seed_spray is None else [seed_spray]
-    attempts = 0
-    while len(directions) < count and attempts < max_attempts:
-        size = min(count - len(directions), max_attempts - attempts)
-        block = seed_direction + scale * gen.uniform(-1.0, 1.0, size=(size, n))
-        in_A, spray = geometry.spray_witness(lag, x, block, tol_degenerate)
-        attempts += size
-        for d, ok, s in zip(block, in_A, spray):
-            if ok and np.any(d != 0.0):
-                directions.append(d)
-                sprays.append(s)
-    if len(directions) < 2:
-        raise NoAdmissibleDirections(
-            f"found {len(directions)} admissible directions at x={x} "
-            f"after {attempts} attempts"
+    lies outside A).  In each round, every base point short of `count`
+    vectors and within its attempt budget draws as many candidates as it
+    still needs from its own generator, and the round's draws, each at its
+    base point's x, are one order-2 block (`_witness_block`).  A draw
+    outside A counts against the budget, and the vectors are kept in draw
+    order: those of probing one candidate at a time at each base point."""
+    n = lag.dim
+    found = [([], []) if s is None else ([d], [s]) for _, d, s, _ in bases]
+    attempts = [0] * len(bases)
+    scales = [spread * max(1.0, float(np.max(np.abs(d)))) for _, d, _, _ in bases]
+    while True:
+        owners, rows = [], []
+        for i, (x, d, _, gen) in enumerate(bases):
+            size = min(count - len(found[i][0]), max_attempts - attempts[i])
+            if size > 0:
+                attempts[i] += size
+                owners += [i] * size
+                draws = d + scales[i] * gen.uniform(-1.0, 1.0, size=(size, n))
+                rows.append(np.hstack([np.tile(x, (size, 1)), draws]))
+        if not rows:
+            break
+        points = np.concatenate(rows)
+        for i, p, ok, s in zip(owners, points, *_witness_block(lag, points, tol_degenerate)):
+            if ok and np.any(p[n:] != 0.0):
+                found[i][0].append(p[n:])
+                found[i][1].append(s)
+    return [
+        (directions, sprays) if len(directions) >= 2 else NoAdmissibleDirections(
+            f"found {len(directions)} admissible directions at x={x} after {tried} attempts"
         )
-    return directions, sprays
+        for (x, *_), (directions, sprays), tried in zip(bases, found, attempts)
+    ]
 
 
 def sample_admissible_directions(
@@ -144,12 +165,13 @@ def sample_admissible_directions(
     """
     x = np.asarray(x, dtype=float)
     seed_direction = np.asarray(seed_direction, dtype=float)
-    in_A, spray = geometry.spray_witness(lag, x, seed_direction[None, :])
-    directions, _ = _witnesses(
-        lag, x, seed_direction, spray[0] if in_A[0] else None,
-        count, rng, spread, max_attempts,
-    )
-    return directions
+    point = np.concatenate([x, seed_direction])[None, :]
+    in_A, spray = _witness_block(lag, point, geometry.TOL_DEGENERATE)
+    base = (x, seed_direction, spray[0] if in_A[0] else None, _as_rng(rng))
+    found = _witnesses(lag, [base], count, spread, max_attempts)[0]
+    if isinstance(found, NoAdmissibleDirections):
+        raise found
+    return found[0]
 
 
 # -- Berwald detection ---------------------------------------------------------
@@ -159,35 +181,61 @@ def _max_abs(a) -> float:
     return float(np.max(np.abs(a)))
 
 
-def verdict_at(
-    ev: _Eval,
+def verdicts_at(
+    contexts: Sequence[_Eval],
+    rngs: Sequence,
     count: int = DEFAULT_DIRECTIONS,
-    rng=None,
     spread: float = DEFAULT_SPREAD,
     tol_berwald: float = TOL_BERWALD,
-) -> BerwaldVerdict:
-    """Berwald verdict at the base point of an order-4 evaluation context.
+) -> list:
+    """The Berwald verdict at the base point of each order-4 evaluation
+    context, or the error that stopped it; the contexts share one
+    Lagrangian and one degenerate tolerance, and base point i draws its
+    directions from `rngs[i]`.
 
     Two deviations, each relative to max(1, |Gamma|), must fall below
     `tol_berwald`: the fiber derivative of Gamma at the context's own
     direction, and the spray at `count` sampled admissible directions d
     against Gamma^a_bc d^b d^c / 2.  Both are necessary conditions.  A
-    direction is admissible at the context's degenerate tolerance.
-    """
-    # past a finite L, Gamma or a spray can leave float range, and a NaN
-    # deviation would read as a verdict
-    gamma = geometry.require_finite(ev.gamma_values, "the Chern-Rund connection")
-    fiber_derivatives = geometry.require_finite(
-        ev.gamma_fiber_derivatives, "the fiber derivative of the Chern-Rund connection"
-    )
+    direction is admissible at the contexts' degenerate tolerance, and all
+    base points sample together (`_witnesses`).  A base point whose Gamma
+    or its fiber derivative is not finite gets DomainError and samples
+    nothing, then one with fewer than two directions NoAdmissibleDirections,
+    and then one whose spray is not finite DomainError."""
+    results, bases = {}, {}
+    for i, (ev, rng) in enumerate(zip(contexts, rngs)):
+        # past a finite L, Gamma or a spray can leave float range, and a NaN
+        # deviation would read as a verdict
+        try:
+            geometry.require_finite(ev.gamma_values, "the Chern-Rund connection")
+            geometry.require_finite(
+                ev.gamma_fiber_derivatives, "the fiber derivative of the Chern-Rund connection"
+            )
+            bases[i] = (ev.sample.x, ev.sample.xdot, ev.spray_values, _as_rng(rng))
+        except (DomainError, DegenerateMetric) as err:
+            results[i] = err
+    if bases:
+        witnesses = _witnesses(
+            contexts[0].lag, list(bases.values()), count, spread,
+            tol_degenerate=contexts[0].tol_degenerate,
+        )
+        for i, found in zip(bases, witnesses):
+            try:
+                results[i] = found if isinstance(found, Exception) else _verdict(
+                    contexts[i], *found, tol_berwald
+                )
+            except DomainError as err:
+                results[i] = err
+    return [results[i] for i in range(len(contexts))]
+
+
+def _verdict(ev: _Eval, directions, sprays, tol_berwald: float) -> BerwaldVerdict:
+    """The verdict at a context from its witness directions and sprays."""
+    geometry.require_finite(np.array(sprays), "the spray")
+    gamma = ev.gamma_values
     scale = max(1.0, _max_abs(gamma))
     xdot_scale = max(1.0, _max_abs(ev.sample.xdot))
-    fiber = _max_abs(fiber_derivatives) * xdot_scale / scale
-    directions, sprays = _witnesses(
-        ev.lag, ev.sample.x, ev.sample.xdot, ev.spray_values, count, rng, spread,
-        tol_degenerate=ev.tol_degenerate,
-    )
-    geometry.require_finite(np.array(sprays), "the spray")
+    fiber = _max_abs(ev.gamma_fiber_derivatives) * xdot_scale / scale
     spray = 0.0
     for d, g_d in zip(directions, sprays):
         quadratic = 0.5 * np.einsum("abc,b,c->a", gamma, d, d)
@@ -202,6 +250,21 @@ def verdict_at(
         directions_tested=len(directions),
         affine_connection=gamma.copy(),  # the context's array stays its own
     )
+
+
+def verdict_at(
+    ev: _Eval,
+    count: int = DEFAULT_DIRECTIONS,
+    rng=None,
+    spread: float = DEFAULT_SPREAD,
+    tol_berwald: float = TOL_BERWALD,
+) -> BerwaldVerdict:
+    """Berwald verdict at the base point of an order-4 evaluation context:
+    `verdicts_at` of that one context, whose error it raises."""
+    verdict = verdicts_at([ev], [rng], count, spread, tol_berwald)[0]
+    if isinstance(verdict, Exception):
+        raise verdict
+    return verdict
 
 
 def _seed_context(lag: LagrangianDef, x: np.ndarray, seed_direction: np.ndarray) -> _Eval:

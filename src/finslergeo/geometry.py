@@ -28,17 +28,18 @@ both operands gathered by row-index arrays (`contract`), summed as
 component at a time, so every row is that loop's jet bit for bit.  The
 product's temporaries hold k times the result's rows.  The values and first
 derivatives of a stack are columns of its coefficient array.  The inversion
-of g, ln sqrt|det g| and the Koszul contraction run over the variables g
-depends on, as every product runs over its operands' supports (see
-"Supports" in `jets`): g's is read off its coefficients, so a quadratic L
-gives a g, a g^-1 and a Koszul contraction free of xdot.  A horizontal
+of g, ln sqrt|det g| and the Koszul contraction run in the jet space of the
+variables their operands depend on (`_on_support`; see "Supports" in
+`jets`): g's are read off its coefficients, so a quadratic L gives a g, a
+g^-1 and a Koszul contraction in a space free of xdot.  A horizontal
 derivative of a jet that does not depend on xdot is its x-partials
 (`_Eval.delta_of`), the bits of the full computation.
 
 All operations are pure functions of (definition, sample).  The public
 readers of one sample share its order-4 evaluation context (`_context`); a
 report reads every sample of a scene from one block evaluation
-(`probe_block`), whose rows are bit for bit those contexts.
+(`probe_block`), whose rows are bit for bit those contexts, and the Berwald
+witness reads its sampled directions from order-2 blocks.
 """
 
 from __future__ import annotations
@@ -244,7 +245,7 @@ def _indices(n: int, samples: int = 1) -> dict:
     """Row-index arrays of the stacked operations on n-dimensional tensors
     at `samples` samples, whose stacks hold rows (component, sample); a
     contraction's pair of arrays is indexed [result row, k]."""
-    if samples > 1:
+    if samples != 1:
         return {
             name: tuple(_lift(i, samples) for i in rows) if isinstance(rows, tuple)
             else _lift(rows, samples)
@@ -292,37 +293,10 @@ def koszul(ginv: Jet, dg: Jet, samples: int = 1) -> Jet:
     return take_rows(0.5 * contract(ginv, inner, ia, ib), idx["expand"])
 
 
-def _matmul_by_constant(a: Jet, b: Jet, constant_left: bool, samples: int = 1) -> Jet:
-    """The stacked matrix product of a and b, bit for bit
-    ``contract(a, b, *_indices(n)["matmul"])``, where a (if `constant_left`)
-    or else b is constant: all its coefficients but the values are +0.0.
-
-    A coefficient's Cauchy sum starts at +0.0 and meets the constant's value
-    in one pair; its other pairs meet the constant's zeros and add ±0.0 while
-    the other operand is finite.  So each product is the scaling
-    ``0.0 + coefficient * value`` per coefficient (operands in the product's
-    order), summed over k as `contract` does, with the other operand's
-    support while the constant is finite.  A non-finite coefficient times a
-    zero is NaN in the Cauchy sum, so such an operand takes `contract`."""
-    ia, ib = _indices(math.isqrt(len(a.coeffs) // samples), samples)["matmul"]
-    const, other = (a, b) if constant_left else (b, a)
-    if not np.isfinite(other.coeffs).all():
-        return contract(a, b, ia, ib)
-    v = const.coeffs[:, :1]
-    terms = 0.0 + (v[ia] * b.coeffs[ib] if constant_left else a.coeffs[ia] * v[ib])
-    acc = terms[:, 0]
-    for k in range(1, terms.shape[1]):
-        acc = acc + terms[:, k]
-    return Jet(other.space, acc, other.order, other.support if np.isfinite(v).all() else None)
-
-
 def invert_jet_matrix(g: Jet, samples: int = 1) -> Jet:
     """Inverse of a stacked jet matrix, at each of `samples` samples, via
     Newton iteration in the truncated algebra, X <- X (2I - gX), started
-    from the constant jet X0 of the numeric inverse of the value part.  A
-    product with the constant X0 is a scaling, so the first step's two
-    products are scalings (`_matmul_by_constant`), bit for bit the
-    contractions the later steps make."""
+    from the constant jet X0 of the numeric inverse of the value part."""
     n = math.isqrt(len(g.coeffs) // samples)
     space, order = g.space, g.order
     try:  # one inverse per sample, [sample, i, j]
@@ -339,14 +313,14 @@ def invert_jet_matrix(g: Jet, samples: int = 1) -> Jet:
     while errdeg <= order:
         iters += 1
         errdeg *= 2
-    for step in range(iters):
-        GX = _matmul_by_constant(g, X, False, samples) if step == 0 else contract(g, X, ia, ib)
+    for _ in range(iters):
+        GX = contract(g, X, ia, ib)
         # 2 I - GX as the scalar loop forms it, signed zeros included: the
         # diagonal through the lifted constant 2.0, the rest negated
         coeffs = -GX.coeffs
         coeffs[diag] = (2.0 - take_rows(GX, diag)).coeffs
         M = Jet(space, coeffs, GX.order, GX.support)
-        X = _matmul_by_constant(X, M, True, samples) if step == 0 else contract(X, M, ia, ib)
+        X = contract(X, M, ia, ib)
     return X
 
 
@@ -421,6 +395,43 @@ def log_sqrt_abs_det(g: Jet, samples: Optional[int] = None) -> Jet:
     return 0.5 * log_det
 
 
+def _on_support(stage: Callable[..., Jet], operands: Sequence[Jet], *args) -> Jet:
+    """stage(*operands, *args), a stage over g's stacks, run in the space
+    jet_space(len(S), order) of the variables S its operands depend on and
+    scattered back into +0.0 rows: bit for bit the stage in the operands'
+    space.  A stage ends in a product, whose coefficients outside its
+    support are +0.0, and inside S a product sums the same pairs in the same
+    order, since the graded order restricted to S's monomials is S's own.  A
+    result that is not finite is made again in the full space, as
+    `jets._product` does."""
+    space = operands[0].space
+    support = tuple(sorted(set().union(*(op.support for op in operands))))
+    if len(support) == space.nvars:
+        return stage(*operands, *args)
+    sub, slots = _subspace(space, support)
+    place = {v: i for i, v in enumerate(support)}
+    out = stage(*(
+        Jet(sub, op.coeffs[..., slots[: sub.ncoeff_upto[op.order]]], op.order,
+            tuple(place[v] for v in op.support))
+        for op in operands
+    ), *args)
+    if not np.isfinite(out.coeffs).all():
+        return stage(*operands, *args)
+    coeffs = np.zeros(out.coeffs.shape[:-1] + (space.ncoeff_upto[out.order],))
+    coeffs[..., slots[: out.coeffs.shape[-1]]] = out.coeffs
+    return Jet(space, coeffs, out.order, tuple(support[v] for v in out.support))
+
+
+@lru_cache(maxsize=256)
+def _subspace(space, support: tuple) -> tuple:
+    """The jet space of the variables `support` of `space`, and the slot in
+    `space` of each of its monomials."""
+    sub = jet_space(len(support), space.order)
+    exponents = np.zeros((sub.ncoeff, space.nvars), dtype=np.int64)
+    exponents[:, list(support)] = sub.exponents
+    return sub, space.slots(exponents)
+
+
 # -- Lagrangian evaluation -----------------------------------------------------
 
 
@@ -487,7 +498,7 @@ class _Eval:
     Jet validity bookkeeping (seeded order k): g has validity k-2, the spray
     k-2, N and Gamma k-3.  g's values need k=2, the values of N and Gamma
     k=3 and the curvature k=4.  Every public reader reads a k=4 context
-    (`_context`); a lower k is a reference, as k=2 is for `spray_witness`.
+    (`_context`); the Berwald witness reads k=2 blocks of fiber directions.
     Where the k=4 L is finite, a k=2 context has the bits of its L value,
     g, eigenvalues and admissibility; where a higher coefficient of L leaves
     float range, only the k=4 context sees it.  g is built
@@ -496,17 +507,19 @@ class _Eval:
     where an eigenvalue is within `tol_degenerate` of zero, relative to the
     largest (`signature`); every nondegeneracy check reads that tolerance.
 
-    A block of B samples is Griewank & Walther's vector mode over evaluation
-    points: the 2n coordinates are B-row stacks, L is evaluated once, and
-    each stage from g on is one stacked pass over the rows (component,
-    sample).  g is taken at the samples whose L is finite (`_finite`), and
-    the stages past g at those whose g is also nondegenerate at the block's
-    tolerance and whose values invert (`_past`).  `row(i)` reads sample i
-    with the readers below, which read one sample: a `_Row`, whose every
-    array is bit for bit that of `_Eval` at the sample alone.  A sample
-    whose L is not finite in the block is evaluated alone, only to raise or
-    tag as `_Eval` does there.  With one sample, L is one jet and the stacks
-    hold that sample: the readers read it directly.
+    A block of B samples, given as a sequence of samples (of any length,
+    one included) or as the B rows (x, xdot) of one array, is Griewank &
+    Walther's vector mode over evaluation points: the 2n coordinates are
+    B-row stacks, L is evaluated once, and each stage from g on is one
+    stacked pass over the rows (component, sample).  g is taken at the
+    samples whose L is finite (`_finite`), and the stages past g at those
+    whose g is also nondegenerate at the block's tolerance and whose values
+    invert (`_past`); with no finite L, at none.  `row(i)` reads sample i
+    of a sequence with the readers below, which read one sample: a `_Row`,
+    whose every array is bit for bit that of `_Eval` at the sample alone.
+    A sample whose L is not finite in the block is evaluated alone, only to
+    raise or tag as `_Eval` does there.  With one sample (`single`), L is
+    one jet and the stacks hold that sample: the readers read it directly.
     """
 
     def __init__(
@@ -519,40 +532,35 @@ class _Eval:
         self.lag = lag
         self.order = order
         self.tol_degenerate = tol_degenerate
-        self.samples = (sample,) if isinstance(sample, TangentSample) else tuple(sample)
-        self.sample = self.samples[0]
-        self.n = self.sample.dim
-        # the coordinates evaluated, (x, xdot) per sample
-        self.points = np.array([np.concatenate([s.x, s.xdot]) for s in self.samples])
-        if len(self.samples) == 1:
+        self.single = isinstance(sample, TangentSample)
+        if self.single:
+            self.sample = sample
+        if not isinstance(sample, np.ndarray):
+            self.samples = (sample,) if self.single else tuple(sample)
+            sample = [np.concatenate([s.x, s.xdot]) for s in self.samples]
+        self.points = np.array(sample, dtype=float)
+        self.n = self.points.shape[1] // 2
+        if self.single:
             self.cjets = seed(self.points[0].tolist(), range(2 * self.n), order)
         else:
             self.cjets = seed_block((), self.points, order)
         self.space = self.cjets[0].space
         # an overflow inside a product is tagged by `admissibility`, not warned
         with np.errstate(over="ignore", invalid="ignore"):
-            if len(self.samples) == 1:
+            try:
                 self.L = eval_L_jets(lag, self.cjets)
-            else:
-                try:
-                    self.L = eval_L_jets(lag, self.cjets)
-                except (DomainError, ExprDomainError, DegenerateMetric):
-                    self.L = None  # every sample is evaluated alone (`row`)
+            except (DomainError, ExprDomainError, DegenerateMetric):
+                if self.single:
+                    raise
+                self.L = None  # no sample is in A; `row` evaluates each alone
 
     # -- a block's samples ---------------------------------------------------
 
     def evaluates(self, lag: LagrangianDef, samples: Sequence[TangentSample]) -> bool:
         """Whether this is the order-4 evaluation of `samples` of `lag`: the
         same Lagrangian object and the same coordinate bytes, in order."""
-        return (
-            self.lag is lag
-            and self.order == 4
-            and len(samples) == len(self.points)
-            and all(
-                np.concatenate([s.x, s.xdot]).tobytes() == p.tobytes()
-                for s, p in zip(samples, self.points)
-            )
-        )
+        points = np.array([np.concatenate([s.x, s.xdot]) for s in samples])
+        return self.lag is lag and self.order == 4 and points.tobytes() == self.points.tobytes()
 
     @cached_property
     def _finite(self) -> np.ndarray:
@@ -582,7 +590,7 @@ class _Eval:
         is finite and nondegenerate at the block's tolerance and whose values
         invert (one that does not is left to its row, which raises as
         `invert_jet_matrix` does)."""
-        if len(self.samples) == 1:
+        if self.single:
             return np.zeros(1, dtype=np.int64)
         raw, _, finite, eig = self._spectrum
         past = np.flatnonzero(finite & (_signature(eig, self.tol_degenerate)[:, 2] == 0))
@@ -596,7 +604,7 @@ class _Eval:
     def _g_past(self) -> Jet:
         """g at the samples past g; for one sample its g, which must be
         nondegenerate."""
-        if len(self.samples) == 1:
+        if self.single:
             self.require_nondegenerate()
             return self.g_jets
         width = len(self._finite)
@@ -607,7 +615,7 @@ class _Eval:
     def _at_past(self, j: Jet) -> Jet:
         """The rows of a jet or stack over the block's samples (L, a
         coordinate) at the samples past g; for one sample, j."""
-        if len(self.samples) == 1:
+        if self.single:
             return j
         return take_rows(j, self._finite[self._past])
 
@@ -618,7 +626,7 @@ class _Eval:
         which raises as `_Eval` does.  For one sample at its own tolerance,
         the evaluation itself."""
         tol = self.tol_degenerate if tol_degenerate is None else tol_degenerate
-        if len(self.samples) == 1:
+        if self.single:
             if tol == self.tol_degenerate:
                 return self
             return _Eval(self.lag, self.sample, self.order, tol)
@@ -631,7 +639,7 @@ class _Eval:
 
     @cached_property
     def g_jets(self) -> Jet:
-        if len(self.samples) > 1:
+        if not self.single:
             return _half_hessian(take_rows(self.L, self._finite), self.n)
         if not np.isfinite(self.L.coeffs).all():
             raise DomainError("non-finite", "L is not finite at the sample")
@@ -710,7 +718,7 @@ class _Eval:
 
     @cached_property
     def g_inv_jets(self) -> Jet:
-        return invert_jet_matrix(self._g_past, len(self._past))
+        return _on_support(invert_jet_matrix, [self._g_past], len(self._past))
 
     @cached_property
     @_quiet
@@ -731,7 +739,7 @@ class _Eval:
     def _shape(self, *dims: int) -> tuple:
         """The shape of a stage's tensor, and in a block the samples past g
         last: the stack's rows (component, sample)."""
-        return dims if len(self.samples) == 1 else dims + (len(self._past),)
+        return dims if self.single else dims + (len(self._past),)
 
     @cached_property
     def spray_values(self) -> np.ndarray:
@@ -779,7 +787,8 @@ class _Eval:
         idx = _indices(self.n, len(self._past))
         dg = self.delta_of(take_rows(self._g_past, idx["upper"]))  # [b, c <= q]
         # dg[b, c, q] = delta_b g_cq, both triangles from the c <= q jet
-        return koszul(self.g_inv_jets, take_rows(dg, idx["expand"]), len(self._past))
+        operands = [self.g_inv_jets, take_rows(dg, idx["expand"])]
+        return _on_support(koszul, operands, len(self._past))
 
     @cached_property
     def gamma_values(self) -> np.ndarray:
@@ -832,9 +841,9 @@ class _Eval:
     def log_sqrt_det(self) -> Jet:
         """ln sqrt|det g| as a jet over this context's coordinates; in a
         block, a stack over the samples past g."""
-        if len(self.samples) == 1:
-            return log_sqrt_abs_det(self.g_jets)
-        return log_sqrt_abs_det(self._g_past, len(self._past))
+        if self.single:
+            return _on_support(log_sqrt_abs_det, [self.g_jets])
+        return _on_support(log_sqrt_abs_det, [self._g_past], len(self._past))
 
     @cached_property
     def _log_sqrt_det_delta(self) -> Jet:
@@ -895,6 +904,7 @@ class _Row(_Eval):
         self.block = block
         self.lag, self.order, self.n, self.space = block.lag, block.order, block.n, block.space
         self.tol_degenerate = tol_degenerate
+        self.single = True
         self.sample = block.samples[index]
         self.samples = (self.sample,)
         self._index = index
@@ -1169,86 +1179,6 @@ def _probed(
     except DegenerateMetric:  # a family whose alpha is identically zero
         return _outside_A("degenerate-metric"), None
     return ev.admissibility(convention, tol_null), ev
-
-
-@lru_cache(maxsize=None)
-def _order2_slots(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Coefficient slots in JetSpace(2n, 2), variables x then xdot, of the
-    monomials xdot^a xdot^b [a, b], x^m xdot^q [m, q] and x^q [q]."""
-    space = jet_space(2 * n, 2)
-
-    def slot(*variables):
-        e = [0] * (2 * n)
-        for v in variables:
-            e[v] += 1
-        return space.index[tuple(e)]
-
-    vv = np.array([[slot(n + a, n + b) for b in range(n)] for a in range(n)])
-    xv = np.array([[slot(m, n + q) for q in range(n)] for m in range(n)])
-    x1 = np.array([slot(q) for q in range(n)])
-    return vv, xv, x1
-
-
-@_quiet
-def spray_witness(
-    lag: LagrangianDef,
-    x: np.ndarray,
-    directions: np.ndarray,
-    tol_degenerate: float = TOL_DEGENERATE,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Membership in A and the spray at (x, d) for each row d of `directions`.
-
-    L is evaluated once, to order 2, over the whole block: the x-jets are
-    scalar, so every x-only subexpression is evaluated once, and the
-    xdot-jets are stacks.  Row by row, the mask equals the `in_A` of the
-    admissibility of an order-2 ``_Eval(lag, TangentSample(x, d), 2,
-    tol_degenerate)`` (False where that constructor raises) and the spray
-    equals its `spray_values`, bit for bit: both are read from L's
-    coefficients with the float operations of `_Eval`, in its order (each
-    validity-0 jet product is the 0.0 + a * b of `np.bincount`; `eigvalsh`
-    and `inv` run on the stacked matrices).  A row outside A, including one
-    whose L left a function's domain, has a spray of NaN; a row inside A can
-    have a spray out of float range, which its reader checks.
-    """
-    x = np.asarray(x, dtype=float)
-    directions = np.asarray(directions, dtype=float)
-    rows, n = directions.shape
-    in_A = np.zeros(rows, dtype=bool)
-    spray = np.full((rows, n), np.nan)
-    cjets = seed_block(x, directions, 2)
-    try:
-        with np.errstate(all="ignore"):
-            L = eval_L_jets(lag, cjets)
-    except (DomainError, ExprDomainError):
-        return in_A, spray  # raised by the x-jets or a constant: every row alike
-    coeffs = np.broadcast_to(L.coeffs, (rows, L.coeffs.shape[-1]))
-    vv, xv, x1 = _order2_slots(n)
-
-    # g_jets values: 0.5 * dv_b dv_a L, each diff scaling by the exponent
-    raw = coeffs[:, vv] * np.where(np.eye(n, dtype=bool), 2.0, 1.0) * 0.5
-    g = 0.5 * (raw + raw.transpose(0, 2, 1))
-    finite = np.all(np.isfinite(coeffs), axis=1) & np.all(np.isfinite(g), axis=(1, 2))
-    eig = np.linalg.eigvalsh(np.where(finite[:, None, None], g, np.eye(n)))
-    thr = tol_degenerate * np.max(np.abs(eig), axis=1)
-    nonzero = np.sum(eig > thr[:, None], axis=1) + np.sum(eig < -thr[:, None], axis=1)
-    in_A = finite & (nonzero == n)
-
-    inside = np.flatnonzero(in_A)
-    if inside.size:
-        coeffs = coeffs[inside]
-        # bracket_q = sum_m xdot^m d_m ddot_q L - d_q L, summed over m in order
-        terms = 0.0 + directions[inside][:, :, None] * coeffs[:, xv]  # [row, m, q]
-        bracket = terms[:, 0]
-        for m in range(1, n):
-            bracket = bracket + terms[:, m]
-        bracket = bracket - coeffs[:, x1]
-        # G^a = (1/4) sum_q g^{aq} bracket_q, summed over q in order
-        terms = 0.0 + np.linalg.inv(raw[inside]) * bracket[:, None, :]  # [row, a, q]
-        acc = terms[:, :, 0]
-        for q in range(1, n):
-            acc = acc + terms[:, :, q]
-        spray[inside] = acc * 0.25
-    return in_A, spray
 
 
 def probe_admissibility(

@@ -642,16 +642,19 @@ def _entry(head: dict, fields, *inputs) -> dict:
     return _canon(entry)
 
 
-def _berwald_verdict(opts: SceneOptions, idx: int, verdict, ev) -> berwald.BerwaldVerdict:
-    if not verdict.in_A:
-        raise NoAdmissibleDirections(f"the sample is outside A ({verdict.failure_reason})")
-    return berwald.verdict_at(
-        ev,
-        count=opts.directions,
-        rng=np.random.default_rng([opts.seed, idx]),
-        spread=opts.spread,
-        tol_berwald=opts.tol_berwald,
-    )
+def _berwald_verdicts(opts: SceneOptions, probes: list) -> list:
+    """The Berwald verdict at each base point, or the error that stopped
+    it, from one `berwald.verdicts_at` over the base points in A; base
+    point i draws its directions from the generator [seed, i]."""
+    inside = [i for i, (verdict, _) in enumerate(probes) if verdict.in_A]
+    found = dict(zip(inside, berwald.verdicts_at(
+        [probes[i][1] for i in inside], [np.random.default_rng([opts.seed, i]) for i in inside],
+        opts.directions, opts.spread, opts.tol_berwald,
+    )))
+    return [
+        found.get(i, NoAdmissibleDirections(f"the sample is outside A ({v.failure_reason})"))
+        for i, (v, _) in enumerate(probes)
+    ]
 
 
 def _obstruction_fields(ev, bv: berwald.BerwaldVerdict, tol_sym: float) -> dict:
@@ -680,21 +683,21 @@ def _proposition_fields(fam: alphabeta.FamilyEval) -> dict:
 
 
 def _base_point(
-    scene: Scene, idx: int, label: str, sample: TangentSample, sections: tuple,
-    verdict: geometry.AdmissibilityVerdict, ev: Optional[geometry._Eval],
+    scene: Scene, label: str, sample: TangentSample, sections: tuple,
+    verdict: geometry.AdmissibilityVerdict, ev: Optional[geometry._Eval], bv,
 ) -> dict:
     """Every per-point entry of the requested sections at one base point,
     read from its row `ev` of the scene's order-4 block evaluation, whose
-    admissibility is `verdict`, and, for a family, one closed-form
-    evaluation.  The order is the same for every subcommand, so each writes
-    a sample's admissibility and metric alike."""
+    admissibility is `verdict`, its Berwald verdict `bv` or the error that
+    stopped it (None without a Berwald section), and, for a family, one
+    closed-form evaluation.  The order is the same for every subcommand, so
+    each writes a sample's admissibility and metric alike."""
     opts = scene.options
     lag = scene.lagrangian
     # family sections apply to family Lagrangians only and come with the
     # sample detail in a report, whose Berwald-condition fit reads `fam` too
     family = any(s in _FAMILY_SECTIONS for s in sections)
     fam = _attempt(alphabeta.FamilyEval, lag, sample.x) if family else None
-    bv = _attempt(_berwald_verdict, opts, idx, verdict, ev) if "berwald" in sections else None
     builders = {
         "berwald": (asdict, bv),
         "obstruction": (_obstruction_fields, ev, bv, opts.tol_sym),
@@ -821,9 +824,10 @@ def run_scene(scene: Scene, subcommand: str) -> tuple[dict, int]:
         tol_null=opts.tol_null,
         evaluation=scene.evaluation,
     )
+    bvs = _berwald_verdicts(opts, probes) if "berwald" in sections else [None] * len(probes)
     points = [
-        _base_point(scene, idx, label, sample, sections, *probe)
-        for idx, ((label, sample), probe) in enumerate(zip(scene.samples, probes))
+        _base_point(scene, label, sample, sections, *probe, bv)
+        for (label, sample), probe, bv in zip(scene.samples, probes, bvs)
     ]
     report["samples"] = [p.pop("sample") for p in points]
     summaries = _summary({section: [p[section] for p in points] for section in points[0]}, opts)

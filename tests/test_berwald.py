@@ -83,8 +83,7 @@ def test_no_admissible_directions():
 # -- the spray witness against one context per candidate ---------------------------
 
 
-def _rejection_scenes():
-    """The DSL scenes of tools/report_digests.py whose witness draws leave A."""
+def _digest_tool():
     path = Path(__file__).resolve().parents[1] / "tools" / "report_digests.py"
     spec = importlib.util.spec_from_file_location("report_digests", path)
     module = importlib.util.module_from_spec(spec)
@@ -94,22 +93,31 @@ def _rejection_scenes():
         spec.loader.exec_module(module)
     finally:
         sys.dont_write_bytecode = saved
-    return {name: scene.load_scene(doc) for name, doc in module.REJECTION_SCENES.items()}
+    return module
 
 
-REJECTION_SCENES = _rejection_scenes()
+_TOOL = _digest_tool()
+# The DSL scenes of tools/report_digests.py whose witness draws leave A.
+REJECTION_SCENES = {name: scene.load_scene(doc) for name, doc in _TOOL.REJECTION_SCENES.items()}
+WITNESS_OVERFLOW = scene.load_scene(_TOOL.WITNESS_OVERFLOW_SCENE)
 
 
 def _witness_cases():
     for name in catalog.names():
         entry = catalog.get(name)
-        for i, s in enumerate(entry.default_samples):
+        for i in range(len(entry.default_samples)):
             yield pytest.param(
-                entry.lagrangian, s, berwald.DEFAULT_SPREAD, False, id=f"{name}-{i}"
+                entry.lagrangian, entry.default_samples, i, berwald.DEFAULT_SPREAD, False,
+                id=f"{name}-{i}",
             )
-    for name, scn in REJECTION_SCENES.items():
-        for label, s in scn.samples:
-            yield pytest.param(scn.lagrangian, s, scn.options.spread, True, id=f"{name}-{label}")
+    scenes = {**REJECTION_SCENES, "witness-overflow": WITNESS_OVERFLOW}
+    for name, scn in scenes.items():
+        samples = [s for _, s in scn.samples]
+        for i, (label, _) in enumerate(scn.samples):
+            rejects = name in REJECTION_SCENES
+            yield pytest.param(
+                scn.lagrangian, samples, i, scn.options.spread, rejects, id=f"{name}-{label}"
+            )
 
 
 def order2_probe(lag, sample):
@@ -142,21 +150,29 @@ def reference_directions(lag, x, seed_direction, count, rng, spread, max_attempt
     return [e.sample.xdot for e in found], [e.spray_values for e in found], attempts
 
 
-@pytest.mark.parametrize("lag, sample, spread, rejects", list(_witness_cases()))
-def test_spray_witness_rows_equal_one_context_per_row(lag, sample, spread, rejects):
-    scale = spread * max(1.0, float(np.max(np.abs(sample.xdot))))
+@pytest.mark.parametrize("lag, samples, index, spread, rejects", list(_witness_cases()))
+def test_spray_witness_rows_equal_one_context_per_row(lag, samples, index, spread, rejects):
+    # one block holds 17 draws near every sample of the scene, each at its
+    # own x; the rows of sample `index` are checked against their contexts
     gen = np.random.default_rng(11)
-    block = sample.xdot + scale * gen.uniform(-1.0, 1.0, size=(17, sample.dim))
-    in_A, spray = geometry.spray_witness(lag, sample.x, block)
-    for d, row_in_A, row_spray in zip(block, in_A, spray):
-        probe_in_A, ev = order2_probe(lag, TangentSample(sample.x, d))
-        assert row_in_A == probe_in_A
+    points, owners = [], []
+    for i, s in enumerate(samples):
+        scale = spread * max(1.0, float(np.max(np.abs(s.xdot))))
+        draws = s.xdot + scale * gen.uniform(-1.0, 1.0, size=(17, s.dim))
+        points += [np.concatenate([s.x, d]) for d in draws]
+        owners += [i] * len(draws)
+    in_A, spray = berwald._witness_block(lag, np.array(points), geometry.TOL_DEGENERATE)
+    x = samples[index].x
+    mine = [r for r, i in enumerate(owners) if i == index]
+    for r in mine:
+        probe_in_A, ev = order2_probe(lag, TangentSample(x, points[r][len(x):]))
+        assert in_A[r] == probe_in_A
         if probe_in_A:
-            assert row_spray.tobytes() == ev.spray_values.tobytes()  # down to signed zeros
+            assert spray[r].tobytes() == ev.spray_values.tobytes()  # down to signed zeros
         else:
-            assert np.all(np.isnan(row_spray))
-    # the rejection scenes reach the out-of-A rows; the catalog samples do not
-    assert (not np.all(in_A)) == rejects
+            assert np.all(np.isnan(spray[r]))
+    # the rejection scenes reach the out-of-A rows; the others do not
+    assert (not np.all(in_A[mine])) == rejects
 
 
 @pytest.mark.parametrize("name", sorted(REJECTION_SCENES))
@@ -206,6 +222,83 @@ def test_no_admissible_directions_reports_the_attempts():
         assert str(err.value) == (
             f"found {len(want)} admissible directions at x={s.x} after {attempts} attempts"
         )
+
+
+def _counting_evals(monkeypatch) -> list:
+    """(order, sample argument) of every `_Eval` built from now on."""
+    built = []
+    init = _Eval.__init__
+
+    def counting(self, lag, sample, order, tol_degenerate=geometry.TOL_DEGENERATE):
+        built.append((order, sample))
+        init(self, lag, sample, order, tol_degenerate)
+
+    monkeypatch.setattr(_Eval, "__init__", counting)
+    return built
+
+
+def _counting_rounds(monkeypatch) -> list:
+    """The points of every witness round from now on."""
+    rounds = []
+    block = berwald._witness_block
+
+    def counting(lag, points, tol_degenerate):
+        rounds.append(points)
+        return block(lag, points, tol_degenerate)
+
+    monkeypatch.setattr(berwald, "_witness_block", counting)
+    return rounds
+
+
+def test_the_witness_evaluates_one_block_per_round_and_no_row_alone(monkeypatch):
+    # two base points of a rejection scene: each round's draws, at both
+    # base points, are one order-2 block, and no draw is evaluated alone
+    doc = _TOOL.REJECTION_SCENES["sqrt-domain"]
+    second = {"x": [0.2, -0.1, 0.4], "xdot": [1.0, 0.5, 0.4], "label": "p1"}
+    scn = scene.load_scene({**doc, "samples": doc["samples"] + [second]})
+    built, rounds = _counting_evals(monkeypatch), _counting_rounds(monkeypatch)
+    report, _ = scene.run_scene(scn, "berwald")
+    entries = report["geometry"]["berwald"]["per_base_point"]
+    assert [e["directions_tested"] for e in entries] == [16, 16]
+    witness = [sample for order, sample in built if order == 2]
+    assert len(rounds) > 1 and len(witness) == len(rounds)
+    assert all(isinstance(sample, np.ndarray) for sample in witness)
+    assert [len(points) for points in witness] == [len(points) for points in rounds]
+    # the first round holds 15 draws at each base point
+    assert np.array_equal(rounds[0][:, :3], np.repeat([s.x for _, s in scn.samples], 15, axis=0))
+
+
+def test_a_block_whose_every_L_is_not_finite_evaluates_no_row_alone(monkeypatch):
+    # exp(1000) leaves float range at every draw: every round is one block,
+    # outside A as a whole, and no row is evaluated on its own
+    lag = scene.load_scene(_TOOL.ERROR_SCENES["overflow"]).lagrangian
+    x, xdot = np.array([1.0, 0.0]), np.array([1.0, 0.2])
+    built, rounds = _counting_evals(monkeypatch), _counting_rounds(monkeypatch)
+    in_A, spray = berwald._witness_block(lag, np.array([[*x, *xdot], [*x, 0.5, 1.0]]), 1e-10)
+    assert not in_A.any() and np.isnan(spray).all()
+    rounds.clear()
+    built.clear()
+    with pytest.raises(NoAdmissibleDirections, match="found 0 admissible directions"):
+        berwald.sample_admissible_directions(lag, x, xdot, rng=0)
+    # the seed's block, then 12 rounds of 16 draws and one of 8
+    assert [len(points) for points in rounds] == [1] + [16] * 12 + [8]
+    assert [order for order, _ in built] == [2] * len(rounds)
+    assert all(isinstance(sample, np.ndarray) for _, sample in built)
+
+
+def test_a_one_draw_round_reads_the_bits_of_that_draw_alone(monkeypatch, szabo):
+    # with the seed in A and two directions asked for, each round draws one
+    # direction: a block of one row, whose spray is that draw's own
+    s = szabo.default_samples[0]
+    seed_in_A, seed_ev = order2_probe(szabo.lagrangian, s)
+    assert seed_in_A
+    built = _counting_evals(monkeypatch)
+    base = (s.x, s.xdot, seed_ev.spray_values, np.random.default_rng(5))
+    (directions, sprays), = berwald._witnesses(szabo.lagrangian, [base], 2, 0.25)
+    assert len(directions) == 2 and built
+    assert all(sample.shape == (1, 8) for _, sample in built)
+    in_A, ev = order2_probe(szabo.lagrangian, TangentSample(s.x, directions[1]))
+    assert in_A and sprays[1].tobytes() == ev.spray_values.tobytes()
 
 
 # -- affine Ricci -----------------------------------------------------------------

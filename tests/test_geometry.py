@@ -755,13 +755,14 @@ def test_delta_of_without_fiber_dependence_matches_the_loop(n, validity, kind, s
     assert _outcome(_Eval.delta_of, ctx, j) == _outcome(ref_full_delta_of, N, j, n)
 
 
-def _product_supports(monkeypatch, call) -> list:
-    """The support each jet product made by call() ran its pairs over."""
+def _product_supports(monkeypatch, call, spaces=False) -> list:
+    """The support each jet product made by call() ran its pairs over, or
+    with `spaces` the (space, support) of each."""
     supports = []
     product = jets._product
 
     def recording(space, a, b, order, support):
-        supports.append(support)
+        supports.append((space, support) if spaces else support)
         return product(space, a, b, order, support)
 
     with monkeypatch.context() as patch:
@@ -771,31 +772,81 @@ def _product_supports(monkeypatch, call) -> list:
 
 
 def _inversion_supports(monkeypatch, lag, sample):
-    """The supports the products of g's inversion ran their pairs over, in
-    the order-4 context of the sample."""
+    """The (space, support) each product of g's inversion ran its pairs
+    over, in the order-4 context of the sample."""
     ev = _Eval(lag, sample, 4)
     ev.g_jets
-    return set(_product_supports(monkeypatch, lambda: ev.g_inv_jets))
+    return set(_product_supports(monkeypatch, lambda: ev.g_inv_jets, spaces=True))
 
 
 def test_inversion_runs_over_the_variables_g_depends_on(monkeypatch, minkowski):
+    # g^-1 is made in the jet space of the variables g depends on: every
+    # product runs over all of that space's variables
     dim6 = DslLagrangian(dim=6, ast=expr.parse(
         "exp(0.2*x1*x2 + 0.15*x4)*(dx0^2 - dx1^2 - dx2^2 - dx3^2 - dx4^2 - dx5^2)",
         12, aliases=fiber_aliases(6, None),
     ))
     sample = TangentSample([0.1, -0.3, 0.25, 0.0, 0.4, -0.2], [1.0, 0.1, -0.15, 0.05, 0.2, -0.1])
-    assert _inversion_supports(monkeypatch, dim6, sample) == {(1, 2, 4)}
+    assert _inversion_supports(monkeypatch, dim6, sample) == {(jet_space(3, 4), (0, 1, 2))}
+    assert _Eval(dim6, sample, 4).g_inv_jets.support == (1, 2, 4)
     assert _inversion_supports(
         monkeypatch, minkowski.lagrangian, minkowski.default_samples[0]
-    ) == {()}
+    ) == {(jet_space(0, 4), ())}
     # a g that depends on every variable is inverted over all of them
     lag = DslLagrangian(dim=2, ast=expr.parse(
         "exp(0.3*x0 + 0.2*x1)*(dx0^2 - dx1^2) + 0.1*(dx0^4 + dx1^4)/(dx0^2 + dx1^2)",
         4, aliases=fiber_aliases(2, None),
     ))
     assert _inversion_supports(monkeypatch, lag, TangentSample([0.1, 0.2], [1.0, 0.3])) == {
-        (0, 1, 2, 3)
+        (jet_space(4, 4), (0, 1, 2, 3))
     }
+
+
+def _stage_outcome(call):
+    """The coefficient bytes, order and support of call()'s jet, or the
+    name of the exception it raised."""
+    try:
+        with np.errstate(all="ignore"):
+            j = call()
+    except (DomainError, DegenerateMetric) as err:
+        return type(err).__name__
+    return j.coeffs.tobytes(), j.order, j.support
+
+
+def test_g_stages_on_their_support_are_the_stages_in_the_full_space(digest_scenes):
+    # the reference: each stage called in the operands' own space, at every
+    # digest scene's samples, alone and as the scene's block
+    compact = 0
+    for name, doc in digest_scenes:
+        scn = load_scene(doc)
+        samples = [s for _, s in scn.samples]
+        tol = scn.options.tol_degenerate
+        for sample in samples + [samples]:
+            try:
+                with np.errstate(all="ignore"):
+                    ev = _Eval(scn.lagrangian, sample, 4, tol)
+                    g, count = ev._g_past, len(ev._past)
+            except (DomainError, ExprDomainError, DegenerateMetric):
+                continue
+            if not count:
+                continue
+            compact += len(g.support) < 2 * ev.n
+            stages = [
+                (geometry.invert_jet_matrix, [g], (count,)),
+                (geometry.log_sqrt_abs_det, [g], (count,) if not ev.single else ()),
+            ]
+            ginv = _stage_outcome(lambda: ev.g_inv_jets)
+            if isinstance(ginv, tuple):
+                idx = geometry._indices(ev.n, count)
+                with np.errstate(all="ignore"):
+                    dg = ev.delta_of(geometry.take_rows(g, idx["upper"]))
+                operands = [ev.g_inv_jets, geometry.take_rows(dg, idx["expand"])]
+                stages.append((geometry.koszul, operands, (count,)))
+            for stage, operands, args in stages:
+                got = _stage_outcome(lambda: geometry._on_support(stage, operands, *args))
+                want = _stage_outcome(lambda: stage(*operands, *args))
+                assert got == want, (name, stage.__name__)
+    assert compact > 10
 
 
 _CATALOG_SAMPLES = [

@@ -25,7 +25,7 @@ _SUMMARY = re.compile(
     rf"(?P<scene>\S+) (?P<sub>{'|'.join(SUBCOMMANDS)}) (?P<seed>\d+) summary {_DIGEST}"
 )
 _CALL = re.compile(
-    rf"(?P<scene>\S+) (?P<kind>chain-rev|chain|L|family):(?P<call>\S+) (?P<label>\S+)"
+    rf"(?P<scene>\S+) (?P<kind>chain-rev|chain|L|family|witness):(?P<call>\S+) (?P<label>\S+)"
     rf" (?P<digest>{_DIGEST}|\w+)"
 )
 
@@ -67,6 +67,8 @@ def test_report_digests_lines_have_their_shape(capsys):
     }
     assert {m["call"] for m in calls if m["kind"] == "L"} == {"order2", "order4", "witness-block"}
     assert kinds["L"] * 7 == kinds["chain"] * 3
+    assert {m["call"] for m in calls if m["kind"] == "witness"} == {"directions"}
+    assert kinds["witness"] * 7 == kinds["chain"]
     # the reverse pass gives each call at each sample its forward digest
     forward = {
         (m["scene"], m["call"], m["label"]): m["digest"] for m in calls if m["kind"] == "chain"

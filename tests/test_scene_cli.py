@@ -445,8 +445,9 @@ def test_exit_codes():
 def test_a_report_builds_one_order_4_block_over_every_base_point(monkeypatch, tmp_path):
     # loading and running a scene evaluate its base points once, in one
     # block: a catalog scene's loader builds it (for szabo, its search's last
-    # block of candidates) and run_scene reads it; the spray witness reads L
-    # over blocks of directions, so no other context is built
+    # block of candidates) and run_scene reads it; the spray witness
+    # evaluates every base point's draws in one order-2 block per round (one
+    # round here, as every draw lies in A), so no other context is built
     built = []
     init = geometry._Eval.__init__
 
@@ -461,12 +462,17 @@ def test_a_report_builds_one_order_4_block_over_every_base_point(monkeypatch, tm
         scn = load_scene_file(str(path))
         report, _ = run_scene(scn, "report")
         assert all(s["admissibility"]["in_A"] for s in report["samples"]), path
-        assert len(built) == 1, path
-        order, block = built[0]
-        assert order == 4
+        assert [order for order, _ in built] == [4, 2], path
+        block = built[0][1]
         assert [(s.x.tobytes(), s.xdot.tobytes()) for s in block] == [
             (s.x.tobytes(), s.xdot.tobytes()) for _, s in scn.samples
         ], path
+        # 15 draws at each base point, each at its own x
+        n = scn.dim
+        witness = built[1][1]
+        assert isinstance(witness, np.ndarray) and witness.shape == (15 * len(scn.samples), 2 * n)
+        for i, (_, s) in enumerate(scn.samples):
+            assert np.array_equal(witness[15 * i: 15 * (i + 1), :n], np.tile(s.x, (15, 1))), path
 
 
 def test_every_subcommand_writes_one_admissibility_and_metric_per_sample(
@@ -494,17 +500,17 @@ def test_every_subcommand_writes_one_admissibility_and_metric_per_sample(
 
 
 def test_report_evaluates_L_once_per_base_point(monkeypatch):
-    # loading and running evaluate L once, over a block of the base points
-    # (all 2n coordinates stacked); the commutator residual differentiates
-    # that L, and the spray witness's evaluations (x as one jet, xdot
-    # stacked) are counted apart
+    # loading and running evaluate L once at order 4, over a block of the
+    # base points (all 2n coordinates stacked); the commutator residual
+    # differentiates that L, and the spray witness evaluates L once at order
+    # 2, over one block of the 15 draws at each base point
     block_calls, scalar_calls = [], []
     eval_L_jets = geometry.eval_L_jets
 
     def counting(lag, coord_jets):
         stacked = [j.coeffs.ndim == 2 for j in coord_jets]
         if all(stacked):
-            block_calls.append(len(coord_jets[0].coeffs))
+            block_calls.append((coord_jets[0].space.order, len(coord_jets[0].coeffs)))
         elif not any(stacked):
             scalar_calls.append(coord_jets)
         return eval_L_jets(lag, coord_jets)
@@ -514,7 +520,7 @@ def test_report_evaluates_L_once_per_base_point(monkeypatch):
     report, _ = run_scene(scn, "report")
     in_A = sum(s["admissibility"]["in_A"] for s in report["samples"])
     assert in_A == 2
-    assert block_calls == [in_A]
+    assert block_calls == [(4, in_A), (2, 30)]
     assert scalar_calls == []
 
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from finslergeo import catalog, expr, geometry, jets
+from finslergeo import berwald, catalog, expr, geometry, jets
 from finslergeo.defs import DslLagrangian, FamilyInstance, TangentSample
 from finslergeo.expr import Binary, Const, Coord, ExprDomainError, Param, Unary
 from finslergeo.geometry import DegenerateMetric
@@ -383,12 +383,17 @@ def test_an_outer_product_sums_from_plus_zero():
 
 @pytest.mark.parametrize("name", catalog.names())
 def test_the_witness_block_makes_no_product_over_all_the_variables(name, monkeypatch):
-    # the x-jets and the stacks of fiber coordinates keep their supports
+    # the stacks of base and fiber coordinates keep their supports, over
+    # the draws of every default sample of the entry
     entry = catalog.get(name)
-    sample, n = entry.default_samples[0], entry.dim
+    n = entry.dim
     rng = np.random.default_rng(7)
-    block = sample.xdot * (1.0 + 0.05 * rng.uniform(-1.0, 1.0, (16, n)))
+    points = np.concatenate([
+        np.hstack([np.tile(s.x, (16, 1)), s.xdot * (1.0 + 0.05 * rng.uniform(-1.0, 1.0, (16, n)))])
+        for s in entry.default_samples
+    ])
     supports = recorded_supports(
-        monkeypatch, lambda: geometry.spray_witness(entry.lagrangian, sample.x, block)
+        monkeypatch,
+        lambda: berwald._witness_block(entry.lagrangian, points, geometry.TOL_DEGENERATE),
     )
     assert supports and all(s is not None and len(s) < 2 * n for s in supports)

@@ -61,11 +61,17 @@ and ``geometry.christoffel_gradient`` of alpha print
     <scene> family:<reader> <sample label> <sha256 of the result's raw bytes>
 
 in the same way.  For every sample of every scene, the Taylor coefficients
-of L -- ``geometry.eval_L`` at orders 2 and 4, and the batched order-2 L of
-the spray witness over one fixed block of directions near the sample's --
-print
+of L -- ``geometry.eval_L`` at orders 2 and 4, and an order-2 L over one
+fixed block of directions near the sample's at its x, x seeded once and the
+directions stacked (``witness-block``) -- print
 
     <scene> L:<evaluation> <sample label> <sha256 of the coefficients' raw bytes>
+
+and the directions the Berwald witness samples near the sample's,
+``berwald.sample_admissible_directions`` with 16 directions, the scene's
+spread and the generator [seed, sample index] at each seed, print
+
+    <scene> witness:directions <sample label> <sha256 of the directions' raw bytes>
 
 Two checkouts that print the same lines write byte-identical reports,
 print the same summaries and return byte-identical arrays, so a refactoring can be checked against its
@@ -85,7 +91,7 @@ from pathlib import Path
 
 import numpy as np
 
-from finslergeo import alphabeta, catalog, cli, geometry
+from finslergeo import alphabeta, berwald, catalog, cli, geometry
 from finslergeo.defs import FamilyInstance
 from finslergeo.jets import seed_block
 from finslergeo.scene import SUBCOMMANDS, load_scene
@@ -352,7 +358,8 @@ def _family_calls(inst, x):
 
 def _L_calls(lag, sample):
     """(name, thunk) for each evaluation of L at one sample: the jet of
-    `geometry.eval_L` at orders 2 and 4, and the witness's block jet."""
+    `geometry.eval_L` at orders 2 and 4, and the order-2 jet over a block of
+    directions near the sample's at its x."""
     n = sample.dim
     offsets = np.resize(WITNESS_OFFSETS, (len(WITNESS_OFFSETS), n))
     block = sample.xdot * (1.0 + offsets)
@@ -365,6 +372,22 @@ def _L_calls(lag, sample):
         ("order4", lambda: [geometry.eval_L(lag, sample, 4).coeffs]),
         ("witness-block", witness),
     ]
+
+
+def _witness_directions(scn, index, sample):
+    """The thunk of the directions the Berwald witness samples near one
+    sample of a scene, at every seed."""
+
+    def directions():
+        return [
+            d
+            for seed in SEEDS
+            for d in berwald.sample_admissible_directions(
+                scn.lagrangian, sample.x, sample.xdot, 16, [seed, index], scn.options.spread
+            )
+        ]
+
+    return directions
 
 
 def chain_digest(thunk) -> str:
@@ -393,7 +416,7 @@ def main(argv=None) -> int:
                     print(f"{name} {sub} {seed} summary {summary}", flush=True)
     for name, doc in scene_documents(root):
         scn = load_scene(doc)
-        for label, sample in scn.samples:
+        for index, (label, sample) in enumerate(scn.samples):
             calls = _chain_calls(scn.lagrangian, sample, scn.options.tol_degenerate)
             geometry._last_context = None
             for call, thunk in calls:
@@ -403,6 +426,8 @@ def main(argv=None) -> int:
                 print(f"{name} chain-rev:{call} {label} {chain_digest(thunk)}", flush=True)
             for call, thunk in _L_calls(scn.lagrangian, sample):
                 print(f"{name} L:{call} {label} {chain_digest(thunk)}", flush=True)
+            witness = chain_digest(_witness_directions(scn, index, sample))
+            print(f"{name} witness:directions {label} {witness}", flush=True)
             if isinstance(scn.lagrangian, FamilyInstance):
                 for call, thunk in _family_calls(scn.lagrangian, sample.x):
                     print(f"{name} family:{call} {label} {chain_digest(thunk)}", flush=True)
