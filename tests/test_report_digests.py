@@ -1,8 +1,8 @@
 """Smoke test of tools/report_digests.py, the byte-identity check of reports,
-printed summaries and chain arrays: it runs, every line it prints has its
-documented shape, the chain calls give the same digests in either call
-order, and its mixed-rows scene reports its sample in A as that sample
-alone."""
+printed summaries, chain arrays and the stage jets of each scene's block:
+it runs, every line it prints has its documented shape, the chain calls
+give the same digests in either call order, and its mixed-rows scene
+reports its sample in A as that sample alone."""
 
 import contextlib
 import importlib.util
@@ -25,7 +25,7 @@ _SUMMARY = re.compile(
     rf"(?P<scene>\S+) (?P<sub>{'|'.join(SUBCOMMANDS)}) (?P<seed>\d+) summary {_DIGEST}"
 )
 _CALL = re.compile(
-    rf"(?P<scene>\S+) (?P<kind>chain-rev|chain|L|family|witness):(?P<call>\S+) (?P<label>\S+)"
+    rf"(?P<scene>\S+) (?P<kind>chain-rev|chain|L|family|witness|stage):(?P<call>\S+) (?P<label>\S+)"
     rf" (?P<digest>{_DIGEST}|\w+)"
 )
 
@@ -79,6 +79,9 @@ def test_report_digests_lines_have_their_shape(capsys):
     assert kinds["chain-rev"] == kinds["chain"] == len(forward)
     assert reverse == forward
     assert kinds["family"] > 0
+    # one line per stage of each scene's block
+    stages = [(m["scene"], m["call"], m["label"]) for m in calls if m["kind"] == "stage"]
+    assert stages == [(name, stage, "block") for name in scenes for stage in tool.STAGES]
     assert {m["scene"] for m in calls} == set(scenes)
 
 

@@ -73,6 +73,17 @@ spread and the generator [seed, sample index] at each seed, print
 
     <scene> witness:directions <sample label> <sha256 of the directions' raw bytes>
 
+For every scene, the order-4 block evaluation of all its samples at its
+``degenerate`` tolerance, ``geometry._Eval(lag, samples, 4, tol)``, prints
+the raw coefficient bytes of each stage jet -- ``g_jets``, ``g_inv_jets``,
+``spray_jets``, ``nonlinear_jets``, ``gamma_jets`` and ``log_sqrt_det``,
+coefficients that are not finite included --
+
+    <scene> stage:<stage> block <sha256 of the coefficients' raw bytes>
+
+so the bits of a stage that leaves float range, which a report only tags
+as an error, are compared too.
+
 Two checkouts that print the same lines write byte-identical reports,
 print the same summaries and return byte-identical arrays, so a refactoring can be checked against its
 parent by diffing the two outputs.
@@ -82,6 +93,7 @@ The repository root defaults to the parent of this script's directory.
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -390,6 +402,19 @@ def _witness_directions(scn, index, sample):
     return directions
 
 
+STAGES = ("g_jets", "g_inv_jets", "spray_jets", "nonlinear_jets", "gamma_jets", "log_sqrt_det")
+
+
+def _stage_calls(scn):
+    """(name, thunk) for each stage jet of the order-4 block evaluation of a
+    scene's samples, built once, on the first call."""
+    samples = [sample for _, sample in scn.samples]
+    block = functools.cache(
+        lambda: geometry._Eval(scn.lagrangian, samples, 4, scn.options.tol_degenerate)
+    )
+    return [(stage, lambda stage=stage: [getattr(block(), stage).coeffs]) for stage in STAGES]
+
+
 def chain_digest(thunk) -> str:
     try:
         with np.errstate(all="ignore"):
@@ -431,6 +456,8 @@ def main(argv=None) -> int:
             if isinstance(scn.lagrangian, FamilyInstance):
                 for call, thunk in _family_calls(scn.lagrangian, sample.x):
                     print(f"{name} family:{call} {label} {chain_digest(thunk)}", flush=True)
+        for stage, thunk in _stage_calls(scn):
+            print(f"{name} stage:{stage} block {chain_digest(thunk)}", flush=True)
     return 0
 
 
