@@ -27,7 +27,7 @@ import numpy as np
 
 from . import geometry
 from .defs import LagrangianDef, TangentSample
-from .geometry import DegenerateMetric, _Eval
+from .geometry import DegenerateMetric, _Eval, _Row
 from .jets import DomainError
 
 TOL_BERWALD = 1e-7
@@ -85,11 +85,17 @@ def _as_rng(rng) -> np.random.Generator:
     return np.random.default_rng(0 if rng is None else rng)
 
 
+def _check_count(count: int) -> None:
+    """ValueError unless `count` asks for the two directions a verdict needs."""
+    if count < 2:
+        raise ValueError(f"need at least 2 directions, got {count}")
+
+
 def _witness_block(lag: LagrangianDef, points: np.ndarray, tol_degenerate: float):
     """Membership in A and the spray of each row (x, d) of `points`, from
     one order-2 block `_Eval`: a row is in A where the block takes it past g
     at `tol_degenerate`, with its column of the block's spray (the spray of
-    `_Eval` at that sample alone, bit for bit), and else has a NaN spray;
+    the sample's lone evaluation, bit for bit), and else has a NaN spray;
     no row, one whose L is not finite included, is evaluated alone."""
     ev = _Eval(lag, points, 2, tol_degenerate)
     inside = ev._finite[ev._past]
@@ -161,13 +167,15 @@ def sample_admissible_directions(
 
     The seed direction itself is kept first when admissible; draws landing
     outside the admissible set A are skipped and counted against the attempt
-    budget.  Raises NoAdmissibleDirections with fewer than two hits.
+    budget.  Raises NoAdmissibleDirections with fewer than two hits, and
+    ValueError for a zero seed direction (outside the slit tangent bundle,
+    as `TangentSample` has it) or a `count` below two.
     """
-    x = np.asarray(x, dtype=float)
-    seed_direction = np.asarray(seed_direction, dtype=float)
-    point = np.concatenate([x, seed_direction])[None, :]
+    _check_count(count)
+    sample = TangentSample(x, seed_direction)
+    point = np.concatenate([sample.x, sample.xdot])[None, :]
     in_A, spray = _witness_block(lag, point, geometry.TOL_DEGENERATE)
-    base = (x, seed_direction, spray[0] if in_A[0] else None, _as_rng(rng))
+    base = (sample.x, sample.xdot, spray[0] if in_A[0] else None, _as_rng(rng))
     found = _witnesses(lag, [base], count, spread, max_attempts)[0]
     if isinstance(found, NoAdmissibleDirections):
         raise found
@@ -182,7 +190,7 @@ def _max_abs(a) -> float:
 
 
 def verdicts_at(
-    contexts: Sequence[_Eval],
+    contexts: Sequence[_Row],
     rngs: Sequence,
     count: int = DEFAULT_DIRECTIONS,
     spread: float = DEFAULT_SPREAD,
@@ -201,7 +209,9 @@ def verdicts_at(
     base points sample together (`_witnesses`).  A base point whose Gamma
     or its fiber derivative is not finite gets DomainError and samples
     nothing, then one with fewer than two directions NoAdmissibleDirections,
-    and then one whose spray is not finite DomainError."""
+    and then one whose spray is not finite DomainError.  A `count` below
+    two is a ValueError."""
+    _check_count(count)
     results, bases = {}, {}
     for i, (ev, rng) in enumerate(zip(contexts, rngs)):
         # past a finite L, Gamma or a spray can leave float range, and a NaN
@@ -229,7 +239,7 @@ def verdicts_at(
     return [results[i] for i in range(len(contexts))]
 
 
-def _verdict(ev: _Eval, directions, sprays, tol_berwald: float) -> BerwaldVerdict:
+def _verdict(ev: _Row, directions, sprays, tol_berwald: float) -> BerwaldVerdict:
     """The verdict at a context from its witness directions and sprays."""
     geometry.require_finite(np.array(sprays), "the spray")
     gamma = ev.gamma_values
@@ -253,7 +263,7 @@ def _verdict(ev: _Eval, directions, sprays, tol_berwald: float) -> BerwaldVerdic
 
 
 def verdict_at(
-    ev: _Eval,
+    ev: _Row,
     count: int = DEFAULT_DIRECTIONS,
     rng=None,
     spread: float = DEFAULT_SPREAD,
@@ -267,7 +277,7 @@ def verdict_at(
     return verdict
 
 
-def _seed_context(lag: LagrangianDef, x: np.ndarray, seed_direction: np.ndarray) -> _Eval:
+def _seed_context(lag: LagrangianDef, x: np.ndarray, seed_direction: np.ndarray) -> _Row:
     """The order-4 context of the seed direction, evaluated afresh
     (`geometry.probe_context`); NoAdmissibleDirections outside A."""
     sample = TangentSample(x, seed_direction)
@@ -289,6 +299,7 @@ def detect_berwald(
     tol_berwald: float = TOL_BERWALD,
 ) -> BerwaldVerdict:
     """Decide at (x, seed_direction) whether Gamma is fiber-independent."""
+    _check_count(count)
     ev = _seed_context(lag, x, seed_direction)
     return verdict_at(ev, count, rng, spread, tol_berwald)
 
@@ -319,7 +330,7 @@ def require_berwald(verdict: BerwaldVerdict) -> None:
 
 
 def obstruction_at(
-    ev: _Eval, verdict: BerwaldVerdict, tol_sym: float = TOL_SYM
+    ev: _Row, verdict: BerwaldVerdict, tol_sym: float = TOL_SYM
 ) -> ObstructionReport:
     """Skew part of the affine Ricci tensor at the base point of an order-4
     evaluation context whose Berwald verdict is `verdict`, plus the residual
@@ -356,6 +367,7 @@ def obstruction(
 ) -> ObstructionReport:
     """The obstruction at (x, seed_direction); raises NotBerwald first when
     the geometry is not Berwald there."""
+    _check_count(count)
     ev = _seed_context(lag, x, seed_direction)
     verdict = verdict_at(ev, count, rng_seed, spread, tol_berwald)
     return obstruction_at(ev, verdict, tol_sym)

@@ -33,12 +33,13 @@ variables their operands depend on (`_on_support`; see "Supports" in
 `jets`): g's are read off its coefficients, so a quadratic L gives a g, a
 g^-1 and a Koszul contraction in a space free of xdot.  A horizontal
 derivative of a jet that does not depend on xdot is its x-partials
-(`_Eval.delta_of`), the bits of the full computation.
+(`delta_of`), the bits of the full computation.
 
-All operations are pure functions of (definition, sample).  The public
-readers of one sample share its order-4 evaluation context (`_context`); a
-report reads every sample of a scene from one block evaluation
-(`probe_block`), whose rows are bit for bit those contexts, and the Berwald
+All operations are pure functions of (definition, sample).  Every sample
+is evaluated in a block (`_Eval`) and read through its row (`_Row`), the
+one reader of a sample: a lone sample is a block of one, whose row the
+public readers of that sample share (`_context`); a report reads every
+sample of a scene from one order-4 block (`probe_block`), and the Berwald
 witness reads its sampled directions from order-2 blocks.
 """
 
@@ -300,11 +301,11 @@ def invert_jet_matrix(g: Jet, samples: int = 1) -> Jet:
     n = math.isqrt(len(g.coeffs) // samples)
     space, order = g.space, g.order
     try:  # one inverse per sample, [sample, i, j]
-        vinv = np.linalg.inv(np.moveaxis(values(g, (n, n, samples)), -1, 0))
+        vinv = np.linalg.inv(values(g, (n, n, samples)).transpose(2, 0, 1))
     except np.linalg.LinAlgError as err:
         raise DegenerateMetric(str(err)) from err
     coeffs = np.zeros((n * n * samples, space.ncoeff_upto[order]))
-    coeffs[:, 0] = np.moveaxis(vinv, 0, -1).ravel()
+    coeffs[:, 0] = vinv.transpose(1, 2, 0).ravel()
     X = Jet(space, coeffs, order, ())
     idx = _indices(n, samples)
     ia, ib = idx["matmul"]
@@ -491,109 +492,128 @@ def eval_L(lag: LagrangianDef, sample: TangentSample, order: int = 4) -> Jet:
 # -- the chained evaluation ------------------------------------------------------
 
 
+def delta_of(N: Jet, j: Jet) -> Jet:
+    """Horizontal derivative delta_a j = d_a j - N^b_a ddot_b j of a jet or
+    a stack j at the samples of the stack N (rows (component, sample), and
+    j's rows (component, sample) at the same samples): rows a-major, then
+    j's rows.  One product over the rows (b, a, j's row), N on the left,
+    subtracted from d_a j in b order.
+
+    Where every fiber partial of j is +-0.0 and N is finite, each of those
+    products is +0.0, and acc - 0.0 is acc bit for bit: the result is then
+    the x-partials, cut to the validity the products would leave (as for a
+    g that does not depend on xdot)."""
+    n = N.space.nvars // 2
+    count = len(j.coeffs.reshape(-1, j.coeffs.shape[-1]))
+    dv = partials(j, range(n, 2 * n))  # [b, r]
+    acc = partials(j, range(n))  # [a, r]
+    order = min(acc.order, N.order)
+    width = N.space.ncoeff_upto[order]
+    if not dv.coeffs.any() and np.isfinite(N.coeffs[:, :width]).all():
+        return Jet(acc.space, acc.coeffs[:, :width], order, acc.support)
+    rows_N, rows_dv = _delta_plan(n, count, len(N.coeffs) // (n * n))
+    terms = take_rows(N, rows_N, order) * take_rows(dv, rows_dv, order)
+    by_b = terms.coeffs.reshape(n, n * count, -1)
+    for b in range(n):
+        acc = acc - Jet(terms.space, by_b[b], terms.order, terms._support)
+    return acc
+
+
+def _kept(j: Jet, rows: np.ndarray) -> Jet:
+    """The rows `rows` (sorted and distinct) of a stack: the stack itself
+    where they are all of its rows."""
+    return j if len(rows) == len(j.coeffs) else take_rows(j, rows)
+
+
 class _Eval:
-    """Lazy evaluation of the geometry chain at one sample, or at a block
-    of samples of one Lagrangian (`sample` a sequence of them).
+    """Lazy evaluation of the geometry chain over a block of samples of one
+    Lagrangian: Griewank & Walther's vector mode over evaluation points.
 
-    Jet validity bookkeeping (seeded order k): g has validity k-2, the spray
-    k-2, N and Gamma k-3.  g's values need k=2, the values of N and Gamma
-    k=3 and the curvature k=4.  Every public reader reads a k=4 context
-    (`_context`); the Berwald witness reads k=2 blocks of fiber directions.
-    Where the k=4 L is finite, a k=2 context has the bits of its L value,
-    g, eigenvalues and admissibility; where a higher coefficient of L leaves
-    float range, only the k=4 context sees it.  g is built
-    only from a finite L (`g_jets`), so at a sample whose L is not, every
-    reader of g raises DomainError("non-finite").  g counts as degenerate
-    where an eigenvalue is within `tol_degenerate` of zero, relative to the
-    largest (`signature`); every nondegeneracy check reads that tolerance.
+    The block is a sequence of B samples, the B rows (x, xdot) of one array,
+    or one `TangentSample`, a block of one seeded as one jet, whose L raises
+    where one jet raises (it leaves a function's domain, or a family's alpha
+    is identically zero); a stacked L is NaN there instead.  L is evaluated
+    once over B-row coordinate stacks, each stage from g on is one stacked
+    pass over the rows (component, sample), and a stage's values carry the
+    sample axis last.  Every sample is read through its `_Row` (`row`).
 
-    A block of B samples, given as a sequence of samples (of any length,
-    one included) or as the B rows (x, xdot) of one array, is Griewank &
-    Walther's vector mode over evaluation points: the 2n coordinates are
-    B-row stacks, L is evaluated once, and each stage from g on is one
-    stacked pass over the rows (component, sample).  g is taken at the
-    samples whose L is finite (`_finite`), and the stages past g at those
-    whose g is also nondegenerate at the block's tolerance and whose values
-    invert (`_past`); with no finite L, at none.  `row(i)` reads sample i
-    of a sequence with the readers below, which read one sample: a `_Row`,
-    whose every array is bit for bit that of `_Eval` at the sample alone.
-    A sample whose L is not finite in the block is evaluated alone, only to
-    raise or tag as `_Eval` does there.  With one sample (`single`), L is
-    one jet and the stacks hold that sample: the readers read it directly.
+    Validity (seeded order k): g and the spray k-2, N and Gamma k-3; g's
+    values need k=2, those of N and Gamma k=3, the curvature k=4.  The
+    public readers read k=4 (`_context`, `probe_block`), the Berwald witness
+    k=2 blocks; where the k=4 L is finite, a k=2 block has the bits of its L
+    value, g, eigenvalues and admissibility.  g is taken at the samples
+    whose L is finite (`_finite`), the stages past g at those whose g is
+    also finite and nondegenerate (an eigenvalue within `tol_degenerate` of
+    zero, relative to the largest, counts as zero) and whose values invert
+    (`_past`).
     """
 
-    def __init__(
-        self,
-        lag: LagrangianDef,
-        sample,
-        order: int,
-        tol_degenerate: float = TOL_DEGENERATE,
-    ):
+    def __init__(self, lag: LagrangianDef, sample, order: int, tol_degenerate=TOL_DEGENERATE):
         self.lag = lag
         self.order = order
         self.tol_degenerate = tol_degenerate
-        self.single = isinstance(sample, TangentSample)
-        if self.single:
-            self.sample = sample
+        self.n = n = lag.dim
+        # a lone sample's stacked L is its one jet's: `row` reads it as is
+        self.alone = isinstance(sample, TangentSample)
         if not isinstance(sample, np.ndarray):
-            self.samples = (sample,) if self.single else tuple(sample)
+            self.samples = (sample,) if self.alone else tuple(sample)
             sample = [np.concatenate([s.x, s.xdot]) for s in self.samples]
-        self.points = np.array(sample, dtype=float)
-        self.n = self.points.shape[1] // 2
-        if self.single:
-            self.cjets = seed(self.points[0].tolist(), range(2 * self.n), order)
-        else:
-            self.cjets = seed_block((), self.points, order)
-        self.space = self.cjets[0].space
+        self.points = np.array(sample, dtype=float).reshape(-1, 2 * n)
         # an overflow inside a product is tagged by `admissibility`, not warned
         with np.errstate(over="ignore", invalid="ignore"):
-            try:
-                self.L = eval_L_jets(lag, self.cjets)
-            except (DomainError, ExprDomainError, DegenerateMetric):
-                if self.single:
-                    raise
-                self.L = None  # no sample is in A; `row` evaluates each alone
+            if self.alone:
+                cjets = seed(self.points[0].tolist(), range(2 * n), order)
+                jets = [eval_L_jets(lag, cjets), *cjets]
+                # each as a stack of one row
+                self.L, *self.cjets = (
+                    Jet(j.space, j.coeffs[None], j.order, j._support) for j in jets
+                )
+            else:
+                self.cjets = seed_block((), self.points, order)
+                try:
+                    self.L = eval_L_jets(lag, self.cjets)
+                except (DomainError, ExprDomainError, DegenerateMetric):
+                    space = self.cjets[0].space
+                    self.L = Jet(space, np.full((len(self.points), space.ncoeff), np.nan), order)
+        self.space = self.cjets[0].space
 
-    # -- a block's samples ---------------------------------------------------
+    # -- the block's samples ----------------------------------------------------
 
-    def evaluates(self, lag: LagrangianDef, samples: Sequence[TangentSample]) -> bool:
-        """Whether this is the order-4 evaluation of `samples` of `lag`: the
-        same Lagrangian object and the same coordinate bytes, in order."""
+    def evaluates(self, lag: LagrangianDef, samples: Sequence[TangentSample], tol: float) -> bool:
+        """Whether this is the order-4 evaluation of `samples` of `lag` at
+        the degenerate tolerance `tol`: the same Lagrangian object, the same
+        coordinate bytes, in order, and the same tolerance."""
         points = np.array([np.concatenate([s.x, s.xdot]) for s in samples])
-        return self.lag is lag and self.order == 4 and points.tobytes() == self.points.tobytes()
+        same = self.lag is lag and self.order == 4 and self.tol_degenerate == tol
+        return same and points.tobytes() == self.points.tobytes()
 
     @cached_property
     def _finite(self) -> np.ndarray:
-        """The samples of a block whose L is finite, in order: the samples
-        of g's stack."""
-        L = self.L
-        if not (isinstance(L, Jet) and L.coeffs.ndim == 2):
-            return np.empty(0, dtype=np.int64)
-        return np.flatnonzero(np.isfinite(L.coeffs).all(axis=1))
+        """The samples whose L is finite, in order: the samples of g's
+        stack."""
+        return np.isfinite(self.L.coeffs).all(axis=1).nonzero()[0]
 
     @cached_property
     def _spectrum(self) -> tuple:
-        """g's raw values and symmetrised values [sample, a, b] at the
-        samples of g's stack, which of them are finite, and their
-        eigenvalues [sample, k] (those of the identity where g is not
-        finite: such a sample's row reads its own)."""
+        """g's raw and symmetrised values [sample, a, b] at the samples of
+        g's stack, their eigenvalues [sample, k] and the signature (n+, n-,
+        n0) of each.  A g whose values are not finite is degenerate: its
+        eigenvalues are NaN, and its signature (0, 0, n)."""
         n = self.n
-        raw = np.moveaxis(values(self.g_jets, (n, n, -1)), -1, 0)
+        raw = values(self.g_jets, (n, n, -1)).transpose(2, 0, 1)
         g = 0.5 * (raw + raw.transpose(0, 2, 1))
         finite = np.isfinite(g).all(axis=(1, 2))
-        return raw, g, finite, np.linalg.eigvalsh(np.where(finite[:, None, None], g, np.eye(n)))
+        eig = np.linalg.eigvalsh(g if finite.all() else np.where(finite[:, None, None], g, 0.0))
+        eig[~finite] = np.nan
+        return raw, g, eig, _signature(eig, self.tol_degenerate)
 
     @cached_property
     def _past(self) -> np.ndarray:
         """The places in g's stack of the samples the stages past g are
-        evaluated at: for one sample, that sample; in a block, those whose g
-        is finite and nondegenerate at the block's tolerance and whose values
-        invert (one that does not is left to its row, which raises as
-        `invert_jet_matrix` does)."""
-        if self.single:
-            return np.zeros(1, dtype=np.int64)
-        raw, _, finite, eig = self._spectrum
-        past = np.flatnonzero(finite & (_signature(eig, self.tol_degenerate)[:, 2] == 0))
+        evaluated at: those whose g is nondegenerate and whose values
+        invert."""
+        raw, _, _, signature = self._spectrum
+        past = (signature[:, 2] == 0).nonzero()[0]
         try:
             np.linalg.inv(raw[past])
         except np.linalg.LinAlgError:
@@ -602,57 +622,199 @@ class _Eval:
 
     @cached_property
     def _g_past(self) -> Jet:
-        """g at the samples past g; for one sample its g, which must be
-        nondegenerate."""
-        if self.single:
-            self.require_nondegenerate()
-            return self.g_jets
+        """g at the samples past g."""
         width = len(self._finite)
         if len(self._past) == width:
             return self.g_jets
         return take_rows(self.g_jets, (np.arange(self.n**2)[:, None] * width + self._past).ravel())
 
-    def _at_past(self, j: Jet) -> Jet:
-        """The rows of a jet or stack over the block's samples (L, a
-        coordinate) at the samples past g; for one sample, j."""
-        if self.single:
-            return j
-        return take_rows(j, self._finite[self._past])
-
-    def row(self, index: int, tol_degenerate: Optional[float] = None) -> "_Eval":
-        """Sample `index`, read with the readers of one sample and
-        `tol_degenerate` (the block's by default): a `_Row` of the block, or,
-        where its L is not finite in the block, `_Eval` at the sample alone,
-        which raises as `_Eval` does.  For one sample at its own tolerance,
-        the evaluation itself."""
-        tol = self.tol_degenerate if tol_degenerate is None else tol_degenerate
-        if self.single:
-            if tol == self.tol_degenerate:
-                return self
-            return _Eval(self.lag, self.sample, self.order, tol)
+    def row(self, index: int) -> "_Row":
+        """Sample `index`, read through its `_Row`.  Where its stacked L is
+        not finite, the row of the sample's lone evaluation, whose L raises
+        where one jet raises and the stack holds NaN."""
         place = int(np.searchsorted(self._finite, index))
         if place == len(self._finite) or self._finite[place] != index:
-            return _Eval(self.lag, self.samples[index], self.order, tol)
-        return _Row(self, index, place, tol)
+            if not self.alone:
+                return _Eval(self.lag, self.samples[index], self.order, self.tol_degenerate).row(0)
+            place = None
+        return _Row(self, index, place)
 
-    # -- the stages -------------------------------------------------------------
+    # -- the stages, stacks over the block's samples -----------------------------
 
     @cached_property
     def g_jets(self) -> Jet:
-        if not self.single:
-            return _half_hessian(take_rows(self.L, self._finite), self.n)
-        if not np.isfinite(self.L.coeffs).all():
+        return _half_hessian(_kept(self.L, self._finite), self.n)
+
+    # Past g, a stage is a stack over the samples past g, rows (component,
+    # sample), and its values carry those samples last.
+
+    @cached_property
+    def g_inv_jets(self) -> Jet:
+        return _on_support(invert_jet_matrix, [self._g_past], len(self._past))
+
+    @cached_property
+    @_quiet
+    def spray_jets(self) -> Jet:
+        n, samples = self.n, len(self._past)
+        at_past = self._finite[self._past]
+        L = _kept(self.L, at_past)
+        # bracket_q = sum_m xdot^m d_m ddot_q L - d_q L: one product over the
+        # rows (m, q), the coordinate on the left, summed over m in order;
+        # the coordinates are cut to the product's validity, k-2
+        cut = self.space.ncoeff_upto[self.order - 2]
+        xdot = [_kept(c, at_past).coeffs[:, :cut] for c in self.cjets[n:]]
+        xdot = Jet(self.space, np.concatenate(xdot), self.order - 2, tuple(range(n, 2 * n)))
+        ddvL = partials(partials(L, range(n, 2 * n)), range(n))  # [m, q, sample]
+        terms = take_rows(xdot, _indices(n, samples)["bracket"]) * ddvL
+        bracket = _sum_over(terms, n) - partials(L, range(n))
+        return 0.25 * matvec(self.g_inv_jets, bracket, samples)
+
+    @cached_property
+    def spray_values(self) -> np.ndarray:
+        return values(self.spray_jets, (self.n, len(self._past)))
+
+    @cached_property
+    def nonlinear_jets(self) -> Jet:
+        """N^a_b = ddot_b G^a."""
+        dv = partials(self.spray_jets, range(self.n, 2 * self.n))  # [b, a]
+        return take_rows(dv, _indices(self.n, len(self._past))["transpose"])
+
+    @cached_property
+    def nonlinear_values(self) -> np.ndarray:
+        return values(self.nonlinear_jets, (self.n, self.n, len(self._past)))
+
+    @cached_property
+    @_quiet
+    def gamma_jets(self) -> Jet:
+        idx = _indices(self.n, len(self._past))
+        dg = delta_of(self.nonlinear_jets, take_rows(self._g_past, idx["upper"]))  # [b, c <= q]
+        # dg[b, c, q] = delta_b g_cq, both triangles from the c <= q jet
+        operands = [self.g_inv_jets, take_rows(dg, idx["expand"])]
+        return _on_support(koszul, operands, len(self._past))
+
+    @cached_property
+    def gamma_values(self) -> np.ndarray:
+        return values(self.gamma_jets, (self.n,) * 3 + (len(self._past),))
+
+    @cached_property
+    def gamma_x_derivatives(self) -> np.ndarray:
+        """dGamma[m, a, b, c, sample] = d Gamma^a_bc / d x^m at fixed xdot."""
+        return first_derivatives(self.gamma_jets, range(self.n), self.gamma_values.shape)
+
+    @cached_property
+    def gamma_fiber_derivatives(self) -> np.ndarray:
+        """dGamma_v[e, a, b, c, sample] = d Gamma^a_bc / d xdot^e at fixed x."""
+        n = self.n
+        return first_derivatives(self.gamma_jets, range(n, 2 * n), self.gamma_values.shape)
+
+    @cached_property
+    @_quiet
+    def curvature(self) -> tuple:
+        """The hh-curvature and its Ricci tensors at each sample past g, in
+        order, each from that sample's own arrays (`_curvature`): a
+        curvature that leaves float range is kept, and its row raises."""
+        stacks = (
+            self.gamma_values, self.gamma_x_derivatives, self.gamma_fiber_derivatives,
+            self.nonlinear_values,
+        )
+        return tuple(
+            _curvature(*(np.ascontiguousarray(a[..., s]) for a in stacks))
+            for s in range(len(self._past))
+        )
+
+    @cached_property
+    def log_sqrt_det(self) -> Jet:
+        """ln sqrt|det g| at the samples past g, as a stack over the
+        block's coordinates; a row that leaves the domain of abs or ln is
+        NaN."""
+        return _on_support(log_sqrt_abs_det, [self._g_past], len(self._past))
+
+    @cached_property
+    def _log_sqrt_det_delta(self) -> Jet:
+        """delta_a ln sqrt|det g| (`log_sqrt_det`), rows (a, sample)."""
+        return delta_of(self.nonlinear_jets, self.log_sqrt_det)
+
+
+def _curvature(
+    gamma: np.ndarray, dgam_x: np.ndarray, dgam_v: np.ndarray, nonlinear: np.ndarray
+) -> CurvatureValue:
+    """R^c_adb = delta_d Gamma^c_ab - delta_b Gamma^c_ad + Gamma^c_ds Gamma^s_ab
+    - Gamma^c_bs Gamma^s_ad at one sample, from its Gamma [c, a, b], the
+    x- and xdot-derivatives of Gamma [m, c, a, b] and N [a, b]."""
+    # delta_d Gamma^c_ab = d_d Gamma - N^e_d ddot_e Gamma
+    delta_gam = dgam_x - np.einsum("ed,ecab->dcab", nonlinear, dgam_v)
+    quad = np.einsum("cds,sab->cadb", gamma, gamma) - np.einsum(
+        "cbs,sad->cadb", gamma, gamma
+    )
+    # riem[c, a, d, b] = delta_gam[d, c, a, b] - delta_gam[b, c, a, d]
+    riem = delta_gam.transpose(1, 2, 0, 3) - delta_gam.transpose(1, 2, 3, 0)
+    riem += quad
+    ricci = np.einsum("mamb->ab", riem)
+    skew = 0.5 * (ricci - ricci.T)
+    return CurvatureValue(hh_riemann=riem, ricci=ricci, skew_ricci=skew)
+
+
+def _slice(name: str) -> cached_property:
+    """The `_Row` reader of the block's stage `name`: the sample's part of
+    it (a stack's rows, an array's last index, as its own array)."""
+
+    def read(row: "_Row"):
+        place = row._past_place()
+        stage = getattr(row.block, name)
+        if isinstance(stage, Jet):
+            rows = stage.coeffs[place :: len(row.block._past)]
+            return Jet(stage.space, rows, stage.order, stage._support)
+        return np.ascontiguousarray(stage[..., place])
+
+    return cached_property(read)
+
+
+class _Row:
+    """Sample `index` of a block `_Eval`, with the readers of one sample.
+    It evaluates nothing the block has evaluated: its L, g, eigenvalues,
+    signature and stage jets and values are its sample's slices of the
+    block's stacks (a jet's rows, an array's last index).
+
+    Where L is not finite, every reader of g raises DomainError
+    ("non-finite").  Where the block did not take the sample past g, every
+    stage past g raises what kept it out: DegenerateMetric where g is
+    degenerate (`require_nondegenerate`) or its values do not invert (as
+    `invert_jet_matrix` raises)."""
+
+    def __init__(self, block: _Eval, index: int, place: Optional[int]):
+        self.block = block
+        self.lag, self.order, self.n, self.space = block.lag, block.order, block.n, block.space
+        self.tol_degenerate = block.tol_degenerate
+        self.sample = block.samples[index]
+        self._index, self._place = index, place  # place in g's stack; None: L is not finite
+
+    @cached_property
+    def L(self) -> Jet:
+        L = self.block.L
+        return Jet(L.space, L.coeffs[self._index], L.order, L._support)
+
+    @cached_property
+    def cjets(self) -> list[Jet]:
+        return [Jet(c.space, c.coeffs[self._index], c.order, c._support) for c in self.block.cjets]
+
+    def _g_place(self) -> int:
+        if self._place is None:
             raise DomainError("non-finite", "L is not finite at the sample")
-        return _half_hessian(self.L, self.n)
+        return self._place
+
+    @cached_property
+    def g_jets(self) -> Jet:
+        place = self._g_place()
+        g = self.block.g_jets
+        return Jet(g.space, g.coeffs[place :: len(self.block._finite)], g.order, g._support)
 
     @cached_property
     def g_values(self) -> np.ndarray:
-        raw = values(self.g_jets, (self.n, self.n))
-        return 0.5 * (raw + raw.T)
+        return self.block._spectrum[1][self._g_place()]
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.g_values)
+        return self.block._spectrum[2][self._g_place()]
 
     def signature(self) -> tuple[int, int, int]:
         """(n+, n-, n0) of g's eigenvalues, where an eigenvalue within
@@ -661,7 +823,7 @@ class _Eval:
 
     @cached_property
     def _signature(self) -> tuple[int, int, int]:
-        return tuple(int(k) for k in _signature(self.eigenvalues, self.tol_degenerate))
+        return tuple(int(k) for k in self.block._spectrum[3][self._g_place()])
 
     def require_nondegenerate(self):
         if self.signature()[2] > 0:
@@ -673,12 +835,7 @@ class _Eval:
         self.require_nondegenerate()
         with np.errstate(over="ignore", invalid="ignore"):  # out of float range: inf
             det = float(np.linalg.det(self.g_values))
-        return MetricValue(
-            g=self.g_values,
-            g_inv=self.g_inv_values,
-            det=det,
-            signature=self.signature(),
-        )
+        return MetricValue(self.g_values, self.g_inv_values, det, self.signature())
 
     def admissibility(
         self, convention: str = "+---", tol_null: float = TOL_NULL
@@ -713,92 +870,6 @@ class _Eval:
         first."""
         return np.linalg.inv(self.g_values)
 
-    # Past g, a stage is a stack over the samples past g, rows (component,
-    # sample): for one sample, its tensor's components.
-
-    @cached_property
-    def g_inv_jets(self) -> Jet:
-        return _on_support(invert_jet_matrix, [self._g_past], len(self._past))
-
-    @cached_property
-    @_quiet
-    def spray_jets(self) -> Jet:
-        n, samples = self.n, len(self._past)
-        L = self._at_past(self.L)
-        # bracket_q = sum_m xdot^m d_m ddot_q L - d_q L: one product over the
-        # rows (m, q), the coordinate on the left, summed over m in order;
-        # the coordinates are cut to the product's validity, k-2
-        cut = self.space.ncoeff_upto[self.order - 2]
-        xdot = [np.atleast_2d(self._at_past(c).coeffs)[:, :cut] for c in self.cjets[n:]]
-        xdot = Jet(self.space, np.concatenate(xdot), self.order - 2, tuple(range(n, 2 * n)))
-        ddvL = partials(partials(L, range(n, 2 * n)), range(n))  # [m, q, sample]
-        terms = take_rows(xdot, _indices(n, samples)["bracket"]) * ddvL
-        bracket = _sum_over(terms, n) - partials(L, range(n))
-        return 0.25 * matvec(self.g_inv_jets, bracket, samples)
-
-    def _shape(self, *dims: int) -> tuple:
-        """The shape of a stage's tensor, and in a block the samples past g
-        last: the stack's rows (component, sample)."""
-        return dims if self.single else dims + (len(self._past),)
-
-    @cached_property
-    def spray_values(self) -> np.ndarray:
-        return values(self.spray_jets, self._shape(self.n))
-
-    @cached_property
-    def nonlinear_jets(self) -> Jet:
-        """N^a_b = ddot_b G^a."""
-        dv = partials(self.spray_jets, range(self.n, 2 * self.n))  # [b, a]
-        return take_rows(dv, _indices(self.n, len(self._past))["transpose"])
-
-    @cached_property
-    def nonlinear_values(self) -> np.ndarray:
-        return values(self.nonlinear_jets, self._shape(self.n, self.n))
-
-    def delta_of(self, j: Jet) -> Jet:
-        """Horizontal derivative delta_a j = d_a j - N^b_a ddot_b j of a jet
-        or a stack j at the samples of N (rows (component, sample), as N's):
-        rows a-major, then j's rows.  One product over the rows (b, a, j's
-        row), N on the left, subtracted from d_a j in b order.
-
-        Where every fiber partial of j is +-0.0 and N is finite, each of
-        those products is +0.0, and acc - 0.0 is acc bit for bit: the
-        result is then the x-partials, cut to the validity the products
-        would leave (as for a g that does not depend on xdot)."""
-        n = self.n
-        N = self.nonlinear_jets
-        count = len(j.coeffs.reshape(-1, j.coeffs.shape[-1]))
-        dv = partials(j, range(n, 2 * n))  # [b, r]
-        acc = partials(j, range(n))  # [a, r]
-        order = min(acc.order, N.order)
-        width = self.space.ncoeff_upto[order]
-        if not dv.coeffs.any() and np.isfinite(N.coeffs[:, :width]).all():
-            return Jet(acc.space, acc.coeffs[:, :width], order, acc.support)
-        rows_N, rows_dv = _delta_plan(n, count, len(N.coeffs) // (n * n))
-        terms = take_rows(N, rows_N, order) * take_rows(dv, rows_dv, order)
-        by_b = terms.coeffs.reshape(n, n * count, -1)
-        for b in range(n):
-            acc = acc - Jet(terms.space, by_b[b], terms.order, terms._support)
-        return acc
-
-    @cached_property
-    @_quiet
-    def gamma_jets(self) -> Jet:
-        idx = _indices(self.n, len(self._past))
-        dg = self.delta_of(take_rows(self._g_past, idx["upper"]))  # [b, c <= q]
-        # dg[b, c, q] = delta_b g_cq, both triangles from the c <= q jet
-        operands = [self.g_inv_jets, take_rows(dg, idx["expand"])]
-        return _on_support(koszul, operands, len(self._past))
-
-    @cached_property
-    def gamma_values(self) -> np.ndarray:
-        return values(self.gamma_jets, self._shape(*(self.n,) * 3))
-
-    @cached_property
-    def gamma_x_derivatives(self) -> np.ndarray:
-        """dGamma[m, a, b, c] = d Gamma^a_bc / d x^m at fixed xdot."""
-        return first_derivatives(self.gamma_jets, range(self.n), self._shape(*(self.n,) * 3))
-
     @cached_property
     def cartan_values(self) -> np.ndarray:
         """C_abc = (1/2) ddot_c g_ab, read for a <= b <= c and symmetrised."""
@@ -812,52 +883,61 @@ class _Eval:
         self.require_nondegenerate()
         return np.einsum("mn,amn->a", self.g_inv_values, self.cartan_values)
 
-    @cached_property
-    def gamma_fiber_derivatives(self) -> np.ndarray:
-        """dGamma_v[e, a, b, c] = d Gamma^a_bc / d xdot^e at fixed x."""
-        n = self.n
-        return first_derivatives(self.gamma_jets, range(n, 2 * n), self._shape(n, n, n))
+    # -- the stages past g: the sample's slices of the block's ---------------
 
     @cached_property
-    @_quiet
+    def _in_past(self) -> Optional[int]:
+        """The sample's place among the block's samples past g, or None."""
+        past, place = self.block._past, self._g_place()
+        i = int(np.searchsorted(past, place))
+        return i if i < len(past) and past[i] == place else None
+
+    def _past_place(self) -> int:
+        """`_in_past`, or what kept the sample from past g raised."""
+        if self._in_past is None:
+            self.require_nondegenerate()
+            invert_jet_matrix(self.g_jets)  # raises DegenerateMetric
+        return self._in_past
+
+    g_inv_jets = _slice("g_inv_jets")
+    spray_jets = _slice("spray_jets")
+    nonlinear_jets = _slice("nonlinear_jets")
+    gamma_jets = _slice("gamma_jets")
+    spray_values = _slice("spray_values")
+    nonlinear_values = _slice("nonlinear_values")
+    gamma_values = _slice("gamma_values")
+    gamma_x_derivatives = _slice("gamma_x_derivatives")  # [m, a, b, c]
+    gamma_fiber_derivatives = _slice("gamma_fiber_derivatives")  # [e, a, b, c]
+    _log_sqrt_det_delta = _slice("_log_sqrt_det_delta")  # rows a
+
+    @cached_property
     def curvature(self) -> CurvatureValue:
-        gamma = self.gamma_values
-        # delta_d Gamma^c_ab = d_d Gamma - N^e_d ddot_e Gamma
-        dgam_x = self.gamma_x_derivatives  # [m, c, a, b]
-        dgam_v = self.gamma_fiber_derivatives  # [e, c, a, b]
-        delta_gam = dgam_x - np.einsum("ed,ecab->dcab", self.nonlinear_values, dgam_v)
-        quad = np.einsum("cds,sab->cadb", gamma, gamma) - np.einsum(
-            "cbs,sad->cadb", gamma, gamma
-        )
-        # riem[c, a, d, b] = delta_gam[d, c, a, b] - delta_gam[b, c, a, d]
-        riem = delta_gam.transpose(1, 2, 0, 3) - delta_gam.transpose(1, 2, 3, 0)
-        riem += quad
-        require_finite(riem, "the hh-curvature")
-        ricci = np.einsum("mamb->ab", riem)
-        skew = 0.5 * (ricci - ricci.T)
-        return CurvatureValue(hh_riemann=riem, ricci=ricci, skew_ricci=skew)
+        place = self._past_place()
+        value = self.block.curvature[place]
+        require_finite(value.hh_riemann, "the hh-curvature")
+        return value
 
     @cached_property
     def log_sqrt_det(self) -> Jet:
-        """ln sqrt|det g| as a jet over this context's coordinates; in a
-        block, a stack over the samples past g."""
-        if self.single:
-            return _on_support(log_sqrt_abs_det, [self.g_jets])
-        return _on_support(log_sqrt_abs_det, [self._g_past], len(self._past))
-
-    @cached_property
-    def _log_sqrt_det_delta(self) -> Jet:
-        """delta_a ln sqrt|det g| (`log_sqrt_det`), rows (a, sample)."""
-        return self.delta_of(self.log_sqrt_det)
+        """ln sqrt|det g| as a jet over the sample's coordinates: its row of
+        the block's stack, or, where the block did not take the sample past
+        g or that row is not finite, the one jet of the sample's g, which
+        raises where the stack holds NaN."""
+        if self._in_past is not None:
+            stack = self.block.log_sqrt_det
+            row = stack.coeffs[self._in_past]
+            if np.isfinite(row).all():
+                return Jet(stack.space, row, stack.order, stack._support)
+        return log_sqrt_abs_det(self.g_jets)
 
     @_quiet
     def commutator_residual(self, f: Jet) -> float:
         """Residual of [delta_a, delta_b] f = R^c_{dab} xdot^d ddot_c f for a
-        scalar field f given as a jet over this context's coordinates."""
+        scalar field f given as a jet over the sample's coordinates."""
         n = self.n
         Nv = self.nonlinear_values
         own = f is self.__dict__.get("log_sqrt_det")
-        delta = self._log_sqrt_det_delta if own else self.delta_of(f)
+        delta = self._log_sqrt_det_delta if own else delta_of(self.nonlinear_jets, f)
         ddf = first_derivatives(delta, range(2 * n), (n,))  # [var, b]
         # dd[a, b] = ddf[a, b] - sum_c N^c_a ddf[n + c, b], subtracted in c order
         dd = ddf[:n].copy()
@@ -869,99 +949,12 @@ class _Eval:
         return float(require_finite(np.max(np.abs(lhs - rhs)), "the commutator residual"))
 
 
-def _from_block(name: str) -> cached_property:
-    """The `_Row` reader of `name`, a stage past g or its values: its
-    sample's part of the block's stack (a jet's rows, an array's last
-    index, as its own array), after the nondegeneracy check at the row's
-    tolerance that `_Eval` makes before that stage, or, where the block did
-    not go past g at the sample, `_Eval`'s reader at the row itself."""
-    alone = _Eval.__dict__[name].func
-
-    def read(self: "_Row"):
-        if self._past_place is None:
-            return alone(self)
-        self.require_nondegenerate()
-        stack, place = getattr(self.block, name), self._past_place
-        if isinstance(stack, np.ndarray):
-            return np.ascontiguousarray(stack[..., place])
-        rows = stack.coeffs[place :: len(self.block._past)]
-        return Jet(stack.space, rows, stack.order, stack._support)
-
-    return cached_property(read)
-
-
-class _Row(_Eval):
-    """Sample `index` of a block `_Eval`, read with `_Eval`'s readers at
-    `tol_degenerate`.  It evaluates nothing the block has evaluated: its L,
-    g, eigenvalues and stage jets are its sample's rows of the block's
-    stacks, bit for bit those of `_Eval` at the sample alone, and every
-    reader of one sample reads them as `_Eval` reads its own.  The
-    tolerance need not be the block's, since the eigenvalues do not depend
-    on it: where the block did not go past g at the sample, the stages past
-    g are evaluated from the row's g, as `_Eval` evaluates them."""
-
-    def __init__(self, block: _Eval, index: int, place: int, tol_degenerate: float):
-        self.block = block
-        self.lag, self.order, self.n, self.space = block.lag, block.order, block.n, block.space
-        self.tol_degenerate = tol_degenerate
-        self.single = True
-        self.sample = block.samples[index]
-        self.samples = (self.sample,)
-        self._index = index
-        self._place = place  # in g's stack
-        past = int(np.searchsorted(block._past, place))
-        found = past < len(block._past) and block._past[past] == place
-        self._past_place = past if found else None
-        L = block.L
-        self.L = Jet(L.space, L.coeffs[index], L.order, L._support)
-
-    @cached_property
-    def cjets(self) -> list[Jet]:
-        return [Jet(c.space, c.coeffs[self._index], c.order, c._support) for c in self.block.cjets]
-
-    @cached_property
-    def g_jets(self) -> Jet:
-        g = self.block.g_jets
-        return Jet(g.space, g.coeffs[self._place :: len(self.block._finite)], g.order, g._support)
-
-    @cached_property
-    def g_values(self) -> np.ndarray:
-        return self.block._spectrum[1][self._place]
-
-    @cached_property
-    def eigenvalues(self) -> np.ndarray:
-        _, _, finite, eig = self.block._spectrum
-        return eig[self._place] if finite[self._place] else np.linalg.eigvalsh(self.g_values)
-
-    @cached_property
-    def log_sqrt_det(self) -> Jet:
-        # a row that is not finite is made alone, which raises where the
-        # stack holds NaN
-        if self._past_place is not None:
-            stack = self.block.log_sqrt_det
-            row = stack.coeffs[self._past_place]
-            if np.isfinite(row).all():
-                return Jet(stack.space, row, stack.order, stack._support)
-        return log_sqrt_abs_det(self.g_jets)
-
-    g_inv_jets = _from_block("g_inv_jets")
-    spray_jets = _from_block("spray_jets")
-    nonlinear_jets = _from_block("nonlinear_jets")
-    gamma_jets = _from_block("gamma_jets")
-    _log_sqrt_det_delta = _from_block("_log_sqrt_det_delta")
-    spray_values = _from_block("spray_values")
-    nonlinear_values = _from_block("nonlinear_values")
-    gamma_values = _from_block("gamma_values")
-    gamma_x_derivatives = _from_block("gamma_x_derivatives")
-    gamma_fiber_derivatives = _from_block("gamma_fiber_derivatives")
-
-
 def _signature(eig: np.ndarray, tol: float) -> np.ndarray:
-    """(n+, n-, n0) of each row (last axis) of eigenvalues, where an
+    """(n+, n-, n0) of each row of eigenvalues [sample, k], where an
     eigenvalue within `tol` times the largest in magnitude counts as zero."""
-    thr = tol * np.max(np.abs(eig), axis=-1, keepdims=True)
-    plus, minus = np.sum(eig > thr, axis=-1), np.sum(eig < -thr, axis=-1)
-    return np.stack([plus, minus, eig.shape[-1] - plus - minus], axis=-1)
+    thr = tol * np.abs(eig).max(axis=1, keepdims=True)
+    plus, minus = (eig > thr).sum(axis=1), (eig < -thr).sum(axis=1)
+    return np.array([plus, minus, eig.shape[1] - plus - minus]).T
 
 
 def _inverts(matrix: np.ndarray) -> bool:
@@ -981,7 +974,7 @@ def _sorted_triples(n: int) -> np.ndarray:
 
 @lru_cache(maxsize=128)
 def _delta_plan(n: int, count: int, samples: int) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of N and of j's fiber partials [b, r] that `_Eval.delta_of`
+    """The rows of N and of j's fiber partials [b, r] that `delta_of`
     multiplies for each of its rows (b, a, r): r over the `count` rows of j,
     rows (component, sample) at `samples` samples."""
     b, a, r = np.indices((n, n, count)).reshape(3, -1)
@@ -999,13 +992,14 @@ def _context(
     sample: TangentSample,
     tol_degenerate: float = TOL_DEGENERATE,
     fresh: bool = False,
-) -> _Eval:
+) -> _Row:
     """The order-4 evaluation context of (lag, sample, tol_degenerate),
     which every public reader of the chain gets from here: the context built
     last when this request has its key and is not `fresh`, else a new one,
-    kept in its place.  Order 4 is the curvature's, so every reader, the
-    probe and `metric` among them, reads the one context a report is
-    written from, and one sample's public chain evaluates L once.
+    the row of the sample's lone block, kept in its place.  Order 4 is the
+    curvature's, so every reader, the probe and `metric` among them, reads
+    the one context a report is written from, and one sample's public chain
+    evaluates L once.
 
     The key is `lag` by identity, the bytes of `sample.x` and `sample.xdot`,
     the degenerate tolerance and a snapshot of `lag.params` (the repr of
@@ -1021,12 +1015,12 @@ def _context(
     last = _last_context
     if not fresh and last is not None and last[0] is lag and last[1] == key:
         return last[2]
-    ev = _Eval(lag, copy.deepcopy(sample), 4, tol_degenerate)
+    ev = _Eval(lag, copy.deepcopy(sample), 4, tol_degenerate).row(0)
     _last_context = (lag, key, ev)
     return ev
 
 
-def _field_jet(ev: _Eval, scalar_field: Callable[[Sequence[Jet]], Jet]) -> Jet:
+def _field_jet(ev: _Row, scalar_field: Callable[[Sequence[Jet]], Jet]) -> Jet:
     """The scalar field as a jet over the context's coordinates: the
     context's own ln sqrt|det g| when the field is that of its Lagrangian
     (the same jet, bit for bit), else the field evaluated on them."""
@@ -1077,11 +1071,7 @@ def hh_curvature(
     """The hh-curvature and its Ricci tensors from the sample's context, as
     the caller's copies."""
     value = _context(lag, sample, tol_degenerate).curvature
-    return CurvatureValue(
-        hh_riemann=value.hh_riemann.copy(),
-        ricci=value.ricci.copy(),
-        skew_ricci=value.skew_ricci.copy(),
-    )
+    return CurvatureValue(value.hh_riemann.copy(), value.ricci.copy(), value.skew_ricci.copy())
 
 
 def vertical_derivative(
@@ -1122,7 +1112,7 @@ def probe_context(
     convention: str = "+---",
     tol_degenerate: float = TOL_DEGENERATE,
     tol_null: float = TOL_NULL,
-) -> tuple[AdmissibilityVerdict, Optional[_Eval]]:
+) -> tuple[AdmissibilityVerdict, Optional[_Row]]:
     """Admissibility of the sample and the evaluation context that decided
     it; the context is None when L cannot be evaluated (it leaves a
     function's domain, or a family's alpha is identically zero).  The sample
@@ -1139,24 +1129,19 @@ def probe_block(
     tol_degenerate: float = TOL_DEGENERATE,
     tol_null: float = TOL_NULL,
     evaluation: Optional[_Eval] = None,
-) -> tuple[Optional[_Eval], list[tuple[AdmissibilityVerdict, Optional[_Eval]]]]:
+) -> tuple[_Eval, list[tuple[AdmissibilityVerdict, Optional[_Row]]]]:
     """Admissibility of each sample and the context that decided it, as
     `probe_context` gives them, from one block evaluation of the samples:
-    `evaluation` where it evaluates these samples of `lag` (a catalog
-    entry's, say), else a new one at `tol_degenerate`.  Each context is the
-    block's row at `tol_degenerate` (`_Eval.row`).  Returns the block, None
-    where a lone sample's L cannot be evaluated, and (verdict, context) per
-    sample."""
+    `evaluation` where it evaluates these samples of `lag` at
+    `tol_degenerate` (a catalog entry's, say), else a new one.  Each context
+    is the block's row (`_Eval.row`).  Returns the block and (verdict,
+    context) per sample."""
     _check_convention(convention)
     samples = tuple(samples)
-    if evaluation is None or not evaluation.evaluates(lag, samples):
-        if len(samples) == 1:
-            alone = _probed(lambda: _Eval(lag, samples[0], 4, tol_degenerate), convention, tol_null)
-            return alone[1], [alone]
+    if evaluation is None or not evaluation.evaluates(lag, samples, tol_degenerate):
         evaluation = _Eval(lag, samples, 4, tol_degenerate)
     return evaluation, [
-        _probed(lambda i=i: evaluation.row(i, tol_degenerate), convention, tol_null)
-        for i in range(len(samples))
+        _probed(lambda i=i: evaluation.row(i), convention, tol_null) for i in range(len(samples))
     ]
 
 
@@ -1166,8 +1151,8 @@ def _check_convention(convention: str) -> None:
 
 
 def _probed(
-    context: Callable[[], _Eval], convention: str, tol_null: float
-) -> tuple[AdmissibilityVerdict, Optional[_Eval]]:
+    context: Callable[[], _Row], convention: str, tol_null: float
+) -> tuple[AdmissibilityVerdict, Optional[_Row]]:
     """The admissibility of the context `context()` makes and the context,
     or outside A and None where L cannot be evaluated (it leaves a
     function's domain, or a family's alpha is identically zero)."""
@@ -1208,7 +1193,7 @@ class _LogSqrtDetField:
 def log_sqrt_det_metric_field(lag: LagrangianDef) -> Callable[[Sequence[Jet]], Jet]:
     """The scalar field ln sqrt|det g| as a jet-valued function on TM.
     Given to `commutator_check` or `vertical_derivative` with the same
-    `lag`, it is read off the sample's context (`_Eval.log_sqrt_det`, the
+    `lag`, it is read off the sample's context (`_Row.log_sqrt_det`, the
     same jet) without evaluating L again."""
     return _LogSqrtDetField(lag)
 

@@ -461,7 +461,7 @@ class Jet:
                 table.append(_taylor(taylor_of, v, self.order, *args))
             except DomainError:
                 table.append([math.nan] * (self.order + 1))
-        return self._compose(np.array(table).T[..., None])
+        return self._compose(np.array(table).reshape(-1, self.order + 1).T[..., None])
 
     def _reciprocal(self) -> "Jet":
         return self._apply(_reciprocal_taylor)
@@ -484,8 +484,8 @@ class Jet:
     def __abs__(self) -> "Jet":
         if self.coeffs.ndim == 2:
             # a row at 0 becomes NaN where one jet raises
-            v = self.coeffs[:, :1]
-            sign = np.where(v > 0.0, 1.0, np.where(v < 0.0, -1.0, math.nan))
+            sign = np.sign(self.coeffs[:, :1])
+            sign[sign == 0.0] = math.nan
             return self._scaled(self.coeffs * sign, sign)
         v = self.value
         if v > 0.0:

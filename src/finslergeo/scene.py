@@ -570,7 +570,7 @@ def _sample_block(
     sample: TangentSample,
     detail: bool,
     verdict: geometry.AdmissibilityVerdict,
-    ev: Optional[geometry._Eval],
+    ev: Optional[geometry._Row],
     fam,
 ) -> dict:
     block: dict = {
@@ -684,7 +684,7 @@ def _proposition_fields(fam: alphabeta.FamilyEval) -> dict:
 
 def _base_point(
     scene: Scene, label: str, sample: TangentSample, sections: tuple,
-    verdict: geometry.AdmissibilityVerdict, ev: Optional[geometry._Eval], bv,
+    verdict: geometry.AdmissibilityVerdict, ev: Optional[geometry._Row], bv,
 ) -> dict:
     """Every per-point entry of the requested sections at one base point,
     read from its row `ev` of the scene's order-4 block evaluation, whose

@@ -35,3 +35,24 @@ def digest_scenes():
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
     return list(tool.scene_documents(REPO))
+
+
+@pytest.fixture(scope="session")
+def raising_lagrangians():
+    """Lagrangians whose stacked L raises at every sample, by name: a family
+    whose alpha is identically zero, and a DSL L outside ln's domain."""
+    from finslergeo.scene import load_scene
+
+    def lagrangian(source):
+        return load_scene({
+            "chart": {"dim": 2},
+            "lagrangian": source,
+            "samples": [{"x": [0, 0], "xdot": [1, 0.1]}],
+        }).lagrangian
+
+    return {
+        "alpha-zero": lagrangian({"family": {
+            "alpha": [["0", "0"], ["0", "0"]], "beta": ["1", "0"], "c": 1, "m": 0, "p": 2,
+        }}),
+        "ln-domain": lagrangian({"dsl": {"source": "ln(-1)*dx0^2 - dx1^2"}}),
+    }

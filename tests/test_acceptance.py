@@ -95,7 +95,7 @@ def test_criterion_4_identity_suite(entries):
     for name, e in entries.items():
         lag = e.lagrangian
         for s in e.default_samples:
-            ev = _Eval(lag, s, 4)
+            ev = _Eval(lag, s, 4).row(0)
             v = s.xdot
             scale_L = max(1.0, abs(ev.L.value))
             r = abs(float(v @ ev.g_values @ v) - ev.L.value) / scale_L
@@ -138,7 +138,7 @@ def test_criterion_4_identity_suite(entries):
             assert r < 1e-6, (name, "commutator")
 
             for lam in (0.5, 2.0, 7.0):
-                evs = _Eval(lag, s.scaled(lam), 3)
+                evs = _Eval(lag, s.scaled(lam), 3).row(0)
                 assert abs(evs.L.value - lam**2 * ev.L.value) / scale_L < 1e-8 * lam**2
                 assert (
                     float(np.max(np.abs(evs.g_values - ev.g_values)))
@@ -206,13 +206,13 @@ def test_criterion_6_oracle_equivalence(entries):
     for name, e in entries.items():
         n = e.dim
         s = e.default_samples[0]
-        ev = _Eval(e.lagrangian, s, 4)
+        ev = _Eval(e.lagrangian, s, 4).row(0)
         z = list(s.x) + list(s.xdot)
 
         def L_flat(pt):
             return _Eval(
                 e.lagrangian, TangentSample(pt[:n], pt[n:]), 1
-            ).L.value
+            ).row(0).L.value
 
         for multi, tol in [(m, 1e-6) for m in low] + [(m, 1e-4) for m in high]:
             jet_val = extract_partial(ev.L, list(multi))

@@ -1,4 +1,5 @@
-"""The benchmark's layer tracer still finds every function it wraps."""
+"""The benchmark's layer tracer still finds every function it wraps, and
+its anchor still runs on the internals it reads."""
 
 import importlib.util
 import sys
@@ -9,12 +10,11 @@ import pytest
 import finslergeo
 from finslergeo import alphabeta, berwald, catalog, cli, expr, geometry, jets, scene  # noqa: F401
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.fixture(scope="module")
-def tracer():
-    spec = importlib.util.spec_from_file_location("finslergeo_bench_tracer", TRACER)
+def _load_bench_module(name):
+    spec = importlib.util.spec_from_file_location(f"finslergeo_bench_{name}", ROOT / "bench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     saved = sys.dont_write_bytecode
     sys.dont_write_bytecode = True  # leave the benchmark directory untouched
@@ -23,6 +23,11 @@ def tracer():
     finally:
         sys.dont_write_bytecode = saved
     return module
+
+
+@pytest.fixture(scope="module")
+def tracer():
+    return _load_bench_module("tracer")
 
 
 def test_every_trace_target_resolves(tracer):
@@ -42,3 +47,16 @@ def test_tracer_installs_and_uninstalls_cleanly(tracer):
     finally:
         t.uninstall()
     assert tracer.wrapped_targets(finslergeo) == []
+
+
+def test_the_anchor_stage_costs_run():
+    # the anchor builds `_Eval(lag, sample, 4)` and reads its g_inv_jets,
+    # gamma_jets and curvature, which a benchmark run would otherwise be the
+    # first to find broken
+    costs = _load_bench_module("anchor").stage_costs(ROOT, repeats=1)
+    assert set(costs) == {
+        "anchor.L_ms", "anchor.upto_ginv_ms", "anchor.upto_gamma_ms", "anchor.upto_curvature_ms",
+        "anchor.commutator_ms", "anchor.detect_berwald_ms", "anchor.obstruction_ms",
+        "anchor.jetspace_8_4_ms",
+    }
+    assert all(0.0 < ms < float("inf") for ms in costs.values())

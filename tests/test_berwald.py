@@ -126,7 +126,7 @@ def order2_probe(lag, sample):
     leaves a function's domain) is outside A, with no context."""
     try:
         with np.errstate(all="ignore"):
-            ev = _Eval(lag, sample, 2)
+            ev = _Eval(lag, sample, 2).row(0)
     except (DomainError, ExprDomainError, geometry.DegenerateMetric):
         return False, None
     return ev.admissibility().in_A, ev
@@ -301,6 +301,41 @@ def test_a_one_draw_round_reads_the_bits_of_that_draw_alone(monkeypatch, szabo):
     assert in_A and sprays[1].tobytes() == ev.spray_values.tobytes()
 
 
+@pytest.mark.parametrize("name", ["alpha-zero", "ln-domain"])
+def test_a_lagrangian_whose_stacked_L_raises_has_no_admissible_directions(
+    raising_lagrangians, name
+):
+    lag = raising_lagrangians[name]
+    with pytest.raises(NoAdmissibleDirections, match="found 0 admissible directions"):
+        berwald.sample_admissible_directions(lag, [0.0, 0.0], [1.0, 0.1], rng=0)
+
+
+def test_a_zero_seed_direction_is_not_sampled_around(szabo):
+    # outside the slit tangent bundle, as a TangentSample with it would be
+    s = szabo.default_samples[0]
+    with pytest.raises(ValueError, match="zero vector"):
+        berwald.sample_admissible_directions(szabo.lagrangian, s.x, np.zeros(4), rng=0)
+
+
+@pytest.mark.parametrize("count", [0, 1])
+def test_fewer_than_two_directions_are_refused_before_any_evaluation(monkeypatch, szabo, count):
+    s = szabo.default_samples[0]
+    lag = szabo.lagrangian
+    ev = geometry.probe_context(lag, s)[1]
+    built = _counting_evals(monkeypatch)
+    calls = [
+        lambda: berwald.sample_admissible_directions(lag, s.x, s.xdot, count, rng=0),
+        lambda: berwald.detect_berwald(lag, s.x, s.xdot, count, rng=0),
+        lambda: berwald.obstruction(lag, s.x, s.xdot, count),
+        lambda: berwald.verdict_at(ev, count, rng=0),
+        lambda: berwald.verdicts_at([ev], [0], count),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"need at least 2 directions, got {count}"):
+            call()
+    assert built == []
+
+
 # -- affine Ricci -----------------------------------------------------------------
 
 
@@ -407,7 +442,7 @@ def test_phi_constancy_across_eight_directions(szabo):
     )
     values = []
     for d in dirs:
-        ev = _Eval(lag, TangentSample(s.x, d), 4)
+        ev = _Eval(lag, TangentSample(s.x, d), 4).row(0)
         values.append(
             geometry.ricci_skew_from_curvature(
                 ev.curvature.hh_riemann, d, ev.cartan_trace

@@ -107,7 +107,7 @@ def test_connection_invariants(szabo):
 def test_cartan_contraction_vanishes(szabo):
     # C_abc xdot^a = 0 since the metric is 0-homogeneous in xdot
     s = szabo.default_samples[0]
-    ev = _Eval(szabo.lagrangian, s, 3)
+    ev = _Eval(szabo.lagrangian, s, 3).row(0)
     contracted = np.einsum("abc,a->bc", ev.cartan_values, s.xdot)
     assert np.max(np.abs(contracted)) < 1e-8 * max(1.0, np.max(np.abs(ev.cartan_values)))
 
@@ -115,7 +115,7 @@ def test_cartan_contraction_vanishes(szabo):
 def test_euler_identity(szabo, conformal):
     for entry in (szabo, conformal):
         for s in entry.default_samples:
-            ev = _Eval(entry.lagrangian, s, 2)
+            ev = _Eval(entry.lagrangian, s, 2).row(0)
             lhs = float(s.xdot @ ev.g_values @ s.xdot)
             assert lhs == pytest.approx(ev.L.value, rel=1e-9)
 
@@ -125,8 +125,8 @@ def test_homogeneity(szabo, lam):
     s = szabo.default_samples[0]
     scaled = s.scaled(lam)
     lag = szabo.lagrangian
-    ev = _Eval(lag, s, 3)
-    evs = _Eval(lag, scaled, 3)
+    ev = _Eval(lag, s, 3).row(0)
+    evs = _Eval(lag, scaled, 3).row(0)
     assert evs.L.value == pytest.approx(lam**2 * ev.L.value, rel=1e-8)
     np.testing.assert_allclose(evs.g_values, ev.g_values, rtol=1e-8, atol=1e-12)
     np.testing.assert_allclose(
@@ -140,7 +140,7 @@ def test_homogeneity(szabo, lam):
 
 def test_skew_identity_two_routes(szabo):
     s = szabo.default_samples[0]
-    ev = _Eval(szabo.lagrangian, s, 4)
+    ev = _Eval(szabo.lagrangian, s, 4).row(0)
     curv = ev.curvature
     trace_route = curv.ricci - curv.ricci.T
     curvature_route = geometry.ricci_skew_from_curvature(
@@ -184,7 +184,7 @@ def test_context_log_det_commutator_equals_the_public_field():
     ]
     assert len(samples) == 14
     for lag, s in samples:
-        ev = _Eval(lag, s, 4)
+        ev = _Eval(lag, s, 4).row(0)
         field = geometry.log_sqrt_det_metric_field(lag)
         assert ev.log_sqrt_det.coeffs.tobytes() == field(ev.cjets).coeffs.tobytes()
         got = ev.commutator_residual(ev.log_sqrt_det)
@@ -211,8 +211,8 @@ def test_log_det_field_identities(szabo):
     s = szabo.default_samples[0]
     lag = szabo.lagrangian
     f = geometry.log_sqrt_det_metric_field(lag)
-    ev = _Eval(lag, s, 3)
-    hd = geometry.values(ev.delta_of(f(ev.cjets)), (ev.n,))
+    ev = _Eval(lag, s, 3).row(0)
+    hd = geometry.values(geometry.delta_of(ev.nonlinear_jets, f(ev.cjets)), (ev.n,))
     np.testing.assert_allclose(
         hd, np.einsum("mam->a", ev.gamma_values), atol=1e-7
     )
@@ -227,8 +227,9 @@ def test_horizontal_derivative_of_x_free_field_vanishes(minkowski):
         n = len(cjets) // 2
         return cjets[n] * cjets[n]  # depends on xdot only
 
-    ev = _Eval(minkowski.lagrangian, s, 3)
-    assert np.max(np.abs(geometry.values(ev.delta_of(field(ev.cjets)), (ev.n,)))) == 0.0
+    ev = _Eval(minkowski.lagrangian, s, 3).row(0)
+    delta = geometry.delta_of(ev.nonlinear_jets, field(ev.cjets))
+    assert np.max(np.abs(geometry.values(delta, (ev.n,)))) == 0.0
 
 
 # -- eval_L ------------------------------------------------------------------------
@@ -237,7 +238,7 @@ def test_horizontal_derivative_of_x_free_field_vanishes(minkowski):
 def test_family_p_zero_reduces_to_alpha():
     ent = catalog.get("bogoslovsky", {"p": 0.0})
     s = TangentSample([0, 0, 0, 0], [1.0, 0.2, 0.1, -0.3])
-    ev = _Eval(ent.lagrangian, s, 2)
+    ev = _Eval(ent.lagrangian, s, 2).row(0)
     v = s.xdot
     alpha = v[0] ** 2 - v[1] ** 2 - v[2] ** 2 - v[3] ** 2
     assert ev.L.value == pytest.approx(alpha, rel=1e-12)
@@ -251,12 +252,12 @@ def test_family_c1_m0_closed_form(p):
     v = s.xdot
     alpha = v[0] ** 2 - v[1] ** 2 - v[2] ** 2 - v[3] ** 2
     beta = v[0]
-    ev = _Eval(ent.lagrangian, s, 1)
+    ev = _Eval(ent.lagrangian, s, 1).row(0)
     assert ev.L.value == pytest.approx(alpha ** (p + 1) / beta ** (2 * p), rel=1e-12)
 
 
 def test_minkowski_hessian_from_L(minkowski):
-    ev = _Eval(minkowski.lagrangian, TangentSample([0, 0, 0, 0], [1.0, 0, 0, 0]), 2)
+    ev = _Eval(minkowski.lagrangian, TangentSample([0, 0, 0, 0], [1.0, 0, 0, 0]), 2).row(0)
     np.testing.assert_allclose(ev.g_values, np.diag([1.0, -1, -1, -1]), atol=1e-15)
 
 
@@ -323,7 +324,7 @@ def test_counterexample_signature_from_eigen_oracle(szabo):
     lag = szabo.lagrangian
 
     def L_of(pt):
-        return _Eval(lag, TangentSample(s.x, pt), 1).L.value
+        return _Eval(lag, TangentSample(s.x, pt), 1).row(0).L.value
 
     hess = np.empty((4, 4))
     for a in range(4):
@@ -347,9 +348,9 @@ def test_homogeneity_on_random_admissible_samples(szabo):
     )
     for d in dirs:
         base = TangentSample(s.x, d)
-        ev = _Eval(lag, base, 3)
+        ev = _Eval(lag, base, 3).row(0)
         for lam in (0.5, 2.0, 7.0):
-            evs = _Eval(lag, base.scaled(lam), 3)
+            evs = _Eval(lag, base.scaled(lam), 3).row(0)
             assert evs.L.value == pytest.approx(lam**2 * ev.L.value, rel=1e-8)
             np.testing.assert_allclose(evs.g_values, ev.g_values, rtol=1e-8, atol=1e-12)
             np.testing.assert_allclose(
@@ -751,8 +752,7 @@ def test_delta_of_without_fiber_dependence_matches_the_loop(n, validity, kind, s
     N = _sparse_stack(
         rng, space, n * n, validity, range(2 * n), "finite" if kind == "fiber" else kind
     )
-    ctx = type("Context", (), {"n": n, "space": space, "nonlinear_jets": N})()
-    assert _outcome(_Eval.delta_of, ctx, j) == _outcome(ref_full_delta_of, N, j, n)
+    assert _outcome(geometry.delta_of, N, j) == _outcome(ref_full_delta_of, N, j, n)
 
 
 def _product_supports(monkeypatch, call, spaces=False) -> list:
@@ -774,7 +774,7 @@ def _product_supports(monkeypatch, call, spaces=False) -> list:
 def _inversion_supports(monkeypatch, lag, sample):
     """The (space, support) each product of g's inversion ran its pairs
     over, in the order-4 context of the sample."""
-    ev = _Eval(lag, sample, 4)
+    ev = _Eval(lag, sample, 4).row(0)
     ev.g_jets
     return set(_product_supports(monkeypatch, lambda: ev.g_inv_jets, spaces=True))
 
@@ -788,7 +788,7 @@ def test_inversion_runs_over_the_variables_g_depends_on(monkeypatch, minkowski):
     ))
     sample = TangentSample([0.1, -0.3, 0.25, 0.0, 0.4, -0.2], [1.0, 0.1, -0.15, 0.05, 0.2, -0.1])
     assert _inversion_supports(monkeypatch, dim6, sample) == {(jet_space(3, 4), (0, 1, 2))}
-    assert _Eval(dim6, sample, 4).g_inv_jets.support == (1, 2, 4)
+    assert _Eval(dim6, sample, 4).row(0).g_inv_jets.support == (1, 2, 4)
     assert _inversion_supports(
         monkeypatch, minkowski.lagrangian, minkowski.default_samples[0]
     ) == {(jet_space(0, 4), ())}
@@ -833,13 +833,13 @@ def test_g_stages_on_their_support_are_the_stages_in_the_full_space(digest_scene
             compact += len(g.support) < 2 * ev.n
             stages = [
                 (geometry.invert_jet_matrix, [g], (count,)),
-                (geometry.log_sqrt_abs_det, [g], (count,) if not ev.single else ()),
+                (geometry.log_sqrt_abs_det, [g], (count,)),
             ]
             ginv = _stage_outcome(lambda: ev.g_inv_jets)
             if isinstance(ginv, tuple):
                 idx = geometry._indices(ev.n, count)
                 with np.errstate(all="ignore"):
-                    dg = ev.delta_of(geometry.take_rows(g, idx["upper"]))
+                    dg = geometry.delta_of(ev.nonlinear_jets, geometry.take_rows(g, idx["upper"]))
                 operands = [ev.g_inv_jets, geometry.take_rows(dg, idx["expand"])]
                 stages.append((geometry.koszul, operands, (count,)))
             for stage, operands, args in stages:
@@ -876,7 +876,7 @@ def test_stacked_chain_matches_the_scalar_loops(seed, order, from_catalog):
         lag, sample = _CATALOG_SAMPLES[int(rng.integers(len(_CATALOG_SAMPLES)))]
     else:
         lag, sample = _dsl_sample(rng)
-    ev = _Eval(lag, sample, order)
+    ev = _Eval(lag, sample, order).row(0)
     assume(ev.admissibility().in_A)
     n = ev.n
     ref = ref_chain(ev)
@@ -897,7 +897,7 @@ def test_stacked_chain_matches_the_scalar_loops(seed, order, from_catalog):
         return
     assert_same_stack(ev.nonlinear_jets, ref["N"])
     assert_same_stack(ev.gamma_jets, ref["gamma"])
-    assert_same_stack(ev.delta_of(f), ref_delta_of(ref["N"], f, n))
+    assert_same_stack(geometry.delta_of(ev.nonlinear_jets, f), ref_delta_of(ref["N"], f, n))
     assert_same_bytes([ev.nonlinear_values, ev.gamma_values],
                       [ref_values(ref["N"]), ref_values(ref["gamma"])])
     cartan = np.empty((n, n, n))
@@ -923,7 +923,7 @@ def test_stacked_chain_matches_the_scalar_loops(seed, order, from_catalog):
 
 def test_stacked_chain_makes_no_scalar_jet_product(monkeypatch, szabo):
     # from g through the curvature every product is a batched one
-    ev = _Eval(szabo.lagrangian, szabo.default_samples[0], 4)
+    ev = _Eval(szabo.lagrangian, szabo.default_samples[0], 4).row(0)
     calls = []
     mul = Jet.__mul__
 
@@ -1114,13 +1114,13 @@ def test_order_2_and_order_4_contexts_agree_where_the_order_4_L_is_finite(digest
     for lag, sample, tol in _order_samples(digest_scenes):
         try:
             with np.errstate(all="ignore"):
-                ev4 = _Eval(lag, sample, 4, tol)
+                ev4 = _Eval(lag, sample, 4, tol).row(0)
         except (DomainError, ExprDomainError, DegenerateMetric):
             ev4 = None
         if ev4 is None or not np.isfinite(ev4.L.coeffs).all():
             skipped += 1
             continue
-        ev2 = _Eval(lag, sample, 2, tol)
+        ev2 = _Eval(lag, sample, 2, tol).row(0)
         assert _raw(ev2.L.value) == _raw(ev4.L.value)
         for reader in ("g_values", "eigenvalues"):
             assert _outcome_of(lambda: getattr(ev2, reader)) == _outcome_of(
@@ -1325,7 +1325,7 @@ def _assert_rows_are_lone_contexts(lag, samples, tol):
     kinds = []
     for i, sample in enumerate(samples):
         got = _context_outcomes(lambda: block.row(i))
-        assert got == _context_outcomes(lambda: _Eval(lag, sample, 4, tol)), (i, sample)
+        assert got == _context_outcomes(lambda: _Eval(lag, sample, 4, tol).row(0)), (i, sample)
         kinds.append(None if isinstance(got, tuple) else block.row(i).admissibility())
     return kinds
 
@@ -1370,36 +1370,83 @@ def test_block_rows_of_random_lagrangians_are_the_contexts_of_their_samples(seed
     _assert_rows_are_lone_contexts(lag, samples, tol)
 
 
-def test_readers_at_a_scene_tolerance_return_its_report_arrays(digest_scenes, tmp_path):
-    # g = diag(1, -1e-12) is nondegenerate at the scene's tolerance, 1e-14,
-    # and not at the default one
-    doc = dict(digest_scenes)["near-degenerate"]
-    scene = tmp_path / "scene.json"
-    scene.write_text(json.dumps(doc), encoding="utf-8")
-    cli.main(["report", str(scene), "--out", str(tmp_path / "out")])
-    text = (tmp_path / "out" / "report.json").read_text(encoding="utf-8")
-    (block,) = json.loads(text, parse_int=float)["samples"]
-    scn = load_scene(doc)
-    lag, (_, sample), tol = scn.lagrangian, scn.samples[0], scn.options.tol_degenerate
-    assert tol == 1e-14 and block["admissibility"]["in_A"]
-    field = geometry.log_sqrt_det_metric_field(lag)
-    curvature = geometry.hh_curvature(lag, sample, tol)
-    metric = geometry.metric(lag, sample, tol)
-    arrays = {
-        "spray": geometry.spray(lag, sample, tol),
-        "nonlinear": geometry.nonlinear_connection(lag, sample, tol),
-        "chern_rund": geometry.chern_rund(lag, sample, tol),
-        "ricci": curvature.ricci,
-        "skew_ricci": curvature.skew_ricci,
-    }
-    for key, array in arrays.items():
-        assert np.array(block[key], dtype=np.float64).tobytes() == array.tobytes(), key
-    assert [metric.det, list(metric.signature)] == [
-        block["metric"]["det"], [int(k) for k in block["metric"]["signature"]]
+def test_a_block_of_no_samples_has_no_rows(raising_lagrangians):
+    for lag in [_NON_FINITE_LAG, *raising_lagrangians.values()]:
+        block = _Eval(lag, [], 4)
+        assert block.points.shape == (0, 4)
+        assert len(block._finite) == len(block._past) == len(block.g_jets.coeffs) == 0
+        evaluation, probes = geometry.probe_block(lag, [])
+        assert probes == [] and len(evaluation._past) == 0
+
+
+@pytest.mark.parametrize("name", ["alpha-zero", "ln-domain"])
+def test_a_block_whose_stacked_L_raises_has_no_finite_rows(raising_lagrangians, name):
+    lag = raising_lagrangians[name]
+    samples = [TangentSample([0.0, 0.0], [1.0, 0.1]), TangentSample([0.3, -0.2], [1.0, -0.4])]
+    block = _Eval(lag, samples, 4)
+    assert len(block._finite) == len(block._past) == len(block.g_jets.coeffs) == 0
+    for i, sample in enumerate(samples):
+        # a row is read from its lone evaluation, which raises
+        outcome = _context_outcomes(lambda: block.row(i))
+        assert isinstance(outcome, tuple)
+        assert outcome == _context_outcomes(lambda: _Eval(lag, sample, 4).row(0))
+    _, probes = geometry.probe_block(lag, samples)
+    assert [(verdict.in_A, ev) for verdict, ev in probes] == [(False, None)] * 2
+
+
+def test_readers_at_a_scene_tolerance_return_its_report_arrays(
+    digest_scenes, tmp_path, monkeypatch
+):
+    # g = diag(1, -1e-12) is nondegenerate at the near-degenerate scene's
+    # tolerance, 1e-14, and not at the default one; a catalog scene at a
+    # tolerance of its own is not read from the entry's block, made at the
+    # default tolerance, but from an order-4 block the run builds
+    scenes = [
+        (dict(digest_scenes)["near-degenerate"], 1e-14),
+        ({"lagrangian": {"catalog": "bogoslovsky"},
+          "options": {"tolerances": {"degenerate": 1e-12}}}, 1e-12),
     ]
-    assert geometry.commutator_check(lag, sample, field, tol) == block["residuals"]["commutator"]
-    assert np.all(np.isfinite(geometry.vertical_derivative(lag, sample, field, tol)))
-    # at the default tolerance every reader past g refuses the sample
-    for call in ("metric", "spray", "nonlinear_connection", "chern_rund", "hh_curvature"):
-        with pytest.raises(DegenerateMetric):
-            getattr(geometry, call)(lag, sample)
+    built = []
+    init = geometry._Eval.__init__
+
+    def recording_init(self, lag, sample, order, tol_degenerate=geometry.TOL_DEGENERATE):
+        built.append((order, tol_degenerate, sample))
+        init(self, lag, sample, order, tol_degenerate)
+
+    monkeypatch.setattr(geometry._Eval, "__init__", recording_init)
+    for doc, tol in scenes:
+        scene = tmp_path / "scene.json"
+        scene.write_text(json.dumps(doc), encoding="utf-8")
+        scn = load_scene(doc)
+        built.clear()
+        cli.main(["report", str(scene), "--out", str(tmp_path / "out")])
+        blocks = [
+            sample for order, block_tol, sample in built if order == 4 and block_tol == tol
+            and not isinstance(sample, TangentSample)
+        ]
+        assert len(blocks) == 1 and [s.xdot.tobytes() for s in blocks[0]] == [
+            s.xdot.tobytes() for _, s in scn.samples
+        ]
+        text = (tmp_path / "out" / "report.json").read_text(encoding="utf-8")
+        reported = json.loads(text, parse_int=float)["samples"]
+        lag = scn.lagrangian
+        assert scn.options.tol_degenerate == tol
+        field = geometry.log_sqrt_det_metric_field(lag)
+        for (_, sample), block in zip(scn.samples, reported, strict=True):
+            assert block["admissibility"]["in_A"]
+            curvature = geometry.hh_curvature(lag, sample, tol)
+            metric = geometry.metric(lag, sample, tol)
+            arrays = {
+                "spray": geometry.spray(lag, sample, tol),
+                "nonlinear": geometry.nonlinear_connection(lag, sample, tol),
+                "chern_rund": geometry.chern_rund(lag, sample, tol),
+                "ricci": curvature.ricci,
+                "skew_ricci": curvature.skew_ricci,
+            }
+            for key, array in arrays.items():
+                assert np.array(block[key], dtype=np.float64).tobytes() == array.tobytes(), key
+            assert [metric.det, list(metric.signature)] == [
+                block["metric"]["det"], [int(k) for k in block["metric"]["signature"]]
+            ]
+            commutator = geometry.commutator_check(lag, sample, field, tol)
+            assert commutator == block["residuals"]["commutator"]

@@ -20,7 +20,7 @@ def test_minkowski_vertical_hessian():
     ent = catalog.get("minkowski4")
 
     def L_of_v(v):
-        return _Eval(ent.lagrangian, TangentSample(np.zeros(4), v), 1).L.value
+        return _Eval(ent.lagrangian, TangentSample(np.zeros(4), v), 1).row(0).L.value
 
     v0 = np.array([1.0, 0.2, 0.1, 0.3])
     hess = np.array(
@@ -34,7 +34,7 @@ def test_counterexample_gamma_x_derivative_matches_jets():
     # component from finite differences vs the jet value
     ent = catalog.get("szabo-counterexample")
     s = ent.default_samples[0]
-    ev = _Eval(ent.lagrangian, s, 4)
+    ev = _Eval(ent.lagrangian, s, 4).row(0)
     jet_val = ev.gamma_x_derivatives[2, 1, 0, 2]  # d Gamma^v_ux / d x
 
     def gamma_component(x):
@@ -68,7 +68,7 @@ def test_richardson_improves_first_derivative():
 
 
 def _lagrangian_value(lag, x, v):
-    return _Eval(lag, TangentSample(x, v), 1).L.value
+    return _Eval(lag, TangentSample(x, v), 1).row(0).L.value
 
 
 def test_jets_match_oracle_on_all_catalog_defaults(entries):
@@ -78,7 +78,7 @@ def test_jets_match_oracle_on_all_catalog_defaults(entries):
     for name, e in entries.items():
         n = e.dim
         s = e.default_samples[0]
-        ev = _Eval(e.lagrangian, s, 4)
+        ev = _Eval(e.lagrangian, s, 4).row(0)
         z = list(s.x) + list(s.xdot)
 
         def L_flat(pt):
