@@ -7,9 +7,10 @@ expected-values block that the regression suite reproduces through the full
 pipeline.  Overrides are read by one checked reader (`_parameters`), and
 every default sample is verified admissible when the entry is instantiated,
 by one block evaluation of them that the entry keeps (`evaluation`), so a
-report on them evaluates each once.  `szabo-counterexample` builds its alpha
-and H from the override phi and searches for its default directions, whose
-last block of candidates is that evaluation.
+report on them at the default degenerate tolerance evaluates each once.
+`szabo-counterexample` builds its alpha and H from the override phi and
+searches for its default directions, whose last block of candidates is that
+evaluation.
 """
 
 from __future__ import annotations

@@ -558,7 +558,8 @@ class _Eval:
         if not isinstance(sample, np.ndarray):
             self.samples = (sample,) if self.alone else tuple(sample)
             sample = [np.concatenate([s.x, s.xdot]) for s in self.samples]
-        self.points = np.array(sample, dtype=float).reshape(-1, 2 * n)
+        # ValueError for a sample of another dimension than lag's
+        self.points = np.array(sample, dtype=float).reshape(len(sample), 2 * n)
         # an overflow inside a product is tagged by `admissibility`, not warned
         with np.errstate(over="ignore", invalid="ignore"):
             if self.alone:

@@ -14,7 +14,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def _load_bench_module(name):
-    spec = importlib.util.spec_from_file_location(f"finslergeo_bench_{name}", ROOT / "bench" / f"{name}.py")
+    path = ROOT / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"finslergeo_bench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     saved = sys.dont_write_bytecode
     sys.dont_write_bytecode = True  # leave the benchmark directory untouched

@@ -1370,6 +1370,16 @@ def test_block_rows_of_random_lagrangians_are_the_contexts_of_their_samples(seed
     _assert_rows_are_lone_contexts(lag, samples, tol)
 
 
+def test_a_sample_of_another_dimension_is_refused(minkowski):
+    # n is the Lagrangian's: a sample of 2 or 8 dimensions is not one of it
+    for dim in (2, 8):
+        sample = TangentSample(np.zeros(dim), np.ones(dim))
+        with pytest.raises(ValueError, match="cannot reshape"):
+            geometry.metric(minkowski.lagrangian, sample)
+        with pytest.raises(ValueError, match="cannot reshape"):
+            geometry.probe_block(minkowski.lagrangian, [sample, sample])
+
+
 def test_a_block_of_no_samples_has_no_rows(raising_lagrangians):
     for lag in [_NON_FINITE_LAG, *raising_lagrangians.values()]:
         block = _Eval(lag, [], 4)

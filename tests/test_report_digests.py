@@ -25,7 +25,8 @@ _SUMMARY = re.compile(
     rf"(?P<scene>\S+) (?P<sub>{'|'.join(SUBCOMMANDS)}) (?P<seed>\d+) summary {_DIGEST}"
 )
 _CALL = re.compile(
-    rf"(?P<scene>\S+) (?P<kind>chain-rev|chain|L|family|witness|stage):(?P<call>\S+) (?P<label>\S+)"
+    rf"(?P<scene>\S+) (?P<kind>chain-rev|chain|L|family|witness|stage):(?P<call>\S+)"
+    rf" (?P<label>\S+)"
     rf" (?P<digest>{_DIGEST}|\w+)"
 )
 
