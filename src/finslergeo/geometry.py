@@ -548,7 +548,13 @@ class _Eval:
     (`_past`).
     """
 
-    def __init__(self, lag: LagrangianDef, sample, order: int, tol_degenerate=TOL_DEGENERATE):
+    def __init__(
+        self,
+        lag: LagrangianDef,
+        sample,
+        order: int,
+        tol_degenerate: float = TOL_DEGENERATE,
+    ):
         self.lag = lag
         self.order = order
         self.tol_degenerate = tol_degenerate
@@ -557,8 +563,9 @@ class _Eval:
         self.alone = isinstance(sample, TangentSample)
         if not isinstance(sample, np.ndarray):
             self.samples = (sample,) if self.alone else tuple(sample)
+            for dim in {s.dim for s in self.samples} - {n}:
+                raise ValueError(f"a sample of dimension {dim} of a Lagrangian of dimension {n}")
             sample = [np.concatenate([s.x, s.xdot]) for s in self.samples]
-        # ValueError for a sample of another dimension than lag's
         self.points = np.array(sample, dtype=float).reshape(len(sample), 2 * n)
         # an overflow inside a product is tagged by `admissibility`, not warned
         with np.errstate(over="ignore", invalid="ignore"):
@@ -609,25 +616,40 @@ class _Eval:
         return raw, g, eig, _signature(eig, self.tol_degenerate)
 
     @cached_property
-    def _past(self) -> np.ndarray:
+    @_quiet
+    def _inverted(self) -> tuple:
         """The places in g's stack of the samples the stages past g are
-        evaluated at: those whose g is nondegenerate and whose values
-        invert."""
+        evaluated at, those whose g is nondegenerate and whose values
+        invert, and g^-1 there, or None.  g^-1 is taken once, at every
+        nondegenerate sample; only where that raises are the samples whose
+        values invert sorted out, and g^-1 is left to `g_inv_jets`."""
         raw, _, _, signature = self._spectrum
         past = (signature[:, 2] == 0).nonzero()[0]
-        try:
-            np.linalg.inv(raw[past])
-        except np.linalg.LinAlgError:
-            past = np.array([p for p in past if _inverts(raw[p])], dtype=np.int64)
-        return past
+        if len(past):
+            try:
+                return past, self._g_inverse(past)
+            except DegenerateMetric:
+                past = np.array([p for p in past if _inverts(raw[p])], dtype=np.int64)
+        return past, None
+
+    @property
+    def _past(self) -> np.ndarray:
+        return self._inverted[0]
+
+    def _g_at(self, past: np.ndarray) -> Jet:
+        """g at the places `past` of its stack."""
+        width = len(self._finite)
+        if len(past) == width:
+            return self.g_jets
+        return take_rows(self.g_jets, (np.arange(self.n**2)[:, None] * width + past).ravel())
 
     @cached_property
     def _g_past(self) -> Jet:
         """g at the samples past g."""
-        width = len(self._finite)
-        if len(self._past) == width:
-            return self.g_jets
-        return take_rows(self.g_jets, (np.arange(self.n**2)[:, None] * width + self._past).ravel())
+        return self._g_at(self._past)
+
+    def _g_inverse(self, past: np.ndarray) -> Jet:
+        return _on_support(invert_jet_matrix, [self._g_at(past)], len(past))
 
     def row(self, index: int) -> "_Row":
         """Sample `index`, read through its `_Row`.  Where its stacked L is
@@ -650,8 +672,10 @@ class _Eval:
     # sample), and its values carry those samples last.
 
     @cached_property
+    @_quiet
     def g_inv_jets(self) -> Jet:
-        return _on_support(invert_jet_matrix, [self._g_past], len(self._past))
+        past, g_inv = self._inverted
+        return self._g_inverse(past) if g_inv is None else g_inv
 
     @cached_property
     @_quiet
@@ -836,7 +860,12 @@ class _Row:
         self.require_nondegenerate()
         with np.errstate(over="ignore", invalid="ignore"):  # out of float range: inf
             det = float(np.linalg.det(self.g_values))
-        return MetricValue(self.g_values, self.g_inv_values, det, self.signature())
+        return MetricValue(
+            g=self.g_values,
+            g_inv=self.g_inv_values,
+            det=det,
+            signature=self.signature(),
+        )
 
     def admissibility(
         self, convention: str = "+---", tol_null: float = TOL_NULL
@@ -1072,7 +1101,11 @@ def hh_curvature(
     """The hh-curvature and its Ricci tensors from the sample's context, as
     the caller's copies."""
     value = _context(lag, sample, tol_degenerate).curvature
-    return CurvatureValue(value.hh_riemann.copy(), value.ricci.copy(), value.skew_ricci.copy())
+    return CurvatureValue(
+        hh_riemann=value.hh_riemann.copy(),
+        ricci=value.ricci.copy(),
+        skew_ricci=value.skew_ricci.copy(),
+    )
 
 
 def vertical_derivative(
