@@ -239,13 +239,7 @@ class FamilyEval:
         zeta = inst.c * self.alpha + inst.m * np.outer(self.beta, self.beta)
         det_zeta = float(np.linalg.det(zeta))
         eig = np.linalg.eigvalsh(0.5 * (zeta + zeta.T))
-        scale = float(np.max(np.abs(eig))) or 1.0
-        thr = 1e-12 * scale
-        sig = (
-            int(np.sum(eig > thr)),
-            int(np.sum(eig < -thr)),
-            int(np.sum(np.abs(eig) <= thr)),
-        )
+        sig = tuple(int(k) for k in geometry._signature(eig[None], 1e-12)[0])
         p = inst.p
         if p < -1.0:
             p_case = "p_lt_m1"

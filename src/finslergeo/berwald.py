@@ -94,15 +94,15 @@ def _check_count(count: int) -> None:
 def _witness_block(lag: LagrangianDef, points: np.ndarray, tol_degenerate: float):
     """Membership in A and the spray of each row (x, d) of `points`, from
     one order-2 block `_Eval`: a row is in A where the block takes it past g
-    at `tol_degenerate`, with its column of the block's spray (the spray of
-    the sample's lone evaluation, bit for bit), and else has a NaN spray;
-    no row, one whose L is not finite included, is evaluated alone."""
+    at `tol_degenerate` (`_Eval._spectrum`, the record a row's
+    admissibility reads), with its column of the block's spray (the spray
+    of the sample's lone evaluation, bit for bit), and else has a NaN
+    spray; no row, one whose L is not finite included, is evaluated alone."""
     ev = _Eval(lag, points, 2, tol_degenerate)
     inside = ev._finite[ev._past]
     in_A = np.isin(np.arange(len(points)), inside)
     spray = np.full((len(points), ev.n), np.nan)
-    if len(inside):
-        spray[inside] = ev.spray_values.T
+    spray[inside] = ev.spray_values.T
     return in_A, spray
 
 

@@ -40,7 +40,12 @@ is evaluated in a block (`_Eval`) and read through its row (`_Row`), the
 one reader of a sample: a lone sample is a block of one, whose row the
 public readers of that sample share (`_context`); a report reads every
 sample of a scene from one order-4 block (`probe_block`), and the Berwald
-witness reads its sampled directions from order-2 blocks.
+witness reads its sampled directions from order-2 blocks.  A block decides
+once which of its samples are in A, where L is smooth and g nondegenerate:
+one pass over g's values (`_Eval._spectrum`) takes their eigenvalues and
+signature, the samples whose g is nondegenerate and whose values invert,
+and the inverse there, and every reader of membership in A or of g^-1
+reads that record.
 """
 
 from __future__ import annotations
@@ -168,10 +173,11 @@ def _sum_over(terms: Jet, k: int) -> Jet:
     return Jet(terms.space, acc, terms.order, terms._support)
 
 
-def matvec(A: Jet, v: Jet, samples: int = 1) -> Jet:
+def matvec(A: Jet, v: Jet, samples: int = 1, n: Optional[int] = None) -> Jet:
     """y[i] = sum_k A[i, k] v[k] of a stacked n x n matrix and n-vector, at
-    each of `samples` samples (rows (component, sample))."""
-    ia, ib = _indices(len(v.coeffs) // samples, samples)["matvec"]
+    each of `samples` samples (rows (component, sample)); n is read off v's
+    rows where not given."""
+    ia, ib = _indices(n or len(v.coeffs) // samples, samples)["matvec"]
     return contract(A, v, ia, ib)
 
 
@@ -281,29 +287,32 @@ def _indices(n: int, samples: int = 1) -> dict:
     }
 
 
-def koszul(ginv: Jet, dg: Jet, samples: int = 1) -> Jet:
+def koszul(ginv: Jet, dg: Jet, samples: int = 1, n: Optional[int] = None) -> Jet:
     """Gamma^a_bc = (1/2) g^{aq} (D_b g_cq + D_c g_bq - D_q g_bc), with
     dg[m, a, b] = D_m g_ab for a derivation D (partial or horizontal), at
-    each of `samples` samples; both operands and the result are stacks.
-    The b <= c part is one contraction over q, g^{-1} on the left, scaled
-    after the sum."""
-    idx = _indices(math.isqrt(len(ginv.coeffs) // samples), samples)
+    each of `samples` samples (n read off g^-1's rows where not given); both
+    operands and the result are stacks.  The b <= c part is one contraction
+    over q, g^{-1} on the left, scaled after the sum."""
+    idx = _indices(n or math.isqrt(len(ginv.coeffs) // samples), samples)
     bcq, cbq, qbc = idx["koszul_terms"]
     inner = take_rows(dg, bcq) + take_rows(dg, cbq) - take_rows(dg, qbc)  # T[q, b <= c]
     ia, ib = idx["koszul"]
     return take_rows(0.5 * contract(ginv, inner, ia, ib), idx["expand"])
 
 
-def invert_jet_matrix(g: Jet, samples: int = 1) -> Jet:
+def invert_jet_matrix(g: Jet, samples: int = 1, vinv: Optional[np.ndarray] = None) -> Jet:
     """Inverse of a stacked jet matrix, at each of `samples` samples, via
     Newton iteration in the truncated algebra, X <- X (2I - gX), started
-    from the constant jet X0 of the numeric inverse of the value part."""
-    n = math.isqrt(len(g.coeffs) // samples)
-    space, order = g.space, g.order
-    try:  # one inverse per sample, [sample, i, j]
-        vinv = np.linalg.inv(values(g, (n, n, samples)).transpose(2, 0, 1))
-    except np.linalg.LinAlgError as err:
-        raise DegenerateMetric(str(err)) from err
+    from the constant jet X0 of `vinv`, the numeric inverse of the value
+    part [sample, i, j]: taken here where not given, and DegenerateMetric
+    where it does not exist."""
+    if vinv is None:
+        n = math.isqrt(len(g.coeffs) // samples)
+        try:  # one inverse per sample
+            vinv = np.linalg.inv(values(g, (n, n, samples)).transpose(2, 0, 1))
+        except np.linalg.LinAlgError as err:
+            raise DegenerateMetric(str(err)) from err
+    n, space, order = vinv.shape[-1], g.space, g.order
     coeffs = np.zeros((n * n * samples, space.ncoeff_upto[order]))
     coeffs[:, 0] = vinv.transpose(1, 2, 0).ravel()
     X = Jet(space, coeffs, order, ())
@@ -346,10 +355,10 @@ def _cofactor_plan(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
     return plan
 
 
-def det_jet_matrix(g: Jet, samples: Optional[int] = None) -> Jet:
+def det_jet_matrix(g: Jet, samples: Optional[int] = None, n: Optional[int] = None) -> Jet:
     """Determinant of a stacked jet matrix by cofactor expansion along the
     first row, level by level: one jet, or with `samples` a stack of one
-    determinant per sample.
+    determinant per sample (n read off g's rows where not given).
 
     Level s holds the minors on the last s rows, one per s-subset of the
     columns.  All of a level's cofactor products are one stacked product
@@ -358,8 +367,8 @@ def det_jet_matrix(g: Jet, samples: Optional[int] = None) -> Jet:
     positions negated, so the result is the recursion's jet bit for bit.
     The row indices of every level are planned once per n (`_cofactor_plan`).
     """
-    count = samples or 1
-    n = math.isqrt(len(g.coeffs) // count)
+    count = 1 if samples is None else samples
+    n = n or math.isqrt(len(g.coeffs) // count)
     level = take_rows(g, _lift((n - 1) * n + np.arange(n), count))
     for size, (entries, minors) in enumerate(_cofactor_plan(n), start=2):
         terms = take_rows(g, _lift(entries, count)) * take_rows(level, _lift(minors, count))
@@ -368,15 +377,15 @@ def det_jet_matrix(g: Jet, samples: Optional[int] = None) -> Jet:
         for pos in range(1, size):
             total = total + (-by_pos[pos] if pos % 2 == 1 else by_pos[pos])
         level = Jet(terms.space, total, terms.order, terms.support)
-    coeffs = level.coeffs if samples else level.coeffs[0]
+    coeffs = level.coeffs if samples is not None else level.coeffs[0]
     return Jet(level.space, coeffs, level.order, level.support)
 
 
 @_quiet
-def log_sqrt_abs_det(g: Jet, samples: Optional[int] = None) -> Jet:
+def log_sqrt_abs_det(g: Jet, samples: Optional[int] = None, n: Optional[int] = None) -> Jet:
     """ln sqrt|det g| of a stacked jet matrix: one jet, or with `samples` a
-    stack of one per sample, whose rows that leave the domain of abs or ln
-    are NaN where one jet raises.
+    stack of one per sample (n read off g's rows where not given), whose
+    rows that leave the domain of abs or ln are NaN where one jet raises.
 
     The determinant is taken of g scaled by 2^-k, k the binary exponent of
     max |g value| of its sample, so it stays in float range where det g
@@ -385,14 +394,14 @@ def log_sqrt_abs_det(g: Jet, samples: Optional[int] = None) -> Jet:
     coefficients are those of the unscaled determinant's logarithm; only the
     constant term can differ in its last bits.
     """
-    count = samples or 1
-    n = math.isqrt(len(g.coeffs) // count)
+    count = 1 if samples is None else samples
+    n = n or math.isqrt(len(g.coeffs) // count)
     k = np.frexp(np.max(np.abs(g.coeffs[:, 0].reshape(n * n, count)), axis=0))[1]
     k = k.astype(np.int64)
     scaled = Jet(g.space, np.ldexp(g.coeffs, -np.tile(k, n * n)[:, None]), g.order, g.support)
-    log_det = abs(det_jet_matrix(scaled, samples)).ln()
+    log_det = abs(det_jet_matrix(scaled, samples, n)).ln()
     shift = n * k * math.log(2.0)
-    log_det.coeffs[..., 0] += shift if samples else shift[0]
+    log_det.coeffs[..., 0] += shift if samples is not None else shift[0]
     return 0.5 * log_det
 
 
@@ -542,10 +551,11 @@ class _Eval:
     public readers read k=4 (`_context`, `probe_block`), the Berwald witness
     k=2 blocks; where the k=4 L is finite, a k=2 block has the bits of its L
     value, g, eigenvalues and admissibility.  g is taken at the samples
-    whose L is finite (`_finite`), the stages past g at those whose g is
-    also finite and nondegenerate (an eigenvalue within `tol_degenerate` of
-    zero, relative to the largest, counts as zero) and whose values invert
-    (`_past`).
+    whose L is finite (`_finite`), and the stages past g at the samples
+    `_past` that one value pass over g (`_spectrum`) takes past g: those
+    whose g is finite and nondegenerate and whose values invert.  A row's
+    admissibility, its g^-1 and its stages past g, and the Berwald
+    witness's membership in A all read that one record.
     """
 
     def __init__(
@@ -603,53 +613,41 @@ class _Eval:
 
     @cached_property
     def _spectrum(self) -> tuple:
-        """g's raw and symmetrised values [sample, a, b] at the samples of
-        g's stack, their eigenvalues [sample, k] and the signature (n+, n-,
-        n0) of each.  A g whose values are not finite is degenerate: its
-        eigenvalues are NaN, and its signature (0, 0, n)."""
+        """The one value pass over g, at the samples of g's stack: g's
+        symmetrised values [sample, a, b], their eigenvalues [sample, k],
+        the signature (n+, n-, n0) of each, the places `past` in g's stack
+        of the samples the stages past g are evaluated at, and the inverse
+        of g's values there [place in past, a, b].
+
+        A g whose values are not finite is degenerate: its eigenvalues are
+        NaN, and its signature (0, 0, n).  A sample is past g where g is
+        nondegenerate (an eigenvalue within `tol_degenerate` of zero,
+        relative to the largest, counts as zero) and the LU factorisation of
+        its values, with partial pivoting, has no zero pivot (slogdet's sign
+        is not 0).  g is exactly symmetric where it is finite, so that is
+        the LU `inv` runs, and the values invert at every place of `past`."""
         n = self.n
         raw = values(self.g_jets, (n, n, -1)).transpose(2, 0, 1)
         g = 0.5 * (raw + raw.transpose(0, 2, 1))
         finite = np.isfinite(g).all(axis=(1, 2))
         eig = np.linalg.eigvalsh(g if finite.all() else np.where(finite[:, None, None], g, 0.0))
         eig[~finite] = np.nan
-        return raw, g, eig, _signature(eig, self.tol_degenerate)
-
-    @cached_property
-    @_quiet
-    def _inverted(self) -> tuple:
-        """The places in g's stack of the samples the stages past g are
-        evaluated at, those whose g is nondegenerate and whose values
-        invert, and g^-1 there, or None.  g^-1 is taken once, at every
-        nondegenerate sample; only where that raises are the samples whose
-        values invert sorted out, and g^-1 is left to `g_inv_jets`."""
-        raw, _, _, signature = self._spectrum
+        signature = _signature(eig, self.tol_degenerate)
         past = (signature[:, 2] == 0).nonzero()[0]
-        if len(past):
-            try:
-                return past, self._g_inverse(past)
-            except DegenerateMetric:
-                past = np.array([p for p in past if _inverts(raw[p])], dtype=np.int64)
-        return past, None
+        past = past[np.linalg.slogdet(g[past])[0] != 0]
+        return g, eig, signature, past, np.linalg.inv(g[past])
 
     @property
     def _past(self) -> np.ndarray:
-        return self._inverted[0]
-
-    def _g_at(self, past: np.ndarray) -> Jet:
-        """g at the places `past` of its stack."""
-        width = len(self._finite)
-        if len(past) == width:
-            return self.g_jets
-        return take_rows(self.g_jets, (np.arange(self.n**2)[:, None] * width + past).ravel())
+        return self._spectrum[3]
 
     @cached_property
     def _g_past(self) -> Jet:
         """g at the samples past g."""
-        return self._g_at(self._past)
-
-    def _g_inverse(self, past: np.ndarray) -> Jet:
-        return _on_support(invert_jet_matrix, [self._g_at(past)], len(past))
+        past, width = self._past, len(self._finite)
+        if len(past) == width:
+            return self.g_jets
+        return take_rows(self.g_jets, (np.arange(self.n**2)[:, None] * width + past).ravel())
 
     def row(self, index: int) -> "_Row":
         """Sample `index`, read through its `_Row`.  Where its stacked L is
@@ -674,8 +672,7 @@ class _Eval:
     @cached_property
     @_quiet
     def g_inv_jets(self) -> Jet:
-        past, g_inv = self._inverted
-        return self._g_inverse(past) if g_inv is None else g_inv
+        return _on_support(invert_jet_matrix, [self._g_past], len(self._past), self._spectrum[4])
 
     @cached_property
     @_quiet
@@ -692,7 +689,7 @@ class _Eval:
         ddvL = partials(partials(L, range(n, 2 * n)), range(n))  # [m, q, sample]
         terms = take_rows(xdot, _indices(n, samples)["bracket"]) * ddvL
         bracket = _sum_over(terms, n) - partials(L, range(n))
-        return 0.25 * matvec(self.g_inv_jets, bracket, samples)
+        return 0.25 * matvec(self.g_inv_jets, bracket, samples, n)
 
     @cached_property
     def spray_values(self) -> np.ndarray:
@@ -715,7 +712,7 @@ class _Eval:
         dg = delta_of(self.nonlinear_jets, take_rows(self._g_past, idx["upper"]))  # [b, c <= q]
         # dg[b, c, q] = delta_b g_cq, both triangles from the c <= q jet
         operands = [self.g_inv_jets, take_rows(dg, idx["expand"])]
-        return _on_support(koszul, operands, len(self._past))
+        return _on_support(koszul, operands, len(self._past), self.n)
 
     @cached_property
     def gamma_values(self) -> np.ndarray:
@@ -752,7 +749,7 @@ class _Eval:
         """ln sqrt|det g| at the samples past g, as a stack over the
         block's coordinates; a row that leaves the domain of abs or ln is
         NaN."""
-        return _on_support(log_sqrt_abs_det, [self._g_past], len(self._past))
+        return _on_support(log_sqrt_abs_det, [self._g_past], len(self._past), self.n)
 
     @cached_property
     def _log_sqrt_det_delta(self) -> Jet:
@@ -801,10 +798,10 @@ class _Row:
     block's stacks (a jet's rows, an array's last index).
 
     Where L is not finite, every reader of g raises DomainError
-    ("non-finite").  Where the block did not take the sample past g, every
-    stage past g raises what kept it out: DegenerateMetric where g is
-    degenerate (`require_nondegenerate`) or its values do not invert (as
-    `invert_jet_matrix` raises)."""
+    ("non-finite").  The sample is in A where the block took it past g
+    (`_Eval._spectrum`); where it did not, g^-1 and every stage past g
+    raise what kept it out (`_past_place`): DegenerateMetric where g is
+    degenerate or its values do not invert."""
 
     def __init__(self, block: _Eval, index: int, place: Optional[int]):
         self.block = block
@@ -835,11 +832,11 @@ class _Row:
 
     @cached_property
     def g_values(self) -> np.ndarray:
-        return self.block._spectrum[1][self._g_place()]
+        return self.block._spectrum[0][self._g_place()]
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
-        return self.block._spectrum[2][self._g_place()]
+        return self.block._spectrum[1][self._g_place()]
 
     def signature(self) -> tuple[int, int, int]:
         """(n+, n-, n0) of g's eigenvalues, where an eigenvalue within
@@ -848,21 +845,15 @@ class _Row:
 
     @cached_property
     def _signature(self) -> tuple[int, int, int]:
-        return tuple(int(k) for k in self.block._spectrum[3][self._g_place()])
-
-    def require_nondegenerate(self):
-        if self.signature()[2] > 0:
-            raise DegenerateMetric(
-                f"L-metric is singular at the sample (eigenvalues {self.eigenvalues})"
-            )
+        return tuple(int(k) for k in self.block._spectrum[2][self._g_place()])
 
     def metric(self) -> MetricValue:
-        self.require_nondegenerate()
+        g_inv = self.g_inv_values
         with np.errstate(over="ignore", invalid="ignore"):  # out of float range: inf
             det = float(np.linalg.det(self.g_values))
         return MetricValue(
             g=self.g_values,
-            g_inv=self.g_inv_values,
+            g_inv=g_inv,
             det=det,
             signature=self.signature(),
         )
@@ -875,7 +866,7 @@ class _Row:
         except DomainError as err:
             return _outside_A(err.reason)
         L_value = self.L.value
-        in_A = sig[2] == 0
+        in_A = self._in_past is not None
         xdot = np.abs(self.sample.xdot)
         scale = float(np.abs(self.g_values).dot(xdot).dot(xdot))
         in_N = abs(L_value) <= tol_null * max(scale, 1e-300)
@@ -896,9 +887,8 @@ class _Row:
 
     @cached_property
     def g_inv_values(self) -> np.ndarray:
-        """The inverse of g's values; its readers check g is nondegenerate
-        first."""
-        return np.linalg.inv(self.g_values)
+        """The inverse of g's values, the block's at the sample."""
+        return self.block._spectrum[4][self._past_place()]
 
     @cached_property
     def cartan_values(self) -> np.ndarray:
@@ -910,7 +900,6 @@ class _Row:
 
     @cached_property
     def cartan_trace(self) -> np.ndarray:
-        self.require_nondegenerate()
         return np.einsum("mn,amn->a", self.g_inv_values, self.cartan_values)
 
     # -- the stages past g: the sample's slices of the block's ---------------
@@ -923,10 +912,14 @@ class _Row:
         return i if i < len(past) and past[i] == place else None
 
     def _past_place(self) -> int:
-        """`_in_past`, or what kept the sample from past g raised."""
+        """`_in_past`, or what kept the sample from past g raised: a
+        degenerate g, or values with a zero LU pivot."""
         if self._in_past is None:
-            self.require_nondegenerate()
-            invert_jet_matrix(self.g_jets)  # raises DegenerateMetric
+            if self.signature()[2] > 0:
+                raise DegenerateMetric(
+                    f"L-metric is singular at the sample (eigenvalues {self.eigenvalues})"
+                )
+            raise DegenerateMetric("Singular matrix")
         return self._in_past
 
     g_inv_jets = _slice("g_inv_jets")
@@ -985,14 +978,6 @@ def _signature(eig: np.ndarray, tol: float) -> np.ndarray:
     thr = tol * np.abs(eig).max(axis=1, keepdims=True)
     plus, minus = (eig > thr).sum(axis=1), (eig < -thr).sum(axis=1)
     return np.array([plus, minus, eig.shape[1] - plus - minus]).T
-
-
-def _inverts(matrix: np.ndarray) -> bool:
-    try:
-        np.linalg.inv(matrix)
-    except np.linalg.LinAlgError:
-        return False
-    return True
 
 
 @lru_cache(maxsize=None)

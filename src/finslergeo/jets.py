@@ -246,7 +246,8 @@ def _product(
         rows = len(prods)
         bins = _row_bins(space, support, rows, order)
         out = np.bincount(bins, weights=prods.ravel(), minlength=rows * width)
-        out = out.reshape(rows, width)
+        # a stack of no rows: np.bincount of no keys counts in integers
+        out = out.reshape(rows, width) if rows else np.zeros((0, width))
     if cnt < space.pair_count[order] and not np.isfinite(out).all():
         return _product(space, a, b, order, None)
     return out, support

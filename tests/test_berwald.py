@@ -205,6 +205,19 @@ def test_sampled_directions_equal_one_at_a_time(name, seed):
     assert verdict.spray_deviation == deviation
 
 
+def test_a_seed_direction_outside_A_is_refused():
+    # g = diag(1, 0) of L = dx0^2 is degenerate at every direction
+    doc = {
+        "chart": {"dim": 2},
+        "lagrangian": {"dsl": {"source": "dx0^2"}},
+        "samples": [{"x": [0, 0], "xdot": [1, 0.5]}],
+    }
+    lag = scene.load_scene(doc).lagrangian
+    refused = r"the seed direction at x=\[0\. 0\.\] is outside A \(degenerate-metric\)"
+    with pytest.raises(NoAdmissibleDirections, match=refused):
+        berwald.detect_berwald(lag, np.zeros(2), np.array([1.0, 0.5]))
+
+
 def test_no_admissible_directions_reports_the_attempts():
     # with this stream the first three draws leave the sqrt's domain
     scn = REJECTION_SCENES["sqrt-domain"]

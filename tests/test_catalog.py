@@ -6,7 +6,7 @@ import pytest
 from finslergeo import berwald, catalog, expr, geometry
 from finslergeo.catalog import InvalidOverride, UnknownEntry
 from finslergeo.defs import DslLagrangian, FamilyInstance
-from finslergeo.scene import SceneError, load_scene
+from finslergeo.scene import SceneError, load_scene, run_scene
 
 
 def test_names_are_stable():
@@ -118,6 +118,36 @@ def test_counterexample_phi_override_changes_skew():
     s = e.default_samples[0]
     rep = berwald.obstruction(e.lagrangian, s.x, s.xdot)
     assert abs(rep.skew[0, 2]) == pytest.approx(6.0, abs=1e-5)
+
+
+def test_a_mass_that_puts_a_default_sample_outside_A_is_a_scene_error():
+    # M = 1.5 puts the horizon r = 2M at default sample 0's radius r = 3
+    with pytest.raises(SceneError) as err:
+        load_scene({"lagrangian": {"catalog": "schwarzschild", "overrides": {"M": 1.5}}})
+    assert err.value.pointer == "/lagrangian/catalog"
+    assert str(err.value).endswith("default sample 0 is not admissible (division-by-zero)")
+
+
+def test_the_direction_search_doubles_v_past_candidates_outside_the_cone():
+    # with phi = -10x, zeta(xdot, xdot) < 0 at (1, 1, 0.1, 0.1) and
+    # (1, 2, 0.1, 0.1) at base point 0, so the search takes (1, 4, 0.1, 0.1)
+    doc = {"lagrangian": {"catalog": "szabo-counterexample", "overrides": {"phi": "-10*x"}}}
+    scn = load_scene(doc)
+    _, sample = scn.samples[0]
+    assert sample.x.tolist() == [0.0, 1.0, 0.5, 0.3]
+    assert sample.xdot.tolist() == [1.0, 4.0, 0.1, 0.1]
+    report, code = run_scene(scn, "report")
+    assert code == 2
+    assert report["geometry"]["obstruction"]["max_skew_abs"] == pytest.approx(20.0, abs=1e-6)
+
+
+def test_a_counterexample_with_no_admissible_direction_is_a_scene_error():
+    # c = -1 makes zeta(xdot, xdot) negative at every candidate of base point 0
+    doc = {"lagrangian": {"catalog": "szabo-counterexample", "overrides": {"c": -1}}}
+    with pytest.raises(SceneError) as err:
+        load_scene(doc)
+    assert err.value.pointer == "/lagrangian/catalog"
+    assert "no admissible direction found at x=[0.  1.  0.5 0.3]" in str(err.value)
 
 
 # The message of an override that no entry takes, by entry.

@@ -315,6 +315,25 @@ def test_metric_raises_on_degenerate():
         geometry.metric(lag, TangentSample([0, 0], [1.0, 0.5]))
 
 
+def test_values_that_do_not_invert_are_outside_A(digest_scenes):
+    # g = [[1, 3], [3, 9]] has eigenvalues about 1.1e-16 and 10: nondegenerate
+    # at 1e-18, but its LU factorisation has a zero pivot
+    scn = load_scene(dict(digest_scenes)["singular-values"])
+    lag, (_, sample) = scn.lagrangian, scn.samples[0]
+    tol = scn.options.tol_degenerate
+    assert tol == 1e-18
+    geometry._last_context = None
+    for call in ("metric", "spray", "hh_curvature"):
+        with pytest.raises(DegenerateMetric, match="Singular matrix"):
+            getattr(geometry, call)(lag, sample, tol)
+    verdict, ev = geometry.probe_context(lag, sample, tol_degenerate=tol)
+    assert ev.signature() == (2, 0, 0)
+    assert not verdict.in_A and verdict.failure_reason == "degenerate-metric"
+    # the Berwald witness reads the same record
+    in_A, spray = berwald._witness_block(lag, np.concatenate([sample.x, sample.xdot])[None], tol)
+    assert in_A.tolist() == [False] and np.isnan(spray).all()
+
+
 def test_counterexample_signature_from_eigen_oracle(szabo):
     # frozen via independent eigen-decomposition of the FD Hessian: at the
     # default cone (beta > 0, zeta > 0, p = 2) the L-metric is positive definite
@@ -1403,6 +1422,59 @@ def test_a_block_whose_stacked_L_raises_has_no_finite_rows(raising_lagrangians, 
         assert outcome == _context_outcomes(lambda: _Eval(lag, sample, 4).row(0))
     _, probes = geometry.probe_block(lag, samples)
     assert [(verdict.in_A, ev) for verdict, ev in probes] == [(False, None)] * 2
+
+
+def test_every_stage_of_a_block_with_no_sample_past_g_is_an_empty_stack(digest_scenes):
+    # exp(1000) leaves float range: L is finite at no sample of the block
+    scn = load_scene(dict(digest_scenes)["overflow"])
+    lag, n = scn.lagrangian, scn.lagrangian.dim
+    block = _Eval(lag, [s for _, s in scn.samples], 4)
+    assert len(block._finite) == len(block._past) == 0
+    for stage in ("g_jets", "g_inv_jets", "spray_jets", "nonlinear_jets", "gamma_jets",
+                  "log_sqrt_det", "_log_sqrt_det_delta"):
+        jet = getattr(block, stage)
+        assert jet.coeffs.shape[0] == 0 and jet.coeffs.dtype == np.float64, stage
+    assert block.spray_values.shape == (n, 0)
+    assert block.nonlinear_values.shape == (n, n, 0)
+    assert block.gamma_values.shape == (n, n, n, 0)
+    assert block.gamma_x_derivatives.shape == block.gamma_fiber_derivatives.shape == (n,) * 4 + (0,)
+    assert block.curvature == ()
+    points = np.array([np.concatenate([s.x, s.xdot]) for _, s in scn.samples])
+    in_A, spray = berwald._witness_block(lag, points, geometry.TOL_DEGENERATE)
+    assert not in_A.any() and np.isnan(spray).all()
+
+
+def test_a_rows_g_inverse_is_the_inverse_of_its_values(digest_scenes):
+    # every sample past g, alone and in its scene's block: its g^-1 values
+    # are the bytes of inverting its g values alone, and a row is in A
+    # exactly where the Berwald witness's order-2 block takes it past g
+    past = 0
+    for name, doc in digest_scenes:
+        scn = load_scene(doc)
+        lag, tol = scn.lagrangian, scn.options.tol_degenerate
+        samples = [s for _, s in scn.samples]
+        with np.errstate(all="ignore"):
+            for block in [samples] + samples:
+                try:
+                    ev = _Eval(lag, block, 4, tol)
+                except (DomainError, ExprDomainError, DegenerateMetric):
+                    continue
+                for i in range(len(ev.samples)):
+                    try:
+                        row = ev.row(i)
+                    except (DomainError, ExprDomainError, DegenerateMetric):
+                        continue
+                    if row._place is None or row._in_past is None:
+                        continue
+                    past += 1
+                    want = np.linalg.inv(row.g_values)
+                    assert row.g_inv_values.tobytes() == want.tobytes(), (name, i)
+            points = np.array([np.concatenate([s.x, s.xdot]) for s in samples])
+            in_A, _ = berwald._witness_block(lag, points, tol)
+            order2 = _Eval(lag, samples, 2, tol)
+            for i in order2._finite:
+                assert in_A[i] == order2.row(i).admissibility().in_A, (name, i)
+    assert past >= 70
 
 
 def test_readers_at_a_scene_tolerance_return_its_report_arrays(

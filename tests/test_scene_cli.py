@@ -336,6 +336,25 @@ def test_the_degenerate_tolerance_reaches_every_nondegeneracy_check(tmp_path):
     assert report["samples"][0]["admissibility"]["failure_reason"] == "degenerate-metric"
 
 
+@pytest.mark.parametrize("subcommand", SUBCOMMANDS)
+def test_values_that_do_not_invert_put_the_sample_outside_A(
+    tmp_path, capsys, digest_scenes, subcommand
+):
+    # g = [[1, 3], [3, 9]] is nondegenerate at the scene's tolerance, 1e-18,
+    # but its values do not invert: it ended in LinAlgError
+    p = _write_scene(tmp_path, dict(digest_scenes)["singular-values"])
+    report = tmp_path / "out" / "report.json"
+    code = cli.main([subcommand, str(p), "--out", str(tmp_path / "out")])
+    capsys.readouterr()
+    if subcommand == "nonmetricity":  # a DSL scene has no reference metric
+        assert code == 1 and not report.exists()
+        return
+    assert code == 0
+    (sample,) = json.loads(report.read_text())["samples"]
+    assert sample["admissibility"]["in_A"] is False
+    assert sample["admissibility"]["failure_reason"] == "degenerate-metric"
+
+
 @pytest.mark.parametrize("subcommand", ["probe", "report", "causal", "berwald", "obstruction"])
 def test_a_family_whose_alpha_is_identically_zero_is_outside_A(tmp_path, capsys, subcommand):
     # ended in DegenerateMetric: "alpha is identically zero"

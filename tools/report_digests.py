@@ -20,9 +20,11 @@ negated sum, on a quadratic one whose g is nondegenerate only at its
 scene's ``degenerate`` tolerance, on ``szabo-counterexample`` with a phi
 override, on a DSL scene with one sample in A and one outside it (tagged
 ``partial-evaluation``), on one whose L is finite to order 2 but not to
-order 4 (tagged ``order4-overflow``) and on one whose sample in A sits
+order 4 (tagged ``order4-overflow``), on one whose sample in A sits
 between one whose order-4 L is not finite and one that leaves a
-function's domain (tagged ``mixed-rows``), at ``options.seed`` 0 and 3.
+function's domain (tagged ``mixed-rows``) and on one whose g is
+nondegenerate at its scene's ``degenerate`` tolerance but whose values do
+not invert (tagged ``singular-values``), at ``options.seed`` 0 and 3.
 Each run prints two lines:
 
     <scene> <subcommand> <seed> <exit code> <sha256 of report.json or ->
@@ -264,6 +266,17 @@ MIXED_ROWS_SCENE = {
     ],
 }
 
+# A quadratic scene whose g, [[1, 3], [3, 9]], has eigenvalues about 1.1e-16
+# and 10, so it is nondegenerate at its degenerate tolerance, while its LU
+# factorisation has a zero pivot: its values do not invert, and its sample
+# is outside A.
+SINGULAR_VALUES_SCENE = {
+    "chart": {"dim": 2},
+    "lagrangian": {"dsl": {"source": "dx0^2 + 6*dx0*dx1 + 9*dx1^2"}},
+    "samples": [{"x": [0, 0], "xdot": [1, 0.5], "label": "p0"}],
+    "options": {"tolerances": {"degenerate": 1e-18}},
+}
+
 # Offsets of the fixed witness block from a sample's direction.
 WITNESS_OFFSETS = 0.05 * np.array([[0.0, 1.0, -1.0, 0.5], [1.0, -0.5, 0.25, -1.0]])
 
@@ -274,7 +287,8 @@ def scene_documents(root: Path):
     overflow-after-L, curvature-overflow, connection-overflow and
     witness-overflow scenes, the partial-support, negated-quadratic and
     near-degenerate scenes, the phi-override scene, the partial-evaluation
-    scene, the order4-overflow scene and the mixed-rows scene."""
+    scene, the order4-overflow scene, the mixed-rows scene and the
+    singular-values scene."""
     for path in sorted((root / "scenes").glob("*.json")):
         yield path.name, json.loads(path.read_text(encoding="utf-8"))
     for name in catalog.names():
@@ -293,6 +307,7 @@ def scene_documents(root: Path):
     yield "partial-evaluation", PARTIAL_EVALUATION_SCENE
     yield "order4-overflow", ORDER4_OVERFLOW_SCENE
     yield "mixed-rows", MIXED_ROWS_SCENE
+    yield "singular-values", SINGULAR_VALUES_SCENE
 
 
 def digest(doc: dict, subcommand: str, workdir: Path) -> tuple[int, str, str]:
