@@ -20,7 +20,7 @@ from typing import Callable, Mapping, Optional
 
 import numpy as np
 
-from . import alphabeta, geometry
+from . import geometry
 from . import expr as exprmod
 from .defs import (
     BadNumber, DslLagrangian, FamilyInstance, LagrangianDef, TangentSample, as_number,
@@ -161,9 +161,11 @@ def _check_samples(entry: CatalogEntry) -> CatalogEntry:
 def _candidates(inst: FamilyInstance, x: np.ndarray):
     """The directions the search at x tries, in order: (1, 1, 0.1, 0.1)
     with its v-component doubled up to 59 times, where beta(xdot) > 0 and
-    zeta(xdot, xdot) > 0."""
-    fam = alphabeta.FamilyEval(inst, x)
-    alpha, beta = fam.alpha, fam.beta
+    zeta(xdot, xdot) > 0; DegenerateMetric where alpha at x is not finite."""
+    alpha = geometry.eval_metric_exprs(inst.alpha, x.tolist(), inst.params).astype(float)
+    beta = geometry.eval_metric_exprs(inst.beta, x.tolist(), inst.params).astype(float)
+    if not np.isfinite(alpha).all():
+        raise geometry.DegenerateMetric(f"alpha is not finite at x={x}")
     cand = np.array([1.0, 1.0, 0.1, 0.1])
     for _ in range(60):
         bval = float(beta @ cand)

@@ -50,7 +50,6 @@ reads that record.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache, wraps
@@ -541,10 +540,12 @@ class _Eval:
     The block is a sequence of B samples, the B rows (x, xdot) of one array,
     or one `TangentSample`, a block of one seeded as one jet, whose L raises
     where one jet raises (it leaves a function's domain, or a family's alpha
-    is identically zero); a stacked L is NaN there instead.  L is evaluated
-    once over B-row coordinate stacks, each stage from g on is one stacked
-    pass over the rows (component, sample), and a stage's values carry the
-    sample axis last.  Every sample is read through its `_Row` (`row`).
+    is identically zero); a stacked L is NaN there instead.  The block
+    keeps its samples only as `points` [sample, (x, xdot)], its own copy, and
+    `samples` reads them off it.  L is evaluated once over B-row coordinate
+    stacks, each stage from g on is one stacked pass over the rows
+    (component, sample), and a stage's values carry the sample axis last.
+    Every sample is read through its `_Row` (`row`), a row of this block.
 
     Validity (seeded order k): g and the spray k-2, N and Gamma k-3; g's
     values need k=2, those of N and Gamma k=3, the curvature k=4.  The
@@ -572,10 +573,10 @@ class _Eval:
         # a lone sample's stacked L is its one jet's: `row` reads it as is
         self.alone = isinstance(sample, TangentSample)
         if not isinstance(sample, np.ndarray):
-            self.samples = (sample,) if self.alone else tuple(sample)
-            for dim in {s.dim for s in self.samples} - {n}:
+            sample = (sample,) if self.alone else tuple(sample)
+            for dim in {s.dim for s in sample} - {n}:
                 raise ValueError(f"a sample of dimension {dim} of a Lagrangian of dimension {n}")
-            sample = [np.concatenate([s.x, s.xdot]) for s in self.samples]
+            sample = [np.concatenate([s.x, s.xdot]) for s in sample]
         self.points = np.array(sample, dtype=float).reshape(len(sample), 2 * n)
         # an overflow inside a product is tagged by `admissibility`, not warned
         with np.errstate(over="ignore", invalid="ignore"):
@@ -649,14 +650,19 @@ class _Eval:
             return self.g_jets
         return take_rows(self.g_jets, (np.arange(self.n**2)[:, None] * width + past).ravel())
 
+    samples = property(lambda ev: tuple(TangentSample(*np.split(p, 2)) for p in ev.points))
+
     def row(self, index: int) -> "_Row":
-        """Sample `index`, read through its `_Row`.  Where its stacked L is
-        not finite, the row of the sample's lone evaluation, whose L raises
-        where one jet raises and the stack holds NaN."""
+        """Sample `index`, read through its `_Row` of this block.  Where its
+        stacked L is not finite, the sample's one-jet L is evaluated only to
+        raise what it raises (it leaves a function's domain); where it
+        raises nothing, the row's L is not finite."""
         place = int(np.searchsorted(self._finite, index))
         if place == len(self._finite) or self._finite[place] != index:
             if not self.alone:
-                return _Eval(self.lag, self.samples[index], self.order, self.tol_degenerate).row(0)
+                cjets = seed(self.points[index].tolist(), range(2 * self.n), self.order)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    eval_L_jets(self.lag, cjets)
             place = None
         return _Row(self, index, place)
 
@@ -797,18 +803,20 @@ class _Row:
     signature and stage jets and values are its sample's slices of the
     block's stacks (a jet's rows, an array's last index).
 
-    Where L is not finite, every reader of g raises DomainError
-    ("non-finite").  The sample is in A where the block took it past g
-    (`_Eval._spectrum`); where it did not, g^-1 and every stage past g
-    raise what kept it out (`_past_place`): DegenerateMetric where g is
-    degenerate or its values do not invert."""
+    Its `sample` is read off the block's `points` when first read.  Where
+    L is not finite, every reader of g raises DomainError ("non-finite").
+    The sample is in A where the block took it past g (`_Eval._spectrum`);
+    where it did not, g^-1 and every stage past g, ln sqrt|det g| among
+    them, raise what kept it out (`_past_place`): DegenerateMetric where g
+    is degenerate or its values do not invert, whatever det g's value."""
 
     def __init__(self, block: _Eval, index: int, place: Optional[int]):
         self.block = block
         self.lag, self.order, self.n, self.space = block.lag, block.order, block.n, block.space
         self.tol_degenerate = block.tol_degenerate
-        self.sample = block.samples[index]
         self._index, self._place = index, place  # place in g's stack; None: L is not finite
+
+    sample = cached_property(lambda row: TangentSample(*np.split(row.block.points[row._index], 2)))
 
     @cached_property
     def L(self) -> Jet:
@@ -942,16 +950,11 @@ class _Row:
 
     @cached_property
     def log_sqrt_det(self) -> Jet:
-        """ln sqrt|det g| as a jet over the sample's coordinates: its row of
-        the block's stack, or, where the block did not take the sample past
-        g or that row is not finite, the one jet of the sample's g, which
-        raises where the stack holds NaN."""
-        if self._in_past is not None:
-            stack = self.block.log_sqrt_det
-            row = stack.coeffs[self._in_past]
-            if np.isfinite(row).all():
-                return Jet(stack.space, row, stack.order, stack._support)
-        return log_sqrt_abs_det(self.g_jets)
+        """ln sqrt|det g| as a jet over the sample's coordinates, past g:
+        its row of the block's stack, as the stack holds it."""
+        place = self._past_place()
+        stack = self.block.log_sqrt_det
+        return Jet(stack.space, stack.coeffs[place], stack.order, stack._support)
 
     @_quiet
     def commutator_residual(self, f: Jet) -> float:
@@ -1030,7 +1033,7 @@ def _context(
     last = _last_context
     if not fresh and last is not None and last[0] is lag and last[1] == key:
         return last[2]
-    ev = _Eval(lag, copy.deepcopy(sample), 4, tol_degenerate).row(0)
+    ev = _Eval(lag, sample, 4, tol_degenerate).row(0)
     _last_context = (lag, key, ev)
     return ev
 

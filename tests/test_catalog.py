@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from finslergeo import berwald, catalog, expr, geometry
+from finslergeo import alphabeta, berwald, catalog, expr, geometry
 from finslergeo.catalog import InvalidOverride, UnknownEntry
 from finslergeo.defs import DslLagrangian, FamilyInstance
 from finslergeo.scene import SceneError, load_scene, run_scene
@@ -148,6 +148,24 @@ def test_a_counterexample_with_no_admissible_direction_is_a_scene_error():
         load_scene(doc)
     assert err.value.pointer == "/lagrangian/catalog"
     assert "no admissible direction found at x=[0.  1.  0.5 0.3]" in str(err.value)
+
+
+def test_the_direction_search_reads_alpha_and_beta_as_values(monkeypatch):
+    # the search evaluates alpha and beta at each base point as floats: a
+    # szabo report builds a FamilyEval only for its two samples' sections
+    built = []
+    init = alphabeta.FamilyEval.__init__
+
+    def recording_init(self, inst, x):
+        built.append(np.asarray(x, dtype=float).tobytes())
+        init(self, inst, x)
+
+    monkeypatch.setattr(alphabeta.FamilyEval, "__init__", recording_init)
+    scn = load_scene({"lagrangian": {"catalog": "szabo-counterexample"}})
+    assert built == []
+    run_scene(scn, "report")
+    assert built == [s.x.tobytes() for _, s in scn.samples]
+    assert "alphabeta" not in vars(catalog)
 
 
 # The message of an override that no entry takes, by entry.

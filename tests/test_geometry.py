@@ -334,6 +334,30 @@ def test_values_that_do_not_invert_are_outside_A(digest_scenes):
     assert in_A.tolist() == [False] and np.isnan(spray).all()
 
 
+@pytest.mark.parametrize(
+    "source, tol",
+    [
+        ("dx0^2", geometry.TOL_DEGENERATE),
+        ("dx0^2 - 1e-12*dx1^2", geometry.TOL_DEGENERATE),
+        ("dx0^2 + 6*dx0*dx1 + 9*dx1^2", 1e-18),
+    ],
+)
+def test_the_log_sqrt_det_field_outside_A_reads_the_record(source, tol):
+    # det g is 0, about -1e-12 and about 1e-15: each sample is outside A, and
+    # every reader past g raises what kept it out, whatever det g's value
+    lag = DslLagrangian(2, expr.parse(source, 4, aliases=fiber_aliases(2, None)))
+    sample = TangentSample([0.0, 0.0], [1.0, 0.5])
+    field = geometry.log_sqrt_det_metric_field(lag)
+    for call in ("commutator_check", "vertical_derivative"):
+        geometry._last_context = None
+        with pytest.raises(DegenerateMetric):
+            getattr(geometry, call)(lag, sample, field, tol)
+    for call in ("spray", "hh_curvature"):
+        geometry._last_context = None
+        with pytest.raises(DegenerateMetric):
+            getattr(geometry, call)(lag, sample, tol)
+
+
 def test_counterexample_signature_from_eigen_oracle(szabo):
     # frozen via independent eigen-decomposition of the FD Hessian: at the
     # default cone (beta > 0, zeta > 0, p = 2) the L-metric is positive definite
@@ -1387,6 +1411,37 @@ def test_block_rows_of_random_lagrangians_are_the_contexts_of_their_samples(seed
         samples.append(TangentSample(np.concatenate([[-t], np.zeros(n - 1)]), sample.xdot))
     rng.shuffle(samples)
     _assert_rows_are_lone_contexts(lag, samples, tol)
+
+
+def test_an_array_block_has_the_rows_of_its_samples(entries):
+    # the Berwald witness builds its blocks from a (B, 2n) array
+    for name, entry in entries.items():
+        lag, samples = entry.lagrangian, list(entry.default_samples)
+        points = np.array([np.concatenate([s.x, s.xdot]) for s in samples])
+        of_array = _Eval(lag, points, 2, geometry.TOL_DEGENERATE)
+        of_samples = _Eval(lag, samples, 2, geometry.TOL_DEGENERATE)
+        assert len(of_array.samples) == len(samples)
+        for i in range(len(samples)):
+            a, b = of_array.row(i), of_samples.row(i)
+            assert a.signature() == b.signature(), (name, i)
+            assert a.g_values.tobytes() == b.g_values.tobytes(), (name, i)
+            assert a.spray_values.tobytes() == b.spray_values.tobytes(), (name, i)
+
+
+def test_a_row_whose_stacked_L_is_not_finite_is_a_row_of_its_block(digest_scenes):
+    # the mixed-rows block: a sample whose order-4 L is not finite, one in A
+    # and one whose L leaves the domain of ln
+    scn = load_scene(dict(digest_scenes)["mixed-rows"])
+    ev = _Eval(scn.lagrangian, [s for _, s in scn.samples], 4, scn.options.tol_degenerate)
+    rows = [ev.row(0), ev.row(1)]
+    assert all(row.block is ev for row in rows)
+    order4, inside = (row.admissibility() for row in rows)
+    assert (order4.in_A, order4.failure_reason) == (False, "non-finite")
+    assert inside.in_A
+    # the lone jet's L raises where the stack holds NaN
+    with pytest.raises(ExprDomainError) as err:
+        ev.row(2)
+    assert err.value.reason == "log-domain"
 
 
 def test_a_sample_of_another_dimension_is_refused(minkowski):

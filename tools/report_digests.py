@@ -17,8 +17,9 @@ is not, on one whose spray at the sample is finite but at a witness
 direction is not, on one whose g depends on xdot and on only some of the
 variables, on a quadratic one whose g holds -0.0 coefficients from a
 negated sum, on a quadratic one whose g is nondegenerate only at its
-scene's ``degenerate`` tolerance, on ``szabo-counterexample`` with a phi
-override, on a DSL scene with one sample in A and one outside it (tagged
+scene's ``degenerate`` tolerance, on the same one at the default tolerance
+(tagged ``near-degenerate-default``: g is degenerate, det g is not 0), on
+``szabo-counterexample`` with a phi override, on a DSL scene with one sample in A and one outside it (tagged
 ``partial-evaluation``), on one whose L is finite to order 2 but not to
 order 4 (tagged ``order4-overflow``), on one whose sample in A sits
 between one whose order-4 L is not finite and one that leaves a
@@ -228,6 +229,14 @@ NEAR_DEGENERATE_SCENE = {
     "options": {"tolerances": {"degenerate": 1e-14}},
 }
 
+# The near-degenerate scene at the default degenerate tolerance, at which
+# its g is degenerate while det g, about -1e-12, is not 0.
+NEAR_DEGENERATE_DEFAULT_SCENE = {
+    "chart": {"dim": 2},
+    "lagrangian": {"dsl": {"source": "dx0^2 - 1e-12*dx1^2"}},
+    "samples": [{"x": [0.0, 0.0], "xdot": [1.0, 0.3], "label": "p0"}],
+}
+
 # The counterexample with phi = 2x, spliced into its alpha and H.
 PHI_OVERRIDE_SCENE = {
     "lagrangian": {"catalog": "szabo-counterexample", "overrides": {"phi": "2*x"}},
@@ -286,7 +295,8 @@ def scene_documents(root: Path):
     dim-6 scene, the rejection scenes, the error scenes, the
     overflow-after-L, curvature-overflow, connection-overflow and
     witness-overflow scenes, the partial-support, negated-quadratic and
-    near-degenerate scenes, the phi-override scene, the partial-evaluation
+    near-degenerate scenes, the near-degenerate scene at the default
+    tolerance, the phi-override scene, the partial-evaluation
     scene, the order4-overflow scene, the mixed-rows scene and the
     singular-values scene."""
     for path in sorted((root / "scenes").glob("*.json")):
@@ -303,6 +313,7 @@ def scene_documents(root: Path):
     yield "partial-support", PARTIAL_SUPPORT_SCENE
     yield "negated-quadratic", NEGATED_SCENE
     yield "near-degenerate", NEAR_DEGENERATE_SCENE
+    yield "near-degenerate-default", NEAR_DEGENERATE_DEFAULT_SCENE
     yield "szabo-phi-2x", PHI_OVERRIDE_SCENE
     yield "partial-evaluation", PARTIAL_EVALUATION_SCENE
     yield "order4-overflow", ORDER4_OVERFLOW_SCENE
