@@ -231,9 +231,10 @@ class FamilyEval:
         """Causal viability of the instance at x.
 
         zeta = c alpha + m beta (x) beta is the effective bilinear form; a
-        viable spacetime needs zeta Lorentzian (negative determinant in
-        dimension 4) and p outside the range p < -1, whose null structure is
-        a hyperplane and never bounds a convex cone.
+        viable spacetime needs zeta Lorentzian, read off its signature (its
+        determinant is positive at (1, n-1, 0) in odd n), and p outside the
+        range p < -1, whose null structure is a hyperplane and never bounds
+        a convex cone.
         """
         inst, n = self.inst, self.n
         zeta = inst.c * self.alpha + inst.m * np.outer(self.beta, self.beta)
@@ -250,7 +251,7 @@ class FamilyEval:
         else:
             p_case = "boundary"
         lorentzian = sig in ((1, n - 1, 0), (n - 1, 1, 0))
-        viable = p_case != "p_lt_m1" and det_zeta < 0.0 and lorentzian
+        viable = p_case != "p_lt_m1" and lorentzian
         return CausalClass(
             p_case=p_case, det_zeta=det_zeta, zeta_signature=sig, viable=viable
         )

@@ -117,8 +117,8 @@ def main(argv=None) -> int:
     except SceneError as err:
         print(f"scene error: {err}", file=sys.stderr)
         return 1
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
+    except (OSError, MemoryError) as err:  # MemoryError: a scene larger than memory
+        print(f"error: {str(err) or type(err).__name__}", file=sys.stderr)
         return 1
     out_dir = Path(args.out or os.environ.get("FINSLER_OUT_DIR") or ".")
     out_path = out_dir / "report.json"

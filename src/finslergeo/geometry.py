@@ -33,7 +33,9 @@ variables their operands depend on (`_on_support`; see "Supports" in
 `jets`): g's are read off its coefficients, so a quadratic L gives a g, a
 g^-1 and a Koszul contraction in a space free of xdot.  A horizontal
 derivative of a jet that does not depend on xdot is its x-partials
-(`delta_of`), the bits of the full computation.
+(`delta_of`), the bits of the full computation.  ln sqrt|det g| is
+(1/2)(ln|det G0| + tr ln(I + E)), G0 g's values and E = G0^-1 (g - G0),
+whose series ends at E^4: O(n^3) products (`log_sqrt_abs_det`).
 
 All operations are pure functions of (definition, sample).  Every sample
 is evaluated in a block (`_Eval`) and read through its row (`_Row`), the
@@ -44,8 +46,8 @@ witness reads its sampled directions from order-2 blocks.  A block decides
 once which of its samples are in A, where L is smooth and g nondegenerate:
 one pass over g's values (`_Eval._spectrum`) takes their eigenvalues and
 signature, the samples whose g is nondegenerate and whose values invert,
-and the inverse there, and every reader of membership in A or of g^-1
-reads that record.
+and the inverse and ln|det| of the values there, and every reader of
+membership in A, of g^-1 or of ln sqrt|det g| reads that record.
 """
 
 from __future__ import annotations
@@ -53,7 +55,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache, wraps
-from itertools import combinations
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -275,6 +276,10 @@ def _indices(n: int, samples: int = 1) -> dict:
         "koszul_terms": ((qb * n + qc) * n + q, (qc * n + qb) * n + q, (q * n + qb) * n + qc),
         "diagonal": np.arange(n) * (n + 1),
         "transpose": rows.T.ravel(),
+        # tr AB = sum_ij A[i, j] B[j, i] for (A, B) = (E, E), (E^2, E), (E^2, E^2)
+        # of a stack [E; E^2] (`log_sqrt_abs_det`), indexed [power, ij]
+        "traces": (np.arange(n * n) + n * n * np.array([[0], [1], [1]]),
+                   rows.T.ravel() + n * n * np.array([[0], [0], [1]])),
         # the rows (b <= c) of a symmetric matrix
         "upper": b * n + c,
         # the rows (m, b, c) of a stack whose rows are (m, b <= c)
@@ -333,75 +338,44 @@ def invert_jet_matrix(g: Jet, samples: int = 1, vinv: Optional[np.ndarray] = Non
     return X
 
 
-@lru_cache(maxsize=None)
-def _cofactor_plan(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """For each minor size s = 2..n of `det_jet_matrix`, the rows of g and
-    of the level below that its cofactor products multiply, position-major:
-    for each position pos in an s-subset of the columns, then each subset in
-    the order of `combinations`, the entry at the subset's pos-th column of
-    row n - s and the minor without that column."""
-    plan = []
-    index = {(c,): c for c in range(n)}
-    for size in range(2, n + 1):
-        row = n - size
-        subsets = list(combinations(range(n), size))
-        entries = [row * n + subset[pos] for pos in range(size) for subset in subsets]
-        minors = [
-            index[subset[:pos] + subset[pos + 1:]] for pos in range(size) for subset in subsets
-        ]
-        plan.append((np.array(entries), np.array(minors)))
-        index = {subset: i for i, subset in enumerate(subsets)}
-    return plan
-
-
-def det_jet_matrix(g: Jet, samples: Optional[int] = None, n: Optional[int] = None) -> Jet:
-    """Determinant of a stacked jet matrix by cofactor expansion along the
-    first row, level by level: one jet, or with `samples` a stack of one
-    determinant per sample (n read off g's rows where not given).
-
-    Level s holds the minors on the last s rows, one per s-subset of the
-    columns.  All of a level's cofactor products are one stacked product
-    (each row is summed on its own, so stacking changes no bits), and each
-    minor sums its cofactors in the order of the plain recursion, the odd
-    positions negated, so the result is the recursion's jet bit for bit.
-    The row indices of every level are planned once per n (`_cofactor_plan`).
-    """
-    count = 1 if samples is None else samples
-    n = n or math.isqrt(len(g.coeffs) // count)
-    level = take_rows(g, _lift((n - 1) * n + np.arange(n), count))
-    for size, (entries, minors) in enumerate(_cofactor_plan(n), start=2):
-        terms = take_rows(g, _lift(entries, count)) * take_rows(level, _lift(minors, count))
-        by_pos = terms.coeffs.reshape(size, -1, terms.coeffs.shape[-1])
-        total = by_pos[0]
-        for pos in range(1, size):
-            total = total + (-by_pos[pos] if pos % 2 == 1 else by_pos[pos])
-        level = Jet(terms.space, total, terms.order, terms.support)
-    coeffs = level.coeffs if samples is not None else level.coeffs[0]
-    return Jet(level.space, coeffs, level.order, level.support)
-
-
 @_quiet
-def log_sqrt_abs_det(g: Jet, samples: Optional[int] = None, n: Optional[int] = None) -> Jet:
+def log_sqrt_abs_det(
+    g: Jet, samples: Optional[int] = None, n: Optional[int] = None,
+    vinv: Optional[np.ndarray] = None, log_abs_det: Optional[np.ndarray] = None,
+) -> Jet:
     """ln sqrt|det g| of a stacked jet matrix: one jet, or with `samples` a
-    stack of one per sample (n read off g's rows where not given), whose
-    rows that leave the domain of abs or ln are NaN where one jet raises.
+    stack of one per sample (n read off g's rows where not given).
 
-    The determinant is taken of g scaled by 2^-k, k the binary exponent of
-    max |g value| of its sample, so it stays in float range where det g
-    would not, and n k ln 2 is added to the constant term of the logarithm.
-    Scaling by a power of two is exact short of underflow, so the derivative
-    coefficients are those of the unscaled determinant's logarithm; only the
-    constant term can differ in its last bits.
-    """
+    It is (1/2)(ln|det G0| + tr ln(I + E)), G0 the value part of g and
+    E = G0^-1 (g - G0) (Higham, *Functions of Matrices*, ch. 11), and
+    tr ln(I + E) = tr E - tr E^2/2 + tr E^3/3 - tr E^4/4 is exact: E has no
+    constant term, so E^5 vanishes at every validity up to `MAX_ORDER` = 4.
+    E is one product of the constant G0^-1 with g's coefficients, E^2 one
+    contraction, and the traces of E^2, E^3 = E^2 E and E^4 = E^2 E^2 one
+    stacked product: O(n^3) products.  `vinv` [sample, a, b] and
+    `log_abs_det` [sample] are G0^-1 and ln|det G0|, taken here where not
+    given: DomainError("abs-domain") where det G0 is 0 or not finite."""
     count = 1 if samples is None else samples
     n = n or math.isqrt(len(g.coeffs) // count)
-    k = np.frexp(np.max(np.abs(g.coeffs[:, 0].reshape(n * n, count)), axis=0))[1]
-    k = k.astype(np.int64)
-    scaled = Jet(g.space, np.ldexp(g.coeffs, -np.tile(k, n * n)[:, None]), g.order, g.support)
-    log_det = abs(det_jet_matrix(scaled, samples, n)).ln()
-    shift = n * k * math.log(2.0)
-    log_det.coeffs[..., 0] += shift if samples is not None else shift[0]
-    return 0.5 * log_det
+    if vinv is None:
+        g0 = values(g, (n, n, count)).transpose(2, 0, 1)
+        log_abs_det = np.linalg.slogdet(g0)[1]
+        if not np.isfinite(log_abs_det).all():
+            raise DomainError("abs-domain", "det g is 0 or not finite")
+        vinv = np.linalg.inv(g0)
+    e = np.einsum("sik,kjsc->ijsc", vinv, g.coeffs.reshape(n, n, count, g.coeffs.shape[-1]))
+    e[..., 0] = 0.0  # E = G0^-1 g - I
+    e = e.reshape(g.coeffs.shape)
+    E = Jet(g.space, e, g.order, g._support if np.isfinite(vinv).all() else None)
+    idx = _indices(n, count)
+    E2 = contract(E, E, *idx["matmul"])
+    both = Jet(g.space, np.concatenate([E.coeffs, E2.coeffs]), E.order, E._support)
+    traces = contract(both, both, *idx["traces"])  # rows (power 2..4, sample)
+    t2, t3, t4 = traces.coeffs.reshape(3, count, traces.coeffs.shape[-1])
+    log_det = _sum_over(take_rows(E, idx["diagonal"]), n).coeffs - t2 / 2 + t3 / 3 - t4 / 4
+    log_det[:, 0] += log_abs_det
+    log_det = log_det if samples is not None else log_det[0]
+    return 0.5 * Jet(g.space, log_det, E.order, traces._support)
 
 
 def _on_support(stage: Callable[..., Jet], operands: Sequence[Jet], *args) -> Jet:
@@ -617,8 +591,9 @@ class _Eval:
         """The one value pass over g, at the samples of g's stack: g's
         symmetrised values [sample, a, b], their eigenvalues [sample, k],
         the signature (n+, n-, n0) of each, the places `past` in g's stack
-        of the samples the stages past g are evaluated at, and the inverse
-        of g's values there [place in past, a, b].
+        of the samples the stages past g are evaluated at, and there the
+        inverse of g's values [place in past, a, b] and their ln|det|
+        [place in past], the one determinant a block takes of g's values.
 
         A g whose values are not finite is degenerate: its eigenvalues are
         NaN, and its signature (0, 0, n).  A sample is past g where g is
@@ -635,8 +610,9 @@ class _Eval:
         eig[~finite] = np.nan
         signature = _signature(eig, self.tol_degenerate)
         past = (signature[:, 2] == 0).nonzero()[0]
-        past = past[np.linalg.slogdet(g[past])[0] != 0]
-        return g, eig, signature, past, np.linalg.inv(g[past])
+        sign, log_abs_det = np.linalg.slogdet(g[past])
+        past = past[sign != 0]
+        return g, eig, signature, past, np.linalg.inv(g[past]), log_abs_det[sign != 0]
 
     @property
     def _past(self) -> np.ndarray:
@@ -753,9 +729,10 @@ class _Eval:
     @cached_property
     def log_sqrt_det(self) -> Jet:
         """ln sqrt|det g| at the samples past g, as a stack over the
-        block's coordinates; a row that leaves the domain of abs or ln is
-        NaN."""
-        return _on_support(log_sqrt_abs_det, [self._g_past], len(self._past), self.n)
+        block's coordinates, from the inverse and the ln|det| of g's values
+        that `_spectrum` took: O(n^3) products (`log_sqrt_abs_det`)."""
+        args = (len(self._past), self.n, *self._spectrum[4:])
+        return _on_support(log_sqrt_abs_det, [self._g_past], *args)
 
     @cached_property
     def _log_sqrt_det_delta(self) -> Jet:

@@ -416,17 +416,37 @@ def plain_cofactor_det(g):
     return total
 
 
-@pytest.mark.parametrize("n", range(1, 7))
-def test_det_jet_matrix_matches_plain_cofactor_expansion(n):
-    rng = np.random.default_rng([11, n])
+def test_log_sqrt_abs_det_makes_as_many_products_in_every_dimension(monkeypatch):
+    # ln sqrt|det g| is one contraction for E^2 and one product for the
+    # traces, whatever n: no product per cofactor level
     space = jet_space(3, 4)
-    width = space.ncoeff_upto[4]
-    stack = Jet(space, rng.uniform(-2, 2, (n * n, width)), 4)
-    g = [[Jet(space, stack.coeffs[i * n + j], 4) for j in range(n)] for i in range(n)]
-    got = geometry.det_jet_matrix(stack)
-    expected = plain_cofactor_det(g)
-    assert got.order == expected.order
-    assert np.array_equal(got.coeffs, expected.coeffs)
+    calls = []
+    mul = Jet.__mul__
+
+    def counting(self, other):
+        calls.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(Jet, "__mul__", counting)
+    monkeypatch.setattr(Jet, "__rmul__", counting)
+    counts = []
+    for n in (2, 4, 8, 12):
+        coeffs = np.random.default_rng([7, n]).uniform(-1.0, 1.0, (n * n, space.ncoeff))
+        coeffs[:, 0] += 3.0 * np.eye(n).ravel()  # well-conditioned values
+        g = Jet(space, coeffs, 4)
+        calls.clear()
+        geometry.log_sqrt_abs_det(g)
+        counts.append(len(calls))
+    assert counts == [counts[0]] * 4
+
+
+@pytest.mark.parametrize("g_values", [[1.0, 2.0, 2.0, 4.0], [np.nan, 0.0, 0.0, 1.0]])
+def test_log_sqrt_abs_det_of_a_zero_or_nan_determinant_leaves_the_abs_domain(g_values):
+    g = Jet(jet_space(2, 2), np.zeros((4, 6)), 2)
+    g.coeffs[:, 0] = g_values
+    with pytest.raises(DomainError) as info:
+        geometry.log_sqrt_abs_det(g)
+    assert info.value.reason == "abs-domain"
 
 
 # -- the stacked chain against the scalar loops it replaced -------------------------
@@ -507,7 +527,8 @@ def ref_delta_of(N, j, n):
 
 
 def ref_log_sqrt_det(g):
-    """ln sqrt|det g| of the scaled matrix, as `geometry.log_sqrt_abs_det`."""
+    """ln sqrt|det g| by the plain cofactor expansion of g scaled by 2^-k, k
+    the binary exponent of max |g value|, whose log takes n k ln 2 back."""
     n = len(g)
     k = math.frexp(max(abs(g[i, j].value) for i in range(n) for j in range(n)))[1]
     scaled = [[Jet(g[i, j].space, np.ldexp(g[i, j].coeffs, -k), g[i, j].order)
@@ -599,6 +620,11 @@ def assert_same_stack(stack, jets):
     assert stack.coeffs.tobytes() == np.array([j.coeffs for j in flat]).tobytes()
 
 
+def assert_close_coeffs(got, want):
+    """Each coefficient agrees within 1e-13 times max(1, |the reference's|)."""
+    assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+
+
 def assert_same_bytes(got, want):
     for g, w in zip(got, want, strict=True):
         assert np.float64(g).tobytes() == np.float64(w).tobytes()
@@ -622,9 +648,9 @@ def test_stacked_matrix_algebra_matches_the_scalar_loops(n, validity, seed):
     ginv = geometry.invert_jet_matrix(g)
     ref_ginv = ref_invert(rows)
     assert_same_stack(ginv, ref_ginv)
-    det = geometry.det_jet_matrix(g)
-    ref_det = plain_cofactor_det(rows)
-    assert det.order == ref_det.order and det.coeffs.tobytes() == ref_det.coeffs.tobytes()
+    log_det, ref_log_det = geometry.log_sqrt_abs_det(g), ref_log_sqrt_det(rows)
+    assert log_det.order == ref_log_det.order
+    assert_close_coeffs(log_det.coeffs, ref_log_det.coeffs)
     dg = Jet(space, rng.uniform(-1.0, 1.0, (n**3, width)), validity)
     ref_dg = np.array([Jet(space, row, validity) for row in dg.coeffs]).reshape(n, n, n)
     assert_same_stack(geometry.koszul(ginv, dg), ref_koszul(ref_ginv, ref_dg))
@@ -931,10 +957,11 @@ def test_stacked_chain_matches_the_scalar_loops(seed, order, from_catalog):
     ])
     f = ev.log_sqrt_det
     want = ref_log_sqrt_det(ref["g"])
-    assert f.order == want.order and f.coeffs.tobytes() == want.coeffs.tobytes()
-    # the scaling leaves every derivative coefficient of the unscaled logarithm
+    assert f.order == want.order
+    assert_close_coeffs(f.coeffs, want.coeffs)
+    # every derivative coefficient is the unscaled logarithm's
     unscaled = 0.5 * abs(plain_cofactor_det(ref["g"])).ln()
-    assert f.coeffs[1:].tobytes() == unscaled.coeffs[1:].tobytes()
+    assert_close_coeffs(f.coeffs[1:], unscaled.coeffs[1:])
     assert f.value == pytest.approx(unscaled.value, rel=1e-14, abs=1e-14)
     if order < 3:
         return
@@ -962,6 +989,24 @@ def test_stacked_chain_matches_the_scalar_loops(seed, order, from_catalog):
         ref_curvature(ref_values(ref["gamma"]), dgam_x, dgam_v, ref_values(ref["N"])),
     )
     assert_same_bytes([ev.commutator_residual(f)], [ref_commutator_residual(ev, ref["N"], f)])
+
+
+def test_log_sqrt_det_is_half_slogdet_and_half_the_trace_of_g_inv_dg():
+    # the oracle reads no cofactor: the value is (1/2) ln|det g| of g's
+    # values, and d ln sqrt|det g| / dv = (1/2) tr(g^-1 dg/dv)
+    rng = np.random.default_rng(31)
+    for lag, sample in _CATALOG_SAMPLES + [_dsl_sample(rng) for _ in range(40)]:
+        ev = _Eval(lag, sample, 4).row(0)
+        if not ev.admissibility().in_A:
+            continue
+        n, f = ev.n, ev.log_sqrt_det
+        value = 0.5 * np.linalg.slogdet(ev.g_values)[1]
+        assert abs(f.value - value) <= 1e-13 * max(1.0, abs(value))
+        dg = geometry.first_derivatives(ev.g_jets, range(2 * n), (n, n))  # [v, b, a]
+        terms = 0.5 * np.einsum("ab,vba->vab", ev.g_inv_values, dg)
+        got = geometry.first_derivatives(f, range(2 * n))
+        scale = np.maximum(1.0, np.abs(terms).sum(axis=(1, 2)))
+        assert np.all(np.abs(got - terms.sum(axis=(1, 2))) <= 1e-13 * scale)
 
 
 def test_stacked_chain_makes_no_scalar_jet_product(monkeypatch, szabo):

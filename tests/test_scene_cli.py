@@ -558,6 +558,22 @@ def test_causal_on_nonfamily_warns():
     assert any("family" in w for w in report["warnings"])
 
 
+def test_causal_reads_an_odd_dimensional_lorentzian_zeta_viable():
+    # zeta of signature (1, 2, 0) has a positive determinant: the verdict
+    # reads the signature, and the determinant stays in the entry
+    doc = _family_scene(alpha=[["1", "0", "0"], ["0", "-1", "0"], ["0", "0", "-1"]],
+                        beta=["1", "0", "0"], p=0.5)
+    doc.update(chart={"dim": 3}, samples=[{"x": [0.1, 0.2, 0.3], "xdot": [1, 0.2, 0.1]}])
+    report, code = run_scene(load_scene(doc), "report")
+    assert report["samples"][0]["admissibility"]["in_T"]
+    causal = report["geometry"]["causal"]
+    entry = causal["per_base_point"][0]
+    assert entry["zeta_signature"] == [1, 2, 0]
+    assert entry["det_zeta"] == pytest.approx(1.0, abs=1e-12)
+    assert entry["viable"] and causal["viable"]
+    assert not any("non-viable" in w for w in report.get("warnings", []))
+
+
 def test_sample_errors_recorded_not_fatal():
     doc = szabo_scene()
     doc["samples"] = [
@@ -996,6 +1012,22 @@ def test_cli_scene_error_exit_one(tmp_path, capsys):
     p = _write_scene(tmp_path, {"lagrangian": {"catalog": "nope"}})
     assert cli.main(["probe", str(p)]) == 1
     assert "scene error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("message", ["Unable to allocate 1.15 GiB for an array", ""])
+def test_cli_memory_error_exit_one(tmp_path, capsys, monkeypatch, message):
+    # a scene that asks for more memory than there is ends in a tagged
+    # error, not a traceback; no large space is built to show it
+    from finslergeo import scene as scenemod
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(scenemod, "run_scene", exhausted)
+    p = _write_scene(tmp_path, minkowski_scene())
+    assert cli.main(["probe", str(p), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {message or 'MemoryError'}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_threads_flag_is_a_usage_error(tmp_path):

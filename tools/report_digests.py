@@ -25,7 +25,9 @@ order 4 (tagged ``order4-overflow``), on one whose sample in A sits
 between one whose order-4 L is not finite and one that leaves a
 function's domain (tagged ``mixed-rows``) and on one whose g is
 nondegenerate at its scene's ``degenerate`` tolerance but whose values do
-not invert (tagged ``singular-values``), at ``options.seed`` 0 and 3.
+not invert (tagged ``singular-values``) and on one seeded dense dim-8 DSL
+scene, (q1)^2/q2 with x-dependent quadratic forms q1 and q2 and its sample
+in A (tagged ``dense-dim8``), at ``options.seed`` 0 and 3.
 Each run prints two lines:
 
     <scene> <subcommand> <seed> <exit code> <sha256 of report.json or ->
@@ -286,6 +288,37 @@ SINGULAR_VALUES_SCENE = {
     "options": {"tolerances": {"degenerate": 1e-18}},
 }
 
+
+def _dense_scene(n: int, seed: int) -> dict:
+    """A seeded DSL scene (q1)^2/q2 in dimension n, q1 and q2 quadratic
+    forms in xdot with every coefficient x-dependent, so that g depends on
+    all 2n variables: q1 near diag(1, -1, ..., -1), q2 near the identity,
+    and one sample near xdot = (1, 0, ..., 0)."""
+    rng = np.random.default_rng([seed, n])
+
+    def form(diagonal):
+        terms = []
+        for a in range(n):
+            for b in range(a, n):
+                c = diagonal[a] if a == b else rng.uniform(-0.1, 0.1)
+                s = rng.uniform(-0.2, 0.2)
+                terms.append(f"{c:.3f}*(1 + {s:.3f}*x{(a + b) % n})*dx{a}*dx{b}")
+        return " + ".join(terms)
+
+    q1, q2 = form([1.0] + [-1.0] * (n - 1)), form([1.0] * n)
+    x = np.round(rng.uniform(-0.3, 0.3, n), 3)
+    xdot = np.round(np.concatenate([[1.0], rng.uniform(-0.2, 0.2, n - 1)]), 3)
+    return {
+        "chart": {"dim": n},
+        "lagrangian": {"dsl": {"source": f"({q1})^2/({q2})"}},
+        "samples": [{"x": x.tolist(), "xdot": xdot.tolist(), "label": "p0"}],
+    }
+
+
+# A dense dim-8 scene, its sample in A: the largest n whose ln sqrt|det g|
+# the digests cover.
+DENSE8_SCENE = _dense_scene(8, 0)
+
 # Offsets of the fixed witness block from a sample's direction.
 WITNESS_OFFSETS = 0.05 * np.array([[0.0, 1.0, -1.0, 0.5], [1.0, -0.5, 0.25, -1.0]])
 
@@ -297,8 +330,8 @@ def scene_documents(root: Path):
     witness-overflow scenes, the partial-support, negated-quadratic and
     near-degenerate scenes, the near-degenerate scene at the default
     tolerance, the phi-override scene, the partial-evaluation
-    scene, the order4-overflow scene, the mixed-rows scene and the
-    singular-values scene."""
+    scene, the order4-overflow scene, the mixed-rows scene, the
+    singular-values scene and the dense dim-8 scene."""
     for path in sorted((root / "scenes").glob("*.json")):
         yield path.name, json.loads(path.read_text(encoding="utf-8"))
     for name in catalog.names():
@@ -319,6 +352,7 @@ def scene_documents(root: Path):
     yield "order4-overflow", ORDER4_OVERFLOW_SCENE
     yield "mixed-rows", MIXED_ROWS_SCENE
     yield "singular-values", SINGULAR_VALUES_SCENE
+    yield "dense-dim8", DENSE8_SCENE
 
 
 def digest(doc: dict, subcommand: str, workdir: Path) -> tuple[int, str, str]:
